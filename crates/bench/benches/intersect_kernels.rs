@@ -2,13 +2,20 @@
 //! under each [`tc_core::KernelStrategy`] across a density × skew
 //! sweep, against both owned [`SparseBlock`]s and borrowed
 //! [`SparseBlockRef`] views (the zero-copy pipeline's operand form),
-//! plus the raw merge primitive against its scalar fallback.
+//! plus the three intersect primitives on identical inputs: the merge
+//! (SIMD and its scalar fallback), the packed bit row, and the
+//! direct-map probe — load the row into the map, then probe every
+//! candidate — which is what the hash plan (and therefore `auto`)
+//! actually executes and what the other two have to beat.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use tc_core::bitmap::BitRow;
 use tc_core::blocks::{BlockView, SparseBlock, SparseBlockRef};
 use tc_core::count::count_shift;
+use tc_core::hashmap::IntersectMap;
 use tc_core::intersect::{intersect_count, intersect_count_scalar, KernelState};
+use tc_core::recip::Reciprocal;
 use tc_core::{KernelStrategy, TcConfig};
 use tc_gen::{er::gnm, graph500};
 use tc_graph::EdgeList;
@@ -72,22 +79,72 @@ fn bench_strategies(c: &mut Criterion) {
     }
 }
 
-fn bench_merge_primitive(c: &mut Criterion) {
-    let mut group = c.benchmark_group("merge_primitive");
-    for (dname, gap) in [("dense", 2u32), ("sparse", 17)] {
+/// Ascending duplicate-free row of `len` keys: `gap = Some(g)` spaces
+/// them evenly (offset by `phase`), `None` draws gaps of 1..=32 from a
+/// seeded LCG.
+fn primitive_row(len: usize, gap: Option<u32>, phase: u32) -> Vec<u32> {
+    let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ u64::from(phase);
+    let mut cur = phase;
+    (0..len)
+        .map(|_| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            cur += gap.unwrap_or(1 + (x >> 33) as u32 % 32);
+            cur
+        })
+        .collect()
+}
+
+fn bench_intersect_primitives(c: &mut Criterion) {
+    let mut group = c.benchmark_group("intersect_primitive");
+    // Evenly spaced rows load in the map's collision-free direct mode;
+    // randomly spaced ones collide once they are long enough and load
+    // in probing mode (the probe row's name says which it got), so the
+    // probe rows below cover both lookup loops.
+    for (dname, gap) in [("even", Some(2u32)), ("random", None)] {
         for len in [16usize, 128, 1024] {
-            let a: Vec<u32> = (0..len as u32).map(|i| i * gap).collect();
-            let b: Vec<u32> = (0..len as u32).map(|i| i * gap + gap / 2 + (i & 1)).collect();
-            group.bench_function(format!("simd_{dname}_len{len}"), |bch| {
+            let a = primitive_row(len, gap, 0);
+            let b = primitive_row(len, gap, 1);
+            group.bench_function(format!("merge_simd_{dname}_len{len}"), |bch| {
                 bch.iter(|| intersect_count(black_box(&a), black_box(&b)));
             });
-            group.bench_function(format!("scalar_{dname}_len{len}"), |bch| {
+            group.bench_function(format!("merge_scalar_{dname}_len{len}"), |bch| {
                 bch.iter(|| intersect_count_scalar(black_box(&a), black_box(&b)));
+            });
+            group.bench_function(format!("bitmap_{dname}_len{len}"), |bch| {
+                let mut bits = BitRow::new();
+                let stride = Reciprocal::new(1);
+                bch.iter(|| {
+                    bits.build(black_box(&a), stride);
+                    let hits: u64 =
+                        black_box(&b).iter().map(|&k| u64::from(bits.contains(k, stride))).sum();
+                    bits.clear(&a, stride);
+                    hits
+                });
+            });
+            let mut map = IntersectMap::new(len, 1);
+            map.load_row(&a, true);
+            let mode = if map.is_direct() { "direct" } else { "probing" };
+            group.bench_function(format!("probe_{mode}_{dname}_len{len}"), |bch| {
+                bch.iter(|| {
+                    // A real load every iteration, not a replay of the
+                    // consecutive-row cache.
+                    map.invalidate_row_cache();
+                    map.load_row(black_box(&a), true);
+                    let (probe, mut steps) = (map.probe(), 0u64);
+                    let hits: u64 = if map.is_direct() {
+                        black_box(&b).iter().map(|&k| u64::from(probe.hit_direct(k))).sum()
+                    } else {
+                        let probing = |&k| u64::from(probe.hit_probing(k, &mut steps));
+                        black_box(&b).iter().map(probing).sum()
+                    };
+                    map.credit(b.len() as u64, steps);
+                    hits
+                });
             });
         }
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_strategies, bench_merge_primitive);
+criterion_group!(benches, bench_strategies, bench_intersect_primitives);
 criterion_main!(benches);

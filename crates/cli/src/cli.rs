@@ -281,10 +281,11 @@ chrome://tracing, or inspect with `tricount tracecheck FILE`.
 histograms) as schema-versioned JSON; with --trace it is also embedded in
 the trace document under \"tcMetrics\".
 --kernel picks the set-intersection strategy of the 2D/SUMMA per-shift
-kernel: auto (default; per-row/per-task dispatch between the hash probe,
-the vectorized sorted-merge, and packed bitmap rows for hubs), or one of
-hash|merge|bitmap to force a strategy — counts, per-edge supports, and
-every deterministic counter are identical under all four. The TC_KERNEL
+kernel: auto (default; the fastest measured plan per row — today the
+division-free hash probe on every row), or one of hash|merge|bitmap to
+force the hash probe, the vectorized sorted-merge, or packed bitmap
+rows — counts, per-edge supports, and every deterministic counter are
+identical under all four. The TC_KERNEL
 environment variable supplies the default (strict parse: an invalid
 value aborts at startup, like the MPS_* family); an explicit --kernel
 flag wins over it.

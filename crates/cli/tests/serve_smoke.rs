@@ -252,3 +252,30 @@ fn four_process_fleet_sustains_mixed_workload() {
 fn four_process_fleet_stays_exact_under_chaos() {
     drive("chaos", &["--chaos", "42"], 30);
 }
+
+#[test]
+fn every_shutdown_gets_its_reply_line() {
+    // The process-level face of the shutdown-reply race (see
+    // tc-serve's `shutdown_reply_is_on_the_wire_before_the_service_
+    // returns`): launch a real `tricount serve`, ask it to stop, and
+    // require the reply line — not end-of-file — every single time.
+    let sock = std::env::temp_dir().join(format!("tcs-{}-shutdown.sock", std::process::id()));
+    for round in 0..20 {
+        let mut child = tricount()
+            .arg("serve")
+            .arg("g500-s6")
+            .args(["--listen", &sock.to_string_lossy()])
+            .args(["--ranks", "4"])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn tricount serve");
+        let mut client =
+            Client::connect_retry(&sock, Duration::from_secs(60)).expect("service comes up");
+        let reply = client.request(&Request::Shutdown);
+        let status = child.wait().expect("serve exits");
+        assert!(status.success(), "round {round}: serve exited {status}");
+        let reply = reply.unwrap_or_else(|e| panic!("round {round}: shutdown got no reply: {e}"));
+        assert_eq!(reply.get("stopping"), Some(&Value::Bool(true)), "round {round}: {reply:?}");
+    }
+}

@@ -127,6 +127,14 @@ impl SparseBlock {
         self.row(lr).binary_search(&col).ok().map(|pos| self.row_start(lr) + pos)
     }
 
+    /// Every stored entry in row order: the concatenation of all rows,
+    /// so index `row_start(lr) + pos` is entry `pos` of row `lr` and
+    /// `+ d` is the entry `d` tasks later, across row boundaries.
+    #[inline]
+    pub fn entries(&self) -> &[u32] {
+        &self.cols
+    }
+
     /// Local ids of non-empty rows.
     pub fn nonempty_rows(&self) -> &[u32] {
         &self.nonempty

@@ -29,12 +29,14 @@ pub enum Enumeration {
 /// rows that fall back to probing mode take the hash path regardless.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelStrategy {
-    /// Per-row/per-task heuristic dispatch from row-length and density
-    /// stats: packed bit rows for hub rows, vectorized merge when the
-    /// hash row is not much longer than the probe candidates, hash
-    /// otherwise. The default.
+    /// The fastest measured plan for each row. With the division-free
+    /// direct-map probe that is the hash plan on every row of every
+    /// dataset × grid in the EXPERIMENTS.md sweep, so `Auto` currently
+    /// resolves exactly like [`KernelStrategy::Hash`]; it stays a
+    /// separate setting so a plan that starts winning somewhere can
+    /// re-enter the default without touching callers. The default.
     Auto,
-    /// Always the paper's hash probe (the pre-adaptive behavior).
+    /// Always the paper's hash probe.
     Hash,
     /// Vectorized sorted-merge for every direct-mode row.
     Merge,

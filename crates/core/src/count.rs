@@ -1,5 +1,5 @@
 //! The per-shift map-based intersection kernel (paper §5.1–5.2), with
-//! adaptive strategy dispatch.
+//! selectable intersection strategies.
 //!
 //! On each of the `√p` shifts a rank holds three blocks: its immobile
 //! task block, the current hash-side operand (rows `A(a) ∩ {k ≡ w}`),
@@ -10,60 +10,93 @@
 //!
 //! ## Strategy dispatch
 //!
-//! The probe itself runs under one of three strategies
+//! The probe itself runs under one of three plans
 //! ([`crate::config::KernelStrategy`]): the paper's **hash** probe, a
 //! vectorized sorted-**merge** ([`crate::intersect`]), or packed
-//! **bitmap** rows for hubs ([`crate::bitmap`]). Dispatch is
-//! per-row/per-task from stats the block build already provides (row
-//! lengths, the map's direct/probing mode decision):
+//! **bitmap** rows ([`crate::bitmap`]):
 //!
 //! - every row is still loaded into the map first, so the
 //!   insert/row-mode counters are strategy-invariant;
 //! - merge and bitmap only replace *direct-mode* probes — those cost
 //!   zero probe steps each, so replacing them moves no deterministic
 //!   counter; probing-mode (collision) rows always take the hash path;
-//! - the lookups a fast path absorbs are credited to the map in bulk
-//!   ([`crate::hashmap::IntersectMap::credit_lookups`]): under the
-//!   reverse early break the legacy loop looks up exactly the probe
-//!   entries `≥ min(hash row)` — an ascending-row suffix — and without
-//!   it the whole probe row, so the count is computable without
-//!   touching the table.
+//! - every plan hands the map its lookups in bulk
+//!   ([`crate::hashmap::IntersectMap::credit`]): under the reverse
+//!   early break the paper's loop looks up exactly the probe entries
+//!   `≥ min(hash row)` — an ascending-row suffix — and without it the
+//!   whole probe row, so merge and bitmap can compute the count
+//!   without touching the table, and the hash plan counts what it
+//!   physically did.
 //!
 //! Net effect: triangle counts, per-edge supports, and every legacy
 //! deterministic counter are bit-identical across all strategies
-//! (asserted by the `kernel_equivalence` suite), while skewed blocks
-//! run measurably faster.
+//! (asserted by the `kernel_equivalence` suite).
+//!
+//! `auto` is *measured*, not assumed: a direct-mode lookup is one
+//! reciprocal multiply, one AND, one load and one compare against an
+//! L1-resident table, with no data-dependent branch, and on every
+//! dataset × grid of the EXPERIMENTS.md sweep neither merge nor bitmap
+//! beats that on the rows they are allowed to serve — both first pay a
+//! binary search for the candidate span per task, merge then walks the
+//! hash row as well, and the bitmap pays a build and a clear per row
+//! for a test that costs what the direct probe costs. So `auto`
+//! resolves every row to the hash plan and no task pays a candidate
+//! search it cannot win back; `merge` and `bitmap` remain as forced
+//! strategies for the equivalence suite and the CI dispatch gate.
+//!
+//! ## No divide, no dependent store, no cold row
+//!
+//! The hot loop executes no hardware divide: the transformed indices
+//! `k ÷ q` (hash slot, bit index) and `b ÷ q` (probe row of a task) go
+//! through precomputed [`Reciprocal`]s. A row's lookups run through a
+//! [`RowProbe`] held in registers with the tallies in locals, flushed
+//! once per row, so consecutive lookups share no store-to-load chain.
+//! And each task prefetches the probe row `PREFETCH_AHEAD` tasks
+//! ahead — the first touch of a probe row is otherwise a cache miss
+//! on an address nothing but the task's `b` predicts.
 
-use crate::bitmap::BitRow;
 use crate::blocks::{BlockView, SparseBlock};
 use crate::config::{KernelStrategy, TcConfig};
-use crate::intersect::{intersect_count, intersect_visit, KernelState};
+use crate::hashmap::RowProbe;
+use crate::intersect::{intersect_count, intersect_visit, KernelState, KernelStats};
+use crate::recip::Reciprocal;
 
-/// Auto dispatch: a hash row this long (a hub) with enough tasks in
-/// the row is worth materializing as a packed bit row.
-const BITMAP_MIN_ROW: usize = 64;
-/// Auto dispatch: minimum tasks per row to amortize a bitmap build.
-const BITMAP_MIN_TASKS: usize = 4;
-/// Auto dispatch: merge while the hash row is at most this many times
-/// longer than the candidate suffix (merge walks both rows; the hash
-/// probe walks only the candidates).
-const MERGE_MAX_RATIO: usize = 4;
-/// Auto dispatch: minimum candidate-suffix length before merge is
-/// considered. Below this the vector path cannot fill its lanes and a
-/// direct-map probe per candidate is cheaper than walking both rows.
-const MERGE_MIN_CAND: usize = 16;
+/// Look-ahead of the probe-row prefetch, in tasks. A task's probe row
+/// sits at an address only its `b` knows, so the first touch of every
+/// row is a cache miss the out-of-order window cannot hide behind a
+/// ~30-lookup task; requesting the line a few tasks early overlaps it
+/// with useful probes. Chosen by the sweep in EXPERIMENTS.md.
+const PREFETCH_AHEAD: usize = 4;
+
+/// Hints the cache line the task loop will touch first in `row`: the
+/// tail under the reverse early break, the head otherwise. A no-op off
+/// x86_64 and under `force-scalar`.
+#[inline(always)]
+fn prefetch_row(row: &[u32], from_tail: bool) {
+    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+    if let Some(k) = if from_tail { row.last() } else { row.first() } {
+        #[allow(unsafe_code)]
+        // SAFETY: PREFETCHT0 is an architectural hint — it never
+        // faults and changes no program-visible state — and SSE is
+        // part of the x86_64 baseline. The address is a live `&u32`.
+        unsafe {
+            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(k).cast());
+        }
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
+    let _ = (row, from_tail);
+}
 
 /// How one task row is served this shift.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum RowPlan {
-    /// Legacy hash probe for every task of the row.
+    /// The paper's hash probe for every task of the row.
     Hash,
     /// Vectorized merge for every task of the row.
     Merge,
     /// One packed bit row, probed by every task of the row.
     Bitmap,
-    /// Merge vs hash per task, by the length-ratio heuristic.
-    Adaptive,
 }
 
 /// Counts the triangles contributed by one shift.
@@ -117,6 +150,34 @@ pub fn count_shift_recording<H: BlockView, P: BlockView>(
     count_shift_impl::<H, P, true>(task, hash_block, probe_block, ks, q, cfg, tasks_counter, record)
 }
 
+/// The paper's loop for one task (§5.2): look up the probe entries
+/// `≥ floor`, walking the ascending row from its tail and breaking at
+/// the first entry below the bound. Returns `(lookups, hits)`; the
+/// caller owns both tallies, so the loop carries no memory dependency
+/// from one lookup to the next.
+#[inline(always)]
+fn probe_task<const DIRECT: bool, const RECORD: bool>(
+    probe: RowProbe<'_>,
+    prow: &[u32],
+    floor: u32,
+    steps: &mut u64,
+    mut hit: impl FnMut(u32),
+) -> (u64, u64) {
+    let (mut done, mut found) = (0u64, 0u64);
+    for &k in prow.iter().rev() {
+        if k < floor {
+            break;
+        }
+        done += 1;
+        let h = if DIRECT { probe.hit_direct(k) } else { probe.hit_probing(k, steps) };
+        if RECORD && h {
+            hit(k);
+        }
+        found += u64::from(h);
+    }
+    (done, found)
+}
+
 #[allow(clippy::too_many_arguments)]
 fn count_shift_impl<H: BlockView, P: BlockView, const RECORD: bool>(
     task: &SparseBlock,
@@ -132,6 +193,12 @@ fn count_shift_impl<H: BlockView, P: BlockView, const RECORD: bool>(
     // never replay a row cached at a recycled address.
     ks.map.invalidate_row_cache();
     let stride = ks.map.stride();
+    // Task columns address probe rows by `b ÷ q`. Built once per shift
+    // (the only divide in this function): under SUMMA `q` is the grid
+    // width while the map hashes raw ids, so it is not the map's stride.
+    let row_of = Reciprocal::new(u32::try_from(q).expect("grid side fits in u32"));
+    let task_entries = task.entries();
+    let early = cfg.reverse_early_break;
     let mut found = 0u64;
 
     let mut run_row = |la: usize| {
@@ -141,133 +208,87 @@ fn count_shift_impl<H: BlockView, P: BlockView, const RECORD: bool>(
         }
         let hrow = hash_block.row(la);
         ks.map.load_row(hrow, cfg.direct_hash);
+        let direct = ks.map.is_direct();
         // Entries of the hash row are ascending; anything below the
         // smallest can never hit (the §5.2 early-break bound). An
-        // empty hash row degenerates to "break immediately".
-        let min_h = hrow.first().copied().unwrap_or(u32::MAX);
+        // empty hash row degenerates to "break immediately"; with the
+        // optimization off nothing is below the bound.
+        let floor = if early { hrow.first().copied().unwrap_or(u32::MAX) } else { 0 };
         let row_base = task.row_start(la);
 
-        // Row plan: the fast strategies require the collision-free
-        // direct mode (their counter-exactness guarantee); probing
-        // rows and empty rows stay on the hash path under every
-        // setting.
-        let plan = if hrow.is_empty() || !ks.map.is_direct() {
+        // Row plan: `auto` is the hash plan (see the module doc). The
+        // forced fast strategies require the collision-free direct
+        // mode (their counter-exactness guarantee); probing rows and
+        // empty rows stay on the hash path under every setting.
+        let plan = if hrow.is_empty() || !direct {
             RowPlan::Hash
         } else {
             match cfg.kernel {
-                KernelStrategy::Hash => RowPlan::Hash,
+                KernelStrategy::Auto | KernelStrategy::Hash => RowPlan::Hash,
                 KernelStrategy::Merge => RowPlan::Merge,
                 KernelStrategy::Bitmap => RowPlan::Bitmap,
-                KernelStrategy::Auto => {
-                    if hrow.len() >= BITMAP_MIN_ROW
-                        && trow.len() >= BITMAP_MIN_TASKS
-                        && BitRow::dense_enough(hrow, stride)
-                    {
-                        RowPlan::Bitmap
-                    } else {
-                        RowPlan::Adaptive
-                    }
-                }
             }
         };
+        // The row's tallies stay in locals for the whole task loop and
+        // are flushed to the shared counters once, below.
+        let mut tally = KernelStats::default();
+        let (mut row_found, mut steps) = (0u64, 0u64);
         if plan == RowPlan::Bitmap {
             ks.bitmap.build(hrow, stride);
-            ks.stats.bitmap_rows += 1;
+            tally.bitmap_rows = 1;
         }
+        let probe = ks.map.probe();
 
         for (pos, &b) in trow.iter().enumerate() {
-            let prow = probe_block.row(b as usize / q);
+            if let Some(&ahead) = task_entries.get(row_base + pos + PREFETCH_AHEAD) {
+                prefetch_row(probe_block.row(row_of.quotient(ahead) as usize), early);
+            }
+            let prow = probe_block.row(row_of.quotient(b) as usize);
 
-            // The candidate span: the probe entries the legacy loop
-            // would actually look up. With the early break that is the
-            // ascending suffix ≥ min_h; without it, the whole row. The
-            // hash path re-derives it by breaking, and an adaptive
-            // task over a row too short to ever qualify for merge can
-            // only resolve to hash — both skip the search.
-            let cand = if plan == RowPlan::Hash
-                || (plan == RowPlan::Adaptive && prow.len() < MERGE_MIN_CAND)
-            {
-                prow
-            } else if cfg.reverse_early_break {
-                &prow[prow.partition_point(|&k| k < min_h)..]
-            } else {
-                prow
-            };
+            // The candidate span of the fast plans: the probe entries
+            // the paper's loop would look up, i.e. the ascending
+            // suffix ≥ floor. (The hash plan finds it by breaking.)
+            let candidates = || &prow[prow.partition_point(|&k| k < floor)..];
 
-            let tplan = match plan {
-                RowPlan::Hash => RowPlan::Hash,
-                RowPlan::Adaptive => {
-                    if cand.len() >= MERGE_MIN_CAND && hrow.len() <= MERGE_MAX_RATIO * cand.len() {
-                        RowPlan::Merge
+            match plan {
+                RowPlan::Hash => {
+                    // Physical lookups against the loaded map.
+                    let hit = |k| record(row_base + pos, k);
+                    let (done, hits) = if direct {
+                        probe_task::<true, RECORD>(probe, prow, floor, &mut steps, hit)
                     } else {
-                        RowPlan::Hash
-                    }
-                }
-                fixed => fixed,
-            };
-
-            match tplan {
-                RowPlan::Hash | RowPlan::Adaptive => {
-                    // The paper's loop, verbatim: physical lookups.
-                    let before = ks.map.stats.lookups;
-                    if cfg.reverse_early_break {
-                        for &k in prow.iter().rev() {
-                            if k < min_h {
-                                break;
-                            }
-                            if ks.map.contains(k) {
-                                found += 1;
-                                if RECORD {
-                                    record(row_base + pos, k);
-                                }
-                            }
-                        }
-                    } else {
-                        for &k in prow {
-                            if ks.map.contains(k) {
-                                found += 1;
-                                if RECORD {
-                                    record(row_base + pos, k);
-                                }
-                            }
-                        }
-                    }
-                    let done = ks.map.stats.lookups - before;
-                    if done > 0 {
-                        *tasks_counter += 1;
-                        ks.stats.hash_tasks += 1;
-                        ks.stats.hash_lookups += done;
-                    }
+                        probe_task::<false, RECORD>(probe, prow, floor, &mut steps, hit)
+                    };
+                    tally.hash_tasks += u64::from(done > 0);
+                    tally.hash_lookups += done;
+                    row_found += hits;
                 }
                 RowPlan::Merge => {
+                    let cand = candidates();
                     if cand.is_empty() {
                         continue;
                     }
-                    ks.map.credit_lookups(cand.len() as u64);
-                    *tasks_counter += 1;
-                    ks.stats.merge_tasks += 1;
-                    ks.stats.merge_lookups += cand.len() as u64;
-                    found += if RECORD {
+                    tally.merge_tasks += 1;
+                    tally.merge_lookups += cand.len() as u64;
+                    row_found += if RECORD {
                         intersect_visit(hrow, cand, |k| record(row_base + pos, k))
                     } else {
                         intersect_count(hrow, cand)
                     };
                 }
                 RowPlan::Bitmap => {
+                    let cand = candidates();
                     if cand.is_empty() {
                         continue;
                     }
-                    ks.map.credit_lookups(cand.len() as u64);
-                    *tasks_counter += 1;
-                    ks.stats.bitmap_tasks += 1;
-                    ks.stats.bitmap_lookups += cand.len() as u64;
+                    tally.bitmap_tasks += 1;
+                    tally.bitmap_lookups += cand.len() as u64;
                     for &k in cand {
-                        if ks.bitmap.contains(k, stride) {
-                            found += 1;
-                            if RECORD {
-                                record(row_base + pos, k);
-                            }
+                        let h = ks.bitmap.contains(k, stride);
+                        if RECORD && h {
+                            record(row_base + pos, k);
                         }
+                        row_found += u64::from(h);
                     }
                 }
             }
@@ -276,6 +297,14 @@ fn count_shift_impl<H: BlockView, P: BlockView, const RECORD: bool>(
         if plan == RowPlan::Bitmap {
             ks.bitmap.clear(hrow, stride);
         }
+        // Every strategy hands the map the lookups the legacy loop
+        // would have counted (merge and bitmap absorb theirs at zero
+        // probe steps), so the deterministic counters cannot tell the
+        // strategies apart.
+        ks.map.credit(tally.hash_lookups + tally.merge_lookups + tally.bitmap_lookups, steps);
+        *tasks_counter += tally.hash_tasks + tally.merge_tasks + tally.bitmap_tasks;
+        ks.stats.merge_from(&tally);
+        found += row_found;
     };
 
     if cfg.doubly_sparse {

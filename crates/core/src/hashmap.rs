@@ -16,6 +16,13 @@
 //! that row. Probe steps, lookups, and mode choices are all counted,
 //! feeding the paper's probe-rate analysis (§7.1) and the §7.3
 //! ablation.
+//!
+//! The transformed index `k ÷ q` is computed with a precomputed
+//! [`Reciprocal`] (one widening multiply), never a hardware divide: `q`
+//! is a runtime value, so a plain `/ q` compiles to a `div` that costs
+//! more than the L1-resident table access it addresses.
+
+use crate::recip::Reciprocal;
 
 /// Counters accumulated across the lifetime of a map.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -40,17 +47,26 @@ pub struct MapStats {
 
 const HASH_MULT: u32 = 0x9e37_79b1;
 
+/// Packs a table slot: the generation stamp in the high half, the key
+/// in the low half, so one load answers "occupied this generation, by
+/// this key?".
+#[inline(always)]
+fn slot_of(generation: u32, key: u32) -> u64 {
+    u64::from(generation) << 32 | u64::from(key)
+}
+
 /// Reusable hash set over the column entries of one operand-block row.
 #[derive(Debug)]
 pub struct IntersectMap {
-    keys: Vec<u32>,
-    stamps: Vec<u32>,
+    /// `stamp << 32 | key` per slot; a slot is live iff its stamp is
+    /// the current generation (generation 0 is never live).
+    slots: Vec<u64>,
     generation: u32,
     mask: u32,
     shift: u32,
-    /// Grid side; keys within a block share `k % q`, so hashing uses
-    /// the transformed index `k ÷ q`.
-    q: u32,
+    /// Reciprocal of the grid side `q`; keys within a block share
+    /// `k % q`, so hashing uses the transformed index `k ÷ q`.
+    stride: Reciprocal,
     /// Mode of the currently loaded row.
     direct: bool,
     /// Identity of the currently loaded row — `(ptr, len, allow_direct)`
@@ -61,6 +77,69 @@ pub struct IntersectMap {
     loaded: Option<LoadedRow>,
     /// Lifetime counters.
     pub stats: MapStats,
+}
+
+/// A read-only handle on the currently loaded row for a burst of
+/// lookups ([`IntersectMap::probe`]). Everything a lookup needs is
+/// copied into the handle, so the per-shift kernel keeps it in
+/// registers across a task instead of re-reading the map — and the
+/// caller, not the handle, owns the counters: lookups and probe steps
+/// performed through it are handed back in bulk with
+/// [`IntersectMap::credit`], which keeps [`MapStats`] bit-identical to
+/// one [`IntersectMap::contains`] call per key.
+#[derive(Debug, Clone, Copy)]
+pub struct RowProbe<'a> {
+    slots: &'a [u64],
+    generation: u32,
+    mask: u32,
+    shift: u32,
+    stride: Reciprocal,
+}
+
+impl RowProbe<'_> {
+    /// Home slot of `key` in the direct mode: the transformed index
+    /// under the table mask, no hashing.
+    #[inline(always)]
+    fn direct_slot(&self, key: u32) -> u32 {
+        self.stride.quotient(key) & self.mask
+    }
+
+    /// Home slot of `key` in the probing mode (multiplicative hash of
+    /// the transformed index).
+    #[inline(always)]
+    fn hash_slot(&self, key: u32) -> u32 {
+        self.stride.quotient(key).wrapping_mul(HASH_MULT) >> self.shift
+    }
+
+    /// Membership test for a row loaded in the direct mode: one
+    /// reciprocal multiply, one AND, one load, one compare.
+    #[inline(always)]
+    pub fn hit_direct(&self, key: u32) -> bool {
+        self.slots[self.direct_slot(key) as usize] == slot_of(self.generation, key)
+    }
+
+    /// Membership test for a row loaded in the probing mode; adds the
+    /// extra probe steps it walks to `steps`.
+    ///
+    /// With `x = slot ^ (generation, key)`, the high half of `x` is zero
+    /// iff the slot is live and the low half iff it holds `key`; the
+    /// chain walk continues only past a live slot holding another key,
+    /// `0 < x < 2³²` — one compare, rarely true, so it predicts well —
+    /// and hit-versus-miss is read off the stopping slot as `x == 0`
+    /// instead of a second, data-dependent branch.
+    #[inline(always)]
+    pub fn hit_probing(&self, key: u32, steps: &mut u64) -> bool {
+        let want = slot_of(self.generation, key);
+        let mut s = self.hash_slot(key);
+        loop {
+            let x = self.slots[s as usize] ^ want;
+            if x.wrapping_sub(1) >= u64::from(u32::MAX) {
+                return x == 0;
+            }
+            *steps += 1;
+            s = (s + 1) & self.mask;
+        }
+    }
 }
 
 /// Cache key + replay record of the last [`IntersectMap::load_row`].
@@ -80,12 +159,12 @@ impl IntersectMap {
     pub fn new(max_row_len: usize, q: usize) -> Self {
         let size = (2 * max_row_len).next_power_of_two().max(16);
         Self {
-            keys: vec![0; size],
-            stamps: vec![0; size],
+            slots: vec![0; size],
             generation: 0,
             mask: (size - 1) as u32,
             shift: 32 - size.trailing_zeros(),
-            q: q.max(1) as u32,
+            // The map's one hardware divide, at construction.
+            stride: Reciprocal::new(u32::try_from(q.max(1)).expect("grid side fits in u32")),
             direct: false,
             loaded: None,
             stats: MapStats::default(),
@@ -94,14 +173,14 @@ impl IntersectMap {
 
     /// Table size.
     pub fn table_size(&self) -> usize {
-        self.keys.len()
+        self.slots.len()
     }
 
     /// The hash transform divisor (the grid side `q` this map divides
-    /// keys by). The bitmap strategy indexes its bit rows by the same
-    /// transformed local column.
-    pub fn stride(&self) -> u32 {
-        self.q
+    /// keys by), as its precomputed reciprocal. The bitmap strategy
+    /// indexes its bit rows by the same transformed local column.
+    pub fn stride(&self) -> Reciprocal {
+        self.stride
     }
 
     /// Drops the consecutive-load cache. Must be called between shifts:
@@ -111,13 +190,30 @@ impl IntersectMap {
         self.loaded = None;
     }
 
-    /// Credits `n` lookups without touching the table, for strategies
-    /// that answer membership outside the map (merge, bitmap) but must
-    /// keep the deterministic lookup counter identical to what the
-    /// hash loop would have recorded.
+    /// Credits `lookups` membership tests and `probe_steps` extra probe
+    /// steps without touching the table: what a [`RowProbe`] burst
+    /// physically performed, or what a strategy that answers
+    /// membership outside the map (merge, bitmap — always zero steps)
+    /// absorbed. Either way the deterministic counters end up exactly
+    /// where one [`IntersectMap::contains`] per key would have left
+    /// them.
     #[inline]
-    pub fn credit_lookups(&mut self, n: u64) {
-        self.stats.lookups += n;
+    pub fn credit(&mut self, lookups: u64, probe_steps: u64) {
+        self.stats.lookups += lookups;
+        self.stats.probe_steps += probe_steps;
+    }
+
+    /// A lookup handle on the currently loaded row; pair it with
+    /// [`IntersectMap::is_direct`] to pick the matching test.
+    #[inline]
+    pub fn probe(&self) -> RowProbe<'_> {
+        RowProbe {
+            slots: &self.slots,
+            generation: self.generation,
+            mask: self.mask,
+            shift: self.shift,
+            stride: self.stride,
+        }
     }
 
     /// Grows the table so a `row_len`-entry row loads at ≤ 50%
@@ -126,12 +222,11 @@ impl IntersectMap {
     /// only because empty slots exist; without this, a row longer than
     /// the table would spin forever in release builds.
     fn reserve_row(&mut self, row_len: usize) {
-        if 2 * row_len <= self.keys.len() {
+        if 2 * row_len <= self.slots.len() {
             return;
         }
         let size = (2 * row_len).next_power_of_two();
-        self.keys = vec![0; size];
-        self.stamps = vec![0; size];
+        self.slots = vec![0; size];
         self.generation = 0;
         self.mask = (size - 1) as u32;
         self.shift = 32 - size.trailing_zeros();
@@ -142,7 +237,7 @@ impl IntersectMap {
     fn bump_generation(&mut self) {
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
-            self.stamps.fill(0);
+            self.slots.fill(0);
             self.generation = 1;
             self.loaded = None;
         }
@@ -150,12 +245,12 @@ impl IntersectMap {
 
     #[inline]
     fn direct_slot(&self, key: u32) -> u32 {
-        (key / self.q) & self.mask
+        self.probe().direct_slot(key)
     }
 
     #[inline]
     fn hash_slot(&self, key: u32) -> u32 {
-        (key / self.q).wrapping_mul(HASH_MULT) >> self.shift
+        self.probe().hash_slot(key)
     }
 
     /// Loads `row` into the map, choosing the mode.
@@ -199,12 +294,11 @@ impl IntersectMap {
             let mut clean = true;
             for &k in row {
                 let s = self.direct_slot(k) as usize;
-                if self.stamps[s] == self.generation {
+                if (self.slots[s] >> 32) as u32 == self.generation {
                     clean = false;
                     break;
                 }
-                self.stamps[s] = self.generation;
-                self.keys[s] = k;
+                self.slots[s] = slot_of(self.generation, k);
             }
             if clean {
                 self.direct = true;
@@ -226,13 +320,12 @@ impl IntersectMap {
         let steps_before = self.stats.probe_steps;
         for &k in row {
             let mut s = self.hash_slot(k);
-            while self.stamps[s as usize] == self.generation {
-                debug_assert_ne!(self.keys[s as usize], k, "duplicate key in operand row");
+            while (self.slots[s as usize] >> 32) as u32 == self.generation {
+                debug_assert_ne!(self.slots[s as usize] as u32, k, "duplicate key in operand row");
                 self.stats.probe_steps += 1;
                 s = (s + 1) & self.mask;
             }
-            self.stamps[s as usize] = self.generation;
-            self.keys[s as usize] = k;
+            self.slots[s as usize] = slot_of(self.generation, k);
         }
         self.loaded = Some(LoadedRow {
             ptr: row.as_ptr() as usize,
@@ -251,22 +344,12 @@ impl IntersectMap {
     /// Membership test against the currently loaded row.
     #[inline]
     pub fn contains(&mut self, key: u32) -> bool {
-        self.stats.lookups += 1;
-        if self.direct {
-            let s = self.direct_slot(key) as usize;
-            return self.stamps[s] == self.generation && self.keys[s] == key;
-        }
-        let mut s = self.hash_slot(key);
-        loop {
-            if self.stamps[s as usize] != self.generation {
-                return false;
-            }
-            if self.keys[s as usize] == key {
-                return true;
-            }
-            self.stats.probe_steps += 1;
-            s = (s + 1) & self.mask;
-        }
+        let mut steps = 0;
+        let probe = self.probe();
+        let hit =
+            if self.direct { probe.hit_direct(key) } else { probe.hit_probing(key, &mut steps) };
+        self.credit(1, steps);
+        hit
     }
 }
 
@@ -456,7 +539,7 @@ mod tests {
     fn credited_lookups_count_without_probing() {
         let mut m = IntersectMap::new(8, 1);
         m.load_row(&[1, 2], true);
-        m.credit_lookups(5);
+        m.credit(5, 0);
         assert_eq!(m.stats.lookups, 5);
         assert_eq!(m.stats.probe_steps, 0);
         m.contains(1);

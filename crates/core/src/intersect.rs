@@ -240,7 +240,7 @@ mod tests {
     fn kernel_state_constructs_empty() {
         let ks = KernelState::new(8, 3);
         assert_eq!(ks.stats, KernelStats::default());
-        assert_eq!(ks.map.stride(), 3);
+        assert_eq!(ks.map.stride().divisor(), 3);
     }
 
     #[test]

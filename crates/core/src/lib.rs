@@ -36,6 +36,7 @@ pub mod hashmap;
 pub mod intersect;
 pub mod metrics;
 pub mod preprocess;
+pub mod recip;
 pub mod summa;
 
 pub use config::{Enumeration, KernelStrategy, TcConfig};

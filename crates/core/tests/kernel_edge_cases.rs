@@ -1,29 +1,40 @@
 //! Edge-case property tests of the per-shift intersection kernel: on
 //! random RMAT and Erdős–Rényi graphs — deformed to include isolated
 //! vertices and a maximum-degree hub — every combination of the
-//! `doubly_sparse` and `reverse_early_break` optimizations must agree
-//! with the serial reference count, both when driving [`count_shift`]
-//! directly on a single-rank block set and through the full 2D
-//! pipeline.
+//! `doubly_sparse` and `reverse_early_break` optimizations, under every
+//! kernel strategy, must agree with the serial reference count, both
+//! when driving [`count_shift`] directly on a single-rank block set and
+//! through the full 2D pipeline.
 
 use proptest::prelude::*;
 use tc_baselines::serial;
 use tc_core::blocks::SparseBlock;
 use tc_core::count::count_shift;
 use tc_core::intersect::KernelState;
-use tc_core::{count_triangles, TcConfig};
+use tc_core::{count_triangles, KernelStrategy, TcConfig};
 use tc_gen::er::gnm;
 use tc_gen::graph500;
 use tc_graph::EdgeList;
 
-/// All four on/off combinations of the two kernel optimizations.
-fn kernel_configs() -> [TcConfig; 4] {
-    [
-        TcConfig::default().with_doubly_sparse(true).with_reverse_early_break(true),
-        TcConfig::default().with_doubly_sparse(true).with_reverse_early_break(false),
-        TcConfig::default().with_doubly_sparse(false).with_reverse_early_break(true),
-        TcConfig::default().with_doubly_sparse(false).with_reverse_early_break(false),
-    ]
+/// All four on/off combinations of the two kernel optimizations, each
+/// under all four kernel strategies.
+fn kernel_configs() -> Vec<TcConfig> {
+    let strategies =
+        [KernelStrategy::Auto, KernelStrategy::Hash, KernelStrategy::Merge, KernelStrategy::Bitmap];
+    let mut cfgs = Vec::new();
+    for kernel in strategies {
+        for (doubly_sparse, early_break) in
+            [(true, true), (true, false), (false, true), (false, false)]
+        {
+            cfgs.push(
+                TcConfig::default()
+                    .with_kernel(kernel)
+                    .with_doubly_sparse(doubly_sparse)
+                    .with_reverse_early_break(early_break),
+            );
+        }
+    }
+    cfgs
 }
 
 /// Runs the kernel as a single rank (q = 1, one shift): the task block

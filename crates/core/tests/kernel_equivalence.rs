@@ -74,7 +74,7 @@ fn assert_strategies_equivalent(el: &EdgeList, p: usize) {
 #[test]
 fn strategies_agree_on_rmat_with_hub() {
     let el = deform(rmat(8, 6, RmatParams::GRAPH500, 7).simplify(), 3, true);
-    for p in [1usize, 4, 9, 16] {
+    for p in [1usize, 4, 9, 16, 25] {
         assert_strategies_equivalent(&el, p);
     }
 }
@@ -82,7 +82,7 @@ fn strategies_agree_on_rmat_with_hub() {
 #[test]
 fn strategies_agree_on_erdos_renyi() {
     let el = deform(gnm(300, 1800, 21).simplify(), 5, false);
-    for p in [1usize, 4, 9, 16] {
+    for p in [1usize, 4, 9, 16, 25] {
         assert_strategies_equivalent(&el, p);
     }
 }
@@ -93,7 +93,7 @@ fn strategies_agree_per_edge() {
     // visit path and the bitmap record loop must report exactly the
     // hits the hash loop reports.
     let el = deform(rmat(8, 5, RmatParams::GRAPH500, 33).simplify(), 2, true);
-    for p in [1usize, 4, 9, 16] {
+    for p in [1usize, 4, 9, 16, 25] {
         let (ro, so) = try_count_per_edge(&el, p, &cfg_of(KernelStrategy::Hash)).expect("hash");
         for k in STRATEGIES {
             let (r, s) = try_count_per_edge(&el, p, &cfg_of(k)).expect("strategy");
@@ -118,6 +118,69 @@ fn strategies_agree_on_summa() {
             assert_eq!(r.total_probes(), o.total_probes(), "{k} {pr}x{pc}: probes");
             assert_eq!(r.total_lookups(), o.total_lookups(), "{k} {pr}x{pc}: lookups");
         }
+    }
+}
+
+/// The deterministic face of one run: triangles and the five legacy
+/// counters (tasks, probes, lookups, direct rows, probed rows) summed
+/// over ranks.
+type Pinned = (u64, [u64; 5]);
+
+fn legacy_counters(r: &tc_core::TcResult) -> [u64; 5] {
+    let sum = |f: fn(&tc_core::RankMetrics) -> u64| r.ranks.iter().map(f).sum::<u64>();
+    [
+        r.total_tasks(),
+        r.total_probes(),
+        r.total_lookups(),
+        sum(|m| m.direct_rows),
+        sum(|m| m.probed_rows),
+    ]
+}
+
+fn supports_fingerprint(supports: &[tc_core::EdgeSupport]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for e in supports {
+        for word in [u64::from(e.u), u64::from(e.v), e.support] {
+            h = (h ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn every_strategy_reproduces_the_pre_reciprocal_kernel() {
+    // Golden values recorded from the commit *before* the division-free
+    // kernel (hardware `/ q`, split stamp/key tables, per-key stat
+    // updates) on this exact graph. The reciprocal, the packed slots,
+    // the bulk-credited counters and the prefetch must not move a
+    // single one of them, under any strategy, at any grid: p = 25
+    // (q = 5) and the 2×3 SUMMA grid cover the odd strides, p = 4 and
+    // 16 the powers of two, p = 1 and SUMMA's panels the stride 1.
+    let el = deform(rmat(10, 8, RmatParams::GRAPH500, 7).simplify(), 3, true);
+    // FNV-1a fingerprint of the per-edge supports — a property of the
+    // graph, so one value for every grid.
+    const SUPPORTS: u64 = 10712917625209599150;
+    let cannon: [(usize, Pinned); 5] = [
+        (1, (30100, [6049, 47, 43748, 297, 41])),
+        (4, (30100, [10969, 31, 42668, 1060, 52])),
+        (9, (30100, [14894, 128, 41670, 2090, 139])),
+        (16, (30100, [18118, 58, 40865, 3517, 107])),
+        (25, (30100, [20667, 6, 39848, 5223, 27])),
+    ];
+    let summa_2x3: Pinned = (30100, [6049, 66, 43767, 2148, 66]);
+
+    for (p, want) in cannon {
+        for k in STRATEGIES {
+            let (r, s) = try_count_per_edge(&el, p, &cfg_of(k)).expect("per-edge run");
+            assert_eq!((r.triangles, legacy_counters(&r)), want, "{k} p={p}: per-edge run");
+            assert_eq!(supports_fingerprint(&s), SUPPORTS, "{k} p={p}: supports");
+            let plain = try_count_triangles(&el, p, &cfg_of(k)).expect("count run");
+            assert_eq!((plain.triangles, legacy_counters(&plain)), want, "{k} p={p}");
+        }
+    }
+    for k in STRATEGIES {
+        let r = try_count_triangles_summa(&el, SummaGrid::new(2, 3), &cfg_of(k)).expect("summa");
+        assert_eq!((r.triangles, legacy_counters(&r)), summa_2x3, "{k} summa 2x3");
     }
 }
 

@@ -6,6 +6,7 @@
 //! collective call sequence surface as
 //! [`MpsError::CollectiveMismatch`].
 
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -102,17 +103,29 @@ fn wedged_rank_surfaces_as_timeout_with_report() {
     // Rank 3 neither crashes nor participates — the failure mode a
     // hung remote process would show. Peers must give up at the
     // deadline and the report must cover every rank.
+    //
+    // The wedge is event-driven, not a sleep: rank 3 stays out of
+    // every operation until the first peer has hit its deadline and
+    // aborted, however long the scheduler takes to get there, so the
+    // test asserts nothing about elapsed time and cannot lose a race
+    // under load.
     let cfg = UniverseConfig::with_timeout(Duration::from_millis(300));
-    let t0 = Instant::now();
+    let aborted = (Mutex::new(false), Condvar::new());
     let err = Universe::try_run_config(4, &cfg, |c| {
+        let (flag, signal) = &aborted;
         if c.rank() == 3 {
-            std::thread::sleep(Duration::from_millis(1200));
+            let mut gave_up = flag.lock().expect("abort flag");
+            while !*gave_up {
+                gave_up = signal.wait(gave_up).expect("abort flag");
+            }
             return Ok(0);
         }
-        c.allreduce_sum_u64(1)
+        let out = c.allreduce_sum_u64(1);
+        *flag.lock().expect("abort flag") = true;
+        signal.notify_all();
+        out
     })
     .unwrap_err();
-    assert!(t0.elapsed() < Duration::from_secs(5));
     match err {
         MpsError::Timeout { report, .. } => {
             for r in 0..4 {

@@ -192,7 +192,41 @@ pub struct ServeReport {
 /// One queued request and the channel its reply goes back on.
 struct Job {
     req: Request,
-    reply: mpsc::Sender<String>,
+    reply: mpsc::Sender<Reply>,
+}
+
+/// A reply line on its way to the connection thread that owns the
+/// client socket.
+struct Reply {
+    line: String,
+    /// Signalled by the connection thread once `line` has been written
+    /// and flushed to the socket. Only the `shutdown` reply asks for
+    /// it: the service loop is about to return and the process to
+    /// exit, which would otherwise race the detached connection thread
+    /// and cut the reply off.
+    written: Option<mpsc::Sender<()>>,
+}
+
+impl From<String> for Reply {
+    fn from(line: String) -> Self {
+        Self { line, written: None }
+    }
+}
+
+/// How long a `shutdown` waits for its reply to reach the socket
+/// before exiting anyway (a client that stopped reading must not wedge
+/// the fleet's shutdown).
+const SHUTDOWN_REPLY_WAIT: Duration = Duration::from_secs(5);
+
+/// Answers a `shutdown` request and blocks until the connection thread
+/// has put the reply on the wire (or is gone).
+fn reply_shutdown(reply: &mpsc::Sender<Reply>) {
+    let (written, done) = mpsc::channel();
+    if reply.send(Reply { line: proto::ok_shutdown(), written: Some(written) }).is_ok() {
+        // `Err` is a dropped sender (the client hung up first) or the
+        // timeout — either way there is nobody left to wait for.
+        let _ = done.recv_timeout(SHUTDOWN_REPLY_WAIT);
+    }
 }
 
 /// The bounded admission queue between connection threads and the
@@ -261,7 +295,7 @@ impl Gate {
         self.open.store(false, Ordering::Release);
         let mut st = self.state.lock().expect("gate lock");
         for job in st.jobs.drain(..) {
-            let _ = job.reply.send(proto::error_line(proto::ERR_SHUTTING_DOWN, ""));
+            let _ = job.reply.send(proto::error_line(proto::ERR_SHUTTING_DOWN, "").into());
         }
     }
 
@@ -286,19 +320,23 @@ fn handle_conn(stream: UnixStream, gate: Arc<Gate>) {
         if line.trim().is_empty() {
             continue;
         }
-        let reply = match proto::parse_request(&line) {
-            Err(detail) => proto::error_line(proto::ERR_BAD_REQUEST, &detail),
+        let reply: Reply = match proto::parse_request(&line) {
+            Err(detail) => proto::error_line(proto::ERR_BAD_REQUEST, &detail).into(),
             Ok(req) => {
                 let (tx, rx) = mpsc::channel();
                 match gate.enqueue(Job { req, reply: tx }) {
-                    Err(kind) => proto::error_line(kind, ""),
+                    Err(kind) => proto::error_line(kind, "").into(),
                     Ok(()) => rx
                         .recv()
-                        .unwrap_or_else(|_| proto::error_line(proto::ERR_SHUTTING_DOWN, "")),
+                        .unwrap_or_else(|_| proto::error_line(proto::ERR_SHUTTING_DOWN, "").into()),
                 }
             }
         };
-        if writeln!(writer, "{reply}").and_then(|()| writer.flush()).is_err() {
+        let sent = writeln!(writer, "{}", reply.line).and_then(|()| writer.flush());
+        if let Some(written) = reply.written {
+            let _ = written.send(());
+        }
+        if sent.is_err() {
             return;
         }
     }
@@ -386,7 +424,7 @@ fn degraded_serve(
                 }
             }
             Request::Shutdown => {
-                let _ = job.reply.send(proto::ok_shutdown());
+                reply_shutdown(&job.reply);
                 return DegradedEnd::Shutdown;
             }
             // Everything else needs the whole fleet.
@@ -396,7 +434,7 @@ fn degraded_serve(
                 proto::degraded_line(down_rank, fleet.degraded_retry_ms)
             }
         };
-        let _ = job.reply.send(reply);
+        let _ = job.reply.send(reply.into());
     }
 }
 
@@ -855,7 +893,7 @@ fn frontend_session(
         let reply = match outcome {
             Ok(Some(reply)) => reply,
             Ok(None) => {
-                let _ = reply_tx.send(proto::ok_shutdown());
+                reply_shutdown(&reply_tx);
                 fs.report.triangles = engine.triangles();
                 fs.report.full_recounts = engine.full_recounts();
                 return Ok(true);
@@ -863,7 +901,7 @@ fn frontend_session(
             Err(e) => {
                 if let MpsError::PeerDown { rank } = &e {
                     tc_metrics::counter_add(m::SERVE_DEGRADED_QUERIES, 1);
-                    let _ = reply_tx.send(proto::degraded_line(*rank, fs.degraded_retry_ms));
+                    let _ = reply_tx.send(proto::degraded_line(*rank, fs.degraded_retry_ms).into());
                 }
                 return Err(e);
             }
@@ -871,7 +909,7 @@ fn frontend_session(
         if let Some(name) = latency_hist {
             tc_metrics::hist_record(name, query_started.elapsed().as_nanos() as u64);
         }
-        let _ = reply_tx.send(reply);
+        let _ = reply_tx.send(reply.into());
     }
 }
 
@@ -958,7 +996,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         gate.enqueue(Job { req: Request::Count, reply: tx.clone() }).unwrap();
         gate.close();
-        assert!(rx.recv().unwrap().contains(proto::ERR_SHUTTING_DOWN));
+        assert!(rx.recv().unwrap().line.contains(proto::ERR_SHUTTING_DOWN));
         assert_eq!(
             gate.enqueue(Job { req: Request::Count, reply: tx }).unwrap_err(),
             proto::ERR_SHUTTING_DOWN

@@ -347,3 +347,44 @@ fn admission_control_rejects_over_capacity() {
     let (reports, _stats) = server.join().expect("server thread").expect("universe run");
     assert!(reports[0].rejected >= 1, "rejections are tallied in the report");
 }
+
+#[test]
+fn shutdown_reply_is_on_the_wire_before_the_service_returns() {
+    // Regression: the frontend handed the `shutdown` reply to the
+    // detached connection thread and returned at once, so a process
+    // that exits right after (`tricount serve`) cut the reply off
+    // about once in 700 shutdowns. The service must not return before
+    // the line has been written: once the fleet has been joined, a
+    // non-blocking read has to find the complete reply already there.
+    use std::io::{Read, Write};
+    use std::os::unix::net::UnixStream;
+
+    let el = tc_gen::er::gnm(10, 20, 3).simplify();
+    for round in 0..25 {
+        let csr = Csr::from_edge_list(&el);
+        let sock = sock_path(&format!("shutdown-ack-{round}"));
+        let mut cfg = ServeConfig::new(sock.clone());
+        cfg.tick_ms = 100;
+        let server = std::thread::spawn(move || {
+            Universe::try_run_config(4, &UniverseConfig::default(), |comm| {
+                serve_rank(comm, &csr, &cfg)
+            })
+        });
+        Client::connect_retry(&sock, Duration::from_secs(30)).expect("service comes up");
+
+        let mut raw = UnixStream::connect(&sock).expect("raw connection");
+        writeln!(raw, "{}", tc_serve::proto::request_line(&Request::Shutdown)).expect("send");
+        server.join().expect("server thread").expect("universe run");
+
+        raw.set_nonblocking(true).expect("nonblocking");
+        let mut buf = [0u8; 256];
+        let n = raw.read(&mut buf).unwrap_or_else(|e| {
+            panic!("round {round}: service returned before writing the shutdown reply ({e})")
+        });
+        assert_eq!(
+            std::str::from_utf8(&buf[..n]).expect("utf-8 reply"),
+            format!("{}\n", tc_serve::proto::ok_shutdown()),
+            "round {round}"
+        );
+    }
+}
