@@ -70,7 +70,9 @@ fn load(input: &Input, seed: u64) -> Result<EdgeList, AppError> {
                 _ => io::read_text_edges_path(path),
             }
             .map_err(|e| ctx(&e))?;
-            Ok(el.simplify())
+            // Canonical files (everything `generate` writes) skip the
+            // re-sort: `simplify` is the identity on a simple list.
+            Ok(if el.is_simple() { el } else { el.simplify() })
         }
     }
 }

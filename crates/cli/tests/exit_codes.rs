@@ -75,6 +75,25 @@ fn malformed_text_input_is_exit_three_with_line() {
 }
 
 #[test]
+fn canonical_and_messy_inputs_load_to_the_same_graph() {
+    // `load` skips the re-sort for an already canonical list; a list
+    // with reversed, duplicate and self-loop lines must still be
+    // canonicalized to the very same graph.
+    let triangles = |name: &str, text: &str| {
+        let path = tmp(name);
+        std::fs::write(&path, text).unwrap();
+        let out = run(&["count", path.to_str().unwrap(), "--ranks", "4"]);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+        stdout(&out).lines().find(|l| l.starts_with("triangles")).map(str::to_owned)
+    };
+    let canonical = triangles("canonical.txt", "0 1\n0 2\n1 2\n1 3\n2 3\n");
+    let messy = triangles("messy.txt", "3 2\n2 1\n0 1\n1 1\n2 0\n0 1\n3 1\n");
+    assert!(canonical.as_deref().is_some_and(|l| l.ends_with(" 2")), "{canonical:?}");
+    assert_eq!(canonical, messy);
+}
+
+#[test]
 fn chaos_flag_still_counts_exactly() {
     let clean = run(&["count", "g500-s5", "--ranks", "4", "--seed", "7"]);
     assert_eq!(clean.status.code(), Some(0), "{}", stderr(&clean));

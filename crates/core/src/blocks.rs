@@ -19,6 +19,8 @@
 
 use tc_mps::{blob_sections3, BlobBuilder, BlobReader, PodArray};
 
+use crate::recip::Reciprocal;
+
 /// Read-only access shared by owned blocks and borrowed blob views,
 /// so the count kernels run against either without materializing a
 /// pass-through operand.
@@ -46,6 +48,13 @@ pub trait BlockView {
     }
 }
 
+/// Turns per-row counts stored at `counts[row + 1]` into row pointers.
+fn prefix_sum(counts: &mut [u32]) {
+    for i in 1..counts.len() {
+        counts[i] += counts[i - 1];
+    }
+}
+
 /// A CSR-like sparse block with full row indexing and a non-empty row
 /// list. Row ids are *local* (global ÷ q); column ids are *global*.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,30 +74,73 @@ impl SparseBlock {
     /// vertex class (`Cyclic2D::class_count`). Rows are addressed by
     /// `row_global ÷ q`; pairs may arrive in any order.
     pub fn from_pairs(num_rows: usize, q: usize, pairs: &mut Vec<(u32, u32)>) -> Self {
-        // Counting-sort by local row, then sort columns within rows.
-        let mut counts = vec![0u32; num_rows + 1];
-        for &(r, _) in pairs.iter() {
-            let lr = r as usize / q;
+        let block = Self::from_pair_stream(num_rows, q, || pairs.iter().copied());
+        pairs.clear(); // signal consumption; callers reuse the buffer
+        block
+    }
+
+    /// [`SparseBlock::from_pairs`] over a replayable pair stream, so a
+    /// block can be built straight from received messages without
+    /// first collecting them: `pairs()` is called twice — once to
+    /// count the rows, once to place the columns (a counting sort by
+    /// local row), after which each row's columns are sorted.
+    pub fn from_pair_stream<I>(num_rows: usize, q: usize, pairs: impl Fn() -> I) -> Self
+    where
+        I: Iterator<Item = (u32, u32)>,
+    {
+        let by_q = Reciprocal::new(u32::try_from(q).expect("grid side fits in u32"));
+        let mut xadj = vec![0u32; num_rows + 1];
+        pairs().for_each(|(r, _)| {
+            let lr = by_q.quotient(r) as usize;
             debug_assert!(lr < num_rows, "row {r} out of class range");
-            counts[lr + 1] += 1;
-        }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let xadj = counts.clone();
-        let mut cols = vec![0u32; pairs.len()];
-        let mut cursor = counts;
-        for &(r, c) in pairs.iter() {
-            let lr = r as usize / q;
-            cols[cursor[lr] as usize] = c;
-            cursor[lr] += 1;
-        }
+            xadj[lr + 1] += 1;
+        });
+        prefix_sum(&mut xadj);
+        let mut cols = vec![0u32; xadj[num_rows] as usize];
+        let mut cursor = xadj.clone();
+        pairs().for_each(|(r, c)| {
+            let at = &mut cursor[by_q.quotient(r) as usize];
+            cols[*at as usize] = c;
+            *at += 1;
+        });
         for lr in 0..num_rows {
             cols[xadj[lr] as usize..xadj[lr + 1] as usize].sort_unstable();
         }
-        pairs.clear(); // signal consumption; callers reuse the buffer
-        let nonempty = (0..num_rows).filter(|&r| xadj[r + 1] > xadj[r]).map(|r| r as u32).collect();
+        Self::from_sorted_csr(xadj, cols)
+    }
+
+    /// Indexes the non-empty rows of finished CSR arrays.
+    fn from_sorted_csr(xadj: Vec<u32>, cols: Vec<u32>) -> Self {
+        let nonempty =
+            (0..xadj.len() - 1).filter(|&r| xadj[r + 1] > xadj[r]).map(|r| r as u32).collect();
         Self { xadj, cols, nonempty }
+    }
+
+    /// The transpose of this block, as a block of the crossing class.
+    ///
+    /// `self` holds rows of vertex class `class` (row `lr` is vertex
+    /// `lr·q + class`); the result has `num_rows` rows addressed by
+    /// `col ÷ q` and stores, per former column, the former row
+    /// vertices. Rows are read in ascending order, so every output row
+    /// comes out sorted without a sort.
+    pub fn transposed(&self, q: usize, class: usize, num_rows: usize) -> Self {
+        let by_q = Reciprocal::new(u32::try_from(q).expect("grid side fits in u32"));
+        let mut xadj = vec![0u32; num_rows + 1];
+        for &c in &self.cols {
+            xadj[by_q.quotient(c) as usize + 1] += 1;
+        }
+        prefix_sum(&mut xadj);
+        let mut cols = vec![0u32; self.cols.len()];
+        let mut cursor = xadj.clone();
+        for &lr in &self.nonempty {
+            let vertex = lr * q as u32 + class as u32;
+            for &c in self.row(lr as usize) {
+                let at = &mut cursor[by_q.quotient(c) as usize];
+                cols[*at as usize] = vertex;
+                *at += 1;
+            }
+        }
+        Self::from_sorted_csr(xadj, cols)
     }
 
     /// An empty block with `num_rows` rows.
@@ -273,6 +325,33 @@ mod tests {
         assert_eq!(b.row(2), &[2]); // global row 7
         assert_eq!(b.nonempty_rows(), &[0, 1, 2]);
         assert_eq!(b.max_row_len(), 2);
+    }
+
+    #[test]
+    fn pair_stream_is_replayed_not_collected() {
+        // Two "messages", one of them read transposed — the shape the
+        // preprocessing hands over.
+        let msgs: [&[[u32; 2]]; 2] = [&[[4, 9], [1, 5]], &[[4, 3], [7, 2], [1, 0]]];
+        let stream = || msgs.iter().flat_map(|m| m.iter().map(|&[r, c]| (r, c)));
+        let b = SparseBlock::from_pair_stream(3, 3, stream);
+        let mut pairs: Vec<(u32, u32)> = stream().collect();
+        assert_eq!(b, SparseBlock::from_pairs(3, 3, &mut pairs));
+    }
+
+    #[test]
+    fn transpose_matches_a_build_from_swapped_pairs() {
+        // Class-1 rows of a q = 3 grid (vertices 1, 4, 7), columns of
+        // any class-0 vertex (0, 3, 9) — one crossing class, as in the
+        // L block a task block is derived from.
+        let pairs = vec![(4u32, 9u32), (1, 3), (4, 3), (7, 0), (1, 0), (7, 9)];
+        let block = SparseBlock::from_pairs(3, 3, &mut pairs.clone());
+        let mut swapped: Vec<(u32, u32)> = pairs.iter().map(|&(r, c)| (c, r)).collect();
+        let expect = SparseBlock::from_pairs(4, 3, &mut swapped);
+        assert_eq!(block.transposed(3, 1, 4), expect);
+        assert_eq!(expect.row(0), &[1, 7]); // vertex 0
+        assert_eq!(expect.row(1), &[1, 4]); // vertex 3
+        assert_eq!(expect.nonempty_rows(), &[0, 1, 3]);
+        assert_eq!(SparseBlock::empty(5).transposed(2, 0, 3), SparseBlock::empty(3));
     }
 
     #[test]

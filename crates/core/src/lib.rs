@@ -34,6 +34,7 @@ pub mod count;
 pub mod driver;
 pub mod hashmap;
 pub mod intersect;
+pub mod labels;
 pub mod metrics;
 pub mod preprocess;
 pub mod recip;

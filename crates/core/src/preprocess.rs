@@ -15,20 +15,32 @@
 //! 3. **U/L split**: with degree = label order, the split is a local
 //!    label comparison per adjacency entry.
 //! 4. **2D cyclic redistribution**: each upper entry `(v, k)` is sent
-//!    to the owners of its `U` block, its `L` block, and its task
-//!    block on the `√p × √p` grid.
+//!    to the owner of its `U` block and the owner of its `L` block on
+//!    the `√p × √p` grid. The task block needs no exchange of its own:
+//!    under ⟨j,i,k⟩ task `(k, v)` lives at `P(k mod q, v mod q)`,
+//!    which is exactly where the `L` pair of the same edge goes, and
+//!    under ⟨i,j,k⟩ it is the `U` block — so each rank derives its
+//!    tasks from pairs it has already received.
+//!
+//! Every adjacency entry is touched a small constant number of times
+//! (the §5.4 model charges `m/p + dmax·log p` simple operations) and
+//! no payload is copied more than once: send buffers are sized by a
+//! counting pass, filled in place and handed to the fabric without a
+//! copy ([`tc_mps::bytes_from_vec`]); received buffers are read
+//! through typed views ([`PodArray`]) and the blocks are built
+//! straight from them.
 //!
 //! The initial Cannon *skew* is deliberately **not** done here — the
 //! paper counts it in the triangle-counting phase (§5.1 "the initial
 //! shifts of Cannon's algorithm"), and `cannon.rs` performs it.
 
-use std::collections::HashMap;
-
 use tc_graph::{Block1D, Csr, Cyclic1D, Cyclic2D};
-use tc_mps::{Comm, MpsResult};
+use tc_mps::{bytes_from_vec, Comm, MpsResult, PodArray};
 
 use crate::blocks::SparseBlock;
 use crate::config::{Enumeration, TcConfig};
+use crate::labels::LabelTable;
+use crate::recip::Reciprocal;
 
 /// Everything the counting phase needs, as produced on one rank.
 #[derive(Debug)]
@@ -105,6 +117,19 @@ impl BlockInput<'_> {
     }
 }
 
+/// One typed personalized all-to-all with a single copy end to end:
+/// each send vector's storage *becomes* its message, and each received
+/// message is read in place.
+fn exchange<T: tc_mps::Pod>(comm: &Comm, sends: Vec<Vec<T>>) -> MpsResult<Vec<PodArray<T>>> {
+    let received = comm.alltoallv_bytes(sends.into_iter().map(bytes_from_vec).collect())?;
+    Ok(received.into_iter().map(PodArray::new).collect())
+}
+
+/// Every `(v, k)` pair of a received exchange, message by message.
+fn pairs(msgs: &[PodArray<[u32; 2]>]) -> impl Iterator<Item = (u32, u32)> + '_ {
+    msgs.iter().flat_map(|m| m.iter().map(|&[v, k]| (v, k)))
+}
+
 /// Steps 1–3 of §5.3 — initial cyclic redistribution, distributed
 /// counting-sort relabeling, and the label push — shared by the Cannon
 /// (square-grid) and SUMMA (rectangular-grid) back halves.
@@ -122,52 +147,67 @@ pub fn relabel_phase_from(
     let rank = comm.rank();
     let block = Block1D::new(n, p);
     let cyc = Cyclic1D::new(n, p);
+    let by_p = Reciprocal::new(u32::try_from(p).expect("rank count fits in u32"));
     let mut ops: u64 = 0;
 
     // -- Step 1: initial cyclic redistribution --------------------------
     // Wire format per destination: repeated [v, deg, neighbors...].
     let redist_span = tc_trace::span(tc_trace::names::PREP_REDIST, tc_trace::Category::Phase);
     let (lo, hi) = block.range(rank);
-    let mut sends: Vec<Vec<u32>> = (0..p).map(|_| Vec::new()).collect();
+    let mut words = vec![0usize; p];
+    for v in lo..hi {
+        words[cyc.owner(v as u32)] += 2 + input.neighbors(v as u32).len();
+    }
+    let mut sends: Vec<Vec<u32>> = words.iter().map(|&w| Vec::with_capacity(w)).collect();
     for v in lo..hi {
         let row = input.neighbors(v as u32);
-        let dst = cyc.owner(v as u32);
-        let buf = &mut sends[dst];
+        let buf = &mut sends[cyc.owner(v as u32)];
         buf.push(v as u32);
         buf.push(row.len() as u32);
         buf.extend_from_slice(row);
         ops += row.len() as u64 + 1;
     }
-    let staged: usize = sends.iter().map(|v| v.len() * 4).sum();
+    let staged: usize = words.iter().sum::<usize>() * 4;
     let prep_mem = tc_metrics::MemScope::track(tc_metrics::names::MEM_PREP_STAGING, staged as u64);
-    let received = comm.alltoallv(&sends)?;
-    drop(sends);
+    let received = exchange(comm, sends)?;
     drop(prep_mem);
 
-    // Decode into cyclic-local adjacency, indexed by v ÷ p.
+    // Decode into one flat cyclic-local adjacency, indexed by v ÷ p.
+    // Sources are block-ordered and each sends its vertices ascending,
+    // so rows arrive in ascending local order and simply append.
     let local_cnt = cyc.count(rank);
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); local_cnt];
+    let received_words: usize = received.iter().map(|m| m.len()).sum();
+    let mut xadj: Vec<u32> = Vec::with_capacity(local_cnt + 1);
+    let mut adj: Vec<u32> = Vec::with_capacity(received_words.saturating_sub(2 * local_cnt));
+    xadj.push(0);
     for msg in &received {
         let mut i = 0usize;
         while i < msg.len() {
             let v = msg[i];
             let deg = msg[i + 1] as usize;
-            debug_assert_eq!(cyc.owner(v), rank);
-            adj[cyc.local(v)] = msg[i + 2..i + 2 + deg].to_vec();
+            assert!(
+                cyc.owner(v) == rank && cyc.local(v) == xadj.len() - 1,
+                "rank {rank}: row of vertex {v} arrived out of cyclic-local order"
+            );
+            adj.extend_from_slice(&msg[i + 2..i + 2 + deg]);
+            xadj.push(adj.len() as u32);
             ops += deg as u64;
             i += 2 + deg;
         }
     }
+    assert_eq!(xadj.len(), local_cnt + 1, "rank {rank}: missing rows after redistribution");
     drop(received);
+    let row = |i: usize| &adj[xadj[i] as usize..xadj[i + 1] as usize];
+    let degree = |i: usize| (xadj[i + 1] - xadj[i]) as usize;
     drop(redist_span);
 
     // -- Step 2: distributed counting sort ------------------------------
     let sort_span = tc_trace::span(tc_trace::names::PREP_SORT, tc_trace::Category::Phase);
-    let local_dmax = adj.iter().map(|a| a.len() as u64).max().unwrap_or(0);
+    let local_dmax = (0..local_cnt).map(degree).max().unwrap_or(0) as u64;
     let dmax = comm.allreduce_max_u64(local_dmax)? as usize;
     let mut hist = vec![0u64; dmax + 1];
-    for a in &adj {
-        hist[a.len()] += 1;
+    for i in 0..local_cnt {
+        hist[degree(i)] += 1;
     }
     ops += local_cnt as u64;
     // Cross-rank offsets within each degree bucket, then global bucket
@@ -181,9 +221,9 @@ pub fn relabel_phase_from(
     ops += dmax as u64;
     let mut seen = vec![0u64; dmax + 1];
     let mut new_label = vec![0u32; local_cnt];
-    for (i, a) in adj.iter().enumerate() {
-        let d = a.len();
-        new_label[i] = (start[d] + before_me[d] + seen[d]) as u32;
+    for (i, label) in new_label.iter_mut().enumerate() {
+        let d = degree(i);
+        *label = (start[d] + before_me[d] + seen[d]) as u32;
         seen[d] += 1;
     }
     drop(seen);
@@ -196,46 +236,43 @@ pub fn relabel_phase_from(
     // the owners of u's neighbours covers exactly the demand set.
     let mut label_sends: Vec<Vec<[u32; 2]>> = (0..p).map(|_| Vec::new()).collect();
     let mut dest_stamp = vec![u32::MAX; p];
-    for (i, a) in adj.iter().enumerate() {
-        let u_old = cyc.global(rank, i);
-        let pair = [u_old, new_label[i]];
-        for &w in a {
-            let dst = cyc.owner(w);
+    for (i, &label) in new_label.iter().enumerate() {
+        let pair = [cyc.global(rank, i), label];
+        for &w in row(i) {
+            let dst = by_p.div_rem(w).1 as usize;
             if dest_stamp[dst] != i as u32 {
                 dest_stamp[dst] = i as u32;
                 label_sends[dst].push(pair);
             }
-            ops += 1;
         }
+        ops += degree(i) as u64;
     }
-    let label_msgs = comm.alltoallv(&label_sends)?;
-    drop(label_sends);
-    let mut old_to_new: HashMap<u32, u32> =
-        HashMap::with_capacity(label_msgs.iter().map(|m| m.len()).sum());
+    let label_msgs = exchange(comm, label_sends)?;
+    let mut old_to_new = LabelTable::with_capacity(label_msgs.iter().map(|m| m.len()).sum());
     for msg in &label_msgs {
-        for &[o, nl] in msg {
-            old_to_new.insert(o, nl);
+        for &[old, new] in msg.iter() {
+            old_to_new.insert(old, new);
         }
     }
     drop(label_msgs);
 
     // -- Step 3b: U/L split in new labels -------------------------------
     // Emit each upper entry (v, k), v < k, exactly once grid-wide (the
-    // owner of the smaller-label endpoint emits).
-    let mut entries = Vec::new();
+    // owner of the smaller-label endpoint emits); across the grid
+    // exactly half of all adjacency entries are upper.
+    let mut entries = Vec::with_capacity(adj.len() / 2);
     let label_pairs: Vec<(u32, u32)> =
         (0..local_cnt).map(|i| (cyc.global(rank, i), new_label[i])).collect();
-    for (i, a) in adj.iter().enumerate() {
-        let nv = new_label[i];
-        for &w in a {
-            let nk = *old_to_new
-                .get(&w)
+    for (i, &nv) in new_label.iter().enumerate() {
+        for &w in row(i) {
+            let nk = old_to_new
+                .get(w)
                 .unwrap_or_else(|| panic!("rank {rank}: no relabel entry for neighbour {w}"));
-            ops += 1;
             if nv < nk {
                 entries.push((nv, nk));
             }
         }
+        ops += degree(i) as u64;
     }
     drop(label_span);
     Ok(RelabeledEntries { entries, label_pairs, ops })
@@ -260,65 +297,63 @@ pub fn preprocess_from(
     let p = comm.size();
     let q = tc_mps::perfect_square_side(p).expect("rank count must be a perfect square");
     let grid2d = Cyclic2D::new(q);
-    let mut relabeled = relabel_phase_from(comm, n, input)?;
-    let mut ops = relabeled.ops;
-    let label_pairs = std::mem::take(&mut relabeled.label_pairs);
+    let by_q = Reciprocal::new(u32::try_from(q).expect("grid side fits in u32"));
+    let RelabeledEntries { entries, label_pairs, mut ops } = relabel_phase_from(comm, n, input)?;
 
     let twod_span = tc_trace::span(tc_trace::names::PREP_2D, tc_trace::Category::Phase);
     // -- Step 4: 2D cyclic redistribution -------------------------------
-    // Ship each upper entry (v, k) to the three grid cells that need it:
+    // Ship each upper entry (v, k) to the two grid cells that store it:
     //   U block U(v%q, k%q)        at P(v%q, k%q)
     //   L block L(k%q, v%q)        at P(k%q, v%q)  (stored by column v)
-    //   task (a, b)                at P(a%q, b%q)
-    // where (a, b) = (k, v) under ⟨j,i,k⟩ and (v, k) under ⟨i,j,k⟩.
-    let mut u_sends: Vec<Vec<[u32; 2]>> = (0..p).map(|_| Vec::new()).collect();
-    let mut l_sends: Vec<Vec<[u32; 2]>> = (0..p).map(|_| Vec::new()).collect();
-    let mut t_sends: Vec<Vec<[u32; 2]>> = (0..p).map(|_| Vec::new()).collect();
-    for &(nv, nk) in &relabeled.entries {
-        ops += 1;
-        let (vx, vy) = (nv as usize % q, nk as usize % q);
-        u_sends[grid2d.q * vx + vy].push([nv, nk]);
-        l_sends[grid2d.q * vy + vx].push([nv, nk]);
-        let (a_vert, b_vert) = match cfg.enumeration {
-            Enumeration::Jik => (nk, nv),
-            Enumeration::Ijk => (nv, nk),
-        };
-        let (tx, ty) = (a_vert as usize % q, b_vert as usize % q);
-        t_sends[grid2d.q * tx + ty].push([a_vert, b_vert]);
+    // The task (a, b) — (k, v) under ⟨j,i,k⟩, (v, k) under ⟨i,j,k⟩ —
+    // belongs at P(a%q, b%q), i.e. at the L cell resp. the U cell of
+    // the same entry, so it travels with that pair for free.
+    let cells = |nv: u32, nk: u32| {
+        let (vx, vy) = (by_q.div_rem(nv).1 as usize, by_q.div_rem(nk).1 as usize);
+        (q * vx + vy, q * vy + vx)
+    };
+    let mut u_count = vec![0usize; p];
+    for &(nv, nk) in &entries {
+        u_count[cells(nv, nk).0] += 1;
     }
-    drop(relabeled);
+    // An entry's L cell is the transpose of its U cell.
+    let mut u_sends: Vec<Vec<[u32; 2]>> = u_count.iter().map(|&c| Vec::with_capacity(c)).collect();
+    let mut l_sends: Vec<Vec<[u32; 2]>> =
+        (0..p).map(|d| Vec::with_capacity(u_count[q * (d % q) + d / q])).collect();
+    for &(nv, nk) in &entries {
+        let (u_cell, l_cell) = cells(nv, nk);
+        u_sends[u_cell].push([nv, nk]);
+        l_sends[l_cell].push([nv, nk]);
+    }
+    ops += entries.len() as u64;
+    let staged = 2 * entries.len() * std::mem::size_of::<[u32; 2]>();
+    drop(entries);
 
-    let staged: usize =
-        [&u_sends, &l_sends, &t_sends].iter().flat_map(|s| s.iter()).map(|v| v.len() * 8).sum();
     let prep_mem = tc_metrics::MemScope::track(tc_metrics::names::MEM_PREP_STAGING, staged as u64);
-    let u_recv = comm.alltoallv(&u_sends)?;
-    drop(u_sends);
-    let l_recv = comm.alltoallv(&l_sends)?;
-    drop(l_sends);
-    let t_recv = comm.alltoallv(&t_sends)?;
-    drop(t_sends);
+    let u_recv = exchange(comm, u_sends)?;
+    let l_recv = exchange(comm, l_sends)?;
     drop(prep_mem);
 
     let x = comm.rank() / q;
     let y = comm.rank() % q;
-    let flatten = |msgs: Vec<Vec<[u32; 2]>>| -> Vec<(u32, u32)> {
-        msgs.into_iter().flatten().map(|[a, b]| (a, b)).collect()
-    };
 
     // U(x, y): rows are class x.
-    let mut u_pairs = flatten(u_recv);
-    ops += u_pairs.len() as u64;
-    let ublock = SparseBlock::from_pairs(grid2d.class_count(n, x), q, &mut u_pairs);
+    let ublock = SparseBlock::from_pair_stream(grid2d.class_count(n, x), q, || pairs(&u_recv));
+    ops += ublock.num_entries() as u64;
+    drop(u_recv);
 
     // L(x, y) stored by probe vertex: rows are class y.
-    let mut l_pairs = flatten(l_recv);
-    ops += l_pairs.len() as u64;
-    let lblock = SparseBlock::from_pairs(grid2d.class_count(n, y), q, &mut l_pairs);
+    let lblock = SparseBlock::from_pair_stream(grid2d.class_count(n, y), q, || pairs(&l_recv));
+    ops += lblock.num_entries() as u64;
+    drop(l_recv);
 
-    // Task block: rows are the hash-side vertices, class x.
-    let mut t_pairs = flatten(t_recv);
-    ops += t_pairs.len() as u64;
-    let task = SparseBlock::from_pairs(grid2d.class_count(n, x), q, &mut t_pairs);
+    // Task block: rows are the hash-side vertices, class x — every
+    // L entry (v, k) read as task (k, v), or the U entries as they are.
+    let task = match cfg.enumeration {
+        Enumeration::Jik => lblock.transposed(q, y, grid2d.class_count(n, x)),
+        Enumeration::Ijk => ublock.clone(),
+    };
+    ops += task.num_entries() as u64;
 
     let max_hash_row = comm.allreduce_max_u64(ublock.max_row_len() as u64)? as usize;
     drop(twod_span);

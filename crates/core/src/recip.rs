@@ -48,6 +48,13 @@ impl Reciprocal {
         ((u128::from(self.magic) * (u128::from(n) + 1)) >> 64) as u32
     }
 
+    /// `(n / divisor, n % divisor)`, exactly, for every `n`.
+    #[inline(always)]
+    pub fn div_rem(self, n: u32) -> (u32, u32) {
+        let quotient = self.quotient(n);
+        (quotient, n - quotient * self.divisor)
+    }
+
     /// The divisor this reciprocal stands for.
     pub fn divisor(self) -> u32 {
         self.divisor
@@ -80,6 +87,7 @@ mod tests {
             ];
             for n in boundary {
                 assert_eq!(r.quotient(n), n / d, "{n} / {d}");
+                assert_eq!(r.div_rem(n), (n / d, n % d), "{n} divrem {d}");
             }
             // Every multiple boundary in reach: the round-down scheme
             // is tightest exactly at n = k·d − 1 and n = k·d.

@@ -320,9 +320,16 @@ impl Comm {
     /// Personalized all-to-all: `sends[d]` goes to rank `d`; the result
     /// holds what each source rank sent here (`result[s]` from rank `s`).
     ///
-    /// Implemented as `p` point-to-point sends and receives, exactly
-    /// the structure the paper assumes for its `p + m/p` preprocessing
-    /// communication bound.
+    /// Implemented as `p` point-to-point sends and receives — the
+    /// message structure behind the paper's `p + m/p` preprocessing
+    /// communication bound. The *copies* are this convenience API's
+    /// own, not the model's: each payload is copied once into its
+    /// message on the send side and once out of it into the returned
+    /// vector. Bulk exchanges that should not pay for either build
+    /// their buffers in place, hand them over with
+    /// [`crate::bytes_from_vec`] + [`Comm::alltoallv_bytes`] and read
+    /// the result through [`crate::PodArray`] views, as the
+    /// preprocessing pipeline does.
     pub fn alltoallv<T: Pod>(&self, sends: &[Vec<T>]) -> MpsResult<Vec<Vec<T>>> {
         assert_eq!(
             sends.len(),

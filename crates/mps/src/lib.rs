@@ -86,7 +86,7 @@ pub use comm::{waitall, Comm, RecvRequest, SendRequest, MAX_USER_TAG};
 pub use cputime::{thread_cpu_now, CpuTimer};
 pub use error::{MpsError, MpsResult};
 pub use grid::{perfect_square_side, Grid};
-pub use pod::{Pod, PodArray};
+pub use pod::{bytes_from_vec, Pod, PodArray};
 pub use stats::{CommStats, PhaseGuard, ReliabilityStats, Timings};
 pub use universe::{
     strict_env, Observe, SocketConfig, Universe, UniverseConfig, FABRIC_EPOCH_ENV,

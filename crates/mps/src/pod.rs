@@ -36,6 +36,23 @@ pub fn bytes_of<T: Pod>(data: &[T]) -> &[u8] {
     unsafe { std::slice::from_raw_parts(data.as_ptr().cast::<u8>(), std::mem::size_of_val(data)) }
 }
 
+/// Moves a typed vector into a message buffer without copying it: the
+/// returned [`Bytes`] views the vector's own storage (and keeps its
+/// alignment, so the receiver's [`PodArray`] is zero-copy too).
+pub fn bytes_from_vec<T: Pod>(data: Vec<T>) -> Bytes {
+    struct Typed<T>(Vec<T>);
+    impl<T: Pod> AsRef<[u8]> for Typed<T> {
+        fn as_ref(&self) -> &[u8] {
+            bytes_of(&self.0)
+        }
+    }
+    if data.is_empty() {
+        Bytes::new()
+    } else {
+        Bytes::from_owner(Typed(data))
+    }
+}
+
 /// Copies a byte buffer into a freshly allocated typed vector.
 ///
 /// Works for arbitrarily aligned input (uses unaligned reads).
@@ -196,6 +213,25 @@ mod tests {
         let arr = PodArray::<u64>::new(bytes);
         assert_eq!(arr.as_slice(), v.as_slice());
         assert_eq!(arr.len(), 100);
+    }
+
+    #[test]
+    fn pod_array_over_adopted_vectors_is_zero_copy() {
+        // A byte vector handed to `Bytes::from` keeps its allocation,
+        // and allocations of this size are at least 8-aligned.
+        let raw = bytes_of(&(0..100).collect::<Vec<u64>>()).to_vec();
+        let original = raw.as_ptr();
+        let arr = PodArray::<u64>::new(Bytes::from(raw));
+        assert_eq!(arr.as_slice().as_ptr().cast::<u8>(), original);
+        assert_eq!(arr.as_slice()[99], 99);
+
+        // A typed vector moves into the message buffer in place.
+        let pairs: Vec<[u32; 2]> = (0..50).map(|i| [i, i + 1]).collect();
+        let original = pairs.as_ptr();
+        let arr = PodArray::<[u32; 2]>::new(bytes_from_vec(pairs));
+        assert_eq!(arr.as_slice().as_ptr(), original);
+        assert_eq!(arr.as_slice()[49], [49, 50]);
+        assert!(bytes_from_vec(Vec::<u32>::new()).is_empty());
     }
 
     #[test]

@@ -228,3 +228,22 @@ fn full_recounts_stay_pinned_without_oracle_calls() {
         .triangles;
     assert!(counts.0.iter().all(|&c| c == expected), "replicated count wrong on some rank");
 }
+
+/// The cold start runs the §5.3 preprocessing over `BlockInput::Owned`
+/// rows; its count was recorded before the one-copy preprocessing
+/// rewrite and must never move.
+#[test]
+fn cold_start_count_is_pinned() {
+    let el = tc_gen::rmat(10, 8, tc_gen::RmatParams::GRAPH500, 7).simplify();
+    let csr = Csr::from_edge_list(&el);
+    for (p, algo) in [(4, Algo::Cannon), (16, Algo::Cannon), (6, Algo::Summa(SummaGrid::new(2, 3)))]
+    {
+        let counts = Universe::try_run_config(p, &UniverseConfig::default(), |comm| {
+            let engine = Engine::cold_start(comm, &csr, algo, TcConfig::default())?;
+            assert_eq!(engine.full_recounts(), 1);
+            Ok(engine.triangles())
+        })
+        .expect("universe run");
+        assert!(counts.0.iter().all(|&c| c == 24051), "p={p} {algo:?}: {:?}", counts.0);
+    }
+}
