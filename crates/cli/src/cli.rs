@@ -269,6 +269,7 @@ USAGE:
                   [--sigmas F] [--min-effect F] [--min-timing-ms F]
                   [--deterministic-only] [--verdict-json FILE]
                   [--history FILE --commit SHA --date ISO]
+                  [--refresh COUNTER,...]
   tricount perftrend <HISTORY.jsonl> [--last N] [--html FILE]
   tricount help
 
@@ -296,7 +297,8 @@ reliable-delivery transport must still produce the exact count. The
 MPS_CHAOS_* environment family configures finer-grained plans.
 serve-rank runs this process as ONE rank of a multi-process universe
 over Unix-domain or TCP sockets: every rank is its own OS process,
-started with the same input and flags. Endpoints are Unix socket paths
+started with the same input and flags (a .bin input must be canonical:
+each process reads only its own slice). Endpoints are Unix socket paths
 (contain '/' or use a 'unix:' prefix) or TCP host:port pairs; rank r
 listens on the r-th entry. --rank/--peers/--epoch fall back to the
 MPS_FABRIC_RANK / MPS_FABRIC_PEERS / MPS_FABRIC_EPOCH environment
@@ -342,7 +344,9 @@ Timings with repeat data are judged by effect size — Welch's t beyond
 2%) — while single-shot rows fall back to the fixed --tol band, and
 deterministic counters stay exact. With --history (plus --commit and
 --date), a passing diff appends one tc-bench-history-v1 row per
-(run, timing) for perftrend. Exit 0 = pass, 1 = regression,
+(run, timing) for perftrend. --refresh rewrites exactly the named
+counters of the baseline to the candidate's values and refuses if any
+other deterministic value differs. Exit 0 = pass, 1 = regression,
 2 = usage/parse error.
 perftrend renders the appended history as an ASCII sparkline table
 (plus a self-contained HTML/SVG page with --html), flagging the worst

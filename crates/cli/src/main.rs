@@ -9,6 +9,8 @@ mod cli;
 use std::time::Instant;
 
 use cli::{Algorithm, Command, Input, USAGE};
+use tc_core::EdgeSource;
+use tc_graph::io::EdgeFile;
 use tc_graph::{io, Csr, EdgeList};
 
 /// Per-link fault probability installed by `--chaos SEED` (each of the
@@ -74,6 +76,67 @@ fn load(input: &Input, seed: u64) -> Result<EdgeList, AppError> {
             // re-sort: `simplify` is the identity on a simple list.
             Ok(if el.is_simple() { el } else { el.simplify() })
         }
+    }
+}
+
+/// The path of an input that is a binary edge list.
+fn bin_path(input: &Input) -> Option<&std::path::Path> {
+    match input {
+        Input::File(path) if path.extension().is_some_and(|e| e == "bin") => Some(path),
+        _ => None,
+    }
+}
+
+/// A graph as the distributed 2D paths take it: a `.bin` of which
+/// every rank reads only its own stripe, or a loaded list.
+enum Graph {
+    File(EdgeFile),
+    List(EdgeList),
+}
+
+impl Graph {
+    /// The input of `count`: a `.bin` whose header checks out is left
+    /// on disk for the striped algorithms; everything else is loaded.
+    fn open(input: &Input, seed: u64, algorithm: Algorithm) -> Result<Self, AppError> {
+        let striped = matches!(algorithm, Algorithm::TwoD | Algorithm::Summa);
+        match bin_path(input).filter(|_| striped).and_then(|path| EdgeFile::open(path).ok()) {
+            Some(file) => Ok(Graph::File(file)),
+            None => load(input, seed).map(Graph::List),
+        }
+    }
+
+    fn source(&self) -> EdgeSource<'_> {
+        match self {
+            Graph::File(file) => file.into(),
+            Graph::List(el) => el.into(),
+        }
+    }
+
+    /// `(vertices, edge records)`, from the header or the list.
+    fn size(&self) -> (usize, usize) {
+        match self {
+            Graph::File(file) => (file.num_vertices(), file.num_edges()),
+            Graph::List(el) => (el.num_vertices, el.num_edges()),
+        }
+    }
+
+    /// The loaded list a non-striped algorithm needs.
+    fn list(&self) -> &EdgeList {
+        match self {
+            Graph::List(el) => el,
+            Graph::File(_) => unreachable!("only the striped algorithms leave the file on disk"),
+        }
+    }
+}
+
+/// A failed distributed run: a defective input is the caller's (exit
+/// 3, naming the file), anything else the runtime's.
+fn run_error(input: &Input, e: tc_mps::MpsError) -> AppError {
+    match (e, input) {
+        (tc_mps::MpsError::InvalidInput { msg, .. }, Input::File(path)) => {
+            AppError::Input(format!("{}: {msg}", path.display()))
+        }
+        (e, _) => AppError::Run(e.to_string()),
     }
 }
 
@@ -143,103 +206,137 @@ fn run(cmd: Command) -> Result<(), AppError> {
             metrics,
             chaos,
         } => {
-            let el = load(&input, seed)?;
-            eprintln!("# {} vertices, {} edges", el.num_vertices, el.num_edges());
-            let session = trace.as_ref().map(|_| tc_trace::TraceSession::begin());
-            let handle = session.as_ref().map(|s| s.handle());
-            let msession = metrics.as_ref().map(|_| tc_metrics::MetricsSession::begin());
-            let mhandle = msession.as_ref().map(|s| s.handle());
-            let plan = chaos.map(|cseed| {
-                eprintln!("# chaos: seed {cseed}, uniform p={CHAOS_P} on every link");
-                tc_mps::FaultPlan::new(cseed).with_default(tc_mps::LinkFaults::uniform(CHAOS_P))
-            });
-            let obs = tc_mps::Observe {
-                trace: handle.as_ref(),
-                metrics: mhandle.as_ref(),
-                chaos: plan.as_ref(),
+            let count_once = |graph: &Graph| -> Result<(), AppError> {
+                let (n, m) = graph.size();
+                eprintln!("# {n} vertices, {m} edges");
+                let session = trace.as_ref().map(|_| tc_trace::TraceSession::begin());
+                let handle = session.as_ref().map(|s| s.handle());
+                let msession = metrics.as_ref().map(|_| tc_metrics::MetricsSession::begin());
+                let mhandle = msession.as_ref().map(|s| s.handle());
+                let plan = chaos.map(|cseed| {
+                    eprintln!("# chaos: seed {cseed}, uniform p={CHAOS_P} on every link");
+                    tc_mps::FaultPlan::new(cseed).with_default(tc_mps::LinkFaults::uniform(CHAOS_P))
+                });
+                let obs = tc_mps::Observe {
+                    trace: handle.as_ref(),
+                    metrics: mhandle.as_ref(),
+                    chaos: plan.as_ref(),
+                };
+                let t0 = Instant::now();
+                let triangles = match algorithm {
+                    Algorithm::TwoD => {
+                        let r = tc_core::try_count_triangles_observed(
+                            graph.source(),
+                            ranks,
+                            &config,
+                            obs,
+                        )
+                        .map_err(|e| run_error(&input, e))?;
+                        println!("preprocessing : {:.3?}", r.ppt_time());
+                        println!("counting      : {:.3?}", r.tct_time());
+                        println!("tasks         : {}", r.total_tasks());
+                        println!("bytes sent    : {}", r.total_bytes_sent());
+                        r.triangles
+                    }
+                    Algorithm::Summa => {
+                        let g = cli::summa_grid(grid.expect("grid derived at parse time"));
+                        let r = tc_core::try_count_triangles_summa_observed(
+                            graph.source(),
+                            g,
+                            &config,
+                            obs,
+                        )
+                        .map_err(|e| run_error(&input, e))?;
+                        println!("grid          : {}x{} ({} panels)", g.pr, g.pc, g.panels);
+                        println!("preprocessing : {:.3?}", r.ppt_time());
+                        println!("counting      : {:.3?}", r.tct_time());
+                        r.triangles
+                    }
+                    Algorithm::Serial => tc_baselines::serial::count_default(graph.list()),
+                    Algorithm::Shared => tc_baselines::count_shared(graph.list(), ranks),
+                    Algorithm::Aop => {
+                        let r = tc_baselines::try_count_aop1d_observed(graph.list(), ranks, obs)
+                            .map_err(|e| e.to_string())?;
+                        println!("setup         : {:.3?}", r.setup);
+                        println!("counting      : {:.3?}", r.count);
+                        println!("ghost entries : {}", r.max_ghost_entries);
+                        r.triangles
+                    }
+                    Algorithm::Push => {
+                        tc_baselines::try_count_push1d_observed(graph.list(), ranks, obs)
+                            .map_err(|e| e.to_string())?
+                            .triangles
+                    }
+                    Algorithm::Psp => {
+                        tc_baselines::try_count_psp1d_observed(graph.list(), ranks, 8, obs)
+                            .map_err(|e| e.to_string())?
+                            .triangles
+                    }
+                    Algorithm::Wedge => {
+                        let r = tc_baselines::try_count_wedge_observed(graph.list(), ranks, obs)
+                            .map_err(|e| e.to_string())?;
+                        println!("2-core        : {:.3?} ({} peeled)", r.two_core, r.peeled);
+                        println!("wedge check   : {:.3?} ({} wedges)", r.wedge_count, r.wedges);
+                        r.triangles
+                    }
+                };
+                println!("total time    : {:.3?}", t0.elapsed());
+                println!("triangles     : {triangles}");
+                if stats {
+                    let loaded;
+                    let el = match graph {
+                        Graph::List(el) => el,
+                        Graph::File(_) => {
+                            loaded = load(&input, seed)?;
+                            &loaded
+                        }
+                    };
+                    let csr = Csr::from_edge_list(el);
+                    println!(
+                        "transitivity  : {:.6}",
+                        tc_graph::stats::transitivity(&csr, triangles)
+                    );
+                }
+                let snapshot = msession.map(|s| s.finish());
+                if let (Some(snap), Some(path)) = (&snapshot, &metrics) {
+                    std::fs::write(path, format!("{}\n", snap.to_json()))
+                        .map_err(|e| format!("{}: {e}", path.display()))?;
+                    eprintln!(
+                        "# metrics: {} rank registries -> {}",
+                        snap.ranks().len(),
+                        path.display()
+                    );
+                }
+                if let (Some(session), Some(path)) = (session, &trace) {
+                    let tr = session.finish();
+                    let snap_json = snapshot.as_ref().map(|s| s.to_json());
+                    let meta: Vec<(&str, &str)> =
+                        snap_json.iter().map(|j| ("tcMetrics", j.as_str())).collect();
+                    tc_trace::chrome::write_chrome_json_with_metadata(&tr, path, &meta)
+                        .map_err(|e| format!("{}: {e}", path.display()))?;
+                    let analysis = tc_trace::analysis::analyze(&tr)
+                        .map_err(|e| format!("{}: {e}", path.display()))?;
+                    eprintln!(
+                        "# trace: {} events ({} dropped) -> {}",
+                        tr.events.len(),
+                        tr.dropped,
+                        path.display()
+                    );
+                    eprint!("{}", analysis.report());
+                }
+                Ok(())
             };
-            let t0 = Instant::now();
-            let triangles = match algorithm {
-                Algorithm::TwoD => {
-                    let r = tc_core::try_count_triangles_observed(&el, ranks, &config, obs)
-                        .map_err(|e| e.to_string())?;
-                    println!("preprocessing : {:.3?}", r.ppt_time());
-                    println!("counting      : {:.3?}", r.tct_time());
-                    println!("tasks         : {}", r.total_tasks());
-                    println!("bytes sent    : {}", r.total_bytes_sent());
-                    r.triangles
+            let graph = Graph::open(&input, seed, algorithm)?;
+            match (count_once(&graph), &graph) {
+                // The ranks found the file's records not canonical
+                // (before anything was counted or printed): count the
+                // graph it simplifies to instead.
+                (Err(AppError::Input(why)), Graph::File(_)) => {
+                    eprintln!("# not a canonical edge list ({why}); loading and simplifying it");
+                    count_once(&Graph::List(load(&input, seed)?))
                 }
-                Algorithm::Summa => {
-                    let g = cli::summa_grid(grid.expect("grid derived at parse time"));
-                    let r = tc_core::try_count_triangles_summa_observed(&el, g, &config, obs)
-                        .map_err(|e| e.to_string())?;
-                    println!("grid          : {}x{} ({} panels)", g.pr, g.pc, g.panels);
-                    println!("preprocessing : {:.3?}", r.ppt_time());
-                    println!("counting      : {:.3?}", r.tct_time());
-                    r.triangles
-                }
-                Algorithm::Serial => tc_baselines::serial::count_default(&el),
-                Algorithm::Shared => tc_baselines::count_shared(&el, ranks),
-                Algorithm::Aop => {
-                    let r = tc_baselines::try_count_aop1d_observed(&el, ranks, obs)
-                        .map_err(|e| e.to_string())?;
-                    println!("setup         : {:.3?}", r.setup);
-                    println!("counting      : {:.3?}", r.count);
-                    println!("ghost entries : {}", r.max_ghost_entries);
-                    r.triangles
-                }
-                Algorithm::Push => {
-                    tc_baselines::try_count_push1d_observed(&el, ranks, obs)
-                        .map_err(|e| e.to_string())?
-                        .triangles
-                }
-                Algorithm::Psp => {
-                    tc_baselines::try_count_psp1d_observed(&el, ranks, 8, obs)
-                        .map_err(|e| e.to_string())?
-                        .triangles
-                }
-                Algorithm::Wedge => {
-                    let r = tc_baselines::try_count_wedge_observed(&el, ranks, obs)
-                        .map_err(|e| e.to_string())?;
-                    println!("2-core        : {:.3?} ({} peeled)", r.two_core, r.peeled);
-                    println!("wedge check   : {:.3?} ({} wedges)", r.wedge_count, r.wedges);
-                    r.triangles
-                }
-            };
-            println!("total time    : {:.3?}", t0.elapsed());
-            println!("triangles     : {triangles}");
-            if stats {
-                let csr = Csr::from_edge_list(&el);
-                println!("transitivity  : {:.6}", tc_graph::stats::transitivity(&csr, triangles));
+                (outcome, _) => outcome,
             }
-            let snapshot = msession.map(|s| s.finish());
-            if let (Some(snap), Some(path)) = (&snapshot, &metrics) {
-                std::fs::write(path, format!("{}\n", snap.to_json()))
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
-                eprintln!(
-                    "# metrics: {} rank registries -> {}",
-                    snap.ranks().len(),
-                    path.display()
-                );
-            }
-            if let (Some(session), Some(path)) = (session, trace) {
-                let tr = session.finish();
-                let snap_json = snapshot.as_ref().map(|s| s.to_json());
-                let meta: Vec<(&str, &str)> =
-                    snap_json.iter().map(|j| ("tcMetrics", j.as_str())).collect();
-                tc_trace::chrome::write_chrome_json_with_metadata(&tr, &path, &meta)
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
-                let analysis = tc_trace::analysis::analyze(&tr)
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
-                eprintln!(
-                    "# trace: {} events ({} dropped) -> {}",
-                    tr.events.len(),
-                    tr.dropped,
-                    path.display()
-                );
-                eprint!("{}", analysis.report());
-            }
-            Ok(())
         }
         Command::ServeRank {
             input,
@@ -254,7 +351,15 @@ fn run(cmd: Command) -> Result<(), AppError> {
             metrics,
             trace,
         } => {
-            let el = load(&input, seed)?;
+            // A `.bin` must be canonical here: each process reads only
+            // its own stripe, so there is nobody to simplify the whole.
+            let graph = match bin_path(&input) {
+                Some(path) => Graph::File(
+                    EdgeFile::open(path)
+                        .map_err(|e| AppError::Input(format!("{}: {e}", path.display())))?,
+                ),
+                None => Graph::List(load(&input, seed)?),
+            };
             // Flags win; otherwise the MPS_FABRIC_* environment names
             // this process's place in the mesh.
             let mut sock = match (rank, peers) {
@@ -289,12 +394,8 @@ fn run(cmd: Command) -> Result<(), AppError> {
                 }
             };
             let p = sock.peers.len();
-            eprintln!(
-                "# rank {}/{p}: {} vertices, {} edges",
-                sock.rank,
-                el.num_vertices,
-                el.num_edges()
-            );
+            let (n, m) = graph.size();
+            eprintln!("# rank {}/{p}: {n} vertices, {m} edges", sock.rank);
             let msession = metrics.as_ref().map(|_| tc_metrics::MetricsSession::begin());
             sock.universe.metrics = msession.as_ref().map(|s| s.handle());
             let tsession = trace.as_ref().map(|_| tc_trace::TraceSession::begin());
@@ -309,8 +410,9 @@ fn run(cmd: Command) -> Result<(), AppError> {
             let t0 = Instant::now();
             let triangles = match algorithm {
                 Algorithm::TwoD => {
-                    let (t, m) = tc_core::try_count_triangles_socket(&el, &config, &sock)
-                        .map_err(|e| e.to_string())?;
+                    let (t, m) =
+                        tc_core::try_count_triangles_socket(graph.source(), &config, &sock)
+                            .map_err(|e| run_error(&input, e))?;
                     println!("preprocessing : {:.3?}", m.ppt);
                     println!("counting      : {:.3?}", m.tct);
                     println!("tasks         : {}", m.tasks);
@@ -324,8 +426,13 @@ fn run(cmd: Command) -> Result<(), AppError> {
                         let r = (1..=r.max(1)).rev().find(|d| p % d == 0).unwrap_or(1);
                         cli::summa_grid((r, p / r))
                     });
-                    let (t, m) = tc_core::try_count_triangles_summa_socket(&el, g, &config, &sock)
-                        .map_err(|e| e.to_string())?;
+                    let (t, m) = tc_core::try_count_triangles_summa_socket(
+                        graph.source(),
+                        g,
+                        &config,
+                        &sock,
+                    )
+                    .map_err(|e| run_error(&input, e))?;
                     println!("grid          : {}x{} ({} panels)", g.pr, g.pc, g.panels);
                     println!("preprocessing : {:.3?}", m.ppt);
                     println!("counting      : {:.3?}", m.tct);

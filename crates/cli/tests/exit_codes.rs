@@ -94,6 +94,62 @@ fn canonical_and_messy_inputs_load_to_the_same_graph() {
 }
 
 #[test]
+fn messy_binary_input_is_simplified_by_count_and_refused_by_serve_rank() {
+    // Records 2 and 3 are a reversed pair and a duplicate: `count`
+    // must notice from inside the ranks' stripes, fall back to
+    // load + simplify and count the same graph as the canonical file;
+    // `serve-rank` processes read only their own stripe, so every one
+    // of them must exit 3 naming the record and its byte offset.
+    let write = |name: &str, el: &tc_graph::EdgeList| {
+        let path = tmp(name);
+        tc_graph::io::write_binary_edges_path(el, &path).unwrap();
+        path
+    };
+    let edges = vec![(0, 1), (0, 2), (2, 1), (2, 1), (1, 3), (2, 3), (3, 3)];
+    let messy_el = tc_graph::EdgeList { num_vertices: 5, edges };
+    let messy = write("messy.bin", &messy_el);
+    let canonical = write("canonical.bin", &messy_el.clone().simplify());
+    let line =
+        |out: &Output| stdout(out).lines().find(|l| l.starts_with("triangles")).map(str::to_owned);
+    for algorithm in [&["--ranks", "4"][..], &["--algorithm", "summa", "--grid", "2x3"]] {
+        let want = run(&[&["count", canonical.to_str().unwrap()], algorithm].concat());
+        assert_eq!(want.status.code(), Some(0), "{}", stderr(&want));
+        assert!(stderr(&want).contains("# 5 vertices, 5 edges"), "{}", stderr(&want));
+        let got = run(&[&["count", messy.to_str().unwrap()], algorithm].concat());
+        assert_eq!(got.status.code(), Some(0), "{}", stderr(&got));
+        assert!(stderr(&got).contains("not a canonical edge list"), "{}", stderr(&got));
+        assert!(line(&want).is_some_and(|l| l.ends_with(" 2")), "{:?}", line(&want));
+        assert_eq!(line(&got), line(&want));
+    }
+
+    let peers: Vec<String> =
+        (0..4).map(|r| tmp(&format!("messy-{r}.sock")).to_string_lossy().into_owned()).collect();
+    let ranks: Vec<_> = (0..4)
+        .map(|r| {
+            tricount()
+                .args(["serve-rank", messy.to_str().unwrap(), "--rank", &r.to_string()])
+                .args(["--peers", &peers.join(",")])
+                .stdout(std::process::Stdio::piped())
+                .stderr(std::process::Stdio::piped())
+                .spawn()
+                .expect("spawn a rank")
+        })
+        .collect();
+    for (r, child) in ranks.into_iter().enumerate() {
+        let out = child.wait_with_output().expect("wait for a rank");
+        let e = stderr(&out);
+        assert_eq!(out.status.code(), Some(3), "rank {r}: {e}");
+        assert!(e.contains("input error") && e.contains("messy.bin"), "rank {r}: {e}");
+        assert!(
+            e.contains("corrupt binary at byte 40: edge 2: descending pair (2, 1)"),
+            "rank {r}: {e}"
+        );
+    }
+    let _ = std::fs::remove_file(&messy);
+    let _ = std::fs::remove_file(&canonical);
+}
+
+#[test]
 fn chaos_flag_still_counts_exactly() {
     let clean = run(&["count", "g500-s5", "--ranks", "4", "--seed", "7"]);
     assert_eq!(clean.status.code(), Some(0), "{}", stderr(&clean));

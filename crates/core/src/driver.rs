@@ -10,43 +10,74 @@
 //! substrate guarantees every rank is woken and joined on failure.
 
 use tc_graph::{Csr, EdgeList};
-use tc_mps::{Comm, MpsResult, Observe, SocketConfig, Universe};
+use tc_mps::{Comm, CommStats, MpsError, MpsResult, Observe, SocketConfig, Universe};
 use tc_trace::{names, TraceHandle};
 
 use crate::config::TcConfig;
 use crate::metrics::{CommPhase, RankMetrics, TcResult};
-use crate::preprocess::{preprocess_from, BlockInput};
+use crate::preprocess::{preprocess_from, BlockInput, EdgeSource};
 
-/// The per-rank body of the aggregate-count pipeline. Both fabric
-/// backends run this exact function — an in-process rank thread and a
-/// socket-mesh rank process are indistinguishable from here, which is
-/// what makes the backend-conformance guarantee checkable.
-fn count_rank(comm: &Comm, global: &Csr, cfg: &TcConfig) -> MpsResult<(u64, RankMetrics)> {
-    count_rank_from(comm, global.num_vertices(), &BlockInput::Shared(global), cfg)
+/// Turns an invalid-input verdict into a rank body's *value*: every
+/// rank reaches it at the same program point, so the universe ends in
+/// an orderly way (over sockets: drained, FIN exchanged) and each rank
+/// keeps the typed error instead of racing its peers' aborts.
+pub(crate) fn settle<T>(out: MpsResult<T>) -> MpsResult<MpsResult<T>> {
+    match out {
+        Err(e @ MpsError::InvalidInput { .. }) => Ok(Err(e)),
+        other => other.map(Ok),
+    }
+}
+
+/// Folds the per-rank outputs of an in-process run into one result.
+pub(crate) fn fold_ranks(
+    rank_outs: Vec<MpsResult<(u64, RankMetrics)>>,
+    comm_stats: Vec<CommStats>,
+) -> MpsResult<TcResult> {
+    let mut ranks = Vec::with_capacity(rank_outs.len());
+    let mut triangles = None;
+    for (out, cs) in rank_outs.into_iter().zip(comm_stats) {
+        let (t, mut m) = out?;
+        assert_eq!(*triangles.get_or_insert(t), t, "ranks disagree on the reduced count");
+        m.bytes_sent = cs.bytes_sent;
+        ranks.push(m);
+    }
+    Ok(TcResult { triangles: triangles.unwrap_or(0), num_ranks: ranks.len(), ranks })
 }
 
 /// The aggregate-count rank body over an explicit per-rank input
-/// source: this rank contributes its 1D block of an `n`-vertex graph
-/// (shared CSR window or materialized rows) and participates in the
-/// full Cannon pipeline. Returns the globally reduced triangle count
-/// (identical on every rank) and this rank's metrics.
+/// source: this rank contributes its share of an `n`-vertex graph
+/// (edge stripe, shared CSR window or materialized rows) and
+/// participates in the full Cannon pipeline. Returns the globally
+/// reduced triangle count (identical on every rank) and this rank's
+/// metrics. Both fabric backends run this exact function — an
+/// in-process rank thread and a socket-mesh rank process are
+/// indistinguishable from here, which is what makes the
+/// backend-conformance guarantee checkable.
 ///
-/// This is the recount oracle of long-lived services: a fleet whose
-/// per-rank state is a mutable adjacency block can flatten it into
-/// [`BlockInput::Owned`] and obtain the exact 2D count without ever
-/// assembling the global graph anywhere.
+/// This is also the recount oracle of long-lived services: a fleet
+/// whose per-rank state is a mutable adjacency block can flatten it
+/// into [`BlockInput::Owned`] and obtain the exact 2D count without
+/// ever assembling the global graph anywhere.
 pub fn count_rank_from(
     comm: &Comm,
     n: usize,
     input: &BlockInput<'_>,
     cfg: &TcConfig,
 ) -> MpsResult<(u64, RankMetrics)> {
-    let mut metrics = RankMetrics::default();
+    count_in(CommPhase::begin(comm, names::PHASE_PPT)?, comm, n, input, cfg)
+}
 
-    // ---- preprocessing phase ("ppt") ----
-    let phase = CommPhase::begin(comm, names::PHASE_PPT)?;
+/// [`count_rank_from`] inside an already-open preprocessing phase.
+fn count_in(
+    ppt: CommPhase<'_>,
+    comm: &Comm,
+    n: usize,
+    input: &BlockInput<'_>,
+    cfg: &TcConfig,
+) -> MpsResult<(u64, RankMetrics)> {
+    let mut metrics = RankMetrics::default();
     let prep = preprocess_from(comm, n, input, cfg)?;
-    metrics.finish_ppt(phase.finish()?, prep.ops);
+    metrics.finish_ppt(ppt.finish()?, prep.ops);
 
     // ---- triangle counting phase ("tct") ----
     let phase = CommPhase::begin(comm, names::PHASE_TCT)?;
@@ -63,14 +94,14 @@ pub fn count_rank_from(
 /// the only rank whose `Option` comes back `Some`).
 fn per_edge_rank(
     comm: &Comm,
-    global: &Csr,
+    src: EdgeSource<'_>,
     cfg: &TcConfig,
 ) -> MpsResult<(u64, RankMetrics, Option<Vec<EdgeSupport>>)> {
-    let n = global.num_vertices();
+    let n = src.num_vertices();
     let mut metrics = RankMetrics::default();
 
     let phase = CommPhase::begin(comm, names::PHASE_PPT)?;
-    let prep = preprocess_from(comm, n, &BlockInput::Shared(global), cfg)?;
+    let prep = preprocess_from(comm, n, &BlockInput::Striped(src), cfg)?;
     let label_pairs: Vec<[u32; 2]> = prep.label_pairs.iter().map(|&(o, nl)| [o, nl]).collect();
     metrics.finish_ppt(phase.finish()?, prep.ops);
 
@@ -119,11 +150,12 @@ fn per_edge_rank(
 /// Counts the triangles of `el` on `p` ranks with the 2D algorithm.
 ///
 /// `p` must be a perfect square (the paper's `√p × √p` grid). The
-/// graph is handed to the ranks in the paper's assumed input state —
-/// a 1D block distribution of vertices with their full adjacency
-/// lists — and everything after that (cyclic redistribution, degree
-/// ordering, U/L split, 2D redistribution, Cannon shifts, reduction)
-/// happens over explicit messages.
+/// graph is handed to the ranks as the paper's distributed input — its
+/// canonical edge list striped across them, rank `r` taking records
+/// `[m·r/p, m·(r+1)/p)` — and everything after that (validation,
+/// cyclic redistribution, degree ordering, U/L split, 2D
+/// redistribution, Cannon shifts, reduction) happens on the ranks and
+/// over explicit messages.
 ///
 /// # Panics
 ///
@@ -135,8 +167,9 @@ pub fn count_triangles(el: &EdgeList, p: usize, cfg: &TcConfig) -> TcResult {
     }
 }
 
-/// Fallible [`count_triangles`]: runtime failures come back as
-/// [`tc_mps::MpsError`] instead of a panic.
+/// Fallible [`count_triangles`]: runtime failures, and an input that
+/// is not a simplified graph ([`MpsError::InvalidInput`]), come back
+/// as [`tc_mps::MpsError`] instead of a panic.
 pub fn try_count_triangles(el: &EdgeList, p: usize, cfg: &TcConfig) -> MpsResult<TcResult> {
     try_count_triangles_observed(el, p, cfg, Observe::none())
 }
@@ -153,31 +186,22 @@ pub fn try_count_triangles_traced(
     try_count_triangles_observed(el, p, cfg, Observe::trace(trace))
 }
 
-/// [`try_count_triangles`] with optional trace and metrics sessions.
-pub fn try_count_triangles_observed(
-    el: &EdgeList,
+/// [`try_count_triangles`] with optional trace and metrics sessions,
+/// over any striped source (`&EdgeList`, or a `.bin` the ranks read
+/// their own slices of).
+pub fn try_count_triangles_observed<'a>(
+    src: impl Into<EdgeSource<'a>>,
     p: usize,
     cfg: &TcConfig,
     obs: Observe<'_>,
 ) -> MpsResult<TcResult> {
     assert!(tc_mps::perfect_square_side(p).is_some(), "rank count {p} is not a perfect square");
-    assert!(el.is_simple(), "input must be a simplified undirected graph");
-
-    // The shared immutable CSR stands in for the pre-placed on-disk
-    // input; each rank only reads its own 1D block of rows.
-    let global = Csr::from_edge_list(el);
-
-    let (rank_outs, comm_stats) =
-        Universe::try_run_config(p, &obs.to_config(), |comm| count_rank(comm, &global, cfg))?;
-
-    let mut ranks = Vec::with_capacity(p);
-    let triangles = rank_outs[0].0;
-    for ((t, mut m), cs) in rank_outs.into_iter().zip(comm_stats) {
-        assert_eq!(t, triangles, "ranks disagree on the reduced count");
-        m.bytes_sent = cs.bytes_sent;
-        ranks.push(m);
-    }
-    Ok(TcResult { triangles, num_ranks: p, ranks })
+    let src = src.into();
+    let input = BlockInput::Striped(src);
+    let (rank_outs, comm_stats) = Universe::try_run_config(p, &obs.to_config(), |comm| {
+        settle(count_rank_from(comm, src.num_vertices(), &input, cfg))
+    })?;
+    fold_ranks(rank_outs, comm_stats)
 }
 
 /// Counts triangles as **one rank of a multi-process universe**: this
@@ -185,21 +209,22 @@ pub fn try_count_triangles_observed(
 /// the per-rank pipeline of [`try_count_triangles`] over it.
 ///
 /// Every participating process must be launched with the same graph
-/// and config — the input is read locally, standing in for the paper's
-/// pre-placed on-disk distribution. Returns the globally reduced
-/// triangle count (identical on every rank) and this rank's metrics;
-/// cross-rank aggregation is the launcher's job.
-pub fn try_count_triangles_socket(
-    el: &EdgeList,
+/// and config, and reads only its own stripe of it. Returns the
+/// globally reduced triangle count (identical on every rank) and this
+/// rank's metrics; cross-rank aggregation is the launcher's job.
+pub fn try_count_triangles_socket<'a>(
+    src: impl Into<EdgeSource<'a>>,
     cfg: &TcConfig,
     sock: &SocketConfig,
 ) -> MpsResult<(u64, RankMetrics)> {
     let p = sock.peers.len();
     assert!(tc_mps::perfect_square_side(p).is_some(), "rank count {p} is not a perfect square");
-    assert!(el.is_simple(), "input must be a simplified undirected graph");
-    let global = Csr::from_edge_list(el);
-    let ((triangles, mut metrics), stats) =
-        Universe::try_run_socket(sock, |comm| count_rank(comm, &global, cfg))?;
+    let src = src.into();
+    let input = BlockInput::Striped(src);
+    let (out, stats) = Universe::try_run_socket(sock, |comm| {
+        settle(count_rank_from(comm, src.num_vertices(), &input, cfg))
+    })?;
+    let (triangles, mut metrics) = out?;
     metrics.bytes_sent = stats.bytes_sent;
     Ok((triangles, metrics))
 }
@@ -207,17 +232,17 @@ pub fn try_count_triangles_socket(
 /// Per-edge variant of [`try_count_triangles_socket`]: the support
 /// list comes back `Some` only on rank 0 (which gathers and translates
 /// it), mirroring the in-process pipeline's root-side aggregation.
-pub fn try_count_per_edge_socket(
-    el: &EdgeList,
+pub fn try_count_per_edge_socket<'a>(
+    src: impl Into<EdgeSource<'a>>,
     cfg: &TcConfig,
     sock: &SocketConfig,
 ) -> MpsResult<(u64, RankMetrics, Option<Vec<EdgeSupport>>)> {
     let p = sock.peers.len();
     assert!(tc_mps::perfect_square_side(p).is_some(), "rank count {p} is not a perfect square");
-    assert!(el.is_simple(), "input must be a simplified undirected graph");
-    let global = Csr::from_edge_list(el);
-    let ((triangles, mut metrics, supports), stats) =
-        Universe::try_run_socket(sock, |comm| per_edge_rank(comm, &global, cfg))?;
+    let src = src.into();
+    let (out, stats) =
+        Universe::try_run_socket(sock, |comm| settle(per_edge_rank(comm, src, cfg)))?;
+    let (triangles, mut metrics, supports) = out?;
     metrics.bytes_sent = stats.bytes_sent;
     Ok((triangles, metrics, supports))
 }
@@ -272,32 +297,26 @@ pub fn try_count_per_edge_traced(
 }
 
 /// [`try_count_per_edge`] with optional trace and metrics sessions.
-pub fn try_count_per_edge_observed(
-    el: &EdgeList,
+pub fn try_count_per_edge_observed<'a>(
+    src: impl Into<EdgeSource<'a>>,
     p: usize,
     cfg: &TcConfig,
     obs: Observe<'_>,
 ) -> MpsResult<(TcResult, Vec<EdgeSupport>)> {
     assert!(tc_mps::perfect_square_side(p).is_some(), "rank count {p} is not a perfect square");
-    assert!(el.is_simple(), "input must be a simplified undirected graph");
-    let global = Csr::from_edge_list(el);
-
-    let (rank_outs, comm_stats) =
-        Universe::try_run_config(p, &obs.to_config(), |comm| per_edge_rank(comm, &global, cfg))?;
-
-    let mut ranks = Vec::with_capacity(p);
-    let triangles = rank_outs[0].0;
+    let src = src.into();
+    let (rank_outs, comm_stats) = Universe::try_run_config(p, &obs.to_config(), |comm| {
+        settle(per_edge_rank(comm, src, cfg))
+    })?;
     let mut supports = None;
-    for ((t, mut m, sup), cs) in rank_outs.into_iter().zip(comm_stats) {
-        assert_eq!(t, triangles, "ranks disagree on the reduced count");
-        m.bytes_sent = cs.bytes_sent;
-        ranks.push(m);
-        if sup.is_some() {
-            supports = sup;
-        }
-    }
-    let supports = supports.expect("rank 0 produced the support list");
-    Ok((TcResult { triangles, num_ranks: p, ranks }, supports))
+    let counts = rank_outs.into_iter().map(|out| {
+        out.map(|(t, m, sup)| {
+            supports = supports.take().or(sup);
+            (t, m)
+        })
+    });
+    let result = fold_ranks(counts.collect(), comm_stats)?;
+    Ok((result, supports.expect("rank 0 produced the support list")))
 }
 
 /// Counts triangles when the whole graph initially lives on **rank 0**
@@ -306,8 +325,8 @@ pub fn try_count_per_edge_observed(
 /// physically distributed data.
 ///
 /// The scatter is reported as part of the preprocessing phase — it
-/// replaces the "graph is initially stored using a 1D distribution"
-/// assumption of §5.3 with an explicit distribution step.
+/// replaces the "graph is already distributed" assumption of §5.3
+/// with an explicit distribution step.
 pub fn count_triangles_from_root(el: &EdgeList, p: usize, cfg: &TcConfig) -> TcResult {
     match try_count_triangles_from_root(el, p, cfg) {
         Ok(r) => r,
@@ -343,14 +362,12 @@ pub fn try_count_triangles_from_root_observed(
     obs: Observe<'_>,
 ) -> MpsResult<TcResult> {
     assert!(tc_mps::perfect_square_side(p).is_some(), "rank count {p} is not a perfect square");
-    assert!(el.is_simple(), "input must be a simplified undirected graph");
     let n = el.num_vertices;
     // Only rank 0's closure touches this (the "graph on one node").
     let root_csr = Csr::from_edge_list(el);
     let block = tc_graph::Block1D::new(n, p);
 
     let (rank_outs, comm_stats) = Universe::try_run_config(p, &obs.to_config(), |comm| {
-        let mut metrics = RankMetrics::default();
         let phase = CommPhase::begin(comm, names::PHASE_PPT)?;
 
         // Rank 0 carves its CSR into per-rank block streams:
@@ -380,26 +397,8 @@ pub fn try_count_triangles_from_root_observed(
         let xadj = mine[1..2 + rows].to_vec();
         let adj = mine[2 + rows..].to_vec();
         let (lo, _) = block.range(comm.rank());
-        let input = crate::preprocess::BlockInput::Owned { lo: lo as u32, xadj, adj };
-
-        let prep = crate::preprocess::preprocess_from(comm, n, &input, cfg)?;
-        metrics.finish_ppt(phase.finish()?, prep.ops);
-
-        let phase = CommPhase::begin(comm, names::PHASE_TCT)?;
-        let out = crate::cannon::cannon_count(comm, prep, cfg)?;
-        metrics.finish_tct(phase.finish()?);
-
-        metrics.record_kernel(&out.map_stats, &out.kernel_stats, out.tasks, out.local_triangles);
-        metrics.record_shift_compute(out.shift_compute);
-        Ok((out.triangles, metrics))
+        let input = BlockInput::Owned { lo: lo as u32, xadj, adj };
+        settle(count_in(phase, comm, n, &input, cfg))
     })?;
-
-    let mut ranks = Vec::with_capacity(p);
-    let triangles = rank_outs[0].0;
-    for ((t, mut m), cs) in rank_outs.into_iter().zip(comm_stats) {
-        assert_eq!(t, triangles, "ranks disagree on the reduced count");
-        m.bytes_sent = cs.bytes_sent;
-        ranks.push(m);
-    }
-    Ok(TcResult { triangles, num_ranks: p, ranks })
+    fold_ranks(rank_outs, comm_stats)
 }

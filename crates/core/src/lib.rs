@@ -38,6 +38,7 @@ pub mod labels;
 pub mod metrics;
 pub mod preprocess;
 pub mod recip;
+mod redist;
 pub mod summa;
 
 pub use config::{Enumeration, KernelStrategy, TcConfig};
@@ -51,7 +52,7 @@ pub use driver::{
 };
 pub use intersect::{KernelState, KernelStats};
 pub use metrics::{CommPhase, PhaseSample, RankMetrics, TcResult};
-pub use preprocess::BlockInput;
+pub use preprocess::{BlockInput, EdgeSource};
 pub use summa::{
     count_triangles_summa, summa_rank_from, try_count_triangles_summa,
     try_count_triangles_summa_observed, try_count_triangles_summa_socket,

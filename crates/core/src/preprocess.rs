@@ -1,19 +1,23 @@
 //! The distributed preprocessing phase (paper §5.3).
 //!
-//! Starting from the assumed input state — "the graph is initially
-//! stored using a 1D distribution, in which each processor has n/p
-//! vertices and its associated adjacency lists" — each rank performs:
+//! The input state is an **edge list striped across the ranks**: rank
+//! `r` holds records `[m·r/p, m·(r+1)/p)` of the canonical list (its
+//! slice of the `.bin`, a sub-slice of an in-memory list, or the upper
+//! entries of its 1D block of rows). From there each rank performs:
 //!
-//! 1. **Initial cyclic redistribution**: vertices move to rank
-//!    `v % p`, breaking up localized dense regions.
+//! 1. **Initial cyclic redistribution**: every edge `(u, v)` goes to
+//!    the cyclic owners `u % p` and `v % p` of its endpoints. Owners
+//!    never build an adjacency: one pass over the received edges
+//!    yields the degrees of the owned vertices and, per owned vertex,
+//!    the set of ranks that will need its label.
 //! 2. **Degree ordering via distributed counting sort**: global max
 //!    degree (allreduce), per-degree histogram, vector exclusive scan
 //!    for cross-rank positions (the `dmax·log p` term of §5.4), local
 //!    placement; then a push-based all-to-all that delivers
-//!    `old → new` labels to every rank holding the vertex in an
-//!    adjacency list.
-//! 3. **U/L split**: with degree = label order, the split is a local
-//!    label comparison per adjacency entry.
+//!    `old → new` labels to the ranks that orient an edge of the
+//!    vertex.
+//! 3. **U/L split**: the owner of an edge's *first* endpoint looks up
+//!    the one label it does not own and emits `(min, max)`.
 //! 4. **2D cyclic redistribution**: each upper entry `(v, k)` is sent
 //!    to the owner of its `U` block and the owner of its `L` block on
 //!    the `√p × √p` grid. The task block needs no exchange of its own:
@@ -22,25 +26,28 @@
 //!    under ⟨i,j,k⟩ it is the `U` block — so each rank derives its
 //!    tasks from pairs it has already received.
 //!
-//! Every adjacency entry is touched a small constant number of times
-//! (the §5.4 model charges `m/p + dmax·log p` simple operations) and
-//! no payload is copied more than once: send buffers are sized by a
-//! counting pass, filled in place and handed to the fabric without a
-//! copy ([`tc_mps::bytes_from_vec`]); received buffers are read
-//! through typed views ([`PodArray`]) and the blocks are built
-//! straight from them.
+//! Every edge is touched a small constant number of times (the §5.4
+//! model charges `m/p + dmax·log p` simple operations) and no payload
+//! is copied more than once: send buffers are sized by a counting
+//! pass, filled in place and handed to the fabric without a copy
+//! ([`tc_mps::bytes_from_vec`]); received buffers are read through
+//! typed views ([`PodArray`]) and the blocks are built straight from
+//! them.
 //!
 //! The initial Cannon *skew* is deliberately **not** done here — the
 //! paper counts it in the triangle-counting phase (§5.1 "the initial
 //! shifts of Cannon's algorithm"), and `cannon.rs` performs it.
 
+pub use tc_graph::io::EdgeSource;
+use tc_graph::io::IoError;
 use tc_graph::{Block1D, Csr, Cyclic1D, Cyclic2D};
-use tc_mps::{bytes_from_vec, Comm, MpsResult, PodArray};
+use tc_mps::{bytes_from_vec, Comm, MpsError, MpsResult, PodArray};
 
 use crate::blocks::SparseBlock;
 use crate::config::{Enumeration, TcConfig};
 use crate::labels::LabelTable;
 use crate::recip::Reciprocal;
+use crate::redist::{poison, route, unpack};
 
 /// Everything the counting phase needs, as produced on one rank.
 #[derive(Debug)]
@@ -64,7 +71,7 @@ pub struct PrepOutput {
     pub lblock: SparseBlock,
     /// Global maximum operand-row length (sizes the intersection map).
     pub max_hash_row: usize,
-    /// Preprocessing operation count (adjacency entries processed).
+    /// Preprocessing operation count (edge records processed).
     pub ops: u64,
     /// `(old, new)` labels of this rank's cyclic-owned vertices
     /// (needed to translate per-edge results back to input ids).
@@ -84,12 +91,16 @@ pub struct RelabeledEntries {
     pub ops: u64,
 }
 
-/// A rank's share of the input graph under the assumed 1D block
-/// distribution: either a window into a shared pre-placed structure,
-/// or rows that physically arrived at runtime (e.g. scattered from a
-/// root rank that loaded the graph).
+/// A rank's share of the input graph: its stripe of a shared edge
+/// list, or its 1D block of rows — a window into a shared pre-placed
+/// structure, or rows that physically arrived at runtime (e.g.
+/// scattered from a root rank that loaded the graph). Of rows, the
+/// rank contributes the entries `w > v`, so either way every edge is
+/// held by exactly one rank.
 #[derive(Debug)]
 pub enum BlockInput<'a> {
+    /// This rank's stripe of the whole edge list.
+    Striped(EdgeSource<'a>),
     /// Window into the shared immutable input CSR.
     Shared(&'a Csr),
     /// Materialized rows of the block `[lo, hi)`: `xadj` is local
@@ -105,15 +116,35 @@ pub enum BlockInput<'a> {
 }
 
 impl BlockInput<'_> {
-    /// Adjacency of owned vertex `v`.
-    pub fn neighbors(&self, v: u32) -> &[u32] {
+    /// Adjacency of owned vertex `v` of a row-shaped input.
+    fn row(&self, v: u32) -> &[u32] {
         match self {
+            BlockInput::Striped(_) => unreachable!("an edge stripe has no rows"),
             BlockInput::Shared(csr) => csr.neighbors(v),
             BlockInput::Owned { lo, xadj, adj } => {
                 let i = (v - lo) as usize;
                 &adj[xadj[i] as usize..xadj[i + 1] as usize]
             }
         }
+    }
+
+    /// This rank's edges, routed to the cyclic owners of their
+    /// endpoints — or what is wrong with its stripe of them.
+    fn stage(&self, n: usize, rank: usize, by_p: Reciprocal) -> Result<Vec<Vec<[u32; 2]>>, String> {
+        let p = by_p.divisor() as usize;
+        let BlockInput::Striped(src) = self else {
+            let (lo, hi) = Block1D::new(n, p).range(rank);
+            let upper = (lo as u32..hi as u32)
+                .flat_map(|v| self.row(v).iter().filter(move |&&w| w > v).map(move |&w| (v, w)));
+            return Ok(route(upper, by_p));
+        };
+        let records = src.stripe(rank, p).map_err(|e| match (src, e) {
+            (EdgeSource::List(_), IoError::Corrupt { msg, .. }) => {
+                format!("input must be a simplified undirected graph: {msg}")
+            }
+            (_, e) => e.to_string(),
+        })?;
+        Ok(route(records.iter().copied(), by_p))
     }
 }
 
@@ -132,12 +163,9 @@ fn pairs(msgs: &[PodArray<[u32; 2]>]) -> impl Iterator<Item = (u32, u32)> + '_ {
 
 /// Steps 1–3 of §5.3 — initial cyclic redistribution, distributed
 /// counting-sort relabeling, and the label push — shared by the Cannon
-/// (square-grid) and SUMMA (rectangular-grid) back halves.
-pub fn relabel_phase(comm: &Comm, global: &Csr) -> MpsResult<RelabeledEntries> {
-    relabel_phase_from(comm, global.num_vertices(), &BlockInput::Shared(global))
-}
-
-/// [`relabel_phase`] over an explicit per-rank input source.
+/// (square-grid) and SUMMA (rectangular-grid) back halves. A defective
+/// input share ends the phase on **every** rank with the same
+/// [`MpsError::InvalidInput`].
 pub fn relabel_phase_from(
     comm: &Comm,
     n: usize,
@@ -145,69 +173,56 @@ pub fn relabel_phase_from(
 ) -> MpsResult<RelabeledEntries> {
     let p = comm.size();
     let rank = comm.rank();
-    let block = Block1D::new(n, p);
     let cyc = Cyclic1D::new(n, p);
     let by_p = Reciprocal::new(u32::try_from(p).expect("rank count fits in u32"));
     let mut ops: u64 = 0;
 
     // -- Step 1: initial cyclic redistribution --------------------------
-    // Wire format per destination: repeated [v, deg, neighbors...].
+    // A rank that cannot vouch for its share says so to everyone in
+    // the same exchange, so all ranks stop here together.
     let redist_span = tc_trace::span(tc_trace::names::PREP_REDIST, tc_trace::Category::Phase);
-    let (lo, hi) = block.range(rank);
-    let mut words = vec![0usize; p];
-    for v in lo..hi {
-        words[cyc.owner(v as u32)] += 2 + input.neighbors(v as u32).len();
-    }
-    let mut sends: Vec<Vec<u32>> = words.iter().map(|&w| Vec::with_capacity(w)).collect();
-    for v in lo..hi {
-        let row = input.neighbors(v as u32);
-        let buf = &mut sends[cyc.owner(v as u32)];
-        buf.push(v as u32);
-        buf.push(row.len() as u32);
-        buf.extend_from_slice(row);
-        ops += row.len() as u64 + 1;
-    }
-    let staged: usize = words.iter().sum::<usize>() * 4;
+    let sends = input.stage(n, rank, by_p).unwrap_or_else(|msg| vec![poison(&msg); p]);
+    let staged: usize = sends.iter().map(|s| s.len() * 8).sum();
+    ops += sends.iter().map(|s| s.len() as u64 - 1).sum::<u64>();
     let prep_mem = tc_metrics::MemScope::track(tc_metrics::names::MEM_PREP_STAGING, staged as u64);
     let received = exchange(comm, sends)?;
     drop(prep_mem);
-
-    // Decode into one flat cyclic-local adjacency, indexed by v ÷ p.
-    // Sources are block-ordered and each sends its vertices ascending,
-    // so rows arrive in ascending local order and simply append.
-    let local_cnt = cyc.count(rank);
-    let received_words: usize = received.iter().map(|m| m.len()).sum();
-    let mut xadj: Vec<u32> = Vec::with_capacity(local_cnt + 1);
-    let mut adj: Vec<u32> = Vec::with_capacity(received_words.saturating_sub(2 * local_cnt));
-    xadj.push(0);
-    for msg in &received {
-        let mut i = 0usize;
-        while i < msg.len() {
-            let v = msg[i];
-            let deg = msg[i + 1] as usize;
-            assert!(
-                cyc.owner(v) == rank && cyc.local(v) == xadj.len() - 1,
-                "rank {rank}: row of vertex {v} arrived out of cyclic-local order"
-            );
-            adj.extend_from_slice(&msg[i + 2..i + 2 + deg]);
-            xadj.push(adj.len() as u32);
-            ops += deg as u64;
-            i += 2 + deg;
-        }
+    let mut mine = Vec::with_capacity(p);
+    for (src, msg) in received.iter().enumerate() {
+        mine.push(unpack(msg).map_err(|msg| MpsError::InvalidInput { rank: src, msg })?);
     }
-    assert_eq!(xadj.len(), local_cnt + 1, "rank {rank}: missing rows after redistribution");
-    drop(received);
-    let row = |i: usize| &adj[xadj[i] as usize..xadj[i + 1] as usize];
-    let degree = |i: usize| (xadj[i + 1] - xadj[i]) as usize;
+
+    // Degrees of the owned vertices (indexed by v ÷ p; one spare slot
+    // so that a neighbour's index is always in range), and for each
+    // the ranks that hold one of its edges by the *first* endpoint:
+    // they orient that edge and need this vertex's label.
+    let local_cnt = cyc.count(rank);
+    let mask_words = p.div_ceil(64);
+    let mut degree = vec![0u32; local_cnt + 1];
+    let mut wanted_by = vec![0u64; local_cnt * mask_words];
+    for &(firsts, seconds) in &mine {
+        for &[u, v] in firsts {
+            let (lv, dv) = by_p.div_rem(v);
+            degree[by_p.quotient(u) as usize] += 1;
+            degree[lv as usize] += u32::from(dv as usize == rank);
+        }
+        for &[u, v] in seconds {
+            let (lv, du) = (by_p.quotient(v) as usize, by_p.div_rem(u).1 as usize);
+            degree[lv] += 1;
+            wanted_by[lv * mask_words + du / 64] |= 1 << (du % 64);
+        }
+        ops += (firsts.len() + seconds.len()) as u64;
+    }
+    degree.truncate(local_cnt);
     drop(redist_span);
 
     // -- Step 2: distributed counting sort ------------------------------
     let sort_span = tc_trace::span(tc_trace::names::PREP_SORT, tc_trace::Category::Phase);
-    let local_dmax = (0..local_cnt).map(degree).max().unwrap_or(0) as u64;
+    let local_dmax = degree.iter().copied().max().unwrap_or(0) as u64;
     let dmax = comm.allreduce_max_u64(local_dmax)? as usize;
     let mut hist = vec![0u64; dmax + 1];
-    for i in 0..local_cnt {
-        hist[degree(i)] += 1;
+    for &d in &degree {
+        hist[d as usize] += 1;
     }
     ops += local_cnt as u64;
     // Cross-rank offsets within each degree bucket, then global bucket
@@ -221,32 +236,29 @@ pub fn relabel_phase_from(
     ops += dmax as u64;
     let mut seen = vec![0u64; dmax + 1];
     let mut new_label = vec![0u32; local_cnt];
-    for (i, label) in new_label.iter_mut().enumerate() {
-        let d = degree(i);
+    for (label, &d) in new_label.iter_mut().zip(&degree) {
+        let d = d as usize;
         *label = (start[d] + before_me[d] + seen[d]) as u32;
         seen[d] += 1;
     }
-    drop(seen);
+    drop((seen, degree));
     drop(sort_span);
 
     let label_span = tc_trace::span(tc_trace::names::PREP_LABELS, tc_trace::Category::Phase);
-    // -- Step 2b: push old→new labels to every rank that references us --
-    // Owner of u knows Adj(u); by symmetry each rank holding u in one
-    // of its lists owns some w ∈ Adj(u), so pushing (u_old, u_new) to
-    // the owners of u's neighbours covers exactly the demand set.
+    // -- Step 2b: push old→new labels to the ranks that orient --------
     let mut label_sends: Vec<Vec<[u32; 2]>> = (0..p).map(|_| Vec::new()).collect();
-    let mut dest_stamp = vec![u32::MAX; p];
     for (i, &label) in new_label.iter().enumerate() {
         let pair = [cyc.global(rank, i), label];
-        for &w in row(i) {
-            let dst = by_p.div_rem(w).1 as usize;
-            if dest_stamp[dst] != i as u32 {
-                dest_stamp[dst] = i as u32;
-                label_sends[dst].push(pair);
+        for (w, &word) in wanted_by[i * mask_words..(i + 1) * mask_words].iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                label_sends[w * 64 + bits.trailing_zeros() as usize].push(pair);
+                bits &= bits - 1;
+                ops += 1;
             }
         }
-        ops += degree(i) as u64;
     }
+    drop(wanted_by);
     let label_msgs = exchange(comm, label_sends)?;
     let mut old_to_new = LabelTable::with_capacity(label_msgs.iter().map(|m| m.len()).sum());
     for msg in &label_msgs {
@@ -256,38 +268,34 @@ pub fn relabel_phase_from(
     }
     drop(label_msgs);
 
-    // -- Step 3b: U/L split in new labels -------------------------------
-    // Emit each upper entry (v, k), v < k, exactly once grid-wide (the
-    // owner of the smaller-label endpoint emits); across the grid
-    // exactly half of all adjacency entries are upper.
-    let mut entries = Vec::with_capacity(adj.len() / 2);
+    // -- Step 3: U/L split in new labels --------------------------------
+    // The owner of an edge's first endpoint emits it, smaller label
+    // first: each edge exactly once grid-wide.
+    let mut entries = Vec::with_capacity(mine.iter().map(|(firsts, _)| firsts.len()).sum());
+    for &(firsts, _) in &mine {
+        for &[u, v] in firsts {
+            let (lv, dv) = by_p.div_rem(v);
+            let nu = new_label[by_p.quotient(u) as usize];
+            let nv = if dv as usize == rank {
+                new_label[lv as usize]
+            } else {
+                old_to_new
+                    .get(v)
+                    .unwrap_or_else(|| panic!("rank {rank}: no relabel entry for neighbour {v}"))
+            };
+            entries.push((nu.min(nv), nu.max(nv)));
+        }
+    }
+    ops += entries.len() as u64;
     let label_pairs: Vec<(u32, u32)> =
         (0..local_cnt).map(|i| (cyc.global(rank, i), new_label[i])).collect();
-    for (i, &nv) in new_label.iter().enumerate() {
-        for &w in row(i) {
-            let nk = old_to_new
-                .get(w)
-                .unwrap_or_else(|| panic!("rank {rank}: no relabel entry for neighbour {w}"));
-            if nv < nk {
-                entries.push((nv, nk));
-            }
-        }
-        ops += degree(i) as u64;
-    }
     drop(label_span);
     Ok(RelabeledEntries { entries, label_pairs, ops })
 }
 
-/// Runs the full Cannon-grid preprocessing pipeline on this rank.
-///
-/// `global` is the shared, immutable input graph; the rank only reads
-/// the rows of its own 1D block (simulating the pre-placed input), and
-/// all cross-rank data flow goes through `comm`.
-pub fn preprocess(comm: &Comm, global: &Csr, cfg: &TcConfig) -> MpsResult<PrepOutput> {
-    preprocess_from(comm, global.num_vertices(), &BlockInput::Shared(global), cfg)
-}
-
-/// [`preprocess`] over an explicit per-rank input source.
+/// Runs the full Cannon-grid preprocessing pipeline on this rank: it
+/// reads only its own share of the input, and all cross-rank data flow
+/// goes through `comm`.
 pub fn preprocess_from(
     comm: &Comm,
     n: usize,

@@ -18,15 +18,16 @@
 use std::time::Instant;
 
 use bytes::Bytes;
-use tc_graph::{Csr, EdgeList};
+use tc_graph::EdgeList;
 use tc_metrics::{names as mnames, MemScope};
 use tc_mps::{Comm, MpsResult, Observe, RecvRequest, SocketConfig, Universe};
 
 use crate::blocks::{SparseBlock, SparseBlockRef};
 use crate::config::{Enumeration, TcConfig};
+use crate::driver::{fold_ranks, settle};
 use crate::intersect::KernelState;
 use crate::metrics::{CommPhase, RankMetrics, TcResult};
-use crate::preprocess::{relabel_phase_from, BlockInput};
+use crate::preprocess::{relabel_phase_from, BlockInput, EdgeSource};
 
 /// Rectangular grid geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,71 +215,54 @@ pub fn try_count_triangles_summa_traced(
 }
 
 /// [`try_count_triangles_summa`] with optional trace and metrics
-/// sessions.
-pub fn try_count_triangles_summa_observed(
-    el: &EdgeList,
+/// sessions, over any striped source.
+pub fn try_count_triangles_summa_observed<'a>(
+    src: impl Into<EdgeSource<'a>>,
     grid: SummaGrid,
     cfg: &TcConfig,
     obs: Observe<'_>,
 ) -> MpsResult<TcResult> {
-    assert!(el.is_simple(), "input must be a simplified undirected graph");
-    let p = grid.size();
-    let global = Csr::from_edge_list(el);
-
-    let (rank_outs, comm_stats) = Universe::try_run_config(p, &obs.to_config(), |comm| {
-        summa_rank(comm, &grid, &global, cfg)
-    })?;
-
-    let triangles = rank_outs[0].0;
-    let mut ranks = Vec::with_capacity(p);
-    for ((t, mut m), cs) in rank_outs.into_iter().zip(comm_stats) {
-        assert_eq!(t, triangles, "ranks disagree on the reduced count");
-        m.bytes_sent = cs.bytes_sent;
-        ranks.push(m);
-    }
-    Ok(TcResult { triangles, num_ranks: p, ranks })
+    let src = src.into();
+    let input = BlockInput::Striped(src);
+    let (rank_outs, comm_stats) =
+        Universe::try_run_config(grid.size(), &obs.to_config(), |comm| {
+            settle(summa_rank_from(comm, &grid, src.num_vertices(), &input, cfg))
+        })?;
+    fold_ranks(rank_outs, comm_stats)
 }
 
 /// SUMMA counting as one rank of a multi-process socket universe: the
 /// grid must satisfy `grid.size() == sock.peers.len()`, and every
 /// process must be launched with the same graph, grid, and config.
 /// Returns the reduced triangle count and this rank's metrics.
-pub fn try_count_triangles_summa_socket(
-    el: &EdgeList,
+pub fn try_count_triangles_summa_socket<'a>(
+    src: impl Into<EdgeSource<'a>>,
     grid: SummaGrid,
     cfg: &TcConfig,
     sock: &SocketConfig,
 ) -> MpsResult<(u64, RankMetrics)> {
-    assert!(el.is_simple(), "input must be a simplified undirected graph");
     assert_eq!(
         grid.size(),
         sock.peers.len(),
         "grid geometry and socket peer list disagree on the rank count"
     );
-    let global = Csr::from_edge_list(el);
-    let ((triangles, mut metrics), stats) =
-        Universe::try_run_socket(sock, |comm| summa_rank(comm, &grid, &global, cfg))?;
+    let src = src.into();
+    let input = BlockInput::Striped(src);
+    let (out, stats) = Universe::try_run_socket(sock, |comm| {
+        settle(summa_rank_from(comm, &grid, src.num_vertices(), &input, cfg))
+    })?;
+    let (triangles, mut metrics) = out?;
     metrics.bytes_sent = stats.bytes_sent;
     Ok((triangles, metrics))
 }
 
-/// The per-rank body of the SUMMA pipeline, shared by the in-process
-/// and socket entry points (see [`crate::driver`]'s rank-body note).
-fn summa_rank(
-    comm: &Comm,
-    grid: &SummaGrid,
-    global: &Csr,
-    cfg: &TcConfig,
-) -> MpsResult<(u64, RankMetrics)> {
-    summa_rank_from(comm, grid, global.num_vertices(), &BlockInput::Shared(global), cfg)
-}
-
 /// The SUMMA rank body over an explicit per-rank input source: this
-/// rank contributes its 1D block of an `n`-vertex graph (shared CSR
-/// window or materialized rows) and participates in the full panel
-/// pipeline. Returns the globally reduced triangle count (identical on
-/// every rank) and this rank's metrics — the rectangular-grid recount
-/// oracle counterpart of [`crate::driver::count_rank_from`].
+/// rank contributes its share of an `n`-vertex graph (edge stripe,
+/// shared CSR window or materialized rows) and participates in the
+/// full panel pipeline — in-process and over sockets alike. Returns
+/// the globally reduced triangle count (identical on every rank) and
+/// this rank's metrics — the rectangular-grid recount oracle
+/// counterpart of [`crate::driver::count_rank_from`].
 pub fn summa_rank_from(
     comm: &Comm,
     grid: &SummaGrid,

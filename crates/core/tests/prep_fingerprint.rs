@@ -1,18 +1,20 @@
 //! Bit-for-bit pin of the §5.3 preprocessing output.
 //!
 //! The fingerprints below were recorded on the commit *before* the
-//! one-copy preprocessing rewrite (flat adjacency, label table, task
-//! block derived from `L`); every later pipeline must reproduce them
-//! exactly — labels, all three blocks, `max_hash_row` and the `ops`
-//! count — for both enumerations and both input sources. A mismatch
-//! prints the full actual table so a *deliberate* change of the
-//! preprocessing output can re-pin it.
+//! edge-striped front half (the pipeline that redistributed adjacency
+//! rows); every later pipeline must reproduce them exactly — labels,
+//! all three blocks and `max_hash_row`, everything but the `ops`
+//! tally, which counts the work a front half chooses to do — for both
+//! enumerations and all four input sources. A mismatch prints the full
+//! actual table so a *deliberate* change of the preprocessing output
+//! can re-pin it.
 
 use tc_core::blocks::SparseBlock;
-use tc_core::preprocess::{preprocess_from, BlockInput, PrepOutput};
+use tc_core::preprocess::{preprocess_from, BlockInput, EdgeSource, PrepOutput};
 use tc_core::{count_triangles_summa, Enumeration, SummaGrid, TcConfig};
 use tc_gen::er::gnm;
 use tc_gen::{rmat, RmatParams};
+use tc_graph::io::{write_binary_edges_path, EdgeFile};
 use tc_graph::{Block1D, Csr, EdgeList};
 use tc_mps::Universe;
 
@@ -52,7 +54,6 @@ fn fingerprint(prep: &PrepOutput) -> u64 {
     for w in [prep.q, prep.x, prep.y, prep.n, prep.max_hash_row] {
         h.word(w as u64);
     }
-    h.word(prep.ops);
     h.block(&prep.task);
     h.block(&prep.ublock);
     h.block(&prep.lblock);
@@ -73,26 +74,37 @@ fn rmat_with_hub() -> EdgeList {
     EdgeList::new(hub as usize + 1, edges).simplify()
 }
 
+/// The four shapes a rank's share of the input comes in.
+#[derive(Debug, Clone, Copy)]
+enum Source<'a> {
+    Shared,
+    Owned,
+    ListStripe,
+    FileStripe(&'a EdgeFile),
+}
+
 /// Folds the per-rank fingerprints of one `(graph, p, enumeration,
 /// input source)` run, in rank order.
-fn run(csr: &Csr, p: usize, enumeration: Enumeration, owned: bool) -> u64 {
+fn run(el: &EdgeList, csr: &Csr, p: usize, enumeration: Enumeration, source: Source<'_>) -> u64 {
     let n = csr.num_vertices();
     let cfg = TcConfig::paper().with_enumeration(enumeration);
     let per_rank = Universe::run(p, |comm| {
-        let prep = if owned {
-            let (lo, hi) = Block1D::new(n, p).range(comm.rank());
-            let mut xadj = vec![0u32];
-            let mut adj = Vec::new();
-            for v in lo..hi {
-                adj.extend_from_slice(csr.neighbors(v as u32));
-                xadj.push(adj.len() as u32);
+        let input = match source {
+            Source::Shared => BlockInput::Shared(csr),
+            Source::Owned => {
+                let (lo, hi) = Block1D::new(n, p).range(comm.rank());
+                let mut xadj = vec![0u32];
+                let mut adj = Vec::new();
+                for v in lo..hi {
+                    adj.extend_from_slice(csr.neighbors(v as u32));
+                    xadj.push(adj.len() as u32);
+                }
+                BlockInput::Owned { lo: lo as u32, xadj, adj }
             }
-            let input = BlockInput::Owned { lo: lo as u32, xadj, adj };
-            preprocess_from(comm, n, &input, &cfg)
-        } else {
-            preprocess_from(comm, n, &BlockInput::Shared(csr), &cfg)
+            Source::ListStripe => BlockInput::Striped(EdgeSource::List(el)),
+            Source::FileStripe(file) => BlockInput::Striped(EdgeSource::File(file)),
         };
-        fingerprint(&prep.expect("preprocessing"))
+        fingerprint(&preprocess_from(comm, n, &input, &cfg).expect("preprocessing"))
     });
     let mut h = Fnv::new();
     for f in per_rank {
@@ -107,18 +119,18 @@ const ENUMERATIONS: [Enumeration; 2] = [Enumeration::Jik, Enumeration::Ijk];
 /// `[graph][p][enumeration]`, graphs in the order rmat+hub, ER.
 const PINNED: [[[u64; 2]; 5]; 2] = [
     [
-        [0x127f_9ff9_f818_ab84, 0x1a6f_2447_a4e9_aa55],
-        [0xa7d1_ef00_726d_89e2, 0x3449_5558_1ec9_076a],
-        [0x94f1_f094_7058_188f, 0x35ab_f562_ca69_bb16],
-        [0x7d15_b61d_a6f6_02ce, 0x95f8_b815_a295_33eb],
-        [0x83fc_5a87_3c11_b551, 0x3372_36b7_bbda_dff7],
+        [0x1beb_49c3_dec0_b6c5, 0xa008_f0d2_1f0c_cb44],
+        [0x69df_fa5e_6f66_7af5, 0x2e9c_4f6a_e223_2563],
+        [0x793c_ceb2_3749_6844, 0x4f9f_2000_5558_c52c],
+        [0xdc97_9007_e751_acbd, 0x239a_679a_e12b_3718],
+        [0xb913_3aa8_97d0_0b9f, 0x7ca8_104d_503f_8e19],
     ],
     [
-        [0x77ca_1b69_b1c5_e845, 0xba03_ca91_0892_00e5],
-        [0x43ac_6d51_fab5_f845, 0x96bc_0d2e_3f34_d052],
-        [0x9963_b657_2216_ec47, 0x5779_6ac4_e6cb_a56a],
-        [0xe112_d17f_5243_69f4, 0x2edc_623c_023a_842c],
-        [0xf111_234f_c120_02b5, 0x50b8_e8ad_b4dd_5958],
+        [0xac72_fb9b_a0dd_de09, 0xe828_3534_852f_b046],
+        [0x5b9e_ca47_324f_065e, 0xad3a_d457_fd22_f052],
+        [0x6b9d_24e0_c448_7b09, 0xa2cc_8ca3_172a_8ae1],
+        [0x08f1_8191_e5b4_b8a4, 0x6dfd_da4c_ffde_cd15],
+        [0x3190_778d_3eaf_5fa3, 0x8895_d349_ea99_735d],
     ],
 ];
 
@@ -128,23 +140,32 @@ fn preprocessing_output_is_bit_identical_to_the_recorded_pipeline() {
     let mut actual = [[[0u64; 2]; 5]; 2];
     for (g, el) in graphs.iter().enumerate() {
         let csr = Csr::from_edge_list(el);
+        let path =
+            std::env::temp_dir().join(format!("tc-fingerprint-{}-{g}.bin", std::process::id()));
+        write_binary_edges_path(el, &path).expect("write the .bin");
+        let file = EdgeFile::open(&path).expect("reopen the .bin");
         for (i, &p) in RANKS.iter().enumerate() {
             for (e, &enumeration) in ENUMERATIONS.iter().enumerate() {
-                let shared = run(&csr, p, enumeration, false);
-                let owned = run(&csr, p, enumeration, true);
-                assert_eq!(shared, owned, "graph {g} p={p} {enumeration:?}: Shared vs Owned");
+                let shared = run(el, &csr, p, enumeration, Source::Shared);
+                for other in [Source::Owned, Source::ListStripe, Source::FileStripe(&file)] {
+                    let got = run(el, &csr, p, enumeration, other);
+                    assert_eq!(shared, got, "graph {g} p={p} {enumeration:?}: Shared vs {other:?}");
+                }
                 actual[g][i][e] = shared;
             }
         }
+        std::fs::remove_file(&path).expect("remove the .bin");
     }
     assert!(actual == PINNED, "fingerprints moved; actual table:\n{actual:#x?}");
 }
 
 /// `(triangles, tasks, ppt ops)` per `(graph, enumeration)`. SUMMA
 /// keeps its own three-way 2D exchange, so tasks and ops pin the
-/// shared relabel phase it starts from as well.
+/// shared relabel phase it starts from as well. Triangles and tasks
+/// are those of the row-redistributing pipeline; `ops` was re-pinned
+/// with the edge-striped front half (93070 and 51584 before it).
 const PINNED_SUMMA: [(u64, u64, u64); 4] =
-    [(30100, 6049, 93070), (30100, 6050, 93070), (271, 3515, 51584), (271, 4643, 51584)];
+    [(30100, 6049, 70055), (30100, 6050, 70055), (271, 3515, 39004), (271, 4643, 39004)];
 
 #[test]
 fn summa_2x3_counts_are_pinned() {

@@ -18,7 +18,8 @@ pub struct Csr {
 
 impl Csr {
     /// Builds the symmetric CSR of a simplified edge list; every
-    /// adjacency list is sorted ascending.
+    /// adjacency list is sorted ascending. The caller guarantees
+    /// [`EdgeList::is_simple`] (checked in debug builds only).
     pub fn from_edge_list(el: &EdgeList) -> Self {
         debug_assert!(el.is_simple(), "CSR requires a simplified edge list");
         let n = el.num_vertices;
@@ -42,12 +43,13 @@ impl Csr {
             adjncy[cursor[v as usize]] = u;
             cursor[v as usize] += 1;
         }
-        // Edges arrive sorted by (u, v) so rows of the `u` side are
-        // already ascending, but the `v`-side insertions interleave;
-        // sort each row to guarantee the invariant.
-        for v in 0..n {
-            adjncy[xadj[v]..xadj[v + 1]].sort_unstable();
-        }
+        // Row `x` fills ascending without a sort: in a canonical list
+        // every record `(u, x)` precedes every record `(x, w)`, both
+        // runs ascend, and `u < x < w`.
+        debug_assert!(
+            (0..n).all(|v| adjncy[xadj[v]..xadj[v + 1]].windows(2).all(|w| w[0] < w[1])),
+            "rows of a canonical edge list come out sorted"
+        );
         Self { xadj, adjncy }
     }
 

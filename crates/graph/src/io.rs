@@ -11,6 +11,7 @@
 //!   (SuiteSparse, Graph Challenge — the paper's twitter/friendster
 //!   sources) distribute.
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -220,19 +221,16 @@ const fn build_crc32c_table() -> [u32; 256] {
     table
 }
 
-/// Reads the compact binary format.
-///
-/// Every structural defect — truncation (at the header or mid-edge),
-/// a vertex count outside the u32 id space, an edge count that could
-/// not fit in memory, an endpoint `>= n` — is a typed
-/// [`IoError::Corrupt`] carrying the byte offset and, for per-edge
-/// defects, the edge index. The header's edge count is never trusted
-/// for the allocation, so a hostile 16-byte file cannot reserve
-/// gigabytes before its first record fails to parse.
-pub fn read_binary_edges(reader: impl Read) -> Result<EdgeList> {
-    let mut r = BufReader::new(reader);
+/// Byte length of the binary header (magic, `n`, `m`).
+const BIN_HEADER: u64 = 24;
+
+/// Records decoded per `read` of the binary readers (64 KiB).
+const CHUNK_RECORDS: usize = 8192;
+
+/// Reads and checks the 24-byte binary header, returning `(n, m)`.
+fn read_binary_header(r: &mut impl Read) -> Result<(usize, usize)> {
     let mut buf8 = [0u8; 8];
-    read_fully(&mut r, &mut buf8, 0, || "8-byte magic".into())?;
+    read_fully(r, &mut buf8, 0, || "8-byte magic".into())?;
     let magic = u64::from_le_bytes(buf8);
     if magic != BIN_MAGIC {
         return Err(IoError::Corrupt {
@@ -240,7 +238,7 @@ pub fn read_binary_edges(reader: impl Read) -> Result<EdgeList> {
             offset: 0,
         });
     }
-    read_fully(&mut r, &mut buf8, 8, || "vertex-count header".into())?;
+    read_fully(r, &mut buf8, 8, || "vertex-count header".into())?;
     let n64 = u64::from_le_bytes(buf8);
     if n64 > u64::from(u32::MAX) + 1 {
         return Err(IoError::Corrupt {
@@ -248,8 +246,7 @@ pub fn read_binary_edges(reader: impl Read) -> Result<EdgeList> {
             offset: 8,
         });
     }
-    let n = n64 as usize;
-    read_fully(&mut r, &mut buf8, 16, || "edge-count header".into())?;
+    read_fully(r, &mut buf8, 16, || "edge-count header".into())?;
     let m64 = u64::from_le_bytes(buf8);
     if m64 > MAX_EDGE_RECORDS {
         return Err(IoError::Corrupt {
@@ -260,31 +257,250 @@ pub fn read_binary_edges(reader: impl Read) -> Result<EdgeList> {
             offset: 16,
         });
     }
-    let m = m64 as usize;
-    let mut edges = Vec::with_capacity(m.min(1 << 20));
-    let mut buf4 = [0u8; 4];
-    let mut off = 24u64;
-    for i in 0..m {
-        read_fully(&mut r, &mut buf4, off, || format!("edge {i} of {m}"))?;
-        let u = u32::from_le_bytes(buf4);
-        read_fully(&mut r, &mut buf4, off + 4, || format!("edge {i} of {m}"))?;
-        let v = u32::from_le_bytes(buf4);
-        if u as usize >= n || v as usize >= n {
-            let bad = if u as usize >= n { u } else { v };
-            return Err(IoError::Corrupt {
-                msg: format!("edge {i}: endpoint {bad} out of range (n = {n})"),
-                offset: off,
-            });
+    Ok((n64 as usize, m64 as usize))
+}
+
+/// The truncation error of a stream that ends `have` bytes into the
+/// records of an `m`-edge file: names the first incomplete edge and
+/// the offset of its first missing endpoint.
+fn truncated_at(have: u64, m: usize) -> IoError {
+    let edge = have / 8;
+    let offset = BIN_HEADER + edge * 8 + if have % 8 >= 4 { 4 } else { 0 };
+    IoError::Corrupt { msg: format!("truncated: edge {edge} of {m} missing"), offset }
+}
+
+/// Appends records `[first, first + count)` of an `m`-edge, `n`-vertex
+/// binary stream positioned at record `first` to `out`, 64 KiB per
+/// read. Truncation and endpoints `>= n` are typed errors naming the
+/// edge and its byte offset, reported in stream order.
+fn decode_records(
+    mut r: impl Read,
+    first: usize,
+    count: usize,
+    (n, m): (usize, usize),
+    out: &mut Vec<(VertexId, VertexId)>,
+) -> Result<()> {
+    let mut chunk = vec![0u8; 8 * count.min(CHUNK_RECORDS)];
+    let mut at = first;
+    while at < first + count {
+        let want = 8 * (first + count - at).min(CHUNK_RECORDS);
+        let mut got = 0;
+        while got < want {
+            match r.read(&mut chunk[got..want]) {
+                Ok(0) => break,
+                Ok(k) => got += k,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(IoError::Io(e)),
+            }
         }
-        edges.push((u, v));
-        off += 8;
+        for (i, rec) in chunk[..got].chunks_exact(8).enumerate() {
+            let u = u32::from_le_bytes(rec[..4].try_into().expect("4-byte half"));
+            let v = u32::from_le_bytes(rec[4..].try_into().expect("4-byte half"));
+            if u as usize >= n || v as usize >= n {
+                let msg = canonical_defect(at + i, None, (u, v), n);
+                return Err(IoError::Corrupt { msg, offset: record_offset(at + i) });
+            }
+            out.push((u, v));
+        }
+        if got < want {
+            return Err(truncated_at(8 * at as u64 + got as u64, m));
+        }
+        at += want / 8;
     }
+    Ok(())
+}
+
+/// Reads the compact binary format.
+///
+/// Every structural defect — truncation (at the header or mid-edge),
+/// a vertex count outside the u32 id space, an edge count that could
+/// not fit in memory, an endpoint `>= n` — is a typed
+/// [`IoError::Corrupt`] carrying the byte offset and, for per-edge
+/// defects, the edge index. The header's edge count is never trusted
+/// for the allocation, so a hostile 16-byte file cannot reserve
+/// gigabytes before its first record fails to parse.
+pub fn read_binary_edges(mut reader: impl Read) -> Result<EdgeList> {
+    let (n, m) = read_binary_header(&mut reader)?;
+    let mut edges = Vec::with_capacity(m.min(1 << 20));
+    decode_records(reader, 0, m, (n, m), &mut edges)?;
     Ok(EdgeList::new(n, edges))
 }
 
 /// Reads the binary format from a file path.
 pub fn read_binary_edges_path(path: impl AsRef<Path>) -> Result<EdgeList> {
     read_binary_edges(File::open(path)?)
+}
+
+/// Byte offset of edge record `index` in the binary format.
+fn record_offset(index: usize) -> u64 {
+    BIN_HEADER + 8 * index as u64
+}
+
+/// What makes record `index` of an edge list — `cur`, preceded by
+/// `prev` — break the canonical form `u < v < n`, strictly ascending.
+/// Call it only for a record that does.
+fn canonical_defect(
+    index: usize,
+    prev: Option<(VertexId, VertexId)>,
+    cur: (VertexId, VertexId),
+    n: usize,
+) -> String {
+    let (u, v) = cur;
+    if u as usize >= n || v as usize >= n {
+        let bad = if u as usize >= n { u } else { v };
+        format!("edge {index}: endpoint {bad} out of range (n = {n})")
+    } else if u == v {
+        format!("edge {index}: self-loop ({u}, {v})")
+    } else if u > v {
+        format!("edge {index}: descending pair ({u}, {v}), want (min, max)")
+    } else if prev == Some(cur) {
+        format!("edge {index}: duplicate of the edge before it, ({u}, {v})")
+    } else {
+        let (pu, pv) =
+            prev.expect("an in-range ascending pair is only wrong against its predecessor");
+        format!("edge {index}: ({u}, {v}) follows ({pu}, {pv}), want strictly ascending")
+    }
+}
+
+/// A `.bin` edge list opened for sliced reads: the header is parsed
+/// and checked against the file's length once, after which any number
+/// of threads (or processes, each with its own handle) read disjoint
+/// record ranges with positioned reads and never the whole file.
+#[derive(Debug)]
+pub struct EdgeFile {
+    file: File,
+    n: usize,
+    m: usize,
+}
+
+/// `Read` over a file from a fixed position that leaves the shared
+/// cursor alone, so concurrent slices of one handle do not race.
+struct ReadAt<'a> {
+    file: &'a File,
+    pos: u64,
+}
+
+impl Read for ReadAt<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let k = std::os::unix::fs::FileExt::read_at(self.file, buf, self.pos)?;
+        self.pos += k as u64;
+        Ok(k)
+    }
+}
+
+impl EdgeFile {
+    /// Opens `path` and validates its header with the errors of
+    /// [`read_binary_edges`]; a file shorter or longer than the
+    /// `24 + 8·m` bytes its header announces is rejected here, so a
+    /// slice can later be sized from `m` without trusting it.
+    pub fn open(path: impl AsRef<Path>) -> Result<Self> {
+        let mut file = File::open(path)?;
+        let (n, m) = read_binary_header(&mut file)?;
+        let len = file.metadata()?.len();
+        let want = record_offset(m);
+        if len < want {
+            return Err(truncated_at(len.saturating_sub(BIN_HEADER), m));
+        }
+        if len > want {
+            return Err(IoError::Corrupt {
+                msg: format!("{} bytes after the last of {m} edges", len - want),
+                offset: want,
+            });
+        }
+        Ok(Self { file, n, m })
+    }
+
+    /// Vertex count from the header.
+    pub fn num_vertices(&self) -> usize {
+        self.n
+    }
+
+    /// Edge-record count from the header.
+    pub fn num_edges(&self) -> usize {
+        self.m
+    }
+
+    /// Reads records `[lo, hi)`, checking every endpoint against `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `lo <= hi <= m`.
+    pub fn read_records(&self, lo: usize, hi: usize) -> Result<Vec<(VertexId, VertexId)>> {
+        assert!(lo <= hi && hi <= self.m, "records [{lo}, {hi}) outside 0..{}", self.m);
+        let mut out = Vec::with_capacity(hi - lo);
+        let at = ReadAt { file: &self.file, pos: record_offset(lo) };
+        decode_records(at, lo, hi - lo, (self.n, self.m), &mut out)?;
+        Ok(out)
+    }
+}
+
+/// A whole graph as a canonical edge list (`u < v < n`, strictly
+/// ascending) that `p` readers take in stripes: reader `r` gets
+/// records `[m·r/p, m·(r+1)/p)` and touches nothing else.
+#[derive(Debug, Clone, Copy)]
+pub enum EdgeSource<'a> {
+    /// In memory; a stripe is a borrowed sub-slice.
+    List(&'a EdgeList),
+    /// A `.bin` file; a stripe is one positioned read.
+    File(&'a EdgeFile),
+}
+
+impl<'a> From<&'a EdgeList> for EdgeSource<'a> {
+    fn from(el: &'a EdgeList) -> Self {
+        EdgeSource::List(el)
+    }
+}
+
+impl<'a> From<&'a EdgeFile> for EdgeSource<'a> {
+    fn from(file: &'a EdgeFile) -> Self {
+        EdgeSource::File(file)
+    }
+}
+
+impl<'a> EdgeSource<'a> {
+    /// Global vertex count.
+    pub fn num_vertices(&self) -> usize {
+        match self {
+            EdgeSource::List(el) => el.num_vertices,
+            EdgeSource::File(file) => file.n,
+        }
+    }
+
+    /// Edge-record count.
+    pub fn num_edges(&self) -> usize {
+        match self {
+            EdgeSource::List(el) => el.edges.len(),
+            EdgeSource::File(file) => file.m,
+        }
+    }
+
+    /// Stripe `rank` of `p`, checked against the canonical form —
+    /// also against the record before the stripe, so that `p` clean
+    /// stripes make a clean list. A defect is an [`IoError::Corrupt`]
+    /// naming the record and the byte offset it has (for a list: would
+    /// have) in the binary format.
+    pub fn stripe(&self, rank: usize, p: usize) -> Result<Cow<'a, [(VertexId, VertexId)]>> {
+        let (n, m) = (self.num_vertices(), self.num_edges());
+        let cut = |r: usize| (m as u128 * r as u128 / p as u128) as usize;
+        let (lo, hi) = (cut(rank), cut(rank + 1));
+        let (records, mut prev) = match *self {
+            EdgeSource::List(el) => {
+                (Cow::Borrowed(&el.edges[lo..hi]), lo.checked_sub(1).map(|i| el.edges[i]))
+            }
+            EdgeSource::File(file) => {
+                let before = if lo > 0 { file.read_records(lo - 1, lo)?.pop() } else { None };
+                (Cow::Owned(file.read_records(lo, hi)?), before)
+            }
+        };
+        for (i, &(u, v)) in records.iter().enumerate() {
+            if !(u < v && (v as usize) < n && prev.is_none_or(|before| before < (u, v))) {
+                let msg = canonical_defect(lo + i, prev, (u, v), n);
+                return Err(IoError::Corrupt { msg, offset: record_offset(lo + i) });
+            }
+            prev = Some((u, v));
+        }
+        Ok(records)
+    }
 }
 
 /// Reads a Matrix Market coordinate-pattern file (1-based indices;
@@ -506,6 +722,115 @@ mod tests {
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }
+    }
+
+    /// The `.bin` bytes of `n` vertices and `records`, unchecked.
+    fn bin(n: u64, records: &[(u32, u32)]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&super::BIN_MAGIC.to_le_bytes());
+        buf.extend_from_slice(&n.to_le_bytes());
+        buf.extend_from_slice(&(records.len() as u64).to_le_bytes());
+        for &(u, v) in records {
+            buf.extend_from_slice(&u.to_le_bytes());
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        buf
+    }
+
+    /// `bytes` as a file in the temp directory, opened for slicing.
+    fn open_bytes(name: &str, bytes: &[u8]) -> Result<EdgeFile> {
+        let path = std::env::temp_dir().join(format!("tc-io-{}-{name}.bin", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        let opened = EdgeFile::open(&path);
+        std::fs::remove_file(&path).unwrap();
+        opened
+    }
+
+    fn corrupt(e: IoError) -> (String, u64) {
+        match e {
+            IoError::Corrupt { msg, offset } => (msg, offset),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn binary_reader_crosses_chunk_boundaries() {
+        // Three chunks and a bit; the whole-file reader and every
+        // slice agree with the list that was written.
+        let m = 2 * CHUNK_RECORDS + 77;
+        let records: Vec<(u32, u32)> = (0..m as u32).map(|i| (i / 3, i / 3 + 1 + i % 3)).collect();
+        let bytes = bin(1 << 20, &records);
+        assert_eq!(read_binary_edges(&bytes[..]).unwrap().edges, records);
+        let file = open_bytes("chunks", &bytes).unwrap();
+        assert_eq!((file.num_vertices(), file.num_edges()), (1 << 20, m));
+        for (lo, hi) in [(0, m), (0, 0), (m, m), (1, CHUNK_RECORDS), (CHUNK_RECORDS - 1, m - 1)] {
+            assert_eq!(file.read_records(lo, hi).unwrap(), records[lo..hi], "[{lo}, {hi})");
+        }
+        // A bad endpoint and a truncation beyond the first chunk keep
+        // their edge index and byte offset in both readers.
+        let bad = CHUNK_RECORDS + 5;
+        let mut wrong = bytes.clone();
+        wrong[24 + 8 * bad + 4..][..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let want = (
+            format!("edge {bad}: endpoint {} out of range (n = 1048576)", u32::MAX),
+            24 + 8 * bad as u64,
+        );
+        assert_eq!(corrupt(read_binary_edges(&wrong[..]).unwrap_err()), want);
+        let sliced = open_bytes("bad-endpoint", &wrong).unwrap();
+        assert_eq!(corrupt(sliced.read_records(bad - 2, bad + 2).unwrap_err()), want);
+        assert!(sliced.read_records(0, bad).is_ok(), "slices before the defect are clean");
+        let cut = 24 + 8 * (m - 9) + 5;
+        let want =
+            (format!("truncated: edge {} of {m} missing", m - 9), 24 + 8 * (m as u64 - 9) + 4);
+        assert_eq!(corrupt(read_binary_edges(&bytes[..cut]).unwrap_err()), want);
+        assert_eq!(corrupt(open_bytes("cut", &bytes[..cut]).unwrap_err()), want);
+    }
+
+    #[test]
+    fn edge_file_checks_the_length_against_the_header() {
+        let bytes = bin(4, &[(0, 1), (1, 2), (2, 3)]);
+        let file = open_bytes("exact", &bytes).unwrap();
+        assert_eq!(file.read_records(1, 3).unwrap(), [(1, 2), (2, 3)]);
+        let empty = open_bytes("empty", &bin(7, &[])).unwrap();
+        assert_eq!((empty.num_vertices(), empty.num_edges()), (7, 0));
+        assert_eq!(empty.read_records(0, 0).unwrap(), []);
+
+        // Longer than 24 + 8m: rejected at the first surplus byte.
+        let mut long = bytes.clone();
+        long.extend_from_slice(&[0; 11]);
+        let (msg, offset) = corrupt(open_bytes("long", &long).unwrap_err());
+        assert_eq!(offset, 48);
+        assert!(msg.contains("11 bytes after the last of 3 edges"), "{msg}");
+        // Shorter: the first incomplete edge, like the whole-file reader.
+        let (msg, offset) = corrupt(open_bytes("short", &bytes[..24 + 8 + 2]).unwrap_err());
+        assert_eq!((msg.as_str(), offset), ("truncated: edge 1 of 3 missing", 32));
+        // Header defects keep their messages and offsets 0 / 8 / 16.
+        for (cut, what, offset) in
+            [(3, "magic", 0), (12, "vertex-count", 8), (20, "edge-count", 16)]
+        {
+            let (msg, at) = corrupt(open_bytes("header", &bytes[..cut]).unwrap_err());
+            assert!(msg.contains(what) && at == offset, "{msg} at {at}");
+        }
+        // A header that promises 2^40 edges of an empty file fails on
+        // the length check; nothing is allocated from `m`.
+        let mut huge = bin(4, &[]);
+        huge[16..24].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let (msg, offset) = corrupt(open_bytes("huge", &huge).unwrap_err());
+        assert_eq!((msg.as_str(), offset), ("truncated: edge 0 of 1099511627776 missing", 24));
+    }
+
+    #[test]
+    fn canonical_defects_are_named() {
+        for (prev, cur, want) in [
+            (None, (0, 9), "edge 5: endpoint 9 out of range (n = 4)"),
+            (Some((0, 1)), (2, 2), "edge 5: self-loop (2, 2)"),
+            (Some((0, 1)), (3, 1), "edge 5: descending pair (3, 1), want (min, max)"),
+            (Some((1, 2)), (1, 2), "edge 5: duplicate of the edge before it, (1, 2)"),
+            (Some((1, 3)), (1, 2), "edge 5: (1, 2) follows (1, 3), want strictly ascending"),
+        ] {
+            assert_eq!(canonical_defect(5, prev, cur, 4), want);
+        }
+        assert_eq!(record_offset(5), 64);
     }
 
     #[test]

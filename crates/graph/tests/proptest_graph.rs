@@ -89,6 +89,90 @@ proptest! {
     }
 
     #[test]
+    fn mutated_binary_files_fail_typed_or_read_alike(
+        el in arb_graph(),
+        kind in 0usize..9,
+        a in any::<u64>(),
+        b in any::<u64>(),
+    ) {
+        // One structure-aware edit of a canonical `.bin`: the header
+        // fields, the length, or one record turned into each defect
+        // the canonical form forbids.
+        let mut bytes = Vec::new();
+        io::write_binary_edges(&el, &mut bytes).unwrap();
+        let m = el.num_edges();
+        let pick = |x: u64| 24 + 8 * (x as usize % m.max(1));
+        let put = |bytes: &mut Vec<u8>, at: usize, u: u32, v: u32| {
+            if m > 0 {
+                bytes[at..at + 4].copy_from_slice(&u.to_le_bytes());
+                bytes[at + 4..at + 8].copy_from_slice(&v.to_le_bytes());
+            }
+        };
+        match kind {
+            0 => bytes.truncate(a as usize % (bytes.len() + 1)),
+            1 => bytes.extend(std::iter::repeat_n(b as u8, 1 + a as usize % 20)),
+            2 => bytes[a as usize % 8] ^= 1 << (b % 8),
+            3 => bytes[8..16].copy_from_slice(&(a >> (b % 64)).to_le_bytes()),
+            4 => bytes[16..24].copy_from_slice(&(a >> (b % 64)).to_le_bytes()),
+            5 => put(&mut bytes, pick(a), b as u32, b as u32),
+            6 => put(&mut bytes, pick(a), u32::MAX - b as u32 % 3, b as u32),
+            7 if m > 1 => bytes.copy_within(pick(a)..pick(a) + 8, pick(b)),
+            _ => {}
+        }
+
+        let typed = |e: &io::IoError| match e {
+            io::IoError::Corrupt { msg, offset } => Ok((msg.clone(), *offset)),
+            other => Err(TestCaseError::Fail(format!("untyped error {other:?}"))),
+        };
+        let whole = io::read_binary_edges(&bytes[..]);
+        if let Err(e) = &whole {
+            let (msg, offset) = typed(e)?;
+            prop_assert!(offset <= bytes.len() as u64, "{} at {} of {}", msg, offset, bytes.len());
+        }
+        let path = std::env::temp_dir()
+            .join(format!("tc-mutated-{}-{kind}-{a:x}-{b:x}.bin", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let opened = io::EdgeFile::open(&path);
+        std::fs::remove_file(&path).unwrap();
+        let file = match opened {
+            Ok(file) => file,
+            Err(e) => {
+                // Refused up front: the same defect the whole-file
+                // reader reports, or bytes it would have ignored.
+                let (msg, offset) = typed(&e)?;
+                match &whole {
+                    Err(w) => prop_assert_eq!(typed(w)?, (msg, offset)),
+                    Ok(_) => prop_assert!(msg.contains("bytes after the last"), "{}", msg),
+                }
+                return Ok(());
+            }
+        };
+        // An opened file is exactly as long as its header says, which
+        // is what lets a slice be sized from `m`.
+        prop_assert_eq!(24 + 8 * file.num_edges(), bytes.len());
+        let one = file.read_records(0, file.num_edges());
+        match (&whole, &one) {
+            (Ok(w), Ok(records)) => prop_assert_eq!(&w.edges, records),
+            (Err(w), Err(o)) => prop_assert_eq!(typed(w)?, typed(o)?),
+            _ => prop_assert!(false, "readers disagree: {:?} vs {:?}", whole, one),
+        }
+        for p in [3usize, 7] {
+            let cut = |r: usize| file.num_edges() * r / p;
+            let stripes: Vec<_> = (0..p).map(|r| file.read_records(cut(r), cut(r + 1))).collect();
+            match &one {
+                Ok(records) => {
+                    let joined: Vec<_> = stripes.into_iter().flat_map(|s| s.unwrap()).collect();
+                    prop_assert_eq!(records, &joined);
+                }
+                Err(_) => {
+                    let first = stripes.iter().find_map(|s| s.as_ref().err()).expect("a bad stripe");
+                    prop_assert_eq!(typed(first)?, typed(one.as_ref().unwrap_err())?);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn truss_bounds_hold(el in arb_graph()) {
         let sup = truss::edge_supports(&el);
         let d = truss::truss_decomposition(&el);

@@ -415,6 +415,57 @@ fn compare_exact(
     }
 }
 
+/// `--refresh`: the baseline text with exactly the counters `names`
+/// set to the candidate's values — edited in place inside each row,
+/// every other byte kept — and how many values changed. Refuses when
+/// any *other* deterministic value differs (or a run is missing): a
+/// refresh declares which counters an intentional change may move,
+/// and everything else must still be bit-identical.
+pub fn refresh_counters(
+    base_text: &str,
+    cand: &[RunRecord],
+    names: &[String],
+) -> Result<(String, usize), String> {
+    let base = RunRecord::parse_jsonl(base_text)?;
+    let exact = DiffOptions { deterministic_only: true, ..DiffOptions::default() };
+    let stray: Vec<String> = diff_reports(&base, cand, &exact)
+        .rows
+        .iter()
+        .filter(|r| r.status == RowStatus::Fail && !names.contains(&r.metric))
+        .map(|r| format!("  {} {}: {} -> {} ({})", r.key, r.metric, r.base, r.cand, r.note))
+        .collect();
+    if !stray.is_empty() {
+        return Err(format!("values outside --refresh differ:\n{}", stray.join("\n")));
+    }
+    let cand_runs = group(cand);
+    let mut out = String::with_capacity(base_text.len());
+    let mut changed = 0usize;
+    for line in base_text.split_inclusive('\n') {
+        let mut line = line.to_string();
+        for rec in RunRecord::parse_jsonl(&line)? {
+            let fresh = &cand_runs[&rec.key()];
+            for name in names {
+                let (Some(&old), Some(new)) =
+                    (rec.counters.get(name), agreed(fresh, |r| r.counters.get(name).copied())?)
+                else {
+                    continue;
+                };
+                // Counter values are bare integers, so the key with
+                // its old value and the delimiter after it occurs once.
+                let hit = [',', '}'].into_iter().find_map(|end| {
+                    let pat = format!("\"{name}\":{old}{end}");
+                    line.find(&pat).map(|at| (at, pat.len(), end))
+                });
+                let (at, len, end) = hit.ok_or(format!("{}: cannot locate {name}", rec.key()))?;
+                line.replace_range(at..at + len, &format!("\"{name}\":{new}{end}"));
+                changed += usize::from(old != new);
+            }
+        }
+        out.push_str(&line);
+    }
+    Ok((out, changed))
+}
+
 /// Command-line driver shared by the `benchdiff` binary and the
 /// `tricount benchdiff` subcommand. `args` excludes the program /
 /// subcommand name. Returns the process exit code.
@@ -425,6 +476,7 @@ pub fn cli_main(args: &[String]) -> i32 {
     let mut history: Option<String> = None;
     let mut commit: Option<String> = None;
     let mut date: Option<String> = None;
+    let mut refresh: Option<Vec<String>> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -459,6 +511,13 @@ pub fn cli_main(args: &[String]) -> i32 {
                 opts.min_effect = v;
             }
             "--deterministic-only" => opts.deterministic_only = true,
+            "--refresh" => {
+                let Some(list) = it.next().filter(|l| !l.is_empty()) else {
+                    eprintln!("benchdiff: --refresh needs a comma-separated counter list");
+                    return 2;
+                };
+                refresh = Some(list.split(',').map(str::to_string).collect());
+            }
             "--verdict-json" => {
                 let Some(p) = it.next() else {
                     eprintln!("benchdiff: --verdict-json needs a path");
@@ -531,6 +590,25 @@ pub fn cli_main(args: &[String]) -> i32 {
         eprintln!("benchdiff: --history requires --commit and --date");
         return 2;
     }
+    if let Some(names) = refresh {
+        let refreshed = std::fs::read_to_string(&files[0])
+            .map_err(|e| format!("cannot read {}: {e}", files[0]))
+            .and_then(|text| refresh_counters(&text, &cand, &names));
+        return match refreshed.and_then(|(text, changed)| {
+            std::fs::write(&files[0], text)
+                .map(|()| changed)
+                .map_err(|e| format!("cannot write {}: {e}", files[0]))
+        }) {
+            Ok(changed) => {
+                println!("benchdiff: refreshed {changed} values of {names:?} in {}", files[0]);
+                0
+            }
+            Err(e) => {
+                eprintln!("benchdiff: {e}");
+                1
+            }
+        };
+    }
     let report = diff_reports(&base, &cand, &opts);
     print!("{}", report.render());
     if let Some(path) = verdict_json {
@@ -573,6 +651,9 @@ options:
                           (default 0.02 = 2%)
   --min-timing-ms <ms>    ignore timings below this (default 1.0)
   --deterministic-only    skip timing comparison (cross-machine)
+  --refresh <a,b,...>     rewrite exactly these counters in BASELINE to
+                          the candidate's values; exit 1, file untouched,
+                          if any other deterministic value differs
   --verdict-json <path>   write machine-readable verdict
   --history <path>        on PASS, append candidate timing rows to
                           this trend log (requires --commit/--date)
@@ -764,5 +845,53 @@ mod tests {
         let report = diff_reports(&base, &cand, &DiffOptions::default());
         assert!(!report.pass(), "{}", report.render());
         assert!(report.render().contains("tolerance"));
+    }
+
+    /// Two baseline rows (one run repeated) and one candidate whose
+    /// `bytes` and `ops` moved; `tasks` shares a prefix with neither.
+    fn refresh_fixture() -> (String, Vec<RunRecord>) {
+        let row = |bytes: u64, ops: u64, tasks: u64, wall: u64| {
+            let mut r = rec("a", ops, wall);
+            r.counters.insert("mps.bytes".into(), bytes);
+            r.counters.insert("tct.tasks".into(), tasks);
+            r
+        };
+        let base = format!(
+            "{}\n{}\n",
+            row(4800, 480, 48, 100).to_json_line(),
+            row(4800, 480, 48, 120).to_json_line()
+        );
+        (base, vec![row(5200, 48, 48, 300)])
+    }
+
+    #[test]
+    fn refresh_rewrites_exactly_the_named_counters() {
+        let (base, cand) = refresh_fixture();
+        let names = ["mps.bytes".to_string(), "tct.ops".to_string()];
+        let (text, changed) = refresh_counters(&base, &cand, &names).unwrap();
+        assert_eq!(changed, 4, "two counters in two rows");
+        // Nothing but the two values moved: timings and order stay.
+        assert_eq!(
+            text,
+            base.replace("\"mps.bytes\":4800", "\"mps.bytes\":5200")
+                .replace("\"tct.ops\":480", "\"tct.ops\":48")
+        );
+        let exact = DiffOptions { deterministic_only: true, ..DiffOptions::default() };
+        let refreshed = RunRecord::parse_jsonl(&text).unwrap();
+        assert!(diff_reports(&refreshed, &cand, &exact).pass());
+        // A second refresh finds nothing left to do.
+        assert_eq!(refresh_counters(&text, &cand, &names).unwrap(), (text.clone(), 0));
+    }
+
+    #[test]
+    fn refresh_refuses_when_an_undeclared_value_differs() {
+        let (base, mut cand) = refresh_fixture();
+        let err = refresh_counters(&base, &cand, &["mps.bytes".to_string()]).unwrap_err();
+        assert!(err.contains("tct.ops") && err.contains("480 -> 48"), "{err}");
+        cand[0].triangles += 1;
+        let names = ["mps.bytes".to_string(), "tct.ops".to_string()];
+        assert!(refresh_counters(&base, &cand, &names).unwrap_err().contains("triangles"));
+        cand[0].dataset = "b".into();
+        assert!(refresh_counters(&base, &cand, &names).unwrap_err().contains("<run>"));
     }
 }

@@ -66,6 +66,17 @@ pub enum MpsError {
         /// What was wrong with it.
         msg: String,
     },
+    /// The input the ranks were handed is not a valid graph. Unlike
+    /// every other variant this is a verdict the ranks reach
+    /// *together* — the rank that finds the defect tells the others in
+    /// the exchange it would have sent its data in — so each of them
+    /// returns the same value and none is left blocked.
+    InvalidInput {
+        /// The rank whose share of the input is defective.
+        rank: usize,
+        /// What is wrong, and where.
+        msg: String,
+    },
     /// A peer's connection dropped while the fabric was running in
     /// recoverable mode: the process behind it is gone (crashed or
     /// killed), but the universe is *restartable* — a supervisor can
@@ -115,6 +126,9 @@ impl std::fmt::Display for MpsError {
             }
             MpsError::Protocol { rank, msg } => {
                 write!(f, "rank {rank}: protocol violation: {msg}")
+            }
+            MpsError::InvalidInput { rank, msg } => {
+                write!(f, "{msg} (in the input share of rank {rank})")
             }
             MpsError::PeerDown { rank } => {
                 write!(f, "peer rank {rank} is down (connection lost in recoverable mode)")
@@ -170,6 +184,9 @@ mod tests {
         assert!(p.to_string().contains("rank 2"));
         assert!(p.to_string().contains("protocol violation"));
         assert!(p.to_string().contains("(3,4)"));
+
+        let bad = MpsError::InvalidInput { rank: 1, msg: "edge 7: self-loop (3, 3)".into() };
+        assert_eq!(bad.to_string(), "edge 7: self-loop (3, 3) (in the input share of rank 1)");
 
         let down = MpsError::PeerDown { rank: 5 };
         let s = down.to_string();

@@ -64,6 +64,7 @@ impl Failure {
             }
             e @ (MpsError::CollectiveMismatch { .. }
             | MpsError::Protocol { .. }
+            | MpsError::InvalidInput { .. }
             | MpsError::PeerDown { .. }
             | MpsError::DeliveryFailed { .. }) => e.to_string(),
         }
