@@ -1,12 +1,11 @@
-//! Adaptive intersection-kernel micro-benchmarks: the per-shift kernel
-//! under each [`tc_core::KernelStrategy`] across a density × skew
-//! sweep, against both owned [`SparseBlock`]s and borrowed
-//! [`SparseBlockRef`] views (the zero-copy pipeline's operand form),
-//! plus the three intersect primitives on identical inputs: the merge
-//! (SIMD and its scalar fallback), the packed bit row, and the
-//! direct-map probe — load the row into the map, then probe every
-//! candidate — which is what the hash plan (and therefore `auto`)
-//! actually executes and what the other two have to beat.
+//! Intersection-kernel micro-benchmarks: the per-shift kernel under
+//! each [`tc_core::KernelStrategy`] across a density × skew sweep,
+//! against both owned [`SparseBlock`]s and borrowed [`SparseBlockRef`]
+//! views (the zero-copy pipeline's operand form), plus the two
+//! membership structures on identical inputs: the packed bit row
+//! (build, probe every candidate — eight at a time where AVX2 exists —
+//! clear) and the map (load the row, probe every candidate, in
+//! whichever of direct and probing mode the row gets).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -14,8 +13,7 @@ use tc_core::bitmap::BitRow;
 use tc_core::blocks::{BlockView, SparseBlock, SparseBlockRef};
 use tc_core::count::count_shift;
 use tc_core::hashmap::IntersectMap;
-use tc_core::intersect::{intersect_count, intersect_count_scalar, KernelState};
-use tc_core::recip::Reciprocal;
+use tc_core::intersect::KernelState;
 use tc_core::{KernelStrategy, TcConfig};
 use tc_gen::{er::gnm, graph500};
 use tc_graph::EdgeList;
@@ -35,12 +33,8 @@ fn blocks_of(el: &EdgeList) -> (SparseBlock, SparseBlock, SparseBlock) {
     )
 }
 
-const STRATEGIES: [(&str, KernelStrategy); 4] = [
-    ("auto", KernelStrategy::Auto),
-    ("hash", KernelStrategy::Hash),
-    ("merge", KernelStrategy::Merge),
-    ("bitmap", KernelStrategy::Bitmap),
-];
+const STRATEGIES: [(&str, KernelStrategy); 2] =
+    [("auto", KernelStrategy::Auto), ("hash", KernelStrategy::Hash)];
 
 fn bench_strategies(c: &mut Criterion) {
     // Skew sweep: RMAT (heavy hubs) vs Erdős–Rényi (uniform degrees)
@@ -104,20 +98,12 @@ fn bench_intersect_primitives(c: &mut Criterion) {
         for len in [16usize, 128, 1024] {
             let a = primitive_row(len, gap, 0);
             let b = primitive_row(len, gap, 1);
-            group.bench_function(format!("merge_simd_{dname}_len{len}"), |bch| {
-                bch.iter(|| intersect_count(black_box(&a), black_box(&b)));
-            });
-            group.bench_function(format!("merge_scalar_{dname}_len{len}"), |bch| {
-                bch.iter(|| intersect_count_scalar(black_box(&a), black_box(&b)));
-            });
             group.bench_function(format!("bitmap_{dname}_len{len}"), |bch| {
-                let mut bits = BitRow::new();
-                let stride = Reciprocal::new(1);
+                let mut bits = BitRow::new(1);
                 bch.iter(|| {
-                    bits.build(black_box(&a), stride);
-                    let hits: u64 =
-                        black_box(&b).iter().map(|&k| u64::from(bits.contains(k, stride))).sum();
-                    bits.clear(&a, stride);
+                    assert!(bits.build(black_box(&a)));
+                    let (_, hits) = bits.probe().count::<false>(black_box(&b), 0, |_| {});
+                    bits.clear(&a);
                     hits
                 });
             });

@@ -85,7 +85,7 @@ impl ExpArgs {
                     "usage: <bin> [--scale N] [--ranks a,b,c] [--preset NAME] \
                      [--seed S] [--csv PATH] [--json PATH] [--trace PATH] \
                      [--metrics PATH] [--tries N] [--warmup K] \
-                     [--kernel auto|hash|merge|bitmap]"
+                     [--kernel auto|hash]"
                 );
                 std::process::exit(2);
             }
@@ -143,13 +143,21 @@ impl ExpArgs {
         Ok(out)
     }
 
-    /// The paper configuration with this invocation's kernel override
-    /// applied — the base config every experiment should start from.
+    /// The paper configuration (the paper's `hash` kernel) with this
+    /// invocation's kernel override applied — the base config of the
+    /// `paper/*` and §7.3 ablation rows.
     pub fn base_config(&self) -> tc_core::TcConfig {
-        match self.kernel {
-            Some(k) => tc_core::TcConfig::paper().with_kernel(k),
-            None => tc_core::TcConfig::paper(),
-        }
+        self.overridden(tc_core::TcConfig::paper())
+    }
+
+    /// The library default (the `auto` kernel) with this invocation's
+    /// kernel override applied — what the `default` rows run.
+    pub fn default_config(&self) -> tc_core::TcConfig {
+        self.overridden(tc_core::TcConfig::default())
+    }
+
+    fn overridden(&self, cfg: tc_core::TcConfig) -> tc_core::TcConfig {
+        self.kernel.map_or(cfg, |k| cfg.with_kernel(k))
     }
 
     /// The datasets this invocation covers: the single `--preset`, or
@@ -241,11 +249,15 @@ mod tests {
         let a = parse(&[]).unwrap();
         assert_eq!(a.kernel, None);
         assert_eq!(a.base_config(), tc_core::TcConfig::paper());
-        let a = parse(&["--kernel", "bitmap"]).unwrap();
-        assert_eq!(a.kernel, Some(KernelStrategy::Bitmap));
-        assert_eq!(a.base_config().kernel, KernelStrategy::Bitmap);
+        assert_eq!(a.default_config(), tc_core::TcConfig::default());
+        let a = parse(&["--kernel", "auto"]).unwrap();
+        assert_eq!(a.kernel, Some(KernelStrategy::Auto));
+        assert_eq!(a.base_config().kernel, KernelStrategy::Auto);
+        let a = parse(&["--kernel", "hash"]).unwrap();
+        assert_eq!(a.default_config().kernel, KernelStrategy::Hash);
         assert!(parse(&["--kernel"]).is_err());
-        assert!(parse(&["--kernel", "simd"]).is_err());
+        assert!(parse(&["--kernel", "merge"]).is_err());
+        assert!(parse(&["--kernel", "bitmap"]).is_err());
         assert!(parse(&["--kernel", "Hash"]).is_err(), "strict: no case folding");
     }
 

@@ -250,12 +250,13 @@ impl<'a> RunScope<'a> {
         )
     }
 
-    /// Measured 2D count with the default configuration (honoring the
-    /// invocation's `--kernel`/`TC_KERNEL` strategy override — the
-    /// deterministic counters are strategy-invariant, so the run
-    /// record key stays `default`).
+    /// Measured 2D count with the library default configuration — the
+    /// `auto` kernel, unless the invocation's `--kernel`/`TC_KERNEL`
+    /// overrides it. The run record key stays `default` either way:
+    /// only `tct.probes` and the `tct.kernel.*` tallies can tell the
+    /// two kernels apart.
     pub fn count_2d_default(&self, el: &EdgeList, p: usize) -> tc_core::TcResult {
-        self.count_2d(el, p, &self.args.base_config(), "default")
+        self.count_2d(el, p, &self.args.default_config(), "default")
     }
 
     /// Measured SUMMA count; the grid shape joins the config key.

@@ -242,19 +242,19 @@ USAGE:
   tricount count  <FILE|PRESET> [--algorithm 2d|summa|serial|shared|aop|push|psp|wedge]
                   [--ranks N] [--grid RxC] [--seed S] [--stats]
                   [--enumeration jik|ijk] [--no-doubly-sparse] [--no-direct-hash]
-                  [--no-early-break] [--no-overlap] [--kernel auto|hash|merge|bitmap]
+                  [--no-early-break] [--no-overlap] [--kernel auto|hash]
                   [--trace FILE] [--metrics FILE] [--chaos SEED]
   tricount serve-rank <FILE|PRESET> [--rank N --peers EP0,EP1,...] [--epoch E]
                   [--algorithm 2d|summa] [--grid RxC] [--seed S] [--chaos SEED]
                   [--metrics FILE] [--trace FILE] [--enumeration jik|ijk]
                   [--no-doubly-sparse] [--no-direct-hash] [--no-early-break]
-                  [--no-overlap] [--kernel auto|hash|merge|bitmap]
+                  [--no-overlap] [--kernel auto|hash]
   tricount serve  <FILE|PRESET> --listen SOCK [--ranks N] [--rank N --peers EP0,...]
                   [--epoch E] [--state-dir DIR] [--algorithm 2d|summa] [--grid RxC]
                   [--seed S] [--chaos SEED] [--metrics FILE] [--json FILE]
                   [--flush-ms MS] [--max-batch N] [--queue N] [--tick-ms MS]
                   [--enumeration jik|ijk] [--no-doubly-sparse] [--no-direct-hash]
-                  [--no-early-break] [--no-overlap] [--kernel auto|hash|merge|bitmap]
+                  [--no-early-break] [--no-overlap] [--kernel auto|hash]
   tricount supervise <FILE|PRESET> --listen SOCK --state-dir DIR [--ranks N]
                   [--max-restarts N] [--backoff-ms MS] [-- SERVE-FLAGS...]
   tricount query  <SOCK> count|stats|metrics|flush|shutdown [--timeout-ms MS]
@@ -281,15 +281,16 @@ chrome://tracing, or inspect with `tricount tracecheck FILE`.
 --metrics FILE writes the per-rank tc-metrics snapshot (counters, gauges,
 histograms) as schema-versioned JSON; with --trace it is also embedded in
 the trace document under \"tcMetrics\".
---kernel picks the set-intersection strategy of the 2D/SUMMA per-shift
-kernel: auto (default; the fastest measured plan per row — today the
-division-free hash probe on every row), or one of hash|merge|bitmap to
-force the hash probe, the vectorized sorted-merge, or packed bitmap
-rows — counts, per-edge supports, and every deterministic counter are
-identical under all four. The TC_KERNEL
-environment variable supplies the default (strict parse: an invalid
-value aborts at startup, like the MPS_* family); an explicit --kernel
-flag wins over it.
+--kernel picks the per-shift intersection kernel of the 2D/SUMMA count.
+Both offer every hash row to the paper's collision-free direct map; auto
+(default) builds a row whose direct attempt collides into a packed bit
+row and probes it eight keys at a time where AVX2 exists, hash re-inserts
+it with linear probing — the paper's kernel in full, whose probe counts
+Tables 2-4 report. Counts, per-edge supports and every deterministic
+counter but tct.probes and tct.kernel.* are identical under both. The
+TC_KERNEL environment variable supplies the default (strict parse: an
+invalid value aborts at startup, like the MPS_* family); an explicit
+--kernel flag wins over it.
 --chaos SEED runs the distributed algorithms over a deliberately faulty
 fabric (a seeded, deterministic fault plan injecting delays, drops,
 duplicates, reorders, truncations, and bit-flips on every link); the
@@ -432,7 +433,7 @@ pub fn parse_with_env(
             let mut epoch = None;
             let mut algorithm = Algorithm::TwoD;
             let mut grid = None;
-            let mut config = TcConfig::paper();
+            let mut config = TcConfig::default();
             if let Some(k) = env_kernel {
                 config.kernel = k;
             }
@@ -505,10 +506,8 @@ pub fn parse_with_env(
                     "--no-early-break" => config.reverse_early_break = false,
                     "--no-overlap" => config.overlap_shifts = false,
                     "--kernel" => {
-                        config.kernel = it
-                            .next()
-                            .ok_or("--kernel needs a value (auto|hash|merge|bitmap)")?
-                            .parse()?;
+                        config.kernel =
+                            it.next().ok_or("--kernel needs a value (auto|hash)")?.parse()?;
                     }
                     other => return Err(format!("unknown flag {other:?}")),
                 }
@@ -546,7 +545,7 @@ pub fn parse_with_env(
             let mut epoch = None;
             let mut algorithm = Algorithm::TwoD;
             let mut grid = None;
-            let mut config = TcConfig::paper();
+            let mut config = TcConfig::default();
             if let Some(k) = env_kernel {
                 config.kernel = k;
             }
@@ -668,10 +667,8 @@ pub fn parse_with_env(
                     "--no-early-break" => config.reverse_early_break = false,
                     "--no-overlap" => config.overlap_shifts = false,
                     "--kernel" => {
-                        config.kernel = it
-                            .next()
-                            .ok_or("--kernel needs a value (auto|hash|merge|bitmap)")?
-                            .parse()?;
+                        config.kernel =
+                            it.next().ok_or("--kernel needs a value (auto|hash)")?.parse()?;
                     }
                     other => return Err(format!("unknown flag {other:?}")),
                 }
@@ -869,7 +866,7 @@ pub fn parse_with_env(
             let mut algorithm = Algorithm::TwoD;
             let mut ranks = 4usize;
             let mut grid = None;
-            let mut config = TcConfig::paper();
+            let mut config = TcConfig::default();
             if let Some(k) = env_kernel {
                 config.kernel = k;
             }
@@ -919,10 +916,8 @@ pub fn parse_with_env(
                     "--no-early-break" => config.reverse_early_break = false,
                     "--no-overlap" => config.overlap_shifts = false,
                     "--kernel" => {
-                        config.kernel = it
-                            .next()
-                            .ok_or("--kernel needs a value (auto|hash|merge|bitmap)")?
-                            .parse()?;
+                        config.kernel =
+                            it.next().ok_or("--kernel needs a value (auto|hash)")?.parse()?;
                     }
                     "--stats" => stats = true,
                     "--trace" => {
@@ -1015,7 +1010,7 @@ mod tests {
                 assert_eq!(input, Input::Preset(Preset::G500 { scale: 10 }));
                 assert_eq!(algorithm, Algorithm::TwoD);
                 assert_eq!(ranks, 4);
-                assert_eq!(config, TcConfig::paper());
+                assert_eq!(config, TcConfig::default());
                 assert!(!stats);
             }
             other => panic!("{other:?}"),
@@ -1440,12 +1435,12 @@ mod tests {
 
     #[test]
     fn kernel_flag_parses_on_all_counting_commands() {
-        match p(&["count", "g500-s8", "--kernel", "bitmap"]).unwrap() {
-            Command::Count { config, .. } => assert_eq!(config.kernel, KernelStrategy::Bitmap),
+        match p(&["count", "g500-s8", "--kernel", "hash"]).unwrap() {
+            Command::Count { config, .. } => assert_eq!(config.kernel, KernelStrategy::Hash),
             other => panic!("{other:?}"),
         }
-        match p(&["serve-rank", "g500-s6", "--kernel", "merge"]).unwrap() {
-            Command::ServeRank { config, .. } => assert_eq!(config.kernel, KernelStrategy::Merge),
+        match p(&["serve-rank", "g500-s6", "--kernel", "auto"]).unwrap() {
+            Command::ServeRank { config, .. } => assert_eq!(config.kernel, KernelStrategy::Auto),
             other => panic!("{other:?}"),
         }
         match p(&["serve", "g500-s6", "--listen", "/tmp/a", "--kernel", "hash"]).unwrap() {
@@ -1458,8 +1453,10 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(p(&["count", "g500-s8", "--kernel"]).is_err());
-        assert!(p(&["count", "g500-s8", "--kernel", "simd"]).is_err());
-        assert!(p(&["count", "g500-s8", "--kernel", "Bitmap"]).is_err(), "strict: no case folding");
+        for gone in ["merge", "bitmap", "simd"] {
+            assert!(p(&["count", "g500-s8", "--kernel", gone]).is_err(), "{gone}");
+        }
+        assert!(p(&["count", "g500-s8", "--kernel", "Hash"]).is_err(), "strict: no case folding");
     }
 
     #[test]
@@ -1468,18 +1465,18 @@ mod tests {
             parse_with_env(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>(), env)
         };
         // Env alone sets the strategy.
-        match pe(&["count", "g500-s8"], Some(KernelStrategy::Merge)).unwrap() {
-            Command::Count { config, .. } => assert_eq!(config.kernel, KernelStrategy::Merge),
-            other => panic!("{other:?}"),
-        }
-        // An explicit flag overrides the env default.
-        match pe(&["count", "g500-s8", "--kernel", "hash"], Some(KernelStrategy::Merge)).unwrap() {
+        match pe(&["count", "g500-s8"], Some(KernelStrategy::Hash)).unwrap() {
             Command::Count { config, .. } => assert_eq!(config.kernel, KernelStrategy::Hash),
             other => panic!("{other:?}"),
         }
+        // An explicit flag overrides the env default.
+        match pe(&["count", "g500-s8", "--kernel", "auto"], Some(KernelStrategy::Hash)).unwrap() {
+            Command::Count { config, .. } => assert_eq!(config.kernel, KernelStrategy::Auto),
+            other => panic!("{other:?}"),
+        }
         // The env seed reaches the service commands too.
-        match pe(&["serve-rank", "g500-s6"], Some(KernelStrategy::Bitmap)).unwrap() {
-            Command::ServeRank { config, .. } => assert_eq!(config.kernel, KernelStrategy::Bitmap),
+        match pe(&["serve-rank", "g500-s6"], Some(KernelStrategy::Hash)).unwrap() {
+            Command::ServeRank { config, .. } => assert_eq!(config.kernel, KernelStrategy::Hash),
             other => panic!("{other:?}"),
         }
     }

@@ -169,10 +169,13 @@ fn kernel_strategies_all_count_exactly() {
     };
     let base = run(&["count", "g500-s5", "--ranks", "4", "--seed", "7", "--kernel", "hash"]);
     assert_eq!(base.status.code(), Some(0), "{}", stderr(&base));
-    for kernel in ["auto", "merge", "bitmap"] {
-        let out = run(&["count", "g500-s5", "--ranks", "4", "--seed", "7", "--kernel", kernel]);
-        assert_eq!(out.status.code(), Some(0), "--kernel {kernel}: {}", stderr(&out));
-        assert_eq!(line(&stdout(&out)), line(&stdout(&base)), "--kernel {kernel}");
+    let auto = run(&["count", "g500-s5", "--ranks", "4", "--seed", "7", "--kernel", "auto"]);
+    assert_eq!(auto.status.code(), Some(0), "--kernel auto: {}", stderr(&auto));
+    assert_eq!(line(&stdout(&auto)), line(&stdout(&base)), "--kernel auto");
+    // The deleted strategies are usage errors, not silent fallbacks.
+    for gone in ["merge", "bitmap"] {
+        let out = run(&["count", "g500-s5", "--ranks", "4", "--kernel", gone]);
+        assert_eq!(out.status.code(), Some(2), "--kernel {gone}: {}", stderr(&out));
     }
 }
 
@@ -181,19 +184,22 @@ fn kernel_env_seeds_the_run_and_garbage_aborts_loudly() {
     // A valid TC_KERNEL is accepted and the run still counts exactly.
     let ok = tricount()
         .args(["count", "g500-s5", "--ranks", "4", "--seed", "7"])
-        .env("TC_KERNEL", "merge")
+        .env("TC_KERNEL", "hash")
         .output()
         .expect("spawn tricount");
     assert_eq!(ok.status.code(), Some(0), "{}", stderr(&ok));
-    // Garbage must abort before any work, naming the variable (the
-    // strict_env contract of the MPS_* family).
-    let bad = tricount()
-        .args(["count", "g500-s5", "--ranks", "4"])
-        .env("TC_KERNEL", "warp-drive")
-        .output()
-        .expect("spawn tricount");
-    assert_ne!(bad.status.code(), Some(0));
-    assert!(stderr(&bad).contains("TC_KERNEL"), "{}", stderr(&bad));
+    // Garbage — a deleted strategy included — must abort before any
+    // work, naming the variable (the strict_env contract of the MPS_*
+    // family).
+    for garbage in ["warp-drive", "merge"] {
+        let bad = tricount()
+            .args(["count", "g500-s5", "--ranks", "4"])
+            .env("TC_KERNEL", garbage)
+            .output()
+            .expect("spawn tricount");
+        assert_ne!(bad.status.code(), Some(0), "TC_KERNEL={garbage}");
+        assert!(stderr(&bad).contains("TC_KERNEL"), "{}", stderr(&bad));
+    }
 }
 
 #[test]

@@ -16,32 +16,26 @@ pub enum Enumeration {
     Jik,
 }
 
-/// Which set-intersection strategy the per-shift kernel uses for each
-/// task (see `crate::intersect`).
+/// Which per-shift intersection kernel runs (see `crate::count`).
 ///
-/// Whatever the strategy, the row is always loaded into the
-/// [`crate::hashmap::IntersectMap`] first — its mode decision
-/// (direct vs probing) both gates the fast strategies and keeps the
-/// deterministic insert/row-mode counters identical across strategies.
-/// Merge and bitmap only ever replace *direct-mode* probes (which cost
-/// zero probe steps), so every legacy counter — triangles, supports,
-/// tasks, probes, lookups — is bit-identical under all four settings;
-/// rows that fall back to probing mode take the hash path regardless.
+/// Both offer every hash row to the paper's collision-free direct map
+/// first; they differ in what serves a row whose direct attempt
+/// collides. Triangles, per-edge supports, `tasks`, `lookups`,
+/// `inserts`, `direct_rows` and `probed_rows` are bit-identical under
+/// both; `probes` and the `tct.kernel.*` tallies are what `Auto` moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelStrategy {
-    /// The fastest measured plan for each row. With the division-free
-    /// direct-map probe that is the hash plan on every row of every
-    /// dataset × grid in the EXPERIMENTS.md sweep, so `Auto` currently
-    /// resolves exactly like [`KernelStrategy::Hash`]; it stays a
-    /// separate setting so a plan that starts winning somewhere can
-    /// re-enter the default without touching callers. The default.
+    /// A colliding row is built into a collision-free packed bit row
+    /// (`crate::bitmap`) and probed eight keys at a time where AVX2
+    /// exists; the selection is made per row, by the collision. With
+    /// [`TcConfig::direct_hash`] off there is no direct attempt to
+    /// collide, and `Auto` runs exactly like [`KernelStrategy::Hash`].
+    /// The default.
     Auto,
-    /// Always the paper's hash probe.
+    /// The paper's kernel in full: direct mode, linear probing for
+    /// colliding rows, every §5.2 toggle, the probe counts of
+    /// Tables 2–4.
     Hash,
-    /// Vectorized sorted-merge for every direct-mode row.
-    Merge,
-    /// Packed bit rows for every direct-mode row.
-    Bitmap,
 }
 
 impl KernelStrategy {
@@ -54,7 +48,7 @@ impl KernelStrategy {
     /// set must parse or the process panics loudly naming the
     /// variable.
     pub fn from_env() -> Option<Self> {
-        tc_mps::strict_env::<Self>(Self::ENV, "kernel strategy (auto|hash|merge|bitmap)")
+        tc_mps::strict_env::<Self>(Self::ENV, "kernel strategy (auto|hash)")
     }
 }
 
@@ -65,8 +59,6 @@ impl std::str::FromStr for KernelStrategy {
         Ok(match s {
             "auto" => Self::Auto,
             "hash" => Self::Hash,
-            "merge" => Self::Merge,
-            "bitmap" => Self::Bitmap,
             other => return Err(format!("unknown kernel strategy {other:?}")),
         })
     }
@@ -77,8 +69,6 @@ impl std::fmt::Display for KernelStrategy {
         f.write_str(match self {
             Self::Auto => "auto",
             Self::Hash => "hash",
-            Self::Merge => "merge",
-            Self::Bitmap => "bitmap",
         })
     }
 }
@@ -105,9 +95,9 @@ pub struct TcConfig {
     /// deserialize-compute-reserialize schedule, kept for ablation.
     /// Default on.
     pub overlap_shifts: bool,
-    /// Set-intersection strategy for the per-shift kernel. Default
-    /// [`KernelStrategy::Auto`]; [`KernelStrategy::Hash`] is the
-    /// pre-adaptive behavior kept for the ablation.
+    /// Per-shift intersection kernel. Default [`KernelStrategy::Auto`];
+    /// [`KernelStrategy::Hash`] is the paper's kernel, which
+    /// [`TcConfig::paper`] and the ablation baseline pin.
     pub kernel: KernelStrategy,
 }
 
@@ -125,9 +115,12 @@ impl Default for TcConfig {
 }
 
 impl TcConfig {
-    /// The paper's full configuration (all optimizations on).
+    /// The paper's full configuration: all §5.2 optimizations on, and
+    /// the paper's own kernel, so every `paper/*` and §7.3 ablation row
+    /// keeps running — and reporting the probe counts of — the routine
+    /// the paper measured.
     pub fn paper() -> Self {
-        Self::default()
+        Self { kernel: KernelStrategy::Hash, ..Self::default() }
     }
 
     /// Everything off: the unoptimized 2D baseline used as the
@@ -141,6 +134,16 @@ impl TcConfig {
             overlap_shifts: false,
             kernel: KernelStrategy::Hash,
         }
+    }
+
+    /// Whether a hash row that collides in the direct map is built
+    /// into a bit row rather than probed: the [`KernelStrategy::Auto`]
+    /// kernel, and only with `direct_hash` on — without a direct
+    /// attempt there is no collision to dispatch on, so the
+    /// `--no-direct-hash` ablation keeps measuring the paper's probing
+    /// routine under either kernel.
+    pub fn uses_bit_rows(&self) -> bool {
+        self.kernel == KernelStrategy::Auto && self.direct_hash
     }
 
     /// Builder-style toggle.
@@ -187,7 +190,7 @@ mod tests {
     #[test]
     fn default_is_paper_config() {
         let c = TcConfig::default();
-        assert_eq!(c, TcConfig::paper());
+        assert_eq!(c.with_kernel(KernelStrategy::Hash), TcConfig::paper());
         assert_eq!(c.enumeration, Enumeration::Jik);
         assert!(c.doubly_sparse && c.direct_hash && c.reverse_early_break);
     }
@@ -215,16 +218,13 @@ mod tests {
 
     #[test]
     fn kernel_strategy_parses_and_displays() {
-        for (s, k) in [
-            ("auto", KernelStrategy::Auto),
-            ("hash", KernelStrategy::Hash),
-            ("merge", KernelStrategy::Merge),
-            ("bitmap", KernelStrategy::Bitmap),
-        ] {
+        for (s, k) in [("auto", KernelStrategy::Auto), ("hash", KernelStrategy::Hash)] {
             assert_eq!(s.parse::<KernelStrategy>().unwrap(), k);
             assert_eq!(k.to_string(), s);
         }
-        assert!("simd".parse::<KernelStrategy>().is_err());
+        for gone in ["merge", "bitmap", "simd"] {
+            assert!(gone.parse::<KernelStrategy>().is_err(), "{gone}");
+        }
         assert!("".parse::<KernelStrategy>().is_err());
         assert!("Auto".parse::<KernelStrategy>().is_err(), "strict: no case folding");
     }
@@ -232,10 +232,13 @@ mod tests {
     #[test]
     fn kernel_defaults() {
         assert_eq!(TcConfig::default().kernel, KernelStrategy::Auto);
-        // The ablation baseline pins the pre-adaptive kernel.
+        // The paper rows and the ablation baseline pin the paper's kernel.
+        assert_eq!(TcConfig::paper().kernel, KernelStrategy::Hash);
         assert_eq!(TcConfig::unoptimized().kernel, KernelStrategy::Hash);
-        let c = TcConfig::paper().with_kernel(KernelStrategy::Bitmap);
-        assert_eq!(c.kernel, KernelStrategy::Bitmap);
+        let c = TcConfig::paper().with_kernel(KernelStrategy::Auto);
+        assert_eq!(c.kernel, KernelStrategy::Auto);
         assert!(c.direct_hash, "strategy choice leaves the other knobs alone");
+        assert!(c.uses_bit_rows() && !c.with_direct_hash(false).uses_bit_rows());
+        assert!(!TcConfig::paper().uses_bit_rows());
     }
 }

@@ -15,7 +15,10 @@
 //! it falls back to multiplicative hashing with linear probing for
 //! that row. Probe steps, lookups, and mode choices are all counted,
 //! feeding the paper's probe-rate analysis (§7.1) and the §7.3
-//! ablation.
+//! ablation. The two halves are also callable apart
+//! ([`IntersectMap::load_direct`], [`IntersectMap::load_probing`]):
+//! the `auto` kernel serves a collided row from a bit row
+//! ([`crate::bitmap`]) instead of probing.
 //!
 //! The transformed index `k ÷ q` is computed with a precomputed
 //! [`Reciprocal`] (one widening multiply), never a hardware divide: `q`
@@ -176,13 +179,6 @@ impl IntersectMap {
         self.slots.len()
     }
 
-    /// The hash transform divisor (the grid side `q` this map divides
-    /// keys by), as its precomputed reciprocal. The bitmap strategy
-    /// indexes its bit rows by the same transformed local column.
-    pub fn stride(&self) -> Reciprocal {
-        self.stride
-    }
-
     /// Drops the consecutive-load cache. Must be called between shifts:
     /// operand buffers are swapped, so a new row at a recycled address
     /// must not replay as the old one.
@@ -192,11 +188,10 @@ impl IntersectMap {
 
     /// Credits `lookups` membership tests and `probe_steps` extra probe
     /// steps without touching the table: what a [`RowProbe`] burst
-    /// physically performed, or what a strategy that answers
-    /// membership outside the map (merge, bitmap — always zero steps)
-    /// absorbed. Either way the deterministic counters end up exactly
-    /// where one [`IntersectMap::contains`] per key would have left
-    /// them.
+    /// physically performed, or what a bit row (always zero steps)
+    /// answered in the map's place. Either way `lookups` ends up
+    /// exactly where one [`IntersectMap::contains`] per key would have
+    /// left it.
     #[inline]
     pub fn credit(&mut self, lookups: u64, probe_steps: u64) {
         self.stats.lookups += lookups;
@@ -253,7 +248,28 @@ impl IntersectMap {
         self.probe().hash_slot(key)
     }
 
-    /// Loads `row` into the map, choosing the mode.
+    /// Replays a cached load of the identical row, if `loaded` holds
+    /// one that `accept`s: bumps the counters exactly as a fresh load
+    /// would and counts one [`MapStats::reused_rows`].
+    fn replay(&mut self, row: &[u32], accept: impl Fn(&LoadedRow) -> bool) -> bool {
+        let Some(c) = self.loaded else { return false };
+        if c.ptr != row.as_ptr() as usize || c.len != row.len() || !accept(&c) {
+            return false;
+        }
+        self.stats.inserts += row.len() as u64;
+        if c.direct {
+            self.stats.direct_rows += 1;
+        } else {
+            self.stats.probed_rows += 1;
+            self.stats.probe_steps += c.insert_probe_steps;
+        }
+        self.stats.reused_rows += 1;
+        self.direct = c.direct;
+        true
+    }
+
+    /// Loads `row` into the map, choosing the mode — the paper's
+    /// routine in full.
     ///
     /// With `allow_direct` (the paper's optimization enabled) and a row
     /// that fits the table, insertion first tries the direct slot
@@ -270,53 +286,72 @@ impl IntersectMap {
     /// [`IntersectMap::invalidate_row_cache`] when row storage may be
     /// recycled (between shifts).
     pub fn load_row(&mut self, row: &[u32], allow_direct: bool) {
-        if let Some(c) = self.loaded {
-            if c.ptr == row.as_ptr() as usize
-                && c.len == row.len()
-                && c.allow_direct == allow_direct
-            {
-                self.stats.inserts += row.len() as u64;
-                if c.direct {
-                    self.stats.direct_rows += 1;
-                } else {
-                    self.stats.probed_rows += 1;
-                    self.stats.probe_steps += c.insert_probe_steps;
-                }
-                self.stats.reused_rows += 1;
-                self.direct = c.direct;
+        if self.replay(row, |c| c.allow_direct == allow_direct) {
+            return;
+        }
+        if allow_direct {
+            if self.insert_direct(row) {
                 return;
             }
+        } else {
+            self.reserve_row(row.len());
+            self.stats.inserts += row.len() as u64;
+            self.stats.probed_rows += 1;
         }
+        self.insert_probing(row, allow_direct);
+    }
+
+    /// The direct half of [`IntersectMap::load_row`]: offers `row` to
+    /// the collision-free mode only. `true` means it loaded (and
+    /// counted) exactly as `load_row(row, true)` would have. `false`
+    /// means two keys collided: the row is counted as a probed row
+    /// (`inserts`, `probed_rows` — what `load_row` counts before it
+    /// starts probing) but the table holds nothing usable until
+    /// [`IntersectMap::load_probing`] completes the load. A consecutive
+    /// identical load replays like `load_row`'s, for direct rows.
+    pub fn load_direct(&mut self, row: &[u32]) -> bool {
+        self.replay(row, |c| c.allow_direct && c.direct) || self.insert_direct(row)
+    }
+
+    /// Completes a [`IntersectMap::load_direct`] that returned `false`
+    /// with the paper's linear-probing insertion; the pair leaves the
+    /// map and its counters exactly where `load_row(row, true)` would.
+    pub fn load_probing(&mut self, row: &[u32]) {
+        self.insert_probing(row, true);
+    }
+
+    /// One direct-mode insertion attempt, counted.
+    fn insert_direct(&mut self, row: &[u32]) -> bool {
         self.reserve_row(row.len());
         self.stats.inserts += row.len() as u64;
-        if allow_direct {
-            self.bump_generation();
-            let mut clean = true;
-            for &k in row {
-                let s = self.direct_slot(k) as usize;
-                if (self.slots[s] >> 32) as u32 == self.generation {
-                    clean = false;
-                    break;
-                }
-                self.slots[s] = slot_of(self.generation, k);
+        self.bump_generation();
+        for &k in row {
+            let s = self.direct_slot(k) as usize;
+            if (self.slots[s] >> 32) as u32 == self.generation {
+                self.direct = false;
+                self.stats.probed_rows += 1;
+                self.loaded = None;
+                return false;
             }
-            if clean {
-                self.direct = true;
-                self.stats.direct_rows += 1;
-                self.loaded = Some(LoadedRow {
-                    ptr: row.as_ptr() as usize,
-                    len: row.len(),
-                    allow_direct,
-                    direct: true,
-                    insert_probe_steps: 0,
-                });
-                return;
-            }
+            self.slots[s] = slot_of(self.generation, k);
         }
-        // Probing mode.
+        self.direct = true;
+        self.stats.direct_rows += 1;
+        self.loaded = Some(LoadedRow {
+            ptr: row.as_ptr() as usize,
+            len: row.len(),
+            allow_direct: true,
+            direct: true,
+            insert_probe_steps: 0,
+        });
+        true
+    }
+
+    /// The probing-mode insertion of a row already counted in
+    /// `inserts` and `probed_rows`.
+    fn insert_probing(&mut self, row: &[u32], allow_direct: bool) {
         self.bump_generation();
         self.direct = false;
-        self.stats.probed_rows += 1;
         let steps_before = self.stats.probe_steps;
         for &k in row {
             let mut s = self.hash_slot(k);
@@ -533,6 +568,38 @@ mod tests {
         m.load_row(&b, true);
         assert_eq!(m.stats.reused_rows, 0);
         assert!(m.contains(10) && !m.contains(1));
+    }
+
+    #[test]
+    fn split_load_equals_the_whole_routine() {
+        // load_direct (+ load_probing on a collision) must leave the
+        // table and every counter where load_row(row, true) does.
+        let size = IntersectMap::new(4, 1).table_size() as u32;
+        let clean = vec![1u32, 2, 3];
+        let colliding = vec![0, size, 2 * size];
+        for row in [&clean, &colliding, &Vec::new()] {
+            let mut whole = IntersectMap::new(4, 1);
+            whole.load_row(row, true);
+            let mut split = IntersectMap::new(4, 1);
+            let direct = split.load_direct(row);
+            assert_eq!(direct, whole.is_direct());
+            if !direct {
+                // What a bit row takes over from: counted, not probed.
+                assert_eq!(split.stats.probed_rows, 1);
+                assert_eq!(split.stats.inserts, row.len() as u64);
+                assert_eq!(split.stats.probe_steps, 0);
+                split.load_probing(row);
+            }
+            assert_eq!(split.stats, whole.stats);
+            assert_eq!(split.is_direct(), whole.is_direct());
+            for k in 0..4 * size {
+                assert_eq!(split.contains(k), row.contains(&k), "key {k}");
+            }
+        }
+        // Direct rows replay through load_direct as through load_row.
+        let mut m = IntersectMap::new(4, 1);
+        assert!(m.load_direct(&clean) && m.load_direct(&clean));
+        assert_eq!((m.stats.reused_rows, m.stats.direct_rows, m.stats.inserts), (1, 2, 6));
     }
 
     #[test]

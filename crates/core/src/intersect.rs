@@ -1,77 +1,78 @@
-//! Sorted-set intersection kernels and the per-shift kernel state.
+//! The per-shift kernel state, and the sorted-set intersection
+//! primitive.
 //!
 //! The per-task set intersection at the heart of the count (`A(a) ∩
-//! A(b)`, paper §5.1) admits three strategies:
+//! A(b)`, paper §5.1) is answered by one of two kernels
+//! ([`crate::config::KernelStrategy`]):
 //!
-//! - **hash** — the paper's map probe ([`crate::hashmap::IntersectMap`]),
-//!   the only strategy that works when a row loaded in probing mode;
-//! - **merge** — a vectorized sorted-merge over the two ascending rows
-//!   ([`intersect_count`]): SSE2 on `x86_64` (baseline, no target
-//!   feature required), with a mandatory scalar fallback that is always
-//!   compiled and takes over on other architectures or under the
-//!   `force-scalar` feature;
-//! - **bitmap** — packed `u64` bit rows for hub vertices
-//!   ([`crate::bitmap::BitRow`]), built once per row load and probed by
-//!   every task of the row.
+//! - **hash** — the paper's map ([`crate::hashmap::IntersectMap`]):
+//!   direct mode for rows that load without a collision, linear
+//!   probing for the rest;
+//! - **auto** — the same direct mode, but a row whose direct attempt
+//!   collides is built into a packed bit row
+//!   ([`crate::bitmap::BitRow`]) instead of being probed.
 //!
-//! [`KernelState`] bundles the reusable state all three share across
-//! the shifts of one rank, plus the [`KernelStats`] selection counters
-//! behind the `tct.kernel.*` metrics.
+//! [`KernelState`] bundles the reusable state both share across the
+//! shifts of one rank and makes the per-row choice
+//! ([`KernelState::load_row`]); [`KernelStats`] are the tallies behind
+//! the `tct.kernel.*` metrics.
+//!
+//! [`intersect_count`] — a vectorized merge of two sorted rows — is no
+//! longer part of either kernel: forcing it onto the probing-mode rows
+//! measured slower than probing them (EXPERIMENTS.md, "Bit rows and
+//! the vector probe"). It stays public and unchanged because the repo
+//! benchmark's probe links it (`core.intersect.pairs_per_s`); removing
+//! it is left to a later `benchmark` PR.
 
 use crate::bitmap::BitRow;
+use crate::config::TcConfig;
 use crate::hashmap::IntersectMap;
 
-/// Per-rank tallies of the adaptive kernel dispatch: how many tasks
-/// each strategy served and how many membership tests it absorbed.
+/// Per-rank tallies of which structure served the tasks and their
+/// membership tests.
 ///
-/// The strategy lookup tallies partition the legacy lookup counter
-/// exactly: `hash_lookups + merge_lookups + bitmap_lookups ==
-/// MapStats::lookups`, because the merge and bitmap paths credit the
-/// map with the lookups the hash loop would have performed (the legacy
-/// deterministic counters must not move when the strategy changes).
+/// The lookup tallies partition the legacy lookup counter exactly:
+/// `hash_lookups + bitmap_lookups == MapStats::lookups`, because bit
+/// rows credit the map with the lookups the paper's loop would have
+/// performed.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Tasks served by the hash-probe strategy.
+    /// Tasks served by the map (direct or probing mode).
     pub hash_tasks: u64,
-    /// Tasks served by the sorted-merge strategy.
-    pub merge_tasks: u64,
-    /// Tasks served by the bitmap strategy.
+    /// Tasks served by a bit row.
     pub bitmap_tasks: u64,
-    /// Hash rows materialized into packed bit rows.
+    /// Hash rows built into packed bit rows.
     pub bitmap_rows: u64,
-    /// Membership tests physically performed by the hash probe.
+    /// Membership tests physically performed against the map.
     pub hash_lookups: u64,
-    /// Membership tests absorbed by the merge strategy.
-    pub merge_lookups: u64,
-    /// Membership tests absorbed by the bitmap strategy.
+    /// Membership tests answered by a bit row.
     pub bitmap_lookups: u64,
 }
 
-impl KernelStats {
-    /// Accumulates another tally (for cross-shift aggregation).
-    pub fn merge_from(&mut self, o: &KernelStats) {
-        self.hash_tasks += o.hash_tasks;
-        self.merge_tasks += o.merge_tasks;
-        self.bitmap_tasks += o.bitmap_tasks;
-        self.bitmap_rows += o.bitmap_rows;
-        self.hash_lookups += o.hash_lookups;
-        self.merge_lookups += o.merge_lookups;
-        self.bitmap_lookups += o.bitmap_lookups;
-    }
+/// Which structure answers membership tests for the loaded hash row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowMode {
+    /// The map's collision-free direct mode (§5.2).
+    Direct,
+    /// The map's linear-probing mode.
+    Probing,
+    /// A packed bit row; the caller must
+    /// [`BitRow::clear`] it with the same row when done.
+    Bits,
 }
 
 /// The reusable intersection state of one rank: the hash map, the
-/// bitmap arena, and the dispatch tallies. Created once before the
-/// shift loop; both containers are grow-only, so steady-state shifts
-/// allocate nothing.
+/// bit-row arena, and the tallies. Created once before the shift loop;
+/// both containers are grow-only, so steady-state shifts allocate
+/// nothing.
 #[derive(Debug)]
 pub struct KernelState {
-    /// The paper's map (always loaded — its row-mode statistics drive
-    /// the dispatch and must stay exact across strategies).
+    /// The paper's map. Every row is offered to it first, so its
+    /// row-mode statistics are the same under both kernels.
     pub map: IntersectMap,
-    /// Packed bit-row arena for hub rows.
-    pub bitmap: BitRow,
-    /// Dispatch tallies.
+    /// Packed bit-row arena for rows that collide in the map.
+    pub bits: BitRow,
+    /// Tallies.
     pub stats: KernelStats,
 }
 
@@ -79,10 +80,40 @@ impl KernelState {
     /// Sized like [`IntersectMap::new`]: `max_row_len` is the longest
     /// hash-side row, `q` the hash transform divisor (grid side).
     pub fn new(max_row_len: usize, q: usize) -> Self {
+        let stride = u32::try_from(q.max(1)).expect("grid side fits in u32");
         Self {
             map: IntersectMap::new(max_row_len, q),
-            bitmap: BitRow::new(),
+            bits: BitRow::new(stride),
             stats: KernelStats::default(),
+        }
+    }
+
+    /// Loads one hash row and says what will answer its lookups.
+    ///
+    /// Under [`KernelStrategy::Hash`] — and under `auto` when
+    /// `direct_hash` is off, so the `--no-direct-hash` ablation keeps
+    /// measuring the paper's probing routine — this is
+    /// [`IntersectMap::load_row`]. Under `auto` the row is offered to
+    /// the direct mode exactly the same way, and the *collision* is
+    /// the dispatch: a row that collides is built into a bit row
+    /// rather than re-inserted with linear probing. Only a row the bit
+    /// arena refuses (wider than [`crate::bitmap::MAX_SPAN_BITS`])
+    /// completes the probing load. `inserts`, `direct_rows` and
+    /// `probed_rows` therefore count the same under both kernels;
+    /// `probe_steps` can only fall.
+    pub fn load_row(&mut self, row: &[u32], cfg: &TcConfig) -> RowMode {
+        if !cfg.uses_bit_rows() {
+            self.map.load_row(row, cfg.direct_hash);
+            return if self.map.is_direct() { RowMode::Direct } else { RowMode::Probing };
+        }
+        if self.map.load_direct(row) {
+            RowMode::Direct
+        } else if self.bits.build(row) {
+            self.stats.bitmap_rows += 1;
+            RowMode::Bits
+        } else {
+            self.map.load_probing(row);
+            RowMode::Probing
         }
     }
 }
@@ -95,22 +126,6 @@ pub fn intersect_count_scalar(a: &[u32], b: &[u32]) -> u64 {
     while i < a.len() && j < b.len() {
         let (x, y) = (a[i], b[j]);
         n += (x == y) as u64;
-        i += (x <= y) as usize;
-        j += (y <= x) as usize;
-    }
-    n
-}
-
-/// Intersection that *visits* every common element (ascending), for
-/// the per-edge recording path. Returns the hit count.
-pub fn intersect_visit(a: &[u32], b: &[u32], mut hit: impl FnMut(u32)) -> u64 {
-    let (mut i, mut j, mut n) = (0usize, 0usize, 0u64);
-    while i < a.len() && j < b.len() {
-        let (x, y) = (a[i], b[j]);
-        if x == y {
-            hit(x);
-            n += 1;
-        }
         i += (x <= y) as usize;
         j += (y <= x) as usize;
     }
@@ -153,6 +168,10 @@ fn intersect_count_sse2(a: &[u32], b: &[u32]) -> u64 {
 
 /// Counts `|a ∩ b|` over two ascending, duplicate-free slices,
 /// vectorized where the target allows it.
+///
+/// Not called by the counting kernel any more (see the module doc);
+/// kept public and unchanged because `benchmark/probe` pins it, until
+/// a `benchmark` PR re-points the probe.
 #[inline]
 pub fn intersect_count(a: &[u32], b: &[u32]) -> u64 {
     #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
@@ -217,16 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn visit_reports_exactly_the_common_elements() {
-        let a = [1u32, 3, 5, 9, 12, 40];
-        let b = [2u32, 3, 9, 13, 40, 41];
-        let mut hits = Vec::new();
-        let n = intersect_visit(&a, &b, |k| hits.push(k));
-        assert_eq!(n, 3);
-        assert_eq!(hits, vec![3, 9, 40]);
-    }
-
-    #[test]
     fn identical_and_disjoint_sets() {
         let a: Vec<u32> = (0..100).map(|i| i * 2).collect();
         let b: Vec<u32> = (0..100).map(|i| i * 2 + 1).collect();
@@ -240,16 +249,38 @@ mod tests {
     fn kernel_state_constructs_empty() {
         let ks = KernelState::new(8, 3);
         assert_eq!(ks.stats, KernelStats::default());
-        assert_eq!(ks.map.stride().divisor(), 3);
+        assert_eq!(ks.map.stats, crate::hashmap::MapStats::default());
     }
 
     #[test]
-    fn stats_merge_accumulates() {
-        let mut a = KernelStats { hash_tasks: 1, merge_lookups: 5, ..Default::default() };
-        let b = KernelStats { hash_tasks: 2, bitmap_rows: 3, ..Default::default() };
-        a.merge_from(&b);
-        assert_eq!(a.hash_tasks, 3);
-        assert_eq!(a.bitmap_rows, 3);
-        assert_eq!(a.merge_lookups, 5);
+    fn collision_is_the_dispatch() {
+        use crate::config::KernelStrategy;
+        let mut ks = KernelState::new(4, 1);
+        let size = ks.map.table_size() as u32;
+        let auto = TcConfig::default();
+        let hash = auto.with_kernel(KernelStrategy::Hash);
+        let clean = [1u32, 2, 3];
+        let colliding = [0, size, 2 * size];
+        let too_wide = [0, size, u32::MAX];
+
+        assert_eq!(ks.load_row(&clean, &auto), RowMode::Direct);
+        assert_eq!(ks.load_row(&[], &auto), RowMode::Direct);
+        assert_eq!(ks.load_row(&colliding, &auto), RowMode::Bits);
+        assert!(ks.bits.probe().contains(size) && !ks.bits.probe().contains(1));
+        ks.bits.clear(&colliding);
+        // Counted as a probed row, never probed.
+        assert_eq!((ks.map.stats.probed_rows, ks.map.stats.probe_steps), (1, 0));
+        assert_eq!(ks.stats.bitmap_rows, 1);
+
+        // A span the arena refuses completes the paper's probing load.
+        assert_eq!(ks.load_row(&too_wide, &auto), RowMode::Probing);
+        assert!(ks.map.contains(u32::MAX) && !ks.map.contains(7));
+        assert_eq!(ks.stats.bitmap_rows, 1);
+
+        // `hash`, and `auto` without direct hashing, never build bits.
+        assert_eq!(ks.load_row(&colliding, &hash), RowMode::Probing);
+        assert_eq!(ks.load_row(&colliding, &auto.with_direct_hash(false)), RowMode::Probing);
+        assert_eq!(ks.load_row(&clean, &auto.with_direct_hash(false)), RowMode::Probing);
+        assert_eq!(ks.stats.bitmap_rows, 1);
     }
 }

@@ -91,7 +91,7 @@ impl RankMetrics {
     }
 
     /// Records the intersection-kernel outcome (map statistics,
-    /// adaptive-dispatch tallies, task count, locally found triangles)
+    /// map-versus-bit-row tallies, task count, locally found triangles)
     /// into both this struct and the live metrics registry — one write
     /// path for both views, so the deterministic counters cannot
     /// diverge.
@@ -116,15 +116,13 @@ impl RankMetrics {
         tc_metrics::counter_add(mnames::TCT_PROBED_ROWS, stats.probed_rows);
         tc_metrics::counter_add(mnames::TCT_OPS, self.tct_ops);
         tc_metrics::counter_add(mnames::TCT_TRIANGLES, local_triangles);
-        // Adaptive-kernel observability: which strategy served how
-        // many tasks/lookups. Purely additive — the legacy counters
-        // above stay bit-identical across strategies.
+        // Which structure served how many tasks/lookups: the map or
+        // a bit row. Of the legacy counters above only `probes` may
+        // differ between the two kernels.
         tc_metrics::counter_add(mnames::TCT_KERNEL_HASH_TASKS, kernel.hash_tasks);
-        tc_metrics::counter_add(mnames::TCT_KERNEL_MERGE_TASKS, kernel.merge_tasks);
         tc_metrics::counter_add(mnames::TCT_KERNEL_BITMAP_TASKS, kernel.bitmap_tasks);
         tc_metrics::counter_add(mnames::TCT_KERNEL_BITMAP_ROWS, kernel.bitmap_rows);
         tc_metrics::counter_add(mnames::TCT_KERNEL_HASH_LOOKUPS, kernel.hash_lookups);
-        tc_metrics::counter_add(mnames::TCT_KERNEL_MERGE_LOOKUPS, kernel.merge_lookups);
         tc_metrics::counter_add(mnames::TCT_KERNEL_BITMAP_LOOKUPS, kernel.bitmap_lookups);
         tc_metrics::counter_add(mnames::TCT_KERNEL_MAP_REUSES, stats.reused_rows);
     }

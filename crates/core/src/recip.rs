@@ -1,5 +1,7 @@
 //! Exact division of `u32` by a runtime-invariant divisor without a
-//! hardware divide.
+//! hardware divide: [`Reciprocal`] for any dividend, [`ExactDiv`] for
+//! dividends known to be multiples (32-bit arithmetic only, so a
+//! vector lane can do it).
 //!
 //! The kernel addresses everything by the paper's *transformed index*
 //! `v ÷ √p` (§5.2). The divisor is fixed for the lifetime of a
@@ -61,6 +63,62 @@ impl Reciprocal {
     }
 }
 
+/// Division of *multiples* of a non-zero `u32` divisor: one shift and
+/// one 32-bit multiply, which is what lets the vector bit probe
+/// ([`crate::bitmap`]) divide eight keys with a single `vpmulld`.
+///
+/// Every key of a shift's operands shares `k mod q = w` (the cyclic
+/// split), so `k − w` is a multiple of `q`. Write `q = 2ˢ·o` with `o`
+/// odd; `o` has an inverse modulo 2³², and for a multiple `m = q·t`
+/// `(m >> s) · o⁻¹ ≡ o·t·o⁻¹ ≡ t (mod 2³²)` — exactly `t`, because
+/// `t < 2³²`. Unlike [`Reciprocal`] this is *only* correct on
+/// multiples; a non-multiple yields an unrelated number.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExactDiv {
+    shift: u32,
+    inverse: u32,
+}
+
+impl ExactDiv {
+    /// Precomputes `s` and `o⁻¹ mod 2³²` for `divisor = 2ˢ·o`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `divisor` is zero.
+    pub fn new(divisor: u32) -> Self {
+        assert!(divisor != 0, "exact division by zero");
+        let shift = divisor.trailing_zeros();
+        let odd = divisor >> shift;
+        // Newton's iteration on the 2-adic inverse: `o·o ≡ 1 (mod 8)`
+        // for every odd `o`, so `o` is its own inverse to 3 bits, and
+        // each step doubles the number of correct low bits
+        // (3 → 6 → 12 → 24 → 48 ≥ 32).
+        let mut inverse = odd;
+        for _ in 0..4 {
+            inverse = inverse.wrapping_mul(2u32.wrapping_sub(odd.wrapping_mul(inverse)));
+        }
+        Self { shift, inverse }
+    }
+
+    /// `multiple / divisor`, exactly, for every multiple of the divisor.
+    #[inline(always)]
+    pub fn quotient(self, multiple: u32) -> u32 {
+        (multiple >> self.shift).wrapping_mul(self.inverse)
+    }
+
+    /// The shift count `s` of `divisor = 2ˢ·o`.
+    #[inline(always)]
+    pub fn shift(self) -> u32 {
+        self.shift
+    }
+
+    /// `o⁻¹ mod 2³²` for `divisor = 2ˢ·o`.
+    #[inline(always)]
+    pub fn inverse(self) -> u32 {
+        self.inverse
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,6 +170,33 @@ mod tests {
             let r = ds[i % ds.len()];
             assert_eq!(r.quotient(n), n / r.divisor(), "{n} / {}", r.divisor());
         }
+    }
+
+    #[test]
+    fn exact_division_inverts_every_multiple_in_reach() {
+        for q in 1..=1024u32 {
+            let e = ExactDiv::new(q);
+            assert_eq!(q, (q >> e.shift()) << e.shift(), "shift of {q}");
+            assert_eq!((q >> e.shift()).wrapping_mul(e.inverse()), 1, "inverse of {q}");
+            let top = u32::MAX / q;
+            // Both ends of the quotient range, the sign-bit boundary of
+            // the dividend, and a spread of quotients in between.
+            let around_sign_bit = (1u32 << 31) / q;
+            let spread = (0..64).map(|i| (u64::from(top) * i / 63) as u32);
+            let quotients = [0, 1, 2, top.saturating_sub(1), top]
+                .into_iter()
+                .chain([around_sign_bit, (around_sign_bit + 1).min(top)])
+                .chain(spread);
+            for t in quotients {
+                assert_eq!(e.quotient(t * q), t, "{} / {q}", t * q);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exact division by zero")]
+    fn exact_division_rejects_zero() {
+        let _ = ExactDiv::new(0);
     }
 
     #[test]

@@ -45,7 +45,7 @@ proptest! {
         } else {
             gnm(48, 160, gseed).simplify()
         };
-        let cfg = TcConfig::paper();
+        let cfg = TcConfig::default();
         let clean = try_count_triangles_observed(&el, 9, &cfg, Observe::none()).unwrap();
         let plan = random_plan(
             pseed,
@@ -66,7 +66,7 @@ proptest! {
         reorder_milli in 0u32..250,
     ) {
         let el = gnm(40, 140, gseed).simplify();
-        let cfg = TcConfig::paper();
+        let cfg = TcConfig::default();
         let (clean_r, clean_sup) =
             try_count_per_edge_observed(&el, 4, &cfg, Observe::none()).unwrap();
         let plan = random_plan(
@@ -91,7 +91,7 @@ fn chaos_off_records_zero_reliability_activity() {
     let session = tc_metrics::MetricsSession::begin();
     let handle = session.handle();
     let obs = Observe { metrics: Some(&handle), ..Observe::none() };
-    let r = try_count_triangles_observed(&el, 16, &TcConfig::paper(), obs).expect("clean run");
+    let r = try_count_triangles_observed(&el, 16, &TcConfig::default(), obs).expect("clean run");
     assert!(r.triangles > 0);
     let snap = session.finish();
     assert_eq!(snap.ranks().len(), 16);
@@ -117,7 +117,7 @@ fn chaos_off_records_zero_reliability_activity() {
 #[test]
 fn pure_delay_chaos_is_invisible() {
     let el = gnm(48, 180, 77).simplify();
-    let cfg = TcConfig::paper();
+    let cfg = TcConfig::default();
     let clean = try_count_triangles_observed(&el, 9, &cfg, Observe::none()).unwrap();
     let plan = FaultPlan::new(5).with_default(LinkFaults {
         delay: 0.5,

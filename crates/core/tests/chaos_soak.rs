@@ -40,7 +40,7 @@ fn mode_plan(kind: FaultKind, seed: u64) -> FaultPlan {
 #[test]
 fn cannon_16_ranks_exact_under_every_mode_and_seed() {
     let el = soak_graph(42);
-    let cfg = TcConfig::paper();
+    let cfg = TcConfig::default();
     let clean = try_count_triangles_observed(&el, P, &cfg, Observe::none()).expect("clean");
     assert!(clean.triangles > 0, "soak graph must actually have triangles");
     for kind in FaultKind::ALL {
@@ -62,7 +62,7 @@ fn cannon_16_ranks_exact_under_every_mode_and_seed() {
 #[test]
 fn summa_16_ranks_exact_under_every_mode_and_seed() {
     let el = soak_graph(43);
-    let cfg = TcConfig::paper();
+    let cfg = TcConfig::default();
     let grid = SummaGrid::new(4, 4);
     let clean =
         try_count_triangles_summa_observed(&el, grid, &cfg, Observe::none()).expect("clean");
@@ -86,7 +86,7 @@ fn summa_16_ranks_exact_under_every_mode_and_seed() {
 #[test]
 fn per_edge_supports_identical_under_combined_chaos() {
     let el = soak_graph(44);
-    let cfg = TcConfig::paper();
+    let cfg = TcConfig::default();
     let (clean_r, clean_sup) =
         try_count_per_edge_observed(&el, P, &cfg, Observe::none()).expect("clean");
     for seed in [3u64, 5, 8] {
@@ -105,7 +105,7 @@ fn per_edge_supports_identical_under_combined_chaos() {
 #[test]
 fn dead_link_fails_typed_within_deadline_on_cannon() {
     let el = soak_graph(45);
-    let cfg = TcConfig::paper();
+    let cfg = TcConfig::default();
     // Every frame rank 0 sends to rank 1 is lost, original and
     // retransmit alike: no budget masks it.
     let plan = FaultPlan::new(1)

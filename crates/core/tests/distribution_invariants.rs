@@ -12,7 +12,7 @@ fn every_edge_becomes_exactly_one_task() {
     // for every grid size.
     let el = graph500(9, 13).simplify();
     for p in [1usize, 4, 9, 25] {
-        let (_, sup) = tc_core::count_per_edge(&el, p, &TcConfig::paper());
+        let (_, sup) = tc_core::count_per_edge(&el, p, &TcConfig::default());
         assert_eq!(sup.len(), el.num_edges(), "p={p}");
         // And they are exactly the input edges.
         let edges: Vec<(u32, u32)> = sup.iter().map(|e| (e.u, e.v)).collect();
@@ -93,7 +93,7 @@ fn shift_count_equals_grid_side() {
 #[test]
 fn unoptimized_configuration_does_more_work() {
     let el = graph500(10, 4).simplify();
-    let opt = count_triangles(&el, 16, &TcConfig::paper());
+    let opt = count_triangles(&el, 16, &TcConfig::default());
     let raw = count_triangles(&el, 16, &TcConfig::unoptimized());
     assert_eq!(opt.triangles, raw.triangles);
     assert!(opt.total_lookups() <= raw.total_lookups());

@@ -103,7 +103,7 @@ fn soak_graph() -> EdgeList {
 #[test]
 fn cannon_4_ranks_conforms() {
     let el = small_graph();
-    let cfg = TcConfig::paper();
+    let cfg = TcConfig::default();
     let reference = try_count_triangles(&el, 4, &cfg).expect("in-process run");
     assert!(reference.triangles > 0);
     let socket = run_mesh(4, None, |sock| try_count_triangles_socket(&el, &cfg, sock));
@@ -120,7 +120,7 @@ fn cannon_4_ranks_conforms() {
 #[test]
 fn cannon_16_ranks_conforms() {
     let el = soak_graph();
-    let cfg = TcConfig::paper();
+    let cfg = TcConfig::default();
     let reference = try_count_triangles(&el, 16, &cfg).expect("in-process run");
     let socket = run_mesh(16, None, |sock| try_count_triangles_socket(&el, &cfg, sock));
     for (rank, (t, m)) in socket.into_iter().enumerate() {
@@ -136,7 +136,7 @@ fn cannon_16_ranks_conforms() {
 #[test]
 fn per_edge_supports_conform() {
     let el = small_graph();
-    let cfg = TcConfig::paper();
+    let cfg = TcConfig::default();
     let (reference, ref_supports) = try_count_per_edge(&el, 4, &cfg).expect("in-process run");
     let socket = run_mesh(4, None, |sock| try_count_per_edge_socket(&el, &cfg, sock));
     let mut root_supports: Option<Vec<EdgeSupport>> = None;
@@ -159,7 +159,7 @@ fn per_edge_supports_conform() {
 #[test]
 fn summa_rectangular_grid_conforms() {
     let el = small_graph();
-    let cfg = TcConfig::paper();
+    let cfg = TcConfig::default();
     let grid = SummaGrid::new(2, 3);
     let reference = try_count_triangles_summa(&el, grid, &cfg).expect("in-process run");
     let socket =
@@ -180,7 +180,7 @@ fn summa_rectangular_grid_conforms() {
 #[test]
 fn chaos_soak_shapes_conform_at_16_ranks() {
     let el = soak_graph();
-    let cfg = TcConfig::paper();
+    let cfg = TcConfig::default();
     let reference = try_count_triangles(&el, 16, &cfg).expect("clean in-process run");
     for kind in [FaultKind::Drop, FaultKind::Reorder, FaultKind::Duplicate] {
         for seed in [11u64, 33] {

@@ -10,7 +10,7 @@ fn matches_shared_input_pipeline() {
     let el = graph500(9, 3).simplify();
     for p in [1usize, 4, 9, 16] {
         let shared = count_triangles_default(&el, p);
-        let rooted = count_triangles_from_root(&el, p, &TcConfig::paper());
+        let rooted = count_triangles_from_root(&el, p, &TcConfig::default());
         assert_eq!(rooted.triangles, shared.triangles, "p={p}");
         assert_eq!(rooted.total_tasks(), shared.total_tasks(), "p={p}");
         // The scatter adds root-side bytes: at least the graph once.
@@ -25,7 +25,7 @@ fn degenerate_graphs() {
         EdgeList::empty(5),
         EdgeList::new(3, vec![(0, 1), (0, 2), (1, 2)]).simplify(),
     ] {
-        let r = count_triangles_from_root(&el, 4, &TcConfig::paper());
+        let r = count_triangles_from_root(&el, 4, &TcConfig::default());
         let s = count_triangles_default(&el, 4);
         assert_eq!(r.triangles, s.triangles);
     }

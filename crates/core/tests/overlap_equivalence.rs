@@ -29,11 +29,11 @@ fn mlock() -> std::sync::MutexGuard<'static, ()> {
 }
 
 fn overlap_cfg() -> TcConfig {
-    TcConfig::paper().with_overlap_shifts(true)
+    TcConfig::default().with_overlap_shifts(true)
 }
 
 fn sync_cfg() -> TcConfig {
-    TcConfig::paper().with_overlap_shifts(false)
+    TcConfig::default().with_overlap_shifts(false)
 }
 
 /// Runs both schedules on `el` at `p` ranks and asserts every

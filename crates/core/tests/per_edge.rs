@@ -25,24 +25,24 @@ fn check(el: &EdgeList, p: usize, cfg: &TcConfig) {
 fn matches_serial_on_rmat() {
     let el = graph500(8, 5).simplify();
     for p in [1usize, 4, 9, 16] {
-        check(&el, p, &TcConfig::paper());
+        check(&el, p, &TcConfig::default());
     }
 }
 
 #[test]
 fn works_under_both_enumerations() {
     let el = graph500(7, 2).simplify();
-    check(&el, 9, &TcConfig::paper());
-    check(&el, 9, &TcConfig::paper().with_enumeration(Enumeration::Ijk));
+    check(&el, 9, &TcConfig::default());
+    check(&el, 9, &TcConfig::default().with_enumeration(Enumeration::Ijk));
     check(&el, 4, &TcConfig::unoptimized());
 }
 
 #[test]
 fn handles_triangle_free_and_tiny_graphs() {
     let star = EdgeList::new(5, vec![(0, 1), (0, 2), (0, 3), (0, 4)]).simplify();
-    check(&star, 4, &TcConfig::paper());
-    check(&EdgeList::new(2, vec![(0, 1)]).simplify(), 4, &TcConfig::paper());
-    let (_, sup) = count_per_edge(&EdgeList::empty(3), 4, &TcConfig::paper());
+    check(&star, 4, &TcConfig::default());
+    check(&EdgeList::new(2, vec![(0, 1)]).simplify(), 4, &TcConfig::default());
+    let (_, sup) = count_per_edge(&EdgeList::empty(3), 4, &TcConfig::default());
     assert!(sup.is_empty());
 }
 
@@ -51,7 +51,7 @@ fn supports_feed_truss_decomposition() {
     // End-to-end: distributed supports equal the peeler's starting
     // supports, so trussness computed from either must agree.
     let el = graph500(8, 11).simplify();
-    let (_, sup) = count_per_edge(&el, 9, &TcConfig::paper());
+    let (_, sup) = count_per_edge(&el, 9, &TcConfig::default());
     let d = truss::truss_decomposition(&el);
     assert_eq!(d.edges.len(), sup.len());
     for (e, &t) in sup.iter().zip(&d.trussness) {

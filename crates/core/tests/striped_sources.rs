@@ -110,7 +110,7 @@ proptest! {
         ijk in any::<bool>(),
     ) {
         let enumeration = if ijk { Enumeration::Ijk } else { Enumeration::Jik };
-        let cfg = TcConfig::paper().with_enumeration(enumeration);
+        let cfg = TcConfig::default().with_enumeration(enumeration);
         let csr = Csr::from_edge_list(&el);
         let bin = TempBin::new(&el);
         let n = el.num_vertices;
@@ -148,7 +148,7 @@ proptest! {
         ijk in any::<bool>(),
     ) {
         let enumeration = if ijk { Enumeration::Ijk } else { Enumeration::Jik };
-        let cfg = TcConfig::paper().with_enumeration(enumeration);
+        let cfg = TcConfig::default().with_enumeration(enumeration);
         let grid = SummaGrid::new(shape.0, shape.1);
         let csr = Csr::from_edge_list(&el);
         let bin = TempBin::new(&el);
@@ -175,7 +175,7 @@ fn defects_on_a_stripe_boundary_stop_every_rank_with_one_typed_error() {
     use tc_mps::MpsError;
     let clean: Vec<(u32, u32)> = (0..16).map(|i| (i / 2, 9 + i % 2 + i / 4)).collect();
     assert!(EdgeList::new(14, clean.clone()).is_simple());
-    let cfg = TcConfig::paper();
+    let cfg = TcConfig::default();
     // Stripes of 16 records on 4 ranks are [0,4) [4,8) [8,12) [12,16).
     for at in [7usize, 8] {
         let defects = [

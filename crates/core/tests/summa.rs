@@ -12,7 +12,7 @@ fn rectangular_grids_match_serial() {
     let expect = serial::count_default(&el);
     assert!(expect > 0);
     for (pr, pc) in [(1, 1), (1, 4), (4, 1), (2, 3), (3, 2), (2, 2), (3, 5), (4, 4)] {
-        let r = count_triangles_summa(&el, SummaGrid::new(pr, pc), &TcConfig::paper());
+        let r = count_triangles_summa(&el, SummaGrid::new(pr, pc), &TcConfig::default());
         assert_eq!(r.triangles, expect, "grid {pr}x{pc}");
         assert_eq!(r.num_ranks, pr * pc);
         let sum: u64 = r.ranks.iter().map(|m| m.local_triangles).sum();
@@ -25,7 +25,8 @@ fn panel_counts_do_not_change_the_answer() {
     let el = graph500(8, 3).simplify();
     let expect = serial::count_default(&el);
     for k in [1usize, 2, 3, 7, 16, 64] {
-        let r = count_triangles_summa(&el, SummaGrid::new(2, 3).with_panels(k), &TcConfig::paper());
+        let r =
+            count_triangles_summa(&el, SummaGrid::new(2, 3).with_panels(k), &TcConfig::default());
         assert_eq!(r.triangles, expect, "panels={k}");
         // One compute step per panel.
         assert!(r.ranks.iter().all(|m| m.shift_compute.len() == k));
@@ -36,7 +37,7 @@ fn panel_counts_do_not_change_the_answer() {
 fn summa_square_agrees_with_cannon() {
     let el = graph500(9, 5).simplify();
     let cannon = count_triangles_default(&el, 9);
-    let summa = count_triangles_summa(&el, SummaGrid::new(3, 3), &TcConfig::paper());
+    let summa = count_triangles_summa(&el, SummaGrid::new(3, 3), &TcConfig::default());
     assert_eq!(cannon.triangles, summa.triangles);
 }
 
@@ -45,10 +46,10 @@ fn all_configs_work_on_rectangles() {
     let el = graph500(8, 9).simplify();
     let expect = serial::count_default(&el);
     for cfg in [
-        TcConfig::paper(),
+        TcConfig::default(),
         TcConfig::unoptimized(),
-        TcConfig::paper().with_enumeration(Enumeration::Ijk),
-        TcConfig::paper().with_direct_hash(false),
+        TcConfig::default().with_enumeration(Enumeration::Ijk),
+        TcConfig::default().with_direct_hash(false),
     ] {
         let r = count_triangles_summa(&el, SummaGrid::new(2, 4), &cfg);
         assert_eq!(r.triangles, expect, "{cfg:?}");
@@ -58,17 +59,20 @@ fn all_configs_work_on_rectangles() {
 #[test]
 fn degenerate_graphs() {
     let grid = SummaGrid::new(3, 2);
-    assert_eq!(count_triangles_summa(&EdgeList::empty(0), grid, &TcConfig::paper()).triangles, 0);
-    assert_eq!(count_triangles_summa(&EdgeList::empty(10), grid, &TcConfig::paper()).triangles, 0);
+    assert_eq!(count_triangles_summa(&EdgeList::empty(0), grid, &TcConfig::default()).triangles, 0);
+    assert_eq!(
+        count_triangles_summa(&EdgeList::empty(10), grid, &TcConfig::default()).triangles,
+        0
+    );
     let tri = EdgeList::new(3, vec![(0, 1), (0, 2), (1, 2)]).simplify();
-    assert_eq!(count_triangles_summa(&tri, grid, &TcConfig::paper()).triangles, 1);
+    assert_eq!(count_triangles_summa(&tri, grid, &TcConfig::default()).triangles, 1);
 }
 
 #[test]
 fn tall_and_wide_grids_balance_tasks() {
     let el = graph500(10, 7).simplify();
     for (pr, pc) in [(1, 8), (8, 1), (2, 4), (4, 2)] {
-        let r = count_triangles_summa(&el, SummaGrid::new(pr, pc), &TcConfig::paper());
+        let r = count_triangles_summa(&el, SummaGrid::new(pr, pc), &TcConfig::default());
         // Cyclic task distribution should stay within a reasonable
         // imbalance bound even on skewed shapes.
         assert!(r.task_imbalance() < 2.0, "{pr}x{pc}: {}", r.task_imbalance());

@@ -134,30 +134,26 @@ pub mod names {
     pub const TCT_PROBED_ROWS: &str = "tct.probed_rows";
     pub const TCT_TRIANGLES: &str = "tct.triangles";
 
-    // Adaptive intersection-kernel dispatch (deterministic: the
-    // strategy choice is a pure function of block shapes). The
+    // Which structure served the tasks — the hash map or a bit row
+    // (deterministic: the choice is a pure function of the rows). The
     // `*_lookups` tallies partition `tct.lookups` exactly.
     pub const TCT_KERNEL_HASH_TASKS: &str = "tct.kernel.hash_tasks";
-    pub const TCT_KERNEL_MERGE_TASKS: &str = "tct.kernel.merge_tasks";
     pub const TCT_KERNEL_BITMAP_TASKS: &str = "tct.kernel.bitmap_tasks";
     pub const TCT_KERNEL_BITMAP_ROWS: &str = "tct.kernel.bitmap_rows";
     pub const TCT_KERNEL_HASH_LOOKUPS: &str = "tct.kernel.hash_lookups";
-    pub const TCT_KERNEL_MERGE_LOOKUPS: &str = "tct.kernel.merge_lookups";
     pub const TCT_KERNEL_BITMAP_LOOKUPS: &str = "tct.kernel.bitmap_lookups";
     /// Task-row loads served by the map's consecutive-row reuse cache.
     pub const TCT_KERNEL_MAP_REUSES: &str = "tct.kernel.map_reuses";
 
-    /// Every adaptive-kernel counter. Counting runs pre-seed all of
+    /// Every kernel-dispatch counter. Counting runs pre-seed all of
     /// these to zero (present-and-zero, like [`MPS_RELIABILITY`]), so
-    /// a row produced under `--kernel hash` still *proves* no fast
-    /// path engaged rather than silently omitting the family.
+    /// a row produced under `--kernel hash` still *proves* no bit row
+    /// was built rather than silently omitting the family.
     pub const TCT_KERNEL: &[&str] = &[
         TCT_KERNEL_HASH_TASKS,
-        TCT_KERNEL_MERGE_TASKS,
         TCT_KERNEL_BITMAP_TASKS,
         TCT_KERNEL_BITMAP_ROWS,
         TCT_KERNEL_HASH_LOOKUPS,
-        TCT_KERNEL_MERGE_LOOKUPS,
         TCT_KERNEL_BITMAP_LOOKUPS,
         TCT_KERNEL_MAP_REUSES,
     ];

@@ -19,7 +19,7 @@ fn main() {
     println!("graph: {} vertices, {} edges", graph.num_vertices, graph.num_edges());
 
     // Distributed per-edge supports on a 3×3 grid.
-    let (result, supports) = count_per_edge(&graph, 9, &TcConfig::paper());
+    let (result, supports) = count_per_edge(&graph, 9, &TcConfig::default());
     println!("triangles: {}", result.triangles);
     assert_eq!(supports.len(), graph.num_edges());
 

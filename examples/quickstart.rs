@@ -14,7 +14,7 @@ fn main() {
 
     // Count on 9 ranks (a 3×3 processor grid) with the paper's
     // default configuration.
-    let result = count_triangles(&graph, 9, &TcConfig::paper());
+    let result = count_triangles(&graph, 9, &TcConfig::default());
     println!("triangles (2D, 9 ranks) : {}", result.triangles);
     println!("  preprocessing time    : {:.2?}", result.ppt_time());
     println!("  counting time         : {:.2?}", result.tct_time());

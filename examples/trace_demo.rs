@@ -26,7 +26,7 @@ fn main() {
     let session = TraceSession::begin();
     let handle = session.handle();
 
-    let result = try_count_triangles_traced(&graph, 16, &TcConfig::paper(), Some(&handle))
+    let result = try_count_triangles_traced(&graph, 16, &TcConfig::default(), Some(&handle))
         .expect("distributed run failed");
     println!("triangles (2D, 16 ranks): {}", result.triangles);
 

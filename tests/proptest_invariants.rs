@@ -32,6 +32,7 @@ proptest! {
     fn all_2d_configs_match(el in arb_graph()) {
         let expect = serial::count_default(&el);
         let cfgs = [
+            TcConfig::default(),
             TcConfig::paper(),
             TcConfig::unoptimized(),
             TcConfig::paper().with_enumeration(Enumeration::Ijk),
