@@ -1,41 +1,26 @@
 //! Ghost replication (AOP-style placement) for the mutable
 //! [`AdjStore`].
 //!
-//! The store itself now lives in the graph substrate
-//! ([`tc_graph::adj`], re-exported here for compatibility) so that
-//! mutation-heavy consumers like the always-on analytics service can
-//! use it without a dependency on the message-passing layer. What
-//! remains here is the communication-coupled part: the personalized
-//! all-to-all of Arifuzzaman et al.'s AOP that pushes each owned row
-//! to every rank holding one of its neighbours, delivered into the
-//! store as ghost rows.
+//! The store itself lives in the graph substrate ([`tc_graph::adj`])
+//! so that mutation-heavy consumers like the always-on analytics
+//! service can use it without a dependency on the message-passing
+//! layer. What is here is the communication-coupled part: the
+//! personalized all-to-all of Arifuzzaman et al.'s AOP that pushes each
+//! owned row to every rank holding one of its neighbours, delivered
+//! into the store as ghost rows.
 
-pub use tc_graph::AdjStore;
-
-use tc_graph::{Block1D, Csr};
+use tc_graph::{AdjStore, Block1D, Csr};
 use tc_mps::{Comm, MpsResult};
 
 /// Builds a ghost-replicated store from this rank's block of the
 /// shared input CSR: one personalized all-to-all pushes each owned row
-/// to every rank that holds one of its neighbours.
-///
-/// # Panics
-///
-/// Panics if the exchange fails (a peer died or timed out); use
-/// [`try_build_from_csr`] to handle that as an error.
-pub fn build_from_csr(comm: &Comm, csr: &Csr, block: Block1D) -> AdjStore {
-    match try_build_from_csr(comm, csr, block) {
-        Ok(store) => store,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible variant of [`build_from_csr`].
+/// to every rank that holds one of its neighbours. A failed exchange
+/// (a peer died or timed out) comes back as an error.
 ///
 /// Wire format per destination: repeated `[v, len, row...]`. Declared
 /// lengths come off the wire, so row materialization respects the
 /// capped-preallocation discipline of [`tc_graph::adj::PREALLOC_CAP`].
-pub fn try_build_from_csr(comm: &Comm, csr: &Csr, block: Block1D) -> MpsResult<AdjStore> {
+pub fn build_from_csr(comm: &Comm, csr: &Csr, block: Block1D) -> MpsResult<AdjStore> {
     let p = comm.size();
     let rank = comm.rank();
     let (lo, hi) = block.range(rank);
@@ -82,7 +67,7 @@ mod tests {
         let p = 4;
         let block = Block1D::new(n, p);
         let ok = Universe::run(p, |comm| {
-            let store = build_from_csr(comm, &csr, block);
+            let store = build_from_csr(comm, &csr, block).unwrap();
             let (lo, hi) = block.range(comm.rank());
             for v in lo as u32..hi as u32 {
                 assert!(store.owns(v));
@@ -103,7 +88,7 @@ mod tests {
         let csr = Csr::from_edge_list(&el);
         let block = Block1D::new(csr.num_vertices(), 1);
         let ghost_entries =
-            Universe::run(1, |comm| build_from_csr(comm, &csr, block).ghost_entries());
+            Universe::run(1, |comm| build_from_csr(comm, &csr, block).unwrap().ghost_entries());
         assert_eq!(ghost_entries, vec![0]);
     }
 
@@ -116,7 +101,7 @@ mod tests {
         let csr = Csr::from_edge_list(&el);
         let block = Block1D::new(8, 2);
         Universe::run(2, |comm| {
-            let store = build_from_csr(comm, &csr, block);
+            let store = build_from_csr(comm, &csr, block).unwrap();
             if comm.rank() == 0 {
                 let _ = store.neighbors(7);
             }
@@ -131,7 +116,7 @@ mod tests {
         let csr = Csr::from_edge_list(&el);
         let block = Block1D::new(6, 2);
         let ok = Universe::run(2, |comm| {
-            let mut store = build_from_csr(comm, &csr, block);
+            let mut store = build_from_csr(comm, &csr, block).unwrap();
             let (lo, _) = block.range(comm.rank());
             let u = lo as u32;
             let before = store.neighbors(u).len();

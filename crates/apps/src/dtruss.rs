@@ -56,26 +56,13 @@ pub struct DtrussResult {
     pub time: Duration,
 }
 
-/// Runs the distributed truss decomposition on `p` ranks.
+/// Runs the distributed truss decomposition on `p` ranks. A crashed,
+/// hung, or diverged rank surfaces as an [`tc_mps::MpsError`].
 ///
 /// # Panics
 ///
 /// Panics if `el` is not simplified.
-pub fn truss_decomposition_dist(el: &EdgeList, p: usize) -> DtrussResult {
-    match try_truss_decomposition_dist(el, p) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible variant of [`truss_decomposition_dist`]: a crashed, hung,
-/// or diverged rank surfaces as an [`tc_mps::MpsError`] instead of a
-/// panic.
-///
-/// # Panics
-///
-/// Panics if `el` is not simplified.
-pub fn try_truss_decomposition_dist(el: &EdgeList, p: usize) -> MpsResult<DtrussResult> {
+pub fn truss_decomposition_dist(el: &EdgeList, p: usize) -> MpsResult<DtrussResult> {
     assert!(el.is_simple(), "truss decomposition needs a simplified graph");
     // Degree-ordering up front mirrors the counting pipeline and keeps
     // the per-edge intersection lists short.
@@ -90,7 +77,7 @@ pub fn try_truss_decomposition_dist(el: &EdgeList, p: usize) -> MpsResult<Dtruss
         let (lo, hi) = block.range(rank);
 
         // ---- setup: local + ghost adjacency (AOP pattern) ----
-        let store = adjstore::try_build_from_csr(comm, &csr, block)?;
+        let store = adjstore::build_from_csr(comm, &csr, block)?;
 
         // Owned edges: (u, v) with u owned here, u < v.
         let mut owned: Vec<(u32, u32)> = Vec::new();
@@ -227,8 +214,8 @@ mod tests {
     use tc_graph::truss;
 
     fn check_matches_serial(el: &EdgeList, p: usize) {
-        let serial = truss::truss_decomposition(el);
-        let dist = truss_decomposition_dist(el, p);
+        let serial = truss::truss_decomposition(el).unwrap();
+        let dist = truss_decomposition_dist(el, p).unwrap();
         assert_eq!(dist.edges, serial.edges, "p={p}: edge sets differ");
         assert_eq!(dist.trussness, serial.trussness, "p={p}: trussness differs");
         assert_eq!(dist.max_truss, serial.max_truss());
@@ -284,14 +271,14 @@ mod tests {
     #[test]
     fn triangle_free_graph_is_all_twos() {
         let el = EdgeList::new(6, vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]).simplify();
-        let d = truss_decomposition_dist(&el, 3);
+        let d = truss_decomposition_dist(&el, 3).unwrap();
         assert!(d.trussness.iter().all(|&t| t == 2));
         assert_eq!(d.max_truss, 2);
     }
 
     #[test]
     fn empty_graph() {
-        let d = truss_decomposition_dist(&EdgeList::empty(4), 2);
+        let d = truss_decomposition_dist(&EdgeList::empty(4), 2).unwrap();
         assert!(d.edges.is_empty());
         assert_eq!(d.max_truss, 0);
     }

@@ -15,5 +15,4 @@
 pub mod adjstore;
 pub mod dtruss;
 
-pub use adjstore::AdjStore;
 pub use dtruss::{truss_decomposition_dist, DtrussResult};

@@ -17,8 +17,8 @@ use tc_graph::edgelist::EdgeList;
 use tc_graph::vset::VertexSet;
 use tc_graph::Block1D;
 use tc_metrics::names as mnames;
-use tc_mps::{MpsResult, Observe, Universe};
-use tc_trace::{names, Category, TraceHandle};
+use tc_mps::{MpsResult, Universe, UniverseConfig};
+use tc_trace::{names, Category};
 
 use crate::serial::Oriented;
 
@@ -45,41 +45,16 @@ impl Dist1dResult {
     }
 }
 
-/// Runs AOP on `p` ranks.
-pub fn count_aop1d(el: &EdgeList, p: usize) -> Dist1dResult {
-    match try_count_aop1d(el, p) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`count_aop1d`]: runtime failures come back as
-/// [`tc_mps::MpsError`] instead of a panic.
-pub fn try_count_aop1d(el: &EdgeList, p: usize) -> MpsResult<Dist1dResult> {
-    try_count_aop1d_traced(el, p, None)
-}
-
-/// [`try_count_aop1d`] with an optional trace session: each rank
-/// records setup/count phase spans plus the substrate's comm spans.
-pub fn try_count_aop1d_traced(
-    el: &EdgeList,
-    p: usize,
-    trace: Option<&TraceHandle>,
-) -> MpsResult<Dist1dResult> {
-    try_count_aop1d_observed(el, p, Observe::trace(trace))
-}
-
-/// [`try_count_aop1d`] with optional trace and metrics sessions.
-pub fn try_count_aop1d_observed(
-    el: &EdgeList,
-    p: usize,
-    obs: Observe<'_>,
-) -> MpsResult<Dist1dResult> {
+/// Runs AOP on `p` in-process ranks bound to `config`'s handles (each
+/// rank records setup/count phase spans plus the substrate's comm
+/// spans into its trace session, if any). Runtime failures come back
+/// as [`tc_mps::MpsError`].
+pub fn count_aop1d(el: &EdgeList, p: usize, config: &UniverseConfig) -> MpsResult<Dist1dResult> {
     let g = Oriented::build(el);
     let n = g.num_vertices();
     let block = Block1D::new(n, p);
 
-    let (outs, stats) = Universe::try_run_config(p, &obs.to_config(), |comm| {
+    let (outs, stats) = Universe::try_run_config(p, config, |comm| {
         let rank = comm.rank();
         let (lo, hi) = block.range(rank);
 
@@ -174,6 +149,10 @@ mod tests {
     use super::*;
     use crate::serial::count_default;
     use tc_gen::graph500;
+
+    fn count_aop1d(el: &EdgeList, p: usize) -> Dist1dResult {
+        super::count_aop1d(el, p, &UniverseConfig::default()).expect("clean run")
+    }
 
     #[test]
     fn matches_serial() {

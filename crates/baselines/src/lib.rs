@@ -24,14 +24,8 @@ pub mod serial;
 pub mod shared;
 pub mod wedge;
 
-pub use aop1d::{
-    count_aop1d, try_count_aop1d, try_count_aop1d_observed, try_count_aop1d_traced, Dist1dResult,
-};
-pub use psp1d::{count_psp1d, try_count_psp1d, try_count_psp1d_observed, try_count_psp1d_traced};
-pub use push1d::{
-    count_push1d, try_count_push1d, try_count_push1d_observed, try_count_push1d_traced,
-};
+pub use aop1d::{count_aop1d, Dist1dResult};
+pub use psp1d::count_psp1d;
+pub use push1d::count_push1d;
 pub use shared::count_shared;
-pub use wedge::{
-    count_wedge, try_count_wedge, try_count_wedge_observed, try_count_wedge_traced, WedgeResult,
-};
+pub use wedge::{count_wedge, WedgeResult};

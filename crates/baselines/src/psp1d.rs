@@ -17,58 +17,31 @@ use tc_graph::edgelist::EdgeList;
 use tc_graph::vset::VertexSet;
 use tc_graph::Block1D;
 use tc_metrics::names as mnames;
-use tc_mps::{MpsResult, Observe, Universe};
-use tc_trace::{names, Category, TraceHandle};
+use tc_mps::{MpsResult, Universe, UniverseConfig};
+use tc_trace::{names, Category};
 
 use crate::aop1d::Dist1dResult;
 use crate::serial::Oriented;
 
-/// Runs the blocked push counter on `p` ranks with the given number
-/// of superblock rounds.
+/// Runs the blocked push counter on `p` in-process ranks bound to
+/// `config`'s handles, with the given number of superblock rounds.
+/// Runtime failures come back as [`tc_mps::MpsError`].
 ///
 /// # Panics
 ///
 /// Panics if `num_super_blocks == 0`.
-pub fn count_psp1d(el: &EdgeList, p: usize, num_super_blocks: usize) -> Dist1dResult {
-    match try_count_psp1d(el, p, num_super_blocks) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`count_psp1d`]: runtime failures come back as
-/// [`tc_mps::MpsError`] instead of a panic.
-pub fn try_count_psp1d(
+pub fn count_psp1d(
     el: &EdgeList,
     p: usize,
     num_super_blocks: usize,
-) -> MpsResult<Dist1dResult> {
-    try_count_psp1d_traced(el, p, num_super_blocks, None)
-}
-
-/// [`try_count_psp1d`] with an optional trace session.
-pub fn try_count_psp1d_traced(
-    el: &EdgeList,
-    p: usize,
-    num_super_blocks: usize,
-    trace: Option<&TraceHandle>,
-) -> MpsResult<Dist1dResult> {
-    try_count_psp1d_observed(el, p, num_super_blocks, Observe::trace(trace))
-}
-
-/// [`try_count_psp1d`] with optional trace and metrics sessions.
-pub fn try_count_psp1d_observed(
-    el: &EdgeList,
-    p: usize,
-    num_super_blocks: usize,
-    obs: Observe<'_>,
+    config: &UniverseConfig,
 ) -> MpsResult<Dist1dResult> {
     assert!(num_super_blocks > 0, "need at least one superblock");
     let g = Oriented::build(el);
     let n = g.num_vertices();
     let block = Block1D::new(n, p);
 
-    let (outs, stats) = Universe::try_run_config(p, &obs.to_config(), |comm| {
+    let (outs, stats) = Universe::try_run_config(p, config, |comm| {
         let rank = comm.rank();
         let (lo, hi) = block.range(rank);
         comm.barrier()?;
@@ -170,6 +143,10 @@ mod tests {
     use super::*;
     use crate::serial::count_default;
     use tc_gen::graph500;
+
+    fn count_psp1d(el: &EdgeList, p: usize, blocks: usize) -> Dist1dResult {
+        super::count_psp1d(el, p, blocks, &UniverseConfig::default()).expect("clean run")
+    }
 
     #[test]
     fn matches_serial_across_blockings() {

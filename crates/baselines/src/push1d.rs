@@ -15,46 +15,21 @@ use tc_graph::edgelist::EdgeList;
 use tc_graph::vset::VertexSet;
 use tc_graph::Block1D;
 use tc_metrics::names as mnames;
-use tc_mps::{MpsResult, Observe, Universe};
-use tc_trace::{names, Category, TraceHandle};
+use tc_mps::{MpsResult, Universe, UniverseConfig};
+use tc_trace::{names, Category};
 
 use crate::aop1d::Dist1dResult;
 use crate::serial::Oriented;
 
-/// Runs the push-based counter on `p` ranks.
-pub fn count_push1d(el: &EdgeList, p: usize) -> Dist1dResult {
-    match try_count_push1d(el, p) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`count_push1d`]: runtime failures come back as
-/// [`tc_mps::MpsError`] instead of a panic.
-pub fn try_count_push1d(el: &EdgeList, p: usize) -> MpsResult<Dist1dResult> {
-    try_count_push1d_traced(el, p, None)
-}
-
-/// [`try_count_push1d`] with an optional trace session.
-pub fn try_count_push1d_traced(
-    el: &EdgeList,
-    p: usize,
-    trace: Option<&TraceHandle>,
-) -> MpsResult<Dist1dResult> {
-    try_count_push1d_observed(el, p, Observe::trace(trace))
-}
-
-/// [`try_count_push1d`] with optional trace and metrics sessions.
-pub fn try_count_push1d_observed(
-    el: &EdgeList,
-    p: usize,
-    obs: Observe<'_>,
-) -> MpsResult<Dist1dResult> {
+/// Runs the push-based counter on `p` in-process ranks bound to
+/// `config`'s handles. Runtime failures come back as
+/// [`tc_mps::MpsError`].
+pub fn count_push1d(el: &EdgeList, p: usize, config: &UniverseConfig) -> MpsResult<Dist1dResult> {
     let g = Oriented::build(el);
     let n = g.num_vertices();
     let block = Block1D::new(n, p);
 
-    let (outs, stats) = Universe::try_run_config(p, &obs.to_config(), |comm| {
+    let (outs, stats) = Universe::try_run_config(p, config, |comm| {
         let rank = comm.rank();
         let (lo, hi) = block.range(rank);
 
@@ -150,6 +125,10 @@ mod tests {
     use super::*;
     use crate::serial::count_default;
     use tc_gen::graph500;
+
+    fn count_push1d(el: &EdgeList, p: usize) -> Dist1dResult {
+        super::count_push1d(el, p, &UniverseConfig::default()).expect("clean run")
+    }
 
     #[test]
     fn matches_serial() {

@@ -22,8 +22,8 @@ use std::time::{Duration, Instant};
 use tc_graph::edgelist::EdgeList;
 use tc_graph::{Block1D, Csr};
 use tc_metrics::names as mnames;
-use tc_mps::{MpsResult, Observe, Universe};
-use tc_trace::{names, Category, TraceHandle};
+use tc_mps::{MpsResult, Universe, UniverseConfig};
+use tc_trace::{names, Category};
 
 /// Outcome of a wedge-checking run.
 #[derive(Debug, Clone)]
@@ -49,42 +49,16 @@ impl WedgeResult {
     }
 }
 
-/// Runs the wedge-checking pipeline on `p` ranks.
-pub fn count_wedge(el: &EdgeList, p: usize) -> WedgeResult {
-    match try_count_wedge(el, p) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`count_wedge`]: runtime failures come back as
-/// [`tc_mps::MpsError`] instead of a panic.
-pub fn try_count_wedge(el: &EdgeList, p: usize) -> MpsResult<WedgeResult> {
-    try_count_wedge_traced(el, p, None)
-}
-
-/// [`try_count_wedge`] with an optional trace session: the 2-core
-/// peeling records as the setup phase, wedge checking as the count
-/// phase.
-pub fn try_count_wedge_traced(
-    el: &EdgeList,
-    p: usize,
-    trace: Option<&TraceHandle>,
-) -> MpsResult<WedgeResult> {
-    try_count_wedge_observed(el, p, Observe::trace(trace))
-}
-
-/// [`try_count_wedge`] with optional trace and metrics sessions.
-pub fn try_count_wedge_observed(
-    el: &EdgeList,
-    p: usize,
-    obs: Observe<'_>,
-) -> MpsResult<WedgeResult> {
+/// Runs the wedge-checking pipeline on `p` in-process ranks bound to
+/// `config`'s handles (in a trace the 2-core peeling records as the
+/// setup phase, wedge checking as the count phase). Runtime failures
+/// come back as [`tc_mps::MpsError`].
+pub fn count_wedge(el: &EdgeList, p: usize, config: &UniverseConfig) -> MpsResult<WedgeResult> {
     let csr = Csr::from_edge_list(el);
     let n = csr.num_vertices();
     let block = Block1D::new(n, p);
 
-    let (outs, stats) = Universe::try_run_config(p, &obs.to_config(), |comm| {
+    let (outs, stats) = Universe::try_run_config(p, config, |comm| {
         let rank = comm.rank();
         let (lo, hi) = block.range(rank);
         let cnt = hi - lo;
@@ -227,6 +201,10 @@ mod tests {
     use super::*;
     use crate::serial::count_default;
     use tc_gen::graph500;
+
+    fn count_wedge(el: &EdgeList, p: usize) -> WedgeResult {
+        super::count_wedge(el, p, &UniverseConfig::default()).expect("clean run")
+    }
 
     #[test]
     fn matches_serial() {

@@ -41,22 +41,23 @@ fn bench_ablation(c: &mut Criterion) {
 
 fn bench_baselines(c: &mut Criterion) {
     let el = graph500(12, 42).simplify();
+    let ucfg = tc_mps::UniverseConfig::default();
     let mut group = c.benchmark_group("algorithms_p4_g500_s12");
     group.sample_size(10);
     group.bench_function("ours_2d", |b| {
         b.iter(|| count_triangles(black_box(&el), 4, &TcConfig::paper()).triangles);
     });
     group.bench_function("aop_1d", |b| {
-        b.iter(|| tc_baselines::count_aop1d(black_box(&el), 4).triangles);
+        b.iter(|| tc_baselines::count_aop1d(black_box(&el), 4, &ucfg).unwrap().triangles);
     });
     group.bench_function("push_1d", |b| {
-        b.iter(|| tc_baselines::count_push1d(black_box(&el), 4).triangles);
+        b.iter(|| tc_baselines::count_push1d(black_box(&el), 4, &ucfg).unwrap().triangles);
     });
     group.bench_function("psp_1d", |b| {
-        b.iter(|| tc_baselines::count_psp1d(black_box(&el), 4, 8).triangles);
+        b.iter(|| tc_baselines::count_psp1d(black_box(&el), 4, 8, &ucfg).unwrap().triangles);
     });
     group.bench_function("wedge", |b| {
-        b.iter(|| tc_baselines::count_wedge(black_box(&el), 4).triangles);
+        b.iter(|| tc_baselines::count_wedge(black_box(&el), 4, &ucfg).unwrap().triangles);
     });
     group.bench_function("serial", |b| {
         b.iter(|| tc_baselines::serial::count_default(black_box(&el)));

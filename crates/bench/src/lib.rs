@@ -67,41 +67,10 @@ impl TraceScope {
         Self { session: path.map(|_| tc_trace::TraceSession::begin()), path: path.cloned() }
     }
 
-    /// Handle to pass to `*_traced` entry points (`None` when inert).
+    /// The session's handle for [`RunScope::new`] (`None` when inert).
     pub fn handle(&self) -> Option<tc_trace::TraceHandle> {
         self.session.as_ref().map(|s| s.handle())
     }
-}
-
-/// 2D count under `cfg`, recording into `trace` when set; panics on
-/// runtime failure (experiment binaries have no recovery path).
-pub fn count_2d(
-    el: &EdgeList,
-    p: usize,
-    cfg: &tc_core::TcConfig,
-    trace: Option<&tc_trace::TraceHandle>,
-) -> tc_core::TcResult {
-    tc_core::try_count_triangles_traced(el, p, cfg, trace).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`count_2d`] with the default configuration.
-pub fn count_2d_default(
-    el: &EdgeList,
-    p: usize,
-    trace: Option<&tc_trace::TraceHandle>,
-) -> tc_core::TcResult {
-    count_2d(el, p, &tc_core::TcConfig::default(), trace)
-}
-
-/// SUMMA count on `grid`, recording into `trace` when set.
-pub fn count_summa(
-    el: &EdgeList,
-    grid: tc_core::SummaGrid,
-    cfg: &tc_core::TcConfig,
-    trace: Option<&tc_trace::TraceHandle>,
-) -> tc_core::TcResult {
-    tc_core::try_count_triangles_summa_traced(el, grid, cfg, trace)
-        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Repeats a serial (single-process) measurement honoring `--warmup`
@@ -181,15 +150,17 @@ impl<'a> RunScope<'a> {
         config: &str,
         ranks: usize,
         triangles_of: impl Fn(&T) -> u64,
-        mut f: impl FnMut(tc_mps::Observe<'_>) -> T,
+        mut f: impl FnMut(&tc_mps::UniverseConfig) -> T,
     ) -> T {
+        let mut ucfg = tc_mps::UniverseConfig::default();
         for _ in 0..self.args.warmup {
-            f(tc_mps::Observe::none());
+            f(&ucfg);
         }
+        ucfg.trace = self.trace.cloned();
         if self.args.json.is_none() && self.args.metrics.is_none() {
-            let mut out = f(tc_mps::Observe::trace(self.trace));
+            let mut out = f(&ucfg);
             for _ in 1..self.args.tries {
-                out = f(tc_mps::Observe::trace(self.trace));
+                out = f(&ucfg);
             }
             return out;
         }
@@ -197,12 +168,8 @@ impl<'a> RunScope<'a> {
         let mut out = None;
         for _ in 0..self.args.tries.max(1) {
             let session = tc_metrics::MetricsSession::begin();
-            let handle = session.handle();
-            let t = f(tc_mps::Observe {
-                trace: self.trace,
-                metrics: Some(&handle),
-                ..tc_mps::Observe::none()
-            });
+            ucfg.metrics = Some(session.handle());
+            let t = f(&ucfg);
             let snap = session.finish();
             records.push(tc_metrics::RunRecord::from_snapshot(
                 &self.dataset,
@@ -243,8 +210,8 @@ impl<'a> RunScope<'a> {
             config,
             p,
             |r: &tc_core::TcResult| r.triangles,
-            |obs| {
-                tc_core::try_count_triangles_observed(el, p, cfg, obs)
+            |ucfg| {
+                tc_core::run(tc_core::Request::new(el, cfg), tc_mps::Launch::threads(p, ucfg))
                     .unwrap_or_else(|e| panic!("{e}"))
             },
         )
@@ -273,8 +240,9 @@ impl<'a> RunScope<'a> {
             &cfg_key,
             grid.size(),
             |r: &tc_core::TcResult| r.triangles,
-            |obs| {
-                tc_core::try_count_triangles_summa_observed(el, grid, cfg, obs)
+            |ucfg| {
+                let launch = tc_mps::Launch::threads(grid.size(), ucfg);
+                tc_core::run(tc_core::Request::new(el, cfg).summa(grid), launch)
                     .unwrap_or_else(|e| panic!("{e}"))
             },
         )
@@ -287,9 +255,7 @@ impl<'a> RunScope<'a> {
             "default",
             p,
             |r: &tc_baselines::Dist1dResult| r.triangles,
-            |obs| {
-                tc_baselines::try_count_aop1d_observed(el, p, obs).unwrap_or_else(|e| panic!("{e}"))
-            },
+            |ucfg| tc_baselines::count_aop1d(el, p, ucfg).unwrap_or_else(|e| panic!("{e}")),
         )
     }
 
@@ -300,10 +266,7 @@ impl<'a> RunScope<'a> {
             "default",
             p,
             |r: &tc_baselines::Dist1dResult| r.triangles,
-            |obs| {
-                tc_baselines::try_count_push1d_observed(el, p, obs)
-                    .unwrap_or_else(|e| panic!("{e}"))
-            },
+            |ucfg| tc_baselines::count_push1d(el, p, ucfg).unwrap_or_else(|e| panic!("{e}")),
         )
     }
 
@@ -319,8 +282,8 @@ impl<'a> RunScope<'a> {
             &format!("sb{num_super_blocks}"),
             p,
             |r: &tc_baselines::Dist1dResult| r.triangles,
-            |obs| {
-                tc_baselines::try_count_psp1d_observed(el, p, num_super_blocks, obs)
+            |ucfg| {
+                tc_baselines::count_psp1d(el, p, num_super_blocks, ucfg)
                     .unwrap_or_else(|e| panic!("{e}"))
             },
         )
@@ -333,9 +296,7 @@ impl<'a> RunScope<'a> {
             "default",
             p,
             |r: &tc_baselines::WedgeResult| r.triangles,
-            |obs| {
-                tc_baselines::try_count_wedge_observed(el, p, obs).unwrap_or_else(|e| panic!("{e}"))
-            },
+            |ucfg| tc_baselines::count_wedge(el, p, ucfg).unwrap_or_else(|e| panic!("{e}")),
         )
     }
 }

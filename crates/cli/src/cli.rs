@@ -944,10 +944,8 @@ pub fn parse_with_env(
                 ));
             }
             if algorithm == Algorithm::Summa && grid.is_none() {
-                // Derive a near-square rectangle from --ranks.
-                let r = (ranks as f64).sqrt() as usize;
-                let r = (1..=r.max(1)).rev().find(|d| ranks % d == 0).unwrap_or(1);
-                grid = Some((r, ranks / r));
+                let g = SummaGrid::near_square(ranks);
+                grid = Some((g.pr, g.pc));
             }
             if trace.is_some() && matches!(algorithm, Algorithm::Serial | Algorithm::Shared) {
                 return Err(

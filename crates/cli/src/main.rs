@@ -9,7 +9,7 @@ mod cli;
 use std::time::Instant;
 
 use cli::{Algorithm, Command, Input, USAGE};
-use tc_core::EdgeSource;
+use tc_core::{EdgeSource, SummaGrid};
 use tc_graph::io::EdgeFile;
 use tc_graph::{io, Csr, EdgeList};
 
@@ -23,6 +23,8 @@ const CHAOS_P: f64 = 0.05;
 enum AppError {
     /// The input graph was unreadable or structurally invalid.
     Input(String),
+    /// The arguments parse but ask for something that cannot run.
+    Usage(String),
     /// Anything else that went wrong while running the command.
     Run(String),
 }
@@ -43,6 +45,10 @@ fn main() {
             Err(AppError::Input(msg)) => {
                 eprintln!("input error: {msg}");
                 std::process::exit(3);
+            }
+            Err(AppError::Usage(msg)) => {
+                eprintln!("error: {msg}");
+                std::process::exit(2);
             }
             Err(AppError::Run(msg)) => {
                 eprintln!("error: {msg}");
@@ -130,14 +136,53 @@ impl Graph {
 }
 
 /// A failed distributed run: a defective input is the caller's (exit
-/// 3, naming the file), anything else the runtime's.
+/// 3, naming the file), so is a rank count the algorithm cannot use
+/// (exit 2), anything else the runtime's.
 fn run_error(input: &Input, e: tc_mps::MpsError) -> AppError {
     match (e, input) {
         (tc_mps::MpsError::InvalidInput { msg, .. }, Input::File(path)) => {
             AppError::Input(format!("{}: {msg}", path.display()))
         }
+        (e @ tc_mps::MpsError::Geometry { .. }, _) => AppError::Usage(e.to_string()),
         (e, _) => AppError::Run(e.to_string()),
     }
+}
+
+/// The 2D algorithm a command line names: Cannon, or SUMMA on `--grid`
+/// (by default the near-square grid of `p` ranks).
+fn algorithm_2d(
+    algorithm: Algorithm,
+    grid: Option<(usize, usize)>,
+    p: usize,
+) -> tc_core::Algorithm {
+    match algorithm {
+        Algorithm::Summa => tc_core::Algorithm::Summa(
+            grid.map_or_else(|| SummaGrid::near_square(p), cli::summa_grid),
+        ),
+        _ => tc_core::Algorithm::Cannon,
+    }
+}
+
+/// Counts `graph` on the ranks of `launch` and prints the phase lines
+/// `count` and `serve-rank` share.
+fn count_2d(
+    graph: &Graph,
+    algorithm: tc_core::Algorithm,
+    config: &tc_core::TcConfig,
+    launch: tc_mps::Launch<'_>,
+) -> Result<u64, tc_mps::MpsError> {
+    let req = tc_core::Request { algorithm, ..tc_core::Request::new(graph.source(), config) };
+    let r = tc_core::run(req, launch)?;
+    if let tc_core::Algorithm::Summa(g) = algorithm {
+        println!("grid          : {}x{} ({} panels)", g.pr, g.pc, g.panels);
+    }
+    println!("preprocessing : {:.3?}", r.ppt_time());
+    println!("counting      : {:.3?}", r.tct_time());
+    if algorithm == tc_core::Algorithm::Cannon {
+        println!("tasks         : {}", r.total_tasks());
+        println!("bytes sent    : {}", r.total_bytes_sent());
+    }
+    Ok(r.triangles)
 }
 
 fn run(cmd: Command) -> Result<(), AppError> {
@@ -149,7 +194,7 @@ fn run(cmd: Command) -> Result<(), AppError> {
         Command::Truss { input, ranks, seed } => {
             let el = load(&input, seed)?;
             eprintln!("# {} vertices, {} edges", el.num_vertices, el.num_edges());
-            let d = tc_apps::truss_decomposition_dist(&el, ranks);
+            let d = tc_apps::truss_decomposition_dist(&el, ranks).map_err(|e| e.to_string())?;
             println!("max trussness : {}", d.max_truss);
             println!("peel rounds   : {}", d.rounds);
             println!("time          : {:.3?}", d.time);
@@ -217,45 +262,28 @@ fn run(cmd: Command) -> Result<(), AppError> {
                     eprintln!("# chaos: seed {cseed}, uniform p={CHAOS_P} on every link");
                     tc_mps::FaultPlan::new(cseed).with_default(tc_mps::LinkFaults::uniform(CHAOS_P))
                 });
-                let obs = tc_mps::Observe {
-                    trace: handle.as_ref(),
-                    metrics: mhandle.as_ref(),
-                    chaos: plan.as_ref(),
+                let ucfg = tc_mps::UniverseConfig {
+                    trace: handle,
+                    metrics: mhandle,
+                    chaos: plan,
+                    ..Default::default()
                 };
                 let t0 = Instant::now();
                 let triangles = match algorithm {
-                    Algorithm::TwoD => {
-                        let r = tc_core::try_count_triangles_observed(
-                            graph.source(),
-                            ranks,
-                            &config,
-                            obs,
-                        )
-                        .map_err(|e| run_error(&input, e))?;
-                        println!("preprocessing : {:.3?}", r.ppt_time());
-                        println!("counting      : {:.3?}", r.tct_time());
-                        println!("tasks         : {}", r.total_tasks());
-                        println!("bytes sent    : {}", r.total_bytes_sent());
-                        r.triangles
-                    }
-                    Algorithm::Summa => {
-                        let g = cli::summa_grid(grid.expect("grid derived at parse time"));
-                        let r = tc_core::try_count_triangles_summa_observed(
-                            graph.source(),
-                            g,
-                            &config,
-                            obs,
-                        )
-                        .map_err(|e| run_error(&input, e))?;
-                        println!("grid          : {}x{} ({} panels)", g.pr, g.pc, g.panels);
-                        println!("preprocessing : {:.3?}", r.ppt_time());
-                        println!("counting      : {:.3?}", r.tct_time());
-                        r.triangles
+                    Algorithm::TwoD | Algorithm::Summa => {
+                        // A SUMMA grid names its own rank count.
+                        let algo = algorithm_2d(algorithm, grid, ranks);
+                        let p = match algo {
+                            tc_core::Algorithm::Summa(g) => g.size(),
+                            tc_core::Algorithm::Cannon => ranks,
+                        };
+                        count_2d(graph, algo, &config, tc_mps::Launch::threads(p, &ucfg))
+                            .map_err(|e| run_error(&input, e))?
                     }
                     Algorithm::Serial => tc_baselines::serial::count_default(graph.list()),
                     Algorithm::Shared => tc_baselines::count_shared(graph.list(), ranks),
                     Algorithm::Aop => {
-                        let r = tc_baselines::try_count_aop1d_observed(graph.list(), ranks, obs)
+                        let r = tc_baselines::count_aop1d(graph.list(), ranks, &ucfg)
                             .map_err(|e| e.to_string())?;
                         println!("setup         : {:.3?}", r.setup);
                         println!("counting      : {:.3?}", r.count);
@@ -263,17 +291,17 @@ fn run(cmd: Command) -> Result<(), AppError> {
                         r.triangles
                     }
                     Algorithm::Push => {
-                        tc_baselines::try_count_push1d_observed(graph.list(), ranks, obs)
+                        tc_baselines::count_push1d(graph.list(), ranks, &ucfg)
                             .map_err(|e| e.to_string())?
                             .triangles
                     }
                     Algorithm::Psp => {
-                        tc_baselines::try_count_psp1d_observed(graph.list(), ranks, 8, obs)
+                        tc_baselines::count_psp1d(graph.list(), ranks, 8, &ucfg)
                             .map_err(|e| e.to_string())?
                             .triangles
                     }
                     Algorithm::Wedge => {
-                        let r = tc_baselines::try_count_wedge_observed(graph.list(), ranks, obs)
+                        let r = tc_baselines::count_wedge(graph.list(), ranks, &ucfg)
                             .map_err(|e| e.to_string())?;
                         println!("2-core        : {:.3?} ({} peeled)", r.two_core, r.peeled);
                         println!("wedge check   : {:.3?} ({} wedges)", r.wedge_count, r.wedges);
@@ -408,38 +436,9 @@ fn run(cmd: Command) -> Result<(), AppError> {
                 );
             }
             let t0 = Instant::now();
-            let triangles = match algorithm {
-                Algorithm::TwoD => {
-                    let (t, m) =
-                        tc_core::try_count_triangles_socket(graph.source(), &config, &sock)
-                            .map_err(|e| run_error(&input, e))?;
-                    println!("preprocessing : {:.3?}", m.ppt);
-                    println!("counting      : {:.3?}", m.tct);
-                    println!("tasks         : {}", m.tasks);
-                    println!("bytes sent    : {}", m.bytes_sent);
-                    t
-                }
-                Algorithm::Summa => {
-                    let g = grid.map(cli::summa_grid).unwrap_or_else(|| {
-                        // Same near-square derivation as `count`.
-                        let r = (p as f64).sqrt() as usize;
-                        let r = (1..=r.max(1)).rev().find(|d| p % d == 0).unwrap_or(1);
-                        cli::summa_grid((r, p / r))
-                    });
-                    let (t, m) = tc_core::try_count_triangles_summa_socket(
-                        graph.source(),
-                        g,
-                        &config,
-                        &sock,
-                    )
-                    .map_err(|e| run_error(&input, e))?;
-                    println!("grid          : {}x{} ({} panels)", g.pr, g.pc, g.panels);
-                    println!("preprocessing : {:.3?}", m.ppt);
-                    println!("counting      : {:.3?}", m.tct);
-                    t
-                }
-                _ => unreachable!("parser admits only socket-distributed algorithms"),
-            };
+            let algo = algorithm_2d(algorithm, grid, p);
+            let triangles = count_2d(&graph, algo, &config, tc_mps::Launch::Socket(&sock))
+                .map_err(|e| run_error(&input, e))?;
             println!("rank          : {}/{p}", sock.rank);
             println!("total time    : {:.3?}", t0.elapsed());
             println!("triangles     : {triangles}");
@@ -519,26 +518,15 @@ fn run(cmd: Command) -> Result<(), AppError> {
                 _ => tc_mps::SocketConfig::from_env(),
             };
             let p = sock.as_ref().map(|s| s.peers.len()).unwrap_or(ranks);
-            let algo = match algorithm {
-                Algorithm::TwoD => {
-                    if tc_mps::perfect_square_side(p).is_none() {
-                        return Err(AppError::Run(format!(
-                            "the 2d kernel needs a perfect-square fleet, got {p} ranks \
-                             (use --algorithm summa --grid RxC for rectangles)"
-                        )));
-                    }
-                    tc_serve::Algo::Cannon
+            let algo = match algorithm_2d(algorithm, grid, p) {
+                tc_core::Algorithm::Cannon if tc_mps::perfect_square_side(p).is_none() => {
+                    return Err(AppError::Run(format!(
+                        "the 2d kernel needs a perfect-square fleet, got {p} ranks \
+                         (use --algorithm summa --grid RxC for rectangles)"
+                    )));
                 }
-                Algorithm::Summa => {
-                    let g = grid.map(cli::summa_grid).unwrap_or_else(|| {
-                        // Same near-square derivation as `count`.
-                        let r = (p as f64).sqrt() as usize;
-                        let r = (1..=r.max(1)).rev().find(|d| p % d == 0).unwrap_or(1);
-                        cli::summa_grid((r, p / r))
-                    });
-                    tc_serve::Algo::Summa(g)
-                }
-                _ => unreachable!("parser admits only fleet algorithms"),
+                tc_core::Algorithm::Cannon => tc_serve::Algo::Cannon,
+                tc_core::Algorithm::Summa(g) => tc_serve::Algo::Summa(g),
             };
             let mut scfg = tc_serve::ServeConfig::new(listen).env_overrides();
             scfg.algo = algo;
@@ -557,13 +545,22 @@ fn run(cmd: Command) -> Result<(), AppError> {
                 scfg.tick_ms = v.max(1);
             }
             eprintln!("# serving {} vertices, {} edges", el.num_vertices, el.num_edges());
+            // One fleet rank per rank the launch runs here; rank 0's
+            // (or this process's only) report is the one to print.
+            let serve_on = |launch: tc_mps::Launch<'_>| {
+                launch
+                    .run(|comm| tc_serve::serve_rank(comm, &csr, &scfg))
+                    .map(|(mut reports, _stats)| reports.swap_remove(0))
+                    .map_err(|e| e.to_string())
+            };
+            let ucfg =
+                tc_mps::UniverseConfig { metrics: mhandle, chaos: plan, ..Default::default() };
             let (my_rank, report) = match sock {
                 Some(mut sock) => {
                     if let Some(e) = epoch {
                         sock.epoch = e;
                     }
-                    sock.universe.metrics = mhandle;
-                    sock.universe.chaos = plan;
+                    sock.universe = ucfg;
                     if sock.rank == 0 {
                         eprintln!("# rank 0/{p}: frontend on {}", scfg.listen.display());
                     } else {
@@ -577,14 +574,7 @@ fn run(cmd: Command) -> Result<(), AppError> {
                             tc_serve::serve_fleet(&csr, &scfg, &sock, &fleet)
                                 .map_err(|e| e.to_string())?
                         }
-                        None => {
-                            let (report, _stats) =
-                                tc_mps::Universe::try_run_socket(&sock, |comm| {
-                                    tc_serve::serve_rank(comm, &csr, &scfg)
-                                })
-                                .map_err(|e| e.to_string())?;
-                            report
-                        }
+                        None => serve_on(tc_mps::Launch::Socket(&sock))?,
                     };
                     (sock.rank, report)
                 }
@@ -598,17 +588,7 @@ fn run(cmd: Command) -> Result<(), AppError> {
                 }
                 None => {
                     eprintln!("# frontend on {} over {p} in-process ranks", scfg.listen.display());
-                    let ucfg = tc_mps::UniverseConfig {
-                        metrics: mhandle,
-                        chaos: plan,
-                        ..Default::default()
-                    };
-                    let (mut reports, _stats) =
-                        tc_mps::Universe::try_run_config(p, &ucfg, |comm| {
-                            tc_serve::serve_rank(comm, &csr, &scfg)
-                        })
-                        .map_err(|e| e.to_string())?;
-                    (0, reports.swap_remove(0))
+                    (0, serve_on(tc_mps::Launch::threads(p, &ucfg))?)
                 }
             };
             // Peers report zeros for the frontend tallies; every rank

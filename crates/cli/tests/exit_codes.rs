@@ -40,6 +40,24 @@ fn usage_error_is_exit_two() {
     assert!(stderr(&out).contains("USAGE"), "{}", stderr(&out));
 }
 
+/// A peer list the algorithm cannot use is a usage error found before
+/// any socket is bound: one `error:` line, exit 2, no panic.
+#[test]
+fn serve_rank_geometry_misfits_are_exit_two() {
+    let cases: [&[&str]; 2] = [&[], &["--algorithm", "summa", "--grid", "2x2"]];
+    for extra in cases {
+        let mut args = vec!["serve-rank", "g500-s5", "--rank", "0", "--peers", "a,b,c"];
+        args.extend(extra);
+        let out = run(&args);
+        let e = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {e}");
+        assert!(!e.contains("panicked"), "{args:?}: {e}");
+        let errors: Vec<&str> = e.lines().filter(|l| !l.starts_with('#')).collect();
+        assert_eq!(errors.len(), 1, "{args:?}: {e}");
+        assert!(errors[0].starts_with("error: cannot run on 3 ranks"), "{args:?}: {e}");
+    }
+}
+
 #[test]
 fn missing_input_file_is_exit_three() {
     let out = run(&["count", "/nonexistent/graph.bin"]);

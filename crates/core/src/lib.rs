@@ -11,13 +11,32 @@
 //! ## Quickstart
 //!
 //! ```
-//! use tc_core::{count_triangles_default};
+//! use tc_core::{count_triangles, TcConfig};
 //! use tc_graph::EdgeList;
 //!
 //! // A triangle plus a pendant edge, counted on a 2×2 grid.
 //! let el = EdgeList::new(4, vec![(0, 1), (0, 2), (1, 2), (2, 3)]).simplify();
-//! let result = count_triangles_default(&el, 4);
+//! let result = count_triangles(&el, 4, &TcConfig::default());
 //! assert_eq!(result.triangles, 1);
+//! ```
+//!
+//! [`count_triangles`] is the panicking shorthand for the one entry
+//! point, [`run`]: a [`Request`] (edge source, [`Algorithm`], config,
+//! per-edge supports or not) on a [`tc_mps::Launch`] (rank threads
+//! under a `UniverseConfig`, or this process's place in a socket mesh),
+//! with every failure a typed [`tc_mps::MpsError`]:
+//!
+//! ```
+//! use tc_core::{run, Request, SummaGrid, TcConfig};
+//! use tc_graph::EdgeList;
+//! use tc_mps::{Launch, UniverseConfig};
+//!
+//! let el = EdgeList::new(4, vec![(0, 1), (0, 2), (1, 2), (2, 3)]).simplify();
+//! let (cfg, ucfg) = (TcConfig::default(), UniverseConfig::default());
+//! let req = Request::new(&el, &cfg).summa(SummaGrid::new(2, 3));
+//! assert_eq!(run(req, Launch::threads(6, &ucfg)).unwrap().triangles, 1);
+//! // A grid that is not the launched rank count is an error, not a panic.
+//! assert!(run(req, Launch::threads(4, &ucfg)).is_err());
 //! ```
 //!
 //! The returned [`TcResult`] carries the per-rank measurements behind
@@ -42,19 +61,8 @@ mod redist;
 pub mod summa;
 
 pub use config::{Enumeration, KernelStrategy, TcConfig};
-pub use driver::{
-    count_per_edge, count_rank_from, count_triangles, count_triangles_default,
-    count_triangles_from_root, try_count_per_edge, try_count_per_edge_observed,
-    try_count_per_edge_socket, try_count_per_edge_traced, try_count_triangles,
-    try_count_triangles_from_root, try_count_triangles_from_root_observed,
-    try_count_triangles_from_root_traced, try_count_triangles_observed, try_count_triangles_socket,
-    try_count_triangles_traced, EdgeSupport,
-};
+pub use driver::{count_per_edge, count_rank_from, count_triangles, run, Algorithm, Request};
 pub use intersect::{KernelState, KernelStats};
-pub use metrics::{CommPhase, PhaseSample, RankMetrics, TcResult};
+pub use metrics::{CommPhase, EdgeSupport, PhaseSample, RankMetrics, TcResult};
 pub use preprocess::{BlockInput, EdgeSource};
-pub use summa::{
-    count_triangles_summa, summa_rank_from, try_count_triangles_summa,
-    try_count_triangles_summa_observed, try_count_triangles_summa_socket,
-    try_count_triangles_summa_traced, SummaGrid,
-};
+pub use summa::{summa_rank_from, SummaGrid};

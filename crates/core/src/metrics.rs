@@ -198,15 +198,31 @@ impl<'a> CommPhase<'a> {
     }
 }
 
+/// Triangle support of one input edge (`u < v`, input labels).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EdgeSupport {
+    /// Smaller endpoint.
+    pub u: u32,
+    /// Larger endpoint.
+    pub v: u32,
+    /// Number of triangles containing the edge.
+    pub support: u64,
+}
+
 /// Result of a distributed triangle-counting run.
 #[derive(Debug, Clone)]
 pub struct TcResult {
     /// Total number of unique triangles.
     pub triangles: u64,
-    /// Rank count `p`.
+    /// Rank count `p` of the whole universe.
     pub num_ranks: usize,
-    /// Per-rank measurements, indexed by rank.
+    /// Measurements of the ranks this process ran, in rank order: all
+    /// `p` of an in-process launch, one of a socket launch — the
+    /// aggregates below then describe that one rank.
     pub ranks: Vec<RankMetrics>,
+    /// Support of every edge, sorted by `(u, v)`: `Some` after a
+    /// per-edge run where rank 0 (which gathers the list) ran.
+    pub supports: Option<Vec<EdgeSupport>>,
 }
 
 impl TcResult {
@@ -328,7 +344,7 @@ impl TcResult {
             let mx = times.iter().max().copied().unwrap_or_default();
             let sum: Duration = times.iter().sum();
             max_total += mx;
-            avg_total += sum / self.num_ranks.max(1) as u32;
+            avg_total += sum / self.ranks.len().max(1) as u32;
         }
         let imb = if avg_total.is_zero() {
             1.0
@@ -347,7 +363,7 @@ impl TcResult {
         if sum == 0 {
             1.0
         } else {
-            max / (sum as f64 / self.num_ranks as f64)
+            max / (sum as f64 / self.ranks.len() as f64)
         }
     }
 }
@@ -365,9 +381,13 @@ mod tests {
         }
     }
 
+    fn result(ranks: Vec<RankMetrics>) -> TcResult {
+        TcResult { triangles: 0, num_ranks: ranks.len(), ranks, supports: None }
+    }
+
     #[test]
     fn phase_times_take_slowest_rank() {
-        let r = TcResult { triangles: 0, num_ranks: 2, ranks: vec![mk(10, 5, 3), mk(7, 9, 5)] };
+        let r = result(vec![mk(10, 5, 3), mk(7, 9, 5)]);
         assert_eq!(r.ppt_time(), Duration::from_millis(10));
         assert_eq!(r.tct_time(), Duration::from_millis(9));
         assert_eq!(r.overall_time(), Duration::from_millis(19));
@@ -376,7 +396,7 @@ mod tests {
 
     #[test]
     fn task_imbalance_max_over_mean() {
-        let r = TcResult { triangles: 0, num_ranks: 2, ranks: vec![mk(0, 0, 30), mk(0, 0, 10)] };
+        let r = result(vec![mk(0, 0, 30), mk(0, 0, 10)]);
         assert!((r.task_imbalance() - 1.5).abs() < 1e-12);
     }
 
@@ -386,7 +406,7 @@ mod tests {
         a.shift_compute = vec![Duration::from_millis(4), Duration::from_millis(2)];
         let mut b = mk(0, 0, 0);
         b.shift_compute = vec![Duration::from_millis(2), Duration::from_millis(6)];
-        let r = TcResult { triangles: 0, num_ranks: 2, ranks: vec![a, b] };
+        let r = result(vec![a, b]);
         let (mx, avg, imb) = r.shift_imbalance();
         assert_eq!(mx, Duration::from_millis(10));
         assert_eq!(avg, Duration::from_millis(7));
@@ -398,14 +418,14 @@ mod tests {
         let mut a = mk(10, 10, 0);
         a.ppt_comm = Duration::from_millis(5);
         a.tct_comm = Duration::from_millis(0);
-        let r = TcResult { triangles: 0, num_ranks: 1, ranks: vec![a] };
+        let r = result(vec![a]);
         assert!((r.ppt_comm_fraction() - 0.5).abs() < 1e-9);
         assert_eq!(r.tct_comm_fraction(), 0.0);
     }
 
     #[test]
     fn rates_handle_zero_time() {
-        let r = TcResult { triangles: 0, num_ranks: 1, ranks: vec![RankMetrics::default()] };
+        let r = result(vec![RankMetrics::default()]);
         assert_eq!(r.ppt_kops_per_sec(), 0.0);
         assert_eq!(r.tct_kops_per_sec(), 0.0);
     }
@@ -420,8 +440,8 @@ mod tests {
         b.ppt_cpu = Duration::from_millis(6);
         b.shift_compute = vec![Duration::from_millis(2), Duration::from_millis(6)];
         b.bytes_sent = 50;
-        let fwd = TcResult { triangles: 1, num_ranks: 2, ranks: vec![a.clone(), b.clone()] };
-        let rev = TcResult { triangles: 1, num_ranks: 2, ranks: vec![b, a] };
+        let fwd = result(vec![a.clone(), b.clone()]);
+        let rev = result(vec![b, a]);
         assert_eq!(fwd.ppt_time(), rev.ppt_time());
         assert_eq!(fwd.tct_time(), rev.tct_time());
         assert_eq!(fwd.modeled_ppt_time(), rev.modeled_ppt_time());
@@ -441,7 +461,7 @@ mod tests {
         let mut b = mk(5, 2, 0);
         b.ppt_cpu = Duration::from_millis(12);
         b.tct_cpu = Duration::from_millis(2);
-        let r = TcResult { triangles: 0, num_ranks: 2, ranks: vec![a, b] };
+        let r = result(vec![a, b]);
         assert_eq!(r.ppt_time(), Duration::from_millis(20));
         assert_eq!(r.modeled_ppt_time(), Duration::from_millis(12));
         assert_eq!(r.modeled_overall_time(), r.modeled_ppt_time() + r.modeled_tct_time());
@@ -453,7 +473,7 @@ mod tests {
         a.shift_compute = vec![Duration::from_millis(4), Duration::from_millis(2)];
         let mut b = mk(0, 0, 0);
         b.shift_compute = vec![Duration::from_millis(2), Duration::from_millis(6)];
-        let r = TcResult { triangles: 0, num_ranks: 2, ranks: vec![a, b] };
+        let r = result(vec![a, b]);
         assert_eq!(r.modeled_tct_time(), r.shift_imbalance().0);
         assert_eq!(r.modeled_tct_time(), Duration::from_millis(10));
     }
@@ -461,7 +481,7 @@ mod tests {
     #[test]
     fn shift_imbalance_handles_empty_and_ragged_shift_lists() {
         // No ranks at all.
-        let empty = TcResult { triangles: 0, num_ranks: 0, ranks: vec![] };
+        let empty = result(vec![]);
         let (mx, avg, imb) = empty.shift_imbalance();
         assert_eq!(mx, Duration::ZERO);
         assert_eq!(avg, Duration::ZERO);
@@ -469,8 +489,7 @@ mod tests {
         assert_eq!(empty.modeled_tct_time(), Duration::ZERO);
 
         // Ranks present but no shifts recorded (e.g. a failed run).
-        let noshift =
-            TcResult { triangles: 0, num_ranks: 2, ranks: vec![mk(1, 1, 0), mk(1, 1, 0)] };
+        let noshift = result(vec![mk(1, 1, 0), mk(1, 1, 0)]);
         assert_eq!(noshift.shift_imbalance().0, Duration::ZERO);
 
         // Ragged lists: a rank with fewer entries contributes zero to
@@ -479,7 +498,7 @@ mod tests {
         a.shift_compute = vec![Duration::from_millis(3)];
         let mut b = mk(0, 0, 0);
         b.shift_compute = vec![Duration::from_millis(1), Duration::from_millis(5)];
-        let r = TcResult { triangles: 0, num_ranks: 2, ranks: vec![a, b] };
+        let r = result(vec![a, b]);
         assert_eq!(r.shift_imbalance().0, Duration::from_millis(8));
     }
 

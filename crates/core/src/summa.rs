@@ -18,16 +18,14 @@
 use std::time::Instant;
 
 use bytes::Bytes;
-use tc_graph::EdgeList;
 use tc_metrics::{names as mnames, MemScope};
-use tc_mps::{Comm, MpsResult, Observe, RecvRequest, SocketConfig, Universe};
+use tc_mps::{Comm, MpsResult, RecvRequest};
 
 use crate::blocks::{SparseBlock, SparseBlockRef};
 use crate::config::{Enumeration, TcConfig};
-use crate::driver::{fold_ranks, settle};
 use crate::intersect::KernelState;
-use crate::metrics::{CommPhase, RankMetrics, TcResult};
-use crate::preprocess::{relabel_phase_from, BlockInput, EdgeSource};
+use crate::metrics::{CommPhase, RankMetrics};
+use crate::preprocess::{relabel_phase_from, BlockInput};
 
 /// Rectangular grid geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,6 +43,16 @@ impl SummaGrid {
     pub fn new(pr: usize, pc: usize) -> Self {
         assert!(pr > 0 && pc > 0, "grid dimensions must be positive");
         Self { pr, pc, panels: pr.max(pc) }
+    }
+
+    /// The most nearly square `pr × pc` grid (`pr ≤ pc`) of exactly `p`
+    /// ranks: `pr` is the largest divisor of `p` not above `√p` —
+    /// `1 × p` for a prime, `q × q` for a square. `p = 0` has no grid
+    /// and gets `1 × 1`, which [`crate::run`] refuses for a 0-rank
+    /// launch like any other misfit.
+    pub fn near_square(p: usize) -> Self {
+        let pr = (1..=p.isqrt()).rev().find(|d| p % d == 0).unwrap_or(1);
+        Self::new(pr, (p / pr).max(1))
     }
 
     /// Overrides the panel count.
@@ -179,90 +187,15 @@ fn start_panel_step<'c>(
     (pu, pl)
 }
 
-/// Counts triangles on a `pr × pc` grid with SUMMA broadcasts.
-///
-/// # Panics
-///
-/// Panics if `el` is not simplified.
-pub fn count_triangles_summa(el: &EdgeList, grid: SummaGrid, cfg: &TcConfig) -> TcResult {
-    match try_count_triangles_summa(el, grid, cfg) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`count_triangles_summa`]: runtime failures come back as
-/// [`tc_mps::MpsError`] instead of a panic.
-pub fn try_count_triangles_summa(
-    el: &EdgeList,
-    grid: SummaGrid,
-    cfg: &TcConfig,
-) -> MpsResult<TcResult> {
-    try_count_triangles_summa_traced(el, grid, cfg, None)
-}
-
-/// [`try_count_triangles_summa`] with an optional trace session. Panel
-/// steps record the same `shift_compute` spans as Cannon shifts (the
-/// `z` argument is the panel index), so the trace analyzer treats both
-/// paths uniformly.
-pub fn try_count_triangles_summa_traced(
-    el: &EdgeList,
-    grid: SummaGrid,
-    cfg: &TcConfig,
-    trace: Option<&tc_trace::TraceHandle>,
-) -> MpsResult<TcResult> {
-    try_count_triangles_summa_observed(el, grid, cfg, Observe::trace(trace))
-}
-
-/// [`try_count_triangles_summa`] with optional trace and metrics
-/// sessions, over any striped source.
-pub fn try_count_triangles_summa_observed<'a>(
-    src: impl Into<EdgeSource<'a>>,
-    grid: SummaGrid,
-    cfg: &TcConfig,
-    obs: Observe<'_>,
-) -> MpsResult<TcResult> {
-    let src = src.into();
-    let input = BlockInput::Striped(src);
-    let (rank_outs, comm_stats) =
-        Universe::try_run_config(grid.size(), &obs.to_config(), |comm| {
-            settle(summa_rank_from(comm, &grid, src.num_vertices(), &input, cfg))
-        })?;
-    fold_ranks(rank_outs, comm_stats)
-}
-
-/// SUMMA counting as one rank of a multi-process socket universe: the
-/// grid must satisfy `grid.size() == sock.peers.len()`, and every
-/// process must be launched with the same graph, grid, and config.
-/// Returns the reduced triangle count and this rank's metrics.
-pub fn try_count_triangles_summa_socket<'a>(
-    src: impl Into<EdgeSource<'a>>,
-    grid: SummaGrid,
-    cfg: &TcConfig,
-    sock: &SocketConfig,
-) -> MpsResult<(u64, RankMetrics)> {
-    assert_eq!(
-        grid.size(),
-        sock.peers.len(),
-        "grid geometry and socket peer list disagree on the rank count"
-    );
-    let src = src.into();
-    let input = BlockInput::Striped(src);
-    let (out, stats) = Universe::try_run_socket(sock, |comm| {
-        settle(summa_rank_from(comm, &grid, src.num_vertices(), &input, cfg))
-    })?;
-    let (triangles, mut metrics) = out?;
-    metrics.bytes_sent = stats.bytes_sent;
-    Ok((triangles, metrics))
-}
-
 /// The SUMMA rank body over an explicit per-rank input source: this
 /// rank contributes its share of an `n`-vertex graph (edge stripe,
 /// shared CSR window or materialized rows) and participates in the
 /// full panel pipeline — in-process and over sockets alike. Returns
 /// the globally reduced triangle count (identical on every rank) and
 /// this rank's metrics — the rectangular-grid recount oracle
-/// counterpart of [`crate::driver::count_rank_from`].
+/// counterpart of [`crate::driver::count_rank_from`]. Panel steps
+/// record the same `shift_compute` spans as Cannon shifts (`z` is the
+/// panel index), so the trace analyzer treats both paths uniformly.
 pub fn summa_rank_from(
     comm: &Comm,
     grid: &SummaGrid,
@@ -514,6 +447,23 @@ mod tests {
         assert_eq!(g.coords(5), (1, 2));
         assert_eq!(g.rank_of(1, 2), 5);
         assert_eq!(g.with_panels(7).panels, 7);
+    }
+
+    #[test]
+    fn near_square_picks_the_largest_divisor_below_the_root() {
+        let dims = |p| {
+            let g = SummaGrid::near_square(p);
+            (g.pr, g.pc)
+        };
+        assert_eq!([dims(0), dims(1)], [(1, 1), (1, 1)]);
+        assert_eq!([dims(2), dims(7), dims(13)], [(1, 2), (1, 7), (1, 13)]);
+        assert_eq!([dims(6), dims(12), dims(15)], [(2, 3), (3, 4), (3, 5)]);
+        assert_eq!([dims(4), dims(9), dims(64)], [(2, 2), (3, 3), (8, 8)]);
+        for p in 1..200 {
+            let g = SummaGrid::near_square(p);
+            assert_eq!(g.size(), p);
+            assert!(g.pr <= g.pc);
+        }
     }
 
     #[test]

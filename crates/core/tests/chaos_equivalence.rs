@@ -5,11 +5,14 @@
 use std::time::Duration;
 
 use proptest::prelude::*;
-use tc_core::{try_count_per_edge_observed, try_count_triangles_observed, TcConfig, TcResult};
+use tc_core::{TcConfig, TcResult};
 use tc_gen::er::gnm;
 use tc_gen::graph500;
 use tc_graph::EdgeList;
-use tc_mps::{FaultPlan, LinkFaults, Observe};
+use tc_mps::{FaultPlan, LinkFaults, UniverseConfig};
+
+mod common;
+use common::{cannon, cannon_per_edge, PLAIN};
 
 fn fingerprint(r: &TcResult) -> (u64, u64, u64) {
     (r.triangles, r.total_tasks(), r.total_probes())
@@ -46,15 +49,15 @@ proptest! {
             gnm(48, 160, gseed).simplify()
         };
         let cfg = TcConfig::default();
-        let clean = try_count_triangles_observed(&el, 9, &cfg, Observe::none()).unwrap();
+        let clean = cannon(&el, 9, &cfg, &PLAIN).unwrap();
         let plan = random_plan(
             pseed,
             f64::from(drop_milli) / 1000.0,
             f64::from(dup_milli) / 1000.0,
             f64::from(reorder_milli) / 1000.0,
         );
-        let obs = Observe { chaos: Some(&plan), ..Observe::none() };
-        let chaotic = try_count_triangles_observed(&el, 9, &cfg, obs).unwrap();
+        let obs = UniverseConfig { chaos: Some(plan), ..UniverseConfig::default() };
+        let chaotic = cannon(&el, 9, &cfg, &obs).unwrap();
         prop_assert_eq!(fingerprint(&chaotic), fingerprint(&clean));
     }
 
@@ -68,15 +71,15 @@ proptest! {
         let el = gnm(40, 140, gseed).simplify();
         let cfg = TcConfig::default();
         let (clean_r, clean_sup) =
-            try_count_per_edge_observed(&el, 4, &cfg, Observe::none()).unwrap();
+            cannon_per_edge(&el, 4, &cfg, &PLAIN).unwrap();
         let plan = random_plan(
             pseed,
             f64::from(drop_milli) / 1000.0,
             0.1,
             f64::from(reorder_milli) / 1000.0,
         );
-        let obs = Observe { chaos: Some(&plan), ..Observe::none() };
-        let (r, sup) = try_count_per_edge_observed(&el, 4, &cfg, obs).unwrap();
+        let obs = UniverseConfig { chaos: Some(plan), ..UniverseConfig::default() };
+        let (r, sup) = cannon_per_edge(&el, 4, &cfg, &obs).unwrap();
         prop_assert_eq!(fingerprint(&r), fingerprint(&clean_r));
         prop_assert_eq!(sup, clean_sup);
     }
@@ -90,8 +93,8 @@ fn chaos_off_records_zero_reliability_activity() {
     let el = graph500(6, 9).simplify();
     let session = tc_metrics::MetricsSession::begin();
     let handle = session.handle();
-    let obs = Observe { metrics: Some(&handle), ..Observe::none() };
-    let r = try_count_triangles_observed(&el, 16, &TcConfig::default(), obs).expect("clean run");
+    let obs = UniverseConfig { metrics: Some(handle), ..UniverseConfig::default() };
+    let r = cannon(&el, 16, &TcConfig::default(), &obs).expect("clean run");
     assert!(r.triangles > 0);
     let snap = session.finish();
     assert_eq!(snap.ranks().len(), 16);
@@ -118,13 +121,13 @@ fn chaos_off_records_zero_reliability_activity() {
 fn pure_delay_chaos_is_invisible() {
     let el = gnm(48, 180, 77).simplify();
     let cfg = TcConfig::default();
-    let clean = try_count_triangles_observed(&el, 9, &cfg, Observe::none()).unwrap();
+    let clean = cannon(&el, 9, &cfg, &PLAIN).unwrap();
     let plan = FaultPlan::new(5).with_default(LinkFaults {
         delay: 0.5,
         delay_max: Duration::from_micros(40),
         ..LinkFaults::none()
     });
-    let obs = Observe { chaos: Some(&plan), ..Observe::none() };
-    let chaotic = try_count_triangles_observed(&el, 9, &cfg, obs).unwrap();
+    let obs = UniverseConfig { chaos: Some(plan), ..UniverseConfig::default() };
+    let chaotic = cannon(&el, 9, &cfg, &obs).unwrap();
     assert_eq!(fingerprint(&chaotic), fingerprint(&clean));
 }

@@ -8,13 +8,13 @@
 
 use std::time::Duration;
 
-use tc_core::{
-    try_count_per_edge_observed, try_count_triangles_observed, try_count_triangles_summa_observed,
-    SummaGrid, TcConfig, TcResult,
-};
+use tc_core::{SummaGrid, TcConfig, TcResult};
 use tc_gen::graph500;
 use tc_graph::EdgeList;
-use tc_mps::{FaultKind, FaultPlan, LinkFaults, MpsError, Observe};
+use tc_mps::{FaultKind, FaultPlan, LinkFaults, MpsError, UniverseConfig};
+
+mod common;
+use common::{cannon, cannon_per_edge, summa, PLAIN};
 
 const P: usize = 16;
 
@@ -41,13 +41,13 @@ fn mode_plan(kind: FaultKind, seed: u64) -> FaultPlan {
 fn cannon_16_ranks_exact_under_every_mode_and_seed() {
     let el = soak_graph(42);
     let cfg = TcConfig::default();
-    let clean = try_count_triangles_observed(&el, P, &cfg, Observe::none()).expect("clean");
+    let clean = cannon(&el, P, &cfg, &PLAIN).expect("clean");
     assert!(clean.triangles > 0, "soak graph must actually have triangles");
     for kind in FaultKind::ALL {
         for seed in [11u64, 22, 33, 44, 55] {
             let plan = mode_plan(kind, seed);
-            let obs = Observe { chaos: Some(&plan), ..Observe::none() };
-            let r = try_count_triangles_observed(&el, P, &cfg, obs)
+            let obs = UniverseConfig { chaos: Some(plan), ..UniverseConfig::default() };
+            let r = cannon(&el, P, &cfg, &obs)
                 .unwrap_or_else(|e| panic!("cannon mode {} seed {seed}: {e}", kind.name()));
             assert_eq!(
                 fingerprint(&r),
@@ -64,14 +64,13 @@ fn summa_16_ranks_exact_under_every_mode_and_seed() {
     let el = soak_graph(43);
     let cfg = TcConfig::default();
     let grid = SummaGrid::new(4, 4);
-    let clean =
-        try_count_triangles_summa_observed(&el, grid, &cfg, Observe::none()).expect("clean");
+    let clean = summa(&el, grid, &cfg, &PLAIN).expect("clean");
     assert!(clean.triangles > 0);
     for kind in FaultKind::ALL {
         for seed in [7u64, 14, 21, 28, 35] {
             let plan = mode_plan(kind, seed);
-            let obs = Observe { chaos: Some(&plan), ..Observe::none() };
-            let r = try_count_triangles_summa_observed(&el, grid, &cfg, obs)
+            let obs = UniverseConfig { chaos: Some(plan), ..UniverseConfig::default() };
+            let r = summa(&el, grid, &cfg, &obs)
                 .unwrap_or_else(|e| panic!("summa mode {} seed {seed}: {e}", kind.name()));
             assert_eq!(
                 fingerprint(&r),
@@ -87,15 +86,14 @@ fn summa_16_ranks_exact_under_every_mode_and_seed() {
 fn per_edge_supports_identical_under_combined_chaos() {
     let el = soak_graph(44);
     let cfg = TcConfig::default();
-    let (clean_r, clean_sup) =
-        try_count_per_edge_observed(&el, P, &cfg, Observe::none()).expect("clean");
+    let (clean_r, clean_sup) = cannon_per_edge(&el, P, &cfg, &PLAIN).expect("clean");
     for seed in [3u64, 5, 8] {
         let plan = FaultPlan::new(seed).with_default(LinkFaults {
             delay_max: Duration::from_micros(20),
             ..LinkFaults::uniform(0.15)
         });
-        let obs = Observe { chaos: Some(&plan), ..Observe::none() };
-        let (r, sup) = try_count_per_edge_observed(&el, P, &cfg, obs)
+        let obs = UniverseConfig { chaos: Some(plan), ..UniverseConfig::default() };
+        let (r, sup) = cannon_per_edge(&el, P, &cfg, &obs)
             .unwrap_or_else(|e| panic!("per-edge seed {seed}: {e}"));
         assert_eq!(fingerprint(&r), fingerprint(&clean_r), "seed {seed}");
         assert_eq!(sup, clean_sup, "seed {seed}: per-edge supports must match exactly");
@@ -113,10 +111,9 @@ fn dead_link_fails_typed_within_deadline_on_cannon() {
         .with_link(0, 1, LinkFaults::only(FaultKind::Drop, 1.0))
         .with_max_retries(4)
         .with_nack_backoff(Duration::from_millis(1), Duration::from_millis(5));
-    let obs = Observe { chaos: Some(&plan), ..Observe::none() };
+    let obs = UniverseConfig { chaos: Some(plan), ..UniverseConfig::default() };
     let t0 = std::time::Instant::now();
-    let err = try_count_triangles_observed(&el, P, &cfg, obs)
-        .expect_err("a fully dead link cannot be masked");
+    let err = cannon(&el, P, &cfg, &obs).expect_err("a fully dead link cannot be masked");
     assert!(
         t0.elapsed() < Duration::from_secs(30),
         "typed failure, not a timeout: {:?}",

@@ -2,9 +2,13 @@
 //! triangle counts: conservation of edges across the redistribution,
 //! block-placement laws, and the balance properties §5.1 argues for.
 
-use tc_core::{count_triangles, count_triangles_default, TcConfig};
+use tc_core::{count_triangles, TcConfig, TcResult};
 use tc_gen::{graph500, Preset};
 use tc_graph::EdgeList;
+
+fn count_triangles_default(el: &EdgeList, p: usize) -> TcResult {
+    count_triangles(el, p, &TcConfig::default())
+}
 
 #[test]
 fn every_edge_becomes_exactly_one_task() {

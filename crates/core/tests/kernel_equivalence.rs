@@ -12,14 +12,14 @@
 use std::sync::Mutex;
 
 use proptest::prelude::*;
-use tc_core::{
-    try_count_per_edge, try_count_triangles, try_count_triangles_observed,
-    try_count_triangles_summa, KernelStrategy, SummaGrid, TcConfig, TcResult,
-};
+use tc_core::{KernelStrategy, SummaGrid, TcConfig, TcResult};
 use tc_gen::er::gnm;
 use tc_gen::{rmat, RmatParams};
 use tc_graph::EdgeList;
-use tc_mps::Observe;
+use tc_mps::UniverseConfig;
+
+mod common;
+use common::{cannon, cannon_per_edge, summa, PLAIN};
 
 /// The metrics recording gate is process-global; tests that open a
 /// session must not overlap.
@@ -74,14 +74,14 @@ fn assert_same_but_probes(auto: &TcResult, hash: &TcResult, what: &str) {
 
 /// Runs both kernels on `el` at `p` ranks and compares them.
 fn assert_strategies_equivalent(el: &EdgeList, p: usize) {
-    let hash = try_count_triangles(el, p, &cfg_of(KernelStrategy::Hash)).expect("hash run");
-    let auto = try_count_triangles(el, p, &cfg_of(KernelStrategy::Auto)).expect("auto run");
+    let hash = cannon(el, p, &cfg_of(KernelStrategy::Hash), &PLAIN).expect("hash run");
+    let auto = cannon(el, p, &cfg_of(KernelStrategy::Auto), &PLAIN).expect("auto run");
     assert_same_but_probes(&auto, &hash, &format!("p={p}"));
     // Without direct hashing there is no collision to dispatch on:
     // `auto` is the paper's probing routine, probe for probe.
     let no_direct = |k| cfg_of(k).with_direct_hash(false);
-    let hash = try_count_triangles(el, p, &no_direct(KernelStrategy::Hash)).expect("hash run");
-    let auto = try_count_triangles(el, p, &no_direct(KernelStrategy::Auto)).expect("auto run");
+    let hash = cannon(el, p, &no_direct(KernelStrategy::Hash), &PLAIN).expect("hash run");
+    let auto = cannon(el, p, &no_direct(KernelStrategy::Auto), &PLAIN).expect("auto run");
     assert_eq!(legacy_counters(&auto), legacy_counters(&hash), "p={p}: no-direct-hash");
     assert_eq!(auto.triangles, hash.triangles, "p={p}: no-direct-hash");
 }
@@ -109,8 +109,9 @@ fn strategies_agree_per_edge() {
     // scalar tail) must report exactly the hits the hash loop reports.
     let el = deform(rmat(8, 5, RmatParams::GRAPH500, 33).simplify(), 2, true);
     for p in [1usize, 4, 9, 16, 25] {
-        let (ro, so) = try_count_per_edge(&el, p, &cfg_of(KernelStrategy::Hash)).expect("hash");
-        let (r, s) = try_count_per_edge(&el, p, &cfg_of(KernelStrategy::Auto)).expect("auto");
+        let (ro, so) =
+            cannon_per_edge(&el, p, &cfg_of(KernelStrategy::Hash), &PLAIN).expect("hash");
+        let (r, s) = cannon_per_edge(&el, p, &cfg_of(KernelStrategy::Auto), &PLAIN).expect("auto");
         assert_same_but_probes(&r, &ro, &format!("per-edge p={p}"));
         assert_eq!(s, so, "p={p}: per-edge supports diverged");
     }
@@ -123,8 +124,8 @@ fn strategies_agree_on_summa() {
     let el = deform(rmat(8, 6, RmatParams::GRAPH500, 11).simplify(), 4, true);
     for (pr, pc) in [(1, 1), (2, 2), (2, 3), (3, 3), (4, 2)] {
         let grid = SummaGrid::new(pr, pc);
-        let o = try_count_triangles_summa(&el, grid, &cfg_of(KernelStrategy::Hash)).expect("hash");
-        let r = try_count_triangles_summa(&el, grid, &cfg_of(KernelStrategy::Auto)).expect("auto");
+        let o = summa(&el, grid, &cfg_of(KernelStrategy::Hash), &PLAIN).expect("hash");
+        let r = summa(&el, grid, &cfg_of(KernelStrategy::Auto), &PLAIN).expect("auto");
         assert_same_but_probes(&r, &o, &format!("summa {pr}x{pc}"));
     }
 }
@@ -193,13 +194,13 @@ fn every_strategy_reproduces_the_pre_reciprocal_kernel() {
     for k in STRATEGIES {
         for (p, golden) in cannon {
             let want = expected_under(k, golden);
-            let (r, s) = try_count_per_edge(&el, p, &cfg_of(k)).expect("per-edge run");
+            let (r, s) = cannon_per_edge(&el, p, &cfg_of(k), &PLAIN).expect("per-edge run");
             assert_eq!((r.triangles, legacy_counters(&r)), want, "{k} p={p}: per-edge run");
             assert_eq!(supports_fingerprint(&s), SUPPORTS, "{k} p={p}: supports");
-            let plain = try_count_triangles(&el, p, &cfg_of(k)).expect("count run");
+            let plain = common::cannon(&el, p, &cfg_of(k), &PLAIN).expect("count run");
             assert_eq!((plain.triangles, legacy_counters(&plain)), want, "{k} p={p}");
         }
-        let r = try_count_triangles_summa(&el, SummaGrid::new(2, 3), &cfg_of(k)).expect("summa");
+        let r = summa(&el, SummaGrid::new(2, 3), &cfg_of(k), &PLAIN).expect("summa");
         let want = expected_under(k, summa_2x3);
         assert_eq!((r.triangles, legacy_counters(&r)), want, "{k} summa 2x3");
     }
@@ -211,8 +212,8 @@ fn every_strategy_reproduces_the_pre_reciprocal_kernel() {
 fn measured_run(el: &EdgeList, p: usize, k: KernelStrategy) -> (u64, u64, Vec<u64>) {
     let session = tc_metrics::MetricsSession::begin();
     let handle = session.handle();
-    let obs = Observe { metrics: Some(&handle), ..Observe::none() };
-    let r = try_count_triangles_observed(el, p, &cfg_of(k), obs).expect("run");
+    let obs = UniverseConfig { metrics: Some(handle), ..UniverseConfig::default() };
+    let r = cannon(el, p, &cfg_of(k), &obs).expect("run");
     let snap = session.finish();
     let sum = |name: &str| (0..p).map(|rank| snap.counter(rank, name).unwrap_or(0)).sum::<u64>();
     let kernel: Vec<u64> = tc_metrics::names::TCT_KERNEL.iter().map(|n| sum(n)).collect();
@@ -274,12 +275,12 @@ proptest! {
         } else {
             deform(rmat(scale, factor, RmatParams::GRAPH500, seed).simplify(), isolated, hub)
         };
-        let oracle = try_count_triangles(&el, p, &cfg_of(KernelStrategy::Hash)).expect("hash");
-        let (po, so) = try_count_per_edge(&el, p, &cfg_of(KernelStrategy::Hash)).expect("hash pe");
+        let oracle = cannon(&el, p, &cfg_of(KernelStrategy::Hash), &PLAIN).expect("hash");
+        let (po, so) = cannon_per_edge(&el, p, &cfg_of(KernelStrategy::Hash), &PLAIN).expect("hash pe");
         prop_assert_eq!(po.triangles, oracle.triangles);
-        let r = try_count_triangles(&el, p, &cfg_of(KernelStrategy::Auto)).expect("auto");
+        let r = cannon(&el, p, &cfg_of(KernelStrategy::Auto), &PLAIN).expect("auto");
         assert_same_but_probes(&r, &oracle, "random graph");
-        let (pr, s) = try_count_per_edge(&el, p, &cfg_of(KernelStrategy::Auto)).expect("auto pe");
+        let (pr, s) = cannon_per_edge(&el, p, &cfg_of(KernelStrategy::Auto), &PLAIN).expect("auto pe");
         assert_same_but_probes(&pr, &po, "random graph, per edge");
         prop_assert_eq!(&s, &so);
     }

@@ -11,10 +11,13 @@
 
 use std::sync::Mutex;
 
-use tc_core::{try_count_triangles_observed, TcConfig};
+use tc_core::TcConfig;
 use tc_gen::{rmat, RmatParams};
 use tc_metrics::names;
-use tc_mps::Observe;
+use tc_mps::UniverseConfig;
+
+mod common;
+use common::{cannon, PLAIN};
 
 /// The recording gate is process-global, so tests that enable or
 /// probe it must not overlap.
@@ -36,8 +39,8 @@ fn deterministic_counters_equal_legacy_rank_metrics_on_16_ranks() {
 
     let session = tc_metrics::MetricsSession::begin();
     let handle = session.handle();
-    let obs = Observe { metrics: Some(&handle), ..Observe::none() };
-    let result = try_count_triangles_observed(&el, p, &TcConfig::default(), obs).expect("run");
+    let obs = UniverseConfig { metrics: Some(handle), ..UniverseConfig::default() };
+    let result = cannon(&el, p, &TcConfig::default(), &obs).expect("run");
     let snap = session.finish();
 
     assert_eq!(snap.ranks(), (0..p).collect::<Vec<_>>(), "one registry per rank");
@@ -83,8 +86,7 @@ fn disabled_metrics_record_nothing() {
     let el = test_graph();
     let before = tc_metrics::values_recorded_total();
     assert!(!tc_metrics::enabled(), "no session may be live in this test");
-    let result =
-        try_count_triangles_observed(&el, 16, &TcConfig::default(), Observe::none()).expect("run");
+    let result = cannon(&el, 16, &TcConfig::default(), &PLAIN).expect("run");
     assert!(result.triangles > 0);
     assert_eq!(
         tc_metrics::values_recorded_total(),

@@ -11,14 +11,14 @@
 use std::sync::Mutex;
 
 use proptest::prelude::*;
-use tc_core::{
-    try_count_per_edge, try_count_triangles, try_count_triangles_observed,
-    try_count_triangles_summa, SummaGrid, TcConfig,
-};
+use tc_core::{SummaGrid, TcConfig};
 use tc_gen::er::gnm;
 use tc_gen::{rmat, RmatParams};
 use tc_graph::EdgeList;
-use tc_mps::Observe;
+use tc_mps::UniverseConfig;
+
+mod common;
+use common::{cannon, cannon_per_edge, summa, PLAIN};
 
 /// The metrics recording gate is process-global; tests that open a
 /// session must not overlap.
@@ -39,8 +39,8 @@ fn sync_cfg() -> TcConfig {
 /// Runs both schedules on `el` at `p` ranks and asserts every
 /// deterministic output matches.
 fn assert_equivalent(el: &EdgeList, p: usize) {
-    let a = try_count_triangles(el, p, &overlap_cfg()).expect("overlap run");
-    let b = try_count_triangles(el, p, &sync_cfg()).expect("sync run");
+    let a = cannon(el, p, &overlap_cfg(), &PLAIN).expect("overlap run");
+    let b = cannon(el, p, &sync_cfg(), &PLAIN).expect("sync run");
     assert_eq!(a.triangles, b.triangles, "p={p}: triangles");
     assert_eq!(a.total_tasks(), b.total_tasks(), "p={p}: tasks");
     assert_eq!(a.total_probes(), b.total_probes(), "p={p}: probes");
@@ -78,8 +78,8 @@ fn schedules_agree_per_edge() {
     // vector for vector.
     let el = rmat(8, 5, RmatParams::GRAPH500, 33).simplify();
     for p in [1usize, 4, 9, 16] {
-        let (ra, sa) = try_count_per_edge(&el, p, &overlap_cfg()).expect("overlap");
-        let (rb, sb) = try_count_per_edge(&el, p, &sync_cfg()).expect("sync");
+        let (ra, sa) = cannon_per_edge(&el, p, &overlap_cfg(), &PLAIN).expect("overlap");
+        let (rb, sb) = cannon_per_edge(&el, p, &sync_cfg(), &PLAIN).expect("sync");
         assert_eq!(ra.triangles, rb.triangles, "p={p}");
         assert_eq!(sa, sb, "p={p}: per-edge supports diverged");
     }
@@ -90,8 +90,8 @@ fn schedules_agree_on_summa() {
     let el = rmat(8, 6, RmatParams::GRAPH500, 11).simplify();
     for (pr, pc) in [(1, 1), (2, 2), (2, 3), (3, 3), (4, 2)] {
         let grid = SummaGrid::new(pr, pc);
-        let a = try_count_triangles_summa(&el, grid, &overlap_cfg()).expect("overlap");
-        let b = try_count_triangles_summa(&el, grid, &sync_cfg()).expect("sync");
+        let a = summa(&el, grid, &overlap_cfg(), &PLAIN).expect("overlap");
+        let b = summa(&el, grid, &sync_cfg(), &PLAIN).expect("sync");
         assert_eq!(a.triangles, b.triangles, "{pr}x{pc}: triangles");
         assert_eq!(a.total_tasks(), b.total_tasks(), "{pr}x{pc}: tasks");
         assert_eq!(a.total_probes(), b.total_probes(), "{pr}x{pc}: probes");
@@ -103,8 +103,8 @@ fn schedules_agree_on_summa() {
 fn measured_run(el: &EdgeList, p: usize, cfg: &TcConfig) -> (u64, u64, u64) {
     let session = tc_metrics::MetricsSession::begin();
     let handle = session.handle();
-    let obs = Observe { metrics: Some(&handle), ..Observe::none() };
-    let r = try_count_triangles_observed(el, p, cfg, obs).expect("run");
+    let obs = UniverseConfig { metrics: Some(handle), ..UniverseConfig::default() };
+    let r = cannon(el, p, cfg, &obs).expect("run");
     let snap = session.finish();
     let serialized: u64 = (0..p)
         .map(|rank| snap.counter(rank, tc_metrics::names::SHIFT_BYTES_SERIALIZED).unwrap_or(0))
@@ -163,15 +163,15 @@ proptest! {
         } else {
             rmat(scale, factor, RmatParams::GRAPH500, seed).simplify()
         };
-        let a = try_count_triangles(&el, p, &overlap_cfg()).expect("overlap run");
-        let b = try_count_triangles(&el, p, &sync_cfg()).expect("sync run");
+        let a = cannon(&el, p, &overlap_cfg(), &PLAIN).expect("overlap run");
+        let b = cannon(&el, p, &sync_cfg(), &PLAIN).expect("sync run");
         prop_assert_eq!(a.triangles, b.triangles);
         prop_assert_eq!(a.total_tasks(), b.total_tasks());
         prop_assert_eq!(a.total_probes(), b.total_probes());
         prop_assert_eq!(a.total_lookups(), b.total_lookups());
 
-        let (ra, sa) = try_count_per_edge(&el, p, &overlap_cfg()).expect("overlap per-edge");
-        let (rb, sb) = try_count_per_edge(&el, p, &sync_cfg()).expect("sync per-edge");
+        let (ra, sa) = cannon_per_edge(&el, p, &overlap_cfg(), &PLAIN).expect("overlap per-edge");
+        let (rb, sb) = cannon_per_edge(&el, p, &sync_cfg(), &PLAIN).expect("sync per-edge");
         prop_assert_eq!(ra.triangles, a.triangles);
         prop_assert_eq!(rb.triangles, b.triangles);
         prop_assert_eq!(sa, sb);

@@ -8,7 +8,7 @@ use tc_graph::truss;
 use tc_graph::EdgeList;
 
 fn check(el: &EdgeList, p: usize, cfg: &TcConfig) {
-    let serial = truss::edge_supports(el);
+    let serial = truss::edge_supports(el).unwrap();
     let (r, sup) = count_per_edge(el, p, cfg);
     assert_eq!(sup.len(), el.num_edges(), "p={p}");
     let mut total3 = 0u64;
@@ -52,7 +52,7 @@ fn supports_feed_truss_decomposition() {
     // supports, so trussness computed from either must agree.
     let el = graph500(8, 11).simplify();
     let (_, sup) = count_per_edge(&el, 9, &TcConfig::default());
-    let d = truss::truss_decomposition(&el);
+    let d = truss::truss_decomposition(&el).unwrap();
     assert_eq!(d.edges.len(), sup.len());
     for (e, &t) in sup.iter().zip(&d.trussness) {
         assert!(u64::from(t) <= e.support + 2, "({},{})", e.u, e.v);

@@ -11,12 +11,14 @@
 
 use tc_core::blocks::SparseBlock;
 use tc_core::preprocess::{preprocess_from, BlockInput, EdgeSource, PrepOutput};
-use tc_core::{count_triangles_summa, Enumeration, SummaGrid, TcConfig};
+use tc_core::{Enumeration, SummaGrid, TcConfig};
 use tc_gen::er::gnm;
 use tc_gen::{rmat, RmatParams};
 use tc_graph::io::{write_binary_edges_path, EdgeFile};
 use tc_graph::{Block1D, Csr, EdgeList};
 use tc_mps::Universe;
+
+mod common;
 
 /// FNV-1a over a stream of `u64` words.
 struct Fnv(u64);
@@ -174,7 +176,8 @@ fn summa_2x3_counts_are_pinned() {
         .iter()
         .flat_map(|el| {
             ENUMERATIONS.map(|e| {
-                let r = count_triangles_summa(el, grid, &TcConfig::paper().with_enumeration(e));
+                let cfg = TcConfig::paper().with_enumeration(e);
+                let r = common::summa(el, grid, &cfg, &common::PLAIN).expect("summa");
                 let ops = r.ranks.iter().map(|m| m.ppt_ops).sum();
                 (r.triangles, r.total_tasks(), ops)
             })
@@ -220,7 +223,7 @@ fn check_pipeline_invariants(el: &EdgeList, p: usize) {
             assert!(by_degree == by_label || by_degree.is_eq(), "labels must follow degree order");
         }
         assert_eq!(sizes, [el.num_edges(); 3], "p={p} {enumeration:?}: edges per block kind");
-        let counted = tc_core::try_count_triangles(el, p, &cfg).expect("count").triangles;
+        let counted = common::cannon(el, p, &cfg, &common::PLAIN).expect("count").triangles;
         assert_eq!(counted, tc_baselines::serial::count_default(el), "p={p} {enumeration:?}");
     }
 }

@@ -6,47 +6,17 @@
 //! stripes), fewer vertices than ranks, isolated vertices and a hub
 //! row, on Cannon and SUMMA grids, under both enumerations.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use proptest::prelude::*;
 use tc_core::preprocess::{preprocess_from, BlockInput, EdgeSource, PrepOutput};
-use tc_core::{
-    summa_rank_from, try_count_per_edge_observed, try_count_triangles_observed, Enumeration,
-    SummaGrid, TcConfig,
-};
+use tc_core::{summa_rank_from, Enumeration, SummaGrid, TcConfig};
 use tc_gen::er::gnm;
 use tc_gen::{rmat, RmatParams};
-use tc_graph::io::{write_binary_edges_path, EdgeFile};
+use tc_graph::io::EdgeFile;
 use tc_graph::{truss, Block1D, Csr, EdgeList};
-use tc_mps::{Observe, Universe};
+use tc_mps::Universe;
 
-/// A `.bin` of `el` in the temp directory, removed on drop.
-struct TempBin {
-    path: PathBuf,
-    file: EdgeFile,
-}
-
-impl TempBin {
-    fn new(el: &EdgeList) -> Self {
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        let name = format!(
-            "tc-striped-{}-{}.bin",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        );
-        let path = std::env::temp_dir().join(name);
-        write_binary_edges_path(el, &path).expect("write the .bin");
-        let file = EdgeFile::open(&path).expect("reopen the .bin");
-        Self { path, file }
-    }
-}
-
-impl Drop for TempBin {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
+mod common;
+use common::{cannon, cannon_per_edge, summa, TempBin, PLAIN};
 
 /// One rank's input in each of the four shapes, in a fixed order.
 fn shares<'a>(
@@ -126,14 +96,14 @@ proptest! {
         }
 
         let oracle = tc_baselines::serial::count_default(&el);
-        let supports = truss::edge_supports(&el);
-        let from_list = try_count_triangles_observed(&el, p, &cfg, Observe::none()).expect("list");
+        let supports = truss::edge_supports(&el).unwrap();
+        let from_list = cannon(&el, p, &cfg, &PLAIN).expect("list");
         let from_file =
-            try_count_triangles_observed(&bin.file, p, &cfg, Observe::none()).expect("file");
+            cannon(&bin.file, p, &cfg, &PLAIN).expect("file");
         prop_assert_eq!(from_list.triangles, oracle);
         prop_assert_eq!(from_file.triangles, oracle);
         let (counted, per_edge) =
-            try_count_per_edge_observed(&bin.file, p, &cfg, Observe::none()).expect("per edge");
+            cannon_per_edge(&bin.file, p, &cfg, &PLAIN).expect("per edge");
         prop_assert_eq!(counted.triangles, oracle);
         prop_assert_eq!(per_edge.len(), el.num_edges());
         for (got, (&(u, v), &support)) in per_edge.iter().zip(el.edges.iter().zip(&supports)) {
@@ -192,9 +162,9 @@ fn defects_on_a_stripe_boundary_stop_every_rank_with_one_typed_error() {
             let bin = TempBin::new(&el);
             let grid = SummaGrid::new(2, 2);
             let runs = [
-                try_count_triangles_observed(&bin.file, 4, &cfg, Observe::none()),
-                tc_core::try_count_triangles_summa_observed(&bin.file, grid, &cfg, Observe::none()),
-                try_count_triangles_observed(&el, 4, &cfg, Observe::none()),
+                cannon(&bin.file, 4, &cfg, &PLAIN),
+                summa(&bin.file, grid, &cfg, &PLAIN),
+                cannon(&el, 4, &cfg, &PLAIN),
             ];
             for (run, from_file) in runs.into_iter().zip([true, true, false]) {
                 let Err(MpsError::InvalidInput { rank, msg }) = run else {

@@ -2,9 +2,15 @@
 //! reference and the Cannon path on every grid shape and panel count.
 
 use tc_baselines::serial;
-use tc_core::{count_triangles_default, count_triangles_summa, Enumeration, SummaGrid, TcConfig};
+use tc_core::{count_triangles, Enumeration, SummaGrid, TcConfig, TcResult};
 use tc_gen::graph500;
 use tc_graph::EdgeList;
+
+mod common;
+
+fn count_triangles_summa(el: &EdgeList, grid: SummaGrid, cfg: &TcConfig) -> TcResult {
+    common::summa(el, grid, cfg, &common::PLAIN).expect("clean run")
+}
 
 #[test]
 fn rectangular_grids_match_serial() {
@@ -36,7 +42,7 @@ fn panel_counts_do_not_change_the_answer() {
 #[test]
 fn summa_square_agrees_with_cannon() {
     let el = graph500(9, 5).simplify();
-    let cannon = count_triangles_default(&el, 9);
+    let cannon = count_triangles(&el, 9, &TcConfig::default());
     let summa = count_triangles_summa(&el, SummaGrid::new(3, 3), &TcConfig::default());
     assert_eq!(cannon.triangles, summa.triangles);
 }

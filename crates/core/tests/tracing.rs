@@ -6,9 +6,10 @@
 
 use std::sync::Mutex;
 
-use tc_core::{try_count_triangles_traced, TcConfig};
+use tc_core::{run, Request, TcConfig, TcResult};
 use tc_gen::{rmat, RmatParams};
-use tc_trace::{analysis, chrome, names, TraceSession};
+use tc_mps::{Launch, UniverseConfig};
+use tc_trace::{analysis, chrome, names, TraceHandle, TraceSession};
 
 /// The recorder gate is process-global, so tests that enable or probe
 /// it must not overlap.
@@ -16,6 +17,12 @@ static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The default Cannon count on `p` ranks, bound to `trace` if given.
+fn count_traced(el: &tc_graph::EdgeList, p: usize, trace: Option<TraceHandle>) -> TcResult {
+    let ucfg = UniverseConfig { trace, ..UniverseConfig::default() };
+    run(Request::new(el, &TcConfig::default()), Launch::threads(p, &ucfg)).expect("run")
 }
 
 fn test_graph() -> tc_graph::EdgeList {
@@ -29,8 +36,7 @@ fn traced_16_rank_run_exports_valid_chrome_trace() {
     let p = 16;
     let session = TraceSession::begin();
     let handle = session.handle();
-    let result =
-        try_count_triangles_traced(&el, p, &TcConfig::default(), Some(&handle)).expect("run");
+    let result = count_traced(&el, p, Some(handle));
     let trace = session.finish();
     assert!(result.triangles > 0, "RMAT scale-9 graph should contain triangles");
 
@@ -70,8 +76,7 @@ fn analyzer_critical_path_agrees_with_metrics_model() {
     let el = test_graph();
     let session = TraceSession::begin();
     let handle = session.handle();
-    let result =
-        try_count_triangles_traced(&el, 16, &TcConfig::default(), Some(&handle)).expect("run");
+    let result = count_traced(&el, 16, Some(handle));
     let trace = session.finish();
     let a = analysis::analyze(&trace).expect("non-empty trace analyzes");
 
@@ -113,8 +118,7 @@ fn untraced_run_records_no_events() {
     let _g = lock();
     let el = test_graph();
     let before = tc_trace::events_recorded_total();
-    let result =
-        try_count_triangles_traced(&el, 4, &TcConfig::default(), None).expect("untraced run");
+    let result = count_traced(&el, 4, None);
     assert!(result.triangles > 0);
     assert_eq!(
         tc_trace::events_recorded_total(),

@@ -10,7 +10,7 @@
 //!
 //! The store is communication-free by construction; fabrics that need
 //! ghost replication build it with their own exchange (see
-//! `tc_apps::adjstore::try_build_from_csr`) and feed the received rows
+//! `tc_apps::adjstore::build_from_csr`) and feed the received rows
 //! in through [`AdjStore::set_ghost`].
 
 use std::collections::HashMap;

@@ -52,23 +52,10 @@ impl CoreDecomposition {
 }
 
 /// Computes the core decomposition of a simplified graph in O(n + m).
-///
-/// # Panics
-///
-/// Panics if `el` is not simplified; [`try_core_decomposition`]
-/// reports that as a typed error instead.
-pub fn core_decomposition(el: &EdgeList) -> CoreDecomposition {
-    match try_core_decomposition(el) {
-        Ok(d) => d,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`core_decomposition`]: a non-simplified input comes back
-/// as [`GraphError::NotSimple`] instead of a panic. Degenerate but
-/// valid graphs — empty, edgeless, single-edge, stars, disconnected —
-/// are `Ok`.
-pub fn try_core_decomposition(el: &EdgeList) -> Result<CoreDecomposition, GraphError> {
+/// A non-simplified input comes back as [`GraphError::NotSimple`];
+/// degenerate but valid graphs — empty, edgeless, single-edge, stars,
+/// disconnected — are `Ok`.
+pub fn core_decomposition(el: &EdgeList) -> Result<CoreDecomposition, GraphError> {
     if !el.is_simple() {
         return Err(GraphError::NotSimple("core_decomposition"));
     }
@@ -143,7 +130,7 @@ mod tests {
             }
         }
         let el = EdgeList::new(6, edges).simplify();
-        let d = core_decomposition(&el);
+        let d = core_decomposition(&el).unwrap();
         assert!(d.coreness.iter().all(|&c| c == 5));
         assert_eq!(d.degeneracy(), 5);
     }
@@ -151,7 +138,7 @@ mod tests {
     #[test]
     fn path_is_a_1_core() {
         let el = EdgeList::new(5, vec![(0, 1), (1, 2), (2, 3), (3, 4)]).simplify();
-        let d = core_decomposition(&el);
+        let d = core_decomposition(&el).unwrap();
         assert!(d.coreness.iter().all(|&c| c == 1));
     }
 
@@ -159,7 +146,7 @@ mod tests {
     fn triangle_with_tail() {
         // Triangle (2-core) with a pendant path.
         let el = EdgeList::new(6, vec![(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5)]).simplify();
-        let d = core_decomposition(&el);
+        let d = core_decomposition(&el).unwrap();
         assert_eq!(&d.coreness[0..3], &[2, 2, 2]);
         assert_eq!(&d.coreness[3..6], &[1, 1, 1]);
         assert_eq!(d.core_vertices(2), vec![0, 1, 2]);
@@ -172,7 +159,7 @@ mod tests {
     fn two_core_matches_iterative_peeling() {
         // Reference: repeatedly remove degree<2 vertices.
         let el = tc_generated();
-        let d = core_decomposition(&el);
+        let d = core_decomposition(&el).unwrap();
         let mut alive = vec![true; el.num_vertices];
         let csr = Csr::from_edge_list(&el);
         loop {
@@ -212,8 +199,8 @@ mod tests {
 
     #[test]
     fn empty_graphs() {
-        assert_eq!(core_decomposition(&EdgeList::empty(0)).degeneracy(), 0);
-        let d = core_decomposition(&EdgeList::empty(4));
+        assert_eq!(core_decomposition(&EdgeList::empty(0)).unwrap().degeneracy(), 0);
+        let d = core_decomposition(&EdgeList::empty(4)).unwrap();
         assert_eq!(d.coreness, vec![0, 0, 0, 0]);
     }
 
@@ -221,11 +208,11 @@ mod tests {
 
     #[test]
     fn try_variant_accepts_empty_single_edge_and_star() {
-        assert_eq!(try_core_decomposition(&EdgeList::empty(0)).unwrap().degeneracy(), 0);
+        assert_eq!(core_decomposition(&EdgeList::empty(0)).unwrap().degeneracy(), 0);
         let single = EdgeList::new(2, vec![(0, 1)]).simplify();
-        assert_eq!(try_core_decomposition(&single).unwrap().coreness, vec![1, 1]);
+        assert_eq!(core_decomposition(&single).unwrap().coreness, vec![1, 1]);
         let star = EdgeList::new(5, (1..5).map(|v| (0, v)).collect()).simplify();
-        let d = try_core_decomposition(&star).unwrap();
+        let d = core_decomposition(&star).unwrap();
         assert_eq!(d.coreness, vec![1; 5], "stars are 1-cores everywhere");
         assert_eq!(d.degeneracy(), 1);
     }
@@ -233,7 +220,7 @@ mod tests {
     #[test]
     fn try_variant_accepts_disconnected_graph() {
         let el = EdgeList::new(7, vec![(0, 1), (0, 2), (1, 2), (5, 6)]).simplify();
-        let d = try_core_decomposition(&el).unwrap();
+        let d = core_decomposition(&el).unwrap();
         assert_eq!(&d.coreness[0..3], &[2, 2, 2]);
         assert_eq!(d.coreness[3], 0, "isolated vertex has coreness 0");
         assert_eq!(&d.coreness[5..7], &[1, 1]);
@@ -244,7 +231,7 @@ mod tests {
         let dup = EdgeList::new(3, vec![(0, 1), (1, 0)]);
         assert!(!dup.is_simple());
         assert_eq!(
-            try_core_decomposition(&dup).unwrap_err(),
+            core_decomposition(&dup).unwrap_err(),
             GraphError::NotSimple("core_decomposition")
         );
     }
@@ -253,7 +240,7 @@ mod tests {
     fn coreness_bounded_by_degree_and_monotone_in_k() {
         let el = tc_generated();
         let csr = Csr::from_edge_list(&el);
-        let d = core_decomposition(&el);
+        let d = core_decomposition(&el).unwrap();
         for v in 0..el.num_vertices {
             assert!(d.coreness[v] as usize <= csr.degree(v as u32));
         }

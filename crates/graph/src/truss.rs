@@ -50,23 +50,10 @@ impl TrussDecomposition {
 }
 
 /// Computes the per-edge triangle supports of a simplified graph
-/// (serial reference for `tc_core::count_per_edge`).
-///
-/// # Panics
-///
-/// Panics if `el` is not simplified; [`try_edge_supports`] reports
-/// that as a typed error instead.
-pub fn edge_supports(el: &EdgeList) -> Vec<u64> {
-    match try_edge_supports(el) {
-        Ok(sup) => sup,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`edge_supports`]: a non-simplified input comes back as
-/// [`GraphError::NotSimple`] instead of a panic. Degenerate but valid
+/// (serial reference for `tc_core::count_per_edge`). A non-simplified
+/// input comes back as [`GraphError::NotSimple`]; degenerate but valid
 /// graphs — empty, edgeless, single-edge, stars — are `Ok`.
-pub fn try_edge_supports(el: &EdgeList) -> Result<Vec<u64>, GraphError> {
+pub fn edge_supports(el: &EdgeList) -> Result<Vec<u64>, GraphError> {
     if !el.is_simple() {
         return Err(GraphError::NotSimple("edge_supports"));
     }
@@ -102,25 +89,11 @@ pub fn try_edge_supports(el: &EdgeList) -> Result<Vec<u64>, GraphError> {
     Ok(sup)
 }
 
-/// Runs the full truss decomposition.
-///
-/// # Panics
-///
-/// Panics if `el` is not simplified; [`try_truss_decomposition`]
-/// reports that as a typed error instead.
-pub fn truss_decomposition(el: &EdgeList) -> TrussDecomposition {
-    match try_truss_decomposition(el) {
-        Ok(d) => d,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`truss_decomposition`]: a non-simplified input comes back
-/// as [`GraphError::NotSimple`] instead of a panic. Degenerate but
-/// valid graphs — empty, edgeless, single-edge, stars, disconnected —
-/// are `Ok`.
-pub fn try_truss_decomposition(el: &EdgeList) -> Result<TrussDecomposition, GraphError> {
-    let mut sup: Vec<u64> = try_edge_supports(el)?;
+/// Runs the full truss decomposition. A non-simplified input comes
+/// back as [`GraphError::NotSimple`]; degenerate but valid graphs —
+/// empty, edgeless, single-edge, stars, disconnected — are `Ok`.
+pub fn truss_decomposition(el: &EdgeList) -> Result<TrussDecomposition, GraphError> {
+    let mut sup: Vec<u64> = edge_supports(el)?;
     let m = el.edges.len();
     let csr = Csr::from_edge_list(el);
     let idx: HashMap<(u32, u32), usize> =
@@ -210,7 +183,7 @@ mod tests {
     #[test]
     fn complete_graph_is_a_kn_truss() {
         // Every edge of K5 sits on 3 triangles -> trussness 5.
-        let d = truss_decomposition(&k(5));
+        let d = truss_decomposition(&k(5)).unwrap();
         assert!(d.trussness.iter().all(|&t| t == 5));
         assert_eq!(d.max_truss(), 5);
         assert_eq!(d.truss_edges(5).len(), 10);
@@ -220,14 +193,14 @@ mod tests {
     #[test]
     fn triangle_is_a_3_truss() {
         let el = EdgeList::new(3, vec![(0, 1), (0, 2), (1, 2)]).simplify();
-        let d = truss_decomposition(&el);
+        let d = truss_decomposition(&el).unwrap();
         assert_eq!(d.trussness, vec![3, 3, 3]);
     }
 
     #[test]
     fn tree_edges_have_trussness_2() {
         let el = EdgeList::new(4, vec![(0, 1), (1, 2), (2, 3)]).simplify();
-        let d = truss_decomposition(&el);
+        let d = truss_decomposition(&el).unwrap();
         assert_eq!(d.trussness, vec![2, 2, 2]);
         assert_eq!(d.max_truss(), 2);
     }
@@ -239,7 +212,7 @@ mod tests {
         let mut edges = k(4).edges;
         edges.extend([(3, 4), (3, 5), (4, 5)]);
         let el = EdgeList::new(6, edges).simplify();
-        let d = truss_decomposition(&el);
+        let d = truss_decomposition(&el).unwrap();
         for &(u, v) in &k(4).edges {
             assert_eq!(d.trussness_of(u, v), Some(4), "({u},{v})");
         }
@@ -251,7 +224,7 @@ mod tests {
     #[test]
     fn supports_match_triangle_incidence() {
         let el = k(4);
-        let sup = edge_supports(&el);
+        let sup = edge_supports(&el).unwrap();
         // Every K4 edge closes 2 triangles.
         assert!(sup.iter().all(|&s| s == 2));
         // Sum of supports = 3 × triangle count (each triangle has 3 edges).
@@ -260,7 +233,7 @@ mod tests {
 
     #[test]
     fn empty_and_edgeless() {
-        let d = truss_decomposition(&EdgeList::empty(5));
+        let d = truss_decomposition(&EdgeList::empty(5)).unwrap();
         assert_eq!(d.max_truss(), 0);
         assert!(d.edges.is_empty());
     }
@@ -270,16 +243,16 @@ mod tests {
     #[test]
     fn try_variants_accept_empty_graph() {
         let el = EdgeList::empty(0);
-        assert_eq!(try_edge_supports(&el), Ok(vec![]));
-        let d = try_truss_decomposition(&el).unwrap();
+        assert_eq!(edge_supports(&el), Ok(vec![]));
+        let d = truss_decomposition(&el).unwrap();
         assert_eq!(d.max_truss(), 0);
     }
 
     #[test]
     fn try_variants_accept_single_edge() {
         let el = EdgeList::new(2, vec![(0, 1)]).simplify();
-        assert_eq!(try_edge_supports(&el), Ok(vec![0]));
-        let d = try_truss_decomposition(&el).unwrap();
+        assert_eq!(edge_supports(&el), Ok(vec![0]));
+        let d = truss_decomposition(&el).unwrap();
         assert_eq!(d.trussness, vec![2]);
     }
 
@@ -288,8 +261,8 @@ mod tests {
         // A star closes no triangles: every edge has support 0 and
         // trussness 2.
         let star = EdgeList::new(6, (1..6).map(|v| (0, v)).collect()).simplify();
-        assert_eq!(try_edge_supports(&star), Ok(vec![0; 5]));
-        let d = try_truss_decomposition(&star).unwrap();
+        assert_eq!(edge_supports(&star), Ok(vec![0; 5]));
+        let d = truss_decomposition(&star).unwrap();
         assert_eq!(d.trussness, vec![2; 5]);
         assert_eq!(d.max_truss(), 2);
     }
@@ -298,7 +271,7 @@ mod tests {
     fn try_variants_accept_disconnected_graph() {
         // Two components: a triangle and a far-away single edge.
         let el = EdgeList::new(8, vec![(0, 1), (0, 2), (1, 2), (6, 7)]).simplify();
-        let d = try_truss_decomposition(&el).unwrap();
+        let d = truss_decomposition(&el).unwrap();
         assert_eq!(d.trussness_of(0, 1), Some(3));
         assert_eq!(d.trussness_of(6, 7), Some(2));
     }
@@ -307,10 +280,7 @@ mod tests {
     fn try_variants_reject_unsimplified_input() {
         let dup = EdgeList::new(3, vec![(0, 1), (1, 0), (1, 2)]);
         assert!(!dup.is_simple());
-        assert_eq!(try_edge_supports(&dup), Err(GraphError::NotSimple("edge_supports")));
-        assert_eq!(
-            try_truss_decomposition(&dup).unwrap_err(),
-            GraphError::NotSimple("edge_supports")
-        );
+        assert_eq!(edge_supports(&dup), Err(GraphError::NotSimple("edge_supports")));
+        assert_eq!(truss_decomposition(&dup).unwrap_err(), GraphError::NotSimple("edge_supports"));
     }
 }

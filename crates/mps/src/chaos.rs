@@ -203,8 +203,7 @@ impl LinkFaults {
 
 /// A seeded, deterministic description of how the fabric misbehaves.
 ///
-/// The plan is installed through
-/// [`crate::UniverseConfig`]`::chaos` (or [`crate::Observe`]) and
+/// The plan is installed through [`crate::UniverseConfig`]`::chaos` and
 /// activates the reliable-delivery transport for the whole universe.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {

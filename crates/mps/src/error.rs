@@ -77,6 +77,17 @@ pub enum MpsError {
         /// What is wrong, and where.
         msg: String,
     },
+    /// The universe a caller asked for cannot run the algorithm it asked
+    /// for (a rank count that is not a perfect square under a square
+    /// grid, a `pr × pc` grid that is not the launched rank count).
+    /// Found before any rank starts or any socket is bound, so nothing
+    /// has to be torn down.
+    Geometry {
+        /// Rank count of the requested universe.
+        ranks: usize,
+        /// What does not fit.
+        msg: String,
+    },
     /// A peer's connection dropped while the fabric was running in
     /// recoverable mode: the process behind it is gone (crashed or
     /// killed), but the universe is *restartable* — a supervisor can
@@ -129,6 +140,9 @@ impl std::fmt::Display for MpsError {
             }
             MpsError::InvalidInput { rank, msg } => {
                 write!(f, "{msg} (in the input share of rank {rank})")
+            }
+            MpsError::Geometry { ranks, msg } => {
+                write!(f, "cannot run on {ranks} ranks: {msg}")
             }
             MpsError::PeerDown { rank } => {
                 write!(f, "peer rank {rank} is down (connection lost in recoverable mode)")
@@ -187,6 +201,9 @@ mod tests {
 
         let bad = MpsError::InvalidInput { rank: 1, msg: "edge 7: self-loop (3, 3)".into() };
         assert_eq!(bad.to_string(), "edge 7: self-loop (3, 3) (in the input share of rank 1)");
+
+        let geo = MpsError::Geometry { ranks: 3, msg: "not a perfect square".into() };
+        assert_eq!(geo.to_string(), "cannot run on 3 ranks: not a perfect square");
 
         let down = MpsError::PeerDown { rank: 5 };
         let s = down.to_string();

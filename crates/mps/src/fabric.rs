@@ -65,6 +65,7 @@ impl Failure {
             e @ (MpsError::CollectiveMismatch { .. }
             | MpsError::Protocol { .. }
             | MpsError::InvalidInput { .. }
+            | MpsError::Geometry { .. }
             | MpsError::PeerDown { .. }
             | MpsError::DeliveryFailed { .. }) => e.to_string(),
         }

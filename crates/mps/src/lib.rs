@@ -37,9 +37,8 @@
 //! - [`CommStats`]/[`Timings`] — per-rank bytes/messages/blocked-time
 //!   instrumentation behind the paper's Figure 3 and §5.4 analysis.
 //! - [`FaultPlan`]/[`LinkFaults`] — deterministic chaos injection:
-//!   installing a plan (via [`UniverseConfig`]`::chaos`, [`Observe`],
-//!   or the strictly parsed `MPS_CHAOS_*` env family) routes every
-//!   message through a reliable-delivery transport (CRC32C-framed,
+//!   installing a plan (via [`UniverseConfig`]`::chaos` or the strictly
+//!   parsed `MPS_CHAOS_*` env family) routes every message through a reliable-delivery transport (CRC32C-framed,
 //!   sequence-numbered, NACK/retransmit) that must mask each injected
 //!   delay/drop/duplicate/reorder/truncate/bit-flip or surface a typed
 //!   [`MpsError::DeliveryFailed`]. With no plan installed the
@@ -89,6 +88,6 @@ pub use grid::{perfect_square_side, Grid};
 pub use pod::{bytes_from_vec, Pod, PodArray};
 pub use stats::{CommStats, PhaseGuard, ReliabilityStats, Timings};
 pub use universe::{
-    strict_env, Observe, SocketConfig, Universe, UniverseConfig, FABRIC_EPOCH_ENV,
-    FABRIC_PEERS_ENV, FABRIC_RANK_ENV, HANDSHAKE_TIMEOUT_MS_ENV, RECV_TIMEOUT_ENV,
+    strict_env, Launch, SocketConfig, Universe, UniverseConfig, FABRIC_EPOCH_ENV, FABRIC_PEERS_ENV,
+    FABRIC_RANK_ENV, HANDSHAKE_TIMEOUT_MS_ENV, RECV_TIMEOUT_ENV,
 };

@@ -156,18 +156,8 @@ impl Universe {
         T: Send,
         F: Fn(&Comm) -> T + Sync,
     {
-        Self::run_with_stats(size, f).0
-    }
-
-    /// Like [`Universe::run`] but additionally returns each rank's
-    /// communication counters.
-    pub fn run_with_stats<T, F>(size: usize, f: F) -> (Vec<T>, Vec<CommStats>)
-    where
-        T: Send,
-        F: Fn(&Comm) -> T + Sync,
-    {
-        match Self::try_run_with_stats(size, |c| Ok(f(c))) {
-            Ok(pair) => pair,
+        match Self::try_run(size, |c| Ok(f(c))) {
+            Ok(outs) => outs,
             Err(e) => panic!("{e}"),
         }
     }
@@ -180,20 +170,12 @@ impl Universe {
         T: Send,
         F: Fn(&Comm) -> MpsResult<T> + Sync,
     {
-        Ok(Self::try_run_with_stats(size, f)?.0)
+        Ok(Self::try_run_config(size, &UniverseConfig::default(), f)?.0)
     }
 
-    /// Fallible variant of [`Universe::run_with_stats`].
-    pub fn try_run_with_stats<T, F>(size: usize, f: F) -> MpsResult<(Vec<T>, Vec<CommStats>)>
-    where
-        T: Send,
-        F: Fn(&Comm) -> MpsResult<T> + Sync,
-    {
-        Self::try_run_config(size, &UniverseConfig::default(), f)
-    }
-
-    /// [`Universe::try_run_with_stats`] with explicit tunables
-    /// (primarily a custom receive deadline).
+    /// [`Universe::try_run`] with explicit tunables (deadline, trace
+    /// and metrics sessions, fault plan), additionally returning each
+    /// rank's communication counters.
     pub fn try_run_config<T, F>(
         size: usize,
         config: &UniverseConfig,
@@ -488,39 +470,52 @@ impl Universe {
     }
 }
 
-/// Bundle of the observability handles an instrumented entry point
-/// accepts: the `*_observed` variants across `tc-core` and
-/// `tc-baselines` take one `Observe` instead of growing a parameter
-/// per subsystem.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Observe<'a> {
-    /// Trace session to bind rank threads to, if any.
-    pub trace: Option<&'a tc_trace::TraceHandle>,
-    /// Metrics session to bind rank threads to, if any.
-    pub metrics: Option<&'a tc_metrics::MetricsHandle>,
-    /// Fault plan to run the universe under, if any (activates the
-    /// reliable-delivery transport).
-    pub chaos: Option<&'a FaultPlan>,
+/// Where the ranks of one universe run and what they are bound to —
+/// the one decision every distributed entry point takes from its
+/// caller: all of them as threads of this process under a
+/// [`UniverseConfig`], or this process as one rank of a socket mesh.
+#[derive(Debug, Clone, Copy)]
+pub enum Launch<'a> {
+    /// Every rank is a thread of this process.
+    Threads {
+        /// Rank count.
+        ranks: usize,
+        /// Deadline and the handles the rank threads bind to.
+        config: &'a UniverseConfig,
+    },
+    /// This process is one rank of a multi-process socket universe.
+    Socket(&'a SocketConfig),
 }
 
-impl<'a> Observe<'a> {
-    /// Observability off: the zero-overhead default.
-    pub fn none() -> Self {
-        Self::default()
+impl<'a> Launch<'a> {
+    /// `ranks` in-process rank threads under `config`.
+    pub fn threads(ranks: usize, config: &'a UniverseConfig) -> Self {
+        Launch::Threads { ranks, config }
     }
 
-    /// Trace-only observation (the pre-metrics `*_traced` contract).
-    pub fn trace(trace: Option<&'a tc_trace::TraceHandle>) -> Self {
-        Self { trace, ..Self::default() }
+    /// Rank count of the whole universe (not only of this process).
+    pub fn size(&self) -> usize {
+        match self {
+            Launch::Threads { ranks, .. } => *ranks,
+            Launch::Socket(sock) => sock.peers.len(),
+        }
     }
 
-    /// A [`UniverseConfig`] carrying these handles (default deadline).
-    pub fn to_config(self) -> UniverseConfig {
-        UniverseConfig {
-            recv_timeout: None,
-            trace: self.trace.cloned(),
-            metrics: self.metrics.cloned(),
-            chaos: self.chaos.cloned(),
+    /// Runs `f` on every rank this process hosts — all of them on
+    /// threads, one over sockets — and returns their outputs and
+    /// communication counters in rank order, or the universe's first
+    /// failure.
+    pub fn run<T, F>(&self, f: F) -> MpsResult<(Vec<T>, Vec<CommStats>)>
+    where
+        T: Send,
+        F: Fn(&Comm) -> MpsResult<T> + Sync,
+    {
+        match *self {
+            Launch::Threads { ranks, config } => Universe::try_run_config(ranks, config, f),
+            Launch::Socket(sock) => {
+                let (out, stats) = Universe::try_run_socket(sock, f)?;
+                Ok((vec![out], vec![stats]))
+            }
         }
     }
 }
@@ -618,13 +613,15 @@ mod tests {
 
     #[test]
     fn stats_count_bytes_and_messages() {
-        let (_, stats) = Universe::run_with_stats(2, |c| {
+        let (_, stats) = Universe::try_run_config(2, &UniverseConfig::default(), |c| {
             if c.rank() == 0 {
                 c.send(1, 1, &[0u32; 16]);
             } else {
-                let _ = c.recv::<u32>(0, 1).unwrap();
+                let _ = c.recv::<u32>(0, 1)?;
             }
-        });
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(stats[0].bytes_sent, 64);
         assert_eq!(stats[0].msgs_sent, 1);
         assert_eq!(stats[1].bytes_recv, 64);
@@ -750,18 +747,6 @@ mod tests {
         }
         let total: u64 = stats.iter().map(|s| s.bytes_sent).sum();
         assert_eq!(snap.counter_total(m::MPS_BYTES_SENT), Some(total));
-    }
-
-    #[test]
-    fn observe_bundle_builds_matching_config() {
-        let session = tc_metrics::MetricsSession::begin();
-        let handle = session.handle();
-        let obs = Observe { metrics: Some(&handle), ..Observe::none() };
-        let cfg = obs.to_config();
-        assert!(cfg.metrics.is_some());
-        assert!(cfg.trace.is_none());
-        assert!(Observe::none().to_config().metrics.is_none());
-        drop(session);
     }
 
     #[test]

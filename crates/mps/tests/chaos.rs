@@ -76,7 +76,8 @@ fn every_fault_mode_is_masked_across_seeds() {
 #[test]
 fn all_modes_at_once_with_logical_stats_identical_to_clean() {
     let p = 8;
-    let (clean_out, clean_stats) = Universe::try_run_with_stats(p, workload).expect("clean");
+    let (clean_out, clean_stats) =
+        Universe::try_run_config(p, &UniverseConfig::default(), workload).expect("clean");
     let cfg = chaos_cfg(FaultPlan::uniform(0xDECAF, 0.15).with_default(LinkFaults {
         delay_max: Duration::from_micros(50),
         ..LinkFaults::uniform(0.15)

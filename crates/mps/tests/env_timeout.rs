@@ -96,7 +96,7 @@ fn explicit_timeout_ignores_env() {
 fn garbage_env_value_panics_loudly_at_universe_construction() {
     with_env(Some("sixty-seconds"), || {
         let err = std::panic::catch_unwind(|| {
-            let _ = Universe::try_run_with_stats(1, |c| Ok(c.rank()));
+            let _ = Universe::try_run(1, |c| Ok(c.rank()));
         })
         .expect_err("universe construction must panic on unparseable timeout");
         let msg = panic_msg(err);
@@ -183,7 +183,7 @@ fn every_chaos_var_rejects_garbage_loudly() {
     for (name, value) in garbage {
         with_vars(&[(name, value)], || {
             let err = match std::panic::catch_unwind(|| {
-                let _ = Universe::try_run_with_stats(1, |c| Ok(c.rank()));
+                let _ = Universe::try_run(1, |c| Ok(c.rank()));
             }) {
                 Ok(_) => panic!("{name}={value:?} must panic at construction"),
                 Err(e) => e,

@@ -52,7 +52,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use tc_core::{count_rank_from, summa_rank_from, BlockInput, SummaGrid, TcConfig};
-use tc_graph::truss::try_truss_decomposition;
+use tc_graph::truss::truss_decomposition;
 use tc_graph::{AdjStore, Block1D, Csr, EdgeList};
 use tc_metrics::names as m;
 use tc_mps::{Comm, MpsResult};
@@ -768,7 +768,7 @@ impl Engine {
         };
         let edges = flat_pairs(gathered);
         let el = EdgeList::new(self.n, edges).simplify();
-        let truss = try_truss_decomposition(&el).expect("store edges are simple");
+        let truss = truss_decomposition(&el).expect("store edges are simple");
         let members = truss
             .edges
             .iter()

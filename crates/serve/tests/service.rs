@@ -198,7 +198,7 @@ fn service_streams_updates_and_answers_queries() {
 
     // Truss membership against the serial decomposition.
     let final_el = ref_edge_list(n, &reference);
-    let decomp = tc_graph::truss::try_truss_decomposition(&final_el).expect("serial truss oracle");
+    let decomp = tc_graph::truss::truss_decomposition(&final_el).expect("serial truss oracle");
     for k in [2u32, 3, 4] {
         let reply = client.request(&Request::Truss { k }).expect("truss");
         let got: BTreeSet<(u32, u32)> = reply

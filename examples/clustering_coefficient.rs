@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release --example clustering_coefficient`
 
 use tc_baselines::serial::per_vertex_counts;
-use tc_core::count_triangles_default;
+use tc_core::{count_triangles, TcConfig};
 use tc_gen::Preset;
 use tc_graph::{stats, Csr};
 
@@ -23,7 +23,7 @@ fn analyze(name: &str, preset: Preset) {
     let avg_clustering = stats::average_clustering(&csr, &per_vertex);
 
     // The distributed count must agree with the serial total.
-    let dist = count_triangles_default(&el, 16);
+    let dist = count_triangles(&el, 16, &TcConfig::default());
     assert_eq!(dist.triangles, total);
 
     println!("{name}");

@@ -24,7 +24,7 @@ fn main() {
     assert_eq!(supports.len(), graph.num_edges());
 
     // Cross-check every edge's support against the serial reference.
-    let serial = truss::edge_supports(&graph);
+    let serial = truss::edge_supports(&graph).expect("simplified above");
     for (edge_support, (&(u, v), &s)) in supports.iter().zip(graph.edges.iter().zip(&serial)) {
         assert_eq!((edge_support.u, edge_support.v), (u, v), "edge order");
         assert_eq!(edge_support.support, s, "support of ({u},{v})");
@@ -32,7 +32,7 @@ fn main() {
     println!("distributed per-edge supports match the serial reference");
 
     // Peel to the full truss decomposition.
-    let decomposition = truss::truss_decomposition(&graph);
+    let decomposition = truss::truss_decomposition(&graph).expect("simplified above");
     let kmax = decomposition.max_truss();
     println!("maximum trussness: {kmax}");
     for k in (3..=kmax).rev().take(5) {

@@ -1,11 +1,13 @@
 //! Quickstart: generate a Graph500 RMAT graph, count its triangles on
-//! a 3×3 rank grid with the 2D algorithm, and cross-check against the
-//! serial reference.
+//! a 3×3 rank grid with the 2D algorithm, cross-check against the
+//! serial reference, then go through the one fallible entry point for
+//! a rectangular grid.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use tc_core::{count_triangles, TcConfig};
+use tc_core::{count_triangles, run, Request, SummaGrid, TcConfig};
 use tc_gen::graph500;
+use tc_mps::{Launch, UniverseConfig};
 
 fn main() {
     // A scale-12 Graph500 instance: 4096 vertices, ~64k edge samples.
@@ -26,4 +28,17 @@ fn main() {
     println!("triangles (serial)      : {serial}");
     assert_eq!(result.triangles, serial);
     println!("counts agree");
+
+    // `count_triangles` is shorthand for `run`: a request (what to
+    // count, with which algorithm) on a launch (where the ranks run).
+    // Here: SUMMA on a 2×3 grid of threads; failures are typed errors.
+    let (cfg, ucfg) = (TcConfig::default(), UniverseConfig::default());
+    let request = Request::new(&graph, &cfg).summa(SummaGrid::new(2, 3));
+    match run(request, Launch::threads(6, &ucfg)) {
+        Ok(r) => println!("triangles (SUMMA, 2x3)  : {}", r.triangles),
+        Err(e) => eprintln!("run failed: {e}"),
+    }
+    // Six ranks are not a square grid, and `run` says so up front.
+    let err = run(Request::new(&graph, &cfg), Launch::threads(6, &ucfg)).unwrap_err();
+    println!("cannon on 6 ranks       : {err}");
 }

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example scaling_study [scale]`
 
-use tc_core::count_triangles_default;
+use tc_core::{count_triangles, TcConfig};
 use tc_gen::graph500;
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
 
     let mut base: Option<f64> = None;
     for p in [1usize, 4, 9, 16, 25, 36] {
-        let r = count_triangles_default(&graph, p);
+        let r = count_triangles(&graph, p, &TcConfig::default());
         let total = r.overall_time().as_secs_f64();
         let b = *base.get_or_insert(total);
         let q = tc_mps::perfect_square_side(p).unwrap();

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example smallworld`
 
-use tc_core::count_triangles_default;
+use tc_core::{count_triangles, TcConfig};
 use tc_gen::watts_strogatz;
 use tc_graph::{stats, Csr};
 
@@ -22,7 +22,7 @@ fn main() {
     for beta in [0.0, 0.01, 0.05, 0.1, 0.3, 0.6, 1.0] {
         let el = watts_strogatz(n, k, beta, 42).simplify();
         let csr = Csr::from_edge_list(&el);
-        let r = count_triangles_default(&el, 16);
+        let r = count_triangles(&el, 16, &TcConfig::default());
         let trans = stats::transitivity(&csr, r.triangles);
         lattice_transitivity.get_or_insert(trans);
         println!(

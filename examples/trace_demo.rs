@@ -8,8 +8,9 @@
 //! or chrome://tracing — one lane per rank, with preprocessing
 //! phases, Cannon shifts, and collectives as nested spans.
 
-use tc_core::{try_count_triangles_traced, TcConfig};
+use tc_core::{run, Request, TcConfig};
 use tc_gen::{rmat, RmatParams};
+use tc_mps::{Launch, UniverseConfig};
 use tc_trace::{analysis, chrome, TraceSession};
 
 fn main() {
@@ -24,9 +25,11 @@ fn main() {
     // the instrumented code paths (phases, shifts, sends/recvs,
     // collectives) start recording.
     let session = TraceSession::begin();
-    let handle = session.handle();
 
-    let result = try_count_triangles_traced(&graph, 16, &TcConfig::default(), Some(&handle))
+    // The launch says where the ranks run and what they are bound to:
+    // 16 threads, each recording into this session.
+    let ucfg = UniverseConfig { trace: Some(session.handle()), ..UniverseConfig::default() };
+    let result = run(Request::new(&graph, &TcConfig::default()), Launch::threads(16, &ucfg))
         .expect("distributed run failed");
     println!("triangles (2D, 16 ranks): {}", result.triangles);
 

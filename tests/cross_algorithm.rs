@@ -5,9 +5,10 @@
 
 use tc_baselines::serial::{count, count_default, Enumeration, Intersection};
 use tc_baselines::{count_aop1d, count_psp1d, count_push1d, count_shared, count_wedge};
-use tc_core::count_triangles_default;
+use tc_core::{count_triangles, TcConfig};
 use tc_gen::{graph500, Preset};
 use tc_graph::EdgeList;
+use tc_mps::UniverseConfig;
 
 fn check_everything(el: &EdgeList, label: &str) {
     let expect = count_default(el);
@@ -24,14 +25,16 @@ fn check_everything(el: &EdgeList, label: &str) {
     assert_eq!(count_shared(el, 4), expect, "{label}: shared");
     // 2D distributed.
     for p in [1, 4, 9, 16] {
-        assert_eq!(count_triangles_default(el, p).triangles, expect, "{label}: 2d p={p}");
+        let got = count_triangles(el, p, &TcConfig::default()).triangles;
+        assert_eq!(got, expect, "{label}: 2d p={p}");
     }
     // 1D distributed baselines.
+    let ucfg = UniverseConfig::default();
     for p in [1, 3, 5] {
-        assert_eq!(count_aop1d(el, p).triangles, expect, "{label}: aop p={p}");
-        assert_eq!(count_push1d(el, p).triangles, expect, "{label}: push p={p}");
-        assert_eq!(count_psp1d(el, p, 4).triangles, expect, "{label}: psp p={p}");
-        assert_eq!(count_wedge(el, p).triangles, expect, "{label}: wedge p={p}");
+        assert_eq!(count_aop1d(el, p, &ucfg).unwrap().triangles, expect, "{label}: aop p={p}");
+        assert_eq!(count_push1d(el, p, &ucfg).unwrap().triangles, expect, "{label}: push p={p}");
+        assert_eq!(count_psp1d(el, p, 4, &ucfg).unwrap().triangles, expect, "{label}: psp p={p}");
+        assert_eq!(count_wedge(el, p, &ucfg).unwrap().triangles, expect, "{label}: wedge p={p}");
     }
 }
 

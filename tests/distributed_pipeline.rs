@@ -2,9 +2,13 @@
 //! consistency, I/O → count workflows, determinism, and the
 //! qualitative behaviours the paper's evaluation reports.
 
-use tc_core::{count_triangles, count_triangles_default, TcConfig};
+use tc_core::{count_triangles, TcConfig, TcResult};
 use tc_gen::{graph500, Preset};
-use tc_graph::io;
+use tc_graph::{io, EdgeList};
+
+fn count_triangles_default(el: &EdgeList, p: usize) -> TcResult {
+    count_triangles(el, p, &TcConfig::default())
+}
 
 #[test]
 fn determinism_across_repeated_runs() {

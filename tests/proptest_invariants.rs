@@ -6,8 +6,9 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use tc_baselines::serial;
 use tc_baselines::{count_aop1d, count_push1d, count_shared, count_wedge};
-use tc_core::{count_triangles, count_triangles_default, Enumeration, TcConfig};
+use tc_core::{count_triangles, Enumeration, TcConfig};
 use tc_graph::{degree, Csr, EdgeList};
+use tc_mps::UniverseConfig;
 
 /// Arbitrary simple graphs: up to ~60 vertices, arbitrary edge picks
 /// (duplicates and self loops generated on purpose — `simplify` must
@@ -25,7 +26,7 @@ proptest! {
     #[test]
     fn distributed_2d_matches_serial(el in arb_graph(), p in prop::sample::select(vec![1usize, 4, 9, 16])) {
         let expect = serial::count_default(&el);
-        prop_assert_eq!(count_triangles_default(&el, p).triangles, expect);
+        prop_assert_eq!(count_triangles(&el, p, &TcConfig::default()).triangles, expect);
     }
 
     #[test]
@@ -46,9 +47,10 @@ proptest! {
     #[test]
     fn baselines_match_serial(el in arb_graph(), p in 1usize..6) {
         let expect = serial::count_default(&el);
-        prop_assert_eq!(count_aop1d(&el, p).triangles, expect);
-        prop_assert_eq!(count_push1d(&el, p).triangles, expect);
-        prop_assert_eq!(count_wedge(&el, p).triangles, expect);
+        let ucfg = UniverseConfig::default();
+        prop_assert_eq!(count_aop1d(&el, p, &ucfg).unwrap().triangles, expect);
+        prop_assert_eq!(count_push1d(&el, p, &ucfg).unwrap().triangles, expect);
+        prop_assert_eq!(count_wedge(&el, p, &ucfg).unwrap().triangles, expect);
         prop_assert_eq!(count_shared(&el, 3), expect);
     }
 
