@@ -94,15 +94,19 @@ impl Table {
     /// Renders the table as one machine-readable JSON object:
     /// `{"title": ..., "columns": [...], "rows": [[...], ...]}`.
     pub fn to_json(&self) -> String {
-        // `escape` returns the quoted JSON string literal.
-        use tc_trace::json::escape;
-        let mut out = String::new();
-        out.push_str(&format!("{{\"title\":{},\"columns\":[", escape(&self.title)));
+        let quoted = |out: &mut String, s: &str| {
+            out.push('"');
+            tc_metrics::json::escape_into(out, s);
+            out.push('"');
+        };
+        let mut out = String::from("{\"title\":");
+        quoted(&mut out, &self.title);
+        out.push_str(",\"columns\":[");
         for (i, h) in self.header.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&escape(h));
+            quoted(&mut out, h);
         }
         out.push_str("],\"rows\":[");
         for (i, row) in self.rows.iter().enumerate() {
@@ -114,7 +118,7 @@ impl Table {
                 if j > 0 {
                     out.push(',');
                 }
-                out.push_str(&escape(c));
+                quoted(&mut out, c);
             }
             out.push(']');
         }
@@ -169,7 +173,7 @@ mod tests {
         let mut t = Table::new("demo \"quoted\"", &["ranks", "tct(s)"]);
         t.row(vec!["4".into(), "0.123".into()]);
         t.row(vec!["9".into(), "0.456".into()]);
-        let doc = tc_trace::json::parse(&t.to_json()).expect("valid JSON");
+        let doc = tc_metrics::json::parse(&t.to_json()).expect("valid JSON");
         assert_eq!(doc.get("title").and_then(|v| v.as_str()), Some("demo \"quoted\""));
         let cols = doc.get("columns").and_then(|v| v.as_arr()).unwrap();
         assert_eq!(cols.len(), 2);
@@ -192,7 +196,7 @@ mod tests {
         let lines: Vec<_> = content.lines().collect();
         assert_eq!(lines.len(), 2);
         for line in lines {
-            tc_trace::json::parse(line).expect("each line is a JSON object");
+            tc_metrics::json::parse(line).expect("each line is a JSON object");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

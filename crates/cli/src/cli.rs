@@ -218,16 +218,10 @@ pub enum Command {
         /// The trace file to check.
         file: PathBuf,
     },
-    /// Compare bench JSON-lines reports and fail on regressions
-    /// (passthrough to `tc_metrics::diff::cli_main`).
+    /// Compare bench JSON-lines reports and fail on any drift in a
+    /// deterministic value (passthrough to `tc_metrics::diff::cli_main`).
     BenchDiff {
         /// Raw arguments forwarded to the diff driver.
-        args: Vec<String>,
-    },
-    /// Render the per-commit perf-trend history (passthrough to
-    /// `tc_metrics::trend::cli_main`).
-    PerfTrend {
-        /// Raw arguments forwarded to the trend driver.
         args: Vec<String>,
     },
     /// Print usage.
@@ -265,12 +259,7 @@ USAGE:
   tricount info   <FILE|PRESET>
   tricount truss  <FILE|PRESET> [--ranks N] [--seed S]
   tricount tracecheck <FILE>
-  tricount benchdiff <BASELINE.json> <CANDIDATE.json>... [--tol F]
-                  [--sigmas F] [--min-effect F] [--min-timing-ms F]
-                  [--deterministic-only] [--verdict-json FILE]
-                  [--history FILE --commit SHA --date ISO]
-                  [--refresh COUNTER,...]
-  tricount perftrend <HISTORY.jsonl> [--last N] [--html FILE]
+  tricount benchdiff <BASELINE.json> <CANDIDATE.json>... [--refresh COUNTER,...]
   tricount help
 
 PRESETs: g500-sN, twitter-like-N, friendster-like-N (N = log2 vertices).
@@ -339,19 +328,12 @@ is degraded (a rank is down; retry after the hinted delay), and 1 on
 any other error reply (e.g. the typed over_capacity admission
 rejection).
 benchdiff compares tc-run-v2 reports produced by the bench binaries'
---json flag (v1 reports still parse; their timings count as one try).
-Timings with repeat data are judged by effect size — Welch's t beyond
---sigmas (default 3) AND a relative shift beyond --min-effect (default
-2%) — while single-shot rows fall back to the fixed --tol band, and
-deterministic counters stay exact. With --history (plus --commit and
---date), a passing diff appends one tc-bench-history-v1 row per
-(run, timing) for perftrend. --refresh rewrites exactly the named
-counters of the baseline to the candidate's values and refuses if any
-other deterministic value differs. Exit 0 = pass, 1 = regression,
+--json flag: triangle counts and deterministic counters must be exact.
+The timings in a report are carried, not judged (wall time is judged by
+benchmark/run.sh on alternating pairs). --refresh rewrites exactly the
+named counters of the baseline to the candidate's values and refuses if
+any other deterministic value differs. Exit 0 = pass, 1 = drift,
 2 = usage/parse error.
-perftrend renders the appended history as an ASCII sparkline table
-(plus a self-contained HTML/SVG page with --html), flagging the worst
-regression and best improvement across the last N commits.
 
 EXIT CODES: 0 success, 1 runtime failure, 2 usage/parse error,
 3 invalid input graph (truncated/corrupt/out-of-range), 4 degraded
@@ -425,7 +407,6 @@ pub fn parse_with_env(
             Ok(Command::Truss { input, ranks, seed })
         }
         "benchdiff" => Ok(Command::BenchDiff { args: it.cloned().collect() }),
-        "perftrend" => Ok(Command::PerfTrend { args: it.cloned().collect() }),
         "serve-rank" => {
             let input = parse_input(it.next().ok_or("serve-rank needs an input")?);
             let mut rank = None;
@@ -1398,24 +1379,9 @@ mod tests {
 
     #[test]
     fn benchdiff_passes_raw_args_through() {
-        match p(&["benchdiff", "base.json", "cand.json", "--tol", "0.1"]).unwrap() {
+        match p(&["benchdiff", "base.json", "cand.json", "--refresh", "a,b"]).unwrap() {
             Command::BenchDiff { args } => {
-                assert_eq!(args, vec!["base.json", "cand.json", "--tol", "0.1"])
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn perftrend_passes_raw_args_through() {
-        match p(&["perftrend", "results/BENCH_HISTORY.jsonl", "--last", "10", "--html", "t.html"])
-            .unwrap()
-        {
-            Command::PerfTrend { args } => {
-                assert_eq!(
-                    args,
-                    vec!["results/BENCH_HISTORY.jsonl", "--last", "10", "--html", "t.html"]
-                )
+                assert_eq!(args, vec!["base.json", "cand.json", "--refresh", "a,b"])
             }
             other => panic!("{other:?}"),
         }

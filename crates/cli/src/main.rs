@@ -727,9 +727,6 @@ fn run(cmd: Command) -> Result<(), AppError> {
         Command::BenchDiff { args } => {
             std::process::exit(tc_metrics::diff::cli_main(&args));
         }
-        Command::PerfTrend { args } => {
-            std::process::exit(tc_metrics::trend::cli_main(&args));
-        }
         Command::TraceCheck { file } => {
             let text =
                 std::fs::read_to_string(&file).map_err(|e| format!("{}: {e}", file.display()))?;

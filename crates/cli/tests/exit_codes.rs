@@ -233,3 +233,69 @@ fn dead_link_from_env_is_runtime_exit_one() {
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
     assert!(stderr(&out).contains("delivery from rank 0"), "{}", stderr(&out));
 }
+
+/// The one `error:` / `benchdiff:` line a failed command printed.
+fn sole_error_line(out: &Output, prefix: &str) -> String {
+    let e = stderr(out);
+    assert!(!e.contains("overflowed its stack") && !e.contains("panicked"), "{e}");
+    let lines: Vec<&str> = e.lines().collect();
+    assert!(lines.len() == 1 && lines[0].starts_with(prefix), "want one {prefix:?} line: {e}");
+    lines[0].to_string()
+}
+
+/// 200 kB of `[` in a file handed to the JSON-reading subcommands used
+/// to overflow the stack (SIGABRT); it is a typed error now.
+#[test]
+fn deeply_nested_json_is_an_error_not_a_stack_overflow() {
+    let path = tmp("deep.json");
+    std::fs::write(&path, "[".repeat(200_000)).unwrap();
+    let deep = path.to_str().unwrap();
+    let check = run(&["tracecheck", deep]);
+    let diff = run(&["benchdiff", deep, deep]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(check.status.code(), Some(1), "{}", stderr(&check));
+    assert!(sole_error_line(&check, "error:").contains("nesting deeper than 64"));
+    assert_eq!(diff.status.code(), Some(2), "{}", stderr(&diff));
+    assert!(sole_error_line(&diff, "benchdiff:").contains("nesting deeper than 64"));
+}
+
+fn run_row(dataset: &str, triangles: u64, counters: &str) -> String {
+    format!(
+        "{{\"schema\":\"tc-run-v2\",\"dataset\":\"{dataset}\",\"algorithm\":\"2d\",\"ranks\":4,\
+         \"config\":\"default\",\"triangles\":{triangles},\"counters\":{counters},\
+         \"timings_ns\":{{}}}}\n"
+    )
+}
+
+/// A row whose `counters` is not an object used to diff as "nothing
+/// to compare" and PASS; it does not parse now.
+#[test]
+fn benchdiff_row_without_counters_is_exit_two() {
+    let (base, cand) = (tmp("nocounters-base.jsonl"), tmp("nocounters-cand.jsonl"));
+    std::fs::write(&base, run_row("a", 7, "[1,2]")).unwrap();
+    std::fs::write(&cand, run_row("a", 7, "{\"tct.ops\":5}")).unwrap();
+    let out = run(&["benchdiff", base.to_str().unwrap(), cand.to_str().unwrap()]);
+    let _ = (std::fs::remove_file(&base), std::fs::remove_file(&cand));
+    assert_eq!(out.status.code(), Some(2), "{}{}", stdout(&out), stderr(&out));
+    assert!(sole_error_line(&out, "benchdiff:").contains("no 'counters' object"));
+}
+
+/// `--refresh` takes counter names. `<run>` (with a run missing from
+/// the candidate) used to panic on an index, `triangles` used to bless
+/// a differing triangle count as "refreshed 0 values", exit 0.
+#[test]
+fn benchdiff_refresh_of_a_non_counter_is_exit_two() {
+    let (base, cand) = (tmp("refresh-base.jsonl"), tmp("refresh-cand.jsonl"));
+    let baseline = run_row("a", 7, "{\"tct.ops\":5}") + &run_row("b", 9, "{\"tct.ops\":6}");
+    std::fs::write(&base, &baseline).unwrap();
+    std::fs::write(&cand, run_row("a", 8, "{\"tct.ops\":5}")).unwrap();
+    for name in ["<run>", "triangles", "tct.ops,tct.opz"] {
+        let out =
+            run(&["benchdiff", base.to_str().unwrap(), cand.to_str().unwrap(), "--refresh", name]);
+        assert_eq!(out.status.code(), Some(2), "{name}: {}{}", stdout(&out), stderr(&out));
+        let line = sole_error_line(&out, "benchdiff: --refresh names no counter of");
+        assert!(line.ends_with(name.rsplit(',').next().unwrap()), "{name}: {line}");
+        assert_eq!(std::fs::read_to_string(&base).unwrap(), baseline, "{name}: file untouched");
+    }
+    let _ = (std::fs::remove_file(&base), std::fs::remove_file(&cand));
+}

@@ -1,67 +1,24 @@
-//! `benchdiff`: noise-aware comparison of benchmark reports.
+//! `benchdiff`: exact comparison of benchmark reports.
 //!
 //! Runs are matched by their `(dataset, algorithm, ranks, config)`
-//! key. Two regimes apply:
+//! key. Triangle counts and every entry in `counters` (ops, probes,
+//! bytes, tasks, …) must match *exactly* — the generators are seeded
+//! and the kernels deterministic, so any drift is a real behavior
+//! change, not noise. `timings_ns` is not read: who judges time is
+//! `benchmark/run.sh` on alternating pairs, and this gate owns the
+//! counters of the paths that benchmark does not run (SUMMA, the 1D
+//! baselines, the ablations).
 //!
-//! - **deterministic quantities** (triangle counts and every entry in
-//!   `counters`: ops, probes, bytes, tasks, …) must match *exactly* —
-//!   the generators are seeded and the kernels deterministic, so any
-//!   drift is a real behavior change, not noise;
-//! - **timings** with repeat tries on both sides get an effect-size
-//!   verdict: a change only fails when the means are separated by
-//!   more than `--sigmas` combined standard errors (Welch's t — the
-//!   `mean ± k·se` intervals are disjoint) *and* the relative shift
-//!   exceeds `--min-effect`. Single-shot rows (tries = 1, e.g. from a
-//!   legacy `tc-run-v1` baseline) fall back to the fixed `--tol`
-//!   band on medians, and sub-threshold durations are ignored
-//!   entirely — wall clocks on shared CI runners are noisy.
-//!
-//! The driver ([`cli_main`]) backs both the `benchdiff` binary in
-//! `tc-bench` and the `tricount benchdiff` subcommand. With
-//! `--history` it also appends each blessed candidate's timing rows
-//! to the per-commit trend log that `tricount perftrend` renders.
+//! The driver ([`cli_main`]) backs the `tricount benchdiff` subcommand.
 
 use std::collections::BTreeMap;
 
 use crate::report::RunRecord;
-use crate::stats::{self, TimingStats};
-
-/// Comparison tunables.
-#[derive(Debug, Clone)]
-pub struct DiffOptions {
-    /// Relative tolerance for timing regressions (0.25 = +25%) —
-    /// the fallback rule for rows without spread (tries = 1).
-    pub tolerance: f64,
-    /// Skip timing comparison entirely (cross-machine baselines).
-    pub deterministic_only: bool,
-    /// Timings where both means are below this are never compared.
-    pub min_timing_ns: u64,
-    /// Effect-size rule: a shift must exceed this many combined
-    /// standard errors (Welch's t) to count at all.
-    pub sigmas: f64,
-    /// Effect-size rule: and the relative mean shift must exceed this
-    /// fraction (statistically significant but trivial shifts pass).
-    pub min_effect: f64,
-}
-
-impl Default for DiffOptions {
-    fn default() -> Self {
-        Self {
-            tolerance: 0.25,
-            deterministic_only: false,
-            min_timing_ns: 1_000_000,
-            sigmas: 3.0,
-            min_effect: 0.02,
-        }
-    }
-}
 
 /// Outcome of one comparison row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowStatus {
     Pass,
-    /// Passed, and meaningfully faster than baseline.
-    Improved,
     Fail,
 }
 
@@ -69,7 +26,6 @@ impl RowStatus {
     fn label(self) -> &'static str {
         match self {
             RowStatus::Pass => "ok",
-            RowStatus::Improved => "improved",
             RowStatus::Fail => "FAIL",
         }
     }
@@ -100,14 +56,6 @@ impl DiffReport {
     /// Overall verdict: no failures and at least one key compared.
     pub fn pass(&self) -> bool {
         self.failures == 0 && self.compared > 0
-    }
-
-    fn verdict(&self) -> &'static str {
-        if self.pass() {
-            "PASS"
-        } else {
-            "FAIL"
-        }
     }
 
     /// Human-readable table plus verdict line.
@@ -155,42 +103,11 @@ impl DiffReport {
         }
         out.push_str(&format!(
             "benchdiff: {} ({} runs compared, {} failure{})\n",
-            self.verdict(),
+            if self.pass() { "PASS" } else { "FAIL" },
             self.compared,
             self.failures,
             if self.failures == 1 { "" } else { "s" }
         ));
-        out
-    }
-
-    /// Machine-readable verdict document.
-    pub fn verdict_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"schema\":\"tc-benchdiff-v1\",\"verdict\":\"");
-        out.push_str(self.verdict());
-        out.push_str(&format!(
-            "\",\"compared\":{},\"failures\":{},\"rows\":[",
-            self.compared, self.failures
-        ));
-        let mut first = true;
-        for r in self.rows.iter().filter(|r| r.status == RowStatus::Fail) {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("{\"run\":\"");
-            crate::json::escape_into(&mut out, &r.key);
-            out.push_str("\",\"metric\":\"");
-            crate::json::escape_into(&mut out, &r.metric);
-            out.push_str("\",\"baseline\":\"");
-            crate::json::escape_into(&mut out, &r.base);
-            out.push_str("\",\"candidate\":\"");
-            crate::json::escape_into(&mut out, &r.cand);
-            out.push_str("\",\"note\":\"");
-            crate::json::escape_into(&mut out, &r.note);
-            out.push_str("\"}");
-        }
-        out.push_str("]}");
         out
     }
 }
@@ -202,49 +119,6 @@ fn group(records: &[RunRecord]) -> BTreeMap<String, Vec<&RunRecord>> {
         out.entry(r.key()).or_default().push(r);
     }
     out
-}
-
-/// Pools the timing `name` across repeat records of one key, if any
-/// repeat has it.
-fn pooled_timing(repeats: &[&RunRecord], name: &str) -> Option<TimingStats> {
-    let parts: Vec<TimingStats> =
-        repeats.iter().filter_map(|r| r.timings_ns.get(name).copied()).collect();
-    TimingStats::pool(&parts)
-}
-
-/// The timing verdict: effect size when both sides carry spread,
-/// fixed relative band on medians otherwise.
-fn timing_verdict(
-    base: &TimingStats,
-    cand: &TimingStats,
-    opts: &DiffOptions,
-) -> (RowStatus, String) {
-    if let Some(t) = stats::welch_t(base, cand) {
-        let rel = (cand.mean - base.mean) / base.mean.max(1.0);
-        if t > opts.sigmas && rel > opts.min_effect {
-            (
-                RowStatus::Fail,
-                format!("+{:.1}% slower (t={:.1} > {:.1}σ)", rel * 100.0, t, opts.sigmas),
-            )
-        } else if t < -opts.sigmas && rel < -opts.min_effect {
-            (RowStatus::Improved, format!("{:.1}% (t={:.1})", rel * 100.0, t))
-        } else {
-            (RowStatus::Pass, format!("indistinguishable (t={t:.1})"))
-        }
-    } else {
-        let (bm, cm) = (base.median, cand.median);
-        let delta = (cm as f64 - bm as f64) / (bm.max(1) as f64);
-        if delta > opts.tolerance {
-            (
-                RowStatus::Fail,
-                format!("+{:.1}% exceeds ±{:.0}% tolerance", delta * 100.0, opts.tolerance * 100.0),
-            )
-        } else if delta < -opts.tolerance {
-            (RowStatus::Improved, format!("{:.1}%", delta * 100.0))
-        } else {
-            (RowStatus::Pass, String::new())
-        }
-    }
 }
 
 /// Checks that every repeat of one key agrees on a deterministic
@@ -267,7 +141,7 @@ fn agreed<'a, T: PartialEq + Copy + std::fmt::Display>(
 }
 
 /// Compares `cand` against `base`.
-pub fn diff_reports(base: &[RunRecord], cand: &[RunRecord], opts: &DiffOptions) -> DiffReport {
+pub fn diff_reports(base: &[RunRecord], cand: &[RunRecord]) -> DiffReport {
     let base_runs = group(base);
     let cand_runs = group(cand);
     let mut report = DiffReport::default();
@@ -294,7 +168,6 @@ pub fn diff_reports(base: &[RunRecord], cand: &[RunRecord], opts: &DiffOptions) 
         };
         report.compared += 1;
         let mut ok_counters = 0usize;
-        let mut ok_timings = 0usize;
 
         // Triangle counts: the correctness anchor, exact.
         compare_exact(
@@ -323,37 +196,6 @@ pub fn diff_reports(base: &[RunRecord], cand: &[RunRecord], opts: &DiffOptions) 
             );
         }
 
-        // Timings: effect size (or the tolerance fallback).
-        if !opts.deterministic_only {
-            let mut tnames: Vec<&String> = b[0].timings_ns.keys().collect();
-            tnames.sort_unstable();
-            for name in tnames {
-                let (Some(bs), Some(cs)) = (pooled_timing(b, name), pooled_timing(c, name)) else {
-                    continue;
-                };
-                if bs.mean.max(cs.mean) < opts.min_timing_ns as f64 {
-                    ok_timings += 1;
-                    continue;
-                }
-                let (status, note) = timing_verdict(&bs, &cs, opts);
-                if status == RowStatus::Pass {
-                    ok_timings += 1;
-                } else {
-                    push(
-                        &mut report,
-                        DiffRow {
-                            key: key.clone(),
-                            metric: name.clone(),
-                            base: bs.fmt_ms(),
-                            cand: cs.fmt_ms(),
-                            status,
-                            note,
-                        },
-                    );
-                }
-            }
-        }
-
         push(
             &mut report,
             DiffRow {
@@ -362,7 +204,7 @@ pub fn diff_reports(base: &[RunRecord], cand: &[RunRecord], opts: &DiffOptions) 
                 base: String::new(),
                 cand: String::new(),
                 status: RowStatus::Pass,
-                note: format!("{ok_counters} deterministic exact, {ok_timings} timings in band"),
+                note: format!("{ok_counters} deterministic exact"),
             },
         );
     }
@@ -415,6 +257,18 @@ fn compare_exact(
     }
 }
 
+/// Why a `--refresh` was not carried out. Either way the baseline is
+/// left untouched.
+#[derive(Debug, PartialEq, Eq)]
+pub enum RefreshError {
+    /// Names that are no counter of any baseline run (`triangles`,
+    /// `<run>`, a typo): a malformed request, not a finding.
+    UnknownCounters(Vec<String>),
+    /// An undeclared value differs, a run is missing, or the baseline
+    /// does not parse.
+    Refused(String),
+}
+
 /// `--refresh`: the baseline text with exactly the counters `names`
 /// set to the candidate's values — edited in place inside each row,
 /// every other byte kept — and how many values changed. Refuses when
@@ -425,29 +279,39 @@ pub fn refresh_counters(
     base_text: &str,
     cand: &[RunRecord],
     names: &[String],
-) -> Result<(String, usize), String> {
-    let base = RunRecord::parse_jsonl(base_text)?;
-    let exact = DiffOptions { deterministic_only: true, ..DiffOptions::default() };
-    let stray: Vec<String> = diff_reports(&base, cand, &exact)
+) -> Result<(String, usize), RefreshError> {
+    use RefreshError::{Refused, UnknownCounters};
+    let base = RunRecord::parse_jsonl(base_text).map_err(Refused)?;
+    let unknown: Vec<String> = names
+        .iter()
+        .filter(|name| !base.iter().any(|r| r.counters.contains_key(*name)))
+        .cloned()
+        .collect();
+    if !unknown.is_empty() {
+        return Err(UnknownCounters(unknown));
+    }
+    let stray: Vec<String> = diff_reports(&base, cand)
         .rows
         .iter()
         .filter(|r| r.status == RowStatus::Fail && !names.contains(&r.metric))
         .map(|r| format!("  {} {}: {} -> {} ({})", r.key, r.metric, r.base, r.cand, r.note))
         .collect();
     if !stray.is_empty() {
-        return Err(format!("values outside --refresh differ:\n{}", stray.join("\n")));
+        return Err(Refused(format!("values outside --refresh differ:\n{}", stray.join("\n"))));
     }
     let cand_runs = group(cand);
     let mut out = String::with_capacity(base_text.len());
     let mut changed = 0usize;
     for line in base_text.split_inclusive('\n') {
         let mut line = line.to_string();
-        for rec in RunRecord::parse_jsonl(&line)? {
-            let fresh = &cand_runs[&rec.key()];
+        for rec in RunRecord::parse_jsonl(&line).map_err(Refused)? {
+            let key = rec.key();
+            let fresh = cand_runs
+                .get(&key)
+                .ok_or_else(|| Refused(format!("{key}: run missing from candidate report")))?;
             for name in names {
-                let (Some(&old), Some(new)) =
-                    (rec.counters.get(name), agreed(fresh, |r| r.counters.get(name).copied())?)
-                else {
+                let new = agreed(fresh, |r| r.counters.get(name).copied()).map_err(Refused)?;
+                let (Some(&old), Some(new)) = (rec.counters.get(name), new) else {
                     continue;
                 };
                 // Counter values are bare integers, so the key with
@@ -456,7 +320,8 @@ pub fn refresh_counters(
                     let pat = format!("\"{name}\":{old}{end}");
                     line.find(&pat).map(|at| (at, pat.len(), end))
                 });
-                let (at, len, end) = hit.ok_or(format!("{}: cannot locate {name}", rec.key()))?;
+                let (at, len, end) =
+                    hit.ok_or_else(|| Refused(format!("{key}: cannot locate {name}")))?;
                 line.replace_range(at..at + len, &format!("\"{name}\":{new}{end}"));
                 changed += usize::from(old != new);
             }
@@ -466,85 +331,21 @@ pub fn refresh_counters(
     Ok((out, changed))
 }
 
-/// Command-line driver shared by the `benchdiff` binary and the
-/// `tricount benchdiff` subcommand. `args` excludes the program /
-/// subcommand name. Returns the process exit code.
+/// Command-line driver of the `tricount benchdiff` subcommand. `args`
+/// excludes the program / subcommand name. Returns the process exit
+/// code.
 pub fn cli_main(args: &[String]) -> i32 {
-    let mut files: Vec<String> = Vec::new();
-    let mut opts = DiffOptions::default();
-    let mut verdict_json: Option<String> = None;
-    let mut history: Option<String> = None;
-    let mut commit: Option<String> = None;
-    let mut date: Option<String> = None;
+    let mut files: Vec<&str> = Vec::new();
     let mut refresh: Option<Vec<String>> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--tol" | "--tolerance" => {
-                let Some(v) = it.next().and_then(|s| s.parse::<f64>().ok()) else {
-                    eprintln!("benchdiff: --tol needs a number (e.g. 0.25)");
-                    return 2;
-                };
-                opts.tolerance = v;
-            }
-            "--min-timing-ms" => {
-                let Some(v) = it.next().and_then(|s| s.parse::<f64>().ok()) else {
-                    eprintln!("benchdiff: --min-timing-ms needs a number");
-                    return 2;
-                };
-                opts.min_timing_ns = (v * 1e6) as u64;
-            }
-            "--sigmas" => {
-                let Some(v) = it.next().and_then(|s| s.parse::<f64>().ok()).filter(|v| *v > 0.0)
-                else {
-                    eprintln!("benchdiff: --sigmas needs a positive number (e.g. 3)");
-                    return 2;
-                };
-                opts.sigmas = v;
-            }
-            "--min-effect" => {
-                let Some(v) = it.next().and_then(|s| s.parse::<f64>().ok()).filter(|v| *v >= 0.0)
-                else {
-                    eprintln!("benchdiff: --min-effect needs a non-negative fraction");
-                    return 2;
-                };
-                opts.min_effect = v;
-            }
-            "--deterministic-only" => opts.deterministic_only = true,
             "--refresh" => {
                 let Some(list) = it.next().filter(|l| !l.is_empty()) else {
                     eprintln!("benchdiff: --refresh needs a comma-separated counter list");
                     return 2;
                 };
                 refresh = Some(list.split(',').map(str::to_string).collect());
-            }
-            "--verdict-json" => {
-                let Some(p) = it.next() else {
-                    eprintln!("benchdiff: --verdict-json needs a path");
-                    return 2;
-                };
-                verdict_json = Some(p.clone());
-            }
-            "--history" => {
-                let Some(p) = it.next() else {
-                    eprintln!("benchdiff: --history needs a path");
-                    return 2;
-                };
-                history = Some(p.clone());
-            }
-            "--commit" => {
-                let Some(p) = it.next() else {
-                    eprintln!("benchdiff: --commit needs a revision id");
-                    return 2;
-                };
-                commit = Some(p.clone());
-            }
-            "--date" => {
-                let Some(p) = it.next() else {
-                    eprintln!("benchdiff: --date needs an ISO date");
-                    return 2;
-                };
-                date = Some(p.clone());
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -554,116 +355,83 @@ pub fn cli_main(args: &[String]) -> i32 {
                 eprintln!("benchdiff: unknown flag '{other}'\n{USAGE}");
                 return 2;
             }
-            path => files.push(path.to_string()),
+            path => files.push(path),
         }
     }
     if files.len() < 2 {
         eprintln!("benchdiff: need a baseline and at least one candidate report\n{USAGE}");
         return 2;
     }
-    let load = |path: &str| -> Result<Vec<RunRecord>, String> {
+    let load = |path: &str| -> Result<(String, Vec<RunRecord>), String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        RunRecord::parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))
+        let runs = RunRecord::parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
+        Ok((text, runs))
     };
-    let base = match load(&files[0]) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("benchdiff: {e}");
-            return 2;
-        }
-    };
-    let mut cand = Vec::new();
-    for path in &files[1..] {
+    let mut loaded = Vec::new();
+    for path in &files {
         match load(path) {
-            Ok(r) => cand.extend(r),
+            Ok(l) => loaded.push(l),
             Err(e) => {
                 eprintln!("benchdiff: {e}");
                 return 2;
             }
         }
     }
+    let (base_text, base) = loaded.remove(0);
+    let cand: Vec<RunRecord> = loaded.into_iter().flat_map(|(_, runs)| runs).collect();
     if base.is_empty() {
         eprintln!("benchdiff: baseline {} contains no run records", files[0]);
         return 2;
     }
-    if history.is_some() && (commit.is_none() || date.is_none()) {
-        eprintln!("benchdiff: --history requires --commit and --date");
-        return 2;
-    }
-    if let Some(names) = refresh {
-        let refreshed = std::fs::read_to_string(&files[0])
-            .map_err(|e| format!("cannot read {}: {e}", files[0]))
-            .and_then(|text| refresh_counters(&text, &cand, &names));
-        return match refreshed.and_then(|(text, changed)| {
-            std::fs::write(&files[0], text)
-                .map(|()| changed)
-                .map_err(|e| format!("cannot write {}: {e}", files[0]))
-        }) {
-            Ok(changed) => {
+    let Some(names) = refresh else {
+        let report = diff_reports(&base, &cand);
+        print!("{}", report.render());
+        return i32::from(!report.pass());
+    };
+    match refresh_counters(&base_text, &cand, &names) {
+        Ok((text, changed)) => match std::fs::write(files[0], text) {
+            Ok(()) => {
                 println!("benchdiff: refreshed {changed} values of {names:?} in {}", files[0]);
                 0
             }
             Err(e) => {
-                eprintln!("benchdiff: {e}");
+                eprintln!("benchdiff: cannot write {}: {e}", files[0]);
                 1
             }
-        };
-    }
-    let report = diff_reports(&base, &cand, &opts);
-    print!("{}", report.render());
-    if let Some(path) = verdict_json {
-        if let Err(e) = std::fs::write(&path, report.verdict_json() + "\n") {
-            eprintln!("benchdiff: cannot write {path}: {e}");
-            return 2;
+        },
+        Err(RefreshError::UnknownCounters(unknown)) => {
+            eprintln!(
+                "benchdiff: --refresh names no counter of {}: {}",
+                files[0],
+                unknown.join(", ")
+            );
+            2
         }
-    }
-    if report.pass() {
-        if let (Some(path), Some(commit), Some(date)) = (history, commit, date) {
-            match crate::trend::append_history(&path, &cand, &commit, &date) {
-                Ok(n) => println!("benchdiff: appended {n} history rows to {path}"),
-                Err(e) => {
-                    eprintln!("benchdiff: {e}");
-                    return 2;
-                }
-            }
+        Err(RefreshError::Refused(why)) => {
+            eprintln!("benchdiff: {why}");
+            1
         }
-        0
-    } else {
-        1
     }
 }
 
-const USAGE: &str = "usage: benchdiff <BASELINE.jsonl> <CANDIDATE.jsonl>... [options]
+const USAGE: &str =
+    "usage: tricount benchdiff <BASELINE.jsonl> <CANDIDATE.jsonl>... [--refresh a,b,...]
 
-Compares benchmark run records (schema tc-run-v2, legacy tc-run-v1
-accepted) matched by (dataset, algorithm, ranks, config).
-Deterministic counters and triangle counts must match exactly.
-Timings with repeat tries on both sides use an effect-size verdict
-(Welch's t beyond --sigmas AND a relative shift beyond --min-effect);
-single-shot rows fall back to the fixed --tol band on medians.
+Compares benchmark run records (schema tc-run-v2) matched by
+(dataset, algorithm, ranks, config). Triangle counts and every
+deterministic counter must match exactly; timings are not compared.
+Exit 0 = identical, 1 = drift, 2 = usage/parse error.
 
 options:
-  --tol <frac>            fallback timing tolerance for tries=1 rows
-                          (default 0.25 = ±25%)
-  --sigmas <k>            effect-size threshold in combined standard
-                          errors (default 3)
-  --min-effect <frac>     minimum relative shift that counts
-                          (default 0.02 = 2%)
-  --min-timing-ms <ms>    ignore timings below this (default 1.0)
-  --deterministic-only    skip timing comparison (cross-machine)
   --refresh <a,b,...>     rewrite exactly these counters in BASELINE to
                           the candidate's values; exit 1, file untouched,
                           if any other deterministic value differs
-  --verdict-json <path>   write machine-readable verdict
-  --history <path>        on PASS, append candidate timing rows to
-                          this trend log (requires --commit/--date)
-  --commit <rev>          commit id recorded in history rows
-  --date <iso>            ISO date recorded in history rows
 ";
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::TimingStats;
 
     fn rec(dataset: &str, ops: u64, wall_ms: u64) -> RunRecord {
         RunRecord {
@@ -679,20 +447,10 @@ mod tests {
         }
     }
 
-    /// One 5-try record whose wall timing summarizes `wall_ms`.
-    fn rec_tries(dataset: &str, wall_ms: &[u64]) -> RunRecord {
-        let ns: Vec<u64> = wall_ms.iter().map(|&m| m * 1_000_000).collect();
-        let mut r = rec(dataset, 100, wall_ms[0]);
-        r.timings_ns = [("tct.wall".to_string(), TimingStats::from_samples(&ns).unwrap())]
-            .into_iter()
-            .collect();
-        r
-    }
-
     #[test]
     fn identical_reports_pass() {
         let base = vec![rec("a", 100, 50), rec("b", 200, 80)];
-        let report = diff_reports(&base, &base.clone(), &DiffOptions::default());
+        let report = diff_reports(&base, &base.clone());
         assert!(report.pass(), "{}", report.render());
         assert_eq!(report.compared, 2);
     }
@@ -702,7 +460,7 @@ mod tests {
         let base = vec![rec("a", 100, 50)];
         let mut cand = base.clone();
         cand[0].counters.insert("tct.ops".into(), 101);
-        let report = diff_reports(&base, &cand, &DiffOptions::default());
+        let report = diff_reports(&base, &cand);
         assert!(!report.pass());
         assert!(report.render().contains("deterministic counter drift"));
     }
@@ -712,46 +470,27 @@ mod tests {
         let base = vec![rec("a", 100, 50)];
         let mut cand = base.clone();
         cand[0].triangles = 998;
-        let report = diff_reports(&base, &cand, &DiffOptions::default());
+        let report = diff_reports(&base, &cand);
         assert!(!report.pass());
     }
 
     #[test]
-    fn timing_regression_beyond_tolerance_fails() {
-        let base = vec![rec("a", 100, 100)];
-        let cand = vec![rec("a", 100, 140)];
-        let report = diff_reports(&base, &cand, &DiffOptions::default());
-        assert!(!report.pass(), "{}", report.render());
-        assert!(report.render().contains("tolerance"));
-        // Same inflation under --deterministic-only is ignored.
-        let opts = DiffOptions { deterministic_only: true, ..DiffOptions::default() };
-        assert!(diff_reports(&base, &cand, &opts).pass());
-    }
-
-    #[test]
-    fn timing_within_tolerance_or_below_floor_passes() {
-        let base = vec![rec("a", 100, 100)];
-        let cand = vec![rec("a", 100, 110)];
-        assert!(diff_reports(&base, &cand, &DiffOptions::default()).pass());
-        // Sub-floor timings never compare, no matter the ratio.
-        let base = vec![rec("a", 100, 0)];
-        let cand = vec![rec("a", 100, 0)];
-        assert!(diff_reports(&base, &cand, &DiffOptions::default()).pass());
-    }
-
-    #[test]
-    fn timings_use_median_of_repeats() {
-        // Candidate has one noisy outlier; medians still agree.
-        let base = vec![rec("a", 100, 100), rec("a", 100, 102), rec("a", 100, 98)];
-        let cand = vec![rec("a", 100, 101), rec("a", 100, 400), rec("a", 100, 99)];
-        assert!(diff_reports(&base, &cand, &DiffOptions::default()).pass());
+    fn timings_are_carried_not_judged() {
+        // A 100× slower candidate, a timing only one side has, repeats
+        // that disagree wildly: none of it is this gate's question.
+        let base = vec![rec("a", 100, 100), rec("a", 100, 102)];
+        let mut cand = vec![rec("a", 100, 10_000), rec("a", 100, 1)];
+        cand[1].timings_ns.clear();
+        let report = diff_reports(&base, &cand);
+        assert!(report.pass(), "{}", report.render());
+        assert!(report.render().contains("1 runs compared, 0 failures"));
     }
 
     #[test]
     fn nondeterministic_repeats_fail() {
         let base = vec![rec("a", 100, 50)];
         let cand = vec![rec("a", 100, 50), rec("a", 101, 50)];
-        let report = diff_reports(&base, &cand, &DiffOptions::default());
+        let report = diff_reports(&base, &cand);
         assert!(!report.pass());
         assert!(report.render().contains("nondeterministic"));
     }
@@ -760,7 +499,7 @@ mod tests {
     fn missing_run_fails_and_new_run_notes() {
         let base = vec![rec("a", 100, 50)];
         let cand = vec![rec("b", 100, 50)];
-        let report = diff_reports(&base, &cand, &DiffOptions::default());
+        let report = diff_reports(&base, &cand);
         assert!(!report.pass());
         let text = report.render();
         assert!(text.contains("missing from candidate"), "{text}");
@@ -772,79 +511,15 @@ mod tests {
         let base = vec![rec("a", 100, 50)];
         let mut cand = base.clone();
         cand[0].counters.clear();
-        let report = diff_reports(&base, &cand, &DiffOptions::default());
+        let report = diff_reports(&base, &cand);
         assert!(!report.pass());
         assert!(report.render().contains("absent from candidate"));
     }
 
     #[test]
-    fn verdict_json_lists_failures() {
-        let base = vec![rec("a", 100, 50)];
-        let mut cand = base.clone();
-        cand[0].counters.insert("tct.ops".into(), 7);
-        let report = diff_reports(&base, &cand, &DiffOptions::default());
-        let v = crate::json::parse(&report.verdict_json()).unwrap();
-        assert_eq!(v.get("verdict").unwrap().as_str(), Some("FAIL"));
-        assert_eq!(v.get("rows").unwrap().as_arr().unwrap().len(), 1);
-    }
-
-    #[test]
     fn empty_intersection_is_not_a_pass() {
-        let report = diff_reports(&[], &[], &DiffOptions::default());
+        let report = diff_reports(&[], &[]);
         assert!(!report.pass());
-    }
-
-    #[test]
-    fn seeded_slowdown_fails_by_effect_size_at_five_tries() {
-        let base = vec![rec_tries("a", &[100, 101, 99, 100, 100])];
-        let cand = vec![rec_tries("a", &[200, 202, 198, 201, 199])];
-        let report = diff_reports(&base, &cand, &DiffOptions::default());
-        assert!(!report.pass(), "{}", report.render());
-        assert!(report.render().contains("σ"), "{}", report.render());
-        // The unperturbed re-run of the same suite passes.
-        let rerun = vec![rec_tries("a", &[101, 100, 99, 102, 100])];
-        let report = diff_reports(&base, &rerun, &DiffOptions::default());
-        assert!(report.pass(), "{}", report.render());
-    }
-
-    #[test]
-    fn noisy_but_equal_passes_where_fixed_band_fails() {
-        // +30% mean shift, swamped by a ±24 ms spread: the effect-size
-        // verdict keeps it (t ≈ 2.0 < 3σ)…
-        let base = vec![rec_tries("a", &[70, 85, 100, 115, 130])];
-        let cand = vec![rec_tries("a", &[100, 115, 130, 145, 160])];
-        let report = diff_reports(&base, &cand, &DiffOptions::default());
-        assert!(report.pass(), "{}", report.render());
-        // …while the same medians as single shots trip the old fixed
-        // ±25% band.
-        let base1 = vec![rec("a", 100, 100)];
-        let cand1 = vec![rec("a", 100, 130)];
-        let report = diff_reports(&base1, &cand1, &DiffOptions::default());
-        assert!(!report.pass(), "{}", report.render());
-        assert!(report.render().contains("tolerance"));
-    }
-
-    #[test]
-    fn tiny_but_significant_shifts_pass_min_effect() {
-        // 1% shift with microscopic spread: t is huge but the effect
-        // is below the 2% practical floor.
-        let base = vec![rec_tries("a", &[1000, 1000, 1000, 1001, 999])];
-        let cand = vec![rec_tries("a", &[1010, 1010, 1010, 1011, 1009])];
-        let report = diff_reports(&base, &cand, &DiffOptions::default());
-        assert!(report.pass(), "{}", report.render());
-    }
-
-    #[test]
-    fn v1_baseline_diffs_against_v2_candidate() {
-        let v1 = r#"{"schema":"tc-run-v1","dataset":"a","algorithm":"2d","ranks":16,"config":"default","triangles":999,"counters":{"tct.ops":100},"timings_ns":{"tct.wall":100000000}}"#;
-        let base = RunRecord::parse_jsonl(v1).unwrap();
-        // v1 row has no spread, so the tolerance band governs.
-        let cand = vec![rec_tries("a", &[110, 111, 109, 110, 110])];
-        assert!(diff_reports(&base, &cand, &DiffOptions::default()).pass());
-        let cand = vec![rec_tries("a", &[140, 141, 139, 140, 140])];
-        let report = diff_reports(&base, &cand, &DiffOptions::default());
-        assert!(!report.pass(), "{}", report.render());
-        assert!(report.render().contains("tolerance"));
     }
 
     /// Two baseline rows (one run repeated) and one candidate whose
@@ -864,11 +539,15 @@ mod tests {
         (base, vec![row(5200, 48, 48, 300)])
     }
 
+    fn names(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn refresh_rewrites_exactly_the_named_counters() {
         let (base, cand) = refresh_fixture();
-        let names = ["mps.bytes".to_string(), "tct.ops".to_string()];
-        let (text, changed) = refresh_counters(&base, &cand, &names).unwrap();
+        let named = names(&["mps.bytes", "tct.ops"]);
+        let (text, changed) = refresh_counters(&base, &cand, &named).unwrap();
         assert_eq!(changed, 4, "two counters in two rows");
         // Nothing but the two values moved: timings and order stay.
         assert_eq!(
@@ -876,22 +555,52 @@ mod tests {
             base.replace("\"mps.bytes\":4800", "\"mps.bytes\":5200")
                 .replace("\"tct.ops\":480", "\"tct.ops\":48")
         );
-        let exact = DiffOptions { deterministic_only: true, ..DiffOptions::default() };
         let refreshed = RunRecord::parse_jsonl(&text).unwrap();
-        assert!(diff_reports(&refreshed, &cand, &exact).pass());
+        assert!(diff_reports(&refreshed, &cand).pass());
         // A second refresh finds nothing left to do.
-        assert_eq!(refresh_counters(&text, &cand, &names).unwrap(), (text.clone(), 0));
+        assert_eq!(refresh_counters(&text, &cand, &named).unwrap(), (text.clone(), 0));
     }
 
     #[test]
     fn refresh_refuses_when_an_undeclared_value_differs() {
         let (base, mut cand) = refresh_fixture();
-        let err = refresh_counters(&base, &cand, &["mps.bytes".to_string()]).unwrap_err();
+        let refused =
+            |cand: &[RunRecord], list: &[&str]| match refresh_counters(&base, cand, &names(list))
+                .unwrap_err()
+            {
+                RefreshError::Refused(why) => why,
+                other => panic!("{other:?}"),
+            };
+        let err = refused(&cand, &["mps.bytes"]);
         assert!(err.contains("tct.ops") && err.contains("480 -> 48"), "{err}");
         cand[0].triangles += 1;
-        let names = ["mps.bytes".to_string(), "tct.ops".to_string()];
-        assert!(refresh_counters(&base, &cand, &names).unwrap_err().contains("triangles"));
+        assert!(refused(&cand, &["mps.bytes", "tct.ops"]).contains("triangles"));
         cand[0].dataset = "b".into();
-        assert!(refresh_counters(&base, &cand, &names).unwrap_err().contains("<run>"));
+        assert!(refused(&cand, &["mps.bytes", "tct.ops"]).contains("<run>"));
+    }
+
+    #[test]
+    fn refresh_names_must_be_counters_of_the_baseline() {
+        // `triangles` and `<run>` are row labels of the diff, not
+        // counters: naming them used to wave a differing triangle count
+        // through ("refreshed 0 values") and to index a missing run.
+        let (base, mut cand) = refresh_fixture();
+        cand[0].triangles += 1;
+        assert_eq!(
+            refresh_counters(&base, &cand, &names(&["mps.bytes", "triangles", "tct.opz"])),
+            Err(RefreshError::UnknownCounters(names(&["triangles", "tct.opz"])))
+        );
+        cand[0].dataset = "b".into();
+        assert_eq!(
+            refresh_counters(&base, &cand, &names(&["<run>"])),
+            Err(RefreshError::UnknownCounters(names(&["<run>"])))
+        );
+        // Even a baseline that does count something called `<run>`
+        // gets a refusal for the missing run, not an index panic.
+        let odd = base.replace("tct.tasks", "<run>");
+        match refresh_counters(&odd, &cand, &names(&["<run>"])) {
+            Err(RefreshError::Refused(why)) => assert!(why.contains("missing from candidate")),
+            other => panic!("{other:?}"),
+        }
     }
 }

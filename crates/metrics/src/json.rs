@@ -1,10 +1,12 @@
-//! Minimal hand-rolled JSON reader/writer.
+//! The workspace's one JSON reader/writer, hand-rolled because the
+//! build has no registry access.
 //!
-//! `tc-metrics` is a zero-dependency crate (same discipline as
-//! `tc-trace`), so it carries its own tiny JSON layer rather than
-//! reusing `tc_trace::json`. Integers are kept exact as `u64` —
-//! counters and histogram bounds must survive a round trip without
-//! the 2⁵³ precision cliff of `f64`.
+//! Run records, metric snapshots, the serve line protocol, Chrome
+//! traces (`tc_trace::chrome`) and bench tables all go through it.
+//! Integers are kept exact as `u64` — counters and histogram bounds
+//! must survive a round trip without the 2⁵³ precision cliff of `f64`.
+//! [`parse`] is fed from sockets and files, so it bounds its own
+//! recursion ([`MAX_DEPTH`]) and walks each input byte once.
 
 /// A parsed JSON value. Object member order is preserved.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,36 +76,38 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, and its input arrives from sockets and
+/// files: the stack depth is not the sender's to choose.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { src: input, pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != input.len() {
         return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -117,8 +121,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => self.string().map(Value::Str),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -129,7 +140,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -191,51 +202,65 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed for our own
-                            // output; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let start = self.pos;
-                    let rest = &self.bytes[start..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+            // The run up to the next quote or backslash is copied in
+            // one piece: both delimiters are ASCII, so the run is whole
+            // UTF-8 scalars of an input that is already a `&str`.
+            let start = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
             }
+            out.push_str(&self.src[start..self.pos]);
+            let stop = self.peek().ok_or("unterminated string")?;
+            self.pos += 1;
+            if stop == b'"' {
+                return Ok(out);
+            }
+            let esc = self.peek().ok_or("unterminated escape")?;
+            self.pos += 1;
+            out.push(match esc {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'u' => self.unicode_escape()?,
+                _ => return Err(format!("bad escape at byte {}", self.pos)),
+            });
         }
+    }
+
+    /// The scalar named by the `XXXX` after a `\u` — and, when that is
+    /// a high surrogate, by the `\uXXXX` low surrogate that must follow.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let mut code = self.hex4()?;
+        if (0xD800..0xDC00).contains(&code) {
+            if !self.src.as_bytes()[self.pos..].starts_with(b"\\u") {
+                return Err(format!("lone surrogate at byte {}", self.pos));
+            }
+            self.pos += 2;
+            let lo = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&lo) {
+                return Err(format!("bad low surrogate at byte {}", self.pos));
+            }
+            code = 0x10000 + ((code - 0xD800) << 10) + (lo - 0xDC00);
+        }
+        char::from_u32(code).ok_or_else(|| format!("lone surrogate at byte {}", self.pos))
+    }
+
+    fn hex4(&mut self) -> Result<u32, String> {
+        let mut v = 0;
+        for _ in 0..4 {
+            let digit = self
+                .peek()
+                .and_then(|b| (b as char).to_digit(16))
+                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+            self.pos += 1;
+            v = v << 4 | digit;
+        }
+        Ok(v)
     }
 
     fn number(&mut self) -> Result<Value, String> {
@@ -254,7 +279,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.src[start..self.pos];
         if integral && !text.starts_with('-') {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(Value::Int(n));
@@ -298,10 +323,13 @@ mod tests {
 
     #[test]
     fn parses_nested_document() {
-        let v = parse(r#"{"a":[1,2.5,"x\n"],"b":{"c":true,"d":null},"n":-3}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0].as_u64(), Some(1));
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[1].as_f64(), Some(2.5));
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[2].as_str(), Some("x\n"));
+        let v = parse(r#"{"a":[1,2.5,"x\n",-3e2,false],"b":{"c":true,"d":null},"n":-3}"#).unwrap();
+        let a = v.get("a").unwrap().as_arr().unwrap();
+        assert_eq!(a[0].as_u64(), Some(1));
+        assert_eq!(a[1].as_f64(), Some(2.5));
+        assert_eq!(a[2].as_str(), Some("x\n"));
+        assert_eq!(a[3].as_f64(), Some(-300.0));
+        assert_eq!(a[4], Value::Bool(false));
         assert_eq!(v.get("b").unwrap().get("c"), Some(&Value::Bool(true)));
         assert_eq!(v.get("b").unwrap().get("d"), Some(&Value::Null));
         assert_eq!(v.get("n").unwrap().as_f64(), Some(-3.0));
@@ -309,9 +337,10 @@ mod tests {
 
     #[test]
     fn u64_integers_are_exact() {
-        let big = u64::MAX;
-        let v = parse(&format!("{{\"x\":{big}}}")).unwrap();
-        assert_eq!(v.get("x").unwrap().as_u64(), Some(big));
+        for big in [u64::MAX, (1 << 53) + 1] {
+            let v = parse(&format!("{{\"x\":{big}}}")).unwrap();
+            assert_eq!(v.get("x").unwrap().as_u64(), Some(big));
+        }
     }
 
     #[test]
@@ -324,11 +353,114 @@ mod tests {
     }
 
     #[test]
+    fn rejects_garbage() {
+        assert!(parse("").is_err());
+        assert!(parse(r#"{"a":1} x"#).is_err());
+        assert!(parse(r#""\uD800""#).is_err(), "lone high surrogate");
+        assert!(parse(r#""\uD800\u0041""#).is_err(), "high surrogate, then no low one");
+        assert!(parse(r#""\uDC00""#).is_err(), "lone low surrogate");
+        assert!(parse(r#""\u12""#).is_err(), "truncated escape");
+        assert!(parse(r#""\q""#).is_err(), "unknown escape");
+    }
+
+    #[test]
+    fn parses_surrogate_pair() {
+        assert_eq!(parse(r#""😀""#).unwrap().as_str(), Some("😀"));
+        assert_eq!(parse(r#""\uD83D\uDE00 \u00e9""#).unwrap().as_str(), Some("😀 é"));
+    }
+
+    /// The union of the literal inputs the two former codecs' suites
+    /// fed their parsers, one row each, judged by the one parser.
+    #[test]
+    fn conformance_table() {
+        use Value::*;
+        let accept: &[(&str, Value)] = &[
+            ("null", Null),
+            (" true ", Bool(true)),
+            ("0", Int(0)),
+            ("18446744073709551615", Int(u64::MAX)),
+            ("9007199254740993", Int((1 << 53) + 1)),
+            ("-3", Float(-3.0)),
+            ("2.5", Float(2.5)),
+            ("-3e2", Float(-300.0)),
+            ("1e-9", Float(1e-9)),
+            (r#""a\"b\\c\/d\b\f\n\r\t""#, Str("a\"b\\c/d\u{8}\u{c}\n\r\t".into())),
+            (r#""\u0001\u00E9""#, Str("\u{1}é".into())),
+            (r#""héllo 😀""#, Str("héllo 😀".into())),
+            ("[]", Arr(vec![])),
+            ("{}", Obj(vec![])),
+            ("[1, [2, {\"k\": []}]]", {
+                let inner = Obj(vec![("k".into(), Arr(vec![]))]);
+                Arr(vec![Int(1), Arr(vec![Int(2), inner])])
+            }),
+            // Member order is kept, duplicates too; `get` takes the first.
+            (r#"{"b":1,"a":2,"b":3}"#, {
+                Obj(vec![("b".into(), Int(1)), ("a".into(), Int(2)), ("b".into(), Int(3))])
+            }),
+        ];
+        for (input, want) in accept {
+            assert_eq!(parse(input).as_ref(), Ok(want), "{input}");
+        }
+        let reject = [
+            "", " ", "{", "[", "[1,]", "[1 2]", "{\"a\"}", "{\"a\":}", "{,}", "{} x", "1 2", "tru",
+            "nul", "\"abc", "\"abc\\", "-", "1e", "--1", "not json",
+        ];
+        for input in reject {
+            assert!(parse(input).is_err(), "{input:?} must not parse");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let nested = |depth: usize| format!("{}1{}", open.repeat(depth), close.repeat(depth));
+            assert!(parse(&nested(MAX_DEPTH)).is_ok(), "depth {MAX_DEPTH} of {open}");
+            let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.contains("nesting deeper than 64"), "{err}");
+            // Unclosed and far past any stack: still a typed error.
+            let err = parse(&open.repeat(200_000)).unwrap_err();
+            assert!(err.contains("nesting deeper than 64"), "{err}");
+        }
+        // Siblings do not accumulate depth.
+        assert!(parse(&format!("[{}]", vec!["[[]]"; 1000].join(","))).is_ok());
+    }
+
+    /// A per-character re-validation of the rest of the input made
+    /// this quadratic: 1.6 MB took 38 s. Linear, 4 MB is milliseconds.
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let body = "x\\n é".repeat(700_000);
+        assert!(body.len() >= 4_000_000);
+        let started = std::time::Instant::now();
+        let v = parse(&format!("{{\"s\":\"{body}\"}}")).unwrap();
+        assert_eq!(v.get("s").unwrap().as_str().map(str::len), Some(body.len() - 700_000));
+        assert!(started.elapsed() < std::time::Duration::from_secs(5), "{:?}", started.elapsed());
+    }
+
+    #[test]
     fn escape_round_trips() {
         let mut out = String::from("\"");
         escape_into(&mut out, "a\"b\\c\nd\u{1}");
         out.push('"');
         let v = parse(&out).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\nd\u{1}"));
+    }
+
+    #[test]
+    fn escape_round_trips_through_parse() {
+        let s = "a\"b\\c\nd\te\u{1}f héllo 😀";
+        let mut lit = String::from("\"");
+        escape_into(&mut lit, s);
+        lit.push('"');
+        assert_eq!(parse(&lit).unwrap().as_str(), Some(s));
+    }
+
+    #[test]
+    fn fmt_f64_is_parseable() {
+        for v in [0.0, 1.5, -2.0, 1e-9, 12345.0] {
+            let s = fmt_f64(v);
+            assert_eq!(parse(&s).unwrap().as_f64(), Some(v), "{s}");
+        }
+        assert_eq!(fmt_f64(f64::NAN), "0");
     }
 }

@@ -1,4 +1,4 @@
-//! # tc-metrics — per-rank metrics registry and regression engine
+//! # tc-metrics — per-rank metrics registry and exact-counter gate
 //!
 //! The quantitative companion to `tc-trace`: where tracing records
 //! *when* things happened, this crate records *how much* — operation
@@ -6,7 +6,8 @@
 //! high-water marks — the architecture-independent quantities the
 //! paper's evaluation (Tables 1–5) is built on.
 //!
-//! Zero dependencies, same instrumentation discipline as `tc-trace`:
+//! Zero dependencies, and the instrumentation discipline `tc-trace`
+//! shares:
 //!
 //! - when no [`MetricsSession`] is live, every instrumentation point
 //!   costs exactly one relaxed atomic load ([`enabled`]);
@@ -19,10 +20,10 @@
 //!   exposition ([`prometheus::to_prometheus`]).
 //!
 //! On top of the registry sit benchmark [`report::RunRecord`]s
-//! (JSON-lines, one per run) and the [`diff`] engine (`benchdiff`):
-//! noise-aware comparison that hard-fails on any drift in
-//! deterministic counters and applies a median/relative-tolerance
-//! test to wall-clock timings.
+//! (JSON-lines, one per run) and the [`diff`] engine (`benchdiff`),
+//! which holds triangle counts and deterministic counters exact and
+//! leaves wall time to `benchmark/run.sh`. [`json`] is the one JSON
+//! codec of the workspace.
 
 pub mod diff;
 pub mod histogram;
@@ -33,7 +34,6 @@ pub mod registry;
 pub mod report;
 pub mod snapshot;
 pub mod stats;
-pub mod trend;
 
 pub use histogram::Log2Histogram;
 pub use mem::MemScope;
@@ -43,7 +43,7 @@ pub use registry::{
 };
 pub use report::RunRecord;
 pub use snapshot::{MetricValue, MetricsSnapshot};
-pub use stats::{welch_t, TimingStats, Welford};
+pub use stats::{TimingStats, Welford};
 
 /// Well-known metric names, shared by every instrumented layer so
 /// exporters, tests and docs agree on spelling.

@@ -6,14 +6,10 @@
 //! [`RunRecord::parse_jsonl`] picks out the run records and ignores
 //! the rest, but still insists every line is valid JSON.
 //!
-//! ## v1 → v2
-//!
-//! `tc-run-v1` stored each timing as one `u64` (a single shot).
-//! `tc-run-v2` stores a [`TimingStats`] object per timing —
-//! `{mean, stddev, min, max, median, tries}` over the harness's
-//! `--tries` repeats. The parser accepts both: v1 timings lift to
-//! `tries = 1` summaries, so old baselines keep diffing against new
-//! reports (via the fixed-tolerance fallback for spread-free rows).
+//! A record has two halves. `counters` are deterministic — `benchdiff`
+//! holds them exact. `timings_ns` holds one [`TimingStats`] object per
+//! timing, `{mean, stddev, min, max, median, tries}` over the harness's
+//! `--tries` repeats: carried for the reader, judged by nobody here.
 
 use std::collections::BTreeMap;
 
@@ -23,9 +19,6 @@ use crate::stats::TimingStats;
 
 /// Run-record schema tag; bump on breaking layout changes.
 pub const RUN_SCHEMA: &str = "tc-run-v2";
-
-/// The previous single-shot schema, still accepted on input.
-pub const RUN_SCHEMA_V1: &str = "tc-run-v1";
 
 /// One benchmark run: identity key, deterministic counters, and
 /// noisy timings.
@@ -46,8 +39,7 @@ pub struct RunRecord {
     /// `benchdiff` hard-fails on any drift.
     pub counters: BTreeMap<String, u64>,
     /// Wall-clock style measurements in nanoseconds, summarized over
-    /// the harness's repeat tries: compared by effect size (or a
-    /// relative tolerance when no spread is available).
+    /// the harness's repeat tries. Never compared.
     pub timings_ns: BTreeMap<String, TimingStats>,
 }
 
@@ -157,9 +149,9 @@ impl RunRecord {
         for name in names {
             let parts: Vec<TimingStats> =
                 tries.iter().filter_map(|r| r.timings_ns.get(name).copied()).collect();
-            if let Some(pooled) = TimingStats::pool(&parts) {
-                timings_ns.insert(name.clone(), pooled);
-            }
+            let pooled = TimingStats::pool(&parts)
+                .ok_or_else(|| format!("timing '{name}' already summarizes several tries"))?;
+            timings_ns.insert(name.clone(), pooled);
         }
         Ok(RunRecord { timings_ns, ..first.clone() })
     }
@@ -211,8 +203,9 @@ impl RunRecord {
         out
     }
 
-    /// Parses one already-parsed JSON object as a run record (either
-    /// schema).
+    /// Parses one already-parsed JSON object as a run record. The
+    /// `counters` object is required: a row without one would diff as
+    /// "nothing to compare" and pass.
     pub fn from_value(v: &Value) -> Result<RunRecord, String> {
         let want_str = |key: &str| -> Result<String, String> {
             v.get(key)
@@ -226,13 +219,14 @@ impl RunRecord {
                 .ok_or_else(|| format!("run record missing integer '{key}'"))
         };
         let mut counters = BTreeMap::new();
-        if let Some(members) = v.get("counters").and_then(Value::as_obj) {
-            for (k, val) in members {
-                let n = val
-                    .as_u64()
-                    .ok_or_else(|| format!("run record 'counters.{k}' is not a u64"))?;
-                counters.insert(k.clone(), n);
-            }
+        let members = v
+            .get("counters")
+            .and_then(Value::as_obj)
+            .ok_or("run record has no 'counters' object")?;
+        for (k, val) in members {
+            let n =
+                val.as_u64().ok_or_else(|| format!("run record 'counters.{k}' is not a u64"))?;
+            counters.insert(k.clone(), n);
         }
         let mut timings_ns = BTreeMap::new();
         if let Some(members) = v.get("timings_ns").and_then(Value::as_obj) {
@@ -251,9 +245,9 @@ impl RunRecord {
         })
     }
 
-    /// Extracts all run records from a JSON-lines report — both
-    /// `tc-run-v2` and legacy `tc-run-v1` lines. Lines with other
-    /// schemas (or none) are skipped; malformed JSON is an error.
+    /// Extracts all `tc-run-v2` records from a JSON-lines report.
+    /// Lines with other schemas (or none) are skipped; malformed JSON
+    /// is an error.
     pub fn parse_jsonl(text: &str) -> Result<Vec<RunRecord>, String> {
         let mut out = Vec::new();
         for (lineno, line) in text.lines().enumerate() {
@@ -262,8 +256,7 @@ impl RunRecord {
                 continue;
             }
             let v = json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-            let schema = v.get("schema").and_then(Value::as_str);
-            if schema == Some(RUN_SCHEMA) || schema == Some(RUN_SCHEMA_V1) {
+            if v.get("schema").and_then(Value::as_str) == Some(RUN_SCHEMA) {
                 out.push(Self::from_value(&v).map_err(|e| format!("line {}: {e}", lineno + 1))?);
             }
         }
@@ -283,15 +276,8 @@ fn write_timing(out: &mut String, s: &TimingStats) {
     ));
 }
 
-/// Parses one timing value: a bare `u64` (v1 single shot) or a v2
-/// stats object.
+/// Parses one timing value (a stats object).
 fn parse_timing(name: &str, val: &Value) -> Result<TimingStats, String> {
-    if let Some(n) = val.as_u64() {
-        return Ok(TimingStats::from_single(n));
-    }
-    if val.as_obj().is_none() {
-        return Err(format!("run record 'timings_ns.{name}' is neither u64 nor stats object"));
-    }
     let want_f64 = |key: &str| -> Result<f64, String> {
         val.get(key)
             .and_then(Value::as_f64)
@@ -349,13 +335,22 @@ mod tests {
     }
 
     #[test]
-    fn v1_timings_lift_to_single_try_summaries() {
-        let v1 = r#"{"schema":"tc-run-v1","dataset":"g500-s8","algorithm":"2d","ranks":16,"config":"default","triangles":9,"counters":{"tct.ops":7},"timings_ns":{"tct.wall_ns":5000000}}"#;
-        let recs = RunRecord::parse_jsonl(v1).unwrap();
-        assert_eq!(recs.len(), 1);
-        let t = recs[0].timings_ns.get("tct.wall_ns").unwrap();
-        assert_eq!(*t, TimingStats::from_single(5_000_000));
-        assert_eq!(t.tries, 1);
+    fn a_row_without_a_counters_object_is_a_parse_error() {
+        let line = sample().to_json_line();
+        let start = line.find("\"counters\"").unwrap();
+        let end = line.find("\"timings_ns\"").unwrap();
+        for broken in [r#""counters":[1,2],"#, r#""counters":7,"#, ""] {
+            let bad = format!("{}{broken}{}", &line[..start], &line[end..]);
+            let err = RunRecord::parse_jsonl(&bad).unwrap_err();
+            assert!(err.contains("line 1") && err.contains("no 'counters' object"), "{err}");
+        }
+        // A bare number is not a timing, and a `tc-run-v1` line is a
+        // foreign line like any other.
+        let bare =
+            line.replace("\"timings_ns\":{\"tct.wall_ns\":{", "\"timings_ns\":{\"x\":5,\"y\":{");
+        assert!(RunRecord::parse_jsonl(&bare).unwrap_err().contains("timing 'x'"));
+        let v1 = line.replace("tc-run-v2", "tc-run-v1");
+        assert_eq!(RunRecord::parse_jsonl(&v1).unwrap(), vec![]);
     }
 
     #[test]

@@ -124,6 +124,12 @@ fn service_streams_updates_and_answers_queries() {
     assert!(raw.contains("\"bad_request\""), "unknown op: {raw}");
     let raw = client.request_raw("not json").expect("reply to junk");
     assert!(raw.contains("\"bad_request\""), "junk line: {raw}");
+    // 200 kB of `[` used to overflow the connection thread's stack in
+    // the parser and abort the whole fleet; it is one more bad request.
+    let raw = client.request_raw(&"[".repeat(200_000)).expect("reply to deep nesting");
+    assert!(raw.contains("\"bad_request\"") && raw.contains("nesting deeper"), "deep line: {raw}");
+    let reply = client.request(&Request::Count).expect("the fleet still answers");
+    assert_eq!(u64_field(&reply, "triangles"), serial_triangles(n, &reference));
 
     // Stream >100 update batches. Every update is chased by a count,
     // whose read barrier applies the buffer as exactly one batch and

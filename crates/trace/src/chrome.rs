@@ -17,8 +17,8 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use crate::event::{ArgValue, EventKind};
-use crate::json::{self, escape_into, fmt_f64, Value};
 use crate::session::Trace;
+use tc_metrics::json::{self, escape_into, fmt_f64, Value};
 
 /// Renders a finished trace as a Chrome-trace-event JSON document.
 pub fn to_chrome_json(trace: &Trace) -> String {
@@ -29,7 +29,7 @@ pub fn to_chrome_json(trace: &Trace) -> String {
 /// `(key, value)` pair is embedded verbatim, so `value` must already
 /// be serialized JSON. This is how producers attach sidecar data —
 /// e.g. a `tc-metrics` snapshot under a `"tcMetrics"` key — without
-/// this crate depending on them. Trace viewers ignore unknown
+/// this crate knowing their schema. Trace viewers ignore unknown
 /// members, and [`validate`] only reads `traceEvents`.
 pub fn to_chrome_json_with_metadata(trace: &Trace, metadata: &[(&str, &str)]) -> String {
     let mut out = String::with_capacity(256 + trace.events.len() * 128);
@@ -70,27 +70,29 @@ pub fn to_chrome_json_with_metadata(trace: &Trace, metadata: &[(&str, &str)]) ->
         match ev.kind {
             EventKind::Span => {
                 let dur_us = ev.dur_ns as f64 / 1e3;
+                out.push_str("{\"ph\":\"X\",\"name\":");
+                push_str_lit(&mut out, ev.name);
+                out.push_str(",\"cat\":");
+                push_str_lit(&mut out, ev.cat.as_str());
                 let _ = write!(
                     out,
-                    "{{\"ph\":\"X\",\"name\":{name},\"cat\":{cat},\"pid\":0,\
-                     \"tid\":{tid},\"ts\":{ts},\"dur\":{dur},\"args\":{{",
-                    name = json::escape(ev.name),
-                    cat = json::escape(ev.cat.as_str()),
+                    ",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\"dur\":{dur},\"args\":{{\"cpu_us\":{cpu}",
                     tid = ev.rank,
                     ts = fmt_f64(ts_us),
                     dur = fmt_f64(dur_us),
+                    cpu = fmt_f64(ev.cpu_ns as f64 / 1e3),
                 );
-                let _ = write!(out, "\"cpu_us\":{}", fmt_f64(ev.cpu_ns as f64 / 1e3));
                 write_args(&mut out, &ev.args, false);
                 out.push_str("}}");
             }
             EventKind::Instant => {
+                out.push_str("{\"ph\":\"i\",\"s\":\"t\",\"name\":");
+                push_str_lit(&mut out, ev.name);
+                out.push_str(",\"cat\":");
+                push_str_lit(&mut out, ev.cat.as_str());
                 let _ = write!(
                     out,
-                    "{{\"ph\":\"i\",\"s\":\"t\",\"name\":{name},\"cat\":{cat},\
-                     \"pid\":0,\"tid\":{tid},\"ts\":{ts},\"args\":{{",
-                    name = json::escape(ev.name),
-                    cat = json::escape(ev.cat.as_str()),
+                    ",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\"args\":{{",
                     tid = ev.rank,
                     ts = fmt_f64(ts_us),
                 );
@@ -106,7 +108,7 @@ pub fn to_chrome_json_with_metadata(trace: &Trace, metadata: &[(&str, &str)]) ->
     );
     for (key, value) in metadata {
         out.push(',');
-        escape_into(&mut out, key);
+        push_str_lit(&mut out, key);
         out.push(':');
         out.push_str(value);
     }
@@ -120,16 +122,23 @@ fn write_args(out: &mut String, args: &[(&'static str, ArgValue)], mut first: bo
             out.push(',');
         }
         first = false;
-        escape_into(out, k);
+        push_str_lit(out, k);
         out.push(':');
         match v {
             ArgValue::U64(n) => {
                 let _ = write!(out, "{n}");
             }
             ArgValue::F64(n) => out.push_str(&fmt_f64(*n)),
-            ArgValue::Str(s) => escape_into(out, s),
+            ArgValue::Str(s) => push_str_lit(out, s),
         }
     }
+}
+
+/// Appends `s` as a JSON string literal, quotes included.
+fn push_str_lit(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
 }
 
 /// Writes [`to_chrome_json`] output to `path`.
@@ -171,7 +180,7 @@ pub struct ChromeSummary {
 /// (for `"X"`) a non-negative `dur`. Returns a summary of the lanes
 /// and events found.
 pub fn validate(input: &str) -> Result<ChromeSummary, String> {
-    let doc = json::parse(input).map_err(|e| e.to_string())?;
+    let doc = json::parse(input)?;
     let events = doc
         .get("traceEvents")
         .ok_or("missing \"traceEvents\" member")?
@@ -180,20 +189,22 @@ pub fn validate(input: &str) -> Result<ChromeSummary, String> {
     let mut summary =
         ChromeSummary { ranks: Vec::new(), spans: 0, instants: 0, spans_by_name: BTreeMap::new() };
     for (i, ev) in events.iter().enumerate() {
-        let obj = ev.as_obj().ok_or_else(|| format!("event {i} is not an object"))?;
-        let ph = obj
+        if ev.as_obj().is_none() {
+            return Err(format!("event {i} is not an object"));
+        }
+        let ph = ev
             .get("ph")
             .and_then(Value::as_str)
             .ok_or_else(|| format!("event {i} has no \"ph\""))?;
-        let name = obj
+        let name = ev
             .get("name")
             .and_then(Value::as_str)
             .ok_or_else(|| format!("event {i} has no \"name\""))?;
-        let tid = obj
+        let tid = ev
             .get("tid")
             .and_then(Value::as_f64)
             .ok_or_else(|| format!("event {i} has no numeric \"tid\""))?;
-        if obj.get("pid").and_then(Value::as_f64).is_none() {
+        if ev.get("pid").and_then(Value::as_f64).is_none() {
             return Err(format!("event {i} has no numeric \"pid\""));
         }
         if tid < 0.0 || tid.fract() != 0.0 {
@@ -202,11 +213,11 @@ pub fn validate(input: &str) -> Result<ChromeSummary, String> {
         match ph {
             "M" => {} // metadata carries no ts
             "X" => {
-                let ts = obj
+                let ts = ev
                     .get("ts")
                     .and_then(Value::as_f64)
                     .ok_or_else(|| format!("event {i} ({name}) has no numeric \"ts\""))?;
-                let dur = obj
+                let dur = ev
                     .get("dur")
                     .and_then(Value::as_f64)
                     .ok_or_else(|| format!("event {i} ({name}) has no numeric \"dur\""))?;
@@ -218,7 +229,7 @@ pub fn validate(input: &str) -> Result<ChromeSummary, String> {
                 summary.ranks.push(tid as usize);
             }
             "i" => {
-                if obj.get("ts").and_then(Value::as_f64).is_none() {
+                if ev.get("ts").and_then(Value::as_f64).is_none() {
                     return Err(format!("event {i} ({name}) has no numeric \"ts\""));
                 }
                 summary.instants += 1;
@@ -281,7 +292,7 @@ mod tests {
     #[test]
     fn export_is_well_formed_json_with_lane_metadata() {
         let json = to_chrome_json(&sample());
-        let doc = crate::json::parse(&json).unwrap();
+        let doc = json::parse(&json).unwrap();
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         let names: Vec<&str> = events
             .iter()
@@ -307,7 +318,7 @@ mod tests {
     fn metadata_members_are_embedded_and_ignored_by_validate() {
         let snap = r#"{"schema":"tc-metrics-v1","ranks":[]}"#;
         let json = to_chrome_json_with_metadata(&sample(), &[("tcMetrics", snap)]);
-        let doc = crate::json::parse(&json).unwrap();
+        let doc = json::parse(&json).unwrap();
         assert_eq!(
             doc.get("tcMetrics").and_then(|m| m.get("schema")).and_then(Value::as_str),
             Some("tc-metrics-v1")

@@ -55,7 +55,6 @@ pub mod analysis;
 pub mod chrome;
 mod clock;
 mod event;
-pub mod json;
 mod session;
 
 pub use clock::{thread_cpu_now, CpuTimer};

@@ -10,16 +10,16 @@
 # The checked-in BENCH_BASELINE.json was produced by this script; CI
 # re-runs it and diffs with
 #
-#   tricount benchdiff BENCH_BASELINE.json OUT.jsonl --deterministic-only
+#   tricount benchdiff BENCH_BASELINE.json OUT.jsonl
 #
-# `--deterministic-only` ignores wall-clock timings (unbounded noise on
-# shared runners) and compares only the deterministic counters — op and
-# probe counts, tasks, bytes on the wire, triangle counts — which must
-# be bit-identical run to run for a fixed seed. Without that flag,
-# benchdiff judges timings by effect size (Welch's t across the TRIES
-# repeats), so local perf triage works from the same report. To refresh
-# the baseline after an intentional algorithmic change, see
-# EXPERIMENTS.md.
+# which compares the deterministic counters — op and probe counts,
+# tasks, bytes on the wire, triangle counts — that must be bit-identical
+# run to run for a fixed seed. This suite owns exactness for the paths
+# benchmark/run.sh does not run (SUMMA, the 1D baselines, the
+# ablations); the timings in the report are carried for a reader and
+# judged by nobody — wall time is judged on alternating
+# benchmark/run.sh pairs. To refresh the baseline after an intentional
+# algorithmic change, see EXPERIMENTS.md.
 set -eu
 BIN=target/release
 cd "$(dirname "$0")/.."

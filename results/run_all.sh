@@ -5,8 +5,8 @@
 # Every distributed run also appends one `tc-run-v2` JSON line to a
 # single consolidated report (results/report.jsonl by default). Each
 # line carries per-part timing statistics over TRIES measured repeats
-# (WARMUP discarded runs first), so the whole campaign can be compared
-# against a previous one with a variance-aware verdict:
+# (WARMUP discarded runs first) for the tables, and the deterministic
+# counters, which can be held exact against a previous campaign:
 #
 #   tricount benchdiff results/report.prev.jsonl results/report.jsonl
 #

@@ -1,18 +1,18 @@
-//! End-to-end seeded-regression demonstration for `benchdiff`: two
-//! real 5-try pipeline runs produce `tc-run-v2` reports through the
-//! bench harness (`RunScope`), an identical-run diff passes, seeded
-//! perturbations — a drifted deterministic counter, a genuine 2×
-//! slowdown judged by effect size — flip the verdict to FAIL, a
-//! noisy-but-equal pair passes where the old fixed band would have
-//! failed, and a `tc-run-v1` baseline still diffs against a v2
-//! candidate.
+//! End-to-end check of the exact-counter gate on real reports: two
+//! 5-try pipeline runs written by the bench harness (`RunScope`) diff
+//! PASS, a drifted counter and a drifted triangle count FAIL, a
+//! candidate whose every timing statistic is inflated 10× still PASSES
+//! (timings are carried, not judged), and `--refresh` rewrites exactly
+//! the counters it names.
 
 use tc_bench::args::ExpArgs;
 use tc_bench::RunScope;
-use tc_metrics::diff::{diff_reports, DiffOptions};
-use tc_metrics::{RunRecord, TimingStats};
+use tc_metrics::diff::{diff_reports, refresh_counters};
+use tc_metrics::RunRecord;
 
-fn report(dir: &std::path::Path, name: &str, el: &tc_graph::EdgeList) -> Vec<RunRecord> {
+/// One 5-try run of the reference graph through the harness: the
+/// report text it wrote and the records in it.
+fn report(dir: &std::path::Path, name: &str, el: &tc_graph::EdgeList) -> (String, Vec<RunRecord>) {
     let path = dir.join(name);
     let args = ExpArgs {
         json: Some(path.to_string_lossy().into_owned()),
@@ -25,33 +25,8 @@ fn report(dir: &std::path::Path, name: &str, el: &tc_graph::EdgeList) -> Vec<Run
     assert!(r.triangles > 0, "reference graph should contain triangles");
     let text = std::fs::read_to_string(&path).expect("report written");
     assert!(text.contains("\"schema\":\"tc-run-v2\""), "harness emits v2 records: {text}");
-    RunRecord::parse_jsonl(&text).expect("report parses")
-}
-
-/// Serializes a record the way the pre-stats harness did: same run
-/// key and counters, but `tc-run-v1` schema with bare-integer (median)
-/// timings.
-fn v1_line(rec: &RunRecord) -> String {
-    let mut out = format!(
-        "{{\"schema\":\"tc-run-v1\",\"dataset\":\"{}\",\"algorithm\":\"{}\",\"ranks\":{},\
-         \"config\":\"{}\",\"triangles\":{},\"counters\":{{",
-        rec.dataset, rec.algorithm, rec.ranks, rec.config, rec.triangles
-    );
-    for (i, (k, v)) in rec.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{k}\":{v}"));
-    }
-    out.push_str("},\"timings_ns\":{");
-    for (i, (k, s)) in rec.timings_ns.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{k}\":{}", s.median));
-    }
-    out.push_str("}}");
-    out
+    let records = RunRecord::parse_jsonl(&text).expect("report parses");
+    (text, records)
 }
 
 #[test]
@@ -59,9 +34,8 @@ fn five_try_runs_pass_and_seeded_regressions_fail() {
     let el = tc_gen::rmat(8, 8, tc_gen::RmatParams::GRAPH500, 7).simplify();
     let dir = std::env::temp_dir().join(format!("tc_benchdiff_e2e_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-
-    let base = report(&dir, "base.jsonl", &el);
-    let cand = report(&dir, "cand.jsonl", &el);
+    let (base_text, base) = report(&dir, "base.jsonl", &el);
+    let (_, cand) = report(&dir, "cand.jsonl", &el);
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(base.len(), 1, "five tries aggregate into one record");
     assert_eq!(base[0].key(), cand[0].key(), "same run key across repeats");
@@ -69,67 +43,50 @@ fn five_try_runs_pass_and_seeded_regressions_fail() {
         assert_eq!(s.tries, 5, "timings summarize all measured tries");
     }
 
-    // Generous effect thresholds: this part of the test is about
-    // determinism, the runs are tiny and wall-clock noise on CI is
-    // unbounded — two honest re-runs may genuinely differ.
-    let noise_proof =
-        DiffOptions { tolerance: 1000.0, min_effect: 1000.0, ..DiffOptions::default() };
-    let rep = diff_reports(&base, &cand, &noise_proof);
+    // Two honest runs differ in every timing and in nothing else.
+    let rep = diff_reports(&base, &cand);
     assert!(rep.pass(), "identical pipeline runs must pass:\n{}", rep.render());
 
-    // Seeded regression 1: one deterministic counter drifts by 1.
-    // The hard gate is exact — no amount of tolerance forgives it.
-    let mut perturbed = cand.clone();
+    // Timings are carried, not judged: every statistic of every timing
+    // ten times slower is still the same program.
+    let mut slow = cand.clone();
+    for s in slow[0].timings_ns.values_mut() {
+        s.mean *= 10.0;
+        s.stddev *= 10.0;
+        s.min *= 10;
+        s.max *= 10;
+        s.median *= 10;
+    }
+    let rep = diff_reports(&base, &slow);
+    assert!(rep.pass(), "a 10x slower candidate must pass:\n{}", rep.render());
+
+    // Seeded regressions: one deterministic counter off by one, and
+    // the triangle count off by one.
     let (name, v) = {
-        let (name, v) = perturbed[0].counters.iter().next().expect("counters recorded");
+        let (name, v) = cand[0].counters.iter().find(|(_, v)| **v > 0).expect("counters recorded");
         (name.clone(), *v)
     };
-    perturbed[0].counters.insert(name, v + 1);
-    assert!(
-        !diff_reports(&base, &perturbed, &noise_proof).pass(),
-        "a drifted deterministic counter must fail the diff"
-    );
+    let mut drifted = cand.clone();
+    drifted[0].counters.insert(name.clone(), v + 1);
+    let rep = diff_reports(&base, &drifted);
+    assert!(!rep.pass() && rep.render().contains(&name), "{}", rep.render());
+    let mut miscounted = cand.clone();
+    miscounted[0].triangles += 1;
+    let rep = diff_reports(&base, &miscounted);
+    assert!(!rep.pass() && rep.render().contains("triangles"), "{}", rep.render());
 
-    // Seeded regression 2: a genuine 2× slowdown at 5 tries, judged
-    // by effect size under the default options. The timing spread is
-    // seeded so the verdict is deterministic on any machine.
-    let timing = base[0].timings_ns.keys().next().expect("timings recorded").clone();
-    let ms = |v: &[u64]| -> Vec<u64> { v.iter().map(|&x| x * 1_000_000).collect() };
-    let mut steady = base.clone();
-    steady[0]
-        .timings_ns
-        .insert(timing.clone(), TimingStats::from_samples(&ms(&[98, 99, 100, 101, 102])).unwrap());
-    let mut doubled = steady.clone();
-    doubled[0].timings_ns.insert(
-        timing.clone(),
-        TimingStats::from_samples(&ms(&[196, 198, 200, 202, 204])).unwrap(),
+    // `--refresh` blesses exactly the counter it names: that value
+    // moves, every other byte of the baseline — timings included —
+    // stays, and the refreshed baseline passes against the candidate.
+    let named = [name.clone()];
+    let (text, changed) = refresh_counters(&base_text, &drifted, &named).expect("refresh");
+    assert_eq!(changed, 1);
+    assert_eq!(
+        text,
+        base_text.replacen(&format!("\"{name}\":{v}"), &format!("\"{name}\":{}", v + 1), 1)
     );
-    let defaults = DiffOptions::default();
-    let rep = diff_reports(&steady, &doubled, &defaults);
-    assert!(!rep.pass(), "a seeded 2x slowdown must fail by effect size:\n{}", rep.render());
-    let rep = diff_reports(&steady, &steady.clone(), &defaults);
-    assert!(rep.pass(), "the unperturbed re-run must pass:\n{}", rep.render());
-
-    // Noisy-but-equal: +30% mean shift swamped by spread. The old
-    // fixed ±25% band would have failed this; the effect-size verdict
-    // recognizes the overlap and passes.
-    let mut noisy_base = base.clone();
-    noisy_base[0]
-        .timings_ns
-        .insert(timing.clone(), TimingStats::from_samples(&ms(&[70, 85, 100, 115, 130])).unwrap());
-    let mut noisy_cand = base.clone();
-    noisy_cand[0].timings_ns.insert(
-        timing.clone(),
-        TimingStats::from_samples(&ms(&[100, 115, 130, 145, 160])).unwrap(),
-    );
-    let rep = diff_reports(&noisy_base, &noisy_cand, &defaults);
-    assert!(rep.pass(), "a noisy-but-equal pair must pass under effect size:\n{}", rep.render());
-
-    // Backward compatibility: a v1 baseline (single-shot timings)
-    // diffs against the v2 candidate via the tolerance fallback.
-    let v1 = RunRecord::parse_jsonl(&v1_line(&base[0])).expect("v1 line parses");
-    assert_eq!(v1.len(), 1);
-    assert_eq!(v1[0].timings_ns.values().next().map(|s| s.tries), Some(1));
-    let rep = diff_reports(&v1, &cand, &noise_proof);
-    assert!(rep.pass(), "v1 baseline must diff against v2 candidate:\n{}", rep.render());
+    assert!(diff_reports(&RunRecord::parse_jsonl(&text).unwrap(), &drifted).pass());
+    // With the triangle count off as well, nothing is rewritten.
+    drifted[0].triangles += 1;
+    assert!(refresh_counters(&base_text, &drifted, &named).is_err());
 }
