@@ -122,7 +122,7 @@ impl ExpArgs {
                 "--preset" => {
                     let name = value("--preset")?;
                     out.preset = Some(
-                        Preset::parse(&name).ok_or_else(|| format!("unknown preset {name:?}"))?,
+                        Preset::lookup(&name)?.ok_or_else(|| format!("unknown preset {name:?}"))?,
                     );
                 }
                 "--csv" => out.csv = Some(value("--csv")?),

@@ -355,11 +355,11 @@ fn parse_edge_csv(s: &str) -> Result<Vec<(u32, u32)>, String> {
         .collect()
 }
 
-fn parse_input(s: &str) -> Input {
-    match Preset::parse(s) {
+fn parse_input(s: &str) -> Result<Input, String> {
+    Ok(match Preset::lookup(s)? {
         Some(p) => Input::Preset(p),
         None => Input::File(PathBuf::from(s)),
-    }
+    })
 }
 
 /// Parses an argument vector (without the program name), with an
@@ -379,10 +379,10 @@ pub fn parse_with_env(
         "help" | "--help" | "-h" => Ok(Command::Help),
         "info" => {
             let input = it.next().ok_or("info needs an input")?;
-            Ok(Command::Info { input: parse_input(input) })
+            Ok(Command::Info { input: parse_input(input)? })
         }
         "truss" => {
-            let input = parse_input(it.next().ok_or("truss needs an input")?);
+            let input = parse_input(it.next().ok_or("truss needs an input")?)?;
             let mut ranks = 4usize;
             let mut seed = tc_gen::DEFAULT_SEED;
             while let Some(flag) = it.next() {
@@ -408,7 +408,7 @@ pub fn parse_with_env(
         }
         "benchdiff" => Ok(Command::BenchDiff { args: it.cloned().collect() }),
         "serve-rank" => {
-            let input = parse_input(it.next().ok_or("serve-rank needs an input")?);
+            let input = parse_input(it.next().ok_or("serve-rank needs an input")?)?;
             let mut rank = None;
             let mut peers = None;
             let mut epoch = None;
@@ -518,7 +518,7 @@ pub fn parse_with_env(
             })
         }
         "serve" => {
-            let input = parse_input(it.next().ok_or("serve needs an input")?);
+            let input = parse_input(it.next().ok_or("serve needs an input")?)?;
             let mut listen = None;
             let mut ranks = 4usize;
             let mut rank = None;
@@ -820,7 +820,7 @@ pub fn parse_with_env(
         }
         "generate" => {
             let name = it.next().ok_or("generate needs a preset")?;
-            let preset = Preset::parse(name).ok_or_else(|| format!("unknown preset {name:?}"))?;
+            let preset = Preset::lookup(name)?.ok_or_else(|| format!("unknown preset {name:?}"))?;
             let mut seed = tc_gen::DEFAULT_SEED;
             let mut output = None;
             while let Some(flag) = it.next() {
@@ -843,7 +843,7 @@ pub fn parse_with_env(
             })
         }
         "count" => {
-            let input = parse_input(it.next().ok_or("count needs an input")?);
+            let input = parse_input(it.next().ok_or("count needs an input")?)?;
             let mut algorithm = Algorithm::TwoD;
             let mut ranks = 4usize;
             let mut grid = None;

@@ -58,6 +58,31 @@ fn serve_rank_geometry_misfits_are_exit_two() {
     }
 }
 
+/// A preset above the largest scale the generators can build with
+/// `u32` ids is a usage error naming the limit, never a panic (101) or
+/// a wrapped one-vertex graph written with exit 0.
+#[test]
+fn preset_scales_above_the_limit_are_exit_two() {
+    let out_path = tmp("too-big.bin");
+    let out_arg = out_path.to_str().unwrap();
+    let cases: [&[&str]; 4] = [
+        &["generate", "g500-s32", "--out", out_arg],
+        &["generate", "friendster-like-33", "--out", out_arg],
+        &["generate", "twitter-like-64", "--out", out_arg],
+        &["count", "twitter-like-64"],
+    ];
+    for args in cases {
+        let out = run(args);
+        let e = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {e}");
+        assert!(!e.contains("panicked"), "{args:?}: {e}");
+        let errors: Vec<&str> = e.lines().filter(|l| l.starts_with("error:")).collect();
+        assert_eq!(errors.len(), 1, "{args:?}: {e}");
+        assert!(errors[0].contains("above 31"), "{args:?}: {e}");
+        assert!(!out_path.exists(), "{args:?} wrote {}", out_path.display());
+    }
+}
+
 #[test]
 fn missing_input_file_is_exit_three() {
     let out = run(&["count", "/nonexistent/graph.bin"]);

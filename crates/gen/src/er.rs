@@ -7,31 +7,64 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use tc_graph::edgelist::{EdgeList, VertexId};
+use tc_graph::edgelist::{edge_threads, EdgeList, VertexId};
+
+use crate::stream::draw_edges;
 
 /// Samples `m` edges uniformly (with replacement) over `n` vertices;
-/// self loops excluded at the source. Deterministic per seed.
+/// self loops excluded at the source. Deterministic per seed. Edge `i`
+/// owns draws `[2i, 2i + 2)` of the seed's stream, so the stream splits
+/// across cores and the list is the same on any number of them.
 pub fn gnm(n: usize, m: usize, seed: u64) -> EdgeList {
+    gnm_on(n, m, seed, None)
+}
+
+/// [`gnm`] with its edges drawn on `threads` cores ([`edge_threads`]
+/// when `None`).
+fn gnm_on(n: usize, m: usize, seed: u64, threads: Option<usize>) -> EdgeList {
     assert!(n <= u32::MAX as usize, "vertex count exceeds u32");
     if n < 2 {
         return EdgeList::empty(n);
     }
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-    let mut edges = Vec::with_capacity(m);
-    for _ in 0..m {
+    let rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+    let threads = threads.unwrap_or_else(|| edge_threads(m));
+    let edges = draw_edges(m, 2, &rng, threads, |rng| {
         let u = rng.random_range(0..n as u64) as VertexId;
-        let mut v = rng.random_range(0..n as u64 - 1) as VertexId;
-        if v >= u {
-            v += 1; // avoids self loops without rejection sampling
-        }
-        edges.push((u, v));
-    }
+        let v = rng.random_range(0..n as u64 - 1) as VertexId;
+        // Skipping `u` avoids self loops without rejection sampling.
+        (u, v + VertexId::from(v >= u))
+    });
     EdgeList::new(n, edges)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The sequential loop the split must reproduce.
+    fn sequential_oracle(n: usize, m: usize, seed: u64) -> EdgeList {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+        let mut edges = Vec::with_capacity(m);
+        for _ in 0..m {
+            let u = rng.random_range(0..n as u64) as VertexId;
+            let mut v = rng.random_range(0..n as u64 - 1) as VertexId;
+            if v >= u {
+                v += 1;
+            }
+            edges.push((u, v));
+        }
+        EdgeList::new(n, edges)
+    }
+
+    #[test]
+    fn thread_count_never_changes_the_edges() {
+        for (n, m) in [(2, 1), (3, 5), (1000, 7001)] {
+            let want = sequential_oracle(n, m, 13);
+            for threads in 1..=8 {
+                assert_eq!(gnm_on(n, m, 13, Some(threads)), want, "n {n} m {m} {threads} threads");
+            }
+        }
+    }
 
     #[test]
     fn respects_bounds_and_no_self_loops() {

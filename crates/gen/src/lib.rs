@@ -13,8 +13,9 @@ pub mod ba;
 pub mod er;
 pub mod presets;
 pub mod rmat;
+mod stream;
 pub mod ws;
 
-pub use presets::{table1_testbed, Preset, DEFAULT_SEED};
+pub use presets::{table1_testbed, Preset, DEFAULT_SEED, MAX_SCALE};
 pub use rmat::{graph500, rmat, RmatParams};
 pub use ws::watts_strogatz;

@@ -19,6 +19,11 @@ use crate::rmat::graph500;
 /// Default seed used by the experiment harness.
 pub const DEFAULT_SEED: u64 = 42;
 
+/// Largest scale every preset family can build with `u32` vertex ids:
+/// `2^31` vertices. At 32, G(n, m) and Barabási–Albert need `n = 2^32`
+/// vertices, one more than `u32` counts.
+pub const MAX_SCALE: u32 = 31;
+
 /// A parsed dataset specification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Preset {
@@ -40,18 +45,37 @@ pub enum Preset {
 }
 
 impl Preset {
-    /// Parses names like `g500-s16`, `twitter-like-14`, `friendster-like-14`.
+    /// Parses names like `g500-s16`, `twitter-like-14`, `friendster-like-14`;
+    /// `None` for anything [`Preset::lookup`] does not accept.
     pub fn parse(name: &str) -> Option<Preset> {
-        if let Some(s) = name.strip_prefix("g500-s") {
-            return s.parse().ok().map(|scale| Preset::G500 { scale });
+        Preset::lookup(name).ok().flatten()
+    }
+
+    /// Like [`Preset::parse`], but tells a name that is no preset
+    /// (`Ok(None)`, e.g. a file path) from a preset at a scale above
+    /// [`MAX_SCALE`] (an error naming the limit).
+    pub fn lookup(name: &str) -> Result<Option<Preset>, String> {
+        type Family = (&'static str, fn(u32) -> Preset);
+        const FAMILIES: [Family; 3] = [
+            ("g500-s", |scale| Preset::G500 { scale }),
+            ("twitter-like-", |scale| Preset::TwitterLike { scale }),
+            ("friendster-like-", |scale| Preset::FriendsterLike { scale }),
+        ];
+        let Some((digits, make)) =
+            FAMILIES.iter().find_map(|&(prefix, make)| Some((name.strip_prefix(prefix)?, make)))
+        else {
+            return Ok(None);
+        };
+        if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+            return Ok(None);
         }
-        if let Some(s) = name.strip_prefix("twitter-like-") {
-            return s.parse().ok().map(|scale| Preset::TwitterLike { scale });
+        match digits.parse() {
+            Ok(scale) if scale <= MAX_SCALE => Ok(Some(make(scale))),
+            _ => Err(format!(
+                "preset {name}: scale {digits} is above {MAX_SCALE}, the largest the \
+                 generators can build with u32 vertex ids"
+            )),
         }
-        if let Some(s) = name.strip_prefix("friendster-like-") {
-            return s.parse().ok().map(|scale| Preset::FriendsterLike { scale });
-        }
-        None
     }
 
     /// Canonical name (inverse of [`Preset::parse`]).
@@ -75,6 +99,7 @@ impl Preset {
     /// Generates the dataset (already simplified to an undirected
     /// simple graph). Deterministic per `(preset, seed)`.
     pub fn build(&self, seed: u64) -> EdgeList {
+        assert!(self.scale() <= MAX_SCALE, "{} is above MAX_SCALE", self.name());
         match *self {
             Preset::G500 { scale } => graph500(scale, seed).simplify(),
             // Densities follow Table 1: twitter averages ~58 edges per
@@ -117,6 +142,16 @@ mod tests {
         assert_eq!(Preset::parse("g500-s16").unwrap(), Preset::G500 { scale: 16 });
         assert!(Preset::parse("unknown").is_none());
         assert!(Preset::parse("g500-sXX").is_none());
+        assert_eq!(Preset::lookup("g500-sXX"), Ok(None));
+    }
+
+    #[test]
+    fn scales_above_the_limit_are_errors_naming_it() {
+        for name in ["g500-s32", "friendster-like-33", "twitter-like-64", "g500-s99999999999"] {
+            let e = Preset::lookup(name).unwrap_err();
+            assert!(e.contains(name) && e.contains("31"), "{e}");
+            assert_eq!(Preset::parse(name), None);
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! degree-shape contracts the presets promise.
 
 use proptest::prelude::*;
-use tc_gen::{graph500, rmat, watts_strogatz, Preset, RmatParams};
+use tc_gen::{graph500, rmat, watts_strogatz, Preset, RmatParams, MAX_SCALE};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -47,6 +47,23 @@ proptest! {
         ] {
             prop_assert_eq!(Preset::parse(&p.name()), Some(p));
             prop_assert_eq!(p.scale(), scale);
+        }
+    }
+
+    /// Every family accepts exactly the scales `0..=MAX_SCALE`; the
+    /// first scale above is an error, not a wrapped or panicking build.
+    #[test]
+    fn preset_scales_stop_at_the_limit(scale in 0u32..100) {
+        for family in ["g500-s", "twitter-like-", "friendster-like-"] {
+            for s in [scale, MAX_SCALE, MAX_SCALE + 1] {
+                let name = format!("{family}{s}");
+                let got = Preset::lookup(&name);
+                if s <= MAX_SCALE {
+                    prop_assert_eq!(got.map(|p| p.map(|p| p.scale())), Ok(Some(s)));
+                } else {
+                    prop_assert!(got.unwrap_err().contains(&MAX_SCALE.to_string()), "{}", name);
+                }
+            }
         }
     }
 

@@ -45,14 +45,16 @@ impl EdgeList {
 
     /// Converts to a simple undirected graph: removes self loops,
     /// stores each edge once as `(min, max)`, sorted, deduplicated.
+    /// The sort runs on [`edge_threads`] cores.
     pub fn simplify(mut self) -> Self {
-        for e in &mut self.edges {
+        self.edges.retain_mut(|e| {
             if e.0 > e.1 {
                 *e = (e.1, e.0);
             }
-        }
-        self.edges.retain(|&(u, v)| u != v);
-        self.edges.sort_unstable();
+            e.0 != e.1
+        });
+        let threads = edge_threads(self.edges.len());
+        sort_on(&mut self.edges, threads);
         self.edges.dedup();
         self
     }
@@ -98,9 +100,57 @@ impl EdgeList {
     }
 }
 
+/// Fewest edges worth a thread of their own in an edge-parallel pass
+/// (a generator's draw, the sort in [`EdgeList::simplify`]). On a
+/// 2-vCPU Xeon VM a spawn + join costs 25–90 µs and a stream jump
+/// ≈ 12 µs: splitting g500-s12's 65 536 RMAT draws in two took the draw
+/// from 2.7 to 1.6 ms, while splitting every input cost g500-s6 … s10
+/// and friendster-like-8 … 11 40–110 µs more than it saved.
+const MIN_EDGES_PER_THREAD: usize = 1 << 15;
+
+/// Threads for an edge-parallel pass over `m` edges: one per core, but
+/// none with fewer than 2¹⁵ edges (`MIN_EDGES_PER_THREAD`). Only the
+/// schedule depends on it, never the result.
+pub fn edge_threads(m: usize) -> usize {
+    if m < 2 * MIN_EDGES_PER_THREAD {
+        return 1;
+    }
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    cores.min(m / MIN_EDGES_PER_THREAD)
+}
+
+/// Sorts `edges` on `threads` cores: split at the median, sort the
+/// halves concurrently, recursively.
+fn sort_on(edges: &mut [(VertexId, VertexId)], threads: usize) {
+    if threads < 2 || edges.len() < 2 {
+        edges.sort_unstable();
+        return;
+    }
+    let mid = edges.len() / 2;
+    edges.select_nth_unstable(mid);
+    let (lo, hi) = edges.split_at_mut(mid);
+    std::thread::scope(|s| {
+        s.spawn(|| sort_on(lo, threads / 2));
+        sort_on(hi, threads - threads / 2);
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parallel_sort_matches_the_sequential_one() {
+        let edges: Vec<(VertexId, VertexId)> =
+            (0..10_000).map(|i| (i * 7919 % 31, i * 104_729 % 61)).collect();
+        let mut want = edges.clone();
+        want.sort_unstable();
+        for threads in 1..=5 {
+            let mut got = edges.clone();
+            sort_on(&mut got, threads);
+            assert_eq!(got, want, "{threads} threads");
+        }
+    }
 
     #[test]
     fn simplify_removes_loops_and_duplicates() {

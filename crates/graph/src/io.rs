@@ -125,17 +125,24 @@ pub fn write_text_edges(el: &EdgeList, writer: impl Write) -> Result<()> {
 
 const BIN_MAGIC: u64 = 0x5443_4247_5241_5048; // "TCBGRAPH"
 
-/// Writes the compact binary format.
-pub fn write_binary_edges(el: &EdgeList, writer: impl Write) -> Result<()> {
-    let mut w = BufWriter::new(writer);
-    w.write_all(&BIN_MAGIC.to_le_bytes())?;
-    w.write_all(&(el.num_vertices as u64).to_le_bytes())?;
-    w.write_all(&(el.edges.len() as u64).to_le_bytes())?;
-    for &(u, v) in &el.edges {
-        w.write_all(&u.to_le_bytes())?;
-        w.write_all(&v.to_le_bytes())?;
+/// Writes the compact binary format, encoded 64 KiB at a time into one
+/// reused buffer, one `write_all` per chunk.
+pub fn write_binary_edges(el: &EdgeList, mut writer: impl Write) -> Result<()> {
+    let chunk = 8 * CHUNK_RECORDS;
+    let mut buf = Vec::with_capacity(chunk + BIN_HEADER as usize);
+    for word in [BIN_MAGIC, el.num_vertices as u64, el.edges.len() as u64] {
+        buf.extend_from_slice(&word.to_le_bytes());
     }
-    w.flush()?;
+    for &(u, v) in &el.edges {
+        buf.extend_from_slice(&u.to_le_bytes());
+        buf.extend_from_slice(&v.to_le_bytes());
+        if buf.len() >= chunk {
+            writer.write_all(&buf)?;
+            buf.clear();
+        }
+    }
+    writer.write_all(&buf)?;
+    writer.flush()?;
     Ok(())
 }
 
@@ -224,7 +231,8 @@ const fn build_crc32c_table() -> [u32; 256] {
 /// Byte length of the binary header (magic, `n`, `m`).
 const BIN_HEADER: u64 = 24;
 
-/// Records decoded per `read` of the binary readers (64 KiB).
+/// Records per `read` of the binary readers and per `write` of the
+/// writer (64 KiB).
 const CHUNK_RECORDS: usize = 8192;
 
 /// Reads and checks the 24-byte binary header, returning `(n, m)`.
