@@ -255,9 +255,8 @@ impl Comm {
             }
             None
         });
-        self.fabric.set_blocked(self.rank, None);
 
-        match outcome {
+        let result = match outcome {
             AwaitOutcome::Matched(Ok(pkt)) => {
                 self.note_recv(&pkt, t0);
                 if let Some(s) = &mut tspan {
@@ -277,18 +276,33 @@ impl Comm {
                 rank: src,
                 msg: format!("terminated before sending tag {tag:#x}"),
             }),
-            AwaitOutcome::TimedOut => Err(MpsError::Timeout {
-                rank: self.rank,
-                src,
-                op,
-                tag,
-                waited: t0.elapsed(),
-                report: self.fabric.dump(),
-            }),
+            AwaitOutcome::TimedOut => Err(self.timed_out(src, tag, op, t0)),
             AwaitOutcome::SliceExpired => {
                 unreachable!("no slice deadline on the chaos-off receive path")
             }
-        }
+        };
+        self.fabric.set_blocked(self.rank, None);
+        result
+    }
+
+    /// The typed timeout of a receive that waited since `t0`. The
+    /// report is taken while this rank's blocked-op slot is still set,
+    /// so it always shows at least one blocked line, and the timeout is
+    /// recorded as the universe's failure here, at detection: the peers
+    /// it unblocks (and any rank finishing because of them) can only
+    /// cascade *after* it, so the first fault detected is the one the
+    /// universe reports.
+    fn timed_out(&self, src: usize, tag: u64, op: &'static str, t0: Instant) -> MpsError {
+        let err = MpsError::Timeout {
+            rank: self.rank,
+            src,
+            op,
+            tag,
+            waited: t0.elapsed(),
+            report: self.fabric.dump(),
+        };
+        self.fabric.record_failure(self.rank, err.clone());
+        err
     }
 
     /// [`Comm::recv_labeled`] over a chaotic fabric: the same matching
@@ -366,16 +380,7 @@ impl Comm {
                         Err(e) => break Err(e),
                     }
                 }
-                AwaitOutcome::TimedOut => {
-                    break Err(MpsError::Timeout {
-                        rank: self.rank,
-                        src,
-                        op,
-                        tag,
-                        waited: t0.elapsed(),
-                        report: self.fabric.dump(),
-                    })
-                }
+                AwaitOutcome::TimedOut => break Err(self.timed_out(src, tag, op, t0)),
                 AwaitOutcome::SliceExpired => {
                     if let Err(e) = self.drive_recovery(src, false) {
                         break Err(e);

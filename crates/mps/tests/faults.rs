@@ -229,9 +229,10 @@ fn irecv_wait_times_out_with_report() {
     match err {
         MpsError::Timeout { op, report, .. } => {
             assert_eq!(op, "irecv");
-            // The dump covers every rank (the waiter has already
-            // cleared its own blocked slot when it reports).
+            // The dump covers every rank and is taken before the waiter
+            // clears its own blocked slot.
             assert!(report.contains("rank 0:") && report.contains("rank 1:"), "{report}");
+            assert!(report.contains("rank 0: blocked in irecv from rank 1"), "{report}");
             assert!(text.contains("irecv"), "op missing from rendering: {text}");
         }
         other => panic!("expected Timeout, got {other}"),

@@ -59,6 +59,9 @@ use tc_mps::{Comm, MpsResult};
 
 use crate::wal::{decode_records, encode_records, CkptMeta, Durability, WalRecord};
 
+/// Tag of the rows a `support`'s owners send rank 0.
+const SUPPORT_TAG: u64 = (1 << 45) + 0x5E5;
+
 /// Which offline 2D kernel backs cold starts (and the recount
 /// oracle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -246,14 +249,7 @@ fn closed_triples(edges: &[(u32, u32)]) -> u64 {
 
 /// Flattens per-rank allgatherv buffers of `[u, v]*` into pairs.
 fn flat_pairs(bufs: Vec<Vec<u32>>) -> Vec<(u32, u32)> {
-    let mut out = Vec::new();
-    for buf in bufs {
-        debug_assert_eq!(buf.len() % 2, 0);
-        for w in buf.chunks_exact(2) {
-            out.push((w[0], w[1]));
-        }
-    }
-    out
+    bufs.concat().chunks_exact(2).map(|w| (w[0], w[1])).collect()
 }
 
 impl Engine {
@@ -278,7 +274,7 @@ impl Engine {
             ckpt_every: 0,
         };
         engine.recount(comm)?;
-        engine.refresh_hash(comm)?;
+        engine.hash = engine.live_hash(comm)?;
         Ok(engine)
     }
 
@@ -463,23 +459,17 @@ impl Engine {
         }
     }
 
-    /// Recomputes the replicated edge-set fingerprint from the live
-    /// stores (wrapping allreduce of the per-rank shares).
-    fn refresh_hash(&mut self, comm: &Comm) -> MpsResult<u64> {
-        let shares = comm.allreduce(&[local_fingerprint(&self.store)], |a, b| {
-            *a = a.wrapping_add(*b);
-        })?;
-        self.hash = shares[0];
-        Ok(self.hash)
+    /// The edge-set fingerprint of the live stores (wrapping allreduce
+    /// of the per-rank shares).
+    fn live_hash(&self, comm: &Comm) -> MpsResult<u64> {
+        Ok(comm.allreduce(&[local_fingerprint(&self.store)], |a, b| *a = a.wrapping_add(*b))?[0])
     }
 
     /// Compares the live fingerprint against the tracked one; on a
     /// mismatch the full 2D recount settles the count and the hash is
     /// rebuilt — zero wrong answers even if replay went sideways.
     fn verify_fingerprint(&mut self, comm: &Comm) -> MpsResult<()> {
-        let live = comm.allreduce(&[local_fingerprint(&self.store)], |a, b| {
-            *a = a.wrapping_add(*b);
-        })?[0];
+        let live = self.live_hash(comm)?;
         let expected = comm.bcast_val(0, self.hash)?;
         if live != expected || self.hash != expected {
             eprintln!(
@@ -488,7 +478,7 @@ impl Engine {
                 comm.rank()
             );
             self.recount(comm)?;
-            self.refresh_hash(comm)?;
+            self.hash = self.live_hash(comm)?;
             self.checkpoint_now();
         }
         Ok(())
@@ -545,7 +535,7 @@ impl Engine {
     }
 
     /// Applies one raw update batch. `ops` must be identical on every
-    /// rank (the service broadcasts it; tests replicate it).
+    /// rank (the service sends it to every peer; tests replicate it).
     ///
     /// Ops whose canonical edge is a self-loop or out of range are
     /// ignored (the service layer rejects them before they get here).
@@ -715,33 +705,45 @@ impl Engine {
         Ok((tri, pairs))
     }
 
-    /// Common-neighbour count of `(u, v)` in the current graph.
-    /// Collective; the reply materializes on rank 0 only.
+    /// The ranks other than 0 that own `u` or `v`, each once, in
+    /// `[u, v]` order: the peers a `support(u, v)` involves.
+    pub fn support_peers(&self, u: u32, v: u32) -> impl Iterator<Item = usize> {
+        let (ou, ov) = (self.block.owner(u), self.block.owner(v));
+        [Some(ou), (ov != ou).then_some(ov)].into_iter().flatten().filter(|&o| o != 0)
+    }
+
+    /// Common-neighbour count of `(u, v)` in the current graph, on
+    /// rank 0. Owner-routed, not collective: each of the
+    /// [`Engine::support_peers`] sends rank 0 one `[len, row…]` per
+    /// endpoint it owns; a rank owning neither returns `Ok(None)` at once.
     pub fn query_support(&self, comm: &Comm, u: u32, v: u32) -> MpsResult<Option<SupportReply>> {
-        let mut mine: Vec<u32> = Vec::new();
-        for w in [u, v] {
-            if self.store.owns(w) {
+        let me = comm.rank();
+        let mut rows: Vec<u32> = Vec::new();
+        if me != 0 {
+            for w in [u, v].into_iter().filter(|&w| self.block.owner(w) == me) {
                 let row = self.store.neighbors(w);
-                mine.push(w);
-                mine.push(row.len() as u32);
-                mine.extend_from_slice(row);
+                rows.push(row.len() as u32);
+                rows.extend_from_slice(row);
             }
-        }
-        let Some(gathered) = comm.gatherv(0, &mine)? else {
+            if !rows.is_empty() {
+                comm.send(0, SUPPORT_TAG, &rows);
+            }
             return Ok(None);
-        };
-        let mut rows: HashMap<u32, Vec<u32>> = HashMap::new();
-        for buf in gathered {
-            let mut at = 0usize;
-            while at < buf.len() {
-                let w = buf[at];
-                let len = buf[at + 1] as usize;
-                rows.insert(w, buf[at + 2..at + 2 + len].to_vec());
-                at += 2 + len;
-            }
         }
-        let nu = rows.get(&u).map_or(&[][..], Vec::as_slice);
-        let nv = rows.get(&v).map_or(&[][..], Vec::as_slice);
+        // The peers come in `[u, v]` order of first ownership, so their
+        // messages back to back hold the remote rows in `[u, v]` order.
+        for peer in self.support_peers(u, v) {
+            rows.extend_from_slice(&comm.recv::<u32>(peer, SUPPORT_TAG)?);
+        }
+        let mut at = 0;
+        let [nu, nv] = [u, v].map(|w| {
+            if self.block.owner(w) == 0 {
+                return self.store.neighbors(w);
+            }
+            let len = rows[at] as usize;
+            at += 1 + len;
+            &rows[at - len..at]
+        });
         tc_metrics::counter_add(m::SERVE_QUERIES_SUPPORT, 1);
         Ok(Some(SupportReply {
             support: intersect_sorted(nu, nv),

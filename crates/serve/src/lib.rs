@@ -14,7 +14,8 @@
 //! - [`engine`] — the per-rank incremental state machine
 //!   ([`Engine`]): mutable [`tc_graph::AdjStore`] block, replicated
 //!   count, the normalize/intersect/correct delta algorithm, and the
-//!   collective query kernels (`support`, `truss`, `stats`);
+//!   query kernels (owner-routed `support`, collective `truss` and
+//!   `stats`);
 //! - [`proto`] — the line-delimited JSON request protocol and its
 //!   typed error vocabulary;
 //! - [`service`] — the rank-0 frontend (Unix-socket listener,

@@ -6,16 +6,19 @@
 //! the configured path, accepts line-delimited JSON requests (one
 //! thread per connection), and funnels them through a bounded
 //! admission queue into the single service loop. Peers sit in a
-//! broadcast-driven command loop.
+//! command loop fed by rank 0.
 //!
 //! ## Fleet protocol
 //!
-//! Rank 0 drives the fleet with `u32` command streams over
-//! `bcast(0, …)`. Collectives are the only cross-rank channel, so
-//! every query/update maps to exactly one broadcast followed by the
-//! matching collective phase of [`Engine`]. An idle frontend
-//! broadcasts a heartbeat tick (default every 5 s) so peers never
-//! trip the fabric's receive deadline.
+//! Rank 0 sends each peer a point-to-point stream of `u32` opcodes,
+//! delivered in order. A fleet-wide command (`tick`, `apply`, `truss`,
+//! `stats`, `metrics`, `shutdown`) goes to every peer, followed by the
+//! matching collective phase of [`Engine`]. A `support(u, v)` goes
+//! only to the peers that own `u` or `v`, which send their rows
+//! straight back ([`Engine::query_support`]); the rest never wake.
+//! Only fleet-wide commands reset the heartbeat clock: when `tick_ms`
+//! (default 5 s) passes without one, every peer gets a tick, so none
+//! trips the fabric's receive deadline. See DESIGN.md §13.
 //!
 //! ## Coalescing and the read barrier
 //!
@@ -66,7 +69,10 @@ pub const SERVE_CKPT_EVERY_ENV: &str = "MPS_SERVE_CKPT_EVERY";
 /// bump the fleet epoch before giving the crash up as fatal (ms).
 pub const SERVE_REJOIN_WAIT_MS_ENV: &str = "MPS_SERVE_REJOIN_WAIT_MS";
 
-// Fleet opcodes, broadcast from rank 0.
+/// Tag of rank 0's opcode stream to each peer.
+const CMD_TAG: u64 = (1 << 45) + 0x5E0;
+
+// Fleet opcodes, sent by rank 0 on `CMD_TAG`.
 const OP_TICK: u32 = 1;
 const OP_APPLY: u32 = 2;
 const OP_SUPPORT: u32 = 3;
@@ -232,21 +238,17 @@ fn reply_shutdown(reply: &mpsc::Sender<Reply>) {
 /// The bounded admission queue between connection threads and the
 /// service loop.
 struct Gate {
-    state: Mutex<GateState>,
+    jobs: Mutex<VecDeque<Job>>,
     ready: Condvar,
     capacity: usize,
     rejected: AtomicU64,
     open: AtomicBool,
 }
 
-struct GateState {
-    jobs: VecDeque<Job>,
-}
-
 impl Gate {
     fn new(capacity: usize) -> Self {
         Self {
-            state: Mutex::new(GateState { jobs: VecDeque::new() }),
+            jobs: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
             capacity,
             rejected: AtomicU64::new(0),
@@ -259,42 +261,32 @@ impl Gate {
         if !self.open.load(Ordering::Acquire) {
             return Err(proto::ERR_SHUTTING_DOWN);
         }
-        let mut st = self.state.lock().expect("gate lock");
-        if st.jobs.len() >= self.capacity {
+        let mut jobs = self.jobs.lock().expect("gate lock");
+        if jobs.len() >= self.capacity {
             self.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(proto::ERR_OVER_CAPACITY);
         }
-        st.jobs.push_back(job);
-        drop(st);
+        jobs.push_back(job);
+        drop(jobs);
         self.ready.notify_one();
         Ok(())
     }
 
     /// Waits up to `timeout` for the next job.
     fn pop(&self, timeout: Duration) -> Option<Job> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.state.lock().expect("gate lock");
-        loop {
-            if let Some(job) = st.jobs.pop_front() {
-                return Some(job);
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            let (next, timed_out) = self.ready.wait_timeout(st, left).expect("gate lock poisoned");
-            st = next;
-            if timed_out.timed_out() && st.jobs.is_empty() {
-                return None;
-            }
-        }
+        let jobs = self.jobs.lock().expect("gate lock");
+        let (mut jobs, _) = self
+            .ready
+            .wait_timeout_while(jobs, timeout, |jobs| jobs.is_empty())
+            .expect("gate lock poisoned");
+        jobs.pop_front()
     }
 
     /// Stops admission and fails every queued job.
     fn close(&self) {
         self.open.store(false, Ordering::Release);
-        let mut st = self.state.lock().expect("gate lock");
-        for job in st.jobs.drain(..) {
+        let mut jobs = self.jobs.lock().expect("gate lock");
+        for job in jobs.drain(..) {
             let _ = job.reply.send(proto::error_line(proto::ERR_SHUTTING_DOWN, "").into());
         }
     }
@@ -347,11 +339,13 @@ fn handle_conn(stream: UnixStream, gate: Arc<Gate>) {
 /// the same `csr` and configuration.
 pub fn serve_rank(comm: &Comm, csr: &Csr, cfg: &ServeConfig) -> MpsResult<ServeReport> {
     let mut engine = Engine::cold_start(comm, csr, cfg.algo, cfg.tc)?;
-    if comm.rank() == 0 {
-        frontend(comm, &mut engine, cfg)
-    } else {
-        peer_loop(comm, &mut engine, cfg)
+    if comm.rank() != 0 {
+        return peer_loop(comm, &mut engine, cfg);
     }
+    let mut fs = front_bind(cfg);
+    let res = frontend_session(comm, &mut engine, cfg, &mut fs);
+    let report = front_teardown(fs, &cfg.listen);
+    res.map(|()| report)
 }
 
 /// How one degraded window ended.
@@ -390,11 +384,7 @@ fn degraded_serve(
         if Instant::now() >= deadline {
             return DegradedEnd::GaveUp;
         }
-        let rejected = fs.gate.take_rejected();
-        if rejected > 0 {
-            tc_metrics::counter_add(m::SERVE_REJECTED_QUERIES, rejected);
-            fs.report.rejected += rejected;
-        }
+        fs.fold_rejected();
         let Some(job) = fs.gate.pop(Duration::from_millis(50)) else {
             continue;
         };
@@ -407,19 +397,11 @@ fn degraded_serve(
                 proto::ok_count(fs.report.triangles)
             }
             Request::Update { ref insert, ref delete } => {
-                match validate_edges(fs.vertices, insert.iter().chain(delete)) {
-                    Err(detail) => proto::error_line(proto::ERR_BAD_REQUEST, &detail),
-                    Ok(()) => {
-                        let queued = insert.len() + delete.len();
-                        if fs.pending.len() + queued > buffer_cap {
-                            proto::error_line(proto::ERR_OVER_CAPACITY, "degraded buffer is full")
-                        } else {
-                            fs.pending.extend(insert.iter().map(|&(u, v)| EdgeOp::insert(u, v)));
-                            fs.pending.extend(delete.iter().map(|&(u, v)| EdgeOp::delete(u, v)));
-                            fs.oldest.get_or_insert_with(Instant::now);
-                            tc_metrics::counter_add(m::SERVE_DEGRADED_UPDATES, queued as u64);
-                            proto::ok_queued(queued, fs.pending.len())
-                        }
+                match fs.buffer_update(insert, delete, buffer_cap) {
+                    Err(line) => line,
+                    Ok(queued) => {
+                        tc_metrics::counter_add(m::SERVE_DEGRADED_UPDATES, queued as u64);
+                        proto::ok_queued(queued, fs.pending.len())
                     }
                 }
             }
@@ -551,51 +533,70 @@ pub fn serve_fleet(
     }
 }
 
-/// Peer ranks: decode broadcast commands, run the collective half.
+/// Peer ranks: receive rank 0's commands in order, run this rank's
+/// half of each.
 fn peer_loop(comm: &Comm, engine: &mut Engine, cfg: &ServeConfig) -> MpsResult<ServeReport> {
     loop {
-        let msg = comm.bcast::<u32>(0, &[])?;
-        match msg.first().copied() {
-            Some(OP_TICK) => {}
-            Some(OP_APPLY) => {
-                let ops = decode_ops(&msg[1..]);
-                engine.apply_batch(comm, &ops)?;
-            }
-            Some(OP_SUPPORT) => {
-                engine.query_support(comm, msg[1], msg[2])?;
-            }
-            Some(OP_TRUSS) => {
-                engine.query_truss(comm, msg[1])?;
-            }
-            Some(OP_STATS) => {
-                engine.stats(comm)?;
-            }
-            Some(OP_METRICS) => {
-                collect_metrics(comm, cfg.metrics.as_ref())?;
-            }
-            Some(OP_SHUTDOWN) | None => break,
-            Some(other) => panic!("unknown fleet opcode {other}"),
+        match decode_cmd(comm.rank(), &comm.recv::<u32>(0, CMD_TAG)?)? {
+            Cmd::Tick => {}
+            Cmd::Apply(ops) => engine.apply_batch(comm, &ops).map(drop)?,
+            Cmd::Support(u, v) => engine.query_support(comm, u, v).map(drop)?,
+            Cmd::Truss(k) => engine.query_truss(comm, k).map(drop)?,
+            Cmd::Stats => engine.stats(comm).map(drop)?,
+            Cmd::Metrics => collect_metrics(comm, cfg.metrics.as_ref()).map(drop)?,
+            Cmd::Shutdown => break,
         }
     }
     Ok(ServeReport { triangles: engine.triangles(), ..ServeReport::default() })
 }
 
-fn encode_ops(msg: &mut Vec<u32>, ops: &[EdgeOp]) {
-    msg.push(ops.len() as u32);
-    for op in ops {
-        msg.push(op.u);
-        msg.push(op.v);
-        msg.push(u32::from(op.insert));
-    }
+/// One decoded fleet command.
+#[derive(Debug, PartialEq)]
+enum Cmd {
+    Tick,
+    Apply(Vec<EdgeOp>),
+    Support(u32, u32),
+    Truss(u32),
+    Stats,
+    Metrics,
+    Shutdown,
 }
 
-fn decode_ops(payload: &[u32]) -> Vec<EdgeOp> {
-    let k = payload[0] as usize;
-    let mut ops = Vec::with_capacity(k.min(tc_graph::adj::PREALLOC_CAP));
-    for w in payload[1..1 + 3 * k].chunks_exact(3) {
-        ops.push(EdgeOp { u: w[0], v: w[1], insert: w[2] != 0 });
+/// Decodes one opcode message. An unknown opcode, or a payload of the
+/// wrong length for its opcode, is a typed protocol error on `rank`.
+fn decode_cmd(rank: usize, msg: &[u32]) -> MpsResult<Cmd> {
+    Ok(match msg {
+        [OP_TICK] => Cmd::Tick,
+        [OP_APPLY, k, ops @ ..] if ops.len() as u64 == 3 * u64::from(*k) => Cmd::Apply(
+            ops.chunks_exact(3).map(|w| EdgeOp { u: w[0], v: w[1], insert: w[2] != 0 }).collect(),
+        ),
+        &[OP_SUPPORT, u, v] => Cmd::Support(u, v),
+        &[OP_TRUSS, k] => Cmd::Truss(k),
+        [OP_STATS] => Cmd::Stats,
+        [OP_METRICS] => Cmd::Metrics,
+        [OP_SHUTDOWN] => Cmd::Shutdown,
+        _ => {
+            let op = msg.first().map_or_else(|| "none".to_string(), u32::to_string);
+            let msg = format!("undecodable fleet command: opcode {op}, length {}", msg.len());
+            return Err(MpsError::Protocol { rank, msg });
+        }
+    })
+}
+
+/// The `OP_APPLY` command carrying `ops`.
+fn apply_cmd(ops: &[EdgeOp]) -> Vec<u32> {
+    let words = ops.iter().flat_map(|op| [op.u, op.v, u32::from(op.insert)]);
+    [OP_APPLY, ops.len() as u32].into_iter().chain(words).collect()
+}
+
+/// Sends one fleet-wide command to every peer. Only these reset the
+/// heartbeat clock: a `support` wakes its owners alone, so it must
+/// not postpone the tick the other peers' receive deadlines rely on.
+fn fleet_cmd(comm: &Comm, msg: &[u32], last_fleet_cmd: &mut Instant) {
+    for peer in 1..comm.size() {
+        comm.send(peer, CMD_TAG, msg);
     }
-    ops
+    *last_fleet_cmd = Instant::now();
 }
 
 /// Gathers every process's live registry snapshot to rank 0 and
@@ -673,6 +674,40 @@ struct FrontState {
     degraded_retry_ms: u64,
 }
 
+impl FrontState {
+    /// Folds the connection threads' rejection tally into the registry
+    /// and the report.
+    fn fold_rejected(&mut self) {
+        let rejected = self.gate.take_rejected();
+        if rejected > 0 {
+            tc_metrics::counter_add(m::SERVE_REJECTED_QUERIES, rejected);
+            self.report.rejected += rejected;
+        }
+    }
+
+    /// Validates an update and appends it to the coalescing buffer —
+    /// deletes after inserts, so they win within one request — unless
+    /// the buffer would pass `cap` ops. Returns the ops queued, or the
+    /// error reply.
+    fn buffer_update(
+        &mut self,
+        ins: &[(u32, u32)],
+        del: &[(u32, u32)],
+        cap: usize,
+    ) -> Result<usize, String> {
+        validate_edges(self.vertices, ins.iter().chain(del))
+            .map_err(|detail| proto::error_line(proto::ERR_BAD_REQUEST, &detail))?;
+        let queued = ins.len() + del.len();
+        if self.pending.len() + queued > cap {
+            return Err(proto::error_line(proto::ERR_OVER_CAPACITY, "degraded buffer is full"));
+        }
+        self.pending.extend(ins.iter().map(|&(u, v)| EdgeOp::insert(u, v)));
+        self.pending.extend(del.iter().map(|&(u, v)| EdgeOp::delete(u, v)));
+        self.oldest.get_or_insert_with(Instant::now);
+        Ok(queued)
+    }
+}
+
 /// Binds the listener and starts the accept loop.
 fn front_bind(cfg: &ServeConfig) -> FrontState {
     // Pre-seed the per-op latency histograms so exports and the
@@ -720,17 +755,8 @@ fn front_teardown(fs: FrontState, listen: &Path) -> ServeReport {
     fs.report
 }
 
-/// The rank-0 service loop plus its listener/connection threads (the
-/// single-session form used outside supervised fleets).
-fn frontend(comm: &Comm, engine: &mut Engine, cfg: &ServeConfig) -> MpsResult<ServeReport> {
-    let mut fs = front_bind(cfg);
-    let res = frontend_session(comm, engine, cfg, &mut fs);
-    let report = front_teardown(fs, &cfg.listen);
-    res.map(|_| report)
-}
-
 /// One session of the rank-0 service loop over an established
-/// communicator. Returns `Ok(true)` when a `shutdown` request ended
+/// communicator. Returns `Ok(())` when a `shutdown` request ended
 /// the service; a peer crash surfaces as `Err(MpsError::PeerDown)`
 /// with the frontend state intact for degraded serving.
 fn frontend_session(
@@ -738,7 +764,7 @@ fn frontend_session(
     engine: &mut Engine,
     cfg: &ServeConfig,
     fs: &mut FrontState,
-) -> MpsResult<bool> {
+) -> MpsResult<()> {
     fs.vertices = engine.num_vertices();
     fs.report.triangles = engine.triangles();
     fs.report.full_recounts = engine.full_recounts();
@@ -746,46 +772,23 @@ fn frontend_session(
     let tick_after = Duration::from_millis(cfg.tick_ms);
     let mut last_fleet_cmd = Instant::now();
 
-    // Applies the coalesced buffer as one broadcast batch.
-    macro_rules! flush_pending {
-        () => {{
-            flush_buffer(
-                comm,
-                engine,
-                &mut fs.pending,
-                &mut fs.oldest,
-                &mut last_fleet_cmd,
-                &mut fs.report,
-            )?
-        }};
-    }
-
     loop {
-        let rejected = fs.gate.take_rejected();
-        if rejected > 0 {
-            tc_metrics::counter_add(m::SERVE_REJECTED_QUERIES, rejected);
-            fs.report.rejected += rejected;
-        }
+        fs.fold_rejected();
 
         // Aged-buffer and heartbeat deadlines are checked every turn,
-        // busy or idle: a sustained stream of purely local queries
-        // (`count` needs no collective) must neither starve peers of
-        // heartbeats nor let the coalescing buffer age unapplied.
+        // busy or idle: a sustained stream of queries that reach no or
+        // only some peers (`count`, `support`) must neither starve the
+        // rest of heartbeats nor let the coalescing buffer age unapplied.
         if fs.oldest.is_some_and(|t| Instant::now() >= t + flush_after) {
-            flush_pending!();
+            flush_buffer(comm, engine, fs, &mut last_fleet_cmd)?;
         }
         if Instant::now() >= last_fleet_cmd + tick_after {
-            comm.bcast(0, &[OP_TICK])?;
-            last_fleet_cmd = Instant::now();
+            fleet_cmd(comm, &[OP_TICK], &mut last_fleet_cmd);
         }
 
-        let now = Instant::now();
-        let tick_deadline = last_fleet_cmd + tick_after;
-        let deadline = match fs.oldest {
-            Some(t) => tick_deadline.min(t + flush_after),
-            None => tick_deadline,
-        };
-        let Some(job) = fs.gate.pop(deadline.saturating_duration_since(now)) else {
+        let tick_at = last_fleet_cmd + tick_after;
+        let deadline = fs.oldest.map_or(tick_at, |t| tick_at.min(t + flush_after));
+        let Some(job) = fs.gate.pop(deadline.saturating_duration_since(Instant::now())) else {
             continue;
         };
 
@@ -807,63 +810,49 @@ fn frontend_session(
         let outcome = (|| -> MpsResult<Option<String>> {
             Ok(Some(match req {
                 Request::Update { insert, delete } => {
-                    match validate_edges(engine.num_vertices(), insert.iter().chain(&delete)) {
-                        Err(detail) => proto::error_line(proto::ERR_BAD_REQUEST, &detail),
-                        Ok(()) => {
-                            let queued = insert.len() + delete.len();
-                            // Deletes are pushed after inserts so they win
-                            // within one request.
-                            fs.pending.extend(insert.iter().map(|&(u, v)| EdgeOp::insert(u, v)));
-                            fs.pending.extend(delete.iter().map(|&(u, v)| EdgeOp::delete(u, v)));
-                            fs.oldest.get_or_insert_with(Instant::now);
+                    match fs.buffer_update(&insert, &delete, usize::MAX) {
+                        Err(line) => line,
+                        Ok(queued) => {
                             let depth = fs.pending.len();
                             if depth >= cfg.max_batch {
-                                flush_pending!();
+                                flush_buffer(comm, engine, fs, &mut last_fleet_cmd)?;
                             }
                             proto::ok_queued(queued, depth.min(fs.pending.len()))
                         }
                     }
                 }
                 Request::Flush => {
-                    let applied = flush_pending!();
+                    let applied = flush_buffer(comm, engine, fs, &mut last_fleet_cmd)?;
                     proto::ok_applied(applied, engine.triangles())
                 }
                 Request::Count => {
-                    flush_pending!();
+                    flush_buffer(comm, engine, fs, &mut last_fleet_cmd)?;
                     fs.report.queries += 1;
                     tc_metrics::counter_add(m::SERVE_QUERIES_COUNT, 1);
                     proto::ok_count(engine.triangles())
                 }
-                Request::Support { u, v } => {
-                    if u == v
-                        || u as usize >= engine.num_vertices()
-                        || v as usize >= engine.num_vertices()
-                    {
-                        proto::error_line(
-                            proto::ERR_BAD_REQUEST,
-                            &format!("({u}, {v}) is not a valid vertex pair"),
-                        )
-                    } else {
-                        flush_pending!();
-                        comm.bcast(0, &[OP_SUPPORT, u, v])?;
-                        last_fleet_cmd = Instant::now();
+                Request::Support { u, v } => match validate_edges(fs.vertices, [(u, v)].iter()) {
+                    Err(detail) => proto::error_line(proto::ERR_BAD_REQUEST, &detail),
+                    Ok(()) => {
+                        flush_buffer(comm, engine, fs, &mut last_fleet_cmd)?;
+                        for peer in engine.support_peers(u, v) {
+                            comm.send(peer, CMD_TAG, &[OP_SUPPORT, u, v]);
+                        }
                         let r = engine.query_support(comm, u, v)?.expect("rank 0 gets the reply");
                         fs.report.queries += 1;
                         proto::ok_support(r.support, r.present)
                     }
-                }
+                },
                 Request::Truss { k } => {
-                    flush_pending!();
-                    comm.bcast(0, &[OP_TRUSS, k])?;
-                    last_fleet_cmd = Instant::now();
+                    flush_buffer(comm, engine, fs, &mut last_fleet_cmd)?;
+                    fleet_cmd(comm, &[OP_TRUSS, k], &mut last_fleet_cmd);
                     let members = engine.query_truss(comm, k)?.expect("rank 0 gets the reply");
                     fs.report.queries += 1;
                     proto::ok_truss(k, &members)
                 }
                 Request::Stats => {
-                    flush_pending!();
-                    comm.bcast(0, &[OP_STATS])?;
-                    last_fleet_cmd = Instant::now();
+                    flush_buffer(comm, engine, fs, &mut last_fleet_cmd)?;
+                    fleet_cmd(comm, &[OP_STATS], &mut last_fleet_cmd);
                     let s = engine.stats(comm)?;
                     fs.report.queries += 1;
                     proto::ok_stats(
@@ -874,8 +863,7 @@ fn frontend_session(
                     )
                 }
                 Request::Metrics => {
-                    comm.bcast(0, &[OP_METRICS])?;
-                    last_fleet_cmd = Instant::now();
+                    fleet_cmd(comm, &[OP_METRICS], &mut last_fleet_cmd);
                     let text = collect_metrics(comm, cfg.metrics.as_ref())?
                         .expect("rank 0 gets the exposition");
                     fs.report.queries += 1;
@@ -883,8 +871,8 @@ fn frontend_session(
                     proto::ok_metrics(&text)
                 }
                 Request::Shutdown => {
-                    flush_pending!();
-                    comm.bcast(0, &[OP_SHUTDOWN])?;
+                    flush_buffer(comm, engine, fs, &mut last_fleet_cmd)?;
+                    fleet_cmd(comm, &[OP_SHUTDOWN], &mut last_fleet_cmd);
                     return Ok(None);
                 }
             }))
@@ -896,7 +884,7 @@ fn frontend_session(
                 reply_shutdown(&reply_tx);
                 fs.report.triangles = engine.triangles();
                 fs.report.full_recounts = engine.full_recounts();
-                return Ok(true);
+                return Ok(());
             }
             Err(e) => {
                 if let MpsError::PeerDown { rank } = &e {
@@ -913,32 +901,25 @@ fn frontend_session(
     }
 }
 
-/// Broadcasts and applies the coalesced buffer as one batch.
+/// Sends every peer the coalesced buffer and applies it as one batch.
 /// Returns the number of batches applied (0 when the buffer was
 /// empty — no fleet command is issued for nothing).
 fn flush_buffer(
     comm: &Comm,
     engine: &mut Engine,
-    pending: &mut Vec<EdgeOp>,
-    oldest: &mut Option<Instant>,
+    fs: &mut FrontState,
     last_fleet_cmd: &mut Instant,
-    report: &mut ServeReport,
 ) -> MpsResult<u64> {
-    if pending.is_empty() {
+    if fs.pending.is_empty() {
         return Ok(0);
     }
-    let ops = std::mem::take(pending);
-    *oldest = None;
-    let mut msg = vec![OP_APPLY];
-    encode_ops(&mut msg, &ops);
-    let res = comm.bcast(0, &msg).and_then(|_| {
-        *last_fleet_cmd = Instant::now();
-        engine.apply_batch(comm, &ops)
-    });
-    match res {
+    let ops = std::mem::take(&mut fs.pending);
+    fs.oldest = None;
+    fleet_cmd(comm, &apply_cmd(&ops), last_fleet_cmd);
+    match engine.apply_batch(comm, &ops) {
         Ok(_) => {
-            report.batches += 1;
-            report.triangles = engine.triangles();
+            fs.report.batches += 1;
+            fs.report.triangles = engine.triangles();
             Ok(1)
         }
         Err(e) => {
@@ -947,8 +928,8 @@ fn flush_buffer(
             // committed anywhere (resync settles that) the net-effect
             // normalization makes the re-apply a no-op — exactly-once
             // either way.
-            *pending = ops;
-            *oldest = Some(Instant::now());
+            fs.pending = ops;
+            fs.oldest = Some(Instant::now());
             Err(e)
         }
     }
@@ -974,9 +955,26 @@ mod tests {
     #[test]
     fn ops_round_trip_through_the_wire_encoding() {
         let ops = vec![EdgeOp::insert(3, 7), EdgeOp::delete(1, 2), EdgeOp::insert(0, 9)];
-        let mut msg = vec![OP_APPLY];
-        encode_ops(&mut msg, &ops);
-        assert_eq!(decode_ops(&msg[1..]), ops);
+        assert_eq!(decode_cmd(1, &apply_cmd(&ops)), Ok(Cmd::Apply(ops)));
+    }
+
+    /// An unknown opcode, a truncated `OP_APPLY` and an `OP_SUPPORT`
+    /// missing `v` are typed protocol errors naming opcode and length.
+    #[test]
+    fn undecodable_commands_are_protocol_errors() {
+        let mut apply = apply_cmd(&[EdgeOp::insert(3, 7), EdgeOp::delete(1, 2)]);
+        apply.pop();
+        for (words, what) in [
+            (&[99, 1][..], "opcode 99, length 2"),
+            (&[], "opcode none, length 0"),
+            (&apply, "opcode 2, length 7"),
+            (&[OP_APPLY], "opcode 2, length 1"),
+            (&[OP_SUPPORT, 4], "opcode 3, length 2"),
+        ] {
+            let msg = format!("undecodable fleet command: {what}");
+            assert_eq!(decode_cmd(2, words), Err(MpsError::Protocol { rank: 2, msg }));
+        }
+        assert_eq!(decode_cmd(2, &[OP_SUPPORT, 4, 5]), Ok(Cmd::Support(4, 5)));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::collections::{BTreeSet, HashMap};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use tc_core::{count_per_edge, SummaGrid, TcConfig};
-use tc_graph::{Csr, EdgeList};
+use tc_graph::{Block1D, Csr, EdgeList};
 use tc_mps::{Universe, UniverseConfig};
 use tc_serve::{Algo, EdgeOp, Engine};
 
@@ -224,6 +224,51 @@ fn full_recounts_stay_pinned_without_oracle_calls() {
     let final_el = ref_edge_list(20, &reference);
     let expected = tc_core::count_triangles(&final_el, 4, &TcConfig::default()).triangles;
     assert!(counts.0.iter().all(|&c| c == expected), "replicated count wrong on some rank");
+}
+
+/// `support` is owner-routed: rank 0 hears from exactly the other
+/// owners of `u` and `v`, one message each; every other rank stays
+/// silent, and nobody enters a collective.
+#[test]
+fn support_traffic_is_owner_routed() {
+    let n = 40;
+    let el = tc_gen::er::gnm(n, 200, 13).simplify();
+    let csr = Csr::from_edge_list(&el);
+    let block = Block1D::new(n, 4);
+    let lo = |r: usize| block.range(r).0 as u32;
+    // (u, v) and the ranks other than 0 that own an endpoint.
+    let cases: [((u32, u32), &[usize]); 5] = [
+        ((lo(0), lo(0) + 1), &[]),
+        ((lo(0), lo(1)), &[1]),
+        ((lo(1), lo(1) + 1), &[1]),
+        ((lo(1), lo(2)), &[1, 2]),
+        ((lo(3), lo(0) + 2), &[3]),
+    ];
+    let (replies, _) = Universe::try_run_config(4, &UniverseConfig::default(), |comm| {
+        let engine = Engine::cold_start(comm, &csr, Algo::Cannon, TcConfig::default())?;
+        let me = comm.rank();
+        let mut replies = Vec::new();
+        for &((u, v), peers) in &cases {
+            assert_eq!(engine.support_peers(u, v).collect::<Vec<_>>(), peers);
+            let (before, colls) = (comm.stats(), comm.collective_calls());
+            let reply = engine.query_support(comm, u, v)?;
+            let after = comm.stats();
+            let (sent, recvd) =
+                if me == 0 { (0, peers.len() as u64) } else { (u64::from(peers.contains(&me)), 0) };
+            assert_eq!(after.msgs_sent - before.msgs_sent, sent, "rank {me}, ({u}, {v}) sent");
+            assert_eq!(after.msgs_recv - before.msgs_recv, recvd, "rank {me}, ({u}, {v}) recvd");
+            assert_eq!(comm.collective_calls(), colls, "rank {me} entered a collective");
+            assert_eq!(reply.is_some(), me == 0);
+            replies.extend(reply);
+        }
+        Ok(replies)
+    })
+    .expect("universe run");
+    let edges: BTreeSet<(u32, u32)> = el.edges.iter().copied().collect();
+    for (&((u, v), _), r) in cases.iter().zip(&replies[0]) {
+        assert_eq!(r.support, ref_support(&el, u, v), "support of ({u}, {v})");
+        assert_eq!(r.present, edges.contains(&(u.min(v), u.max(v))), "presence of ({u}, {v})");
+    }
 }
 
 /// The cold start runs the §5.3 preprocessing over `BlockInput::Owned`

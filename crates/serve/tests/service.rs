@@ -300,6 +300,49 @@ fn service_streams_updates_and_answers_queries() {
 }
 
 #[test]
+fn support_only_load_does_not_starve_idle_peers_of_ticks() {
+    // Every `support` below lives on ranks 0 and 1, so ranks 2 and 3
+    // hear nothing but heartbeats: a second of them under a 300 ms
+    // receive deadline must not time either out.
+    let n = 40usize;
+    let el = tc_gen::er::gnm(n, 160, 17).simplify();
+    let csr = Csr::from_edge_list(&el);
+    let reference: BTreeSet<(u32, u32)> = el.edges.iter().copied().collect();
+    let sock = sock_path("heartbeat");
+    let mut cfg = ServeConfig::new(sock.clone());
+    cfg.tick_ms = 50;
+    let ucfg = UniverseConfig::with_timeout(Duration::from_millis(300));
+    let server = std::thread::spawn(move || {
+        Universe::try_run_config(4, &ucfg, |c| serve_rank(c, &csr, &cfg))
+    });
+    let mut client =
+        Client::connect_retry(&sock, Duration::from_secs(30)).expect("service comes up");
+
+    let low_half = n as u64 / 2; // vertices of ranks 0 and 1
+    let mut rng = Lcg(0x5EED);
+    let started = Instant::now();
+    let mut answered = 0;
+    while started.elapsed() < Duration::from_millis(1200) {
+        let (u, v) = ((rng.next() % low_half) as u32, (rng.next() % low_half) as u32);
+        if u == v {
+            continue;
+        }
+        let reply = client.request(&Request::Support { u, v }).expect("support");
+        assert_eq!(u64_field(&reply, "support"), serial_support(n, &reference, u, v));
+        answered += 1;
+    }
+    assert!(answered > 0);
+    let reply = client.request(&Request::Count).expect("count");
+    assert_eq!(u64_field(&reply, "triangles"), serial_triangles(n, &reference));
+    let stats = client.request(&Request::Stats).expect("stats");
+    assert_eq!(u64_field(&stats, "edges"), reference.len() as u64);
+    assert_eq!(u64_field(&stats, "triangles"), serial_triangles(n, &reference));
+    client.request(&Request::Shutdown).expect("shutdown");
+    let (reports, _) = server.join().expect("server thread").expect("no rank timed out");
+    assert!(reports.iter().all(|r| r.triangles == serial_triangles(n, &reference)));
+}
+
+#[test]
 fn admission_control_rejects_over_capacity() {
     let el = tc_gen::er::gnm(10, 20, 3).simplify();
     let csr = Csr::from_edge_list(&el);
