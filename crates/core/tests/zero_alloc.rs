@@ -37,26 +37,31 @@ fn allocs_here() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-// `try_with`: allocation can happen while a thread's TLS is being torn
-// down, where `with` would panic.
+/// Counts one allocation of `size` bytes on this thread; the first one
+/// after arming prints its backtrace. `try_with`: allocation can happen
+/// while a thread's TLS is being torn down, where `with` would panic.
+fn count(size: usize) {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = ARMED.try_with(|c| c.set(false));
+        eprintln!("ALLOC({size}) at:\n{}", std::backtrace::Backtrace::force_capture());
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-        if ARMED.try_with(Cell::get).unwrap_or(false) {
-            let _ = ARMED.try_with(|c| c.set(false));
-            eprintln!("ALLOC({}) at:\n{}", l.size(), std::backtrace::Backtrace::force_capture());
-        }
+        count(l.size());
         System.alloc(l)
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
         System.dealloc(p, l)
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        count(n);
         System.realloc(p, l, n)
     }
     unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        count(l.size());
         System.alloc_zeroed(l)
     }
 }

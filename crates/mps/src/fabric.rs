@@ -83,10 +83,26 @@ pub(crate) struct BlockedOp {
 
 /// One rank's inbound message queue (mutex + condvar, so a failure can
 /// wake *every* blocked receiver, which per-pair channels cannot).
-#[derive(Default)]
 pub(crate) struct Mailbox {
     pub(crate) queue: Mutex<VecDeque<Packet>>,
     pub(crate) arrived: Condvar,
+}
+
+/// Packets a mailbox holds before its queue first grows. A sender
+/// pushes into the receiver's queue, so growth allocates on the
+/// sender's thread, in whatever step the receiver happens to lag. A
+/// rank of a q × q shift ring runs at most q − 1 steps ahead of its
+/// neighbours, so this covers the steady shift loop's backlog for any
+/// grid up to 16 × 16 and keeps it allocation-free (`zero_alloc.rs`).
+const MAILBOX_PRESIZE: usize = 64;
+
+impl Default for Mailbox {
+    fn default() -> Self {
+        Self {
+            queue: Mutex::new(VecDeque::with_capacity(MAILBOX_PRESIZE)),
+            arrived: Condvar::new(),
+        }
+    }
 }
 
 impl Mailbox {

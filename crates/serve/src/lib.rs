@@ -9,7 +9,7 @@
 //! survives as the cold-start path and correctness oracle
 //! ([`Engine::recount`]).
 //!
-//! The crate splits into four layers:
+//! The crate splits into these layers:
 //!
 //! - [`engine`] — the per-rank incremental state machine
 //!   ([`Engine`]): mutable [`tc_graph::AdjStore`] block, replicated
@@ -18,11 +18,12 @@
 //!   `stats`);
 //! - [`proto`] — the line-delimited JSON request protocol and its
 //!   typed error vocabulary;
-//! - [`service`] — the rank-0 frontend (Unix-socket listener,
-//!   bounded admission queue, batch coalescing, heartbeat ticks) and
-//!   the peer command loop, entered through [`serve_rank`]; the
-//!   crash-recoverable variant [`serve_fleet`] layers degraded-mode
-//!   serving and epoch rejoin on top;
+//! - [`service`] — the rank-0 service loop (bounded admission, batch
+//!   coalescing, heartbeat ticks) over a private `front` module that
+//!   polls the Unix-socket listener and every client from rank 0's own
+//!   thread, and the peer command loop, entered through [`serve_rank`];
+//!   the crash-recoverable [`serve_fleet`] adds degraded-mode serving
+//!   and epoch rejoin;
 //! - [`client`] — a minimal blocking [`Client`] for CLIs and tests;
 //! - [`wal`] — rank-local durability: versioned CRC-checked
 //!   checkpoints of the adjacency block plus a write-ahead log of
@@ -35,6 +36,7 @@
 
 pub mod client;
 pub mod engine;
+mod front;
 pub mod proto;
 pub mod service;
 pub mod supervisor;

@@ -3,10 +3,10 @@
 //! Every rank calls [`serve_rank`] inside a universe body (threads on
 //! `LocalFabric`, one OS process per rank on `SocketFabric`). Rank 0
 //! doubles as the **frontend**: it binds a Unix-domain listener at
-//! the configured path, accepts line-delimited JSON requests (one
-//! thread per connection), and funnels them through a bounded
-//! admission queue into the single service loop. Peers sit in a
-//! command loop fed by rank 0.
+//! the configured path, and its own service thread polls the listener
+//! and every client connection, admits line-delimited JSON requests
+//! into a bounded queue, and writes each reply back itself (the
+//! private `front` module). Peers sit in a command loop fed by rank 0.
 //!
 //! ## Fleet protocol
 //!
@@ -30,19 +30,14 @@
 //!
 //! ## Admission control
 //!
-//! At most `queue` requests may be in flight between the connection
-//! threads and the service loop. Excess requests are rejected
-//! immediately with the typed `over_capacity` error and counted in
-//! `serve.rejected_queries` — connection threads are not bound to a
-//! metrics lane, so the loop folds their atomic tally into the
-//! registry on its next turn.
+//! At most `queue` requests may be in flight, that is admitted and
+//! not yet answered. A connection has at most one request in flight
+//! and is not read until its reply has left, so the cap bites when
+//! more than `queue` connections ask at once. Excess requests are
+//! rejected immediately with the typed `over_capacity` error and
+//! counted in `serve.rejected_queries` on rank 0's metrics lane.
 
-use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
-use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use tc_core::TcConfig;
@@ -52,6 +47,7 @@ use tc_metrics::{MetricsHandle, MetricsSnapshot};
 use tc_mps::{strict_env, Comm, MpsError, MpsResult, SocketConfig, Universe};
 
 use crate::engine::{Algo, EdgeOp, Engine};
+use crate::front::Front;
 use crate::proto::{self, Request};
 use crate::supervisor::read_epoch;
 
@@ -96,7 +92,8 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Apply the pending buffer once its oldest op is this old.
     pub flush_ms: u64,
-    /// Admission control: max requests in flight.
+    /// Admission control: max requests in flight, i.e. admitted by the
+    /// frontend and not yet answered.
     pub queue: usize,
     /// Idle heartbeat interval keeping peers inside their receive
     /// deadline.
@@ -195,144 +192,10 @@ pub struct ServeReport {
     pub full_recounts: u64,
 }
 
-/// One queued request and the channel its reply goes back on.
-struct Job {
-    req: Request,
-    reply: mpsc::Sender<Reply>,
-}
-
-/// A reply line on its way to the connection thread that owns the
-/// client socket.
-struct Reply {
-    line: String,
-    /// Signalled by the connection thread once `line` has been written
-    /// and flushed to the socket. Only the `shutdown` reply asks for
-    /// it: the service loop is about to return and the process to
-    /// exit, which would otherwise race the detached connection thread
-    /// and cut the reply off.
-    written: Option<mpsc::Sender<()>>,
-}
-
-impl From<String> for Reply {
-    fn from(line: String) -> Self {
-        Self { line, written: None }
-    }
-}
-
-/// How long a `shutdown` waits for its reply to reach the socket
-/// before exiting anyway (a client that stopped reading must not wedge
-/// the fleet's shutdown).
+/// How long teardown waits for queued replies, the `shutdown` reply
+/// above all, to reach their sockets before returning anyway (a client
+/// that stopped reading must not wedge the fleet's shutdown).
 const SHUTDOWN_REPLY_WAIT: Duration = Duration::from_secs(5);
-
-/// Answers a `shutdown` request and blocks until the connection thread
-/// has put the reply on the wire (or is gone).
-fn reply_shutdown(reply: &mpsc::Sender<Reply>) {
-    let (written, done) = mpsc::channel();
-    if reply.send(Reply { line: proto::ok_shutdown(), written: Some(written) }).is_ok() {
-        // `Err` is a dropped sender (the client hung up first) or the
-        // timeout — either way there is nobody left to wait for.
-        let _ = done.recv_timeout(SHUTDOWN_REPLY_WAIT);
-    }
-}
-
-/// The bounded admission queue between connection threads and the
-/// service loop.
-struct Gate {
-    jobs: Mutex<VecDeque<Job>>,
-    ready: Condvar,
-    capacity: usize,
-    rejected: AtomicU64,
-    open: AtomicBool,
-}
-
-impl Gate {
-    fn new(capacity: usize) -> Self {
-        Self {
-            jobs: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            capacity,
-            rejected: AtomicU64::new(0),
-            open: AtomicBool::new(true),
-        }
-    }
-
-    /// Admits a job or returns the typed rejection kind.
-    fn enqueue(&self, job: Job) -> Result<(), &'static str> {
-        if !self.open.load(Ordering::Acquire) {
-            return Err(proto::ERR_SHUTTING_DOWN);
-        }
-        let mut jobs = self.jobs.lock().expect("gate lock");
-        if jobs.len() >= self.capacity {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(proto::ERR_OVER_CAPACITY);
-        }
-        jobs.push_back(job);
-        drop(jobs);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Waits up to `timeout` for the next job.
-    fn pop(&self, timeout: Duration) -> Option<Job> {
-        let jobs = self.jobs.lock().expect("gate lock");
-        let (mut jobs, _) = self
-            .ready
-            .wait_timeout_while(jobs, timeout, |jobs| jobs.is_empty())
-            .expect("gate lock poisoned");
-        jobs.pop_front()
-    }
-
-    /// Stops admission and fails every queued job.
-    fn close(&self) {
-        self.open.store(false, Ordering::Release);
-        let mut jobs = self.jobs.lock().expect("gate lock");
-        for job in jobs.drain(..) {
-            let _ = job.reply.send(proto::error_line(proto::ERR_SHUTTING_DOWN, "").into());
-        }
-    }
-
-    fn take_rejected(&self) -> u64 {
-        self.rejected.swap(0, Ordering::Relaxed)
-    }
-}
-
-/// Serves one client connection: read a line, admit it, relay the
-/// reply. Sequential per connection; concurrency comes from having
-/// one thread per connection.
-fn handle_conn(stream: UnixStream, gate: Arc<Gate>) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let reader = BufReader::new(read_half);
-    let mut writer = stream;
-    for line in reader.lines() {
-        let Ok(line) = line else {
-            return;
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply: Reply = match proto::parse_request(&line) {
-            Err(detail) => proto::error_line(proto::ERR_BAD_REQUEST, &detail).into(),
-            Ok(req) => {
-                let (tx, rx) = mpsc::channel();
-                match gate.enqueue(Job { req, reply: tx }) {
-                    Err(kind) => proto::error_line(kind, "").into(),
-                    Ok(()) => rx
-                        .recv()
-                        .unwrap_or_else(|_| proto::error_line(proto::ERR_SHUTTING_DOWN, "").into()),
-                }
-            }
-        };
-        let sent = writeln!(writer, "{}", reply.line).and_then(|()| writer.flush());
-        if let Some(written) = reply.written {
-            let _ = written.send(());
-        }
-        if sent.is_err() {
-            return;
-        }
-    }
-}
 
 /// Runs this rank's half of the service until a `shutdown` request
 /// lands. Collective: every rank of the universe must call it with
@@ -370,8 +233,8 @@ fn degraded_serve(
     last_epoch: u64,
     down_rank: usize,
 ) -> DegradedEnd {
-    // Connection threads have no metrics lane; the degraded loop runs
-    // outside any universe, so it binds rank 0's lane itself.
+    // The degraded loop runs outside any universe, so it binds rank 0's
+    // metrics lane itself.
     let _lane = cfg.metrics.as_ref().map(|h| h.register_rank(0));
     let deadline = Instant::now() + Duration::from_millis(fleet.rejoin_wait_ms);
     // While nothing can flush, the buffer is capped at a full
@@ -384,11 +247,10 @@ fn degraded_serve(
         if Instant::now() >= deadline {
             return DegradedEnd::GaveUp;
         }
-        fs.fold_rejected();
-        let Some(job) = fs.gate.pop(Duration::from_millis(50)) else {
+        let Some((conn, req)) = fs.front.pop(Duration::from_millis(50)) else {
             continue;
         };
-        let reply = match job.req {
+        let reply = match req {
             // The committed count is replicated and rank-0-local; it
             // is exact as long as no writes are waiting on the fleet.
             Request::Count if fs.pending.is_empty() => {
@@ -406,7 +268,7 @@ fn degraded_serve(
                 }
             }
             Request::Shutdown => {
-                reply_shutdown(&job.reply);
+                fs.front.reply(conn, &proto::ok_shutdown());
                 return DegradedEnd::Shutdown;
             }
             // Everything else needs the whole fleet.
@@ -416,7 +278,7 @@ fn degraded_serve(
                 proto::degraded_line(down_rank, fleet.degraded_retry_ms)
             }
         };
-        let _ = job.reply.send(reply.into());
+        fs.front.reply(conn, &reply);
     }
 }
 
@@ -653,14 +515,12 @@ fn query_latency_summary(
 }
 
 /// The frontend state that must **outlive** one fleet session: the
-/// listener and its admission gate (bound once, so client
-/// connections survive a rank crash), the coalescing buffer (ops
-/// accepted while degraded apply after the rejoin), and the running
-/// report. `triangles` inside the report is only ever updated at a
+/// listener and its client connections (bound once, so they survive
+/// a rank crash), the coalescing buffer (ops accepted while degraded
+/// apply after the rejoin), and the running report. `triangles` inside the report is only ever updated at a
 /// commit point, so degraded `count` reads can answer from it.
 struct FrontState {
-    gate: Arc<Gate>,
-    listener_thread: std::thread::JoinHandle<()>,
+    front: Front,
     pending: Vec<EdgeOp>,
     oldest: Option<Instant>,
     report: ServeReport,
@@ -675,16 +535,6 @@ struct FrontState {
 }
 
 impl FrontState {
-    /// Folds the connection threads' rejection tally into the registry
-    /// and the report.
-    fn fold_rejected(&mut self) {
-        let rejected = self.gate.take_rejected();
-        if rejected > 0 {
-            tc_metrics::counter_add(m::SERVE_REJECTED_QUERIES, rejected);
-            self.report.rejected += rejected;
-        }
-    }
-
     /// Validates an update and appends it to the coalescing buffer —
     /// deletes after inserts, so they win within one request — unless
     /// the buffer would pass `cap` ops. Returns the ops queued, or the
@@ -708,33 +558,15 @@ impl FrontState {
     }
 }
 
-/// Binds the listener and starts the accept loop.
+/// Binds the listener.
 fn front_bind(cfg: &ServeConfig) -> FrontState {
     // Pre-seed the per-op latency histograms so exports and the
     // `stats` reply show every op from the first snapshot on.
     for &name in m::SERVE_QUERY_LATENCY {
         tc_metrics::hist_touch(name);
     }
-    // A stale socket file from a previous run would make bind fail.
-    let _ = std::fs::remove_file(&cfg.listen);
-    let listener = UnixListener::bind(&cfg.listen).unwrap_or_else(|e| {
-        panic!("cannot listen on {}: {e}", cfg.listen.display());
-    });
-    let gate = Arc::new(Gate::new(cfg.queue));
-    let accept_gate = Arc::clone(&gate);
-    let listener_thread = std::thread::spawn(move || {
-        for conn in listener.incoming() {
-            if !accept_gate.open.load(Ordering::Acquire) {
-                break;
-            }
-            let Ok(stream) = conn else { break };
-            let gate = Arc::clone(&accept_gate);
-            std::thread::spawn(move || handle_conn(stream, gate));
-        }
-    });
     FrontState {
-        gate,
-        listener_thread,
+        front: Front::bind(&cfg.listen, cfg.queue),
         pending: Vec::new(),
         oldest: None,
         report: ServeReport::default(),
@@ -744,15 +576,13 @@ fn front_bind(cfg: &ServeConfig) -> FrontState {
     }
 }
 
-/// Stops admission, fails queued jobs, wakes the accept loop with a
-/// throwaway connection, reclaims the socket path, and hands back the
-/// lifetime report.
+/// Stops admission, puts the replies still owed on the wire, reclaims
+/// the socket path, and hands back the lifetime report.
 fn front_teardown(fs: FrontState, listen: &Path) -> ServeReport {
-    fs.gate.close();
-    let _ = UnixStream::connect(listen);
-    let _ = fs.listener_thread.join();
+    let report = ServeReport { rejected: fs.front.rejected, ..fs.report };
+    fs.front.close(SHUTDOWN_REPLY_WAIT);
     let _ = std::fs::remove_file(listen);
-    fs.report
+    report
 }
 
 /// One session of the rank-0 service loop over an established
@@ -773,8 +603,6 @@ fn frontend_session(
     let mut last_fleet_cmd = Instant::now();
 
     loop {
-        fs.fold_rejected();
-
         // Aged-buffer and heartbeat deadlines are checked every turn,
         // busy or idle: a sustained stream of queries that reach no or
         // only some peers (`count`, `support`) must neither starve the
@@ -788,13 +616,14 @@ fn frontend_session(
 
         let tick_at = last_fleet_cmd + tick_after;
         let deadline = fs.oldest.map_or(tick_at, |t| tick_at.min(t + flush_after));
-        let Some(job) = fs.gate.pop(deadline.saturating_duration_since(Instant::now())) else {
+        let Some((conn, req)) = fs.front.pop(deadline.saturating_duration_since(Instant::now()))
+        else {
             continue;
         };
 
         // Per-query latency: reads are timed from dequeue to reply
         // construction (includes the read barrier and the collective).
-        let latency_hist = match &job.req {
+        let latency_hist = match &req {
             Request::Count => Some(m::SERVE_QUERY_LATENCY_COUNT_NS),
             Request::Support { .. } => Some(m::SERVE_QUERY_LATENCY_SUPPORT_NS),
             Request::Truss { .. } => Some(m::SERVE_QUERY_LATENCY_TRUSS_NS),
@@ -802,7 +631,6 @@ fn frontend_session(
             Request::Update { .. } | Request::Flush | Request::Shutdown => None,
         };
         let query_started = Instant::now();
-        let Job { req, reply: reply_tx } = job;
 
         // `None` means a clean shutdown ended the session. Errors are
         // answered below before they propagate: the request that first
@@ -881,7 +709,7 @@ fn frontend_session(
         let reply = match outcome {
             Ok(Some(reply)) => reply,
             Ok(None) => {
-                reply_shutdown(&reply_tx);
+                fs.front.reply(conn, &proto::ok_shutdown());
                 fs.report.triangles = engine.triangles();
                 fs.report.full_recounts = engine.full_recounts();
                 return Ok(());
@@ -889,7 +717,7 @@ fn frontend_session(
             Err(e) => {
                 if let MpsError::PeerDown { rank } = &e {
                     tc_metrics::counter_add(m::SERVE_DEGRADED_QUERIES, 1);
-                    let _ = reply_tx.send(proto::degraded_line(*rank, fs.degraded_retry_ms).into());
+                    fs.front.reply(conn, &proto::degraded_line(*rank, fs.degraded_retry_ms));
                 }
                 return Err(e);
             }
@@ -897,7 +725,7 @@ fn frontend_session(
         if let Some(name) = latency_hist {
             tc_metrics::hist_record(name, query_started.elapsed().as_nanos() as u64);
         }
-        let _ = reply_tx.send(reply.into());
+        fs.front.reply(conn, &reply);
     }
 }
 
@@ -975,30 +803,6 @@ mod tests {
             assert_eq!(decode_cmd(2, words), Err(MpsError::Protocol { rank: 2, msg }));
         }
         assert_eq!(decode_cmd(2, &[OP_SUPPORT, 4, 5]), Ok(Cmd::Support(4, 5)));
-    }
-
-    #[test]
-    fn gate_rejects_over_capacity_and_counts_it() {
-        let gate = Gate::new(1);
-        let (tx, _rx) = mpsc::channel();
-        gate.enqueue(Job { req: Request::Count, reply: tx.clone() }).unwrap();
-        let err = gate.enqueue(Job { req: Request::Count, reply: tx }).unwrap_err();
-        assert_eq!(err, proto::ERR_OVER_CAPACITY);
-        assert_eq!(gate.take_rejected(), 1);
-        assert_eq!(gate.take_rejected(), 0);
-    }
-
-    #[test]
-    fn closed_gate_fails_queued_jobs() {
-        let gate = Gate::new(4);
-        let (tx, rx) = mpsc::channel();
-        gate.enqueue(Job { req: Request::Count, reply: tx.clone() }).unwrap();
-        gate.close();
-        assert!(rx.recv().unwrap().line.contains(proto::ERR_SHUTTING_DOWN));
-        assert_eq!(
-            gate.enqueue(Job { req: Request::Count, reply: tx }).unwrap_err(),
-            proto::ERR_SHUTTING_DOWN
-        );
     }
 
     #[test]

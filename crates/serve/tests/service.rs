@@ -3,7 +3,8 @@
 //! test drives the Unix socket with [`tc_serve::Client`] — streaming
 //! update batches with read-your-writes count checks, analytic
 //! queries against serial oracles, typed protocol errors, admission
-//! control, and a clean shutdown.
+//! control, pipelining and backpressure on one connection, and a
+//! clean shutdown.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -124,8 +125,8 @@ fn service_streams_updates_and_answers_queries() {
     assert!(raw.contains("\"bad_request\""), "unknown op: {raw}");
     let raw = client.request_raw("not json").expect("reply to junk");
     assert!(raw.contains("\"bad_request\""), "junk line: {raw}");
-    // 200 kB of `[` used to overflow the connection thread's stack in
-    // the parser and abort the whole fleet; it is one more bad request.
+    // 200 kB of `[` used to overflow the stack in the parser and abort
+    // the whole fleet; it is one more bad request.
     let raw = client.request_raw(&"[".repeat(200_000)).expect("reply to deep nesting");
     assert!(raw.contains("\"bad_request\"") && raw.contains("nesting deeper"), "deep line: {raw}");
     let reply = client.request(&Request::Count).expect("the fleet still answers");
@@ -436,4 +437,122 @@ fn shutdown_reply_is_on_the_wire_before_the_service_returns() {
             "round {round}"
         );
     }
+}
+
+/// Starts a 4-rank fleet over `el` behind `sock` and waits until it
+/// answers.
+fn start_fleet(
+    el: &EdgeList,
+    sock: &std::path::Path,
+) -> std::thread::JoinHandle<Vec<tc_serve::ServeReport>> {
+    let csr = Csr::from_edge_list(el);
+    let mut cfg = ServeConfig::new(sock.to_path_buf());
+    cfg.tick_ms = 100;
+    let server = std::thread::spawn(move || {
+        Universe::try_run_config(4, &UniverseConfig::default(), |comm| serve_rank(comm, &csr, &cfg))
+            .expect("universe run")
+            .0
+    });
+    Client::connect_retry(sock, Duration::from_secs(30)).expect("service comes up");
+    server
+}
+
+/// Reads one reply line and parses it.
+fn read_json(reader: &mut impl std::io::BufRead) -> Value {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("reply line");
+    tc_metrics::json::parse(line.trim_end()).unwrap_or_else(|e| panic!("reply {line:?}: {e}"))
+}
+
+#[test]
+fn pipelined_requests_are_answered_in_request_order() {
+    use std::io::{BufReader, Write};
+
+    let n = 30usize;
+    let el = tc_gen::er::gnm(n, 90, 5).simplify();
+    let reference: BTreeSet<(u32, u32)> = el.edges.iter().copied().collect();
+    let sock = sock_path("pipeline");
+    let server = start_fleet(&el, &sock);
+
+    // A `count`, a junk line and a `support` in one `write`: three
+    // replies, in that order, the `bad_request` in the middle.
+    let &(u, v) = reference.iter().next().expect("graph has edges");
+    let count = tc_serve::proto::request_line(&Request::Count);
+    let support = tc_serve::proto::request_line(&Request::Support { u, v });
+    let mut raw = std::os::unix::net::UnixStream::connect(&sock).expect("raw connection");
+    raw.write_all(format!("{count}\nnot json\n{support}\n").as_bytes()).expect("one write");
+    let mut replies = BufReader::new(raw.try_clone().expect("read half"));
+    assert_eq!(u64_field(&read_json(&mut replies), "triangles"), serial_triangles(n, &reference));
+    let junk = read_json(&mut replies);
+    assert_eq!(junk.get("error").and_then(Value::as_str), Some("bad_request"), "{junk:?}");
+    let reply = read_json(&mut replies);
+    assert_eq!(reply.get("present"), Some(&Value::Bool(true)));
+    assert_eq!(u64_field(&reply, "support"), serial_support(n, &reference, u, v));
+
+    let mut client = Client::connect(&sock).expect("client");
+    client.request(&Request::Shutdown).expect("shutdown");
+    server.join().expect("server thread");
+}
+
+/// The rule this holds: a connection whose output buffer is not empty
+/// is not read. So a client that pipelines without reading fills its
+/// own sockets and sees `WouldBlock` (the frontend keeps at most one
+/// reply of it), while every other client is still served.
+#[test]
+fn a_client_that_never_reads_stalls_only_itself() {
+    use std::io::{BufReader, ErrorKind, Write};
+
+    let n = 40usize;
+    let el = tc_gen::er::gnm(n, 160, 23).simplify();
+    let reference: BTreeSet<(u32, u32)> = el.edges.iter().copied().collect();
+    let sock = sock_path("backpressure");
+    let server = start_fleet(&el, &sock);
+    let mut b = Client::connect(&sock).expect("client b");
+
+    let pairs: Vec<(u32, u32)> =
+        (0..n as u32).flat_map(|u| ((u + 1)..n as u32).map(move |v| (u, v))).collect();
+    let mut a = std::os::unix::net::UnixStream::connect(&sock).expect("client a");
+    a.set_nonblocking(true).expect("nonblocking a");
+    // One more pipelined `support` from A; false once A's socket is full.
+    let mut sent = Vec::new();
+    let mut write_a = |sent: &mut Vec<(u32, u32)>| {
+        let (u, v) = pairs[sent.len() % pairs.len()];
+        let line = format!("{}\n", tc_serve::proto::request_line(&Request::Support { u, v }));
+        match a.write(line.as_bytes()) {
+            Ok(k) => assert_eq!(k, line.len(), "a short line is written whole or not at all"),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return false,
+            Err(e) => panic!("client a: {e}"),
+        }
+        sent.push((u, v));
+        true
+    };
+    // A pipelines until its socket is full, then B asks. B's exact
+    // answer proves the frontend ran a turn in between; A is stalled
+    // once that turn left its socket full, i.e. did not read it.
+    loop {
+        while write_a(&mut sent) {}
+        let reply = b.request(&Request::Count).expect("b is served while a is stalled");
+        assert_eq!(u64_field(&reply, "triangles"), serial_triangles(n, &reference));
+        if !write_a(&mut sent) {
+            break;
+        }
+        assert!(sent.len() < 1_000_000, "the frontend kept reading a client that never reads");
+    }
+
+    // A reads every reply: all there, in order, each exact.
+    a.set_nonblocking(false).expect("blocking a");
+    let mut replies = BufReader::new(a);
+    for (i, &(u, v)) in sent.iter().enumerate() {
+        let reply = read_json(&mut replies);
+        assert_eq!(
+            u64_field(&reply, "support"),
+            serial_support(n, &reference, u, v),
+            "reply {i} of {} answers ({u}, {v})",
+            sent.len()
+        );
+        assert_eq!(reply.get("present"), Some(&Value::Bool(reference.contains(&(u, v)))));
+    }
+
+    b.request(&Request::Shutdown).expect("shutdown");
+    server.join().expect("server thread");
 }
