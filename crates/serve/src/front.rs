@@ -7,7 +7,9 @@
 //! A connection is read only when idle: no request in flight, nothing
 //! left in its output buffer. So it costs at most one reply plus one
 //! partial line, its replies come in request order, and a client that
-//! never reads stalls only itself while the kernel pushes back.
+//! never reads stalls only itself while the kernel pushes back. Each
+//! turn moves every connection one step (at most one read and one
+//! line), so a client that streams lines cannot hold the loop either.
 
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read, Write};
@@ -43,42 +45,36 @@ struct Conn {
     stream: UnixStream,
     /// Bytes read but not yet framed into a line.
     input: Vec<u8>,
+    /// `input[..scanned]` holds no `\n`, and `input[scanned]` is one
+    /// when `scanned < input.len()`: each byte is searched once.
+    scanned: usize,
     /// Reply bytes the socket has not taken yet.
     output: Vec<u8>,
     /// A request of this connection is admitted and not yet answered.
     busy: bool,
-    /// The client has closed its writing half.
-    eof: bool,
 }
 
 impl Conn {
-    /// Idle, with a framed line or a hang-up to act on: it can move
-    /// without waiting for the socket.
+    /// Idle, with a complete line buffered: it can move without
+    /// waiting for the socket.
     fn ready(&self) -> bool {
-        !self.busy && self.output.is_empty() && (self.eof || self.input.contains(&b'\n'))
+        !self.busy && self.output.is_empty() && self.scanned < self.input.len()
     }
 
-    /// The poll events this connection waits for; 0 while rank 0 owes
-    /// it a reply or while it is ready.
-    fn events(&self) -> i16 {
-        if !self.output.is_empty() {
-            POLLOUT
-        } else if self.busy || self.ready() {
-            0
-        } else {
-            POLLIN
-        }
+    /// Moves `scanned` to the next `\n`, or the end of the input.
+    fn scan(&mut self) {
+        let rest = &self.input[self.scanned..];
+        self.scanned += rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
     }
 
-    /// Writes what the socket takes of the output buffer. `Err` means
+    /// Writes what the socket takes of the output buffer; false when
     /// the client is gone.
-    fn flush(&mut self) -> io::Result<()> {
+    fn flush(&mut self) -> bool {
         match self.stream.write(&self.output) {
             Ok(n) => drop(self.output.drain(..n)),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
-            Err(e) => return Err(e),
+            Err(e) => return matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted),
         }
-        Ok(())
+        true
     }
 }
 
@@ -97,9 +93,6 @@ pub(crate) struct Front {
     capacity: usize,
     /// Requests refused `over_capacity` so far.
     pub(crate) rejected: u64,
-    /// Reused `poll` argument: the listener (while open), then one
-    /// record per slot.
-    fds: Vec<PollFd>,
 }
 
 impl Front {
@@ -116,16 +109,10 @@ impl Front {
     /// `timeout` passes.
     pub(crate) fn pop(&mut self, timeout: Duration) -> Option<(usize, Request)> {
         let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(job) = self.jobs.pop_front() {
-                return Some(job);
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            self.turn(left);
+        while self.jobs.is_empty() && Instant::now() < deadline {
+            self.turn(deadline.saturating_duration_since(Instant::now()));
         }
+        self.jobs.pop_front()
     }
 
     /// Answers connection `conn`'s request with `line` and writes what
@@ -135,29 +122,37 @@ impl Front {
         c.busy = false;
         c.output.extend_from_slice(line.as_bytes());
         c.output.push(b'\n');
-        if c.flush().is_err() {
+        if !c.flush() {
             self.conns[conn] = None;
         }
     }
 
+    /// [`Front::reply`], then serves every connection until that reply
+    /// is on the wire or `wait` passes: a `shutdown` reply reaches its
+    /// client before the service returns, and a client that stopped
+    /// reading holds it up for `wait` at most.
+    pub(crate) fn reply_and_drain(&mut self, conn: usize, line: &str, wait: Duration) {
+        self.reply(conn, line);
+        let deadline = Instant::now() + wait;
+        while self.conns[conn].as_ref().is_some_and(|c| !c.output.is_empty())
+            && Instant::now() < deadline
+        {
+            self.turn(deadline.saturating_duration_since(Instant::now()));
+        }
+    }
+
     /// Stops admission for good. Every request admitted and not yet
-    /// answered gets `shutting_down`, and the loop drains the output
-    /// buffers for up to `wait` so that replies (a `shutdown`'s above
-    /// all) are on the wire before the caller returns. The connections
-    /// still open then move to a detached thread that runs the same
-    /// loop, closed, until their clients hang up.
-    pub(crate) fn close(mut self, wait: Duration) {
+    /// answered gets `shutting_down`; the connections still open move
+    /// to a detached thread that runs the same loop, closed, until
+    /// their clients hang up, so replies the socket has not taken yet
+    /// still go out.
+    pub(crate) fn close(mut self) {
         self.listener = None;
         self.jobs.clear();
         for conn in 0..self.conns.len() {
             if self.conns[conn].as_ref().is_some_and(|c| c.busy) {
                 self.reply(conn, &proto::error_line(proto::ERR_SHUTTING_DOWN, ""));
             }
-        }
-        let deadline = Instant::now() + wait;
-        while self.conns.iter().flatten().any(|c| !c.output.is_empty()) && Instant::now() < deadline
-        {
-            self.turn(deadline.saturating_duration_since(Instant::now()));
         }
         std::thread::spawn(move || {
             while self.conns.iter().any(Option::is_some) {
@@ -170,37 +165,40 @@ impl Front {
     /// (without blocking when some connection is ready), then moves
     /// each connection that can.
     fn turn(&mut self, wait: Duration) {
-        self.fds.clear();
+        // The listener (while open), then one record per slot.
+        let mut fds = Vec::with_capacity(self.conns.len() + 1);
         if let Some(l) = &self.listener {
-            self.fds.push(PollFd { fd: l.as_raw_fd(), events: POLLIN, revents: 0 });
+            fds.push(PollFd { fd: l.as_raw_fd(), events: POLLIN, revents: 0 });
         }
         let mut ready = false;
-        for slot in &self.conns {
-            let (fd, events) = slot.as_ref().map_or((-1, 0), |c| {
-                ready |= c.ready();
-                (c.stream.as_raw_fd(), c.events())
-            });
-            // A negative fd is skipped by `poll`.
-            self.fds.push(PollFd { fd: if events == 0 { -1 } else { fd }, events, revents: 0 });
+        for c in &self.conns {
+            // Nothing to wait for while a reply is being built or a line
+            // is buffered; `poll` skips a negative fd.
+            let events = match c {
+                Some(c) if !c.output.is_empty() => POLLOUT,
+                Some(c) if !c.busy && !c.ready() => POLLIN,
+                _ => 0,
+            };
+            ready |= c.as_ref().is_some_and(Conn::ready);
+            let fd = c.as_ref().filter(|_| events != 0).map_or(-1, |c| c.stream.as_raw_fd());
+            fds.push(PollFd { fd, events, revents: 0 });
         }
         let ms = if ready { 0 } else { wait.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) };
         // SAFETY: `fds` is an exclusively borrowed, initialised array of
         // `fds.len()` records laid out as C's `struct pollfd`; `poll`
         // only writes their `revents` and keeps no pointer past the call.
-        let rc = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as _, ms as i32) };
+        let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as _, ms as i32) };
         if rc < 0 {
             let e = io::Error::last_os_error();
             assert_eq!(e.kind(), ErrorKind::Interrupted, "poll on the serve socket failed: {e}");
             return;
         }
         let off = usize::from(self.listener.is_some());
-        if off == 1 && self.fds[0].revents != 0 {
+        if off == 1 && fds[0].revents != 0 {
             self.accept();
         }
-        for conn in 0..self.fds.len() - off {
-            if self.fds[off + conn].revents != 0
-                || self.conns[conn].as_ref().is_some_and(Conn::ready)
-            {
+        for conn in 0..fds.len() - off {
+            if fds[off + conn].revents != 0 || self.conns[conn].as_ref().is_some_and(Conn::ready) {
                 self.advance(conn);
             }
         }
@@ -211,63 +209,60 @@ impl Front {
         while let Some(Ok((stream, _))) = self.listener.as_ref().map(UnixListener::accept) {
             let Ok(()) = stream.set_nonblocking(true) else { continue };
             let conn =
-                Conn { stream, input: Vec::new(), output: Vec::new(), busy: false, eof: false };
+                Some(Conn { stream, input: vec![], scanned: 0, output: vec![], busy: false });
             match self.conns.iter().position(Option::is_none) {
-                Some(free) => self.conns[free] = Some(conn),
-                None => self.conns.push(Some(conn)),
+                Some(free) => self.conns[free] = conn,
+                None => self.conns.push(conn),
             }
         }
     }
 
-    /// Moves one connection as far as it goes without blocking: flush
-    /// its reply, then frame and answer lines until one is admitted,
-    /// reading only when no complete line is buffered.
+    /// Moves one connection one step without blocking: flush its
+    /// reply, read once if no line is buffered, then frame one line.
     fn advance(&mut self, conn: usize) {
-        while let Some(c) = self.conns[conn].as_mut() {
-            if !c.output.is_empty() {
-                if c.flush().is_err() {
-                    self.conns[conn] = None;
-                } else if !c.output.is_empty() {
-                    return;
+        let Some(c) = self.conns[conn].as_mut() else { return };
+        if !c.output.is_empty() && !c.flush() {
+            self.conns[conn] = None;
+            return;
+        }
+        if c.busy || !c.output.is_empty() {
+            return;
+        }
+        if c.scanned == c.input.len() {
+            let len = c.input.len();
+            c.input.resize(len + READ_CHUNK, 0);
+            let got = c.stream.read(&mut c.input[len..]);
+            c.input.truncate(len + got.as_ref().map_or(0, |&n| n));
+            match got {
+                Ok(0) if len == 0 => return self.conns[conn] = None,
+                Err(e) if !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
+                    return self.conns[conn] = None;
                 }
-            } else if c.busy {
-                return;
-            } else if let Some(end) = c.input.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = c.input.drain(..=end).collect();
-                let line = &line[..end];
-                match std::str::from_utf8(line.strip_suffix(b"\r").unwrap_or(line)) {
-                    Ok(line) => self.admit(conn, line),
-                    // As `BufRead::lines` would: a line that is not
-                    // UTF-8 ends its connection.
-                    Err(_) => self.conns[conn] = None,
-                }
-            } else if c.eof {
-                self.conns[conn] = None;
-            } else {
-                let len = c.input.len();
-                c.input.resize(len + READ_CHUNK, 0);
-                let got = c.stream.read(&mut c.input[len..]);
-                c.input.truncate(len + got.as_ref().map_or(0, |&n| n));
-                match got {
-                    Ok(0) => {
-                        // A final line without its `\n` still counts.
-                        c.input.push(b'\n');
-                        c.eof = true;
-                    }
-                    Ok(_) => {}
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => self.conns[conn] = None,
-                }
+                // A final line without its `\n` still counts; the next
+                // read sees the hang-up again with nothing buffered.
+                Ok(0) => c.input.push(b'\n'),
+                _ => {}
             }
+            c.scan();
+            if c.scanned == c.input.len() {
+                return;
+            }
+        }
+        let line: Vec<u8> = c.input.drain(..=c.scanned).collect();
+        c.scanned = 0;
+        c.scan();
+        let line = &line[..line.len() - 1];
+        match std::str::from_utf8(line.strip_suffix(b"\r").unwrap_or(line)) {
+            Ok(line) if line.trim().is_empty() => {}
+            Ok(line) => self.admit(conn, line),
+            // As `BufRead::lines` would: a line that is not UTF-8 ends
+            // its connection.
+            Err(_) => self.conns[conn] = None,
         }
     }
 
     /// Admits one framed line, or answers it at once.
     fn admit(&mut self, conn: usize, line: &str) {
-        if line.trim().is_empty() {
-            return;
-        }
         let refusal = match proto::parse_request(line) {
             Err(detail) => proto::error_line(proto::ERR_BAD_REQUEST, &detail),
             Ok(_) if self.listener.is_none() => proto::error_line(proto::ERR_SHUTTING_DOWN, ""),
@@ -343,7 +338,7 @@ mod tests {
             writeln!(c, "{count}").expect("send");
         }
         front.pop(Duration::from_secs(30)).expect("a is admitted and never answered");
-        front.close(Duration::from_secs(5));
+        front.close();
         let down = proto::error_line(proto::ERR_SHUTTING_DOWN, "");
         let mut a_replies = BufReader::new(&a);
         assert_eq!(read_reply(&mut a_replies), down);

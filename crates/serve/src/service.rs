@@ -192,9 +192,9 @@ pub struct ServeReport {
     pub full_recounts: u64,
 }
 
-/// How long teardown waits for queued replies, the `shutdown` reply
-/// above all, to reach their sockets before returning anyway (a client
-/// that stopped reading must not wedge the fleet's shutdown).
+/// How long the service waits for the `shutdown` reply to reach its
+/// socket before returning anyway (a client that stopped reading must
+/// not wedge the fleet's shutdown).
 const SHUTDOWN_REPLY_WAIT: Duration = Duration::from_secs(5);
 
 /// Runs this rank's half of the service until a `shutdown` request
@@ -268,7 +268,7 @@ fn degraded_serve(
                 }
             }
             Request::Shutdown => {
-                fs.front.reply(conn, &proto::ok_shutdown());
+                fs.front.reply_and_drain(conn, &proto::ok_shutdown(), SHUTDOWN_REPLY_WAIT);
                 return DegradedEnd::Shutdown;
             }
             // Everything else needs the whole fleet.
@@ -517,8 +517,9 @@ fn query_latency_summary(
 /// The frontend state that must **outlive** one fleet session: the
 /// listener and its client connections (bound once, so they survive
 /// a rank crash), the coalescing buffer (ops accepted while degraded
-/// apply after the rejoin), and the running report. `triangles` inside the report is only ever updated at a
-/// commit point, so degraded `count` reads can answer from it.
+/// apply after the rejoin), and the running report. `triangles` in
+/// the report is only updated at a commit point, so degraded `count`
+/// reads can answer from it.
 struct FrontState {
     front: Front,
     pending: Vec<EdgeOp>,
@@ -576,11 +577,11 @@ fn front_bind(cfg: &ServeConfig) -> FrontState {
     }
 }
 
-/// Stops admission, puts the replies still owed on the wire, reclaims
-/// the socket path, and hands back the lifetime report.
+/// Stops admission, answers what is still in flight, reclaims the
+/// socket path, and hands back the lifetime report.
 fn front_teardown(fs: FrontState, listen: &Path) -> ServeReport {
     let report = ServeReport { rejected: fs.front.rejected, ..fs.report };
-    fs.front.close(SHUTDOWN_REPLY_WAIT);
+    fs.front.close();
     let _ = std::fs::remove_file(listen);
     report
 }
@@ -709,16 +710,21 @@ fn frontend_session(
         let reply = match outcome {
             Ok(Some(reply)) => reply,
             Ok(None) => {
-                fs.front.reply(conn, &proto::ok_shutdown());
+                fs.front.reply_and_drain(conn, &proto::ok_shutdown(), SHUTDOWN_REPLY_WAIT);
                 fs.report.triangles = engine.triangles();
                 fs.report.full_recounts = engine.full_recounts();
                 return Ok(());
             }
             Err(e) => {
-                if let MpsError::PeerDown { rank } = &e {
-                    tc_metrics::counter_add(m::SERVE_DEGRADED_QUERIES, 1);
-                    fs.front.reply(conn, &proto::degraded_line(*rank, fs.degraded_retry_ms));
-                }
+                let line = match &e {
+                    MpsError::PeerDown { rank } => {
+                        tc_metrics::counter_add(m::SERVE_DEGRADED_QUERIES, 1);
+                        proto::degraded_line(*rank, fs.degraded_retry_ms)
+                    }
+                    // Any other error ends the session: answered, not dropped.
+                    _ => proto::error_line(proto::ERR_SHUTTING_DOWN, ""),
+                };
+                fs.front.reply(conn, &line);
                 return Err(e);
             }
         };

@@ -3,12 +3,12 @@
 //! test drives the Unix socket with [`tc_serve::Client`] — streaming
 //! update batches with read-your-writes count checks, analytic
 //! queries against serial oracles, typed protocol errors, admission
-//! control, pipelining and backpressure on one connection, and a
-//! clean shutdown.
+//! control, pipelining and backpressure on one connection, fairness
+//! between connections, and a clean shutdown.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -555,4 +555,104 @@ fn a_client_that_never_reads_stalls_only_itself() {
 
     b.request(&Request::Shutdown).expect("shutdown");
     server.join().expect("server thread");
+}
+
+/// The `shutdown` reply is waited for, a stalled client's unsent reply
+/// is not: the service returns well inside the 5 s bound on that wait
+/// while a client that never reads still owes it most of a megabyte.
+#[test]
+fn a_client_that_never_reads_does_not_hold_up_shutdown() {
+    use std::io::Write;
+
+    // `truss 2` lists every edge: a reply far larger than a socket takes.
+    let el = tc_gen::er::gnm(20_000, 100_000, 29).simplify();
+    let sock = sock_path("stalled-shutdown");
+    let server = start_fleet(&el, &sock);
+    let mut a = std::os::unix::net::UnixStream::connect(&sock).expect("client a");
+    writeln!(a, "{}", tc_serve::proto::request_line(&Request::Truss { k: 2 })).expect("send");
+    // Jobs run in admission order: once B's `count` is back, A's reply
+    // is built and waiting on A.
+    let mut b = Client::connect(&sock).expect("client b");
+    b.request(&Request::Count).expect("count");
+
+    let asked = Instant::now();
+    b.request(&Request::Shutdown).expect("shutdown");
+    server.join().expect("server thread");
+    assert!(
+        asked.elapsed() < Duration::from_secs(4),
+        "shutdown waited {:?} on a client that never reads",
+        asked.elapsed()
+    );
+}
+
+/// Starts a fleet, has client A write `chunk` over and over (reading
+/// whatever replies come back), and checks that client B's `count`s
+/// are answered exactly meanwhile: each turn moves a connection one
+/// step, so no client holds the one frontend thread.
+fn streaming_client_does_not_starve_others(label: &str, chunk: String) {
+    use std::io::{BufReader, Write};
+    use std::net::Shutdown;
+    use std::os::unix::net::UnixStream;
+
+    let n = 30usize;
+    let el = tc_gen::er::gnm(n, 90, 7).simplify();
+    let triangles = serial_triangles(n, &el.edges.iter().copied().collect());
+    let sock = sock_path(label);
+    let server = start_fleet(&el, &sock);
+
+    let a = UnixStream::connect(&sock).expect("client a");
+    let stop = Arc::new(AtomicBool::new(false));
+    let written = Arc::new(AtomicUsize::new(0));
+    let writer = {
+        let (stop, written) = (Arc::clone(&stop), Arc::clone(&written));
+        let mut w = a.try_clone().expect("writer half");
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) && w.write_all(chunk.as_bytes()).is_ok() {
+                written.fetch_add(chunk.len(), Ordering::Relaxed);
+            }
+            let _ = w.write_all(b"\n");
+            let _ = w.shutdown(Shutdown::Write);
+        })
+    };
+    let reader = std::thread::spawn(move || std::io::copy(&mut &a, &mut std::io::sink()));
+    // A chunk, more than a socket holds, is written: the frontend is
+    // reading A.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while written.load(Ordering::Relaxed) == 0 {
+        assert!(Instant::now() < deadline, "a's stream never got going");
+        std::thread::yield_now();
+    }
+
+    // A read timeout turns a starved B into a failure, not a hang.
+    let mut b = UnixStream::connect(&sock).expect("client b");
+    b.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    let mut b_replies = BufReader::new(b.try_clone().expect("read half"));
+    let count = tc_serve::proto::request_line(&Request::Count);
+    for _ in 0..20 {
+        writeln!(b, "{count}").expect("send count");
+        assert_eq!(u64_field(&read_json(&mut b_replies), "triangles"), triangles);
+    }
+    assert!(!writer.is_finished(), "a was still streaming while b was served");
+
+    stop.store(true, Ordering::Relaxed);
+    writer.join().expect("writer thread");
+    let replied = reader.join().expect("reader thread").expect("a's replies end at its hang-up");
+    assert!(replied > 0, "a's refused lines are answered");
+    Client::connect(&sock).expect("client").request(&Request::Shutdown).expect("shutdown");
+    server.join().expect("server thread");
+}
+
+/// Refused and blank lines are handled by the loop itself, one line
+/// per turn.
+#[test]
+fn a_client_streaming_junk_lines_does_not_starve_others() {
+    let chunk = format!("not json{}", "\r\n".repeat(1023)).repeat(256);
+    streaming_client_does_not_starve_others("junk-lines", chunk);
+}
+
+/// A line that keeps growing is read one chunk per turn, and each byte
+/// is searched for its end once.
+#[test]
+fn a_client_streaming_one_endless_line_does_not_starve_others() {
+    streaming_client_does_not_starve_others("endless-line", "[".repeat(512 << 10));
 }
