@@ -105,3 +105,38 @@ fn sixteen_processes_exact_under_chaos() {
     let got = run_mesh(16, "chaos", &["--chaos", "42"], false);
     assert_eq!(got, expect, "chaos over the socket wire changed the count");
 }
+
+#[test]
+fn a_planned_crash_aborts_its_rank_and_fails_the_others_typed() {
+    // Every process gets the same `MPS_CHAOS_CRASH_*` environment, as
+    // under the supervisor. At the launch epoch rank 1 aborts at its
+    // third send; the others must end with a lost-peer error, not hang.
+    let peers = endpoints(4, "crash").join(",");
+    let outputs: Vec<Output> = (0..4)
+        .map(|rank| {
+            tricount()
+                .args(["serve-rank", "g500-s6", "--rank", &rank.to_string(), "--peers", &peers])
+                .env("MPS_CHAOS_CRASH_RANK", "1")
+                .env("MPS_CHAOS_CRASH_AT", "3")
+                .env("MPS_RECV_TIMEOUT_MS", "30000")
+                .stdout(std::process::Stdio::piped())
+                .stderr(std::process::Stdio::piped())
+                .spawn()
+                .unwrap_or_else(|e| panic!("spawn rank {rank}: {e}"))
+        })
+        .collect::<Vec<Child>>()
+        .into_iter()
+        .map(|c| c.wait_with_output().expect("wait for a rank"))
+        .collect();
+    assert!(stderr(&outputs[1]).contains("chaos: crashing rank 1 at send #3"), "{outputs:?}");
+    assert_eq!(outputs[1].status.code(), None, "rank 1 must die by its abort signal");
+    for rank in [0, 2, 3] {
+        let out = &outputs[rank];
+        assert_eq!(out.status.code(), Some(1), "rank {rank}:\n{}", stderr(out));
+        assert!(
+            stderr(out).contains("rank 1"),
+            "rank {rank} must name the lost peer:\n{}",
+            stderr(out)
+        );
+    }
+}

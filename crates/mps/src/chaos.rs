@@ -16,7 +16,6 @@
 //! or from the strictly parsed `MPS_CHAOS_*` environment family
 //! ([`FaultPlan::from_env`]).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use crate::universe::strict_env;
@@ -44,7 +43,7 @@ pub const CHAOS_MAX_RETRIES_ENV: &str = "MPS_CHAOS_MAX_RETRIES";
 pub const CHAOS_LINKS_ENV: &str = "MPS_CHAOS_LINKS";
 /// Rank to crash for [`FaultPlan::from_env`] (paired with
 /// [`CHAOS_CRASH_AT_ENV`]): that rank's process aborts at its nth
-/// transport send, simulating a SIGKILL at a deterministic point.
+/// send, simulating a SIGKILL at a deterministic point.
 pub const CHAOS_CRASH_RANK_ENV: &str = "MPS_CHAOS_CRASH_RANK";
 /// 1-based send ordinal at which [`CHAOS_CRASH_RANK_ENV`]'s process
 /// aborts (paired; setting only one of the two is an error).
@@ -279,11 +278,13 @@ impl FaultPlan {
     }
 
     /// Crashes rank `rank`'s *process* (`std::process::abort`) at its
-    /// `nth` transport send (1-based) — the process-level fault behind
+    /// `nth` send (1-based) — the process-level fault behind
     /// crash-recovery tests: the same seeded-determinism discipline as
     /// link faults, but the fault is a SIGABRT instead of a lost frame.
-    /// Only meaningful on the multi-process socket backend; aborting a
-    /// thread-backed rank would take the whole test process down.
+    /// Only the multi-process socket backend acts on it, and only in
+    /// the launch epoch (0): a rank respawned at a bumped epoch keeps
+    /// the same plan, so it agrees with its survivors on the reliable
+    /// layer, and does not crash again.
     pub fn crash_at(mut self, rank: usize, nth: u64) -> Self {
         assert!(nth > 0, "crash_at: the send ordinal is 1-based, 0 never fires");
         self.crash = Some((rank, nth));
@@ -500,35 +501,6 @@ fn splitmix64(mut x: u64) -> u64 {
 /// Maps a hash to `[0, 1)`.
 fn uniform01(r: u64) -> f64 {
     (r >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// Number of universes with a live transport. The chaos-off hot path
-/// checks this single atomic before even looking at the fabric, so a
-/// clean universe pays one relaxed load per send/recv and allocates
-/// nothing.
-static ACTIVE_TRANSPORTS: AtomicUsize = AtomicUsize::new(0);
-
-/// Whether *any* universe in the process currently runs a transport.
-#[inline]
-pub(crate) fn chaos_possible() -> bool {
-    ACTIVE_TRANSPORTS.load(Ordering::Relaxed) != 0
-}
-
-/// RAII registration of one live transport.
-#[derive(Debug)]
-pub(crate) struct ActiveGuard;
-
-impl ActiveGuard {
-    pub(crate) fn new() -> Self {
-        ACTIVE_TRANSPORTS.fetch_add(1, Ordering::Relaxed);
-        Self
-    }
-}
-
-impl Drop for ActiveGuard {
-    fn drop(&mut self) {
-        ACTIVE_TRANSPORTS.fetch_sub(1, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,6 @@ use std::time::Instant;
 
 use bytes::Bytes;
 
-use crate::chaos;
 use crate::error::{MpsError, MpsResult};
 use crate::fabric::{AwaitOutcome, BlockedOp, Fabric, Packet, Recovery};
 use crate::pod::{bytes_of, Pod, PodArray};
@@ -61,6 +60,17 @@ fn op_label(tag: u64) -> &'static str {
         coll_op_name(tag)
     } else {
         "recv"
+    }
+}
+
+/// The error a receive returns when the universe recorded `fail`: a
+/// recoverable connection loss stays typed `PeerDown` all the way out,
+/// so session loops can tell "rejoin at the next epoch" apart from a
+/// genuine peer failure.
+fn peer_error(fail: crate::fabric::Failure) -> MpsError {
+    match fail.error {
+        MpsError::PeerDown { rank } => MpsError::PeerDown { rank },
+        _ => MpsError::PeerFailed { rank: fail.rank, msg: fail.brief() },
     }
 }
 
@@ -208,9 +218,6 @@ impl Comm {
     /// dumps and timeout errors.
     fn recv_labeled(&self, src: usize, tag: u64, op: &'static str) -> MpsResult<Bytes> {
         assert!(src < self.size, "recv from rank {src} but universe has {} ranks", self.size);
-        if chaos::chaos_possible() && self.rx.is_some() {
-            return self.recv_reliable(src, tag, op);
-        }
         let t0 = Instant::now();
         // User receives get a span (wall − CPU inside it is the
         // blocked time); collective-internal receives are covered by
@@ -222,67 +229,98 @@ impl Comm {
                 .arg("tag", tag)
         });
 
-        // First drain anything already parked for this source.
-        {
+        // First drain anything already parked for this source (on the
+        // reliable path frames are decoded at ingest, so `pending`
+        // holds ordinary application packets there too).
+        let parked = {
             let mut pending = self.pending[src].borrow_mut();
-            if let Some(pos) = pending.iter().position(|p| p.tag == tag) {
-                let pkt = pending.remove(pos).expect("position just found");
-                self.note_recv(&pkt, t0);
-                if let Some(s) = &mut tspan {
-                    s.record_arg("bytes", pkt.data.len());
-                }
-                return Ok(pkt.data);
-            }
-            if let Some(err) = self.detect_mismatch(src, tag, pending.iter()) {
-                return Err(err);
-            }
-        }
-
-        self.fabric.set_blocked(self.rank, Some(BlockedOp { src, tag, op, since: t0 }));
-        let outcome = self.fabric.await_match(self.rank, src, &mut |queue| {
-            // Drain the mailbox into the per-source pending queues,
-            // stopping if the wanted packet shows up.
-            while let Some(pkt) = queue.pop_front() {
-                if pkt.src == src && pkt.tag == tag {
-                    return Some(Ok(pkt));
-                }
-                if pkt.src == src {
-                    if let Some(err) = self.detect_mismatch(src, tag, std::iter::once(&pkt)) {
-                        return Some(Err(err));
-                    }
-                }
-                self.pending[pkt.src].borrow_mut().push_back(pkt);
-            }
-            None
-        });
-
-        let result = match outcome {
-            AwaitOutcome::Matched(Ok(pkt)) => {
-                self.note_recv(&pkt, t0);
-                if let Some(s) = &mut tspan {
-                    s.record_arg("bytes", pkt.data.len());
-                }
-                Ok(pkt.data)
-            }
-            AwaitOutcome::Matched(Err(err)) => Err(err),
-            // A recoverable connection loss stays typed PeerDown all
-            // the way out, so session loops can tell "rejoin at the
-            // next epoch" apart from a genuine peer failure.
-            AwaitOutcome::Failed(fail) => Err(match fail.error {
-                MpsError::PeerDown { rank } => MpsError::PeerDown { rank },
-                _ => MpsError::PeerFailed { rank: fail.rank, msg: fail.brief() },
-            }),
-            AwaitOutcome::SourceFinished => Err(MpsError::PeerFailed {
-                rank: src,
-                msg: format!("terminated before sending tag {tag:#x}"),
-            }),
-            AwaitOutcome::TimedOut => Err(self.timed_out(src, tag, op, t0)),
-            AwaitOutcome::SliceExpired => {
-                unreachable!("no slice deadline on the chaos-off receive path")
+            match pending.iter().position(|p| p.tag == tag) {
+                Some(pos) => Some(Ok(pending.remove(pos).expect("position just found"))),
+                None => self.detect_mismatch(src, tag, pending.iter()).map(Err),
             }
         };
-        self.fabric.set_blocked(self.rank, None);
-        result
+        let result = parked.unwrap_or_else(|| {
+            self.fabric.set_blocked(self.rank, Some(BlockedOp { src, tag, op, since: t0 }));
+            let result = self.await_packet(src, tag, op, t0);
+            self.fabric.set_blocked(self.rank, None);
+            result
+        });
+        let pkt = result?;
+        self.note_recv(&pkt, t0);
+        if let Some(s) = &mut tspan {
+            s.record_arg("bytes", pkt.data.len());
+        }
+        Ok(pkt.data)
+    }
+
+    /// Waits for the message in the mailbox. Over a chaotic fabric
+    /// packets arrive as transport frames (checksummed, sequenced) and
+    /// the wait is sliced so the receiver can drive NACK/retransmit
+    /// recovery between waits, which adds one failure mode to the
+    /// un-hangable set: [`MpsError::DeliveryFailed`] when a link's
+    /// retransmit budget is exhausted.
+    fn await_packet(
+        &self,
+        src: usize,
+        tag: u64,
+        op: &'static str,
+        t0: Instant,
+    ) -> MpsResult<Packet> {
+        let reliable = self.rx.is_some();
+        let deadline = t0 + self.fabric.timeout();
+        loop {
+            let slice = reliable.then(|| self.arm_recovery(src));
+            let outcome =
+                self.fabric.await_match_until(self.rank, src, deadline, slice, &mut |q| {
+                    if reliable {
+                        self.match_reliable(q, src, tag)
+                    } else {
+                        self.match_plain(q, src, tag)
+                    }
+                });
+            match outcome {
+                AwaitOutcome::Matched(result) => return result,
+                AwaitOutcome::Failed(fail) => return Err(peer_error(fail)),
+                AwaitOutcome::SourceFinished => {
+                    // Over a chaotic fabric the sender's unacked frames
+                    // are still in the shared retransmit window — recover
+                    // them without its cooperation. Only when nothing is
+                    // left to recover is the message truly impossible.
+                    if !reliable || self.drive_recovery(src, true)? == 0 {
+                        return Err(MpsError::PeerFailed {
+                            rank: src,
+                            msg: format!("terminated before sending tag {tag:#x}"),
+                        });
+                    }
+                }
+                AwaitOutcome::TimedOut => return Err(self.timed_out(src, tag, op, t0)),
+                AwaitOutcome::SliceExpired => {
+                    self.drive_recovery(src, false)?;
+                }
+            }
+        }
+    }
+
+    /// Mailbox matcher of the plain path: drains the mailbox into the
+    /// per-source pending queues, stopping if the wanted packet shows up.
+    fn match_plain(
+        &self,
+        queue: &mut VecDeque<Packet>,
+        src: usize,
+        tag: u64,
+    ) -> Option<MpsResult<Packet>> {
+        while let Some(pkt) = queue.pop_front() {
+            if pkt.src == src && pkt.tag == tag {
+                return Some(Ok(pkt));
+            }
+            if pkt.src == src {
+                if let Some(err) = self.detect_mismatch(src, tag, std::iter::once(&pkt)) {
+                    return Some(Err(err));
+                }
+            }
+            self.pending[pkt.src].borrow_mut().push_back(pkt);
+        }
+        None
     }
 
     /// The typed timeout of a receive that waited since `t0`. The
@@ -303,93 +341,6 @@ impl Comm {
         };
         self.fabric.record_failure(self.rank, err.clone());
         err
-    }
-
-    /// [`Comm::recv_labeled`] over a chaotic fabric: the same matching
-    /// contract, but packets arrive as transport frames (checksummed,
-    /// sequenced) and the wait is sliced so the receiver can drive
-    /// NACK/retransmit recovery between waits. Adds one failure mode
-    /// to the un-hangable set: [`MpsError::DeliveryFailed`] when a
-    /// link's retransmit budget is exhausted.
-    fn recv_reliable(&self, src: usize, tag: u64, op: &'static str) -> MpsResult<Bytes> {
-        let t0 = Instant::now();
-        let mut tspan = (tag & (1 << 63) == 0).then(|| {
-            tc_trace::span(tc_trace::names::RECV, tc_trace::Category::Comm)
-                .arg("src", src)
-                .arg("tag", tag)
-        });
-
-        // First drain anything already released and parked for this
-        // source (frames are decoded at ingest, so `pending` holds
-        // ordinary application packets here too).
-        {
-            let mut pending = self.pending[src].borrow_mut();
-            if let Some(pos) = pending.iter().position(|p| p.tag == tag) {
-                let pkt = pending.remove(pos).expect("position just found");
-                self.note_recv(&pkt, t0);
-                if let Some(s) = &mut tspan {
-                    s.record_arg("bytes", pkt.data.len());
-                }
-                return Ok(pkt.data);
-            }
-            if let Some(err) = self.detect_mismatch(src, tag, pending.iter()) {
-                return Err(err);
-            }
-        }
-
-        self.fabric.set_blocked(self.rank, Some(BlockedOp { src, tag, op, since: t0 }));
-        let deadline = t0 + self.fabric.timeout();
-        let result = loop {
-            let slice = self.arm_recovery(src);
-            let outcome = self.fabric.await_match_until(
-                self.rank,
-                src,
-                deadline,
-                Some(slice),
-                &mut |queue| self.match_reliable(queue, src, tag),
-            );
-            match outcome {
-                AwaitOutcome::Matched(Ok(pkt)) => {
-                    self.note_recv(&pkt, t0);
-                    if let Some(s) = &mut tspan {
-                        s.record_arg("bytes", pkt.data.len());
-                    }
-                    break Ok(pkt.data);
-                }
-                AwaitOutcome::Matched(Err(err)) => break Err(err),
-                AwaitOutcome::Failed(fail) => {
-                    break Err(match fail.error {
-                        MpsError::PeerDown { rank } => MpsError::PeerDown { rank },
-                        _ => MpsError::PeerFailed { rank: fail.rank, msg: fail.brief() },
-                    })
-                }
-                AwaitOutcome::SourceFinished => {
-                    // The sender is gone, but its unacked frames are
-                    // still in the shared retransmit window — recover
-                    // them without its cooperation. Only when nothing
-                    // is left to recover is the message truly
-                    // impossible.
-                    match self.drive_recovery(src, true) {
-                        Ok(0) => {
-                            break Err(MpsError::PeerFailed {
-                                rank: src,
-                                msg: format!("terminated before sending tag {tag:#x}"),
-                            })
-                        }
-                        Ok(_) => continue,
-                        Err(e) => break Err(e),
-                    }
-                }
-                AwaitOutcome::TimedOut => break Err(self.timed_out(src, tag, op, t0)),
-                AwaitOutcome::SliceExpired => {
-                    if let Err(e) = self.drive_recovery(src, false) {
-                        break Err(e);
-                    }
-                }
-            }
-        };
-        self.fabric.set_blocked(self.rank, None);
-        result
     }
 
     /// Mailbox matcher of the reliable path: transport frames are

@@ -7,12 +7,14 @@
 //! recovery). Two backends implement it:
 //!
 //! - [`crate::fabric_local`] — the in-process backend: one mailbox per
-//!   rank behind shared memory, zero-copy delivery, and an *optional*
-//!   transport (only when a fault plan is installed), so the chaos-off
+//!   rank behind shared memory and zero-copy delivery, so the chaos-off
 //!   hot path stays allocation-free;
 //! - [`crate::fabric_socket`] — the multi-process backend over
-//!   Unix-domain or TCP sockets, where the reliable transport is the
-//!   *mandatory* wire layer (a real network can really lose frames).
+//!   Unix-domain or TCP sockets: one I/O thread per process, every
+//!   payload a sequenced, checksummed frame on the wire.
+//!
+//! Both run the reliable transport only when a fault plan is
+//! installed: without one, nothing loses or reorders a message.
 //!
 //! [`crate::Comm`] holds an `Arc<dyn Fabric>`, so every point-to-point
 //! and collective algorithm is backend-generic by construction.
@@ -167,7 +169,7 @@ impl Mailbox {
 /// [`crate::Comm`]; the trait object keeps [`Fabric`] object-safe.
 pub(crate) type Matcher<'m> = &'m mut dyn FnMut(&mut VecDeque<Packet>) -> Option<MpsResult<Packet>>;
 
-/// Result of [`Fabric::await_match`].
+/// Result of [`Fabric::await_match_until`].
 pub(crate) enum AwaitOutcome {
     Matched(MpsResult<Packet>),
     Failed(Failure),
@@ -203,9 +205,8 @@ pub(crate) trait Fabric: Send + Sync {
     /// Static backend name (`"local"` / `"socket"`), for diagnostics.
     fn backend(&self) -> &'static str;
 
-    /// The reliable-delivery engine, when one is live. The local
-    /// backend returns `None` unless a fault plan is installed; the
-    /// socket backend always has one (its wire layer).
+    /// The reliable-delivery engine, when one is live: only when a
+    /// fault plan is installed, on either backend.
     fn transport(&self) -> Option<&Transport>;
 
     /// The atomic counter block of `rank`. Backends that only hold
@@ -259,19 +260,6 @@ pub(crate) trait Fabric: Send + Sync {
 
     /// One-line-per-rank snapshot of the universe, for timeout reports.
     fn dump(&self) -> String;
-}
-
-impl dyn Fabric + '_ {
-    /// [`Fabric::await_match_until`] with the universe's default
-    /// deadline and no slice.
-    pub(crate) fn await_match(
-        &self,
-        rank: usize,
-        src: usize,
-        matcher: Matcher<'_>,
-    ) -> AwaitOutcome {
-        self.await_match_until(rank, src, Instant::now() + self.timeout(), None, matcher)
-    }
 }
 
 #[cfg(test)]

@@ -15,7 +15,6 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use crate::chaos;
 use crate::error::MpsError;
 use crate::fabric::{
     lock_recover, AwaitOutcome, BlockedOp, Fabric, Failure, Mailbox, Matcher, Packet, Recovery,
@@ -60,12 +59,6 @@ impl LocalFabric {
         }
     }
 
-    /// Delivers `pkt` to `dst`'s mailbox. Never blocks; delivery to a
-    /// finished rank silently parks the message (the scope reclaims it).
-    pub(crate) fn deliver(&self, dst: usize, pkt: Packet) {
-        self.mailboxes[dst].push(pkt);
-    }
-
     /// How many of each rank's most recent trace events a timeout
     /// report includes.
     const DUMP_TRACE_EVENTS: usize = 8;
@@ -73,7 +66,7 @@ impl LocalFabric {
 
 impl FrameSink for LocalFabric {
     fn deliver_frame(&self, src: usize, dst: usize, frame: Bytes) {
-        self.deliver(dst, Packet { src, tag: TRANSPORT_TAG, data: frame });
+        self.mailboxes[dst].push(Packet { src, tag: TRANSPORT_TAG, data: frame });
     }
 }
 
@@ -99,18 +92,16 @@ impl Fabric for LocalFabric {
     }
 
     fn send(&self, src: usize, dst: usize, tag: u64, data: Bytes) {
-        // One relaxed atomic load gates the chaos path: with no
-        // transport live anywhere in the process this compiles down to
-        // the pre-transport send, allocation-free in steady state.
-        if chaos::chaos_possible() {
-            if let Some(t) = &self.transport {
+        // Without a transport this is the pre-transport send,
+        // allocation-free in steady state.
+        match &self.transport {
+            Some(t) => {
                 if let Err(e) = t.send(self, src, dst, tag, data) {
                     self.record_failure(src, e);
                 }
-                return;
             }
+            None => self.mailboxes[dst].push(Packet { src, tag, data }),
         }
-        self.deliver(dst, Packet { src, tag, data });
     }
 
     fn await_match_until(

@@ -1,56 +1,74 @@
 //! The multi-process fabric backend over Unix-domain or TCP sockets.
 //!
 //! Each rank is its own OS process holding one [`SocketFabric`]: a
-//! full mesh of stream connections to every peer, one reader thread
-//! per inbound connection feeding the local mailbox, and the reliable
-//! transport of [`crate::reliable`] as the *mandatory* wire layer —
-//! unlike the in-process backend, a socket can really lose, reorder,
-//! or truncate data (and a chaos plan can make it do so on purpose),
-//! so every application payload travels framed, sequenced, and
-//! checksummed.
+//! full mesh of nonblocking stream connections ("links") to every
+//! peer, owned by one I/O thread.
+//!
+//! ## Threads
+//!
+//! The I/O thread runs a `poll(2)` loop ([`crate::poll`]) over every
+//! link plus a wake socket, and reads every readable link on every
+//! turn, whatever waits to be written: no write can stop a process
+//! from reading, so two processes streaming large messages at each
+//! other cannot stall. Each link has an outbound queue: senders (the
+//! rank thread, or the I/O thread replying for the reliable layer)
+//! append to it, and only the loop writes, as much as the socket takes.
+//! No thread ever blocks in a write.
 //!
 //! ## Connection setup
 //!
-//! Every rank binds a listener on its own endpoint (rank order in
-//! [`crate::SocketConfig::peers`]), then dials every lower rank and
-//! accepts from every higher rank. Both sides exchange a fixed-size
-//! hello — magic, protocol version, launch epoch, universe size, rank
-//! — and reject mismatches, so a stale process from a previous launch
-//! (different epoch) or a mis-wired endpoint list fails loudly at
-//! startup instead of corrupting a run.
+//! Every rank binds its own endpoint ([`crate::SocketConfig::peers`]),
+//! dials every lower rank and accepts every higher one. A fixed-size
+//! hello (magic, version, launch epoch, universe size, rank, and
+//! whether the process runs the reliable layer) must match, so a stale
+//! process, a mis-wired endpoint list or a half-chaotic universe fails
+//! loudly at startup instead of corrupting a run.
 //!
 //! ## Wire format
 //!
-//! After the handshake the stream carries length-prefixed messages:
-//! one kind byte, a little-endian `u64` body length, then the body.
+//! A message is one kind byte, a little-endian `u64` body length, and
+//! the body:
 //!
 //! | kind | body | meaning |
 //! |------|------|---------|
-//! | `DATA`    | transport frame          | one frame of [`crate::reliable`] |
+//! | `DATA`    | frame of [`crate::reliable`] | one payload: seq, tag, length, CRC32c |
 //! | `ACK`     | `u64` next_seq           | receiver's cumulative ack        |
 //! | `NACK`    | `u64` from_seq + `u32` attempt | re-request everything ≥ from_seq |
 //! | `NOTHING` | `u64` from_seq           | NACK reply: window empty at/above from_seq |
 //! | `FIN`     | empty                    | orderly rank termination         |
 //! | `FAIL`    | `u32` rank + UTF-8 brief | first-failure broadcast          |
+//! | `DOWN`    | `u32` rank               | recoverable peer-loss broadcast  |
 //!
-//! `DATA` goes through the transport's fault plan (chaos applies to
-//! frames, exactly like in-process); control messages bypass it, since
-//! they are the recovery machinery itself.
+//! ## The reliable layer runs only under a fault plan
+//!
+//! A stream whose reader never stops does not lose, reorder or
+//! duplicate bytes, so, as in-process, the transport of
+//! [`crate::reliable`] exists only when a [`crate::FaultPlan`] is
+//! installed. Without one the I/O thread checks each frame's sequence
+//! number and CRC32c itself, a gap or a damaged frame is a typed
+//! [`MpsError::Protocol`], and `ACK`, `NACK` and `NOTHING` never
+//! appear. Under a plan, frames pass the plan's fault hook, the rank's
+//! [`crate::Comm`] verifies, orders and acks them, and the sender's I/O
+//! thread answers a `NACK` from its retransmit window (or `NOTHING`).
 //!
 //! ## Shutdown
 //!
-//! A finishing rank drains (waits until every frame it sent is acked),
-//! broadcasts `FIN`, and waits for every peer's `FIN` before closing
-//! sockets — so no in-flight frame is stranded by a disappearing
-//! process. On failure the drain is skipped and `FAIL` is broadcast
-//! instead, which wakes every peer's blocked receive.
+//! A finishing rank queues `FIN` behind everything it sent and waits
+//! for every peer's `FIN`; the I/O thread then writes out its queues
+//! and the links close. Under a plan the rank first waits until every
+//! frame it sent is acked, because a receiver that has seen `FIN`
+//! stops asking for retransmissions. On failure `FAIL` (or `DOWN`) is
+//! queued instead, which wakes every peer's blocked receive.
 
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::collections::VecDeque;
+use std::io::{ErrorKind, IoSlice, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, OwnedFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -60,8 +78,10 @@ use crate::error::{MpsError, MpsResult};
 use crate::fabric::{
     lock_recover, AwaitOutcome, BlockedOp, Fabric, Failure, Mailbox, Matcher, Packet, Recovery,
 };
+use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::reliable::{
-    FrameSink, Transport, MAX_FRAME_PAYLOAD, TRANSPORT_NOTHING_TAG, TRANSPORT_TAG,
+    check_frame_len, decode_frame, encode_frame, FrameSink, Transport, MAX_FRAME_PAYLOAD,
+    TRANSPORT_NOTHING_TAG, TRANSPORT_TAG,
 };
 use crate::stats::SharedStats;
 use crate::universe::SocketConfig;
@@ -70,10 +90,11 @@ use crate::universe::SocketConfig;
 const MAGIC: &[u8; 8] = b"TCMPSFB1";
 
 /// Wire protocol version inside the handshake.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
-/// Handshake size: magic (8) + version (4) + epoch (8) + size (4) + rank (4).
-const HELLO_LEN: usize = 28;
+/// Handshake size: magic (8) + version (4) + epoch (8) + size (4) +
+/// rank (4) + reliable layer (1).
+const HELLO_LEN: usize = 29;
 
 /// Wire message header: kind (1) + body length (8).
 const MSG_HEADER: usize = 9;
@@ -93,9 +114,12 @@ const KIND_FAIL: u8 = 5;
 /// at every survivor, so session loops can rejoin instead of dying.
 const KIND_DOWN: u8 = 6;
 
-/// How often polling loops (dial retry, accept, drain, await-peers)
-/// re-check their condition.
+/// How often the setup loops (dial retry, accept) and the shutdown
+/// waits re-check their condition.
 const POLL: Duration = Duration::from_millis(2);
+
+/// Smallest inbound buffer; a larger message grows it to its size.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// One rank's endpoint, parsed from its peer-list entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,101 +149,18 @@ fn parse_endpoint(rank: usize, spec: &str) -> MpsResult<Endpoint> {
     })
 }
 
-/// A connected stream of either family.
-enum Stream {
-    Unix(UnixStream),
-    Tcp(TcpStream),
+/// Carries a TCP connection as a [`UnixStream`]. Once dialed or
+/// accepted, a link is only read, written, polled, timed out and shut
+/// down, which are the same socket calls for both families.
+fn tcp_link(stream: TcpStream) -> UnixStream {
+    let _ = stream.set_nodelay(true);
+    UnixStream::from(OwnedFd::from(stream))
 }
 
-impl Stream {
-    fn try_clone(&self) -> std::io::Result<Stream> {
-        match self {
-            Stream::Unix(s) => s.try_clone().map(Stream::Unix),
-            Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
-        }
-    }
-
-    fn set_read_timeout(&self, d: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.set_read_timeout(d),
-            Stream::Tcp(s) => s.set_read_timeout(d),
-        }
-    }
-
-    fn shutdown_both(&self) {
-        let _ = match self {
-            Stream::Unix(s) => s.shutdown(std::net::Shutdown::Both),
-            Stream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
-        };
-    }
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.write(buf),
-            Stream::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.flush(),
-            Stream::Tcp(s) => s.flush(),
-        }
-    }
-}
-
-/// A bound listener of either family.
-enum Listener {
-    Unix(UnixListener),
-    Tcp(TcpListener),
-}
-
-impl Listener {
-    fn accept(&self) -> std::io::Result<Stream> {
-        match self {
-            Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
-        }
-    }
-
-    fn set_nonblocking(&self, nb: bool) -> std::io::Result<()> {
-        match self {
-            Listener::Unix(l) => l.set_nonblocking(nb),
-            Listener::Tcp(l) => l.set_nonblocking(nb),
-        }
-    }
-}
-
-/// Socket-wire counters (`mps.fabric.*`), atomic so reader threads and
-/// the rank thread record concurrently.
-#[derive(Default)]
-struct WireStats {
-    connects: AtomicU64,
-    accepts: AtomicU64,
-    handshakes: AtomicU64,
-    msgs_sent: AtomicU64,
-    bytes_sent: AtomicU64,
-    msgs_recv: AtomicU64,
-    bytes_recv: AtomicU64,
-    acks_sent: AtomicU64,
-    nacks_sent: AtomicU64,
-}
-
-/// Plain-value snapshot of [`WireStats`], fed into the metrics
-/// registry by `Universe::try_run_socket`.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct WireSnapshot {
+/// Socket-wire counters (`mps.fabric.*`) of one process, fed into the
+/// metrics registry by `Universe::try_run_socket`.
+#[derive(Debug, Default)]
+pub(crate) struct WireStats {
     pub(crate) connects: u64,
     pub(crate) accepts: u64,
     pub(crate) handshakes: u64,
@@ -231,66 +172,221 @@ pub(crate) struct WireSnapshot {
     pub(crate) nacks_sent: u64,
 }
 
+/// One link's outbound queue: the wire messages its socket has not
+/// taken yet.
+#[derive(Default)]
+struct Outbound {
+    /// Header and body of every queued message, oldest first.
+    queue: VecDeque<([u8; MSG_HEADER], Bytes)>,
+    /// Bytes of the front message already written.
+    written: usize,
+    /// Sequence number of the next clean-path frame on this link.
+    next_seq: u64,
+    /// The link failed: whatever is queued later is dropped.
+    dead: bool,
+}
+
+impl Outbound {
+    /// Writes what `link` takes of the queue now, without blocking,
+    /// and counts every message that left whole. On an error the link
+    /// is dead and its queue dropped.
+    fn flush(&mut self, mut link: &UnixStream, wire: &mut WireStats) -> std::io::Result<()> {
+        while let Some((head, body)) = self.queue.front() {
+            let (kind, total) = (head[0], MSG_HEADER + body.len());
+            let parts = if self.written < MSG_HEADER {
+                [IoSlice::new(&head[self.written..]), IoSlice::new(body.as_slice())]
+            } else {
+                [IoSlice::new(&[]), IoSlice::new(&body.as_slice()[self.written - MSG_HEADER..])]
+            };
+            match link.write_vectored(&parts) {
+                Ok(0) => return self.fail(ErrorKind::WriteZero.into()),
+                Ok(n) => self.written += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return self.fail(e),
+            }
+            if self.written == total {
+                self.queue.pop_front();
+                self.written = 0;
+                wire.msgs_sent += 1;
+                wire.bytes_sent += total as u64;
+                wire.acks_sent += u64::from(kind == KIND_ACK);
+                wire.nacks_sent += u64::from(kind == KIND_NACK);
+            }
+        }
+        Ok(())
+    }
+
+    fn fail(&mut self, e: std::io::Error) -> std::io::Result<()> {
+        self.dead = true;
+        self.queue.clear();
+        Err(e)
+    }
+}
+
+/// One link's inbound side: bytes read and not yet decoded.
+struct Inbound {
+    buf: Vec<u8>,
+    filled: usize,
+    /// Sequence number the next clean-path frame must carry.
+    next_seq: u64,
+    /// EOF, an error, or a protocol violation ended reading.
+    closed: bool,
+}
+
+impl Inbound {
+    fn new() -> Self {
+        Self { buf: vec![0; READ_CHUNK], filled: 0, next_seq: 0, closed: false }
+    }
+
+    /// Drops the first `used` bytes (decoded messages) and sizes the
+    /// buffer for the whole of the partial message that follows them.
+    fn consume(&mut self, used: usize) {
+        self.buf.copy_within(used..self.filled, 0);
+        self.filled -= used;
+        let claimed = if self.filled >= MSG_HEADER {
+            MSG_HEADER + u64::from_le_bytes(self.buf[1..MSG_HEADER].try_into().unwrap()) as usize
+        } else {
+            0
+        };
+        if self.filled == 0 && self.buf.len() > READ_CHUNK {
+            self.buf = vec![0; READ_CHUNK];
+        } else if self.buf.len() < claimed {
+            self.buf.resize(claimed, 0);
+        }
+    }
+}
+
+/// One decoded wire message.
+#[derive(Debug, PartialEq)]
+enum Msg {
+    Data(Bytes),
+    Ack(u64),
+    Nack { from: u64, attempt: u32 },
+    Nothing(u64),
+    Fin,
+    Fail { rank: usize, brief: String },
+    Down(usize),
+}
+
+fn wire_header(kind: u8, len: usize) -> [u8; MSG_HEADER] {
+    let mut h = [0u8; MSG_HEADER];
+    h[0] = kind;
+    h[1..].copy_from_slice(&(len as u64).to_le_bytes());
+    h
+}
+
+/// Splits the complete wire messages off the front of `buf`, read
+/// from `peer`'s link at `rank`: returns them and how many bytes they
+/// span, and leaves a partial message at the end for the next call.
+/// Pure. It allocates only copies of bodies wholly inside `buf`; a
+/// header claiming more than [`MAX_WIRE_BODY`], an unknown kind, or a
+/// body of the wrong size is a typed [`MpsError::Protocol`].
+fn decode(rank: usize, peer: usize, buf: &[u8]) -> MpsResult<(Vec<Msg>, usize)> {
+    let mut msgs = Vec::new();
+    let mut at = 0;
+    while buf.len() - at >= MSG_HEADER {
+        let kind = buf[at];
+        let len = u64::from_le_bytes(buf[at + 1..at + MSG_HEADER].try_into().unwrap());
+        let malformed = || MpsError::Protocol {
+            rank,
+            msg: format!("malformed wire message from rank {peer}: kind {kind}, {len}-byte body"),
+        };
+        if len > MAX_WIRE_BODY {
+            return Err(malformed());
+        }
+        let end = at + MSG_HEADER + len as usize;
+        if end > buf.len() {
+            break;
+        }
+        let body = &buf[at + MSG_HEADER..end];
+        let u64_at = |i: usize| u64::from_le_bytes(body[i..i + 8].try_into().unwrap());
+        let u32_at = |i: usize| u32::from_le_bytes(body[i..i + 4].try_into().unwrap());
+        msgs.push(match (kind, body.len()) {
+            (KIND_DATA, _) => Msg::Data(Bytes::from(body)),
+            (KIND_ACK, 8) => Msg::Ack(u64_at(0)),
+            (KIND_NACK, 12) => Msg::Nack { from: u64_at(0), attempt: u32_at(8) },
+            (KIND_NOTHING, 8) => Msg::Nothing(u64_at(0)),
+            (KIND_FIN, 0) => Msg::Fin,
+            (KIND_FAIL, n) if n >= 4 => Msg::Fail {
+                rank: u32_at(0) as usize,
+                brief: String::from_utf8_lossy(&body[4..]).into_owned(),
+            },
+            (KIND_DOWN, 4) => Msg::Down(u32_at(0) as usize),
+            _ => return Err(malformed()),
+        });
+        at = end;
+    }
+    Ok((msgs, at))
+}
+
 /// One rank process's endpoint of a multi-process universe.
 pub(crate) struct SocketFabric {
     rank: usize,
     size: usize,
     timeout: Duration,
-    /// This rank's inbound mailbox (reader threads push, the rank
-    /// thread matches).
+    /// The I/O thread pushes, the rank thread matches.
     mailbox: Mailbox,
     failure: Mutex<Option<Failure>>,
     /// FIN flags, indexed by rank (this rank's own entry included).
     finished: Vec<AtomicBool>,
-    /// What this rank is currently blocked on (peers' states are not
-    /// observable across processes).
+    /// What this rank is blocked on (peers' are not observable).
     blocked: Mutex<Option<BlockedOp>>,
     stats: SharedStats,
-    /// The wire layer. Always present: this fabric has no unframed
-    /// path.
-    transport: Transport,
-    /// Write halves, one per peer (`None` at this rank's own index).
-    writers: Vec<Option<Mutex<Stream>>>,
-    wire: WireStats,
-    shutdown: AtomicBool,
-    readers: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// The reliable layer: present only when a [`FaultPlan`] is
+    /// installed, as in-process.
+    transport: Option<Transport>,
+    /// The plan's crash point, when it names this process: abort at
+    /// this send (1-based, counted by `sends`).
+    crash_at: Option<u64>,
+    sends: AtomicU64,
+    /// One link per peer (`None` at this rank's own index). Only the
+    /// I/O thread reads; writes go through `out`.
+    links: Vec<Option<UnixStream>>,
+    out: Vec<Mutex<Outbound>>,
+    /// Write end of the I/O thread's wake socket.
+    wake: UnixStream,
+    /// Set by [`SocketFabric::shutdown`]: write out the queues and exit.
+    closing: AtomicBool,
+    io_thread: Mutex<Option<JoinHandle<WireStats>>>,
     /// Own Unix socket path, removed at shutdown.
     unix_path: Option<PathBuf>,
-    /// Recoverable mode: a dead peer's connection loss is recorded as
-    /// the restartable [`MpsError::PeerDown`] instead of `PeerFailed`,
-    /// so a supervisor can respawn the rank and survivors can rejoin
-    /// at the next epoch.
+    /// Recoverable mode: a lost link is the restartable
+    /// [`MpsError::PeerDown`] (respawn and rejoin), not `PeerFailed`.
     recoverable: bool,
 }
 
 impl SocketFabric {
     /// Binds this rank's endpoint, connects the full mesh, handshakes
-    /// every peer, and starts one reader thread per connection.
+    /// every peer, and starts the I/O thread.
     pub(crate) fn connect(config: &SocketConfig) -> MpsResult<Arc<Self>> {
         let rank = config.rank;
         let size = config.peers.len();
         let timeout = config.universe.effective_recv_timeout();
-        let plan = config.universe.effective_chaos().unwrap_or_else(|| FaultPlan::new(0));
+        let plan = config.universe.effective_chaos();
+        let reliable = plan.is_some();
         let _span = tc_trace::span(tc_trace::names::FABRIC_CONNECT, tc_trace::Category::Comm)
             .arg("rank", rank)
             .arg("size", size);
 
         let endpoint = parse_endpoint(rank, &config.peers[rank])?;
-        let (listener, unix_path) = bind(rank, &endpoint)?;
+        let (accept, unix_path) = bind(rank, &endpoint)?;
 
         let deadline = Instant::now() + timeout;
-        let mut streams: Vec<Option<Stream>> = (0..size).map(|_| None).collect();
-        let (mut connects, mut accepts, mut handshakes) = (0u64, 0u64, 0u64);
+        let mut links: Vec<Option<UnixStream>> = (0..size).map(|_| None).collect();
+        let mut wire = WireStats::default();
+        let hello = |stream, expect, deadline| {
+            handshake(rank, size, config.epoch, reliable, stream, expect, deadline)
+        };
 
         // Dial every lower rank (they bound their listeners before
         // dialing anyone, so retry-until-deadline masks launch skew).
-        for (peer, slot) in streams.iter_mut().enumerate().take(rank) {
+        for (peer, slot) in links.iter_mut().enumerate().take(rank) {
             let ep = parse_endpoint(rank, &config.peers[peer])?;
             let stream = dial(rank, peer, &ep, deadline)?;
-            connects += 1;
-            let stream = handshake(rank, size, config.epoch, stream, Some(peer), deadline)?.1;
-            handshakes += 1;
-            *slot = Some(stream);
+            wire.connects += 1;
+            *slot = Some(hello(stream, Some(peer), deadline)?.1);
+            wire.handshakes += 1;
         }
 
         // Accept from every higher rank; the hello says who is calling.
@@ -299,69 +395,67 @@ impl SocketFabric {
         // stalled or half-open dialer is dropped (typed Timeout) and
         // the accept loop keeps going instead of wedging forever.
         let hs_budget = config.effective_handshake_timeout();
-        if rank + 1 < size {
-            listener.set_nonblocking(true).map_err(|e| io_error(rank, "listener", &e))?;
-            let mut missing = size - rank - 1;
-            while missing > 0 {
-                let raw = match listener.accept() {
-                    Ok(s) => s,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        if Instant::now() >= deadline {
-                            return Err(MpsError::Protocol {
-                                rank,
-                                msg: format!(
-                                    "timed out waiting for {missing} higher-rank peer(s) to \
-                                     connect"
-                                ),
-                            });
-                        }
-                        std::thread::sleep(POLL);
-                        continue;
-                    }
-                    Err(e) => return Err(io_error(rank, "accept", &e)),
-                };
-                accepts += 1;
-                let hs_deadline = deadline.min(Instant::now() + hs_budget);
-                let (peer, stream) =
-                    match handshake(rank, size, config.epoch, raw, None, hs_deadline) {
-                        Ok(hello) => hello,
-                        Err(MpsError::Timeout { .. }) => {
-                            // Half-open/silent dialer: drop it and keep
-                            // accepting — the real peers are still due.
-                            continue;
-                        }
-                        Err(e) => return Err(e),
-                    };
-                handshakes += 1;
-                if peer <= rank || streams[peer].is_some() {
-                    return Err(MpsError::Protocol {
-                        rank,
-                        msg: format!("unexpected or duplicate connection from rank {peer}"),
-                    });
+        let mut missing = size - rank - 1;
+        while missing > 0 {
+            let raw = match accept() {
+                Ok(s) => s,
+                Err(e) if e.kind() == ErrorKind::WouldBlock && Instant::now() < deadline => {
+                    std::thread::sleep(POLL);
+                    continue;
                 }
-                streams[peer] = Some(stream);
-                missing -= 1;
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    let msg =
+                        format!("timed out waiting for {missing} higher-rank peer(s) to connect");
+                    return Err(MpsError::Protocol { rank, msg });
+                }
+                Err(e) => return Err(io_error(rank, "accept", &e)),
+            };
+            wire.accepts += 1;
+            let (peer, stream) = match hello(raw, None, deadline.min(Instant::now() + hs_budget)) {
+                Ok(hello) => hello,
+                // Half-open/silent dialer: drop it and keep
+                // accepting — the real peers are still due.
+                Err(MpsError::Timeout { .. }) => continue,
+                Err(e) => return Err(e),
+            };
+            wire.handshakes += 1;
+            if peer <= rank || links[peer].is_some() {
+                return Err(MpsError::Protocol {
+                    rank,
+                    msg: format!("unexpected or duplicate connection from rank {peer}"),
+                });
             }
+            links[peer] = Some(stream);
+            missing -= 1;
         }
 
-        // Split each stream: the write half goes into the shared
-        // writer table (installed before the Arc is ever cloned, so no
-        // thread can observe it mid-construction), the read half will
-        // feed a dedicated reader thread.
-        let mut writers: Vec<Option<Mutex<Stream>>> = (0..size).map(|_| None).collect();
-        let mut read_halves: Vec<(usize, Stream)> = Vec::with_capacity(size.saturating_sub(1));
-        for (peer, slot) in streams.into_iter().enumerate() {
-            let Some(stream) = slot else { continue };
-            stream.set_read_timeout(None).map_err(|e| io_error(rank, "stream setup", &e))?;
-            let reader = stream.try_clone().map_err(|e| io_error(rank, "stream clone", &e))?;
-            writers[peer] = Some(Mutex::new(stream));
-            read_halves.push((peer, reader));
+        let (wake, wake_rx) = UnixStream::pair().map_err(|e| io_error(rank, "wake pair", &e))?;
+        for s in links.iter().flatten().chain([&wake, &wake_rx]) {
+            s.set_read_timeout(None)
+                .and_then(|()| s.set_nonblocking(true))
+                .map_err(|e| io_error(rank, "stream setup", &e))?;
         }
 
-        let wire = WireStats::default();
-        wire.connects.store(connects, Ordering::Relaxed);
-        wire.accepts.store(accepts, Ordering::Relaxed);
-        wire.handshakes.store(handshakes, Ordering::Relaxed);
+        // A reconnect at a bumped epoch is a rejoin: every per-link
+        // sequence (and, under a plan, the reliable layer's windows)
+        // restarts from zero. Recorded either way, so a crash-free run
+        // reports both counters as zero rather than leaving them out.
+        let rejoin = config.recoverable && config.epoch > 0;
+        tc_metrics::counter_add(tc_metrics::names::MPS_FABRIC_REJOINS, u64::from(rejoin));
+        tc_metrics::counter_add(
+            tc_metrics::names::MPS_REL_EPOCH_RESETS,
+            if rejoin { (size - 1) as u64 } else { 0 },
+        );
+
+        // A planned crash fires in the launch epoch only: a respawned
+        // rank runs at a bumped epoch with the same plan, so it does
+        // not crash again and still agrees with its survivors on the
+        // reliable layer.
+        let crash_at = plan
+            .as_ref()
+            .and_then(FaultPlan::crash_point)
+            .filter(|&(r, _)| r == rank && config.epoch == 0)
+            .map(|(_, nth)| nth);
 
         let fabric = Arc::new(Self {
             rank,
@@ -372,275 +466,284 @@ impl SocketFabric {
             finished: (0..size).map(|_| AtomicBool::new(false)).collect(),
             blocked: Mutex::new(None),
             stats: SharedStats::default(),
-            transport: Transport::new(size, plan),
-            writers,
-            wire,
-            shutdown: AtomicBool::new(false),
-            readers: Mutex::new(Vec::new()),
+            transport: plan.map(|plan| Transport::new(size, plan)),
+            crash_at,
+            sends: AtomicU64::new(0),
+            links,
+            out: (0..size).map(|_| Mutex::new(Outbound::default())).collect(),
+            wake,
+            closing: AtomicBool::new(false),
+            io_thread: Mutex::new(None),
             unix_path,
             recoverable: config.recoverable,
         });
-
-        // A reconnect at a bumped epoch is a rejoin: the per-link
-        // reliable-transport state (sender windows, dedup maps) was
-        // rebuilt from zero for the new epoch.
-        if config.recoverable && config.epoch > 0 {
-            tc_metrics::counter_add(tc_metrics::names::MPS_FABRIC_REJOINS, 1);
-            tc_metrics::counter_add(tc_metrics::names::MPS_REL_EPOCH_RESETS, (size - 1) as u64);
-        }
-
-        for (peer, reader) in read_halves {
-            let f = Arc::clone(&fabric);
-            let handle = std::thread::Builder::new()
-                .name(format!("mps-sock-r{rank}-p{peer}"))
-                .spawn(move || f.reader_loop(peer, reader))
-                .expect("spawn socket reader thread");
-            lock_recover(&fabric.readers).push(handle);
-        }
+        let f = Arc::clone(&fabric);
+        let io = std::thread::Builder::new()
+            .name(format!("mps-io-r{rank}"))
+            .spawn(move || f.io_loop(&wake_rx, wire))
+            .map_err(|e| io_error(rank, "I/O thread spawn", &e))?;
+        *lock_recover(&fabric.io_thread) = Some(io);
         Ok(fabric)
     }
 
-    /// Whether a connection error on `peer`'s stream is expected (the
-    /// universe is ending) rather than a failure.
-    fn loss_is_benign(&self, peer: usize) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-            || self.finished[peer].load(Ordering::SeqCst)
-            || self.failure().is_some()
+    /// The I/O thread: one `poll` per turn over the wake socket and
+    /// every link. It reads every readable link, writes what the
+    /// queued links take, and returns the wire counters once
+    /// [`SocketFabric::shutdown`] asked it to stop and every queue is
+    /// written (or the deadline passed).
+    fn io_loop(&self, mut wake: &UnixStream, mut wire: WireStats) -> WireStats {
+        let mut inbound: Vec<Inbound> = (0..self.size).map(|_| Inbound::new()).collect();
+        let mut fds = Vec::with_capacity(self.size + 1);
+        let mut deadline = None;
+        loop {
+            if self.closing.load(Ordering::SeqCst) {
+                let d = *deadline.get_or_insert_with(|| Instant::now() + self.timeout);
+                if Instant::now() >= d || self.out.iter().all(|o| lock_recover(o).queue.is_empty())
+                {
+                    return wire;
+                }
+            }
+            fds.clear();
+            fds.push(PollFd { fd: wake.as_raw_fd(), events: POLLIN, revents: 0 });
+            for (peer, link) in self.links.iter().enumerate() {
+                let mut events = if inbound[peer].closed { 0 } else { POLLIN };
+                if !lock_recover(&self.out[peer]).queue.is_empty() {
+                    events |= POLLOUT;
+                }
+                let fd = link.as_ref().filter(|_| events != 0).map_or(-1, |l| l.as_raw_fd());
+                fds.push(PollFd { fd, events, revents: 0 });
+            }
+            let wait = deadline.map(|d: Instant| d.saturating_duration_since(Instant::now()));
+            if let Err(e) = poll::wait(&mut fds, wait) {
+                self.record_failure(self.rank, io_error(self.rank, "poll", &e));
+                return wire;
+            }
+            // A wake-up means a queue that was empty has news: try every
+            // link at once rather than poll for writability first.
+            let woken = fds[0].revents != 0;
+            while woken && matches!(wake.read(&mut [0u8; 64]), Ok(n) if n > 0) {}
+            for (peer, inb) in inbound.iter_mut().enumerate() {
+                let revents = fds[peer + 1].revents;
+                // Anything but plain readability (writable, hang-up,
+                // error) is news for the queue; the write reports it.
+                if woken || revents & !POLLIN != 0 {
+                    self.flush(peer, &mut wire);
+                }
+                if revents & !POLLOUT != 0 && !inb.closed {
+                    self.read_link(peer, inb, &mut wire);
+                }
+            }
+        }
     }
 
-    /// The typed error recorded when `peer`'s connection drops on a
-    /// live universe: restartable `PeerDown` in recoverable mode, the
-    /// fatal `PeerFailed` otherwise.
-    fn peer_loss_error(&self, peer: usize, e: &std::io::Error) -> MpsError {
-        if self.recoverable {
+    /// Reads once from `peer`'s link and routes every complete message.
+    /// EOF, an error, or a malformed message ends the link's reading.
+    fn read_link(&self, peer: usize, inb: &mut Inbound, wire: &mut WireStats) {
+        let Some(mut link) = self.links[peer].as_ref() else { return };
+        let got = link.read(&mut inb.buf[inb.filled..]).and_then(|n| match n {
+            0 => Err(ErrorKind::UnexpectedEof.into()),
+            n => Ok(n),
+        });
+        match got {
+            Ok(n) => {
+                inb.filled += n;
+                wire.bytes_recv += n as u64;
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => return,
+            Err(e) => {
+                inb.closed = true;
+                return self.link_lost(peer, &e);
+            }
+        }
+        let routed = decode(self.rank, peer, &inb.buf[..inb.filled]).and_then(|(msgs, used)| {
+            wire.msgs_recv += msgs.len() as u64;
+            inb.consume(used);
+            msgs.into_iter().try_for_each(|m| self.route(peer, m, &mut inb.next_seq))
+        });
+        if let Err(e) = routed {
+            inb.closed = true;
+            self.record_failure(self.rank, e);
+        }
+    }
+
+    /// Acts on one message from `peer`; `next_seq` is the sequence
+    /// number its next clean-path frame must carry.
+    fn route(&self, peer: usize, msg: Msg, next_seq: &mut u64) -> MpsResult<()> {
+        let protocol = |msg: String| MpsError::Protocol { rank: self.rank, msg };
+        match msg {
+            // The rank's Comm verifies, orders and acks transport frames.
+            Msg::Data(frame) if self.transport.is_some() => {
+                self.mailbox.push(Packet { src: peer, tag: TRANSPORT_TAG, data: frame });
+            }
+            Msg::Data(frame) => {
+                let (seq, tag, data) = decode_frame(&frame)
+                    .ok_or_else(|| protocol(format!("damaged frame from rank {peer}")))?;
+                if seq != *next_seq {
+                    return Err(protocol(format!(
+                        "frame from rank {peer} has seq {seq}, expected {next_seq}"
+                    )));
+                }
+                *next_seq += 1;
+                self.mailbox.push(Packet { src: peer, tag, data });
+            }
+            Msg::Ack(next) => self.reliable(peer)?.ack(self.rank, peer, next),
+            Msg::Nack { from, attempt } => {
+                let resent =
+                    self.reliable(peer)?.retransmit_from(self, self.rank, peer, from, attempt);
+                if resent == 0 {
+                    // Nothing at or above from_seq exists (yet): tell
+                    // the receiver so it re-arms patience instead of
+                    // burning its retry budget.
+                    self.enqueue(peer, KIND_NOTHING, Bytes::from(&from.to_le_bytes()[..]));
+                }
+            }
+            Msg::Nothing(from) => {
+                self.reliable(peer)?;
+                let data = Bytes::from(&from.to_le_bytes()[..]);
+                self.mailbox.push(Packet { src: peer, tag: TRANSPORT_NOTHING_TAG, data });
+            }
+            Msg::Fin => {
+                self.finished[peer].store(true, Ordering::SeqCst);
+                self.mailbox.arrived.notify_all();
+            }
+            // Relayed failures: stored without re-broadcasting. A peer
+            // loss stays the typed, restartable PeerDown everywhere.
+            Msg::Fail { rank, brief } => self
+                .store_failure(Failure { rank, error: MpsError::PeerFailed { rank, msg: brief } }),
+            Msg::Down(rank) => {
+                self.store_failure(Failure { rank, error: MpsError::PeerDown { rank } })
+            }
+        }
+        Ok(())
+    }
+
+    /// The reliable layer, which `peer` just used: a protocol error
+    /// when this universe runs without one.
+    fn reliable(&self, peer: usize) -> MpsResult<&Transport> {
+        self.transport.as_ref().ok_or_else(|| MpsError::Protocol {
+            rank: self.rank,
+            msg: format!("rank {peer} sent reliable-layer control on a link without one"),
+        })
+    }
+
+    /// Queues one wire message to `dst` for the I/O thread, waking it
+    /// if the queue was empty. Never blocks; a dead link drops it.
+    fn enqueue(&self, dst: usize, kind: u8, body: Bytes) {
+        let mut out = lock_recover(&self.out[dst]);
+        if !out.dead {
+            out.queue.push_back((wire_header(kind, body.len()), body));
+            if out.queue.len() == 1 {
+                drop(out);
+                self.wake_io();
+            }
+        }
+    }
+
+    /// Writes what `peer`'s link takes of its queue.
+    fn flush(&self, peer: usize, wire: &mut WireStats) {
+        let Some(link) = &self.links[peer] else { return };
+        let written = lock_recover(&self.out[peer]).flush(link, wire);
+        if let Err(e) = written {
+            self.link_lost(peer, &e);
+        }
+    }
+
+    fn wake_io(&self) {
+        // A full wake socket already holds a pending wake-up.
+        let _ = (&self.wake).write(&[1]);
+    }
+
+    /// EOF, or a read or write error, on `peer`'s link. Expected once
+    /// the universe is ending; otherwise a restartable `PeerDown` in
+    /// recoverable mode and the fatal `PeerFailed` if not.
+    fn link_lost(&self, peer: usize, e: &std::io::Error) {
+        if self.closing.load(Ordering::SeqCst)
+            || self.finished[peer].load(Ordering::SeqCst)
+            || self.failure().is_some()
+        {
+            return;
+        }
+        let error = if self.recoverable {
             MpsError::PeerDown { rank: peer }
         } else {
             MpsError::PeerFailed { rank: peer, msg: format!("connection to rank {peer} lost: {e}") }
-        }
-    }
-
-    /// Writes one wire message to `dst`. Write errors on a live
-    /// universe record a connection-loss failure; during teardown they
-    /// are expected and ignored.
-    fn write_msg(&self, dst: usize, kind: u8, body: &[u8]) {
-        let Some(slot) = &self.writers[dst] else {
-            debug_assert!(false, "no wire to rank {dst} (self-traffic bypasses the wire)");
-            return;
         };
-        let mut hdr = [0u8; MSG_HEADER];
-        hdr[0] = kind;
-        hdr[1..9].copy_from_slice(&(body.len() as u64).to_le_bytes());
-        let result = {
-            let mut s = lock_recover(slot);
-            s.write_all(&hdr).and_then(|_| s.write_all(body)).and_then(|_| s.flush())
-        };
-        match result {
-            Ok(()) => {
-                self.wire.msgs_sent.fetch_add(1, Ordering::Relaxed);
-                self.wire.bytes_sent.fetch_add((MSG_HEADER + body.len()) as u64, Ordering::Relaxed);
-                match kind {
-                    KIND_ACK => {
-                        self.wire.acks_sent.fetch_add(1, Ordering::Relaxed);
-                    }
-                    KIND_NACK => {
-                        self.wire.nacks_sent.fetch_add(1, Ordering::Relaxed);
-                    }
-                    _ => {}
-                }
-            }
-            Err(e) => {
-                if !self.loss_is_benign(dst) {
-                    self.record_failure(self.rank, self.peer_loss_error(dst, &e));
-                }
-            }
-        }
-    }
-
-    /// One inbound connection's read loop: decodes wire messages and
-    /// routes them (mailbox push, ack/retransmit, FIN/FAIL flags)
-    /// until EOF, an error, or shutdown.
-    fn reader_loop(self: Arc<Self>, peer: usize, mut stream: Stream) {
-        let mut hdr = [0u8; MSG_HEADER];
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            if let Err(e) = stream.read_exact(&mut hdr) {
-                self.note_connection_end(peer, &e);
-                return;
-            }
-            let kind = hdr[0];
-            let len = u64::from_le_bytes(hdr[1..9].try_into().unwrap());
-            if len > MAX_WIRE_BODY {
-                self.record_failure(
-                    self.rank,
-                    MpsError::Protocol {
-                        rank: self.rank,
-                        msg: format!("wire message from rank {peer} claims {len} bytes"),
-                    },
-                );
-                return;
-            }
-            let mut body = vec![0u8; len as usize];
-            if let Err(e) = stream.read_exact(&mut body) {
-                self.note_connection_end(peer, &e);
-                return;
-            }
-            self.wire.msgs_recv.fetch_add(1, Ordering::Relaxed);
-            self.wire.bytes_recv.fetch_add(MSG_HEADER as u64 + len, Ordering::Relaxed);
-            match kind {
-                KIND_DATA => {
-                    self.mailbox.push(Packet {
-                        src: peer,
-                        tag: TRANSPORT_TAG,
-                        data: Bytes::from(body),
-                    });
-                }
-                KIND_ACK if body.len() == 8 => {
-                    let next = u64::from_le_bytes(body[..8].try_into().unwrap());
-                    // The peer acked frames *we* sent on our link to it.
-                    self.transport.ack(self.rank, peer, next);
-                }
-                KIND_NACK if body.len() == 12 => {
-                    let from_seq = u64::from_le_bytes(body[..8].try_into().unwrap());
-                    let attempt = u32::from_le_bytes(body[8..12].try_into().unwrap());
-                    let resent =
-                        self.transport.retransmit_from(&*self, self.rank, peer, from_seq, attempt);
-                    if resent == 0 {
-                        // Nothing at or above from_seq exists (yet):
-                        // tell the receiver so it re-arms patience
-                        // instead of burning its retry budget.
-                        self.write_msg(peer, KIND_NOTHING, &from_seq.to_le_bytes());
-                    }
-                }
-                KIND_NOTHING if body.len() == 8 => {
-                    self.mailbox.push(Packet {
-                        src: peer,
-                        tag: TRANSPORT_NOTHING_TAG,
-                        data: Bytes::from(body),
-                    });
-                }
-                KIND_FIN => {
-                    self.finished[peer].store(true, Ordering::SeqCst);
-                    self.mailbox.arrived.notify_all();
-                }
-                KIND_FAIL if body.len() >= 4 => {
-                    let failed = u32::from_le_bytes(body[..4].try_into().unwrap()) as usize;
-                    let msg = String::from_utf8_lossy(&body[4..]).into_owned();
-                    // Relayed failure: store it without re-broadcasting.
-                    self.store_failure(Failure {
-                        rank: failed,
-                        error: MpsError::PeerFailed { rank: failed, msg },
-                    });
-                }
-                KIND_DOWN if body.len() == 4 => {
-                    let down = u32::from_le_bytes(body[..4].try_into().unwrap()) as usize;
-                    // Relayed peer loss: every survivor sees the same
-                    // typed, restartable PeerDown.
-                    self.store_failure(Failure {
-                        rank: down,
-                        error: MpsError::PeerDown { rank: down },
-                    });
-                }
-                _ => {
-                    self.record_failure(
-                        self.rank,
-                        MpsError::Protocol {
-                            rank: self.rank,
-                            msg: format!(
-                                "malformed wire message from rank {peer}: kind {kind}, \
-                                 {len}-byte body"
-                            ),
-                        },
-                    );
-                    return;
-                }
-            }
-        }
-    }
-
-    /// EOF or read error on `peer`'s connection: benign at teardown,
-    /// a peer-loss failure otherwise.
-    fn note_connection_end(&self, peer: usize, e: &std::io::Error) {
-        if self.loss_is_benign(peer) {
-            return;
-        }
-        self.record_failure(self.rank, self.peer_loss_error(peer, e));
+        self.record_failure(self.rank, error);
     }
 
     /// Stores the first failure and wakes the local rank; does not
     /// broadcast (used for failures relayed from other processes).
     fn store_failure(&self, fail: Failure) {
-        {
-            let mut slot = lock_recover(&self.failure);
-            if slot.is_none() {
-                *slot = Some(fail);
-            }
-        }
+        lock_recover(&self.failure).get_or_insert(fail);
         self.mailbox.arrived.notify_all();
+    }
+
+    /// Queues one message to every peer.
+    fn broadcast(&self, kind: u8, body: Bytes) {
+        for dst in (0..self.size).filter(|&dst| dst != self.rank) {
+            self.enqueue(dst, kind, body.clone());
+        }
     }
 
     /// Blocks until every rank (including this one) has announced FIN,
     /// or a failure is recorded, or the deadline passes.
     pub(crate) fn await_peers(&self) {
+        self.wait_until("peers to finish", || {
+            self.finished.iter().all(|f| f.load(Ordering::SeqCst))
+        });
+    }
+
+    /// Waits until `done`, a recorded failure, or the deadline, which
+    /// is recorded as a failure naming `what`.
+    fn wait_until(&self, what: &str, done: impl Fn() -> bool) {
         let deadline = Instant::now() + self.timeout;
-        loop {
-            if self.failure().is_some()
-                || (0..self.size).all(|r| self.finished[r].load(Ordering::SeqCst))
-            {
-                return;
-            }
+        while self.failure().is_none() && !done() {
             if Instant::now() >= deadline {
-                self.store_failure(Failure {
-                    rank: self.rank,
-                    error: MpsError::Protocol {
-                        rank: self.rank,
-                        msg: "timed out waiting for peers to finish".to_string(),
-                    },
-                });
-                return;
+                let msg = format!("timed out waiting for {what}");
+                let error = MpsError::Protocol { rank: self.rank, msg };
+                return self.store_failure(Failure { rank: self.rank, error });
             }
             let queue = lock_recover(&self.mailbox.queue);
             drop(
                 self.mailbox
                     .arrived
-                    .wait_timeout(queue, POLL.max(Duration::from_millis(20)))
+                    .wait_timeout(queue, POLL)
                     .unwrap_or_else(std::sync::PoisonError::into_inner),
             );
         }
     }
 
-    /// Snapshot of the wire counters.
-    pub(crate) fn wire_stats(&self) -> WireSnapshot {
-        let w = &self.wire;
-        WireSnapshot {
-            connects: w.connects.load(Ordering::Relaxed),
-            accepts: w.accepts.load(Ordering::Relaxed),
-            handshakes: w.handshakes.load(Ordering::Relaxed),
-            msgs_sent: w.msgs_sent.load(Ordering::Relaxed),
-            bytes_sent: w.bytes_sent.load(Ordering::Relaxed),
-            msgs_recv: w.msgs_recv.load(Ordering::Relaxed),
-            bytes_recv: w.bytes_recv.load(Ordering::Relaxed),
-            acks_sent: w.acks_sent.load(Ordering::Relaxed),
-            nacks_sent: w.nacks_sent.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Tears the mesh down: closes every stream (which unblocks the
-    /// reader threads), joins them, and removes this rank's Unix
-    /// socket file.
-    pub(crate) fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        for slot in self.writers.iter().flatten() {
-            lock_recover(slot).shutdown_both();
-        }
-        let readers = std::mem::take(&mut *lock_recover(&self.readers));
-        for h in readers {
-            let _ = h.join();
+    /// Tears the mesh down: lets the I/O thread write out what is
+    /// still queued (until the deadline), joins it, closes every link,
+    /// removes this rank's Unix socket file, and returns the wire
+    /// counters.
+    pub(crate) fn shutdown(&self) -> WireStats {
+        self.closing.store(true, Ordering::SeqCst);
+        self.wake_io();
+        let io = lock_recover(&self.io_thread).take();
+        let wire = io.map_or_else(WireStats::default, |h| h.join().expect("socket I/O thread"));
+        for link in self.links.iter().flatten() {
+            let _ = link.shutdown(Shutdown::Both);
         }
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
         }
+        wire
+    }
+
+    /// Sends one payload to a peer without the reliable layer: one
+    /// sequenced, checksummed frame.
+    fn send_frame(&self, src: usize, dst: usize, tag: u64, data: Bytes) -> MpsResult<()> {
+        // Checked before a sequence number is taken, so a refused
+        // payload leaves the link usable.
+        check_frame_len(src, data.len())?;
+        let seq = {
+            let mut out = lock_recover(&self.out[dst]);
+            out.next_seq += 1;
+            out.next_seq - 1
+        };
+        self.enqueue(dst, KIND_DATA, encode_frame(src, seq, tag, &data)?);
+        Ok(())
     }
 }
 
@@ -652,7 +755,7 @@ impl FrameSink for SocketFabric {
             // recovery semantics match the other links).
             self.mailbox.push(Packet { src, tag: TRANSPORT_TAG, data: frame });
         } else {
-            self.write_msg(dst, KIND_DATA, frame.as_slice());
+            self.enqueue(dst, KIND_DATA, frame);
         }
     }
 }
@@ -671,7 +774,7 @@ impl Fabric for SocketFabric {
     }
 
     fn transport(&self) -> Option<&Transport> {
-        Some(&self.transport)
+        self.transport.as_ref()
     }
 
     fn shared_stats(&self, rank: usize) -> &SharedStats {
@@ -681,7 +784,23 @@ impl Fabric for SocketFabric {
 
     fn send(&self, src: usize, dst: usize, tag: u64, data: Bytes) {
         debug_assert_eq!(src, self.rank);
-        if let Err(e) = self.transport.send(self, src, dst, tag, data) {
+        // Process-level chaos: abort at the nth send, before the frame
+        // reaches the wire. Peers see a hard connection loss, exactly
+        // like a SIGKILL mid-stream.
+        let sent = self.sends.fetch_add(1, Ordering::Relaxed) + 1;
+        if self.crash_at == Some(sent) {
+            eprintln!("chaos: crashing rank {src} at send #{sent} (planned process fault)");
+            std::process::abort();
+        }
+        let result = match &self.transport {
+            Some(t) => t.send(self, src, dst, tag, data),
+            None if dst == self.rank => {
+                self.mailbox.push(Packet { src, tag, data });
+                Ok(())
+            }
+            None => self.send_frame(src, dst, tag, data),
+        };
+        if let Err(e) = result {
             self.record_failure(src, e);
         }
     }
@@ -720,11 +839,7 @@ impl Fabric for SocketFabric {
             }
         };
         self.store_failure(Failure { rank, error });
-        for dst in 0..self.size {
-            if dst != self.rank {
-                self.write_msg(dst, kind, &body);
-            }
-        }
+        self.broadcast(kind, Bytes::from(body));
     }
 
     fn failure(&self) -> Option<Failure> {
@@ -733,35 +848,14 @@ impl Fabric for SocketFabric {
 
     fn mark_finished(&self, rank: usize) {
         debug_assert_eq!(rank, self.rank);
-        // Release chaos holdbacks first (a held frame must not outlive
-        // its sender), then drain: a frame is safe to abandon only
-        // once its receiver acked it.
-        self.transport.flush_rank(self, rank);
-        if self.failure().is_none() {
-            let deadline = Instant::now() + self.timeout;
-            while !self.transport.outbound_drained(rank) {
-                if self.failure().is_some() {
-                    break;
-                }
-                if Instant::now() >= deadline {
-                    self.store_failure(Failure {
-                        rank,
-                        error: MpsError::Protocol {
-                            rank,
-                            msg: "shutdown drain timed out with unacked frames".to_string(),
-                        },
-                    });
-                    break;
-                }
-                std::thread::sleep(POLL);
-            }
+        if let Some(t) = &self.transport {
+            // Release chaos holdbacks first (a held frame must not
+            // outlive its sender), then wait for the acks.
+            t.flush_rank(self, rank);
+            self.wait_until("acks of every frame sent", || t.outbound_drained(rank));
         }
         self.finished[rank].store(true, Ordering::SeqCst);
-        for dst in 0..self.size {
-            if dst != self.rank {
-                self.write_msg(dst, KIND_FIN, &[]);
-            }
-        }
+        self.broadcast(KIND_FIN, Bytes::new());
         self.mailbox.arrived.notify_all();
     }
 
@@ -776,33 +870,32 @@ impl Fabric for SocketFabric {
 
     fn publish_ack(&self, src: usize, dst: usize, next_seq: u64) {
         debug_assert_eq!(dst, self.rank);
-        // Local watermark (prunes the self-link window and feeds
-        // outbound_drained) plus the wire ack for a remote sender.
-        self.transport.ack(src, dst, next_seq);
+        let Some(t) = &self.transport else { return };
+        // Local watermark (prunes the self-link window and feeds the
+        // ack wait) plus the wire ack for a remote sender.
+        t.ack(src, dst, next_seq);
         if src != self.rank {
-            self.write_msg(src, KIND_ACK, &next_seq.to_le_bytes());
+            self.enqueue(src, KIND_ACK, Bytes::from(&next_seq.to_le_bytes()[..]));
         }
     }
 
     fn recover(&self, src: usize, dst: usize, from_seq: u64, attempt: u32) -> Recovery {
         debug_assert_eq!(dst, self.rank);
+        let Some(t) = &self.transport else { return Recovery::Resent(0) };
         if src == self.rank {
             // Self-link: the window lives in this process.
-            return Recovery::Resent(
-                self.transport.retransmit_from(self, src, dst, from_seq, attempt),
-            );
+            return Recovery::Resent(t.retransmit_from(self, src, dst, from_seq, attempt));
         }
         if self.finished[src].load(Ordering::SeqCst) {
-            // The peer drained before announcing FIN, so everything it
-            // ever sent is already acked here: there is nothing at or
-            // above from_seq to recover — same verdict the in-process
-            // backend reads synchronously out of the shared window.
+            // The peer waited for our acks before announcing FIN, so
+            // everything it ever sent is already acked here: there is
+            // nothing at or above from_seq to recover — same verdict
+            // the in-process backend reads out of the shared window.
             return Recovery::Resent(0);
         }
-        let mut body = [0u8; 12];
-        body[..8].copy_from_slice(&from_seq.to_le_bytes());
-        body[8..12].copy_from_slice(&attempt.to_le_bytes());
-        self.write_msg(src, KIND_NACK, &body);
+        let mut body = from_seq.to_le_bytes().to_vec();
+        body.extend_from_slice(&attempt.to_le_bytes());
+        self.enqueue(src, KIND_NACK, Bytes::from(body));
         Recovery::Requested
     }
 
@@ -834,48 +927,46 @@ impl Fabric for SocketFabric {
         for r in 0..self.size {
             if r != self.rank {
                 let fin = if self.finished[r].load(Ordering::SeqCst) { "FIN" } else { "live" };
-                let _ = writeln!(out, "  rank {r}: remote process, {fin}");
+                let queued = lock_recover(&self.out[r]).queue.len();
+                let _ = writeln!(out, "  rank {r}: remote process, {fin}, {queued} msgs queued");
             }
         }
         out
     }
 }
 
-/// Binds this rank's listener, replacing a stale Unix socket file from
-/// a dead previous run.
-fn bind(rank: usize, ep: &Endpoint) -> MpsResult<(Listener, Option<PathBuf>)> {
+/// The accept call of a bound, nonblocking listener of either family.
+type Accept = Box<dyn Fn() -> std::io::Result<UnixStream>>;
+
+/// Binds this rank's nonblocking listener, replacing a stale Unix
+/// socket file from a dead previous run (returned for removal).
+fn bind(rank: usize, ep: &Endpoint) -> MpsResult<(Accept, Option<PathBuf>)> {
+    let failed = |e: std::io::Error| io_error(rank, &format!("bind {ep:?}"), &e);
     match ep {
         Endpoint::Unix(path) => {
-            if path.exists() {
-                let _ = std::fs::remove_file(path);
-            }
-            let l = UnixListener::bind(path)
-                .map_err(|e| io_error(rank, &format!("bind {}", path.display()), &e))?;
-            Ok((Listener::Unix(l), Some(path.clone())))
+            let _ = std::fs::remove_file(path);
+            let l = UnixListener::bind(path).map_err(failed)?;
+            l.set_nonblocking(true).map_err(failed)?;
+            Ok((Box::new(move || l.accept().map(|(s, _)| s)), Some(path.clone())))
         }
         Endpoint::Tcp(addr) => {
-            let l = TcpListener::bind(addr.as_str())
-                .map_err(|e| io_error(rank, &format!("bind {addr}"), &e))?;
-            Ok((Listener::Tcp(l), None))
+            let l = TcpListener::bind(addr.as_str()).map_err(failed)?;
+            l.set_nonblocking(true).map_err(failed)?;
+            Ok((Box::new(move || l.accept().map(|(s, _)| tcp_link(s))), None))
         }
     }
 }
 
 /// Dials `peer`'s endpoint, retrying until `deadline` (peers launch
 /// with arbitrary skew).
-fn dial(rank: usize, peer: usize, ep: &Endpoint, deadline: Instant) -> MpsResult<Stream> {
+fn dial(rank: usize, peer: usize, ep: &Endpoint, deadline: Instant) -> MpsResult<UnixStream> {
     loop {
         let attempt = match ep {
-            Endpoint::Unix(path) => UnixStream::connect(path).map(Stream::Unix),
-            Endpoint::Tcp(addr) => TcpStream::connect(addr.as_str()).map(Stream::Tcp),
+            Endpoint::Unix(path) => UnixStream::connect(path),
+            Endpoint::Tcp(addr) => TcpStream::connect(addr.as_str()).map(tcp_link),
         };
         match attempt {
-            Ok(s) => {
-                if let Stream::Tcp(t) = &s {
-                    let _ = t.set_nodelay(true);
-                }
-                return Ok(s);
-            }
+            Ok(s) => return Ok(s),
             Err(e) => {
                 if Instant::now() >= deadline {
                     return Err(MpsError::Protocol {
@@ -889,14 +980,51 @@ fn dial(rank: usize, peer: usize, ep: &Endpoint, deadline: Instant) -> MpsResult
     }
 }
 
-fn encode_hello(epoch: u64, size: usize, rank: usize) -> [u8; HELLO_LEN] {
+fn encode_hello(epoch: u64, size: usize, rank: usize, reliable: bool) -> [u8; HELLO_LEN] {
     let mut h = [0u8; HELLO_LEN];
     h[..8].copy_from_slice(MAGIC);
     h[8..12].copy_from_slice(&VERSION.to_le_bytes());
     h[12..20].copy_from_slice(&epoch.to_le_bytes());
     h[20..24].copy_from_slice(&(size as u32).to_le_bytes());
     h[24..28].copy_from_slice(&(rank as u32).to_le_bytes());
+    h[28] = u8::from(reliable);
     h
+}
+
+/// Verifies a peer's hello against this process's own view and returns
+/// the peer's rank. Pure: any input, of any length, is a rank or a
+/// typed [`MpsError::Protocol`].
+fn check_hello(
+    rank: usize,
+    size: usize,
+    epoch: u64,
+    reliable: bool,
+    theirs: &[u8],
+) -> MpsResult<usize> {
+    let fail = |msg: String| Err(MpsError::Protocol { rank, msg });
+    if theirs.len() != HELLO_LEN || &theirs[..8] != MAGIC {
+        return fail("handshake magic mismatch (not a tc-mps socket peer)".into());
+    }
+    let field = |at: usize, len: usize| {
+        theirs[at..at + len].iter().rev().fold(0u64, |v, &b| v << 8 | u64::from(b))
+    };
+    let peer = field(24, 4) as usize;
+    for (what, ours, theirs, hint) in [
+        ("wire protocol version", u64::from(VERSION), field(8, 4), ""),
+        ("epoch", epoch, field(12, 8), " (stale peer?)"),
+        ("universe size", size as u64, field(20, 4), ""),
+        ("reliable-layer", u64::from(reliable), field(28, 1), " (one fault plan for all ranks)"),
+    ] {
+        if ours != theirs {
+            return fail(format!(
+                "{what} mismatch with rank {peer}: ours {ours}, theirs {theirs}{hint}"
+            ));
+        }
+    }
+    if peer >= size {
+        return fail(format!("peer announces rank {peer} outside universe of {size}"));
+    }
+    Ok(peer)
 }
 
 /// Exchanges hellos on a fresh connection and verifies them. The
@@ -907,16 +1035,13 @@ fn handshake(
     rank: usize,
     size: usize,
     epoch: u64,
-    stream: Stream,
+    reliable: bool,
+    mut stream: UnixStream,
     expect_peer: Option<usize>,
     deadline: Instant,
-) -> MpsResult<(usize, Stream)> {
-    let mut stream = stream;
+) -> MpsResult<(usize, UnixStream)> {
     let _span = tc_trace::span(tc_trace::names::FABRIC_HANDSHAKE, tc_trace::Category::Comm)
         .arg("rank", rank);
-    if let Stream::Tcp(t) = &stream {
-        let _ = t.set_nodelay(true);
-    }
     let started = Instant::now();
     let remaining = deadline.saturating_duration_since(started).max(POLL);
     stream.set_read_timeout(Some(remaining)).map_err(|e| io_error(rank, "handshake", &e))?;
@@ -924,7 +1049,6 @@ fn handshake(
     // a typed Timeout naming it, distinct from protocol mismatches —
     // the accept loop drops such dialers and keeps going.
     let stall = |what: &str, e: &std::io::Error| {
-        use std::io::ErrorKind;
         if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
             let who = match expect_peer {
                 Some(p) => format!("rank {p}"),
@@ -942,48 +1066,23 @@ fn handshake(
             io_error(rank, &format!("handshake {what}"), e)
         }
     };
-    let ours = encode_hello(epoch, size, rank);
-    let theirs = {
-        let mut buf = [0u8; HELLO_LEN];
-        if expect_peer.is_some() {
-            // Dialer: speak first, then listen.
-            stream.write_all(&ours).map_err(|e| stall("write", &e))?;
-            stream.read_exact(&mut buf).map_err(|e| stall("read", &e))?;
-        } else {
-            // Acceptor: listen first, then answer.
-            stream.read_exact(&mut buf).map_err(|e| stall("read", &e))?;
-            stream.write_all(&ours).map_err(|e| stall("write", &e))?;
-        }
-        buf
-    };
-    let fail = |msg: String| MpsError::Protocol { rank, msg };
-    if &theirs[..8] != MAGIC {
-        return Err(fail("handshake magic mismatch (not a tc-mps socket peer)".into()));
+    let ours = encode_hello(epoch, size, rank, reliable);
+    let mut theirs = [0u8; HELLO_LEN];
+    if expect_peer.is_some() {
+        // Dialer: speak first, then listen.
+        stream.write_all(&ours).map_err(|e| stall("write", &e))?;
+        stream.read_exact(&mut theirs).map_err(|e| stall("read", &e))?;
+    } else {
+        // Acceptor: listen first, then answer.
+        stream.read_exact(&mut theirs).map_err(|e| stall("read", &e))?;
+        stream.write_all(&ours).map_err(|e| stall("write", &e))?;
     }
-    let version = u32::from_le_bytes(theirs[8..12].try_into().unwrap());
-    if version != VERSION {
-        return Err(fail(format!(
-            "wire protocol version mismatch: ours {VERSION}, theirs {version}"
-        )));
-    }
-    let their_epoch = u64::from_le_bytes(theirs[12..20].try_into().unwrap());
-    if their_epoch != epoch {
-        return Err(fail(format!(
-            "epoch mismatch: ours {epoch}, theirs {their_epoch} (stale peer?)"
-        )));
-    }
-    let their_size = u32::from_le_bytes(theirs[20..24].try_into().unwrap()) as usize;
-    if their_size != size {
-        return Err(fail(format!("universe size mismatch: ours {size}, theirs {their_size}")));
-    }
-    let peer = u32::from_le_bytes(theirs[24..28].try_into().unwrap()) as usize;
-    if peer >= size {
-        return Err(fail(format!("peer announces rank {peer} outside universe of {size}")));
-    }
-    if let Some(expected) = expect_peer {
-        if peer != expected {
-            return Err(fail(format!("dialed rank {expected} but rank {peer} answered")));
-        }
+    let peer = check_hello(rank, size, epoch, reliable, &theirs)?;
+    if let Some(expected) = expect_peer.filter(|&p| p != peer) {
+        return Err(MpsError::Protocol {
+            rank,
+            msg: format!("dialed rank {expected} but rank {peer} answered"),
+        });
     }
     Ok((peer, stream))
 }
@@ -994,7 +1093,12 @@ fn io_error(rank: usize, what: &str, e: &std::io::Error) -> MpsError {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc;
+
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::{Universe, UniverseConfig};
 
     #[test]
     fn endpoint_parsing() {
@@ -1015,11 +1119,167 @@ mod tests {
 
     #[test]
     fn hello_roundtrip_fields() {
-        let h = encode_hello(0xDEAD_BEEF, 16, 11);
+        let h = encode_hello(0xDEAD_BEEF, 16, 11, true);
         assert_eq!(&h[..8], MAGIC);
         assert_eq!(u32::from_le_bytes(h[8..12].try_into().unwrap()), VERSION);
         assert_eq!(u64::from_le_bytes(h[12..20].try_into().unwrap()), 0xDEAD_BEEF);
         assert_eq!(u32::from_le_bytes(h[20..24].try_into().unwrap()), 16);
         assert_eq!(u32::from_le_bytes(h[24..28].try_into().unwrap()), 11);
+        assert_eq!(check_hello(3, 16, 0xDEAD_BEEF, true, &h), Ok(11));
+        let err = check_hello(3, 16, 0xDEAD_BEEF, false, &h).unwrap_err();
+        assert!(err.to_string().contains("reliable-layer mismatch"), "{err}");
+    }
+
+    /// One wire message, as a sender queues it.
+    fn wire(kind: u8, body: &[u8]) -> Vec<u8> {
+        let mut v = wire_header(kind, body.len()).to_vec();
+        v.extend_from_slice(body);
+        v
+    }
+
+    /// A stream with one message of every kind, and what it decodes to.
+    fn every_kind(seed: u64) -> (Vec<u8>, Vec<Msg>) {
+        let frame = encode_frame(1, seed, seed ^ 7, &Bytes::from(seed.to_le_bytes().to_vec()))
+            .expect("small frame");
+        let mut nack = seed.to_le_bytes().to_vec();
+        nack.extend_from_slice(&3u32.to_le_bytes());
+        let mut fail = 2u32.to_le_bytes().to_vec();
+        fail.extend_from_slice(b"boom");
+        let stream = [
+            wire(KIND_DATA, frame.as_slice()),
+            wire(KIND_ACK, &seed.to_le_bytes()),
+            wire(KIND_NACK, &nack),
+            wire(KIND_NOTHING, &seed.to_le_bytes()),
+            wire(KIND_FAIL, &fail),
+            wire(KIND_DOWN, &5u32.to_le_bytes()),
+            wire(KIND_FIN, &[]),
+        ]
+        .concat();
+        let msgs = vec![
+            Msg::Data(frame),
+            Msg::Ack(seed),
+            Msg::Nack { from: seed, attempt: 3 },
+            Msg::Nothing(seed),
+            Msg::Fail { rank: 2, brief: "boom".into() },
+            Msg::Down(5),
+            Msg::Fin,
+        ];
+        (stream, msgs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes: `decode` never panics, consumes only whole
+        /// messages, and otherwise names a typed `Protocol` error.
+        #[test]
+        fn decode_survives_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+            match decode(4, 1, &bytes) {
+                Ok((msgs, used)) => {
+                    prop_assert!(used <= bytes.len());
+                    prop_assert!(msgs.len() * MSG_HEADER <= used);
+                }
+                Err(e) => prop_assert!(matches!(e, MpsError::Protocol { rank: 4, .. }), "{e:?}"),
+            }
+        }
+
+        /// A valid stream cut anywhere decodes to a prefix of its
+        /// messages, and the partial one waits for more bytes.
+        #[test]
+        fn a_truncated_stream_decodes_to_a_prefix(seed in any::<u64>(), cut in 0usize..1000) {
+            let (stream, all) = every_kind(seed);
+            let (got, used) = decode(0, 1, &stream).expect("valid stream");
+            prop_assert_eq!(&got, &all);
+            prop_assert_eq!(used, stream.len());
+            let cut = cut % (stream.len() + 1);
+            let (some, used) = decode(0, 1, &stream[..cut]).expect("a valid prefix");
+            prop_assert!(used <= cut);
+            prop_assert_eq!(&some[..], &all[..some.len()]);
+            let (rest, _) = decode(0, 1, &stream[used..]).expect("the rest");
+            prop_assert_eq!(&rest[..], &all[some.len()..]);
+        }
+
+        /// A header claiming more than `MAX_WIRE_BODY` fails typed as
+        /// soon as it is in, before its body: nothing is allocated for it.
+        #[test]
+        fn an_oversized_claim_fails_typed(kind in any::<u8>(), len in (MAX_WIRE_BODY + 1)..u64::MAX) {
+            let mut bytes = vec![kind];
+            bytes.extend_from_slice(&len.to_le_bytes());
+            prop_assert!(matches!(decode(0, 1, &bytes), Err(MpsError::Protocol { .. })));
+        }
+
+        /// Hello bytes of any length and content: a rank inside the
+        /// universe or a typed `Protocol` error, never a panic.
+        #[test]
+        fn the_hello_parser_survives_arbitrary_input(
+            bytes in prop::collection::vec(any::<u8>(), 0..64),
+            at in 0usize..HELLO_LEN,
+            byte in any::<u8>(),
+            cut in 0usize..(HELLO_LEN + 8),
+        ) {
+            let mut near = encode_hello(9, 4, 2, false).to_vec();
+            near[at] = byte;
+            near.resize(cut, 0);
+            for input in [&bytes[..], &near[..]] {
+                match check_hello(0, 4, 9, false, input) {
+                    Ok(peer) => prop_assert!(peer < 4),
+                    Err(e) => prop_assert!(matches!(e, MpsError::Protocol { rank: 0, .. }), "{e:?}"),
+                }
+            }
+        }
+    }
+
+    /// The [`FrameSink`] promise: sending never waits for the receiver.
+    /// A hand-driven fake rank 1 completes the hello, sends three
+    /// frames, and never reads. Rank 0 must still return from sends
+    /// totalling 4 MiB (four times the largest default Unix socket
+    /// buffer) and receive all three frames.
+    #[test]
+    fn a_peer_that_never_reads_blocks_neither_sends_nor_receives() {
+        let peers: Vec<String> = (0..2)
+            .map(|r| {
+                let name = format!("tcm-contract-{}-{r}.sock", std::process::id());
+                std::env::temp_dir().join(name).to_string_lossy().into_owned()
+            })
+            .collect();
+        let config = SocketConfig {
+            universe: UniverseConfig::with_timeout(Duration::from_secs(30)),
+            ..SocketConfig::new(0, peers.clone())
+        };
+        let (done, outcome) = mpsc::channel();
+        std::thread::scope(|s| {
+            let rank0 = s.spawn(|| {
+                Universe::try_run_socket(&config, |c| {
+                    for _ in 0..8 {
+                        c.send_bytes(1, 1, Bytes::from(vec![7u8; 512 * 1024]));
+                    }
+                    let got: MpsResult<Vec<u64>> = (0..3).map(|_| c.recv_val(1, 2)).collect();
+                    let _ = done.send(got);
+                    Ok(())
+                })
+            });
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let mut fake = loop {
+                match UnixStream::connect(&peers[0]) {
+                    Ok(s) => break s,
+                    Err(e) if Instant::now() >= deadline => panic!("rank 0 never listened: {e}"),
+                    Err(_) => std::thread::sleep(POLL),
+                }
+            };
+            fake.write_all(&encode_hello(0, 2, 1, false)).expect("hello");
+            fake.read_exact(&mut [0u8; HELLO_LEN]).expect("rank 0's hello");
+            for seq in 0..3u64 {
+                let frame = encode_frame(1, seq, 2, &Bytes::from(seq.to_le_bytes().to_vec()))
+                    .expect("small frame");
+                fake.write_all(&wire(KIND_DATA, frame.as_slice())).expect("frame");
+            }
+            let got = outcome.recv_timeout(Duration::from_secs(20));
+            // Hang up either way, so rank 0 ends (with a lost peer)
+            // instead of waiting out its deadline.
+            let _ = fake.shutdown(Shutdown::Both);
+            let _ = rank0.join();
+            let got = got.expect("rank 0 stalled behind a peer that never reads");
+            assert_eq!(got.expect("the fake peer's frames"), vec![0, 1, 2]);
+        });
     }
 }

@@ -42,11 +42,10 @@
 //!   sequence-numbered, NACK/retransmit) that must mask each injected
 //!   delay/drop/duplicate/reorder/truncate/bit-flip or surface a typed
 //!   [`MpsError::DeliveryFailed`]. With no plan installed the
-//!   transport is compiled around entirely — one relaxed atomic load
-//!   per operation, zero allocation. On the socket backend the
-//!   reliable transport is always on: every payload crosses the wire
-//!   framed and checksummed, and the same chaos plans apply to real
-//!   inter-process links.
+//!   transport does not exist: one `Option` check per operation, zero
+//!   allocation. The socket backend follows the same rule (every
+//!   payload still crosses the wire framed and checksummed), and the
+//!   same chaos plans apply to real inter-process links.
 //!
 //! ## Example
 //!
@@ -71,6 +70,7 @@ mod fabric_local;
 mod fabric_socket;
 mod grid;
 pub mod pod;
+pub mod poll;
 mod reliable;
 mod stats;
 mod universe;

@@ -20,13 +20,13 @@
 //!   fails with [`crate::MpsError::DeliveryFailed`] instead of
 //!   hanging.
 //!
-//! The engine is fabric-agnostic: frames leave through a [`FrameSink`],
-//! which the in-process backend implements as a mailbox push (frames
-//! get "lost" only when a [`FaultPlan`] injects faults) and the socket
-//! backend implements as a wire write (frames get lost for real). The
-//! window prune is driven by the ack watermark the receiver publishes,
-//! so memory per link is bounded by the amount genuinely in flight
-//! plus the reorder-buffer cap.
+//! The engine is fabric-agnostic and exists only while a [`FaultPlan`]
+//! is installed: frames leave through a [`FrameSink`], which the
+//! in-process backend implements as a mailbox push and the socket
+//! backend as a queued wire write. Either way frames get "lost" only
+//! when the plan injects faults. The window prune is driven by the ack
+//! watermark the receiver publishes, so memory per link is bounded by
+//! the amount genuinely in flight plus the reorder-buffer cap.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use bytes::Bytes;
 
-use crate::chaos::{ActiveGuard, Corruption, FaultPlan};
+use crate::chaos::{Corruption, FaultPlan};
 use crate::error::{MpsError, MpsResult};
 use crate::fabric::{lock_recover, Packet};
 use crate::stats::{ReliabilityStats, SharedReliabilityStats};
@@ -187,9 +187,9 @@ struct SendWindow {
     frames: VecDeque<(u64, Bytes)>,
 }
 
-/// The shared reliable-delivery engine of one universe. On the
-/// in-process fabric it exists only when a [`FaultPlan`] is installed;
-/// on the socket fabric it is always live (it *is* the wire protocol).
+/// The shared reliable-delivery engine of one universe (or, on the
+/// socket fabric, of one rank process). Both fabrics build it only
+/// when a [`FaultPlan`] is installed.
 pub(crate) struct Transport {
     plan: FaultPlan,
     size: usize,
@@ -204,7 +204,6 @@ pub(crate) struct Transport {
     /// Per-rank reliability counters (sender-side events land on the
     /// sending rank, receiver-side events on the receiving rank).
     stats: Vec<SharedReliabilityStats>,
-    _active: ActiveGuard,
 }
 
 impl Transport {
@@ -216,7 +215,6 @@ impl Transport {
             acked: (0..size * size).map(|_| AtomicU64::new(0)).collect(),
             held: (0..size * size).map(|_| Mutex::new(Vec::new())).collect(),
             stats: (0..size).map(|_| SharedReliabilityStats::default()).collect(),
-            _active: ActiveGuard::new(),
         }
     }
 
@@ -259,16 +257,7 @@ impl Transport {
             w.frames.push_back((seq, frame.clone()));
             (seq, frame)
         };
-        let sent = self.stats[src].frames_sent.fetch_add(1, Ordering::Relaxed) + 1;
-        // Process-level chaos: abort this rank's process at its nth
-        // send, *before* the frame reaches the wire — the peer sees a
-        // hard connection loss, exactly like a SIGKILL mid-stream.
-        if let Some((crash_rank, nth)) = self.plan.crash_point() {
-            if crash_rank == src && sent == nth {
-                eprintln!("chaos: crashing rank {src} at send #{nth} (planned process fault)");
-                std::process::abort();
-            }
-        }
+        self.stats[src].frames_sent.fetch_add(1, Ordering::Relaxed);
         self.transmit(sink, src, dst, seq, &frame, 0);
         Ok(())
     }
@@ -380,8 +369,8 @@ impl Transport {
 
     /// Whether every frame `src` ever sent has been acked by its
     /// receiver and no holdback is pending — i.e. the rank can
-    /// disconnect without stranding in-flight data. Used by the socket
-    /// backend's orderly-shutdown drain.
+    /// disconnect without stranding in-flight data. A finishing socket
+    /// rank waits for this before it announces FIN.
     pub(crate) fn outbound_drained(&self, src: usize) -> bool {
         for dst in 0..self.size {
             let l = self.link(src, dst);

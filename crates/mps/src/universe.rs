@@ -25,7 +25,7 @@ use crate::comm::Comm;
 use crate::error::{MpsError, MpsResult};
 use crate::fabric::Fabric;
 use crate::fabric_local::LocalFabric;
-use crate::fabric_socket::{SocketFabric, WireSnapshot};
+use crate::fabric_socket::{SocketFabric, WireStats};
 use crate::reliable::Transport;
 use crate::stats::{CommStats, ReliabilityStats};
 
@@ -259,9 +259,6 @@ impl Universe {
 /// the timeout diagnostics read — the registry is a derived view,
 /// not parallel bookkeeping.
 fn feed_comm_metrics(stats: &CommStats, collective_calls: u64) {
-    if !tc_metrics::enabled() {
-        return;
-    }
     use tc_metrics::names as m;
     tc_metrics::counter_add(m::MPS_BYTES_SENT, stats.bytes_sent);
     tc_metrics::counter_add(m::MPS_MSGS_SENT, stats.msgs_sent);
@@ -273,14 +270,11 @@ fn feed_comm_metrics(stats: &CommStats, collective_calls: u64) {
 }
 
 /// Mirrors one rank's reliable-delivery counters into the live metrics
-/// registry. Only runs when a transport was live (a [`FaultPlan`] was
-/// installed); a clean universe records none of these, which the
-/// bench-baseline gate turns into a present-and-zero assertion via the
-/// registry's zero defaults.
+/// registry. In-process it runs only when a transport was live (a
+/// [`FaultPlan`] was installed), and the bench-baseline gate turns the
+/// absence into a present-and-zero assertion via the registry's zero
+/// defaults; a socket rank always records them, zero without a plan.
 fn feed_reliability_metrics(rel: &ReliabilityStats) {
-    if !tc_metrics::enabled() {
-        return;
-    }
     use tc_metrics::names as m;
     tc_metrics::counter_add(m::MPS_REL_FRAMES_SENT, rel.frames_sent);
     tc_metrics::counter_add(m::MPS_REL_RETRANSMITS, rel.retransmits);
@@ -300,10 +294,7 @@ fn feed_reliability_metrics(rel: &ReliabilityStats) {
 /// Mirrors one rank's socket-wire counters into the live metrics
 /// registry. Only socket-backed runs produce these (`mps.fabric.*`);
 /// in-process runs never touch them, so baselines are unaffected.
-fn feed_wire_metrics(w: &WireSnapshot) {
-    if !tc_metrics::enabled() {
-        return;
-    }
+fn feed_wire_metrics(w: &WireStats) {
     use tc_metrics::names as m;
     tc_metrics::counter_add(m::MPS_FABRIC_CONNECTS, w.connects);
     tc_metrics::counter_add(m::MPS_FABRIC_ACCEPTS, w.accepts);
@@ -420,9 +411,9 @@ impl Universe {
     /// Runs this process's rank body of a multi-process, socket-backed
     /// universe: binds/connects to every peer per `config`, runs `f`
     /// on the resulting [`Comm`], and performs the orderly shutdown
-    /// (drain, FIN exchange, teardown). Returns the body's value and
-    /// this rank's communication counters, or the universe's first
-    /// failure — exactly the contract one rank of
+    /// (FIN exchange, queued writes, teardown). Returns the body's
+    /// value and this rank's communication counters, or the universe's
+    /// first failure — exactly the contract one rank of
     /// [`Universe::try_run_config`] sees from the inside.
     pub fn try_run_socket<T, F>(config: &SocketConfig, f: F) -> MpsResult<(T, CommStats)>
     where
@@ -439,9 +430,7 @@ impl Universe {
         let out = catch_unwind(AssertUnwindSafe(|| f(&comm)));
         let stats = comm.stats();
         feed_comm_metrics(&stats, comm.collective_calls());
-        if let Some(rel) = comm.reliability_stats() {
-            feed_reliability_metrics(&rel);
-        }
+        feed_reliability_metrics(&comm.reliability_stats().unwrap_or_default());
         let value = match out {
             Ok(Ok(value)) => Some(value),
             Ok(Err(err)) => {
@@ -454,14 +443,12 @@ impl Universe {
                 None
             }
         };
-        // Orderly shutdown: drain unacked frames, announce FIN, wait
-        // for every peer's FIN (or the first failure), then tear the
-        // connections down. On the failure path the drain is skipped —
-        // peers are aborting, nobody will ack.
+        // Orderly shutdown: announce FIN behind everything sent, wait
+        // for every peer's FIN (or the first failure), then write out
+        // what is still queued and tear the connections down.
         fabric.mark_finished(rank);
         fabric.await_peers();
-        feed_wire_metrics(&fabric.wire_stats());
-        fabric.shutdown();
+        feed_wire_metrics(&fabric.shutdown());
         if let Some(fail) = fabric.failure() {
             return Err(fail.error);
         }

@@ -332,3 +332,59 @@ fn stalled_dialer_cannot_wedge_the_accept_loop() {
         assert_eq!(value, in_process[rank], "rank {rank} workload value");
     }
 }
+
+#[test]
+fn a_mixed_universe_is_rejected_at_handshake() {
+    // Rank 0 runs the reliable layer (a fault plan), rank 1 does not:
+    // their frames would mean different things, so neither may start.
+    let peers = unix_endpoints(2);
+    let results = run_mesh(
+        peers.clone(),
+        |rank| SocketConfig {
+            universe: UniverseConfig {
+                recv_timeout: Some(Duration::from_secs(30)),
+                chaos: (rank == 0).then(|| FaultPlan::new(5)),
+                ..UniverseConfig::default()
+            },
+            ..SocketConfig::new(rank, peers.clone())
+        },
+        |c| c.barrier(),
+    );
+    for res in results {
+        match res {
+            Err(MpsError::Protocol { msg, .. }) => {
+                assert!(msg.contains("reliable-layer mismatch"), "{msg}")
+            }
+            other => panic!("a mixed universe must be refused at the handshake: {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_planned_crash_spares_a_respawned_rank() {
+    // A supervisor respawns a crashed rank at a bumped epoch with the
+    // launch's environment, crash point included. It must neither
+    // crash again (this test process would abort) nor disagree with
+    // its survivors about the reliable layer.
+    let p = 2;
+    let clean = Universe::try_run(p, workload).expect("clean run");
+    let peers = unix_endpoints(p);
+    let results = run_mesh(
+        peers.clone(),
+        |rank| SocketConfig {
+            epoch: 1,
+            recoverable: true,
+            universe: UniverseConfig {
+                recv_timeout: Some(Duration::from_secs(30)),
+                chaos: Some(FaultPlan::new(3).crash_at(1, 1)),
+                ..UniverseConfig::default()
+            },
+            ..SocketConfig::new(rank, peers.clone())
+        },
+        workload,
+    );
+    for (rank, res) in results.into_iter().enumerate() {
+        let (value, _) = res.unwrap_or_else(|e| panic!("rank {rank}: {e}"));
+        assert_eq!(value, clean[rank]);
+    }
+}

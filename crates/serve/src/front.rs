@@ -12,33 +12,19 @@
 //! line), so a client that streams lines cannot hold the loop either.
 
 use std::collections::VecDeque;
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
 use tc_metrics::names as m;
+use tc_mps::poll::{self, PollFd, POLLIN, POLLOUT};
 
 use crate::proto::{self, Request};
 
-const POLLIN: i16 = 0x1;
-const POLLOUT: i16 = 0x4;
-
 /// Bytes asked for per `read` of a client socket.
 const READ_CHUNK: usize = 8192;
-
-/// `struct pollfd`.
-#[repr(C)]
-struct PollFd {
-    fd: i32,
-    events: i16,
-    revents: i16,
-}
-
-extern "C" {
-    fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: i32) -> i32;
-}
 
 /// One client connection.
 struct Conn {
@@ -183,16 +169,8 @@ impl Front {
             let fd = c.as_ref().filter(|_| events != 0).map_or(-1, |c| c.stream.as_raw_fd());
             fds.push(PollFd { fd, events, revents: 0 });
         }
-        let ms = if ready { 0 } else { wait.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) };
-        // SAFETY: `fds` is an exclusively borrowed, initialised array of
-        // `fds.len()` records laid out as C's `struct pollfd`; `poll`
-        // only writes their `revents` and keeps no pointer past the call.
-        let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as _, ms as i32) };
-        if rc < 0 {
-            let e = io::Error::last_os_error();
-            assert_eq!(e.kind(), ErrorKind::Interrupted, "poll on the serve socket failed: {e}");
-            return;
-        }
+        let wait = if ready { Duration::ZERO } else { wait };
+        poll::wait(&mut fds, Some(wait)).expect("poll on the serve socket");
         let off = usize::from(self.listener.is_some());
         if off == 1 && fds[0].revents != 0 {
             self.accept();

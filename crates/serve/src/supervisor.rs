@@ -19,9 +19,12 @@
 //!   id at the bumped epoch after an exponential backoff with
 //!   deterministic jitter, past it the whole fleet is killed and the
 //!   fleet declared dead — loudly, never silently;
-//! - `MPS_CHAOS_CRASH_*` is stripped from respawned children, so an
-//!   injected process crash fires exactly once instead of turning
-//!   into a crash loop (kill the respawn by hand — or exhaust the
+//! - every child, respawned or not, gets the same arguments and
+//!   environment. An injected `MPS_CHAOS_CRASH_*` process crash fires
+//!   in the launch epoch only (`tc_mps::FaultPlan::crash_at`), so it
+//!   fires exactly once instead of turning into a crash loop, and the
+//!   respawn runs the same fault plan (and reliable layer) as the
+//!   survivors it rejoins (kill the respawn by hand — or exhaust the
 //!   budget with `--max-restarts 0` — to test the loud path).
 //!
 //! Each child's stdout/stderr is appended to
@@ -34,8 +37,6 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
-
-use tc_mps::{CHAOS_CRASH_AT_ENV, CHAOS_CRASH_RANK_ENV};
 
 /// Name of the fleet epoch file inside the state directory.
 pub const EPOCH_FILE: &str = "epoch";
@@ -129,7 +130,7 @@ struct Slot {
     child: Option<Child>,
 }
 
-fn spawn_rank(cfg: &SupervisorConfig, rank: usize, respawn: bool) -> io::Result<Child> {
+fn spawn_rank(cfg: &SupervisorConfig, rank: usize) -> io::Result<Child> {
     let log = OpenOptions::new()
         .create(true)
         .append(true)
@@ -141,9 +142,6 @@ fn spawn_rank(cfg: &SupervisorConfig, rank: usize, respawn: bool) -> io::Result<
         .stdin(Stdio::null())
         .stdout(Stdio::from(log.try_clone()?))
         .stderr(Stdio::from(log));
-    if respawn {
-        cmd.env_remove(CHAOS_CRASH_RANK_ENV).env_remove(CHAOS_CRASH_AT_ENV);
-    }
     let child = cmd.spawn()?;
     fs::write(cfg.state_dir.join(format!("rank-{rank}.pid")), format!("{}\n", child.id()))?;
     Ok(child)
@@ -172,7 +170,7 @@ pub fn supervise(cfg: &SupervisorConfig) -> io::Result<SuperviseOutcome> {
 
     let mut slots: Vec<Slot> = Vec::with_capacity(cfg.ranks);
     for rank in 0..cfg.ranks {
-        slots.push(Slot { child: Some(spawn_rank(cfg, rank, false)?) });
+        slots.push(Slot { child: Some(spawn_rank(cfg, rank)?) });
     }
     let mut epoch = 0u64;
     let mut restarts = 0u32;
@@ -222,7 +220,7 @@ pub fn supervise(cfg: &SupervisorConfig) -> io::Result<SuperviseOutcome> {
             // The epoch must land before the spawn so the new child
             // never reads the stale value.
             write_epoch(&cfg.state_dir, epoch)?;
-            slots[rank].child = Some(spawn_rank(cfg, rank, true)?);
+            slots[rank].child = Some(spawn_rank(cfg, rank)?);
         }
         std::thread::sleep(Duration::from_millis(50));
     }
