@@ -292,8 +292,8 @@ each process reads only its own slice). Endpoints are Unix socket paths
 (contain '/' or use a 'unix:' prefix) or TCP host:port pairs; rank r
 listens on the r-th entry. --rank/--peers/--epoch fall back to the
 MPS_FABRIC_RANK / MPS_FABRIC_PEERS / MPS_FABRIC_EPOCH environment
-variables. All application traffic crosses the reliable transport
-(framed, checksummed, NACK/retransmit) on this backend.
+variables. Every payload crosses as a sequenced, CRC32c-checked frame;
+the reliable transport (NACK/retransmit) runs only under --chaos.
 serve keeps a rank fleet alive behind a Unix-socket frontend: load the
 graph once, count it cold with the 2D kernel, then answer count /
 support / truss / stats / metrics queries and absorb insert/delete

@@ -170,35 +170,27 @@ pub(crate) fn read_fully(
     })
 }
 
-/// Streaming CRC32c (Castagnoli) — the checksum behind the versioned
-/// binary snapshots in [`crate::adj`]. Same polynomial as the `tc-mps`
-/// wire frames, reimplemented here so the graph substrate stays
-/// dependency-free.
-#[derive(Debug, Clone)]
+/// Streaming CRC32c (Castagnoli), the one checksum of the tree: binary
+/// snapshots in [`crate::adj`], the serve WAL, the generator goldens
+/// and the `tc-mps` wire frames.
+#[derive(Debug, Clone, Default)]
 pub struct Crc32c(u32);
-
-impl Default for Crc32c {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 impl Crc32c {
     /// A fresh checksum state.
     pub fn new() -> Self {
-        Self(!0u32)
+        Self(0)
     }
 
     /// Folds `data` into the running checksum.
     pub fn update(&mut self, data: &[u8]) {
-        for &byte in data {
-            self.0 = (self.0 >> 8) ^ CRC32C_TABLE[((self.0 ^ byte as u32) & 0xff) as usize];
-        }
+        let reg = !self.0;
+        self.0 = !update_hw(reg, data).unwrap_or_else(|| update_table(reg, data));
     }
 
     /// The checksum of everything folded in so far.
     pub fn finish(&self) -> u32 {
-        !self.0
+        self.0
     }
 }
 
@@ -209,24 +201,61 @@ pub fn crc32c(data: &[u8]) -> u32 {
     c.finish()
 }
 
-const CRC32C_TABLE: [u32; 256] = build_crc32c_table();
+/// The byte-at-a-time fold: the fallback, and the tests' reference.
+fn update_table(mut crc: u32, data: &[u8]) -> u32 {
+    for &byte in data {
+        crc = (crc >> 8) ^ CRC32C_TABLE[((crc ^ byte as u32) & 0xff) as usize];
+    }
+    crc
+}
 
-const fn build_crc32c_table() -> [u32; 256] {
-    const POLY: u32 = 0x82F6_3B78;
+/// The fold, eight bytes per `crc32` instruction (`None` without SSE4.2).
+/// Debug builds check every input of at most 4 KiB against the table.
+fn update_hw(crc: u32, data: &[u8]) -> Option<u32> {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: `update_sse42` needs SSE4.2 and nothing else, and the
+        // line above found it on this CPU.
+        let folded = unsafe { update_sse42(crc, data) };
+        debug_assert!(data.len() > 4096 || folded == update_table(crc, data));
+        return Some(folded);
+    }
+    let _ = (crc, data);
+    None
+}
+
+/// # Safety
+///
+/// The CPU must support SSE4.2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+unsafe fn update_sse42(crc: u32, data: &[u8]) -> u32 {
+    let mut words = data.chunks_exact(8);
+    let mut c = u64::from(crc);
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("chunks of eight bytes"));
+        c = std::arch::x86_64::_mm_crc32_u64(c, word);
+    }
+    // The instruction keeps the register in the low 32 bits.
+    update_table(c as u32, words.remainder())
+}
+
+/// The byte table of the reflected Castagnoli polynomial.
+const CRC32C_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
         let mut bit = 0;
         while bit < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0x82F6_3B78 } else { crc >> 1 };
             bit += 1;
         }
         table[i] = crc;
         i += 1;
     }
     table
-}
+};
 
 /// Byte length of the binary header (magic, `n`, `m`).
 const BIN_HEADER: u64 = 24;
@@ -896,5 +925,69 @@ mod tests {
         c.update(b"1234");
         c.update(b"56789");
         assert_eq!(c.finish(), 0xE306_9283, "streaming matches one-shot");
+    }
+
+    /// Deterministic, aperiodic test bytes.
+    fn crc_pattern(n: usize) -> Vec<u8> {
+        (0..n).map(|i| (i * 167 + 13) as u8 ^ (i >> 8) as u8).collect()
+    }
+
+    /// Values recorded with the byte-table implementation before the
+    /// `crc32` instruction path existed: whatever path this host takes
+    /// must reproduce them.
+    #[test]
+    fn crc32c_matches_values_recorded_with_the_table() {
+        const LENS_0_TO_64: [u32; 65] = [
+            0x00000000, 0xED551F82, 0x44D2A817, 0x5E015395, 0x1441CAFE, 0xD786ACA3, 0xB294497C,
+            0x49B0575B, 0xA448D1DE, 0x59F84CAC, 0x135FB6A1, 0x83B635A1, 0x59DFB248, 0x88DDE289,
+            0xA09E0DB0, 0x9E660D6F, 0x98449C59, 0xB5C20E0C, 0xF8AC474E, 0xE582D072, 0x5298D181,
+            0x4A5E6F58, 0x4A46A9E6, 0x22AAAD83, 0x6F818E57, 0x50190A32, 0x9F93661E, 0xFD944B8B,
+            0x8056CAC7, 0xE6F41E64, 0x8D709488, 0x96648041, 0x8621533A, 0x55E2F742, 0xA75AB7E5,
+            0x2D71576A, 0x5A7F41B1, 0xE81D3D6E, 0xAFC82B98, 0x4DBABAE2, 0x8DDBDA2C, 0x2A425347,
+            0x49288141, 0x83EC4296, 0x9D4B4BBB, 0x489A642F, 0xC784B062, 0x8C540850, 0x976048AB,
+            0x8725BB84, 0xD00C4D92, 0x1AFCCD61, 0x71D415D9, 0x72B1099A, 0x090E83D1, 0xE67D462D,
+            0x8246FB27, 0x01D11794, 0x7AEE6F2F, 0xDCC9542A, 0xF0EA2FA3, 0x211E359E, 0x3586B730,
+            0x4D20F47E, 0x89CCF1B9,
+        ];
+        for (n, &want) in LENS_0_TO_64.iter().enumerate() {
+            assert_eq!(crc32c(&crc_pattern(n)), want, "{n} bytes");
+        }
+        for (n, want) in [(100, 0x806E2952), (4095, 0xBE178C79), (4099, 0xB63259C7)] {
+            assert_eq!(crc32c(&crc_pattern(n)), want, "{n} bytes");
+        }
+        // Unaligned starts: 4095 bytes from offsets 1..=7 of one buffer.
+        let data = crc_pattern(4200);
+        let at_offsets =
+            [0x369C6F61, 0x72A3DD2C, 0xF28908D2, 0x83707BFF, 0xCF1F3763, 0x096C36D9, 0xAC7B1BD0];
+        for (off, want) in (1..=7).zip(at_offsets) {
+            assert_eq!(crc32c(&data[off..off + 4095]), want, "offset {off}");
+        }
+        // Streaming: split anywhere, same value.
+        let b = crc_pattern(100);
+        for k in 0..=b.len() {
+            let mut c = Crc32c::new();
+            c.update(&b[..k]);
+            c.update(&b[k..]);
+            assert_eq!(c.finish(), 0x806E2952, "split at {k}");
+        }
+    }
+
+    proptest::proptest! {
+        /// The instruction path folds every input, from every register
+        /// value, exactly as the table does (on a host without SSE4.2
+        /// there is only the table, and nothing to compare).
+        #[test]
+        fn the_crc32_instruction_equals_the_table(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..600),
+            split in 0usize..600,
+            start in proptest::prelude::any::<u32>(),
+        ) {
+            let split = split.min(bytes.len());
+            if let Some(whole) = update_hw(start, &bytes) {
+                proptest::prop_assert_eq!(whole, update_table(start, &bytes));
+                let first = update_hw(start, &bytes[..split]).unwrap();
+                proptest::prop_assert_eq!(update_hw(first, &bytes[split..]), Some(whole));
+            }
+        }
     }
 }

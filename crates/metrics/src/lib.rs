@@ -112,6 +112,9 @@ pub mod names {
     pub const MPS_FABRIC_WIRE_BYTES_RECV: &str = "mps.fabric.wire_bytes_recv";
     pub const MPS_FABRIC_ACKS_SENT: &str = "mps.fabric.acks_sent";
     pub const MPS_FABRIC_NACKS_SENT: &str = "mps.fabric.nacks_sent";
+    /// CPU time of the process's socket I/O thread, the wire work that
+    /// runs beside the rank thread (absent on in-process runs).
+    pub const MPS_FABRIC_IO_CPU_NS: &str = "mps.fabric.io_cpu_ns";
     /// Fleet rejoins: a surviving rank reconnected its socket fabric at
     /// a bumped epoch after a peer crashed. Zero in crash-free runs.
     pub const MPS_FABRIC_REJOINS: &str = "mps.fabric.rejoins";

@@ -13,16 +13,22 @@
 //! other cannot stall. Each link has an outbound queue: senders (the
 //! rank thread, or the I/O thread replying for the reliable layer)
 //! append to it, and only the loop writes, as much as the socket takes.
-//! No thread ever blocks in a write.
+//! No thread ever blocks in a write. As it exits, the loop reads its own
+//! CPU clock for `mps.fabric.io_cpu_ns`.
 //!
 //! ## Connection setup
 //!
 //! Every rank binds its own endpoint ([`crate::SocketConfig::peers`]),
-//! dials every lower rank and accepts every higher one. A fixed-size
+//! dials every lower rank and accepts every higher one. Between
+//! accepts it sleeps in `poll` on the listener until a dialer arrives
+//! or the connect deadline passes; a dial retries every 2 ms, because a
+//! peer that has not bound yet offers nothing to poll. A fixed-size
 //! hello (magic, version, launch epoch, universe size, rank, and
 //! whether the process runs the reliable layer) must match, so a stale
 //! process, a mis-wired endpoint list or a half-chaotic universe fails
-//! loudly at startup instead of corrupting a run.
+//! loudly at startup instead of corrupting a run. An accepted dialer
+//! that does not finish its hello within the handshake budget is
+//! dropped, and the accept loop goes on.
 //!
 //! ## Wire format
 //!
@@ -38,6 +44,13 @@
 //! | `FIN`     | empty                    | orderly rank termination         |
 //! | `FAIL`    | `u32` rank + UTF-8 brief | first-failure broadcast          |
 //! | `DOWN`    | `u32` rank               | recoverable peer-loss broadcast  |
+//!
+//! On the clean path the sending rank's thread computes a frame's CRC32c
+//! ([`tc_graph::io::Crc32c`], streamed over the header and the payload)
+//! and queues the header in front of the payload, which is written from
+//! the caller's `Bytes` as a second iovec and never copied. The I/O
+//! thread checks the CRC over the bytes where they landed in the link's
+//! inbound buffer, then copies the payload into the mailbox.
 //!
 //! ## The reliable layer runs only under a fault plan
 //!
@@ -63,7 +76,7 @@
 use std::collections::VecDeque;
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::os::fd::{AsRawFd, OwnedFd};
+use std::os::fd::{AsRawFd, OwnedFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -80,8 +93,8 @@ use crate::fabric::{
 };
 use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::reliable::{
-    check_frame_len, decode_frame, encode_frame, FrameSink, Transport, MAX_FRAME_PAYLOAD,
-    TRANSPORT_NOTHING_TAG, TRANSPORT_TAG,
+    check_frame, check_frame_len, frame_header, FrameSink, Transport, FRAME_HEADER,
+    MAX_FRAME_PAYLOAD, TRANSPORT_NOTHING_TAG, TRANSPORT_TAG,
 };
 use crate::stats::SharedStats;
 use crate::universe::SocketConfig;
@@ -99,6 +112,10 @@ const HELLO_LEN: usize = 29;
 /// Wire message header: kind (1) + body length (8).
 const MSG_HEADER: usize = 9;
 
+/// Most header bytes a queued message carries: the wire header and, on
+/// the clean data path, the frame header behind it.
+const HEAD_MAX: usize = MSG_HEADER + FRAME_HEADER;
+
 /// Largest body a wire message may claim (one transport frame plus
 /// header slack); a corrupt length prefix must not allocate terabytes.
 const MAX_WIRE_BODY: u64 = MAX_FRAME_PAYLOAD as u64 + 64;
@@ -114,8 +131,8 @@ const KIND_FAIL: u8 = 5;
 /// at every survivor, so session loops can rejoin instead of dying.
 const KIND_DOWN: u8 = 6;
 
-/// How often the setup loops (dial retry, accept) and the shutdown
-/// waits re-check their condition.
+/// How often a dial retries and the shutdown waits re-check their
+/// condition.
 const POLL: Duration = Duration::from_millis(2);
 
 /// Smallest inbound buffer; a larger message grows it to its size.
@@ -170,14 +187,36 @@ pub(crate) struct WireStats {
     pub(crate) bytes_recv: u64,
     pub(crate) acks_sent: u64,
     pub(crate) nacks_sent: u64,
+    /// CPU time of the I/O thread, read by the thread as it exits.
+    pub(crate) io_cpu_ns: u64,
+}
+
+/// One queued wire message: its header bytes and its body, written as
+/// two iovecs so that a payload is never copied on its way out.
+struct Queued {
+    head: [u8; HEAD_MAX],
+    head_len: usize,
+    body: Bytes,
+}
+
+impl Queued {
+    /// A message of `kind` whose body is `frame_head` (empty, or the
+    /// clean path's frame header) followed by `body`.
+    fn new(kind: u8, frame_head: &[u8], body: Bytes) -> Self {
+        let head_len = MSG_HEADER + frame_head.len();
+        let mut head = [0u8; HEAD_MAX];
+        head[..MSG_HEADER].copy_from_slice(&wire_header(kind, frame_head.len() + body.len()));
+        head[MSG_HEADER..head_len].copy_from_slice(frame_head);
+        Self { head, head_len, body }
+    }
 }
 
 /// One link's outbound queue: the wire messages its socket has not
 /// taken yet.
 #[derive(Default)]
 struct Outbound {
-    /// Header and body of every queued message, oldest first.
-    queue: VecDeque<([u8; MSG_HEADER], Bytes)>,
+    /// Every queued message, oldest first.
+    queue: VecDeque<Queued>,
     /// Bytes of the front message already written.
     written: usize,
     /// Sequence number of the next clean-path frame on this link.
@@ -191,12 +230,13 @@ impl Outbound {
     /// and counts every message that left whole. On an error the link
     /// is dead and its queue dropped.
     fn flush(&mut self, mut link: &UnixStream, wire: &mut WireStats) -> std::io::Result<()> {
-        while let Some((head, body)) = self.queue.front() {
-            let (kind, total) = (head[0], MSG_HEADER + body.len());
-            let parts = if self.written < MSG_HEADER {
-                [IoSlice::new(&head[self.written..]), IoSlice::new(body.as_slice())]
+        while let Some(msg) = self.queue.front() {
+            let (head, body) = (&msg.head[..msg.head_len], msg.body.as_slice());
+            let (kind, total) = (head[0], head.len() + body.len());
+            let parts = if self.written < head.len() {
+                [IoSlice::new(&head[self.written..]), IoSlice::new(body)]
             } else {
-                [IoSlice::new(&[]), IoSlice::new(&body.as_slice()[self.written - MSG_HEADER..])]
+                [IoSlice::new(&[]), IoSlice::new(&body[self.written - head.len()..])]
             };
             match link.write_vectored(&parts) {
                 Ok(0) => return self.fail(ErrorKind::WriteZero.into()),
@@ -257,10 +297,10 @@ impl Inbound {
     }
 }
 
-/// One decoded wire message.
+/// One decoded wire message; a frame is still in the inbound buffer.
 #[derive(Debug, PartialEq)]
-enum Msg {
-    Data(Bytes),
+enum Msg<'a> {
+    Data(&'a [u8]),
     Ack(u64),
     Nack { from: u64, attempt: u32 },
     Nothing(u64),
@@ -279,10 +319,10 @@ fn wire_header(kind: u8, len: usize) -> [u8; MSG_HEADER] {
 /// Splits the complete wire messages off the front of `buf`, read
 /// from `peer`'s link at `rank`: returns them and how many bytes they
 /// span, and leaves a partial message at the end for the next call.
-/// Pure. It allocates only copies of bodies wholly inside `buf`; a
-/// header claiming more than [`MAX_WIRE_BODY`], an unknown kind, or a
-/// body of the wrong size is a typed [`MpsError::Protocol`].
-fn decode(rank: usize, peer: usize, buf: &[u8]) -> MpsResult<(Vec<Msg>, usize)> {
+/// Pure. A frame is returned as a view into `buf`; a header claiming
+/// more than [`MAX_WIRE_BODY`], an unknown kind, or a body of the wrong
+/// size is a typed [`MpsError::Protocol`].
+fn decode(rank: usize, peer: usize, buf: &[u8]) -> MpsResult<(Vec<Msg<'_>>, usize)> {
     let mut msgs = Vec::new();
     let mut at = 0;
     while buf.len() - at >= MSG_HEADER {
@@ -303,7 +343,7 @@ fn decode(rank: usize, peer: usize, buf: &[u8]) -> MpsResult<(Vec<Msg>, usize)> 
         let u64_at = |i: usize| u64::from_le_bytes(body[i..i + 8].try_into().unwrap());
         let u32_at = |i: usize| u32::from_le_bytes(body[i..i + 4].try_into().unwrap());
         msgs.push(match (kind, body.len()) {
-            (KIND_DATA, _) => Msg::Data(Bytes::from(body)),
+            (KIND_DATA, _) => Msg::Data(body),
             (KIND_ACK, 8) => Msg::Ack(u64_at(0)),
             (KIND_NACK, 12) => Msg::Nack { from: u64_at(0), attempt: u32_at(8) },
             (KIND_NOTHING, 8) => Msg::Nothing(u64_at(0)),
@@ -370,7 +410,7 @@ impl SocketFabric {
             .arg("size", size);
 
         let endpoint = parse_endpoint(rank, &config.peers[rank])?;
-        let (accept, unix_path) = bind(rank, &endpoint)?;
+        let (accept, listen_fd, unix_path) = bind(rank, &endpoint)?;
 
         let deadline = Instant::now() + timeout;
         let mut links: Vec<Option<UnixStream>> = (0..size).map(|_| None).collect();
@@ -400,7 +440,16 @@ impl SocketFabric {
             let raw = match accept() {
                 Ok(s) => s,
                 Err(e) if e.kind() == ErrorKind::WouldBlock && Instant::now() < deadline => {
-                    std::thread::sleep(POLL);
+                    // Sleep until a dialer is queued on the listener.
+                    let mut fds = [PollFd { fd: listen_fd, events: POLLIN, revents: 0 }];
+                    #[cfg(test)]
+                    tests::ACCEPT_WAIT.with(|hook| {
+                        if let Some(f) = hook.borrow_mut().as_mut() {
+                            f();
+                        }
+                    });
+                    poll::wait(&mut fds, Some(deadline.saturating_duration_since(Instant::now())))
+                        .map_err(|e| io_error(rank, "accept poll", &e))?;
                     continue;
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -488,10 +537,16 @@ impl SocketFabric {
 
     /// The I/O thread: one `poll` per turn over the wake socket and
     /// every link. It reads every readable link, writes what the
-    /// queued links take, and returns the wire counters once
-    /// [`SocketFabric::shutdown`] asked it to stop and every queue is
-    /// written (or the deadline passed).
-    fn io_loop(&self, mut wake: &UnixStream, mut wire: WireStats) -> WireStats {
+    /// queued links take, and returns the wire counters, its own CPU
+    /// time included, once [`SocketFabric::shutdown`] asked it to stop
+    /// and every queue is written (or the deadline passed).
+    fn io_loop(&self, wake: &UnixStream, mut wire: WireStats) -> WireStats {
+        self.io_turns(wake, &mut wire);
+        wire.io_cpu_ns = tc_trace::thread_cpu_now().as_nanos() as u64;
+        wire
+    }
+
+    fn io_turns(&self, mut wake: &UnixStream, wire: &mut WireStats) {
         let mut inbound: Vec<Inbound> = (0..self.size).map(|_| Inbound::new()).collect();
         let mut fds = Vec::with_capacity(self.size + 1);
         let mut deadline = None;
@@ -500,7 +555,7 @@ impl SocketFabric {
                 let d = *deadline.get_or_insert_with(|| Instant::now() + self.timeout);
                 if Instant::now() >= d || self.out.iter().all(|o| lock_recover(o).queue.is_empty())
                 {
-                    return wire;
+                    return;
                 }
             }
             fds.clear();
@@ -516,7 +571,7 @@ impl SocketFabric {
             let wait = deadline.map(|d: Instant| d.saturating_duration_since(Instant::now()));
             if let Err(e) = poll::wait(&mut fds, wait) {
                 self.record_failure(self.rank, io_error(self.rank, "poll", &e));
-                return wire;
+                return;
             }
             // A wake-up means a queue that was empty has news: try every
             // link at once rather than poll for writability first.
@@ -527,10 +582,10 @@ impl SocketFabric {
                 // Anything but plain readability (writable, hang-up,
                 // error) is news for the queue; the write reports it.
                 if woken || revents & !POLLIN != 0 {
-                    self.flush(peer, &mut wire);
+                    self.flush(peer, inb.closed, wire);
                 }
                 if revents & !POLLOUT != 0 && !inb.closed {
-                    self.read_link(peer, inb, &mut wire);
+                    self.read_link(peer, inb, wire);
                 }
             }
         }
@@ -555,28 +610,37 @@ impl SocketFabric {
                 return self.link_lost(peer, &e);
             }
         }
+        // Messages are routed from where they landed, and only then
+        // dropped from the buffer.
+        let next_seq = &mut inb.next_seq;
         let routed = decode(self.rank, peer, &inb.buf[..inb.filled]).and_then(|(msgs, used)| {
             wire.msgs_recv += msgs.len() as u64;
-            inb.consume(used);
-            msgs.into_iter().try_for_each(|m| self.route(peer, m, &mut inb.next_seq))
+            msgs.into_iter().try_for_each(|m| self.route(peer, m, next_seq))?;
+            Ok(used)
         });
-        if let Err(e) = routed {
-            inb.closed = true;
-            self.record_failure(self.rank, e);
+        match routed {
+            Ok(used) => inb.consume(used),
+            Err(e) => {
+                inb.closed = true;
+                self.record_failure(self.rank, e);
+            }
         }
     }
 
     /// Acts on one message from `peer`; `next_seq` is the sequence
     /// number its next clean-path frame must carry.
-    fn route(&self, peer: usize, msg: Msg, next_seq: &mut u64) -> MpsResult<()> {
+    fn route(&self, peer: usize, msg: Msg<'_>, next_seq: &mut u64) -> MpsResult<()> {
         let protocol = |msg: String| MpsError::Protocol { rank: self.rank, msg };
         match msg {
             // The rank's Comm verifies, orders and acks transport frames.
             Msg::Data(frame) if self.transport.is_some() => {
-                self.mailbox.push(Packet { src: peer, tag: TRANSPORT_TAG, data: frame });
+                let data = Bytes::from(frame);
+                self.mailbox.push(Packet { src: peer, tag: TRANSPORT_TAG, data });
             }
+            // The clean path checks the frame in the inbound buffer and
+            // copies only its payload out.
             Msg::Data(frame) => {
-                let (seq, tag, data) = decode_frame(&frame)
+                let (seq, tag, payload) = check_frame(frame)
                     .ok_or_else(|| protocol(format!("damaged frame from rank {peer}")))?;
                 if seq != *next_seq {
                     return Err(protocol(format!(
@@ -584,7 +648,7 @@ impl SocketFabric {
                     )));
                 }
                 *next_seq += 1;
-                self.mailbox.push(Packet { src: peer, tag, data });
+                self.mailbox.push(Packet { src: peer, tag, data: Bytes::from(payload) });
             }
             Msg::Ack(next) => self.reliable(peer)?.ack(self.rank, peer, next),
             Msg::Nack { from, attempt } => {
@@ -629,9 +693,13 @@ impl SocketFabric {
     /// Queues one wire message to `dst` for the I/O thread, waking it
     /// if the queue was empty. Never blocks; a dead link drops it.
     fn enqueue(&self, dst: usize, kind: u8, body: Bytes) {
+        self.enqueue_msg(dst, Queued::new(kind, &[], body));
+    }
+
+    fn enqueue_msg(&self, dst: usize, msg: Queued) {
         let mut out = lock_recover(&self.out[dst]);
         if !out.dead {
-            out.queue.push_back((wire_header(kind, body.len()), body));
+            out.queue.push_back(msg);
             if out.queue.len() == 1 {
                 drop(out);
                 self.wake_io();
@@ -639,12 +707,18 @@ impl SocketFabric {
         }
     }
 
-    /// Writes what `peer`'s link takes of its queue.
-    fn flush(&self, peer: usize, wire: &mut WireStats) {
+    /// Writes what `peer`'s link takes of its queue. A failed write
+    /// means the peer closed its end, but what it sent before closing
+    /// (a `FAIL` naming the rank that really failed, say) may still be
+    /// unread: while the link is being read, the read that reaches EOF
+    /// reports the loss.
+    fn flush(&self, peer: usize, read_closed: bool, wire: &mut WireStats) {
         let Some(link) = &self.links[peer] else { return };
         let written = lock_recover(&self.out[peer]).flush(link, wire);
         if let Err(e) = written {
-            self.link_lost(peer, &e);
+            if read_closed {
+                self.link_lost(peer, &e);
+            }
         }
     }
 
@@ -732,7 +806,8 @@ impl SocketFabric {
     }
 
     /// Sends one payload to a peer without the reliable layer: one
-    /// sequenced, checksummed frame.
+    /// sequenced, checksummed frame whose header is queued in front of
+    /// the caller's payload, which is not copied.
     fn send_frame(&self, src: usize, dst: usize, tag: u64, data: Bytes) -> MpsResult<()> {
         // Checked before a sequence number is taken, so a refused
         // payload leaves the link usable.
@@ -742,7 +817,8 @@ impl SocketFabric {
             out.next_seq += 1;
             out.next_seq - 1
         };
-        self.enqueue(dst, KIND_DATA, encode_frame(src, seq, tag, &data)?);
+        let head = frame_header(seq, tag, data.as_slice());
+        self.enqueue_msg(dst, Queued::new(KIND_DATA, &head, data));
         Ok(())
     }
 }
@@ -939,20 +1015,24 @@ impl Fabric for SocketFabric {
 type Accept = Box<dyn Fn() -> std::io::Result<UnixStream>>;
 
 /// Binds this rank's nonblocking listener, replacing a stale Unix
-/// socket file from a dead previous run (returned for removal).
-fn bind(rank: usize, ep: &Endpoint) -> MpsResult<(Accept, Option<PathBuf>)> {
+/// socket file from a dead previous run (returned for removal). The
+/// listener's fd, valid while the accept call lives, is what the
+/// accept loop polls.
+fn bind(rank: usize, ep: &Endpoint) -> MpsResult<(Accept, RawFd, Option<PathBuf>)> {
     let failed = |e: std::io::Error| io_error(rank, &format!("bind {ep:?}"), &e);
     match ep {
         Endpoint::Unix(path) => {
             let _ = std::fs::remove_file(path);
             let l = UnixListener::bind(path).map_err(failed)?;
             l.set_nonblocking(true).map_err(failed)?;
-            Ok((Box::new(move || l.accept().map(|(s, _)| s)), Some(path.clone())))
+            let fd = l.as_raw_fd();
+            Ok((Box::new(move || l.accept().map(|(s, _)| s)), fd, Some(path.clone())))
         }
         Endpoint::Tcp(addr) => {
             let l = TcpListener::bind(addr.as_str()).map_err(failed)?;
             l.set_nonblocking(true).map_err(failed)?;
-            Ok((Box::new(move || l.accept().map(|(s, _)| tcp_link(s))), None))
+            let fd = l.as_raw_fd();
+            Ok((Box::new(move || l.accept().map(|(s, _)| tcp_link(s))), fd, None))
         }
     }
 }
@@ -1093,12 +1173,30 @@ fn io_error(rank: usize, what: &str, e: &std::io::Error) -> MpsError {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
     use std::sync::mpsc;
 
     use proptest::prelude::*;
 
     use super::*;
-    use crate::{Universe, UniverseConfig};
+    use crate::{Comm, Universe, UniverseConfig};
+
+    thread_local! {
+        /// Run on this thread each time its accept loop is about to
+        /// wait in `poll`.
+        pub(super) static ACCEPT_WAIT: RefCell<Option<Box<dyn FnMut()>>> =
+            const { RefCell::new(None) };
+    }
+
+    /// Two fresh Unix endpoints named after `test`.
+    fn endpoints(test: &str) -> Vec<String> {
+        (0..2)
+            .map(|r| {
+                let name = format!("tcm-{test}-{}-{r}.sock", std::process::id());
+                std::env::temp_dir().join(name).to_string_lossy().into_owned()
+            })
+            .collect()
+    }
 
     #[test]
     fn endpoint_parsing() {
@@ -1137,16 +1235,21 @@ mod tests {
         v
     }
 
-    /// A stream with one message of every kind, and what it decodes to.
-    fn every_kind(seed: u64) -> (Vec<u8>, Vec<Msg>) {
-        let frame = encode_frame(1, seed, seed ^ 7, &Bytes::from(seed.to_le_bytes().to_vec()))
-            .expect("small frame");
+    /// One clean-path frame carrying `seq` as its payload.
+    fn test_frame(seq: u64, tag: u64) -> Vec<u8> {
+        let payload = seq.to_le_bytes();
+        [&frame_header(seq, tag, &payload)[..], &payload].concat()
+    }
+
+    /// A stream with one message of every kind around `frame`, and what
+    /// it decodes to.
+    fn every_kind(seed: u64, frame: &[u8]) -> (Vec<u8>, Vec<Msg<'_>>) {
         let mut nack = seed.to_le_bytes().to_vec();
         nack.extend_from_slice(&3u32.to_le_bytes());
         let mut fail = 2u32.to_le_bytes().to_vec();
         fail.extend_from_slice(b"boom");
         let stream = [
-            wire(KIND_DATA, frame.as_slice()),
+            wire(KIND_DATA, frame),
             wire(KIND_ACK, &seed.to_le_bytes()),
             wire(KIND_NACK, &nack),
             wire(KIND_NOTHING, &seed.to_le_bytes()),
@@ -1187,7 +1290,8 @@ mod tests {
         /// messages, and the partial one waits for more bytes.
         #[test]
         fn a_truncated_stream_decodes_to_a_prefix(seed in any::<u64>(), cut in 0usize..1000) {
-            let (stream, all) = every_kind(seed);
+            let frame = test_frame(seed, seed ^ 7);
+            let (stream, all) = every_kind(seed, &frame);
             let (got, used) = decode(0, 1, &stream).expect("valid stream");
             prop_assert_eq!(&got, &all);
             prop_assert_eq!(used, stream.len());
@@ -1236,12 +1340,7 @@ mod tests {
     /// buffer) and receive all three frames.
     #[test]
     fn a_peer_that_never_reads_blocks_neither_sends_nor_receives() {
-        let peers: Vec<String> = (0..2)
-            .map(|r| {
-                let name = format!("tcm-contract-{}-{r}.sock", std::process::id());
-                std::env::temp_dir().join(name).to_string_lossy().into_owned()
-            })
-            .collect();
+        let peers = endpoints("contract");
         let config = SocketConfig {
             universe: UniverseConfig::with_timeout(Duration::from_secs(30)),
             ..SocketConfig::new(0, peers.clone())
@@ -1269,9 +1368,7 @@ mod tests {
             fake.write_all(&encode_hello(0, 2, 1, false)).expect("hello");
             fake.read_exact(&mut [0u8; HELLO_LEN]).expect("rank 0's hello");
             for seq in 0..3u64 {
-                let frame = encode_frame(1, seq, 2, &Bytes::from(seq.to_le_bytes().to_vec()))
-                    .expect("small frame");
-                fake.write_all(&wire(KIND_DATA, frame.as_slice())).expect("frame");
+                fake.write_all(&wire(KIND_DATA, &test_frame(seq, 2))).expect("frame");
             }
             let got = outcome.recv_timeout(Duration::from_secs(20));
             // Hang up either way, so rank 0 ends (with a lost peer)
@@ -1280,6 +1377,42 @@ mod tests {
             let _ = rank0.join();
             let got = got.expect("rank 0 stalled behind a peer that never reads");
             assert_eq!(got.expect("the fake peer's frames"), vec![0, 1, 2]);
+        });
+    }
+
+    /// Rank 1 starts only once rank 0 sleeps in its accept `poll`: the
+    /// dialer that arrives then must wake it, and the two ranks must
+    /// exchange a payload.
+    #[test]
+    fn a_late_rank_still_connects() {
+        let peers = endpoints("late");
+        let config = |rank| SocketConfig {
+            universe: UniverseConfig::with_timeout(Duration::from_secs(30)),
+            ..SocketConfig::new(rank, peers.clone())
+        };
+        let exchange = |c: &Comm| {
+            let peer = 1 - c.rank();
+            c.send_bytes(peer, 5, Bytes::from(vec![c.rank() as u8 + 1; 3000]));
+            c.recv_bytes(peer, 5).map(|b| b.to_vec())
+        };
+        let (waiting, rank0_waits) = mpsc::channel();
+        let (config, exchange) = (&config, &exchange);
+        std::thread::scope(|s| {
+            let rank0 = s.spawn(move || {
+                ACCEPT_WAIT.with(|hook| {
+                    *hook.borrow_mut() = Some(Box::new(move || {
+                        let _ = waiting.send(());
+                    }))
+                });
+                Universe::try_run_socket(&config(0), exchange)
+            });
+            rank0_waits.recv_timeout(Duration::from_secs(10)).expect("rank 0 never waited");
+            let rank1 = s.spawn(move || Universe::try_run_socket(&config(1), exchange));
+            for (rank, res) in [rank0.join(), rank1.join()].into_iter().enumerate() {
+                let (got, _) =
+                    res.expect("rank thread").unwrap_or_else(|e| panic!("rank {rank}: {e}"));
+                assert_eq!(got, vec![2 - rank as u8; 3000], "rank {rank} got its peer's payload");
+            }
         });
     }
 }

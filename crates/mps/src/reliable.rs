@@ -34,6 +34,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use bytes::Bytes;
+use tc_graph::io::Crc32c;
 
 use crate::chaos::{Corruption, FaultPlan};
 use crate::error::{MpsError, MpsResult};
@@ -54,7 +55,7 @@ pub(crate) const TRANSPORT_TAG: u64 = (1 << 62) | 0xF8A3;
 pub(crate) const TRANSPORT_NOTHING_TAG: u64 = (1 << 62) | 0xF8A4;
 
 /// Frame header size: seq (8) + inner tag (8) + payload len (4) + CRC32c (4).
-const HEADER: usize = 24;
+pub(crate) const FRAME_HEADER: usize = 24;
 
 /// Largest payload one frame can carry (the header's length field is
 /// 32 bits). Larger sends fail with a typed [`MpsError::Protocol`].
@@ -89,43 +90,48 @@ pub(crate) fn check_frame_len(rank: usize, len: usize) -> MpsResult<()> {
     Ok(())
 }
 
-/// Encodes one frame: header followed by the payload, CRC32c over
-/// everything except the CRC field itself. Fails with a typed error
-/// (never panics) when the payload exceeds [`MAX_FRAME_PAYLOAD`];
-/// `src` names the sending rank in that error.
-pub(crate) fn encode_frame(src: usize, seq: u64, tag: u64, payload: &Bytes) -> MpsResult<Bytes> {
-    check_frame_len(src, payload.len())?;
-    let mut buf = Vec::with_capacity(HEADER + payload.len());
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&tag.to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&[0u8; 4]); // CRC placeholder
-    buf.extend_from_slice(payload.as_slice());
-    let crc = crc32c_pair(&buf[..20], &buf[HEADER..]);
-    buf[20..24].copy_from_slice(&crc.to_le_bytes());
-    Ok(Bytes::from(buf))
+/// The header of one frame: seq, tag and payload length, then the
+/// CRC32c streamed over those 20 bytes and the payload. The payload
+/// fits the length field ([`check_frame_len`]).
+pub(crate) fn frame_header(seq: u64, tag: u64, payload: &[u8]) -> [u8; FRAME_HEADER] {
+    let mut h = [0u8; FRAME_HEADER];
+    h[..8].copy_from_slice(&seq.to_le_bytes());
+    h[8..16].copy_from_slice(&tag.to_le_bytes());
+    h[16..20].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    let mut crc = Crc32c::new();
+    crc.update(&h[..20]);
+    crc.update(payload);
+    h[20..].copy_from_slice(&crc.finish().to_le_bytes());
+    h
 }
 
-/// Decodes and verifies a frame; `None` means the frame is damaged
-/// (truncated, extended, or bit-flipped) and must be treated as lost.
+/// Encodes one frame: header followed by the payload. Fails with a
+/// typed error (never panics) when the payload exceeds
+/// [`MAX_FRAME_PAYLOAD`]; `src` names the sending rank in that error.
+pub(crate) fn encode_frame(src: usize, seq: u64, tag: u64, payload: &Bytes) -> MpsResult<Bytes> {
+    check_frame_len(src, payload.len())?;
+    let frame = [&frame_header(seq, tag, payload.as_slice())[..], payload.as_slice()].concat();
+    Ok(Bytes::from(frame))
+}
+
+/// Verifies a frame where it lies and returns its seq, tag and
+/// payload; `None` means the frame is damaged (truncated, extended, or
+/// bit-flipped) and must be treated as lost.
+pub(crate) fn check_frame(b: &[u8]) -> Option<(u64, u64, &[u8])> {
+    let (head, payload) = b.split_at_checked(FRAME_HEADER)?;
+    let seq = u64::from_le_bytes(head[..8].try_into().unwrap());
+    let tag = u64::from_le_bytes(head[8..16].try_into().unwrap());
+    // Rebuilding the header checks the length field and the CRC at once.
+    let intact = payload.len() <= MAX_FRAME_PAYLOAD && frame_header(seq, tag, payload) == *head;
+    intact.then_some((seq, tag, payload))
+}
+
+/// [`check_frame`] on a frame held in a [`Bytes`].
 pub(crate) fn decode_frame(frame: &Bytes) -> Option<(u64, u64, Bytes)> {
-    let b = frame.as_slice();
-    if b.len() < HEADER {
-        return None;
-    }
-    let len = u32::from_le_bytes(b[16..20].try_into().unwrap()) as usize;
-    if b.len() != HEADER + len {
-        return None;
-    }
-    let stored = u32::from_le_bytes(b[20..24].try_into().unwrap());
-    if crc32c_pair(&b[..20], &b[HEADER..]) != stored {
-        return None;
-    }
-    let seq = u64::from_le_bytes(b[..8].try_into().unwrap());
-    let tag = u64::from_le_bytes(b[8..16].try_into().unwrap());
+    let (seq, tag, _) = check_frame(frame.as_slice())?;
     // The payload view shares the frame allocation; the 24-byte header
     // keeps it 8-byte aligned, so typed decoding stays zero-copy.
-    Some((seq, tag, frame.slice(HEADER..)))
+    Some((seq, tag, frame.slice(FRAME_HEADER..)))
 }
 
 /// Applies a wire-level corruption to a copy of `frame`.
@@ -141,41 +147,6 @@ fn corrupt_frame(frame: &Bytes, c: Corruption) -> Bytes {
         }
     }
     Bytes::from(v)
-}
-
-/// CRC32c (Castagnoli) over two concatenated slices, table-driven.
-fn crc32c_pair(a: &[u8], b: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &byte in a.iter().chain(b) {
-        crc = (crc >> 8) ^ CRC32C_TABLE[((crc ^ byte as u32) & 0xff) as usize];
-    }
-    !crc
-}
-
-/// CRC32c for one slice (known-answer-tested below).
-#[cfg(test)]
-fn crc32c(data: &[u8]) -> u32 {
-    crc32c_pair(data, &[])
-}
-
-const CRC32C_TABLE: [u32; 256] = build_crc32c_table();
-
-const fn build_crc32c_table() -> [u32; 256] {
-    // Reflected Castagnoli polynomial.
-    const POLY: u32 = 0x82F6_3B78;
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
 }
 
 /// Sender-side retransmit window of one directed link.
@@ -539,6 +510,7 @@ impl RxState {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use tc_graph::io::crc32c;
 
     /// Test sink that records delivered frames.
     struct VecSink(Mutex<Vec<(usize, usize, Bytes)>>);
@@ -565,15 +537,19 @@ mod tests {
 
     #[test]
     fn crc32c_known_answer() {
-        // The canonical CRC32c check value.
+        // Frames use the workspace's one CRC32c: its canonical check value.
         assert_eq!(crc32c(b"123456789"), 0xE306_9283);
         assert_eq!(crc32c(b""), 0);
     }
 
     #[test]
     fn crc_pair_matches_concatenation() {
-        let all = b"header and payload".to_vec();
-        assert_eq!(crc32c_pair(&all[..6], &all[6..]), crc32c(&all));
+        // Streamed over header and payload, the header's CRC is the
+        // CRC32c of the frame with the CRC field left out.
+        let f = frame(5, 9, b"header and payload".to_vec());
+        let b = f.as_slice();
+        let joined = [&b[..20], &b[FRAME_HEADER..]].concat();
+        assert_eq!(u32::from_le_bytes(b[20..24].try_into().unwrap()), crc32c(&joined));
     }
 
     #[test]
@@ -585,7 +561,7 @@ mod tests {
         assert_eq!(p, payload);
         // Zero-copy: the payload view aliases the frame allocation and
         // stays 8-byte aligned for typed decoding.
-        assert_eq!(p.as_ptr() as usize, f.as_ptr() as usize + HEADER);
+        assert_eq!(p.as_ptr() as usize, f.as_ptr() as usize + FRAME_HEADER);
         assert_eq!(p.as_ptr() as usize % 8, 0);
     }
 

@@ -305,6 +305,7 @@ fn feed_wire_metrics(w: &WireStats) {
     tc_metrics::counter_add(m::MPS_FABRIC_WIRE_BYTES_RECV, w.bytes_recv);
     tc_metrics::counter_add(m::MPS_FABRIC_ACKS_SENT, w.acks_sent);
     tc_metrics::counter_add(m::MPS_FABRIC_NACKS_SENT, w.nacks_sent);
+    tc_metrics::counter_add(m::MPS_FABRIC_IO_CPU_NS, w.io_cpu_ns);
 }
 
 /// Configuration of one rank *process* of a socket-backed universe.

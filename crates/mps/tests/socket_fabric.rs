@@ -388,3 +388,38 @@ fn a_planned_crash_spares_a_respawned_rank() {
         assert_eq!(value, clean[rank]);
     }
 }
+
+#[test]
+fn the_io_thread_cpu_is_counted_on_sockets_only() {
+    // Each socket rank records what its I/O thread spent on the wire;
+    // an in-process universe has no such thread and no such counter,
+    // so its snapshots stay comparable with the checked-in baselines.
+    use tc_metrics::names::MPS_FABRIC_IO_CPU_NS;
+    let session = tc_metrics::MetricsSession::begin();
+    let peers = unix_endpoints(2);
+    let results = run_mesh(
+        peers.clone(),
+        |rank| SocketConfig {
+            universe: UniverseConfig { metrics: Some(session.handle()), ..short_timeout() },
+            ..SocketConfig::new(rank, peers.clone())
+        },
+        workload,
+    );
+    for (rank, res) in results.into_iter().enumerate() {
+        res.unwrap_or_else(|e| panic!("rank {rank}: {e}"));
+    }
+    let snap = session.finish();
+    for rank in 0..2 {
+        let cpu = snap.counter(rank, MPS_FABRIC_IO_CPU_NS);
+        assert!(cpu.is_some_and(|ns| ns > 0), "rank {rank}: {MPS_FABRIC_IO_CPU_NS} = {cpu:?}");
+    }
+
+    let session = tc_metrics::MetricsSession::begin();
+    let cfg = UniverseConfig { metrics: Some(session.handle()), ..short_timeout() };
+    Universe::try_run_config(2, &cfg, workload).expect("in-process run");
+    let snap = session.finish();
+    assert_eq!(snap.ranks(), vec![0, 1]);
+    for rank in 0..2 {
+        assert_eq!(snap.counter(rank, MPS_FABRIC_IO_CPU_NS), None, "rank {rank}");
+    }
+}
