@@ -78,10 +78,9 @@ pub enum Command {
         /// to this path as schema-versioned JSON (also embedded in the
         /// trace export when `--trace` is given too).
         metrics: Option<PathBuf>,
-        /// When set, run over a deliberately faulty fabric: a
-        /// deterministic uniform [`tc_mps::FaultPlan`] with this seed
-        /// on every link. The count must still be exact — the
-        /// reliable-delivery transport masks the chaos.
+        /// When set, run over a deliberately slow fabric: a
+        /// [`tc_mps::FaultPlan`] with this seed delays sends on every
+        /// link. The count must still be exact.
         chaos: Option<u64>,
     },
     /// Run as one rank of a multi-process socket universe.
@@ -106,8 +105,8 @@ pub enum Command {
         config: TcConfig,
         /// Generator seed for preset inputs.
         seed: u64,
-        /// Chaos seed: injects a deterministic uniform fault plan into
-        /// the socket wire layer.
+        /// Chaos seed: this process's sends are delayed by a seeded
+        /// [`tc_mps::FaultPlan`].
         chaos: Option<u64>,
         /// When set, write this rank's metrics snapshot here.
         metrics: Option<PathBuf>,
@@ -280,11 +279,10 @@ counter but tct.probes and tct.kernel.* are identical under both. The
 TC_KERNEL environment variable supplies the default (strict parse: an
 invalid value aborts at startup, like the MPS_* family); an explicit
 --kernel flag wins over it.
---chaos SEED runs the distributed algorithms over a deliberately faulty
-fabric (a seeded, deterministic fault plan injecting delays, drops,
-duplicates, reorders, truncations, and bit-flips on every link); the
-reliable-delivery transport must still produce the exact count. The
-MPS_CHAOS_* environment family configures finer-grained plans.
+--chaos SEED runs the distributed algorithms with seeded, deterministic
+sender-side delays on every link; the count must not change. The
+MPS_CHAOS_* environment family configures finer-grained plans (delay
+probability and bound, a link list, a process crash point).
 serve-rank runs this process as ONE rank of a multi-process universe
 over Unix-domain or TCP sockets: every rank is its own OS process,
 started with the same input and flags (a .bin input must be canonical:
@@ -292,8 +290,8 @@ each process reads only its own slice). Endpoints are Unix socket paths
 (contain '/' or use a 'unix:' prefix) or TCP host:port pairs; rank r
 listens on the r-th entry. --rank/--peers/--epoch fall back to the
 MPS_FABRIC_RANK / MPS_FABRIC_PEERS / MPS_FABRIC_EPOCH environment
-variables. Every payload crosses as a sequenced, CRC32c-checked frame;
-the reliable transport (NACK/retransmit) runs only under --chaos.
+variables. Every payload crosses as a sequenced, CRC32c-checked frame; a
+gap or a damaged frame ends the run with an error.
 serve keeps a rank fleet alive behind a Unix-socket frontend: load the
 graph once, count it cold with the 2D kernel, then answer count /
 support / truss / stats / metrics queries and absorb insert/delete
@@ -370,13 +368,18 @@ pub fn parse_with_env(
     args: &[String],
     env_kernel: Option<KernelStrategy>,
 ) -> Result<Command, String> {
+    // `--help` or `-h` anywhere asks for the usage, whatever else the
+    // line holds: no flag parser below may read it as a value.
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(Command::Help);
+    }
     let mut it = args.iter();
     let cmd = match it.next() {
         None => return Ok(Command::Help),
         Some(c) => c.as_str(),
     };
     match cmd {
-        "help" | "--help" | "-h" => Ok(Command::Help),
+        "help" => Ok(Command::Help),
         "info" => {
             let input = it.next().ok_or("info needs an input")?;
             Ok(Command::Info { input: parse_input(input)? })

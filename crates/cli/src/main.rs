@@ -13,9 +13,17 @@ use tc_core::{EdgeSource, SummaGrid};
 use tc_graph::io::EdgeFile;
 use tc_graph::{io, Csr, EdgeList};
 
-/// Per-link fault probability installed by `--chaos SEED` (each of the
-/// six fault modes fires independently at this rate).
+/// Per-send delay probability installed by `--chaos SEED` on every link.
 const CHAOS_P: f64 = 0.05;
+
+/// The fault plan of `--chaos SEED`: seeded sender-side delays on every
+/// link, announced on stderr.
+fn chaos_plan(seed: Option<u64>) -> Option<tc_mps::FaultPlan> {
+    seed.map(|seed| {
+        eprintln!("# chaos: seed {seed}, delay p={CHAOS_P} on every link");
+        tc_mps::FaultPlan::uniform(seed, CHAOS_P)
+    })
+}
 
 /// Why a command failed, mapped to distinct process exit codes so
 /// scripted callers can tell a bad input graph (3) from a runtime
@@ -37,6 +45,12 @@ impl From<String> for AppError {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // A knob of the removed frame-fault family is a usage error, never
+    // silently ignored.
+    if let Some(msg) = tc_mps::FaultPlan::removed_env_error() {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    }
     // TC_KERNEL seeds the kernel-strategy default (strict parse: an
     // invalid value panics here, before any work); --kernel overrides.
     match cli::parse_with_env(&args, tc_core::KernelStrategy::from_env()) {
@@ -258,14 +272,10 @@ fn run(cmd: Command) -> Result<(), AppError> {
                 let handle = session.as_ref().map(|s| s.handle());
                 let msession = metrics.as_ref().map(|_| tc_metrics::MetricsSession::begin());
                 let mhandle = msession.as_ref().map(|s| s.handle());
-                let plan = chaos.map(|cseed| {
-                    eprintln!("# chaos: seed {cseed}, uniform p={CHAOS_P} on every link");
-                    tc_mps::FaultPlan::new(cseed).with_default(tc_mps::LinkFaults::uniform(CHAOS_P))
-                });
                 let ucfg = tc_mps::UniverseConfig {
                     trace: handle,
                     metrics: mhandle,
-                    chaos: plan,
+                    chaos: chaos_plan(chaos),
                     ..Default::default()
                 };
                 let t0 = Instant::now();
@@ -428,13 +438,7 @@ fn run(cmd: Command) -> Result<(), AppError> {
             sock.universe.metrics = msession.as_ref().map(|s| s.handle());
             let tsession = trace.as_ref().map(|_| tc_trace::TraceSession::begin());
             sock.universe.trace = tsession.as_ref().map(|s| s.handle());
-            if let Some(cseed) = chaos {
-                eprintln!("# chaos: seed {cseed}, uniform p={CHAOS_P} on every link");
-                sock.universe.chaos = Some(
-                    tc_mps::FaultPlan::new(cseed)
-                        .with_default(tc_mps::LinkFaults::uniform(CHAOS_P)),
-                );
-            }
+            sock.universe.chaos = chaos_plan(chaos);
             let t0 = Instant::now();
             let algo = algorithm_2d(algorithm, grid, p);
             let triangles = count_2d(&graph, algo, &config, tc_mps::Launch::Socket(&sock))
@@ -493,10 +497,7 @@ fn run(cmd: Command) -> Result<(), AppError> {
             let msession = (metrics.is_some() || json.is_some() || state_dir.is_some())
                 .then(tc_metrics::MetricsSession::begin);
             let mhandle = msession.as_ref().map(|s| s.handle());
-            let plan = chaos.map(|cseed| {
-                eprintln!("# chaos: seed {cseed}, uniform p={CHAOS_P} on every link");
-                tc_mps::FaultPlan::new(cseed).with_default(tc_mps::LinkFaults::uniform(CHAOS_P))
-            });
+            let plan = chaos_plan(chaos);
             // Socket mode iff --rank/--peers or the MPS_FABRIC_*
             // environment names this process's place in a fleet;
             // otherwise --ranks in-process threads.

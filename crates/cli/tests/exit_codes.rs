@@ -247,16 +247,62 @@ fn kernel_env_seeds_the_run_and_garbage_aborts_loudly() {
 
 #[test]
 fn dead_link_from_env_is_runtime_exit_one() {
+    // An env plan that stalls the link 0 -> 1 past the receive deadline
+    // is a runtime failure (exit 1) with a typed timeout, not a hang.
+    let out = tricount()
+        .args(["count", "g500-s5", "--ranks", "4"])
+        .env("MPS_CHAOS_SEED", "1")
+        .env("MPS_CHAOS_DELAY", "1.0")
+        .env("MPS_CHAOS_DELAY_MAX_US", "1000000")
+        .env("MPS_CHAOS_LINKS", "0->1")
+        .env("MPS_RECV_TIMEOUT_MS", "300")
+        .output()
+        .expect("spawn tricount");
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(stderr(&out).contains("timed out"), "{}", stderr(&out));
+}
+
+#[test]
+fn removed_chaos_var_is_usage_exit_two() {
+    // A frame-fault knob of the deleted reliable layer is refused by
+    // name before any work, never silently ignored.
     let out = tricount()
         .args(["count", "g500-s5", "--ranks", "4"])
         .env("MPS_CHAOS_SEED", "1")
         .env("MPS_CHAOS_DROP", "1.0")
-        .env("MPS_CHAOS_LINKS", "0->1")
-        .env("MPS_CHAOS_MAX_RETRIES", "3")
         .output()
         .expect("spawn tricount");
-    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
-    assert!(stderr(&out).contains("delivery from rank 0"), "{}", stderr(&out));
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains("MPS_CHAOS_DROP"), "{}", stderr(&out));
+    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+}
+
+#[test]
+fn help_after_any_subcommand_prints_usage() {
+    let usage = stdout(&run(&["help"]));
+    assert!(usage.contains("USAGE:"), "{usage}");
+    for cmd in [
+        &["count", "g500-s5"][..],
+        &["serve-rank", "g500-s5"],
+        &["serve", "g500-s5"],
+        &["supervise", "g500-s5"],
+        &["query", "/nonexistent.sock"],
+        &["generate", "g500-s5"],
+        &["info", "g500-s5"],
+        &["truss", "g500-s5"],
+        &["tracecheck", "t.json"],
+        &["benchdiff", "a.jsonl"],
+        &["count"],
+    ] {
+        for flag in ["--help", "-h"] {
+            let out = run(&[cmd, &[flag]].concat());
+            assert_eq!(out.status.code(), Some(0), "{cmd:?} {flag}: {}", stderr(&out));
+            assert_eq!(stdout(&out), usage, "{cmd:?} {flag}");
+        }
+    }
+    // Anywhere after the subcommand, too.
+    let out = run(&["count", "--help", "g500-s5", "--ranks", "4"]);
+    assert_eq!((out.status.code(), stdout(&out)), (Some(0), usage));
 }
 
 /// The one `error:` / `benchdiff:` line a failed command printed.

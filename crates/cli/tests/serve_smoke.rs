@@ -3,8 +3,8 @@
 //! with a sustained mixed workload — >100 incremental update batches
 //! interleaved with count / support / truss / stats / metrics queries —
 //! then cross-checked against the offline `tricount count` of the final
-//! edge state. One run repeats under an injected chaos plan: the
-//! reliable transport must keep every answer exact. Rank logs land in
+//! edge state. One run repeats under seeded send delays on every rank
+//! (`--chaos`): every answer must stay exact. Rank logs land in
 //! `$CARGO_TARGET_TMPDIR/serve-smoke/` for CI artifact upload.
 
 use std::collections::BTreeSet;

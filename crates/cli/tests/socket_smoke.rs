@@ -2,7 +2,7 @@
 //! processes** over Unix-domain sockets must agree with the in-process
 //! `tricount count` on the exact triangle count — flags on half the
 //! mesh, the `MPS_FABRIC_*` environment on the other half, and once
-//! more under an injected chaos plan.
+//! more under seeded send delays (`--chaos`).
 
 use std::process::{Child, Command, Output};
 

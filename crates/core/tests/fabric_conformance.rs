@@ -15,7 +15,7 @@ use std::time::Duration;
 use tc_core::{run, Algorithm, EdgeSupport, RankMetrics, Request, SummaGrid, TcConfig, TcResult};
 use tc_gen::graph500;
 use tc_graph::{truss, EdgeList};
-use tc_mps::{FaultKind, FaultPlan, Launch, LinkFaults, SocketConfig, UniverseConfig};
+use tc_mps::{FaultPlan, Launch, SocketConfig, UniverseConfig};
 
 mod common;
 use common::TempBin;
@@ -188,25 +188,25 @@ fn summa_rectangular_grid_conforms() {
     conforms(&small_graph(), Algorithm::Summa(SummaGrid::new(2, 3)), 6, false);
 }
 
-/// The PR 5 chaos-soak shapes, run over the socket wire at 16 ranks:
-/// injected drops/reorders/duplicates on the *socket* transport must
-/// be masked with exact counts and unchanged deterministic counters.
+/// The chaos-soak delay shapes, run over the socket wire at 16 ranks:
+/// seeded delays on every process's sends, or on rank 0's alone, must
+/// leave exact counts and unchanged deterministic counters.
 #[test]
 fn chaos_soak_shapes_conform_at_16_ranks() {
     let el = soak_graph();
     let cfg = TcConfig::default();
     let req = Request::new(&el, &cfg);
     let reference = run_universe(req, &[Launch::threads(16, &universe_cfg(None))]);
-    for kind in [FaultKind::Drop, FaultKind::Reorder, FaultKind::Duplicate] {
-        for seed in [11u64, 33] {
-            let prob = if kind == FaultKind::Drop { 0.1 } else { 0.2 };
-            let mut faults = LinkFaults::only(kind, prob);
-            faults.delay_max = Duration::from_micros(30);
-            let plan = FaultPlan::new(seed).with_default(faults);
+    for seed in [11u64, 33] {
+        let every_link = FaultPlan::new(seed).with_delay(0.2, Duration::from_micros(30));
+        let slow_rank_0 = FaultPlan::new(seed)
+            .with_delay(0.5, Duration::from_micros(200))
+            .with_restrict((1..16).map(|d| (0, d)).collect());
+        for (shape, plan) in [("every link", every_link), ("slow rank 0", slow_rank_0)] {
             let socks = mesh(16, Some(&plan));
             let launches: Vec<_> = socks.iter().map(Launch::Socket).collect();
             let got = run_universe(req, &launches);
-            assert_eq!(got, reference, "{kind:?} seed {seed}: chaos leaked into the outcome");
+            assert_eq!(got, reference, "{shape} seed {seed}: chaos leaked into the outcome");
         }
     }
 }

@@ -57,49 +57,20 @@ pub mod names {
     pub const MPS_RECV_NS: &str = "mps.recv_ns";
     pub const MPS_COLLECTIVES: &str = "mps.collectives";
 
-    // Reliable-delivery transport (fed by `tc_mps` only when a fault
-    // plan is installed; clean runs must report all of these as zero —
-    // see [`MPS_RELIABILITY`]).
-    pub const MPS_REL_FRAMES_SENT: &str = "mps.rel.frames_sent";
-    pub const MPS_REL_RETRANSMITS: &str = "mps.rel.retransmits";
-    pub const MPS_REL_NACKS: &str = "mps.rel.nacks";
-    pub const MPS_REL_CORRUPT_FRAMES: &str = "mps.rel.corrupt_frames";
-    pub const MPS_REL_DUP_FRAMES: &str = "mps.rel.dup_frames";
-    pub const MPS_REL_REORDERED_FRAMES: &str = "mps.rel.reordered_frames";
-    pub const MPS_REL_REORDER_DEPTH_MAX: &str = "mps.rel.reorder_depth_max";
-    pub const MPS_REL_INJECTED_DROPS: &str = "mps.rel.injected_drops";
-    pub const MPS_REL_INJECTED_DUPS: &str = "mps.rel.injected_dups";
-    pub const MPS_REL_INJECTED_REORDERS: &str = "mps.rel.injected_reorders";
+    /// Sends a fault plan delayed (fed by `tc_mps` on the sending
+    /// rank; every socket rank records it, zero without a plan).
     pub const MPS_REL_INJECTED_DELAYS: &str = "mps.rel.injected_delays";
-    pub const MPS_REL_INJECTED_CORRUPTIONS: &str = "mps.rel.injected_corruptions";
-    pub const MPS_REL_REORDER_EVICTED: &str = "mps.rel.reorder_evicted";
-    /// Per-link reliable-transport sequence-state resets performed when
-    /// a surviving rank reconnects at a bumped epoch (one per peer
-    /// link). Zero unless a rank crashed and the fleet rejoined.
+    /// Per-link sequence-state resets performed when a surviving rank
+    /// reconnects at a bumped epoch (one per peer link). Zero unless a
+    /// rank crashed and the fleet rejoined.
     pub const MPS_REL_EPOCH_RESETS: &str = "mps.rel.epoch_resets";
 
-    /// Every reliable-delivery counter, plus the crash-recovery pair
-    /// ([`MPS_REL_EPOCH_RESETS`], [`MPS_FABRIC_REJOINS`]). Benchmark
+    /// The injected-fault and crash-recovery counters. Benchmark
     /// records default each of these to zero so a clean (chaos-off,
-    /// crash-free) run *proves* the transport stayed out of the way —
-    /// the counters are present and zero, not merely absent.
-    pub const MPS_RELIABILITY: &[&str] = &[
-        MPS_REL_FRAMES_SENT,
-        MPS_REL_RETRANSMITS,
-        MPS_REL_NACKS,
-        MPS_REL_CORRUPT_FRAMES,
-        MPS_REL_DUP_FRAMES,
-        MPS_REL_REORDERED_FRAMES,
-        MPS_REL_REORDER_DEPTH_MAX,
-        MPS_REL_INJECTED_DROPS,
-        MPS_REL_INJECTED_DUPS,
-        MPS_REL_INJECTED_REORDERS,
-        MPS_REL_INJECTED_DELAYS,
-        MPS_REL_INJECTED_CORRUPTIONS,
-        MPS_REL_REORDER_EVICTED,
-        MPS_REL_EPOCH_RESETS,
-        MPS_FABRIC_REJOINS,
-    ];
+    /// crash-free) run *proves* nothing was injected and no rank
+    /// rejoined — the counters are present and zero, not merely absent.
+    pub const MPS_RELIABILITY: &[&str] =
+        &[MPS_REL_INJECTED_DELAYS, MPS_REL_EPOCH_RESETS, MPS_FABRIC_REJOINS];
 
     // Socket fabric wire counters (fed by `tc_mps` only on the
     // multi-process socket backend; zero/absent on in-process runs).
@@ -110,8 +81,6 @@ pub mod names {
     pub const MPS_FABRIC_WIRE_BYTES_SENT: &str = "mps.fabric.wire_bytes_sent";
     pub const MPS_FABRIC_WIRE_MSGS_RECV: &str = "mps.fabric.wire_msgs_recv";
     pub const MPS_FABRIC_WIRE_BYTES_RECV: &str = "mps.fabric.wire_bytes_recv";
-    pub const MPS_FABRIC_ACKS_SENT: &str = "mps.fabric.acks_sent";
-    pub const MPS_FABRIC_NACKS_SENT: &str = "mps.fabric.nacks_sent";
     /// CPU time of the process's socket I/O thread, the wire work that
     /// runs beside the rank thread (absent on in-process runs).
     pub const MPS_FABRIC_IO_CPU_NS: &str = "mps.fabric.io_cpu_ns";

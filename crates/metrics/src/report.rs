@@ -65,9 +65,9 @@ impl RunRecord {
     ) -> Self {
         let mut counters = BTreeMap::new();
         let mut timings_ns = BTreeMap::new();
-        // Reliability, serve, and adaptive-kernel counters are
-        // present-and-zero by default: a chaos-off run proves the
-        // transport was inert, an offline run proves the service layer
+        // Injected-fault, serve, and adaptive-kernel counters are
+        // present-and-zero by default: a chaos-off run proves nothing
+        // was injected, an offline run proves the service layer
         // never ran, and a hash-only run proves no fast path engaged
         // (benchdiff hard-fails if any of them ever drifts from the
         // baseline's zero), rather than silently omitting the evidence.

@@ -23,10 +23,9 @@ use std::time::Instant;
 use bytes::Bytes;
 
 use crate::error::{MpsError, MpsResult};
-use crate::fabric::{AwaitOutcome, BlockedOp, Fabric, Packet, Recovery};
+use crate::fabric::{AwaitOutcome, BlockedOp, Fabric, Packet};
 use crate::pod::{bytes_of, Pod, PodArray};
-use crate::reliable::{RxState, TRANSPORT_NOTHING_TAG, TRANSPORT_TAG};
-use crate::stats::{CommStats, ReliabilityStats, Timings};
+use crate::stats::{CommStats, Timings};
 
 /// Highest bit reserved for internal (collective) traffic; user tags
 /// must stay below this.
@@ -89,10 +88,6 @@ pub struct Comm {
     fabric: Arc<dyn Fabric>,
     /// Messages received from `s` whose tag didn't match a recv call.
     pending: Vec<RefCell<VecDeque<Packet>>>,
-    /// Reliable-delivery receive state (sequence tracking, reorder
-    /// buffers, recovery timers); `None` unless the universe has a
-    /// [`crate::FaultPlan`], so the chaos-off path allocates nothing.
-    rx: Option<RefCell<RxState>>,
     /// Monotone sequence number shared by all collective calls; every
     /// rank executes collectives in the same order, so equal sequence
     /// numbers identify the same logical operation.
@@ -105,13 +100,11 @@ impl Comm {
     pub(crate) fn new(rank: usize, size: usize, fabric: Arc<dyn Fabric>) -> Self {
         debug_assert_eq!(size, fabric.size(), "communicator and fabric disagree on universe size");
         let pending = (0..size).map(|_| RefCell::new(VecDeque::new())).collect();
-        let rx = fabric.transport().map(|_| RefCell::new(RxState::new(size)));
         Self {
             rank,
             size,
             fabric,
             pending,
-            rx,
             coll_seq: std::cell::Cell::new(0),
             timings: Timings::new(),
         }
@@ -137,13 +130,6 @@ impl Comm {
     /// Snapshot of the communication counters so far.
     pub fn stats(&self) -> CommStats {
         self.fabric.shared_stats(self.rank).snapshot()
-    }
-
-    /// Snapshot of this rank's reliable-delivery counters, or `None`
-    /// when no [`crate::FaultPlan`] is installed (the transport — and
-    /// therefore every counter — does not exist on the chaos-off path).
-    pub fn reliability_stats(&self) -> Option<ReliabilityStats> {
-        self.fabric.transport().map(|t| t.stats(self.rank))
     }
 
     /// Number of collective operations this rank has entered so far.
@@ -177,8 +163,8 @@ impl Comm {
             });
         }
         // The backend decides how the payload travels: the in-process
-        // fabric is a mailbox push (framed only under chaos), the
-        // socket fabric always frames onto the wire.
+        // fabric is a mailbox push, the socket fabric frames it onto
+        // the wire.
         self.fabric.send(self.rank, dst, tag, data);
         let st = self.fabric.shared_stats(self.rank);
         st.bytes_sent.fetch_add(nbytes, std::sync::atomic::Ordering::Relaxed);
@@ -229,9 +215,7 @@ impl Comm {
                 .arg("tag", tag)
         });
 
-        // First drain anything already parked for this source (on the
-        // reliable path frames are decoded at ingest, so `pending`
-        // holds ordinary application packets there too).
+        // First drain anything already parked for this source.
         let parked = {
             let mut pending = self.pending[src].borrow_mut();
             match pending.iter().position(|p| p.tag == tag) {
@@ -253,12 +237,8 @@ impl Comm {
         Ok(pkt.data)
     }
 
-    /// Waits for the message in the mailbox. Over a chaotic fabric
-    /// packets arrive as transport frames (checksummed, sequenced) and
-    /// the wait is sliced so the receiver can drive NACK/retransmit
-    /// recovery between waits, which adds one failure mode to the
-    /// un-hangable set: [`MpsError::DeliveryFailed`] when a link's
-    /// retransmit budget is exhausted.
+    /// Waits for the message in the mailbox, parking whatever else
+    /// arrives meanwhile.
     fn await_packet(
         &self,
         src: usize,
@@ -266,43 +246,23 @@ impl Comm {
         op: &'static str,
         t0: Instant,
     ) -> MpsResult<Packet> {
-        let reliable = self.rx.is_some();
         let deadline = t0 + self.fabric.timeout();
-        loop {
-            let slice = reliable.then(|| self.arm_recovery(src));
-            let outcome =
-                self.fabric.await_match_until(self.rank, src, deadline, slice, &mut |q| {
-                    if reliable {
-                        self.match_reliable(q, src, tag)
-                    } else {
-                        self.match_plain(q, src, tag)
-                    }
-                });
-            match outcome {
-                AwaitOutcome::Matched(result) => return result,
-                AwaitOutcome::Failed(fail) => return Err(peer_error(fail)),
-                AwaitOutcome::SourceFinished => {
-                    // Over a chaotic fabric the sender's unacked frames
-                    // are still in the shared retransmit window — recover
-                    // them without its cooperation. Only when nothing is
-                    // left to recover is the message truly impossible.
-                    if !reliable || self.drive_recovery(src, true)? == 0 {
-                        return Err(MpsError::PeerFailed {
-                            rank: src,
-                            msg: format!("terminated before sending tag {tag:#x}"),
-                        });
-                    }
-                }
-                AwaitOutcome::TimedOut => return Err(self.timed_out(src, tag, op, t0)),
-                AwaitOutcome::SliceExpired => {
-                    self.drive_recovery(src, false)?;
-                }
-            }
+        let outcome = self
+            .fabric
+            .await_match_until(self.rank, src, deadline, &mut |q| self.match_plain(q, src, tag));
+        match outcome {
+            AwaitOutcome::Matched(result) => result,
+            AwaitOutcome::Failed(fail) => Err(peer_error(fail)),
+            AwaitOutcome::SourceFinished => Err(MpsError::PeerFailed {
+                rank: src,
+                msg: format!("terminated before sending tag {tag:#x}"),
+            }),
+            AwaitOutcome::TimedOut => Err(self.timed_out(src, tag, op, t0)),
         }
     }
 
-    /// Mailbox matcher of the plain path: drains the mailbox into the
-    /// per-source pending queues, stopping if the wanted packet shows up.
+    /// The mailbox matcher: drains the mailbox into the per-source
+    /// pending queues, stopping if the wanted packet shows up.
     fn match_plain(
         &self,
         queue: &mut VecDeque<Packet>,
@@ -341,139 +301,6 @@ impl Comm {
         };
         self.fabric.record_failure(self.rank, err.clone());
         err
-    }
-
-    /// Mailbox matcher of the reliable path: transport frames are
-    /// ingested (verified, deduplicated, re-ordered); every released
-    /// application packet then flows through the ordinary matching
-    /// rules — match, mismatch-detect, or park.
-    fn match_reliable(
-        &self,
-        queue: &mut VecDeque<Packet>,
-        src: usize,
-        tag: u64,
-    ) -> Option<MpsResult<Packet>> {
-        let transport = self.fabric.transport().expect("reliable matcher requires a transport");
-        let mut rx = self.rx.as_ref().expect("reliable matcher requires rx state").borrow_mut();
-        let mut found: Option<MpsResult<Packet>> = None;
-        let mut released: Vec<Packet> = Vec::new();
-        while found.is_none() {
-            let Some(pkt) = queue.pop_front() else { break };
-            released.clear();
-            if pkt.tag == TRANSPORT_TAG {
-                let (psrc, rank) = (pkt.src, self.rank);
-                rx.ingest(
-                    transport,
-                    rank,
-                    psrc,
-                    &pkt.data,
-                    &mut released,
-                    // Progress publication goes through the fabric: a
-                    // shared-memory store in-process, an ACK message on
-                    // the wire for a remote sender.
-                    &mut |next_seq| self.fabric.publish_ack(psrc, rank, next_seq),
-                );
-            } else if pkt.tag == TRANSPORT_NOTHING_TAG {
-                // A remote sender answered a NACK with "nothing at or
-                // above that sequence": if the link still looks exactly
-                // like it did when we asked (same expected seq, no gap
-                // evidence), treat it like the in-process zero-resend
-                // case — reset the budget and re-arm patience.
-                if pkt.data.len() == 8 {
-                    let from_seq = u64::from_le_bytes(pkt.data.as_slice().try_into().unwrap());
-                    let link = rx.link(pkt.src);
-                    if link.next_seq == from_seq && !link.has_gap_evidence() {
-                        link.note_nothing_to_recover(Instant::now() + transport.plan().nack_base());
-                    }
-                }
-            } else {
-                released.push(pkt);
-            }
-            for lp in released.drain(..) {
-                if found.is_none() && lp.src == src && lp.tag == tag {
-                    found = Some(Ok(lp));
-                    continue;
-                }
-                if found.is_none() && lp.src == src {
-                    if let Some(err) = self.detect_mismatch(src, tag, std::iter::once(&lp)) {
-                        found = Some(Err(err));
-                        continue;
-                    }
-                }
-                self.pending[lp.src].borrow_mut().push_back(lp);
-            }
-        }
-        found
-    }
-
-    /// Makes sure the link we are blocked on has a recovery timer and
-    /// returns the earliest timer over all inbound links — the slice
-    /// deadline of the next wait.
-    fn arm_recovery(&self, blocked_src: usize) -> Instant {
-        let transport = self.fabric.transport().expect("recovery requires a transport");
-        let mut rx = self.rx.as_ref().expect("recovery requires rx state").borrow_mut();
-        let now = Instant::now();
-        let mut earliest =
-            *rx.link(blocked_src).nack_at.get_or_insert(now + transport.plan().nack_base());
-        for (_, link) in rx.links() {
-            if let Some(t) = link.nack_at {
-                earliest = earliest.min(t);
-            }
-        }
-        earliest
-    }
-
-    /// Runs one recovery round over every link whose timer is due
-    /// (`force` makes `blocked_src` due unconditionally — used when
-    /// its sender has terminated). Each round re-requests everything
-    /// from the link's next expected sequence number; a round that
-    /// finds nothing to resend *and* no evidence of a gap is patience,
-    /// not a retry, and does not consume budget. Returns the number of
-    /// frames recovered for `blocked_src`, or
-    /// [`MpsError::DeliveryFailed`] once a link exhausts its budget.
-    fn drive_recovery(&self, blocked_src: usize, force: bool) -> MpsResult<usize> {
-        let transport = self.fabric.transport().expect("recovery requires a transport");
-        let mut rx = self.rx.as_ref().expect("recovery requires rx state").borrow_mut();
-        let now = Instant::now();
-        let mut recovered_for_blocked = 0;
-        for (l, link) in rx.links() {
-            let due = (force && l == blocked_src) || link.nack_at.is_some_and(|t| now >= t);
-            if !due {
-                continue;
-            }
-            if link.attempts >= transport.plan().max_retries() {
-                return Err(MpsError::DeliveryFailed {
-                    src: l,
-                    dst: self.rank,
-                    seq: link.next_seq,
-                    attempts: link.attempts,
-                });
-            }
-            let attempt = link.attempts + 1;
-            let resent = match self.fabric.recover(l, self.rank, link.next_seq, attempt) {
-                Recovery::Resent(0) => {
-                    // The sender has not produced this frame yet (e.g.
-                    // it is mid-compute): keep waiting without burning
-                    // budget.
-                    link.note_nothing_to_recover(now + transport.plan().nack_base());
-                    0
-                }
-                Recovery::Resent(n) => n,
-                // The request went on the wire; whether anything comes
-                // back is unknown yet, so count it as pending progress
-                // (a nothing-to-recover reply resets the budget).
-                Recovery::Requested => 1,
-            };
-            if resent > 0 {
-                link.attempts = attempt;
-                transport.note_nack(self.rank);
-                link.nack_at = Some(now + transport.plan().backoff(l, self.rank, attempt));
-            }
-            if l == blocked_src {
-                recovered_for_blocked = resent;
-            }
-        }
-        Ok(recovered_for_blocked)
     }
 
     /// Flags a packet from `src` that belongs to a *different*

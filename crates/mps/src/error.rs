@@ -99,20 +99,6 @@ pub enum MpsError {
         /// The rank whose connection was lost.
         rank: usize,
     },
-    /// The reliable transport exhausted its retransmit budget for one
-    /// frame: the link `src → dst` is lossier than the configured
-    /// retry count can mask (e.g. a chaos plan dropping 100% of a
-    /// link). Surfaced by the *receiver* instead of hanging.
-    DeliveryFailed {
-        /// Sending side of the dead link.
-        src: usize,
-        /// Receiving side (the rank reporting the failure).
-        dst: usize,
-        /// First sequence number that never got through.
-        seq: u64,
-        /// Recovery rounds driven before giving up.
-        attempts: u32,
-    },
 }
 
 impl std::fmt::Display for MpsError {
@@ -146,13 +132,6 @@ impl std::fmt::Display for MpsError {
             }
             MpsError::PeerDown { rank } => {
                 write!(f, "peer rank {rank} is down (connection lost in recoverable mode)")
-            }
-            MpsError::DeliveryFailed { src, dst, seq, attempts } => {
-                write!(
-                    f,
-                    "rank {dst}: delivery from rank {src} failed at frame seq {seq} \
-                     after {attempts} retransmit attempts"
-                )
             }
         }
     }
@@ -209,13 +188,6 @@ mod tests {
         let s = down.to_string();
         assert!(s.contains("rank 5"), "{s}");
         assert!(s.contains("down"), "{s}");
-
-        let d = MpsError::DeliveryFailed { src: 1, dst: 6, seq: 42, attempts: 16 };
-        let s = d.to_string();
-        assert!(s.contains("rank 6"), "{s}");
-        assert!(s.contains("rank 1"), "{s}");
-        assert!(s.contains("seq 42"), "{s}");
-        assert!(s.contains("16 retransmit attempts"), "{s}");
     }
 
     #[test]

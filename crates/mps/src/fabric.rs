@@ -1,20 +1,19 @@
 //! The communication-fabric abstraction shared by every backend.
 //!
 //! A [`Fabric`] is what one universe's ranks talk *through*: it owns
-//! message delivery, the first-failure slot, finished flags, the
-//! blocked-op registry behind timeout diagnostics, and the hooks of
-//! the reliable-delivery protocol (ack publication and receiver-driven
-//! recovery). Two backends implement it:
+//! message delivery, the first-failure slot, finished flags, and the
+//! blocked-op registry behind timeout diagnostics. Two backends
+//! implement it:
 //!
 //! - [`crate::fabric_local`] — the in-process backend: one mailbox per
-//!   rank behind shared memory and zero-copy delivery, so the chaos-off
-//!   hot path stays allocation-free;
+//!   rank behind shared memory and zero-copy delivery, so the hot path
+//!   stays allocation-free;
 //! - [`crate::fabric_socket`] — the multi-process backend over
 //!   Unix-domain or TCP sockets: one I/O thread per process, every
 //!   payload a sequenced, checksummed frame on the wire.
 //!
-//! Both run the reliable transport only when a fault plan is
-//! installed: without one, nothing loses or reorders a message.
+//! Neither loses, duplicates or reorders a message; a fault plan only
+//! delays sends (and, over sockets, may crash a process).
 //!
 //! [`crate::Comm`] holds an `Arc<dyn Fabric>`, so every point-to-point
 //! and collective algorithm is backend-generic by construction.
@@ -26,16 +25,13 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use crate::error::{MpsError, MpsResult};
-use crate::reliable::Transport;
 use crate::stats::SharedStats;
 
 /// Locks `m`, recovering the guarded data if a panicking thread
 /// poisoned the mutex. The runtime's shared structures (mailboxes,
-/// retransmit windows, holdback buffers) are kept consistent by the
-/// protocol itself — worst case a frame is delivered or retransmitted
-/// twice, which the receiver's dedup absorbs — so an orderly
-/// [`MpsError::PeerFailed`] on the survivors must never be converted
-/// into an opaque poisoned-lock panic.
+/// outbound queues, status slots) hold no invariant a panic can break
+/// halfway, so an orderly [`MpsError::PeerFailed`] on the survivors
+/// must never be converted into an opaque poisoned-lock panic.
 pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -68,8 +64,7 @@ impl Failure {
             | MpsError::Protocol { .. }
             | MpsError::InvalidInput { .. }
             | MpsError::Geometry { .. }
-            | MpsError::PeerDown { .. }
-            | MpsError::DeliveryFailed { .. }) => e.to_string(),
+            | MpsError::PeerDown { .. }) => e.to_string(),
         }
     }
 }
@@ -128,7 +123,6 @@ impl Mailbox {
     pub(crate) fn await_match_until(
         &self,
         deadline: Instant,
-        slice: Option<Instant>,
         failure: impl Fn() -> Option<Failure>,
         src_finished: impl Fn() -> bool,
         matcher: Matcher<'_>,
@@ -150,13 +144,9 @@ impl Mailbox {
             if now >= deadline {
                 return AwaitOutcome::TimedOut;
             }
-            if slice.is_some_and(|s| now >= s) {
-                return AwaitOutcome::SliceExpired;
-            }
-            let wake = slice.map_or(deadline, |s| s.min(deadline));
             queue = self
                 .arrived
-                .wait_timeout(queue, wake - now)
+                .wait_timeout(queue, deadline - now)
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
         }
@@ -175,22 +165,6 @@ pub(crate) enum AwaitOutcome {
     Failed(Failure),
     SourceFinished,
     TimedOut,
-    /// Only from [`Fabric::await_match_until`] with a slice deadline:
-    /// the slice (not the overall deadline) expired.
-    SliceExpired,
-}
-
-/// How a backend satisfied one receiver-driven recovery request.
-pub(crate) enum Recovery {
-    /// `n` frames were re-delivered synchronously out of a locally
-    /// reachable retransmit window (`0` means the sender has produced
-    /// nothing at or above the requested sequence — patience, not
-    /// retry).
-    Resent(usize),
-    /// The request went on the wire to the remote sender (a socket
-    /// NACK); frames — or a nothing-to-recover notice — arrive
-    /// asynchronously through the mailbox.
-    Requested,
 }
 
 /// Runtime state shared by every rank of one universe, behind one of
@@ -205,31 +179,24 @@ pub(crate) trait Fabric: Send + Sync {
     /// Static backend name (`"local"` / `"socket"`), for diagnostics.
     fn backend(&self) -> &'static str;
 
-    /// The reliable-delivery engine, when one is live: only when a
-    /// fault plan is installed, on either backend.
-    fn transport(&self) -> Option<&Transport>;
-
     /// The atomic counter block of `rank`. Backends that only hold
     /// local state (sockets) serve their own rank.
     fn shared_stats(&self, rank: usize) -> &SharedStats;
 
     /// Sends one application payload from the local rank `src` to
-    /// `dst`, framing/transporting as the backend requires. Never
+    /// `dst`, sleeping first when a fault plan delays this send. Never
     /// blocks on the receiver; a send-side protocol error (e.g. an
     /// oversized frame) is recorded as the universe failure.
     fn send(&self, src: usize, dst: usize, tag: u64, data: Bytes);
 
     /// Runs `matcher` over `rank`'s mailbox until it yields, the
     /// deadline passes, a failure is recorded, or `src` finishes
-    /// without a matching message in flight. When `slice` expires
-    /// first the wait returns [`AwaitOutcome::SliceExpired`] so the
-    /// caller can drive reliable-delivery recovery and re-enter.
+    /// without a matching message in flight.
     fn await_match_until(
         &self,
         rank: usize,
         src: usize,
         deadline: Instant,
-        slice: Option<Instant>,
         matcher: Matcher<'_>,
     ) -> AwaitOutcome;
 
@@ -248,15 +215,6 @@ pub(crate) trait Fabric: Send + Sync {
     fn is_finished(&self, rank: usize) -> bool;
 
     fn set_blocked(&self, rank: usize, op: Option<BlockedOp>);
-
-    /// Publishes the receiver's cumulative ack for the link
-    /// `src → dst` (`dst` is the calling rank), so the sender can
-    /// prune its retransmit window.
-    fn publish_ack(&self, src: usize, dst: usize, next_seq: u64);
-
-    /// Receiver-driven recovery for the link `src → dst`: re-request
-    /// everything with sequence ≥ `from_seq`.
-    fn recover(&self, src: usize, dst: usize, from_seq: u64, attempt: u32) -> Recovery;
 
     /// One-line-per-rank snapshot of the universe, for timeout reports.
     fn dump(&self) -> String;

@@ -1,13 +1,9 @@
 //! The in-process fabric backend: every rank is a thread, delivery is
 //! a mailbox push behind shared memory.
 //!
-//! This backend keeps the pre-trait fast path intact: with no
-//! [`crate::FaultPlan`] installed there is no transport, sends are a
-//! single `VecDeque` push of an `Arc`-backed buffer, and the steady
-//! state stays allocation-free (`zero_alloc.rs` pins this). With a
-//! fault plan, the PR 5 reliable transport wraps every payload in a
-//! checksummed, sequenced frame and the chaos machinery exercises the
-//! full recovery protocol.
+//! A send is a single `VecDeque` push of an `Arc`-backed buffer, and
+//! the steady state stays allocation-free (`zero_alloc.rs` pins this).
+//! A [`crate::FaultPlan`] adds only seeded sender-side delays.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -15,11 +11,11 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
+use crate::chaos::Chaos;
 use crate::error::MpsError;
 use crate::fabric::{
-    lock_recover, AwaitOutcome, BlockedOp, Fabric, Failure, Mailbox, Matcher, Packet, Recovery,
+    lock_recover, AwaitOutcome, BlockedOp, Fabric, Failure, Mailbox, Matcher, Packet,
 };
-use crate::reliable::{FrameSink, Transport, TRANSPORT_TAG};
 use crate::stats::SharedStats;
 
 /// Runtime state shared by every rank thread of one in-process
@@ -33,10 +29,8 @@ pub(crate) struct LocalFabric {
     stats: Vec<SharedStats>,
     timeout: Duration,
     trace: Option<tc_trace::TraceHandle>,
-    /// Reliable-delivery engine; present only when a
-    /// [`crate::FaultPlan`] is installed, so the chaos-off hot path is
-    /// byte-for-byte the pre-transport one.
-    transport: Option<Transport>,
+    /// The installed fault plan's delays, if any.
+    chaos: Option<Chaos>,
 }
 
 impl LocalFabric {
@@ -44,7 +38,7 @@ impl LocalFabric {
         size: usize,
         timeout: Duration,
         trace: Option<tc_trace::TraceHandle>,
-        transport: Option<Transport>,
+        chaos: Option<Chaos>,
     ) -> Self {
         Self {
             size,
@@ -55,19 +49,13 @@ impl LocalFabric {
             stats: (0..size).map(|_| SharedStats::default()).collect(),
             timeout,
             trace,
-            transport,
+            chaos,
         }
     }
 
     /// How many of each rank's most recent trace events a timeout
     /// report includes.
     const DUMP_TRACE_EVENTS: usize = 8;
-}
-
-impl FrameSink for LocalFabric {
-    fn deliver_frame(&self, src: usize, dst: usize, frame: Bytes) {
-        self.mailboxes[dst].push(Packet { src, tag: TRANSPORT_TAG, data: frame });
-    }
 }
 
 impl Fabric for LocalFabric {
@@ -83,25 +71,15 @@ impl Fabric for LocalFabric {
         "local"
     }
 
-    fn transport(&self) -> Option<&Transport> {
-        self.transport.as_ref()
-    }
-
     fn shared_stats(&self, rank: usize) -> &SharedStats {
         &self.stats[rank]
     }
 
     fn send(&self, src: usize, dst: usize, tag: u64, data: Bytes) {
-        // Without a transport this is the pre-transport send,
-        // allocation-free in steady state.
-        match &self.transport {
-            Some(t) => {
-                if let Err(e) = t.send(self, src, dst, tag, data) {
-                    self.record_failure(src, e);
-                }
-            }
-            None => self.mailboxes[dst].push(Packet { src, tag, data }),
+        if let Some(chaos) = &self.chaos {
+            chaos.before_send(src, dst);
         }
+        self.mailboxes[dst].push(Packet { src, tag, data });
     }
 
     fn await_match_until(
@@ -109,12 +87,10 @@ impl Fabric for LocalFabric {
         rank: usize,
         src: usize,
         deadline: std::time::Instant,
-        slice: Option<std::time::Instant>,
         matcher: Matcher<'_>,
     ) -> AwaitOutcome {
         self.mailboxes[rank].await_match_until(
             deadline,
-            slice,
             || self.failure(),
             || self.is_finished(src),
             matcher,
@@ -138,12 +114,6 @@ impl Fabric for LocalFabric {
     }
 
     fn mark_finished(&self, rank: usize) {
-        // A finishing rank first releases any frames the fault plan was
-        // holding back, so a reordered frame cannot be stranded behind
-        // a sender that will never transmit again.
-        if let Some(t) = &self.transport {
-            t.flush_rank(self, rank);
-        }
         self.finished[rank].store(true, Ordering::SeqCst);
         for mb in &self.mailboxes {
             mb.arrived.notify_all();
@@ -156,19 +126,6 @@ impl Fabric for LocalFabric {
 
     fn set_blocked(&self, rank: usize, op: Option<BlockedOp>) {
         *lock_recover(&self.blocked[rank]) = op;
-    }
-
-    fn publish_ack(&self, src: usize, dst: usize, next_seq: u64) {
-        if let Some(t) = &self.transport {
-            t.ack(src, dst, next_seq);
-        }
-    }
-
-    fn recover(&self, src: usize, dst: usize, from_seq: u64, attempt: u32) -> Recovery {
-        match &self.transport {
-            Some(t) => Recovery::Resent(t.retransmit_from(self, src, dst, from_seq, attempt)),
-            None => Recovery::Resent(0),
-        }
     }
 
     fn dump(&self) -> String {

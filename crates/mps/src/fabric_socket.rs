@@ -11,8 +11,8 @@
 //! turn, whatever waits to be written: no write can stop a process
 //! from reading, so two processes streaming large messages at each
 //! other cannot stall. Each link has an outbound queue: senders (the
-//! rank thread, or the I/O thread replying for the reliable layer)
-//! append to it, and only the loop writes, as much as the socket takes.
+//! rank thread, or the I/O thread relaying a failure) append to it, and
+//! only the loop writes, as much as the socket takes.
 //! No thread ever blocks in a write. As it exits, the loop reads its own
 //! CPU clock for `mps.fabric.io_cpu_ns`.
 //!
@@ -23,10 +23,9 @@
 //! accepts it sleeps in `poll` on the listener until a dialer arrives
 //! or the connect deadline passes; a dial retries every 2 ms, because a
 //! peer that has not bound yet offers nothing to poll. A fixed-size
-//! hello (magic, version, launch epoch, universe size, rank, and
-//! whether the process runs the reliable layer) must match, so a stale
-//! process, a mis-wired endpoint list or a half-chaotic universe fails
-//! loudly at startup instead of corrupting a run. An accepted dialer
+//! hello (magic, version, launch epoch, universe size, rank) must
+//! match, so a stale process or a mis-wired endpoint list fails loudly
+//! at startup instead of corrupting a run. An accepted dialer
 //! that does not finish its hello within the handshake budget is
 //! dropped, and the accept loop goes on.
 //!
@@ -37,41 +36,32 @@
 //!
 //! | kind | body | meaning |
 //! |------|------|---------|
-//! | `DATA`    | frame of [`crate::reliable`] | one payload: seq, tag, length, CRC32c |
-//! | `ACK`     | `u64` next_seq           | receiver's cumulative ack        |
-//! | `NACK`    | `u64` from_seq + `u32` attempt | re-request everything ≥ from_seq |
-//! | `NOTHING` | `u64` from_seq           | NACK reply: window empty at/above from_seq |
-//! | `FIN`     | empty                    | orderly rank termination         |
-//! | `FAIL`    | `u32` rank + UTF-8 brief | first-failure broadcast          |
-//! | `DOWN`    | `u32` rank               | recoverable peer-loss broadcast  |
+//! | `DATA` | frame: seq, tag, length, CRC32c, payload | one payload |
+//! | `FIN`  | empty                    | orderly rank termination        |
+//! | `FAIL` | `u32` rank + UTF-8 brief | first-failure broadcast         |
+//! | `DOWN` | `u32` rank               | recoverable peer-loss broadcast |
 //!
-//! On the clean path the sending rank's thread computes a frame's CRC32c
+//! The sending rank's thread computes a frame's CRC32c
 //! ([`tc_graph::io::Crc32c`], streamed over the header and the payload)
 //! and queues the header in front of the payload, which is written from
 //! the caller's `Bytes` as a second iovec and never copied. The I/O
 //! thread checks the CRC over the bytes where they landed in the link's
 //! inbound buffer, then copies the payload into the mailbox.
 //!
-//! ## The reliable layer runs only under a fault plan
+//! ## A damaged stream is an error, not a retry
 //!
 //! A stream whose reader never stops does not lose, reorder or
-//! duplicate bytes, so, as in-process, the transport of
-//! [`crate::reliable`] exists only when a [`crate::FaultPlan`] is
-//! installed. Without one the I/O thread checks each frame's sequence
-//! number and CRC32c itself, a gap or a damaged frame is a typed
-//! [`MpsError::Protocol`], and `ACK`, `NACK` and `NOTHING` never
-//! appear. Under a plan, frames pass the plan's fault hook, the rank's
-//! [`crate::Comm`] verifies, orders and acks them, and the sender's I/O
-//! thread answers a `NACK` from its retransmit window (or `NOTHING`).
+//! duplicate bytes. The per-link sequence number and the CRC32c are
+//! therefore a detector, not a repair kit: a gap or a damaged frame is
+//! a typed [`MpsError::Protocol`] that ends the run (DESIGN §7). A
+//! [`crate::FaultPlan`] only delays this process's sends, or crashes it.
 //!
 //! ## Shutdown
 //!
 //! A finishing rank queues `FIN` behind everything it sent and waits
 //! for every peer's `FIN`; the I/O thread then writes out its queues
-//! and the links close. Under a plan the rank first waits until every
-//! frame it sent is acked, because a receiver that has seen `FIN`
-//! stops asking for retransmissions. On failure `FAIL` (or `DOWN`) is
-//! queued instead, which wakes every peer's blocked receive.
+//! and the links close. On failure `FAIL` (or `DOWN`) is queued
+//! instead, which wakes every peer's blocked receive.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, IoSlice, Read, Write};
@@ -86,16 +76,14 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
-use crate::chaos::FaultPlan;
+use tc_graph::io::Crc32c;
+
+use crate::chaos::{Chaos, FaultPlan};
 use crate::error::{MpsError, MpsResult};
 use crate::fabric::{
-    lock_recover, AwaitOutcome, BlockedOp, Fabric, Failure, Mailbox, Matcher, Packet, Recovery,
+    lock_recover, AwaitOutcome, BlockedOp, Fabric, Failure, Mailbox, Matcher, Packet,
 };
 use crate::poll::{self, PollFd, POLLIN, POLLOUT};
-use crate::reliable::{
-    check_frame, check_frame_len, frame_header, FrameSink, Transport, FRAME_HEADER,
-    MAX_FRAME_PAYLOAD, TRANSPORT_NOTHING_TAG, TRANSPORT_TAG,
-};
 use crate::stats::SharedStats;
 use crate::universe::SocketConfig;
 
@@ -103,33 +91,37 @@ use crate::universe::SocketConfig;
 const MAGIC: &[u8; 8] = b"TCMPSFB1";
 
 /// Wire protocol version inside the handshake.
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// Handshake size: magic (8) + version (4) + epoch (8) + size (4) +
-/// rank (4) + reliable layer (1).
-const HELLO_LEN: usize = 29;
+/// rank (4).
+const HELLO_LEN: usize = 28;
 
 /// Wire message header: kind (1) + body length (8).
 const MSG_HEADER: usize = 9;
 
+/// Frame header size: seq (8) + inner tag (8) + payload len (4) + CRC32c (4).
+const FRAME_HEADER: usize = 24;
+
+/// Largest payload one frame can carry (the header's length field is
+/// 32 bits). Larger sends fail with a typed [`MpsError::Protocol`].
+const MAX_FRAME_PAYLOAD: usize = u32::MAX as usize;
+
 /// Most header bytes a queued message carries: the wire header and, on
-/// the clean data path, the frame header behind it.
+/// the data path, the frame header behind it.
 const HEAD_MAX: usize = MSG_HEADER + FRAME_HEADER;
 
-/// Largest body a wire message may claim (one transport frame plus
-/// header slack); a corrupt length prefix must not allocate terabytes.
+/// Largest body a wire message may claim (one frame plus header
+/// slack); a corrupt length prefix must not allocate terabytes.
 const MAX_WIRE_BODY: u64 = MAX_FRAME_PAYLOAD as u64 + 64;
 
 const KIND_DATA: u8 = 0;
-const KIND_ACK: u8 = 1;
-const KIND_NACK: u8 = 2;
-const KIND_NOTHING: u8 = 3;
-const KIND_FIN: u8 = 4;
-const KIND_FAIL: u8 = 5;
+const KIND_FIN: u8 = 1;
+const KIND_FAIL: u8 = 2;
 /// A recoverable-mode peer-loss notice: `u32` rank of the peer whose
 /// connection dropped. Unlike `FAIL` it is typed [`MpsError::PeerDown`]
 /// at every survivor, so session loops can rejoin instead of dying.
-const KIND_DOWN: u8 = 6;
+const KIND_DOWN: u8 = 3;
 
 /// How often a dial retries and the shutdown waits re-check their
 /// condition.
@@ -145,6 +137,48 @@ enum Endpoint {
     Unix(PathBuf),
     /// `host:port`.
     Tcp(String),
+}
+
+/// Rejects payloads that cannot be framed (length field is u32).
+/// Called on the send path *before* a sequence number is consumed, so
+/// a rejected payload perturbs nothing.
+fn check_frame_len(rank: usize, len: usize) -> MpsResult<()> {
+    if len > MAX_FRAME_PAYLOAD {
+        return Err(MpsError::Protocol {
+            rank,
+            msg: format!(
+                "payload of {len} bytes exceeds the frame limit of {MAX_FRAME_PAYLOAD} bytes"
+            ),
+        });
+    }
+    Ok(())
+}
+
+/// The header of one frame: seq, tag and payload length, then the
+/// CRC32c streamed over those 20 bytes and the payload. The payload
+/// fits the length field ([`check_frame_len`]).
+fn frame_header(seq: u64, tag: u64, payload: &[u8]) -> [u8; FRAME_HEADER] {
+    let mut h = [0u8; FRAME_HEADER];
+    h[..8].copy_from_slice(&seq.to_le_bytes());
+    h[8..16].copy_from_slice(&tag.to_le_bytes());
+    h[16..20].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    let mut crc = Crc32c::new();
+    crc.update(&h[..20]);
+    crc.update(payload);
+    h[20..].copy_from_slice(&crc.finish().to_le_bytes());
+    h
+}
+
+/// Verifies a frame where it lies and returns its seq, tag and
+/// payload; `None` means the frame is damaged (truncated, extended, or
+/// bit-flipped).
+fn check_frame(b: &[u8]) -> Option<(u64, u64, &[u8])> {
+    let (head, payload) = b.split_at_checked(FRAME_HEADER)?;
+    let seq = u64::from_le_bytes(head[..8].try_into().unwrap());
+    let tag = u64::from_le_bytes(head[8..16].try_into().unwrap());
+    // Rebuilding the header checks the length field and the CRC at once.
+    let intact = payload.len() <= MAX_FRAME_PAYLOAD && frame_header(seq, tag, payload) == *head;
+    intact.then_some((seq, tag, payload))
 }
 
 fn parse_endpoint(rank: usize, spec: &str) -> MpsResult<Endpoint> {
@@ -185,8 +219,6 @@ pub(crate) struct WireStats {
     pub(crate) bytes_sent: u64,
     pub(crate) msgs_recv: u64,
     pub(crate) bytes_recv: u64,
-    pub(crate) acks_sent: u64,
-    pub(crate) nacks_sent: u64,
     /// CPU time of the I/O thread, read by the thread as it exits.
     pub(crate) io_cpu_ns: u64,
 }
@@ -200,8 +232,8 @@ struct Queued {
 }
 
 impl Queued {
-    /// A message of `kind` whose body is `frame_head` (empty, or the
-    /// clean path's frame header) followed by `body`.
+    /// A message of `kind` whose body is `frame_head` (empty, or a
+    /// data frame's header) followed by `body`.
     fn new(kind: u8, frame_head: &[u8], body: Bytes) -> Self {
         let head_len = MSG_HEADER + frame_head.len();
         let mut head = [0u8; HEAD_MAX];
@@ -219,7 +251,7 @@ struct Outbound {
     queue: VecDeque<Queued>,
     /// Bytes of the front message already written.
     written: usize,
-    /// Sequence number of the next clean-path frame on this link.
+    /// Sequence number of the next frame on this link.
     next_seq: u64,
     /// The link failed: whatever is queued later is dropped.
     dead: bool,
@@ -232,7 +264,7 @@ impl Outbound {
     fn flush(&mut self, mut link: &UnixStream, wire: &mut WireStats) -> std::io::Result<()> {
         while let Some(msg) = self.queue.front() {
             let (head, body) = (&msg.head[..msg.head_len], msg.body.as_slice());
-            let (kind, total) = (head[0], head.len() + body.len());
+            let total = head.len() + body.len();
             let parts = if self.written < head.len() {
                 [IoSlice::new(&head[self.written..]), IoSlice::new(body)]
             } else {
@@ -250,8 +282,6 @@ impl Outbound {
                 self.written = 0;
                 wire.msgs_sent += 1;
                 wire.bytes_sent += total as u64;
-                wire.acks_sent += u64::from(kind == KIND_ACK);
-                wire.nacks_sent += u64::from(kind == KIND_NACK);
             }
         }
         Ok(())
@@ -268,7 +298,7 @@ impl Outbound {
 struct Inbound {
     buf: Vec<u8>,
     filled: usize,
-    /// Sequence number the next clean-path frame must carry.
+    /// Sequence number the next frame must carry.
     next_seq: u64,
     /// EOF, an error, or a protocol violation ended reading.
     closed: bool,
@@ -301,9 +331,6 @@ impl Inbound {
 #[derive(Debug, PartialEq)]
 enum Msg<'a> {
     Data(&'a [u8]),
-    Ack(u64),
-    Nack { from: u64, attempt: u32 },
-    Nothing(u64),
     Fin,
     Fail { rank: usize, brief: String },
     Down(usize),
@@ -340,13 +367,9 @@ fn decode(rank: usize, peer: usize, buf: &[u8]) -> MpsResult<(Vec<Msg<'_>>, usiz
             break;
         }
         let body = &buf[at + MSG_HEADER..end];
-        let u64_at = |i: usize| u64::from_le_bytes(body[i..i + 8].try_into().unwrap());
         let u32_at = |i: usize| u32::from_le_bytes(body[i..i + 4].try_into().unwrap());
         msgs.push(match (kind, body.len()) {
             (KIND_DATA, _) => Msg::Data(body),
-            (KIND_ACK, 8) => Msg::Ack(u64_at(0)),
-            (KIND_NACK, 12) => Msg::Nack { from: u64_at(0), attempt: u32_at(8) },
-            (KIND_NOTHING, 8) => Msg::Nothing(u64_at(0)),
             (KIND_FIN, 0) => Msg::Fin,
             (KIND_FAIL, n) if n >= 4 => Msg::Fail {
                 rank: u32_at(0) as usize,
@@ -373,9 +396,8 @@ pub(crate) struct SocketFabric {
     /// What this rank is blocked on (peers' are not observable).
     blocked: Mutex<Option<BlockedOp>>,
     stats: SharedStats,
-    /// The reliable layer: present only when a [`FaultPlan`] is
-    /// installed, as in-process.
-    transport: Option<Transport>,
+    /// The installed fault plan's delays, if any.
+    chaos: Option<Chaos>,
     /// The plan's crash point, when it names this process: abort at
     /// this send (1-based, counted by `sends`).
     crash_at: Option<u64>,
@@ -404,7 +426,6 @@ impl SocketFabric {
         let size = config.peers.len();
         let timeout = config.universe.effective_recv_timeout();
         let plan = config.universe.effective_chaos();
-        let reliable = plan.is_some();
         let _span = tc_trace::span(tc_trace::names::FABRIC_CONNECT, tc_trace::Category::Comm)
             .arg("rank", rank)
             .arg("size", size);
@@ -416,7 +437,7 @@ impl SocketFabric {
         let mut links: Vec<Option<UnixStream>> = (0..size).map(|_| None).collect();
         let mut wire = WireStats::default();
         let hello = |stream, expect, deadline| {
-            handshake(rank, size, config.epoch, reliable, stream, expect, deadline)
+            handshake(rank, size, config.epoch, stream, expect, deadline)
         };
 
         // Dial every lower rank (they bound their listeners before
@@ -486,9 +507,9 @@ impl SocketFabric {
         }
 
         // A reconnect at a bumped epoch is a rejoin: every per-link
-        // sequence (and, under a plan, the reliable layer's windows)
-        // restarts from zero. Recorded either way, so a crash-free run
-        // reports both counters as zero rather than leaving them out.
+        // sequence restarts from zero. Recorded either way, so a
+        // crash-free run reports both counters as zero rather than
+        // leaving them out.
         let rejoin = config.recoverable && config.epoch > 0;
         tc_metrics::counter_add(tc_metrics::names::MPS_FABRIC_REJOINS, u64::from(rejoin));
         tc_metrics::counter_add(
@@ -498,8 +519,7 @@ impl SocketFabric {
 
         // A planned crash fires in the launch epoch only: a respawned
         // rank runs at a bumped epoch with the same plan, so it does
-        // not crash again and still agrees with its survivors on the
-        // reliable layer.
+        // not crash again.
         let crash_at = plan
             .as_ref()
             .and_then(FaultPlan::crash_point)
@@ -515,7 +535,7 @@ impl SocketFabric {
             finished: (0..size).map(|_| AtomicBool::new(false)).collect(),
             blocked: Mutex::new(None),
             stats: SharedStats::default(),
-            transport: plan.map(|plan| Transport::new(size, plan)),
+            chaos: plan.map(|plan| Chaos::new(plan, size)),
             crash_at,
             sends: AtomicU64::new(0),
             links,
@@ -628,17 +648,12 @@ impl SocketFabric {
     }
 
     /// Acts on one message from `peer`; `next_seq` is the sequence
-    /// number its next clean-path frame must carry.
+    /// number its next frame must carry.
     fn route(&self, peer: usize, msg: Msg<'_>, next_seq: &mut u64) -> MpsResult<()> {
         let protocol = |msg: String| MpsError::Protocol { rank: self.rank, msg };
         match msg {
-            // The rank's Comm verifies, orders and acks transport frames.
-            Msg::Data(frame) if self.transport.is_some() => {
-                let data = Bytes::from(frame);
-                self.mailbox.push(Packet { src: peer, tag: TRANSPORT_TAG, data });
-            }
-            // The clean path checks the frame in the inbound buffer and
-            // copies only its payload out.
+            // A frame is checked in the inbound buffer, and only its
+            // payload is copied out.
             Msg::Data(frame) => {
                 let (seq, tag, payload) = check_frame(frame)
                     .ok_or_else(|| protocol(format!("damaged frame from rank {peer}")))?;
@@ -649,22 +664,6 @@ impl SocketFabric {
                 }
                 *next_seq += 1;
                 self.mailbox.push(Packet { src: peer, tag, data: Bytes::from(payload) });
-            }
-            Msg::Ack(next) => self.reliable(peer)?.ack(self.rank, peer, next),
-            Msg::Nack { from, attempt } => {
-                let resent =
-                    self.reliable(peer)?.retransmit_from(self, self.rank, peer, from, attempt);
-                if resent == 0 {
-                    // Nothing at or above from_seq exists (yet): tell
-                    // the receiver so it re-arms patience instead of
-                    // burning its retry budget.
-                    self.enqueue(peer, KIND_NOTHING, Bytes::from(&from.to_le_bytes()[..]));
-                }
-            }
-            Msg::Nothing(from) => {
-                self.reliable(peer)?;
-                let data = Bytes::from(&from.to_le_bytes()[..]);
-                self.mailbox.push(Packet { src: peer, tag: TRANSPORT_NOTHING_TAG, data });
             }
             Msg::Fin => {
                 self.finished[peer].store(true, Ordering::SeqCst);
@@ -681,22 +680,9 @@ impl SocketFabric {
         Ok(())
     }
 
-    /// The reliable layer, which `peer` just used: a protocol error
-    /// when this universe runs without one.
-    fn reliable(&self, peer: usize) -> MpsResult<&Transport> {
-        self.transport.as_ref().ok_or_else(|| MpsError::Protocol {
-            rank: self.rank,
-            msg: format!("rank {peer} sent reliable-layer control on a link without one"),
-        })
-    }
-
     /// Queues one wire message to `dst` for the I/O thread, waking it
     /// if the queue was empty. Never blocks; a dead link drops it.
-    fn enqueue(&self, dst: usize, kind: u8, body: Bytes) {
-        self.enqueue_msg(dst, Queued::new(kind, &[], body));
-    }
-
-    fn enqueue_msg(&self, dst: usize, msg: Queued) {
+    fn enqueue(&self, dst: usize, msg: Queued) {
         let mut out = lock_recover(&self.out[dst]);
         if !out.dead {
             out.queue.push_back(msg);
@@ -755,25 +741,18 @@ impl SocketFabric {
     /// Queues one message to every peer.
     fn broadcast(&self, kind: u8, body: Bytes) {
         for dst in (0..self.size).filter(|&dst| dst != self.rank) {
-            self.enqueue(dst, kind, body.clone());
+            self.enqueue(dst, Queued::new(kind, &[], body.clone()));
         }
     }
 
     /// Blocks until every rank (including this one) has announced FIN,
-    /// or a failure is recorded, or the deadline passes.
+    /// or a failure is recorded, or the deadline passes, which is
+    /// recorded as a failure.
     pub(crate) fn await_peers(&self) {
-        self.wait_until("peers to finish", || {
-            self.finished.iter().all(|f| f.load(Ordering::SeqCst))
-        });
-    }
-
-    /// Waits until `done`, a recorded failure, or the deadline, which
-    /// is recorded as a failure naming `what`.
-    fn wait_until(&self, what: &str, done: impl Fn() -> bool) {
         let deadline = Instant::now() + self.timeout;
-        while self.failure().is_none() && !done() {
+        while self.failure().is_none() && !self.finished.iter().all(|f| f.load(Ordering::SeqCst)) {
             if Instant::now() >= deadline {
-                let msg = format!("timed out waiting for {what}");
+                let msg = "timed out waiting for peers to finish".to_string();
                 let error = MpsError::Protocol { rank: self.rank, msg };
                 return self.store_failure(Failure { rank: self.rank, error });
             }
@@ -805,9 +784,9 @@ impl SocketFabric {
         wire
     }
 
-    /// Sends one payload to a peer without the reliable layer: one
-    /// sequenced, checksummed frame whose header is queued in front of
-    /// the caller's payload, which is not copied.
+    /// Sends one payload to a peer: one sequenced, checksummed frame
+    /// whose header is queued in front of the caller's payload, which
+    /// is not copied.
     fn send_frame(&self, src: usize, dst: usize, tag: u64, data: Bytes) -> MpsResult<()> {
         // Checked before a sequence number is taken, so a refused
         // payload leaves the link usable.
@@ -818,21 +797,8 @@ impl SocketFabric {
             out.next_seq - 1
         };
         let head = frame_header(seq, tag, data.as_slice());
-        self.enqueue_msg(dst, Queued::new(KIND_DATA, &head, data));
+        self.enqueue(dst, Queued::new(KIND_DATA, &head, data));
         Ok(())
-    }
-}
-
-impl FrameSink for SocketFabric {
-    fn deliver_frame(&self, src: usize, dst: usize, frame: Bytes) {
-        debug_assert_eq!(src, self.rank, "a process only transmits its own frames");
-        if dst == self.rank {
-            // Self-sends stay in-process (still framed, so chaos and
-            // recovery semantics match the other links).
-            self.mailbox.push(Packet { src, tag: TRANSPORT_TAG, data: frame });
-        } else {
-            self.enqueue(dst, KIND_DATA, frame);
-        }
     }
 }
 
@@ -847,10 +813,6 @@ impl Fabric for SocketFabric {
 
     fn backend(&self) -> &'static str {
         "socket"
-    }
-
-    fn transport(&self) -> Option<&Transport> {
-        self.transport.as_ref()
     }
 
     fn shared_stats(&self, rank: usize) -> &SharedStats {
@@ -868,15 +830,12 @@ impl Fabric for SocketFabric {
             eprintln!("chaos: crashing rank {src} at send #{sent} (planned process fault)");
             std::process::abort();
         }
-        let result = match &self.transport {
-            Some(t) => t.send(self, src, dst, tag, data),
-            None if dst == self.rank => {
-                self.mailbox.push(Packet { src, tag, data });
-                Ok(())
-            }
-            None => self.send_frame(src, dst, tag, data),
-        };
-        if let Err(e) = result {
+        if let Some(chaos) = &self.chaos {
+            chaos.before_send(src, dst);
+        }
+        if dst == self.rank {
+            self.mailbox.push(Packet { src, tag, data });
+        } else if let Err(e) = self.send_frame(src, dst, tag, data) {
             self.record_failure(src, e);
         }
     }
@@ -886,13 +845,11 @@ impl Fabric for SocketFabric {
         rank: usize,
         src: usize,
         deadline: Instant,
-        slice: Option<Instant>,
         matcher: Matcher<'_>,
     ) -> AwaitOutcome {
         debug_assert_eq!(rank, self.rank);
         self.mailbox.await_match_until(
             deadline,
-            slice,
             || self.failure(),
             || self.finished[src].load(Ordering::SeqCst),
             matcher,
@@ -924,12 +881,6 @@ impl Fabric for SocketFabric {
 
     fn mark_finished(&self, rank: usize) {
         debug_assert_eq!(rank, self.rank);
-        if let Some(t) = &self.transport {
-            // Release chaos holdbacks first (a held frame must not
-            // outlive its sender), then wait for the acks.
-            t.flush_rank(self, rank);
-            self.wait_until("acks of every frame sent", || t.outbound_drained(rank));
-        }
         self.finished[rank].store(true, Ordering::SeqCst);
         self.broadcast(KIND_FIN, Bytes::new());
         self.mailbox.arrived.notify_all();
@@ -942,37 +893,6 @@ impl Fabric for SocketFabric {
     fn set_blocked(&self, rank: usize, op: Option<BlockedOp>) {
         debug_assert_eq!(rank, self.rank);
         *lock_recover(&self.blocked) = op;
-    }
-
-    fn publish_ack(&self, src: usize, dst: usize, next_seq: u64) {
-        debug_assert_eq!(dst, self.rank);
-        let Some(t) = &self.transport else { return };
-        // Local watermark (prunes the self-link window and feeds the
-        // ack wait) plus the wire ack for a remote sender.
-        t.ack(src, dst, next_seq);
-        if src != self.rank {
-            self.enqueue(src, KIND_ACK, Bytes::from(&next_seq.to_le_bytes()[..]));
-        }
-    }
-
-    fn recover(&self, src: usize, dst: usize, from_seq: u64, attempt: u32) -> Recovery {
-        debug_assert_eq!(dst, self.rank);
-        let Some(t) = &self.transport else { return Recovery::Resent(0) };
-        if src == self.rank {
-            // Self-link: the window lives in this process.
-            return Recovery::Resent(t.retransmit_from(self, src, dst, from_seq, attempt));
-        }
-        if self.finished[src].load(Ordering::SeqCst) {
-            // The peer waited for our acks before announcing FIN, so
-            // everything it ever sent is already acked here: there is
-            // nothing at or above from_seq to recover — same verdict
-            // the in-process backend reads out of the shared window.
-            return Recovery::Resent(0);
-        }
-        let mut body = from_seq.to_le_bytes().to_vec();
-        body.extend_from_slice(&attempt.to_le_bytes());
-        self.enqueue(src, KIND_NACK, Bytes::from(body));
-        Recovery::Requested
     }
 
     fn dump(&self) -> String {
@@ -1060,27 +980,20 @@ fn dial(rank: usize, peer: usize, ep: &Endpoint, deadline: Instant) -> MpsResult
     }
 }
 
-fn encode_hello(epoch: u64, size: usize, rank: usize, reliable: bool) -> [u8; HELLO_LEN] {
+fn encode_hello(epoch: u64, size: usize, rank: usize) -> [u8; HELLO_LEN] {
     let mut h = [0u8; HELLO_LEN];
     h[..8].copy_from_slice(MAGIC);
     h[8..12].copy_from_slice(&VERSION.to_le_bytes());
     h[12..20].copy_from_slice(&epoch.to_le_bytes());
     h[20..24].copy_from_slice(&(size as u32).to_le_bytes());
     h[24..28].copy_from_slice(&(rank as u32).to_le_bytes());
-    h[28] = u8::from(reliable);
     h
 }
 
 /// Verifies a peer's hello against this process's own view and returns
 /// the peer's rank. Pure: any input, of any length, is a rank or a
 /// typed [`MpsError::Protocol`].
-fn check_hello(
-    rank: usize,
-    size: usize,
-    epoch: u64,
-    reliable: bool,
-    theirs: &[u8],
-) -> MpsResult<usize> {
+fn check_hello(rank: usize, size: usize, epoch: u64, theirs: &[u8]) -> MpsResult<usize> {
     let fail = |msg: String| Err(MpsError::Protocol { rank, msg });
     if theirs.len() != HELLO_LEN || &theirs[..8] != MAGIC {
         return fail("handshake magic mismatch (not a tc-mps socket peer)".into());
@@ -1093,7 +1006,6 @@ fn check_hello(
         ("wire protocol version", u64::from(VERSION), field(8, 4), ""),
         ("epoch", epoch, field(12, 8), " (stale peer?)"),
         ("universe size", size as u64, field(20, 4), ""),
-        ("reliable-layer", u64::from(reliable), field(28, 1), " (one fault plan for all ranks)"),
     ] {
         if ours != theirs {
             return fail(format!(
@@ -1115,7 +1027,6 @@ fn handshake(
     rank: usize,
     size: usize,
     epoch: u64,
-    reliable: bool,
     mut stream: UnixStream,
     expect_peer: Option<usize>,
     deadline: Instant,
@@ -1146,7 +1057,7 @@ fn handshake(
             io_error(rank, &format!("handshake {what}"), e)
         }
     };
-    let ours = encode_hello(epoch, size, rank, reliable);
+    let ours = encode_hello(epoch, size, rank);
     let mut theirs = [0u8; HELLO_LEN];
     if expect_peer.is_some() {
         // Dialer: speak first, then listen.
@@ -1157,7 +1068,7 @@ fn handshake(
         stream.read_exact(&mut theirs).map_err(|e| stall("read", &e))?;
         stream.write_all(&ours).map_err(|e| stall("write", &e))?;
     }
-    let peer = check_hello(rank, size, epoch, reliable, &theirs)?;
+    let peer = check_hello(rank, size, epoch, &theirs)?;
     if let Some(expected) = expect_peer.filter(|&p| p != peer) {
         return Err(MpsError::Protocol {
             rank,
@@ -1217,15 +1128,15 @@ mod tests {
 
     #[test]
     fn hello_roundtrip_fields() {
-        let h = encode_hello(0xDEAD_BEEF, 16, 11, true);
+        let h = encode_hello(0xDEAD_BEEF, 16, 11);
         assert_eq!(&h[..8], MAGIC);
         assert_eq!(u32::from_le_bytes(h[8..12].try_into().unwrap()), VERSION);
         assert_eq!(u64::from_le_bytes(h[12..20].try_into().unwrap()), 0xDEAD_BEEF);
         assert_eq!(u32::from_le_bytes(h[20..24].try_into().unwrap()), 16);
         assert_eq!(u32::from_le_bytes(h[24..28].try_into().unwrap()), 11);
-        assert_eq!(check_hello(3, 16, 0xDEAD_BEEF, true, &h), Ok(11));
-        let err = check_hello(3, 16, 0xDEAD_BEEF, false, &h).unwrap_err();
-        assert!(err.to_string().contains("reliable-layer mismatch"), "{err}");
+        assert_eq!(check_hello(3, 16, 0xDEAD_BEEF, &h), Ok(11));
+        let err = check_hello(3, 16, 0xDEAD_BEEF + 1, &h).unwrap_err();
+        assert!(err.to_string().contains("epoch mismatch"), "{err}");
     }
 
     /// One wire message, as a sender queues it.
@@ -1235,24 +1146,90 @@ mod tests {
         v
     }
 
-    /// One clean-path frame carrying `seq` as its payload.
+    /// One frame of `payload`.
+    fn frame(seq: u64, tag: u64, payload: &[u8]) -> Vec<u8> {
+        [&frame_header(seq, tag, payload)[..], payload].concat()
+    }
+
+    /// One frame carrying `seq` as its payload.
     fn test_frame(seq: u64, tag: u64) -> Vec<u8> {
-        let payload = seq.to_le_bytes();
-        [&frame_header(seq, tag, &payload)[..], &payload].concat()
+        frame(seq, tag, &seq.to_le_bytes())
+    }
+
+    #[test]
+    fn crc32c_known_answer() {
+        // Frames use the workspace's one CRC32c: its canonical check value.
+        assert_eq!(tc_graph::io::crc32c(b"123456789"), 0xE306_9283);
+        assert_eq!(tc_graph::io::crc32c(b""), 0);
+    }
+
+    #[test]
+    fn crc_pair_matches_concatenation() {
+        // Streamed over header and payload, the header's CRC is the
+        // CRC32c of the frame with the CRC field left out.
+        let f = frame(5, 9, b"header and payload");
+        let joined = [&f[..20], &f[FRAME_HEADER..]].concat();
+        let crc = u32::from_le_bytes(f[20..24].try_into().unwrap());
+        assert_eq!(crc, tc_graph::io::crc32c(&joined));
+    }
+
+    #[test]
+    fn frame_roundtrip() {
+        let payload: Vec<u8> = (0u8..200).collect();
+        let f = frame(7, 0x1234, &payload);
+        let (seq, tag, p) = check_frame(&f).expect("valid frame");
+        assert_eq!((seq, tag), (7, 0x1234));
+        assert_eq!(p, &payload[..]);
+        // The payload is checked where it lies, not copied.
+        assert_eq!(p.as_ptr() as usize, f.as_ptr() as usize + FRAME_HEADER);
+    }
+
+    #[test]
+    fn empty_payload_roundtrip() {
+        let f = frame(0, 1, &[]);
+        let (seq, tag, p) = check_frame(&f).expect("valid frame");
+        assert_eq!((seq, tag, p.len()), (0, 1, 0));
+    }
+
+    #[test]
+    fn oversized_payload_is_a_typed_error() {
+        // Boundary check without allocating 4 GiB: the length check is
+        // the exact guard `send_frame` applies.
+        assert!(check_frame_len(3, MAX_FRAME_PAYLOAD).is_ok());
+        match check_frame_len(3, MAX_FRAME_PAYLOAD + 1) {
+            Err(MpsError::Protocol { rank, msg }) => {
+                assert_eq!(rank, 3);
+                assert!(msg.contains("exceeds the frame limit"), "{msg}");
+            }
+            other => panic!("expected a Protocol error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_truncation_is_detected() {
+        let f = frame(3, 9, &[5u8; 64]);
+        for keep in 0..f.len() {
+            assert!(check_frame(&f[..keep]).is_none(), "truncation to {keep} bytes undetected");
+        }
+    }
+
+    #[test]
+    fn every_single_bitflip_is_detected() {
+        let f = frame(11, 42, &[0xAB; 32]);
+        for bit in 0..f.len() * 8 {
+            let mut flipped = f.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(check_frame(&flipped).is_none(), "bit {bit} flip undetected");
+        }
     }
 
     /// A stream with one message of every kind around `frame`, and what
     /// it decodes to.
-    fn every_kind(seed: u64, frame: &[u8]) -> (Vec<u8>, Vec<Msg<'_>>) {
-        let mut nack = seed.to_le_bytes().to_vec();
-        nack.extend_from_slice(&3u32.to_le_bytes());
+    fn every_kind(frame: &[u8]) -> (Vec<u8>, Vec<Msg<'_>>) {
         let mut fail = 2u32.to_le_bytes().to_vec();
         fail.extend_from_slice(b"boom");
         let stream = [
             wire(KIND_DATA, frame),
-            wire(KIND_ACK, &seed.to_le_bytes()),
-            wire(KIND_NACK, &nack),
-            wire(KIND_NOTHING, &seed.to_le_bytes()),
             wire(KIND_FAIL, &fail),
             wire(KIND_DOWN, &5u32.to_le_bytes()),
             wire(KIND_FIN, &[]),
@@ -1260,9 +1237,6 @@ mod tests {
         .concat();
         let msgs = vec![
             Msg::Data(frame),
-            Msg::Ack(seed),
-            Msg::Nack { from: seed, attempt: 3 },
-            Msg::Nothing(seed),
             Msg::Fail { rank: 2, brief: "boom".into() },
             Msg::Down(5),
             Msg::Fin,
@@ -1291,7 +1265,7 @@ mod tests {
         #[test]
         fn a_truncated_stream_decodes_to_a_prefix(seed in any::<u64>(), cut in 0usize..1000) {
             let frame = test_frame(seed, seed ^ 7);
-            let (stream, all) = every_kind(seed, &frame);
+            let (stream, all) = every_kind(&frame);
             let (got, used) = decode(0, 1, &stream).expect("valid stream");
             prop_assert_eq!(&got, &all);
             prop_assert_eq!(used, stream.len());
@@ -1321,11 +1295,11 @@ mod tests {
             byte in any::<u8>(),
             cut in 0usize..(HELLO_LEN + 8),
         ) {
-            let mut near = encode_hello(9, 4, 2, false).to_vec();
+            let mut near = encode_hello(9, 4, 2).to_vec();
             near[at] = byte;
             near.resize(cut, 0);
             for input in [&bytes[..], &near[..]] {
-                match check_hello(0, 4, 9, false, input) {
+                match check_hello(0, 4, 9, input) {
                     Ok(peer) => prop_assert!(peer < 4),
                     Err(e) => prop_assert!(matches!(e, MpsError::Protocol { rank: 0, .. }), "{e:?}"),
                 }
@@ -1333,7 +1307,7 @@ mod tests {
         }
     }
 
-    /// The [`FrameSink`] promise: sending never waits for the receiver.
+    /// The send promise of [`Fabric::send`]: never wait for the receiver.
     /// A hand-driven fake rank 1 completes the hello, sends three
     /// frames, and never reads. Rank 0 must still return from sends
     /// totalling 4 MiB (four times the largest default Unix socket
@@ -1365,7 +1339,7 @@ mod tests {
                     Err(_) => std::thread::sleep(POLL),
                 }
             };
-            fake.write_all(&encode_hello(0, 2, 1, false)).expect("hello");
+            fake.write_all(&encode_hello(0, 2, 1)).expect("hello");
             fake.read_exact(&mut [0u8; HELLO_LEN]).expect("rank 0's hello");
             for seq in 0..3u64 {
                 fake.write_all(&wire(KIND_DATA, &test_frame(seq, 2))).expect("frame");
@@ -1378,6 +1352,54 @@ mod tests {
             let got = got.expect("rank 0 stalled behind a peer that never reads");
             assert_eq!(got.expect("the fake peer's frames"), vec![0, 1, 2]);
         });
+    }
+
+    /// The wire's damage detector: a hand-driven fake rank 1 sends one
+    /// good frame, then a bit-flipped one or one that skips a sequence
+    /// number. Rank 0 gets the good payload, and its next receive fails
+    /// with a typed `Protocol` error naming the fault — no retry.
+    #[test]
+    fn a_damaged_or_missing_frame_is_a_typed_protocol_error() {
+        let mut flipped = test_frame(1, 2);
+        flipped[FRAME_HEADER] ^= 0x10;
+        for (case, bad, want) in [
+            ("flip", flipped, "damaged frame from rank 1"),
+            ("gap", test_frame(2, 2), "has seq 2, expected 1"),
+        ] {
+            let peers = endpoints(case);
+            let config = SocketConfig {
+                universe: UniverseConfig::with_timeout(Duration::from_secs(30)),
+                ..SocketConfig::new(0, peers.clone())
+            };
+            std::thread::scope(|s| {
+                let rank0 = s.spawn(|| {
+                    Universe::try_run_socket(&config, |c| {
+                        assert_eq!(c.recv_val::<u64>(1, 2)?, 0);
+                        c.recv_val::<u64>(1, 2)
+                    })
+                });
+                let deadline = Instant::now() + Duration::from_secs(10);
+                let mut fake = loop {
+                    match UnixStream::connect(&peers[0]) {
+                        Ok(s) => break s,
+                        Err(e) if Instant::now() >= deadline => panic!("no listener: {e}"),
+                        Err(_) => std::thread::sleep(POLL),
+                    }
+                };
+                fake.write_all(&encode_hello(0, 2, 1)).expect("hello");
+                fake.read_exact(&mut [0u8; HELLO_LEN]).expect("rank 0's hello");
+                fake.write_all(&wire(KIND_DATA, &test_frame(0, 2))).expect("good frame");
+                fake.write_all(&wire(KIND_DATA, &bad)).expect("bad frame");
+                let got = rank0.join().expect("rank 0 thread");
+                let _ = fake.shutdown(Shutdown::Both);
+                match got {
+                    Err(MpsError::Protocol { rank: 0, msg }) => {
+                        assert!(msg.contains(want), "{msg}")
+                    }
+                    other => panic!("{case}: expected a Protocol error, got {other:?}"),
+                }
+            });
+        }
     }
 
     /// Rank 1 starts only once rank 0 sleeps in its accept `poll`: the

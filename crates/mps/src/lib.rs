@@ -36,16 +36,15 @@
 //!   communication").
 //! - [`CommStats`]/[`Timings`] — per-rank bytes/messages/blocked-time
 //!   instrumentation behind the paper's Figure 3 and §5.4 analysis.
-//! - [`FaultPlan`]/[`LinkFaults`] — deterministic chaos injection:
-//!   installing a plan (via [`UniverseConfig`]`::chaos` or the strictly
-//!   parsed `MPS_CHAOS_*` env family) routes every message through a reliable-delivery transport (CRC32C-framed,
-//!   sequence-numbered, NACK/retransmit) that must mask each injected
-//!   delay/drop/duplicate/reorder/truncate/bit-flip or surface a typed
-//!   [`MpsError::DeliveryFailed`]. With no plan installed the
-//!   transport does not exist: one `Option` check per operation, zero
-//!   allocation. The socket backend follows the same rule (every
-//!   payload still crosses the wire framed and checksummed), and the
-//!   same chaos plans apply to real inter-process links.
+//! - [`FaultPlan`] — deterministic chaos injection: installing a plan
+//!   (via [`UniverseConfig`]`::chaos` or the strictly parsed
+//!   `MPS_CHAOS_*` env family) makes senders sleep on seeded sends and,
+//!   over sockets, can abort one rank's process at a chosen send. The
+//!   fabrics never lose, duplicate or reorder a message, so there is no
+//!   retransmission layer to exercise: the faults left are a crash
+//!   (supervisor + rejoin), a stall (deadlines) and a damaged socket
+//!   stream (per-frame sequence number + CRC32c → [`MpsError::Protocol`]).
+//!   With no plan installed a send pays one `Option` check.
 //!
 //! ## Example
 //!
@@ -63,7 +62,6 @@ mod blob;
 mod chaos;
 mod collectives;
 mod comm;
-pub mod cputime;
 mod error;
 mod fabric;
 mod fabric_local;
@@ -71,22 +69,20 @@ mod fabric_socket;
 mod grid;
 pub mod pod;
 pub mod poll;
-mod reliable;
 mod stats;
 mod universe;
 
 pub use blob::{blob_sections3, BlobBuilder, BlobReader};
 pub use chaos::{
-    FaultKind, FaultPlan, LinkFaults, CHAOS_BITFLIP_ENV, CHAOS_CRASH_AT_ENV, CHAOS_CRASH_RANK_ENV,
-    CHAOS_DELAY_ENV, CHAOS_DELAY_MAX_US_ENV, CHAOS_DROP_ENV, CHAOS_DUPLICATE_ENV, CHAOS_ENV_VARS,
-    CHAOS_LINKS_ENV, CHAOS_MAX_RETRIES_ENV, CHAOS_REORDER_ENV, CHAOS_SEED_ENV, CHAOS_TRUNCATE_ENV,
+    FaultPlan, CHAOS_CRASH_AT_ENV, CHAOS_CRASH_RANK_ENV, CHAOS_DELAY_ENV, CHAOS_DELAY_MAX_US_ENV,
+    CHAOS_ENV_VARS, CHAOS_LINKS_ENV, CHAOS_REMOVED_ENV_VARS, CHAOS_SEED_ENV,
 };
 pub use comm::{waitall, Comm, RecvRequest, SendRequest, MAX_USER_TAG};
-pub use cputime::{thread_cpu_now, CpuTimer};
 pub use error::{MpsError, MpsResult};
 pub use grid::{perfect_square_side, Grid};
 pub use pod::{bytes_from_vec, Pod, PodArray};
-pub use stats::{CommStats, PhaseGuard, ReliabilityStats, Timings};
+pub use stats::{CommStats, PhaseGuard, Timings};
+pub use tc_trace::{thread_cpu_now, CpuTimer};
 pub use universe::{
     strict_env, Launch, SocketConfig, Universe, UniverseConfig, FABRIC_EPOCH_ENV, FABRIC_PEERS_ENV,
     FABRIC_RANK_ENV, HANDSHAKE_TIMEOUT_MS_ENV, RECV_TIMEOUT_ENV,

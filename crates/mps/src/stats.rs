@@ -73,107 +73,6 @@ impl SharedStats {
     }
 }
 
-/// Reliable-delivery counters for one rank, all zero unless a
-/// [`crate::FaultPlan`] is installed (the transport does not exist
-/// otherwise — see the chaos-off bypass tests).
-///
-/// Sender-side events (`frames_sent`, `retransmits`, `injected_*`)
-/// accrue to the sending rank; receiver-side events (`corrupt_frames`,
-/// `dup_frames`, `reordered_frames`, `nacks`) to the receiving rank.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct ReliabilityStats {
-    /// Application payloads framed and first-transmitted.
-    pub frames_sent: u64,
-    /// Frames re-put on the wire by receiver-driven recovery.
-    pub retransmits: u64,
-    /// Frames the fault plan dropped.
-    pub injected_drops: u64,
-    /// Frames the fault plan duplicated.
-    pub injected_dups: u64,
-    /// Frames the fault plan held back (reordered).
-    pub injected_reorders: u64,
-    /// Frames the fault plan delayed.
-    pub injected_delays: u64,
-    /// Frames the fault plan truncated or bit-flipped.
-    pub injected_corruptions: u64,
-    /// Damaged frames detected (length/CRC32c mismatch) and discarded.
-    pub corrupt_frames: u64,
-    /// Duplicate frames discarded by sequence-number dedup.
-    pub dup_frames: u64,
-    /// Out-of-order frames parked in the reorder buffer.
-    pub reordered_frames: u64,
-    /// Deepest reorder buffer observed (frames parked at once).
-    pub reorder_depth_max: u64,
-    /// Parked frames shed by the reorder buffer's capacity bound; each
-    /// eviction schedules an immediate NACK so the recovered gap also
-    /// re-covers the evicted sequence numbers.
-    pub reorder_evicted: u64,
-    /// Recovery rounds driven (NACK + retransmit requests).
-    pub nacks: u64,
-}
-
-impl ReliabilityStats {
-    /// Aggregates over ranks: sums counters, maxes the depth gauge.
-    pub fn merge(&mut self, other: &ReliabilityStats) {
-        self.frames_sent += other.frames_sent;
-        self.retransmits += other.retransmits;
-        self.injected_drops += other.injected_drops;
-        self.injected_dups += other.injected_dups;
-        self.injected_reorders += other.injected_reorders;
-        self.injected_delays += other.injected_delays;
-        self.injected_corruptions += other.injected_corruptions;
-        self.corrupt_frames += other.corrupt_frames;
-        self.dup_frames += other.dup_frames;
-        self.reordered_frames += other.reordered_frames;
-        self.reorder_depth_max = self.reorder_depth_max.max(other.reorder_depth_max);
-        self.reorder_evicted += other.reorder_evicted;
-        self.nacks += other.nacks;
-    }
-
-    /// Whether any reliability machinery fired at all.
-    pub fn is_zero(&self) -> bool {
-        *self == ReliabilityStats::default()
-    }
-}
-
-/// Atomic twin of [`ReliabilityStats`], one per rank in the transport.
-#[derive(Debug, Default)]
-pub(crate) struct SharedReliabilityStats {
-    pub frames_sent: AtomicU64,
-    pub retransmits: AtomicU64,
-    pub injected_drops: AtomicU64,
-    pub injected_dups: AtomicU64,
-    pub injected_reorders: AtomicU64,
-    pub injected_delays: AtomicU64,
-    pub injected_corruptions: AtomicU64,
-    pub corrupt_frames: AtomicU64,
-    pub dup_frames: AtomicU64,
-    pub reordered_frames: AtomicU64,
-    pub reorder_depth_max: AtomicU64,
-    pub reorder_evicted: AtomicU64,
-    pub nacks: AtomicU64,
-}
-
-impl SharedReliabilityStats {
-    pub(crate) fn snapshot(&self) -> ReliabilityStats {
-        ReliabilityStats {
-            frames_sent: self.frames_sent.load(Ordering::Relaxed),
-            retransmits: self.retransmits.load(Ordering::Relaxed),
-            injected_drops: self.injected_drops.load(Ordering::Relaxed),
-            injected_dups: self.injected_dups.load(Ordering::Relaxed),
-            injected_reorders: self.injected_reorders.load(Ordering::Relaxed),
-            injected_delays: self.injected_delays.load(Ordering::Relaxed),
-            injected_corruptions: self.injected_corruptions.load(Ordering::Relaxed),
-            corrupt_frames: self.corrupt_frames.load(Ordering::Relaxed),
-            dup_frames: self.dup_frames.load(Ordering::Relaxed),
-            reordered_frames: self.reordered_frames.load(Ordering::Relaxed),
-            reorder_depth_max: self.reorder_depth_max.load(Ordering::Relaxed),
-            reorder_evicted: self.reorder_evicted.load(Ordering::Relaxed),
-            nacks: self.nacks.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// A stopwatch that adds its elapsed time to a named phase on drop.
 pub struct PhaseGuard<'a> {
     timings: &'a Timings,

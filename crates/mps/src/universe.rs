@@ -20,14 +20,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::chaos::FaultPlan;
+use crate::chaos::{Chaos, FaultPlan};
 use crate::comm::Comm;
 use crate::error::{MpsError, MpsResult};
 use crate::fabric::Fabric;
 use crate::fabric_local::LocalFabric;
 use crate::fabric_socket::{SocketFabric, WireStats};
-use crate::reliable::Transport;
-use crate::stats::{CommStats, ReliabilityStats};
+use crate::stats::CommStats;
 
 /// Environment variable overriding the default receive deadline, in
 /// milliseconds.
@@ -105,11 +104,11 @@ pub struct UniverseConfig {
     /// `SharedStats` the timeout diagnostics read, not a second set
     /// of increment sites.
     pub metrics: Option<tc_metrics::MetricsHandle>,
-    /// When set, the universe runs the reliable-delivery transport and
-    /// injects the plan's faults. `None` means "ask the environment":
-    /// any set `MPS_CHAOS_*` variable activates
-    /// [`FaultPlan::from_env`]; with none set, the universe runs the
-    /// pre-transport zero-overhead path.
+    /// When set, the universe injects the plan's faults: seeded
+    /// sender-side delays and, over sockets, a process crash. `None`
+    /// means "ask the environment": any set `MPS_CHAOS_*` variable
+    /// activates [`FaultPlan::from_env`]; with none set, nothing is
+    /// injected and a send pays one `Option` check.
     pub chaos: Option<FaultPlan>,
 }
 
@@ -133,7 +132,7 @@ impl UniverseConfig {
     /// The effective fault plan: the explicit value if set, otherwise
     /// whatever the `MPS_CHAOS_*` environment family describes (which
     /// must parse strictly — see [`FaultPlan::from_env`]), otherwise
-    /// none (transport off).
+    /// none.
     pub fn effective_chaos(&self) -> Option<FaultPlan> {
         self.chaos.clone().or_else(FaultPlan::from_env)
     }
@@ -187,9 +186,9 @@ impl Universe {
     {
         assert!(size > 0, "universe must have at least one rank");
         let timeout = config.effective_recv_timeout();
-        let transport = config.effective_chaos().map(|plan| Transport::new(size, plan));
+        let chaos = config.effective_chaos().map(|plan| Chaos::new(plan, size));
         let fabric: Arc<dyn Fabric> =
-            Arc::new(LocalFabric::new(size, timeout, config.trace.clone(), transport));
+            Arc::new(LocalFabric::new(size, timeout, config.trace.clone(), chaos));
 
         let f = &f;
         let trace = &config.trace;
@@ -206,9 +205,6 @@ impl Universe {
                     let out = catch_unwind(AssertUnwindSafe(|| f(&comm)));
                     let stats = comm.stats();
                     feed_comm_metrics(&stats, comm.collective_calls());
-                    if let Some(rel) = comm.reliability_stats() {
-                        feed_reliability_metrics(&rel);
-                    }
                     match out {
                         Ok(Ok(value)) => {
                             fabric.mark_finished(rank);
@@ -269,33 +265,19 @@ fn feed_comm_metrics(stats: &CommStats, collective_calls: u64) {
     tc_metrics::counter_add(m::MPS_COLLECTIVES, collective_calls);
 }
 
-/// Mirrors one rank's reliable-delivery counters into the live metrics
-/// registry. In-process it runs only when a transport was live (a
-/// [`FaultPlan`] was installed), and the bench-baseline gate turns the
-/// absence into a present-and-zero assertion via the registry's zero
-/// defaults; a socket rank always records them, zero without a plan.
-fn feed_reliability_metrics(rel: &ReliabilityStats) {
-    use tc_metrics::names as m;
-    tc_metrics::counter_add(m::MPS_REL_FRAMES_SENT, rel.frames_sent);
-    tc_metrics::counter_add(m::MPS_REL_RETRANSMITS, rel.retransmits);
-    tc_metrics::counter_add(m::MPS_REL_NACKS, rel.nacks);
-    tc_metrics::counter_add(m::MPS_REL_CORRUPT_FRAMES, rel.corrupt_frames);
-    tc_metrics::counter_add(m::MPS_REL_DUP_FRAMES, rel.dup_frames);
-    tc_metrics::counter_add(m::MPS_REL_REORDERED_FRAMES, rel.reordered_frames);
-    tc_metrics::counter_add(m::MPS_REL_REORDER_DEPTH_MAX, rel.reorder_depth_max);
-    tc_metrics::counter_add(m::MPS_REL_REORDER_EVICTED, rel.reorder_evicted);
-    tc_metrics::counter_add(m::MPS_REL_INJECTED_DROPS, rel.injected_drops);
-    tc_metrics::counter_add(m::MPS_REL_INJECTED_DUPS, rel.injected_dups);
-    tc_metrics::counter_add(m::MPS_REL_INJECTED_REORDERS, rel.injected_reorders);
-    tc_metrics::counter_add(m::MPS_REL_INJECTED_DELAYS, rel.injected_delays);
-    tc_metrics::counter_add(m::MPS_REL_INJECTED_CORRUPTIONS, rel.injected_corruptions);
-}
-
 /// Mirrors one rank's socket-wire counters into the live metrics
 /// registry. Only socket-backed runs produce these (`mps.fabric.*`);
-/// in-process runs never touch them, so baselines are unaffected.
+/// in-process runs never touch them, so baselines are unaffected. A
+/// socket rank also records `mps.rel.injected_delays`, zero without a
+/// fault plan, so every rank's snapshot carries it.
 fn feed_wire_metrics(w: &WireStats) {
     use tc_metrics::names as m;
+    tc_metrics::counter_add(m::MPS_REL_INJECTED_DELAYS, 0);
+    // `benchmark/e2e/src/traced.rs` reads these two counters of the
+    // deleted reliable layer; they stay 0 until ROADMAP item 1 drops
+    // those rows.
+    tc_metrics::counter_add("mps.rel.frames_sent", 0);
+    tc_metrics::counter_add("mps.rel.retransmits", 0);
     tc_metrics::counter_add(m::MPS_FABRIC_CONNECTS, w.connects);
     tc_metrics::counter_add(m::MPS_FABRIC_ACCEPTS, w.accepts);
     tc_metrics::counter_add(m::MPS_FABRIC_HANDSHAKES, w.handshakes);
@@ -303,8 +285,6 @@ fn feed_wire_metrics(w: &WireStats) {
     tc_metrics::counter_add(m::MPS_FABRIC_WIRE_BYTES_SENT, w.bytes_sent);
     tc_metrics::counter_add(m::MPS_FABRIC_WIRE_MSGS_RECV, w.msgs_recv);
     tc_metrics::counter_add(m::MPS_FABRIC_WIRE_BYTES_RECV, w.bytes_recv);
-    tc_metrics::counter_add(m::MPS_FABRIC_ACKS_SENT, w.acks_sent);
-    tc_metrics::counter_add(m::MPS_FABRIC_NACKS_SENT, w.nacks_sent);
     tc_metrics::counter_add(m::MPS_FABRIC_IO_CPU_NS, w.io_cpu_ns);
 }
 
@@ -335,7 +315,7 @@ pub struct SocketConfig {
     /// means [`HANDSHAKE_TIMEOUT_MS_ENV`] or the 10 s default.
     pub handshake_timeout: Option<Duration>,
     /// The per-universe tunables (deadline, trace, metrics, chaos).
-    /// A chaos plan here injects faults into the *socket* wire layer.
+    /// A chaos plan here delays this process's sends and may crash it.
     pub universe: UniverseConfig,
 }
 
@@ -431,7 +411,6 @@ impl Universe {
         let out = catch_unwind(AssertUnwindSafe(|| f(&comm)));
         let stats = comm.stats();
         feed_comm_metrics(&stats, comm.collective_calls());
-        feed_reliability_metrics(&comm.reliability_stats().unwrap_or_default());
         let value = match out {
             Ok(Ok(value)) => Some(value),
             Ok(Err(err)) => {

@@ -1,12 +1,13 @@
-//! End-to-end tests of the chaotic fabric: the reliable-delivery
-//! transport must mask every injected fault mode (delay, drop,
-//! duplicate, reorder, truncate, bit-flip) transparently — same
-//! results, same logical communication counters as a clean run — and
-//! must keep every un-hangable guarantee of the runtime while doing it.
+//! End-to-end tests of the delayed fabric: seeded sender-side delays
+//! reshape when messages arrive, so every receive, collective and
+//! request interleaves differently from a clean run — and results,
+//! logical communication counters and every un-hangable guarantee of
+//! the runtime must not change.
 
 use std::time::Duration;
 
-use tc_mps::{FaultKind, FaultPlan, LinkFaults, MpsError, Universe, UniverseConfig};
+use tc_metrics::names::MPS_REL_INJECTED_DELAYS;
+use tc_mps::{FaultPlan, MpsError, Universe, UniverseConfig};
 
 /// A config with `plan` installed and a deadline short enough for CI.
 fn chaos_cfg(plan: FaultPlan) -> UniverseConfig {
@@ -17,14 +18,19 @@ fn chaos_cfg(plan: FaultPlan) -> UniverseConfig {
     }
 }
 
+/// Delays on every send with probability `p`, at most `max_us` each.
+fn delays(seed: u64, p: f64, max_us: u64) -> FaultPlan {
+    FaultPlan::new(seed).with_delay(p, Duration::from_micros(max_us))
+}
+
 /// Ring exchange + allreduce + alltoallv-style manual exchange: the
-/// mixed point-to-point/collective workload every mode test runs.
+/// mixed point-to-point/collective workload every plan test runs.
 fn workload(c: &tc_mps::Comm) -> Result<u64, MpsError> {
     let p = c.size();
     let next = (c.rank() + 1) % p;
     let prev = (c.rank() + p - 1) % p;
-    // Pipelined ring traffic: enough frames in flight for reordering
-    // and duplication to actually interleave.
+    // Pipelined ring traffic: enough messages in flight for delays to
+    // interleave them with the collectives below.
     for round in 0..20u64 {
         c.send_val::<u64>(next, round, c.rank() as u64 * 1000 + round);
     }
@@ -34,7 +40,6 @@ fn workload(c: &tc_mps::Comm) -> Result<u64, MpsError> {
         assert_eq!(v, prev as u64 * 1000 + round);
         acc += v;
     }
-    // Collectives must cross the same transport.
     let total = c.allreduce_sum_u64(c.rank() as u64)?;
     assert_eq!(total, (p * (p - 1) / 2) as u64);
     c.barrier()?;
@@ -50,25 +55,33 @@ fn workload(c: &tc_mps::Comm) -> Result<u64, MpsError> {
     Ok(acc + total)
 }
 
+/// Runs `workload` on `p` ranks under `plan` with a metrics session and
+/// returns the results and each rank's `mps.rel.injected_delays`.
+fn run_counted(p: usize, plan: FaultPlan) -> (Vec<u64>, Vec<u64>) {
+    let session = tc_metrics::MetricsSession::begin();
+    let cfg = UniverseConfig { metrics: Some(session.handle()), ..chaos_cfg(plan) };
+    let out = Universe::try_run_config(p, &cfg, workload).expect("delayed run").0;
+    let snap = session.finish();
+    let delays = (0..p).map(|r| snap.counter(r, MPS_REL_INJECTED_DELAYS).unwrap_or(0)).collect();
+    (out, delays)
+}
+
 #[test]
 fn every_fault_mode_is_masked_across_seeds() {
+    // The one injected mode in three shapes: frequent short delays,
+    // rare long ones, and delays on half of the ring's links only.
     let p = 8;
     let clean = Universe::try_run(p, workload).expect("clean run");
-    for kind in FaultKind::ALL {
-        // Probabilities high enough to fire constantly, low enough for
-        // p < 1 convergence.
-        let prob = match kind {
-            FaultKind::Drop => 0.25,
-            _ => 0.35,
-        };
-        for seed in [1u64, 2, 3, 4, 5] {
-            let mut faults = LinkFaults::only(kind, prob);
-            faults.delay_max = Duration::from_micros(50);
-            let plan = FaultPlan::new(seed).with_default(faults);
-            let cfg = chaos_cfg(plan);
-            let out = Universe::try_run_config(p, &cfg, workload)
-                .unwrap_or_else(|e| panic!("mode {} seed {seed}: {e}", kind.name()));
-            assert_eq!(out.0, clean, "mode {} seed {seed}", kind.name());
+    let ring: Vec<(usize, usize)> = (0..p).step_by(2).map(|r| (r, (r + 1) % p)).collect();
+    for seed in [1u64, 2, 3, 4, 5] {
+        for (shape, plan) in [
+            ("frequent", delays(seed, 0.35, 50)),
+            ("rare-long", delays(seed, 0.05, 2000)),
+            ("half-ring", delays(seed, 0.8, 100).with_restrict(ring.clone())),
+        ] {
+            let out = Universe::try_run_config(p, &chaos_cfg(plan), workload)
+                .unwrap_or_else(|e| panic!("{shape} seed {seed}: {e}"));
+            assert_eq!(out.0, clean, "{shape} seed {seed}");
         }
     }
 }
@@ -78,14 +91,12 @@ fn all_modes_at_once_with_logical_stats_identical_to_clean() {
     let p = 8;
     let (clean_out, clean_stats) =
         Universe::try_run_config(p, &UniverseConfig::default(), workload).expect("clean");
-    let cfg = chaos_cfg(FaultPlan::uniform(0xDECAF, 0.15).with_default(LinkFaults {
-        delay_max: Duration::from_micros(50),
-        ..LinkFaults::uniform(0.15)
-    }));
-    let (out, stats) = Universe::try_run_config(p, &cfg, workload).expect("chaotic");
+    let cfg = chaos_cfg(delays(0xDECAF, 0.3, 50).crash_at(3, 1));
+    let (out, stats) = Universe::try_run_config(p, &cfg, workload).expect("delayed");
     assert_eq!(out, clean_out);
-    // The transport is invisible to the logical counters: same
-    // messages, same payload bytes, regardless of what the wire did.
+    // Delays are invisible to the logical counters: same messages,
+    // same payload bytes. (The crash point is for socket processes
+    // only; in-process it must change nothing.)
     for (rank, (c, ch)) in clean_stats.iter().zip(&stats).enumerate() {
         assert_eq!(c.msgs_sent, ch.msgs_sent, "rank {rank}");
         assert_eq!(c.bytes_sent, ch.bytes_sent, "rank {rank}");
@@ -96,85 +107,67 @@ fn all_modes_at_once_with_logical_stats_identical_to_clean() {
 
 #[test]
 fn reliability_stats_surface_injected_faults() {
-    let p = 4;
-    let cfg = chaos_cfg(FaultPlan::uniform(7, 0.3).with_default(LinkFaults {
-        delay_max: Duration::from_micros(20),
-        ..LinkFaults::uniform(0.3)
-    }));
-    let totals = Universe::try_run_config(p, &cfg, |c| {
-        workload(c)?;
-        Ok(c.reliability_stats().expect("transport is live"))
-    })
-    .expect("chaotic run")
-    .0
-    .into_iter()
-    .fold(tc_mps::ReliabilityStats::default(), |mut acc, s| {
-        acc.merge(&s);
-        acc
-    });
-    assert!(totals.frames_sent > 0);
-    assert!(totals.injected_drops > 0, "{totals:?}");
-    assert!(totals.injected_dups > 0, "{totals:?}");
-    assert!(totals.injected_reorders > 0, "{totals:?}");
-    assert!(totals.injected_corruptions > 0, "{totals:?}");
-    assert!(totals.retransmits > 0, "drops must be repaired: {totals:?}");
-    assert!(totals.corrupt_frames > 0, "corruptions must be caught: {totals:?}");
+    let (_, delays) = run_counted(4, delays(7, 0.3, 20));
+    assert!(delays.iter().all(|&d| d > 0), "every rank delayed some sends: {delays:?}");
+    // A plan restricted to one link delays only its sender.
+    let one_link = FaultPlan::new(7).with_delay(1.0, Duration::from_micros(5));
+    let (_, delays) = run_counted(4, one_link.with_restrict(vec![(2, 3)]));
+    assert!(delays[2] > 0 && delays.iter().enumerate().all(|(r, &d)| r == 2 || d == 0));
 }
 
 #[test]
 fn chaos_off_reports_no_reliability_stats() {
-    let out = Universe::try_run(3, |c| Ok(c.reliability_stats())).expect("clean");
-    assert!(out.iter().all(Option::is_none), "no transport without a plan");
+    let session = tc_metrics::MetricsSession::begin();
+    let cfg = UniverseConfig { metrics: Some(session.handle()), ..UniverseConfig::default() };
+    Universe::try_run_config(3, &cfg, workload).expect("clean");
+    let snap = session.finish();
+    for rank in 0..3 {
+        assert_eq!(snap.counter(rank, MPS_REL_INJECTED_DELAYS), None, "rank {rank}");
+    }
+}
+
+/// A receive deadline of 100 ms, and every send on `src → dst` delayed
+/// by up to a second: under seed 1 the first sends of the links 0 → 1
+/// and 2 → 3 each sleep longer than the deadline (763 and 861 ms), so
+/// the link is dead for the receiver.
+fn stalled_link(src: usize, dst: usize) -> UniverseConfig {
+    UniverseConfig {
+        recv_timeout: Some(Duration::from_millis(100)),
+        chaos: Some(delays(1, 1.0, 1_000_000).with_restrict(vec![(src, dst)])),
+        ..UniverseConfig::default()
+    }
 }
 
 #[test]
 fn unrecoverable_link_fails_typed_not_hanging() {
-    // Rank 0 → rank 1 drops every frame, original and retransmit: no
-    // retry budget can mask it. The receive must fail with
-    // DeliveryFailed naming the link, within the deadline.
-    let plan = FaultPlan::new(99)
-        .with_default(LinkFaults::none())
-        .with_link(0, 1, LinkFaults::only(FaultKind::Drop, 1.0))
-        .with_max_retries(4)
-        .with_nack_backoff(Duration::from_millis(1), Duration::from_millis(5));
-    let cfg = chaos_cfg(plan);
+    // A stalled link is the fault model's "wedged peer": the receiver
+    // fails with a typed Timeout naming the link, not a hang.
     let t0 = std::time::Instant::now();
-    let err = Universe::try_run_config(4, &cfg, |c| {
+    let err = Universe::try_run_config(2, &stalled_link(0, 1), |c| {
         if c.rank() == 0 {
             c.send_val::<u64>(1, 5, 42);
+            Ok(0)
+        } else {
+            c.recv_val::<u64>(0, 5)
         }
-        if c.rank() == 1 {
-            c.recv_val::<u64>(0, 5)?;
-        }
-        c.barrier()
     })
-    .expect_err("the dead link must surface");
-    assert!(t0.elapsed() < Duration::from_secs(20), "failed fast, not by timeout");
+    .expect_err("the stalled link must surface");
+    assert!(t0.elapsed() < Duration::from_secs(5), "failed fast: {:?}", t0.elapsed());
     match err {
-        MpsError::DeliveryFailed { src, dst, seq, attempts } => {
-            assert_eq!((src, dst, seq), (0, 1, 0));
-            assert!(attempts >= 4, "budget exhausted: {attempts}");
+        MpsError::Timeout { rank, src, tag, report, .. } => {
+            assert_eq!((rank, src, tag), (1, 0, 5));
+            assert!(report.contains("rank 1: blocked in recv from rank 0"), "{report}");
         }
-        // Rank 1's failure may reach the joiner as a peer's view of it.
-        MpsError::PeerFailed { msg, .. } => {
-            assert!(msg.contains("delivery from rank 0 failed"), "{msg}");
-        }
-        other => panic!("expected DeliveryFailed, got {other}"),
+        other => panic!("expected a Timeout, got {other}"),
     }
 }
 
 #[test]
 fn every_rank_unblocks_after_delivery_failure() {
-    // All peers sit in a barrier while the dead link is discovered;
-    // each rank must come back with a typed error, not hang.
-    let plan = FaultPlan::new(5)
-        .with_default(LinkFaults::none())
-        .with_link(2, 3, LinkFaults::only(FaultKind::Drop, 1.0))
-        .with_max_retries(3)
-        .with_nack_backoff(Duration::from_millis(1), Duration::from_millis(4));
-    let cfg = chaos_cfg(plan);
+    // All peers sit in a barrier while the stalled link times out; each
+    // rank must come back with a typed error, not hang.
     let outcomes = std::sync::Mutex::new(Vec::new());
-    let _ = Universe::try_run_config(8, &cfg, |c| {
+    let _ = Universe::try_run_config(8, &stalled_link(2, 3), |c| {
         if c.rank() == 2 {
             c.send_val::<u64>(3, 9, 1);
         }
@@ -190,10 +183,7 @@ fn every_rank_unblocks_after_delivery_failure() {
 
 #[test]
 fn peer_panic_propagates_under_chaos() {
-    let cfg = chaos_cfg(FaultPlan::uniform(21, 0.2).with_default(LinkFaults {
-        delay_max: Duration::from_micros(20),
-        ..LinkFaults::uniform(0.2)
-    }));
+    let cfg = chaos_cfg(delays(21, 0.2, 20));
     let err = Universe::try_run_config(4, &cfg, |c| {
         if c.rank() == 2 {
             panic!("chaotic casualty");
@@ -212,7 +202,7 @@ fn peer_panic_propagates_under_chaos() {
 
 #[test]
 fn collective_mismatch_detected_under_chaos() {
-    let cfg = chaos_cfg(FaultPlan::new(17)); // transport on, no faults
+    let cfg = chaos_cfg(delays(17, 0.5, 200));
     let err = Universe::try_run_config(2, &cfg, |c| {
         if c.rank() == 0 {
             c.barrier()
@@ -231,10 +221,7 @@ fn collective_mismatch_detected_under_chaos() {
 #[test]
 fn nonblocking_requests_survive_chaos() {
     let p = 6;
-    let cfg = chaos_cfg(FaultPlan::uniform(31, 0.25).with_default(LinkFaults {
-        delay_max: Duration::from_micros(30),
-        ..LinkFaults::uniform(0.25)
-    }));
+    let cfg = chaos_cfg(delays(31, 0.25, 30));
     let out = Universe::try_run_config(p, &cfg, |c| {
         let next = (c.rank() + 1) % p;
         let prev = (c.rank() + p - 1) % p;
@@ -248,7 +235,7 @@ fn nonblocking_requests_survive_chaos() {
         }
         Ok(bufs.iter().map(|b| b.len()).sum::<usize>())
     })
-    .expect("chaotic nonblocking run")
+    .expect("delayed nonblocking run")
     .0;
     assert!(out.iter().all(|n| *n == 1280));
 }
@@ -256,10 +243,7 @@ fn nonblocking_requests_survive_chaos() {
 #[test]
 fn grid_shifts_work_under_chaos() {
     let p = 16;
-    let cfg = chaos_cfg(FaultPlan::uniform(13, 0.2).with_default(LinkFaults {
-        delay_max: Duration::from_micros(20),
-        ..LinkFaults::uniform(0.2)
-    }));
+    let cfg = chaos_cfg(delays(13, 0.2, 20));
     let out = Universe::try_run_config(p, &cfg, |c| {
         let grid = tc_mps::Grid::new(c);
         let mut val = vec![c.rank() as u64];
@@ -271,7 +255,7 @@ fn grid_shifts_work_under_chaos() {
         }
         Ok(val[0])
     })
-    .expect("chaotic grid run")
+    .expect("delayed grid run")
     .0;
     for (rank, v) in out.iter().enumerate() {
         assert_eq!(*v, rank as u64, "row rotation must return home");
@@ -280,33 +264,10 @@ fn grid_shifts_work_under_chaos() {
 
 #[test]
 fn same_seed_same_injection_counts() {
-    let p = 4;
-    let run = || {
-        let cfg = chaos_cfg(FaultPlan::uniform(0xFEED, 0.3).with_default(LinkFaults {
-            delay_max: Duration::from_micros(10),
-            ..LinkFaults::uniform(0.3)
-        }));
-        Universe::try_run_config(p, &cfg, |c| {
-            let next = (c.rank() + 1) % p;
-            let prev = (c.rank() + p - 1) % p;
-            for i in 0..50u64 {
-                c.send_val::<u64>(next, i, i);
-            }
-            for i in 0..50u64 {
-                c.recv_val::<u64>(prev, i)?;
-            }
-            Ok(c.reliability_stats().unwrap())
-        })
-        .expect("chaotic run")
-        .0
-    };
-    let (a, b) = (run(), run());
-    // Send-side decisions depend only on (seed, link, seq, attempt=0),
-    // so first-transmission injection counts replay exactly.
-    let first_tx = |stats: &[tc_mps::ReliabilityStats]| -> (u64, u64) {
-        let dups: u64 = stats.iter().map(|s| s.injected_dups).sum();
-        let reorders: u64 = stats.iter().map(|s| s.injected_reorders).sum();
-        (dups, reorders)
-    };
-    assert_eq!(first_tx(&a), first_tx(&b), "seeded injections replay");
+    // Whether a send sleeps depends only on (seed, link, n-th send on
+    // the link), so each rank's delay count replays exactly.
+    let (a, b) = (run_counted(4, delays(0xFEED, 0.3, 10)), run_counted(4, delays(0xFEED, 0.3, 10)));
+    assert_eq!(a, b, "seeded delays replay");
+    assert!(a.1.iter().sum::<u64>() > 0);
+    assert_ne!(run_counted(4, delays(0xBEEF, 0.3, 10)).1, a.1, "the seed matters");
 }

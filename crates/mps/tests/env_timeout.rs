@@ -12,8 +12,9 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use tc_mps::{
-    FaultPlan, Universe, UniverseConfig, CHAOS_DROP_ENV, CHAOS_ENV_VARS, CHAOS_LINKS_ENV,
-    CHAOS_MAX_RETRIES_ENV, CHAOS_SEED_ENV, RECV_TIMEOUT_ENV,
+    FaultPlan, Universe, UniverseConfig, CHAOS_CRASH_AT_ENV, CHAOS_CRASH_RANK_ENV, CHAOS_DELAY_ENV,
+    CHAOS_DELAY_MAX_US_ENV, CHAOS_ENV_VARS, CHAOS_LINKS_ENV, CHAOS_REMOVED_ENV_VARS,
+    CHAOS_SEED_ENV, RECV_TIMEOUT_ENV,
 };
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
@@ -23,8 +24,12 @@ static ENV_LOCK: Mutex<()> = Mutex::new(());
 /// afterwards.
 fn with_vars<R>(vars: &[(&str, &str)], f: impl FnOnce() -> R) -> R {
     let _g = ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let all: Vec<&str> =
-        CHAOS_ENV_VARS.iter().copied().chain(std::iter::once(RECV_TIMEOUT_ENV)).collect();
+    let all: Vec<&str> = CHAOS_ENV_VARS
+        .iter()
+        .chain(CHAOS_REMOVED_ENV_VARS)
+        .copied()
+        .chain(std::iter::once(RECV_TIMEOUT_ENV))
+        .collect();
     let prev: Vec<(&str, Option<String>)> =
         all.iter().map(|n| (*n, std::env::var(n).ok())).collect();
     // The lock serializes all mutation of these variables within this
@@ -128,38 +133,53 @@ fn chaos_env_builds_a_plan() {
     with_vars(
         &[
             (CHAOS_SEED_ENV, "77"),
-            (CHAOS_DROP_ENV, "0.25"),
-            (CHAOS_MAX_RETRIES_ENV, "9"),
+            (CHAOS_DELAY_ENV, "0.25"),
+            (CHAOS_DELAY_MAX_US_ENV, "50"),
             (CHAOS_LINKS_ENV, "0->1, 2->3"),
+            (CHAOS_CRASH_RANK_ENV, "2"),
+            (CHAOS_CRASH_AT_ENV, "5"),
         ],
         || {
             let plan = FaultPlan::from_env().expect("set vars activate a plan");
-            assert_eq!(plan.seed(), 77);
-            assert_eq!(plan.max_retries(), 9);
-            assert_eq!(plan.faults_for(0, 1).drop, 0.25);
-            assert_eq!(plan.faults_for(2, 3).drop, 0.25);
-            assert!(plan.faults_for(1, 0).is_none(), "unlisted link stays healthy");
+            let want = FaultPlan::new(77)
+                .with_delay(0.25, Duration::from_micros(50))
+                .with_restrict(vec![(0, 1), (2, 3)])
+                .crash_at(2, 5);
+            assert_eq!(plan, want);
+            assert_eq!(plan.delay_probability(2, 3), 0.25);
+            assert_eq!(plan.delay_probability(1, 0), 0.0, "unlisted link stays healthy");
         },
     );
 }
 
 #[test]
 fn chaos_env_actually_runs_the_transport() {
-    with_vars(&[(CHAOS_SEED_ENV, "3")], || {
-        let out = Universe::try_run(2, |c| {
-            let peer = 1 - c.rank();
-            c.send_val::<u64>(peer, 1, c.rank() as u64);
-            c.recv_val::<u64>(peer, 1)?;
-            Ok(c.reliability_stats().is_some())
-        })
-        .expect("env-configured chaos run");
-        assert_eq!(out, vec![true, true], "transport must be live");
-    });
+    // An env-configured plan reaches the fabric's send path: every send
+    // sleeps and is counted on its sender.
+    with_vars(
+        &[(CHAOS_SEED_ENV, "3"), (CHAOS_DELAY_ENV, "1.0"), (CHAOS_DELAY_MAX_US_ENV, "5")],
+        || {
+            let session = tc_metrics::MetricsSession::begin();
+            let cfg =
+                UniverseConfig { metrics: Some(session.handle()), ..UniverseConfig::default() };
+            Universe::try_run_config(2, &cfg, |c| {
+                let peer = 1 - c.rank();
+                c.send_val::<u64>(peer, 1, c.rank() as u64);
+                c.recv_val::<u64>(peer, 1)
+            })
+            .expect("env-configured chaos run");
+            let snap = session.finish();
+            for rank in 0..2 {
+                let delays = snap.counter(rank, tc_metrics::names::MPS_REL_INJECTED_DELAYS);
+                assert_eq!(delays, Some(1), "rank {rank}'s one send was delayed");
+            }
+        },
+    );
 }
 
 #[test]
 fn explicit_plan_overrides_env() {
-    with_vars(&[(CHAOS_DROP_ENV, "not-a-probability")], || {
+    with_vars(&[(CHAOS_DELAY_ENV, "not-a-probability")], || {
         // An explicit plan short-circuits env parsing entirely.
         let cfg = UniverseConfig { chaos: Some(FaultPlan::new(1)), ..UniverseConfig::default() };
         assert_eq!(cfg.effective_chaos().expect("explicit plan").seed(), 1);
@@ -170,15 +190,15 @@ fn explicit_plan_overrides_env() {
 fn every_chaos_var_rejects_garbage_loudly() {
     let garbage: &[(&str, &str)] = &[
         (CHAOS_SEED_ENV, "lucky"),
-        (CHAOS_DROP_ENV, "often"),
-        ("MPS_CHAOS_DUPLICATE", "1.5"),
-        ("MPS_CHAOS_REORDER", "-0.1"),
-        ("MPS_CHAOS_DELAY", "NaN"),
-        ("MPS_CHAOS_TRUNCATE", "yes"),
-        ("MPS_CHAOS_BITFLIP", "inf"),
-        ("MPS_CHAOS_DELAY_MAX_US", "0"),
-        (CHAOS_MAX_RETRIES_ENV, "-1"),
+        (CHAOS_DELAY_ENV, "NaN"),
+        (CHAOS_DELAY_ENV, "1.5"),
+        (CHAOS_DELAY_ENV, "-0.1"),
+        (CHAOS_DELAY_ENV, "inf"),
+        (CHAOS_DELAY_MAX_US_ENV, "0"),
+        (CHAOS_DELAY_MAX_US_ENV, "soon"),
         (CHAOS_LINKS_ENV, "0->1,zap"),
+        (CHAOS_CRASH_RANK_ENV, "first"),
+        (CHAOS_CRASH_AT_ENV, "-1"),
     ];
     for (name, value) in garbage {
         with_vars(&[(name, value)], || {
@@ -192,4 +212,22 @@ fn every_chaos_var_rejects_garbage_loudly() {
             assert!(msg.contains(name), "panic names {name}: {msg}");
         });
     }
+}
+
+#[test]
+fn every_removed_chaos_var_is_refused_by_name() {
+    // The frame-fault knobs of the deleted reliable layer are errors,
+    // even with a valid value, never silently ignored.
+    for name in CHAOS_REMOVED_ENV_VARS {
+        with_vars(&[(name, "0.5")], || {
+            let msg = FaultPlan::removed_env_error().expect("a removed variable is set");
+            assert!(msg.contains(name), "{msg}");
+            let err = std::panic::catch_unwind(|| {
+                let _ = Universe::try_run(1, |c| Ok(c.rank()));
+            })
+            .expect_err("construction must refuse it");
+            assert!(panic_msg(err).contains(name));
+        });
+    }
+    with_vars(&[], || assert_eq!(FaultPlan::removed_env_error(), None));
 }

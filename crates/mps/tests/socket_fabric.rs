@@ -244,7 +244,7 @@ fn chaos_over_sockets_is_masked() {
             |rank| SocketConfig {
                 universe: UniverseConfig {
                     recv_timeout: Some(Duration::from_secs(30)),
-                    chaos: Some(FaultPlan::uniform(seed, 0.05)),
+                    chaos: Some(FaultPlan::uniform(seed, 0.2)),
                     ..UniverseConfig::default()
                 },
                 ..SocketConfig::new(rank, peers.clone())
@@ -334,38 +334,10 @@ fn stalled_dialer_cannot_wedge_the_accept_loop() {
 }
 
 #[test]
-fn a_mixed_universe_is_rejected_at_handshake() {
-    // Rank 0 runs the reliable layer (a fault plan), rank 1 does not:
-    // their frames would mean different things, so neither may start.
-    let peers = unix_endpoints(2);
-    let results = run_mesh(
-        peers.clone(),
-        |rank| SocketConfig {
-            universe: UniverseConfig {
-                recv_timeout: Some(Duration::from_secs(30)),
-                chaos: (rank == 0).then(|| FaultPlan::new(5)),
-                ..UniverseConfig::default()
-            },
-            ..SocketConfig::new(rank, peers.clone())
-        },
-        |c| c.barrier(),
-    );
-    for res in results {
-        match res {
-            Err(MpsError::Protocol { msg, .. }) => {
-                assert!(msg.contains("reliable-layer mismatch"), "{msg}")
-            }
-            other => panic!("a mixed universe must be refused at the handshake: {other:?}"),
-        }
-    }
-}
-
-#[test]
 fn a_planned_crash_spares_a_respawned_rank() {
     // A supervisor respawns a crashed rank at a bumped epoch with the
-    // launch's environment, crash point included. It must neither
-    // crash again (this test process would abort) nor disagree with
-    // its survivors about the reliable layer.
+    // launch's environment, crash point included. It must not crash
+    // again (this test process would abort).
     let p = 2;
     let clean = Universe::try_run(p, workload).expect("clean run");
     let peers = unix_endpoints(p);

@@ -23,9 +23,9 @@
 //!   environment. An injected `MPS_CHAOS_CRASH_*` process crash fires
 //!   in the launch epoch only (`tc_mps::FaultPlan::crash_at`), so it
 //!   fires exactly once instead of turning into a crash loop, and the
-//!   respawn runs the same fault plan (and reliable layer) as the
-//!   survivors it rejoins (kill the respawn by hand — or exhaust the
-//!   budget with `--max-restarts 0` — to test the loud path).
+//!   respawn runs the same fault plan as the survivors it rejoins (kill
+//!   the respawn by hand — or exhaust the budget with `--max-restarts 0`
+//!   — to test the loud path).
 //!
 //! Each child's stdout/stderr is appended to
 //! `<state_dir>/rank-<r>.log` and its pid recorded in

@@ -6,7 +6,8 @@
 //! clocks so the critical-path analysis can choose the right one.
 //!
 //! This is the workspace's single implementation of the thread CPU
-//! clock — `tc_mps::cputime` re-exports it.
+//! clock; `tc_mps` re-exports [`thread_cpu_now`] and [`CpuTimer`] from
+//! its crate root.
 
 use std::time::Duration;
 
@@ -90,5 +91,24 @@ mod tests {
         let wall_d = wall.elapsed();
         assert!(wall_d >= Duration::from_millis(55));
         assert!(cpu_d < wall_d / 4, "cpu {cpu_d:?} wall {wall_d:?}");
+    }
+
+    #[test]
+    fn per_thread_isolation() {
+        // A busy sibling thread must not advance this thread's clock.
+        let t = CpuTimer::start();
+        let before = t.elapsed();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut acc = 1u64;
+                for i in 1..1_000_000u64 {
+                    acc = acc.wrapping_mul(i | 1);
+                }
+                std::hint::black_box(acc);
+            });
+        });
+        let after = t.elapsed();
+        // Our own delta should be tiny (just the join bookkeeping).
+        assert!(after - before < Duration::from_millis(50));
     }
 }

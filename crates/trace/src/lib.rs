@@ -93,12 +93,6 @@ pub mod names {
     pub const BASE_SETUP: &str = "setup";
     /// Baseline counting phase.
     pub const BASE_COUNT: &str = "count";
-    /// Reliable transport re-delivered frames for a missing sequence
-    /// (instant; args carry link and frame counts).
-    pub const RETRANSMIT: &str = "retransmit";
-    /// Reliable transport received a frame that failed CRC/length
-    /// verification (instant; args carry the source rank).
-    pub const FRAME_CORRUPT: &str = "frame_corrupt";
     /// Socket fabric mesh setup: bind, dial lower ranks, accept higher
     /// ranks (span; args carry rank and universe size).
     pub const FABRIC_CONNECT: &str = "fabric_connect";
