@@ -17,7 +17,7 @@
 //! accessed using the transformed index vᵢ ÷ √p") **plus** a list of
 //! non-empty rows for the doubly-sparse traversal of §5.2.
 
-use tc_mps::{blob_sections3, BlobBuilder, BlobReader, PodArray};
+use tc_mps::{blob3_u32_in_place, blob_sections3, BlobBuilder, BlobReader, PodArray};
 
 use crate::recip::Reciprocal;
 
@@ -48,11 +48,55 @@ pub trait BlockView {
     }
 }
 
-/// Turns per-row counts stored at `counts[row + 1]` into row pointers.
-fn prefix_sum(counts: &mut [u32]) {
-    for i in 1..counts.len() {
-        counts[i] += counts[i - 1];
+/// Pass one of the counting sort behind every block built from pairs:
+/// counts a `(row_global, col_global)` stream by local row
+/// `row_global ÷ q` into `xadj` (zeroed, `num_rows + 1` long), turns
+/// the counts into row pointers and returns the number of pairs.
+fn count_rows(
+    by_q: Reciprocal,
+    xadj: &mut [u32],
+    pairs: impl Iterator<Item = (u32, u32)>,
+) -> usize {
+    let num_rows = xadj.len() - 1;
+    pairs.for_each(|(r, _)| {
+        let lr = by_q.quotient(r) as usize;
+        debug_assert!(lr < num_rows, "row {r} out of class range");
+        xadj[lr + 1] += 1;
+    });
+    for i in 1..xadj.len() {
+        xadj[i] += xadj[i - 1];
     }
+    xadj[num_rows] as usize
+}
+
+/// Pass two: places the columns of the same stream at the row pointers
+/// [`count_rows`] left in `xadj`, then sorts each row. `xadj` ends as
+/// it started.
+fn place_rows(
+    by_q: Reciprocal,
+    xadj: &mut [u32],
+    cols: &mut [u32],
+    pairs: impl Iterator<Item = (u32, u32)>,
+) {
+    // `xadj[lr]` is row lr's cursor: once every pair is placed it has
+    // advanced to row lr + 1's start, so a shift by one slot turns the
+    // cursors back into row pointers.
+    pairs.for_each(|(r, c)| {
+        let at = &mut xadj[by_q.quotient(r) as usize];
+        cols[*at as usize] = c;
+        *at += 1;
+    });
+    let num_rows = xadj.len() - 1;
+    xadj.copy_within(0..num_rows, 1);
+    xadj[0] = 0;
+    for lr in 0..num_rows {
+        cols[xadj[lr] as usize..xadj[lr + 1] as usize].sort_unstable();
+    }
+}
+
+/// Local ids of the non-empty rows of row pointers `xadj`, ascending.
+fn nonempty_rows_of(xadj: &[u32]) -> impl Iterator<Item = u32> + '_ {
+    xadj.windows(2).enumerate().filter(|(_, w)| w[1] > w[0]).map(|(r, _)| r as u32)
 }
 
 /// A CSR-like sparse block with full row indexing and a non-empty row
@@ -90,57 +134,49 @@ impl SparseBlock {
     {
         let by_q = Reciprocal::new(u32::try_from(q).expect("grid side fits in u32"));
         let mut xadj = vec![0u32; num_rows + 1];
-        pairs().for_each(|(r, _)| {
-            let lr = by_q.quotient(r) as usize;
-            debug_assert!(lr < num_rows, "row {r} out of class range");
-            xadj[lr + 1] += 1;
-        });
-        prefix_sum(&mut xadj);
-        let mut cols = vec![0u32; xadj[num_rows] as usize];
-        let mut cursor = xadj.clone();
-        pairs().for_each(|(r, c)| {
-            let at = &mut cursor[by_q.quotient(r) as usize];
-            cols[*at as usize] = c;
-            *at += 1;
-        });
-        for lr in 0..num_rows {
-            cols[xadj[lr] as usize..xadj[lr + 1] as usize].sort_unstable();
-        }
-        Self::from_sorted_csr(xadj, cols)
-    }
-
-    /// Indexes the non-empty rows of finished CSR arrays.
-    fn from_sorted_csr(xadj: Vec<u32>, cols: Vec<u32>) -> Self {
-        let nonempty =
-            (0..xadj.len() - 1).filter(|&r| xadj[r + 1] > xadj[r]).map(|r| r as u32).collect();
+        let mut cols = vec![0u32; count_rows(by_q, &mut xadj, pairs())];
+        place_rows(by_q, &mut xadj, &mut cols, pairs());
+        let nonempty = nonempty_rows_of(&xadj).collect();
         Self { xadj, cols, nonempty }
     }
 
-    /// The transpose of this block, as a block of the crossing class.
+    /// The blob ([`SparseBlock::to_blob`]) of the block
+    /// [`SparseBlock::from_pair_stream`] would build from the same
+    /// `num_pairs` pairs, written in place: one allocation, no owned
+    /// block and no serialization copy.
+    pub fn blob_from_pair_stream<I>(
+        num_rows: usize,
+        q: usize,
+        num_pairs: usize,
+        pairs: impl Fn() -> I,
+    ) -> bytes::Bytes
+    where
+        I: Iterator<Item = (u32, u32)>,
+    {
+        let by_q = Reciprocal::new(u32::try_from(q).expect("grid side fits in u32"));
+        let caps = [num_rows + 1, num_pairs, num_rows.min(num_pairs)];
+        blob3_u32_in_place(caps, |[xadj, cols, nonempty]| {
+            let counted = count_rows(by_q, xadj, pairs());
+            assert_eq!(counted, num_pairs, "the pair stream does not hold num_pairs pairs");
+            place_rows(by_q, xadj, cols, pairs());
+            nonempty.iter_mut().zip(nonempty_rows_of(xadj)).map(|(slot, lr)| *slot = lr).count()
+        })
+    }
+
+    /// The transpose of `block`, as a block of the crossing class.
     ///
-    /// `self` holds rows of vertex class `class` (row `lr` is vertex
+    /// `block` holds rows of vertex class `class` (row `lr` is vertex
     /// `lr·q + class`); the result has `num_rows` rows addressed by
     /// `col ÷ q` and stores, per former column, the former row
     /// vertices. Rows are read in ascending order, so every output row
-    /// comes out sorted without a sort.
-    pub fn transposed(&self, q: usize, class: usize, num_rows: usize) -> Self {
-        let by_q = Reciprocal::new(u32::try_from(q).expect("grid side fits in u32"));
-        let mut xadj = vec![0u32; num_rows + 1];
-        for &c in &self.cols {
-            xadj[by_q.quotient(c) as usize + 1] += 1;
-        }
-        prefix_sum(&mut xadj);
-        let mut cols = vec![0u32; self.cols.len()];
-        let mut cursor = xadj.clone();
-        for &lr in &self.nonempty {
-            let vertex = lr * q as u32 + class as u32;
-            for &c in self.row(lr as usize) {
-                let at = &mut cursor[by_q.quotient(c) as usize];
-                cols[*at as usize] = vertex;
-                *at += 1;
-            }
-        }
-        Self::from_sorted_csr(xadj, cols)
+    /// comes out of the counting sort already sorted.
+    pub fn transposed(block: &impl BlockView, q: usize, class: usize, num_rows: usize) -> Self {
+        Self::from_pair_stream(num_rows, q, || {
+            block.nonempty_rows().iter().flat_map(move |&lr| {
+                let vertex = lr * q as u32 + class as u32;
+                block.row(lr as usize).iter().map(move |&c| (c, vertex))
+            })
+        })
     }
 
     /// An empty block with `num_rows` rows.
@@ -347,11 +383,11 @@ mod tests {
         let block = SparseBlock::from_pairs(3, 3, &mut pairs.clone());
         let mut swapped: Vec<(u32, u32)> = pairs.iter().map(|&(r, c)| (c, r)).collect();
         let expect = SparseBlock::from_pairs(4, 3, &mut swapped);
-        assert_eq!(block.transposed(3, 1, 4), expect);
+        assert_eq!(SparseBlock::transposed(&block, 3, 1, 4), expect);
         assert_eq!(expect.row(0), &[1, 7]); // vertex 0
         assert_eq!(expect.row(1), &[1, 4]); // vertex 3
         assert_eq!(expect.nonempty_rows(), &[0, 1, 3]);
-        assert_eq!(SparseBlock::empty(5).transposed(2, 0, 3), SparseBlock::empty(3));
+        assert_eq!(SparseBlock::transposed(&SparseBlock::empty(5), 2, 0, 3), SparseBlock::empty(3));
     }
 
     #[test]

@@ -65,6 +65,28 @@ fn note_exchange_bytes(u_blob: &Bytes, l_blob: &Bytes) {
     tc_metrics::hist_record(mnames::SHIFT_BYTES, l_blob.len() as u64);
 }
 
+/// The initial Cannon skew of the preprocessed operand blobs: `U(x, y)`
+/// moves left by `x`, `L(x, y)` up by `y`. The blobs travel as they
+/// came out of preprocessing; the one each rank wrote is its `U`, so
+/// that is what the skew counts as serialized.
+fn skew(
+    grid: &Grid<'_>,
+    x: usize,
+    y: usize,
+    u_blob: Bytes,
+    l_blob: Bytes,
+) -> MpsResult<(Bytes, Bytes)> {
+    let q = grid.q();
+    let _skew_span =
+        tc_trace::span(tc_trace::names::SKEW, tc_trace::Category::Shift).arg("z", 0u64);
+    note_exchange_bytes(&u_blob, &l_blob);
+    tc_metrics::counter_add(mnames::SHIFT_BYTES_SERIALIZED, u_blob.len() as u64);
+    let _staging = MemScope::track(mnames::MEM_SHIFT_STAGING, (u_blob.len() + l_blob.len()) as u64);
+    let ub = grid.exchange_bytes(x, (y + q - x) % q, u_blob, x, (x + y) % q)?;
+    let lb = grid.exchange_bytes((x + q - y) % q, y, l_blob, (x + y) % q, y)?;
+    Ok((ub, lb))
+}
+
 /// One compute step against the current operand pair, shared by the
 /// single-rank, overlapped, and synchronous schedules: spans, CPU
 /// timing, and the owned/borrowed-generic kernel dispatch.
@@ -108,8 +130,10 @@ fn cannon_count_impl(
     let q = prep.q;
     debug_assert_eq!(grid.q(), q);
     let (x, y) = (prep.x, prep.y);
-    let ublock_init = std::mem::replace(&mut prep.ublock, SparseBlock::empty(0));
-    let lblock_init = std::mem::replace(&mut prep.lblock, SparseBlock::empty(0));
+    // Preprocessing hands over both operands as blobs: this rank's U,
+    // written in place, and its L, the transpose rank's U.
+    let u_init = std::mem::take(&mut prep.ublob);
+    let l_init = std::mem::take(&mut prep.lblob);
 
     let mut ks = KernelState::new(prep.max_hash_row, q);
     let mut local = 0u64;
@@ -122,8 +146,8 @@ fn cannon_count_impl(
         // Single grid cell: operands are aligned and never travel.
         local += compute_step(
             &prep.task,
-            &ublock_init,
-            &lblock_init,
+            &SparseBlockRef::from_blob(&u_init),
+            &SparseBlockRef::from_blob(&l_init),
             &mut ks,
             q,
             cfg,
@@ -133,33 +157,13 @@ fn cannon_count_impl(
             &mut shift_compute,
         );
     } else if cfg.overlap_shifts {
-        // Zero-copy pipeline: each operand is serialized exactly once,
-        // at the skew. From then on the pair of blobs is the reusable
-        // staging storage — shifts forward the refcounted buffers
-        // verbatim (a clone is a refcount bump, not a copy) and the
-        // kernel computes against borrowed views of the wire bytes, so
-        // the steady-state loop allocates nothing.
-        let (mut u_blob, mut l_blob) = {
-            let _skew_span =
-                tc_trace::span(tc_trace::names::SKEW, tc_trace::Category::Shift).arg("z", 0u64);
-            let u_blob = ublock_init.to_blob();
-            let l_blob = lblock_init.to_blob();
-            drop((ublock_init, lblock_init));
-            note_exchange_bytes(&u_blob, &l_blob);
-            tc_metrics::counter_add(
-                mnames::SHIFT_BYTES_SERIALIZED,
-                (u_blob.len() + l_blob.len()) as u64,
-            );
-            let _staging =
-                MemScope::track(mnames::MEM_SHIFT_STAGING, (u_blob.len() + l_blob.len()) as u64);
-            let u_dst = (x, (y + q - x) % q);
-            let u_src = (x, (x + y) % q);
-            let ub = grid.exchange_bytes(u_dst.0, u_dst.1, u_blob, u_src.0, u_src.1)?;
-            let l_dst = ((x + q - y) % q, y);
-            let l_src = ((x + y) % q, y);
-            let lb = grid.exchange_bytes(l_dst.0, l_dst.1, l_blob, l_src.0, l_src.1)?;
-            (ub, lb)
-        };
+        // Zero-copy pipeline: each operand was serialized exactly once,
+        // by preprocessing. From then on the pair of blobs is the reusable
+        // staging storage — the skew and every shift forward the
+        // refcounted buffers verbatim (a clone is a refcount bump, not a
+        // copy) and the kernel computes against borrowed views of the
+        // wire bytes, so the steady-state loop allocates nothing.
+        let (mut u_blob, mut l_blob) = skew(&grid, x, y, u_init, l_init)?;
         for z in 0..q {
             // Post the shift-(z+1) exchange before computing shift z,
             // so the transfer progresses under the compute.
@@ -205,26 +209,9 @@ fn cannon_count_impl(
         // and owned operands, paying a deserialize + reserialize per
         // shift. Counts and probe statistics are identical to the
         // overlapped path; only communication behavior differs.
-        let (mut ublock, mut lblock) = {
-            let _skew_span =
-                tc_trace::span(tc_trace::names::SKEW, tc_trace::Category::Shift).arg("z", 0u64);
-            let u_dst = (x, (y + q - x) % q);
-            let u_src = (x, (x + y) % q);
-            let u_blob = ublock_init.to_blob();
-            let l_blob = lblock_init.to_blob();
-            note_exchange_bytes(&u_blob, &l_blob);
-            tc_metrics::counter_add(
-                mnames::SHIFT_BYTES_SERIALIZED,
-                (u_blob.len() + l_blob.len()) as u64,
-            );
-            let _staging =
-                MemScope::track(mnames::MEM_SHIFT_STAGING, (u_blob.len() + l_blob.len()) as u64);
-            let ub = grid.exchange_bytes(u_dst.0, u_dst.1, u_blob, u_src.0, u_src.1)?;
-            let l_dst = ((x + q - y) % q, y);
-            let l_src = ((x + y) % q, y);
-            let lb = grid.exchange_bytes(l_dst.0, l_dst.1, l_blob, l_src.0, l_src.1)?;
-            (SparseBlock::from_blob(ub), SparseBlock::from_blob(lb))
-        };
+        let (u_blob, l_blob) = skew(&grid, x, y, u_init, l_init)?;
+        let (mut ublock, mut lblock) =
+            (SparseBlock::from_blob(u_blob), SparseBlock::from_blob(l_blob));
         for z in 0..q {
             local += compute_step(
                 &prep.task,
@@ -383,16 +370,16 @@ mod tests {
             // (0,3) and (2,3) — whose task entries (3,0) and (3,2) do
             // not exist in this deliberately incomplete task block.
             let task = SparseBlock::from_pairs(4, 1, &mut vec![(2u32, 0u32)]);
-            let ublock = SparseBlock::from_pairs(4, 1, &mut vec![(2u32, 3u32)]);
-            let lblock = SparseBlock::from_pairs(4, 1, &mut vec![(0u32, 3u32)]);
+            let ublob = SparseBlock::from_pairs(4, 1, &mut vec![(2u32, 3u32)]).to_blob();
+            let lblob = SparseBlock::from_pairs(4, 1, &mut vec![(0u32, 3u32)]).to_blob();
             let prep = crate::preprocess::PrepOutput {
                 q: 1,
                 x: 0,
                 y: 0,
                 n: 4,
                 task,
-                ublock,
-                lblock,
+                ublob,
+                lblob,
                 max_hash_row: 1,
                 ops: 0,
                 label_pairs: Vec::new(),

@@ -17,14 +17,19 @@
 //!    `old → new` labels to the ranks that orient an edge of the
 //!    vertex.
 //! 3. **U/L split**: the owner of an edge's *first* endpoint looks up
-//!    the one label it does not own and emits `(min, max)`.
+//!    the one label it does not own and emits `(min, max)`, freeing
+//!    each received step-1 message as soon as its edges are oriented.
 //! 4. **2D cyclic redistribution**: each upper entry `(v, k)` is sent
-//!    to the owner of its `U` block and the owner of its `L` block on
-//!    the `√p × √p` grid. The task block needs no exchange of its own:
-//!    under ⟨j,i,k⟩ task `(k, v)` lives at `P(k mod q, v mod q)`,
-//!    which is exactly where the `L` pair of the same edge goes, and
-//!    under ⟨i,j,k⟩ it is the `U` block — so each rank derives its
-//!    tasks from pairs it has already received.
+//!    once, to the owner of its `U` block on the `√p × √p` grid, which
+//!    builds `U(x, y)` straight into its single-blob layout (§5.2). The
+//!    `L` block needs no exchange of its own: `L = Uᵀ`, so the `L(x, y)`
+//!    that `P(x, y)` stores by probe vertex holds exactly the words of
+//!    `U(y, x)`, and the two transpose ranks swap their `U` blobs in
+//!    one point-to-point exchange (a diagonal rank's `L` is its own
+//!    `U`). Nor does the task block: under ⟨j,i,k⟩ task `(k, v)` lives
+//!    at `P(k mod q, v mod q)`, the cell of the `L` entry, so the task
+//!    block is the transpose of the received `L`; under ⟨i,j,k⟩ it is
+//!    the `U` block.
 //!
 //! Every edge is touched a small constant number of times (the §5.4
 //! model charges `m/p + dmax·log p` simple operations) and no payload
@@ -32,7 +37,8 @@
 //! pass, filled in place and handed to the fabric without a copy
 //! ([`tc_mps::bytes_from_vec`]); received buffers are read through
 //! typed views ([`PodArray`]) and the blocks are built straight from
-//! them.
+//! them. Each rank builds one operand block; both operands leave
+//! preprocessing as the blobs the counting phase ships.
 //!
 //! The initial Cannon *skew* is deliberately **not** done here — the
 //! paper counts it in the triangle-counting phase (§5.1 "the initial
@@ -43,11 +49,17 @@ use tc_graph::io::IoError;
 use tc_graph::{Block1D, Csr, Cyclic1D, Cyclic2D};
 use tc_mps::{bytes_from_vec, Comm, MpsError, MpsResult, PodArray};
 
-use crate::blocks::SparseBlock;
+use bytes::Bytes;
+
+use crate::blocks::{BlockView, SparseBlock, SparseBlockRef};
 use crate::config::{Enumeration, TcConfig};
 use crate::labels::LabelTable;
 use crate::recip::Reciprocal;
 use crate::redist::{poison, route, unpack};
+
+/// Tag of the step-4 swap of `U` blobs between transpose ranks (kept
+/// clear of the grid-shift and SUMMA regions).
+const SWAP_TAG: u64 = (1 << 46) + 0x5A;
 
 /// Everything the counting phase needs, as produced on one rank.
 #[derive(Debug)]
@@ -64,11 +76,13 @@ pub struct PrepOutput {
     /// hash-side vertices (class `x`), columns the probe-side vertices
     /// (class `y`). One entry per graph edge, grid-wide.
     pub task: SparseBlock,
-    /// Operand block `U(x, y)` — *unskewed*; `cannon` aligns it.
-    pub ublock: SparseBlock,
+    /// Operand block `U(x, y)` as a [`SparseBlock::to_blob`] blob —
+    /// *unskewed*; `cannon` aligns it.
+    pub ublob: Bytes,
     /// Operand block `L` holding entries `(k ≡ x, v ≡ y)` stored by
-    /// probe vertex `v` — unskewed.
-    pub lblock: SparseBlock,
+    /// probe vertex `v`, as a blob — unskewed. It is the transpose
+    /// rank's `U(y, x)` blob, shared rather than copied in-process.
+    pub lblob: Bytes,
     /// Global maximum operand-row length (sizes the intersection map).
     pub max_hash_row: usize,
     /// Preprocessing operation count (edge records processed).
@@ -270,9 +284,13 @@ pub fn relabel_phase_from(
 
     // -- Step 3: U/L split in new labels --------------------------------
     // The owner of an edge's first endpoint emits it, smaller label
-    // first: each edge exactly once grid-wide.
+    // first: each edge exactly once grid-wide. Each step-1 message is
+    // freed as soon as its edges are oriented, so the entries never
+    // sit beside the whole of step 1's input.
     let mut entries = Vec::with_capacity(mine.iter().map(|(firsts, _)| firsts.len()).sum());
-    for &(firsts, _) in &mine {
+    drop(mine);
+    for msg in received {
+        let (firsts, _) = unpack(&msg).expect("step 1 checked every message");
         for &[u, v] in firsts {
             let (lv, dv) = by_p.div_rem(v);
             let nu = new_label[by_p.quotient(u) as usize];
@@ -310,61 +328,60 @@ pub fn preprocess_from(
 
     let twod_span = tc_trace::span(tc_trace::names::PREP_2D, tc_trace::Category::Phase);
     // -- Step 4: 2D cyclic redistribution -------------------------------
-    // Ship each upper entry (v, k) to the two grid cells that store it:
-    //   U block U(v%q, k%q)        at P(v%q, k%q)
-    //   L block L(k%q, v%q)        at P(k%q, v%q)  (stored by column v)
-    // The task (a, b) — (k, v) under ⟨j,i,k⟩, (v, k) under ⟨i,j,k⟩ —
-    // belongs at P(a%q, b%q), i.e. at the L cell resp. the U cell of
-    // the same entry, so it travels with that pair for free.
-    let cells = |nv: u32, nk: u32| {
-        let (vx, vy) = (by_q.div_rem(nv).1 as usize, by_q.div_rem(nk).1 as usize);
-        (q * vx + vy, q * vy + vx)
-    };
+    // Ship each upper entry (v, k) to the one grid cell whose U block
+    // stores it: U(v%q, k%q) at P(v%q, k%q).
+    let u_cell = |nv: u32, nk: u32| q * by_q.div_rem(nv).1 as usize + by_q.div_rem(nk).1 as usize;
     let mut u_count = vec![0usize; p];
     for &(nv, nk) in &entries {
-        u_count[cells(nv, nk).0] += 1;
+        u_count[u_cell(nv, nk)] += 1;
     }
-    // An entry's L cell is the transpose of its U cell.
     let mut u_sends: Vec<Vec<[u32; 2]>> = u_count.iter().map(|&c| Vec::with_capacity(c)).collect();
-    let mut l_sends: Vec<Vec<[u32; 2]>> =
-        (0..p).map(|d| Vec::with_capacity(u_count[q * (d % q) + d / q])).collect();
     for &(nv, nk) in &entries {
-        let (u_cell, l_cell) = cells(nv, nk);
-        u_sends[u_cell].push([nv, nk]);
-        l_sends[l_cell].push([nv, nk]);
+        u_sends[u_cell(nv, nk)].push([nv, nk]);
     }
     ops += entries.len() as u64;
-    let staged = 2 * entries.len() * std::mem::size_of::<[u32; 2]>();
+    let staged = entries.len() * std::mem::size_of::<[u32; 2]>();
     drop(entries);
 
     let prep_mem = tc_metrics::MemScope::track(tc_metrics::names::MEM_PREP_STAGING, staged as u64);
     let u_recv = exchange(comm, u_sends)?;
-    let l_recv = exchange(comm, l_sends)?;
     drop(prep_mem);
 
     let x = comm.rank() / q;
     let y = comm.rank() % q;
 
-    // U(x, y): rows are class x.
-    let ublock = SparseBlock::from_pair_stream(grid2d.class_count(n, x), q, || pairs(&u_recv));
-    ops += ublock.num_entries() as u64;
+    // U(x, y): rows are class x, built straight into its blob.
+    let num_pairs = u_recv.iter().map(|m| m.len()).sum();
+    let ublob = SparseBlock::blob_from_pair_stream(grid2d.class_count(n, x), q, num_pairs, || {
+        pairs(&u_recv)
+    });
+    ops += num_pairs as u64;
     drop(u_recv);
 
-    // L(x, y) stored by probe vertex: rows are class y.
-    let lblock = SparseBlock::from_pair_stream(grid2d.class_count(n, y), q, || pairs(&l_recv));
+    // L(x, y), stored by probe vertex (rows of class y, entries of class
+    // x), holds the entries (v ≡ y, k ≡ x): exactly U(y, x). The
+    // transpose rank's U blob therefore *is* this rank's L, and a
+    // diagonal rank's L is its own U.
+    let transpose_rank = y * q + x;
+    let lblob = if transpose_rank == comm.rank() {
+        ublob.clone()
+    } else {
+        comm.sendrecv_bytes(transpose_rank, SWAP_TAG, ublob.clone(), transpose_rank, SWAP_TAG)?
+    };
+    let lblock = SparseBlockRef::from_blob(&lblob);
     ops += lblock.num_entries() as u64;
-    drop(l_recv);
 
     // Task block: rows are the hash-side vertices, class x — every
     // L entry (v, k) read as task (k, v), or the U entries as they are.
     let task = match cfg.enumeration {
-        Enumeration::Jik => lblock.transposed(q, y, grid2d.class_count(n, x)),
-        Enumeration::Ijk => ublock.clone(),
+        Enumeration::Jik => SparseBlock::transposed(&lblock, q, y, grid2d.class_count(n, x)),
+        Enumeration::Ijk => SparseBlock::from_blob(ublob.clone()),
     };
     ops += task.num_entries() as u64;
 
-    let max_hash_row = comm.allreduce_max_u64(ublock.max_row_len() as u64)? as usize;
+    let local_max_row = SparseBlockRef::from_blob(&ublob).max_row_len();
+    let max_hash_row = comm.allreduce_max_u64(local_max_row as u64)? as usize;
     drop(twod_span);
 
-    Ok(PrepOutput { q, x, y, n, task, ublock, lblock, max_hash_row, ops, label_pairs })
+    Ok(PrepOutput { q, x, y, n, task, ublob, lblob, max_hash_row, ops, label_pairs })
 }

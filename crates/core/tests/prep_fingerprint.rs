@@ -9,7 +9,7 @@
 //! actual table so a *deliberate* change of the preprocessing output
 //! can re-pin it.
 
-use tc_core::blocks::SparseBlock;
+use tc_core::blocks::{BlockView, SparseBlock, SparseBlockRef};
 use tc_core::preprocess::{preprocess_from, BlockInput, EdgeSource, PrepOutput};
 use tc_core::{Enumeration, SummaGrid, TcConfig};
 use tc_gen::er::gnm;
@@ -41,12 +41,19 @@ impl Fnv {
         }
     }
 
-    fn block(&mut self, b: &SparseBlock) {
+    /// The row starts, the entries in row order and the non-empty row
+    /// index of a block, whether owned or a view of its blob.
+    fn block(&mut self, b: &impl BlockView) {
         self.word(b.num_rows() as u64);
         for lr in 0..b.num_rows() {
             self.word(b.row_start(lr) as u64);
         }
-        self.words(b.entries());
+        self.word(b.num_entries() as u64);
+        for lr in 0..b.num_rows() {
+            for &w in b.row(lr) {
+                self.word(u64::from(w));
+            }
+        }
         self.words(b.nonempty_rows());
     }
 }
@@ -57,8 +64,8 @@ fn fingerprint(prep: &PrepOutput) -> u64 {
         h.word(w as u64);
     }
     h.block(&prep.task);
-    h.block(&prep.ublock);
-    h.block(&prep.lblock);
+    h.block(&SparseBlockRef::from_blob(&prep.ublob));
+    h.block(&SparseBlockRef::from_blob(&prep.lblob));
     h.word(prep.label_pairs.len() as u64);
     for &(old, new) in &prep.label_pairs {
         h.word(u64::from(old) << 32 | u64::from(new));
@@ -197,8 +204,11 @@ fn check_pipeline_invariants(el: &EdgeList, p: usize) {
         let cfg = TcConfig::paper().with_enumeration(enumeration);
         let per_rank = Universe::run(p, |comm| {
             let prep = preprocess_from(comm, n, &BlockInput::Shared(&csr), &cfg).expect("prep");
-            let sizes =
-                [prep.task.num_entries(), prep.ublock.num_entries(), prep.lblock.num_entries()];
+            let sizes = [
+                prep.task.num_entries(),
+                SparseBlockRef::from_blob(&prep.ublob).num_entries(),
+                SparseBlockRef::from_blob(&prep.lblob).num_entries(),
+            ];
             (prep.label_pairs, sizes)
         });
         let mut new_of = vec![u32::MAX; n];
@@ -246,5 +256,42 @@ fn edge_cases_at_sixteen_ranks() {
     ] {
         check_pipeline_invariants(&el, 16);
         check_pipeline_invariants(&el, 1);
+    }
+}
+
+/// `L = Uᵀ`: the `L(x, y)` blob every rank ends preprocessing with is,
+/// byte for byte, the `U(y, x)` blob of its transpose rank, and both
+/// are exactly what [`SparseBlock::to_blob`] makes of the block they
+/// hold.
+fn check_l_is_transpose_u(el: &EdgeList, p: usize) {
+    let csr = Csr::from_edge_list(el);
+    let n = csr.num_vertices();
+    let q = tc_mps::perfect_square_side(p).expect("square rank count");
+    for enumeration in ENUMERATIONS {
+        let cfg = TcConfig::paper().with_enumeration(enumeration);
+        let blobs = Universe::run(p, |comm| {
+            let input = BlockInput::Striped(EdgeSource::List(el));
+            let prep = preprocess_from(comm, n, &input, &cfg).expect("prep");
+            (prep.ublob, prep.lblob)
+        });
+        for (rank, (ublob, lblob)) in blobs.iter().enumerate() {
+            let (x, y) = (rank / q, rank % q);
+            let transpose_u = &blobs[y * q + x].0;
+            assert_eq!(lblob, transpose_u, "p={p} {enumeration:?}: L({x}, {y}) != U({y}, {x})");
+            for blob in [ublob, lblob] {
+                let roundtrip = SparseBlock::from_blob(blob.clone()).to_blob();
+                assert_eq!(blob, &roundtrip, "p={p} rank {rank}: not the to_blob layout");
+            }
+        }
+    }
+}
+
+#[test]
+fn l_blocks_are_the_transpose_ranks_u_blobs() {
+    let few_vertices = EdgeList::new(3, vec![(0, 1), (0, 2), (1, 2)]).simplify();
+    for el in [rmat_with_hub(), few_vertices, EdgeList::empty(5)] {
+        for p in RANKS {
+            check_l_is_transpose_u(&el, p);
+        }
     }
 }

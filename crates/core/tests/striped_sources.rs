@@ -43,8 +43,8 @@ fn shares<'a>(
 
 /// Everything of a [`PrepOutput`] but the `ops` tally.
 fn digest(prep: PrepOutput) -> impl PartialEq + std::fmt::Debug {
-    let PrepOutput { q, x, y, n, task, ublock, lblock, max_hash_row, label_pairs, ops: _ } = prep;
-    (q, x, y, n, task, ublock, lblock, max_hash_row, label_pairs)
+    let PrepOutput { q, x, y, n, task, ublob, lblob, max_hash_row, label_pairs, ops: _ } = prep;
+    (q, x, y, n, task, ublob, lblob, max_hash_row, label_pairs)
 }
 
 /// RMAT or ER, optionally with a vertex adjacent to all others and

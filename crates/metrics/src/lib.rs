@@ -133,10 +133,12 @@ pub mod names {
     // Per-shift distributions and hash-table shape.
     pub const SHIFT_BYTES: &str = "tct.shift_bytes";
     pub const SHIFT_COMPUTE_NS: &str = "tct.shift_compute_ns";
-    /// Bytes pushed through `to_blob` serialization in the counting
-    /// phase. Deterministic: the zero-copy pipeline serializes each
-    /// operand once (at the skew / panel root) instead of once per
-    /// shift, so this counter is the before/after of the optimization.
+    /// Bytes of operand blobs serialized for the counting phase.
+    /// Deterministic: the zero-copy pipeline serializes each operand
+    /// once instead of once per shift — Cannon's `U` blob, written by
+    /// preprocessing and counted at the skew (`L` is the transpose
+    /// rank's `U`), SUMMA's panel at its root — so this counter is the
+    /// before/after of the optimization.
     pub const SHIFT_BYTES_SERIALIZED: &str = "tct.shift_bytes_serialized";
     /// Wall time between posting a shift exchange and starting to wait
     /// on it — the window in which the transfer ran under compute.

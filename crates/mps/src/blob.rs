@@ -13,7 +13,7 @@
 
 use bytes::Bytes;
 
-use crate::pod::{bytes_of, Pod, PodArray};
+use crate::pod::{bytes_from_vec, bytes_of, Pod, PodArray};
 
 const MAGIC: u64 = 0x7452_6942_6c6f_6231; // "tRiBblob1"
 
@@ -57,6 +57,38 @@ impl<'a> BlobBuilder<'a> {
         debug_assert_eq!(buf.len(), total);
         Bytes::from(buf)
     }
+}
+
+/// Builds a blob of three `u32` sections in place, in one zeroed
+/// allocation and with no staging copy.
+///
+/// `fill` receives the three sections, `caps[i]` elements each, and
+/// returns how many elements of the *last* one it used: only the last
+/// section may end up shorter than its capacity (its unused tail is
+/// cut off). The result is byte for byte what [`BlobBuilder`] makes of
+/// the same three arrays.
+///
+/// # Panics
+///
+/// Panics if `fill` reports more elements than the last section holds.
+pub fn blob3_u32_in_place(caps: [usize; 3], fill: impl FnOnce([&mut [u32]; 3]) -> usize) -> Bytes {
+    const HEADER_WORDS: usize = 2 + 3;
+    let words = |n: usize| pad8(4 * n) / 8;
+    let mut buf = vec![0u64; HEADER_WORDS + caps.iter().map(|&c| words(c)).sum::<usize>()];
+    let (head, body) = buf.split_at_mut(HEADER_WORDS);
+    // SAFETY: `u32` has no padding and every bit pattern is valid, and
+    // a `u64` buffer is aligned for `u32`, so the body is exactly
+    // `2 · body.len()` initialized `u32`s borrowed for this scope only.
+    let body =
+        unsafe { std::slice::from_raw_parts_mut(body.as_mut_ptr().cast::<u32>(), 2 * body.len()) };
+    let (s0, rest) = body.split_at_mut(2 * words(caps[0]));
+    let (s1, s2) = rest.split_at_mut(2 * words(caps[1]));
+    let last = fill([&mut s0[..caps[0]], &mut s1[..caps[1]], &mut s2[..caps[2]]]);
+    assert!(last <= caps[2], "blob3_u32_in_place: {last} elements filled into {}", caps[2]);
+    let lens = [caps[0], caps[1], last].map(|n| 4 * n as u64);
+    head.copy_from_slice(&[MAGIC, 3, lens[0], lens[1], lens[2]].map(u64::to_le));
+    buf.truncate(HEADER_WORDS + words(caps[0]) + words(caps[1]) + words(last));
+    bytes_from_vec(buf)
 }
 
 /// Carves a 3-section blob into its raw section buffers without heap
@@ -200,6 +232,24 @@ mod tests {
         let a: Vec<u32> = vec![1];
         let blob = BlobBuilder::new().push(&a).finish();
         let _ = blob_sections3(&blob);
+    }
+
+    #[test]
+    fn in_place_blob_matches_the_builder() {
+        let (a, b, c): (Vec<u32>, Vec<u32>, Vec<u32>) = ((0..5).collect(), vec![9, 8], vec![7]);
+        let blob = blob3_u32_in_place([5, 2, 4], |[s0, s1, s2]| {
+            s0.copy_from_slice(&a);
+            s1.copy_from_slice(&b);
+            s2[0] = 7;
+            1
+        });
+        assert_eq!(blob, BlobBuilder::new().push(&a).push(&b).push(&c).finish());
+        let empty: &[u32] = &[];
+        let blob = blob3_u32_in_place([1, 0, 3], |[s0, _, _]| {
+            s0[0] = 0;
+            0
+        });
+        assert_eq!(blob, BlobBuilder::new().push(&[0u32]).push(empty).push(empty).finish());
     }
 
     #[test]

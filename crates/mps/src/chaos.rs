@@ -17,8 +17,10 @@
 //! ([`FaultPlan::from_env`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
+use crate::fabric::lock_recover;
 use crate::universe::strict_env;
 
 /// Environment variable seeding [`FaultPlan::from_env`].
@@ -235,11 +237,19 @@ pub(crate) struct Chaos {
     size: usize,
     /// Sends so far per directed link, indexed `src * size + dst`.
     sends: Vec<AtomicU64>,
+    /// Per rank, the injected delay it is asleep in, if any: the link's
+    /// destination and when the sleep ends.
+    asleep: Vec<Mutex<Option<(usize, Instant)>>>,
 }
 
 impl Chaos {
     pub(crate) fn new(plan: FaultPlan, size: usize) -> Self {
-        Self { plan, size, sends: (0..size * size).map(|_| AtomicU64::new(0)).collect() }
+        Self {
+            plan,
+            size,
+            sends: (0..size * size).map(|_| AtomicU64::new(0)).collect(),
+            asleep: (0..size).map(|_| Mutex::new(None)).collect(),
+        }
     }
 
     /// Called by the sending rank before each send on `src → dst`: sleeps
@@ -249,8 +259,18 @@ impl Chaos {
         let nth = self.sends[src * self.size + dst].fetch_add(1, Ordering::Relaxed);
         if let Some(d) = self.plan.delay(src, dst, nth) {
             tc_metrics::counter_add(tc_metrics::names::MPS_REL_INJECTED_DELAYS, 1);
+            *lock_recover(&self.asleep[src]) = Some((dst, Instant::now() + d));
             std::thread::sleep(d);
+            *lock_recover(&self.asleep[src]) = None;
         }
+    }
+
+    /// The state line of a timeout dump for `rank` while it sleeps in an
+    /// injected delay, or `None` when it does not.
+    pub(crate) fn sleep_state(&self, rank: usize) -> Option<String> {
+        let (dst, until) = (*lock_recover(&self.asleep[rank]))?;
+        let left = until.saturating_duration_since(Instant::now());
+        Some(format!("asleep in an injected delay on link {rank}→{dst} ({left:.1?} left)"))
     }
 }
 
@@ -352,6 +372,39 @@ mod tests {
     #[should_panic(expected = "1-based")]
     fn crash_at_zero_rejected() {
         let _ = FaultPlan::new(0).crash_at(1, 0);
+    }
+
+    #[test]
+    fn a_timeout_dump_names_the_rank_asleep_in_an_injected_delay() {
+        // Every send sleeps, for up to a second. The seed is chosen
+        // through the plan itself, so the first send on 0 → 1 surely
+        // sleeps far past rank 1's 100 ms receive deadline.
+        let plan = (0..)
+            .map(|seed| FaultPlan::new(seed).with_delay(1.0, Duration::from_secs(1)))
+            .find(|plan| plan.delay(0, 1, 0).is_some_and(|d| d >= Duration::from_millis(800)))
+            .expect("some seed sleeps long");
+        let cfg = crate::UniverseConfig {
+            recv_timeout: Some(Duration::from_millis(100)),
+            chaos: Some(plan),
+            ..crate::UniverseConfig::default()
+        };
+        let err = crate::Universe::try_run_config(2, &cfg, |c| {
+            if c.rank() == 0 {
+                c.send_val::<u64>(1, 5, 42);
+                Ok(0)
+            } else {
+                c.recv_val::<u64>(0, 5)
+            }
+        })
+        .expect_err("the receive must time out");
+        match err {
+            crate::MpsError::Timeout { report, .. } => {
+                let line = report.lines().find(|l| l.contains("rank 0:")).unwrap_or_default();
+                assert!(line.contains("asleep in an injected delay on link 0→1 ("), "{report}");
+                assert!(line.contains(" left)"), "{report}");
+            }
+            other => panic!("expected a Timeout, got {other}"),
+        }
     }
 
     #[test]

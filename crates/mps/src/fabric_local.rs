@@ -143,7 +143,11 @@ impl Fabric for LocalFabric {
                         b.tag,
                         b.since.elapsed()
                     ),
-                    None => "running".to_string(),
+                    None => self
+                        .chaos
+                        .as_ref()
+                        .and_then(|chaos| chaos.sleep_state(r))
+                        .unwrap_or_else(|| "running".to_string()),
                 }
             };
             let s = self.stats[r].snapshot();

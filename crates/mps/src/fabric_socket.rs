@@ -906,7 +906,11 @@ impl Fabric for SocketFabric {
                 b.tag,
                 b.since.elapsed()
             ),
-            None => "running".to_string(),
+            None => self
+                .chaos
+                .as_ref()
+                .and_then(|chaos| chaos.sleep_state(self.rank))
+                .unwrap_or_else(|| "running".to_string()),
         };
         let s = self.stats.snapshot();
         let _ = writeln!(

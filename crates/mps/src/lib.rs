@@ -72,7 +72,7 @@ pub mod poll;
 mod stats;
 mod universe;
 
-pub use blob::{blob_sections3, BlobBuilder, BlobReader};
+pub use blob::{blob3_u32_in_place, blob_sections3, BlobBuilder, BlobReader};
 pub use chaos::{
     FaultPlan, CHAOS_CRASH_AT_ENV, CHAOS_CRASH_RANK_ENV, CHAOS_DELAY_ENV, CHAOS_DELAY_MAX_US_ENV,
     CHAOS_ENV_VARS, CHAOS_LINKS_ENV, CHAOS_REMOVED_ENV_VARS, CHAOS_SEED_ENV,
