@@ -125,6 +125,18 @@ impl Graph {
         }
     }
 
+    /// The input of the multi-rank paths that never hold a `.bin`
+    /// whole (`serve-rank`, `serve`): a `.bin` is opened for its
+    /// stripes, everything else is loaded.
+    fn striped(input: &Input, seed: u64) -> Result<Self, AppError> {
+        match bin_path(input) {
+            Some(path) => EdgeFile::open(path)
+                .map(Graph::File)
+                .map_err(|e| AppError::Input(format!("{}: {e}", path.display()))),
+            None => load(input, seed).map(Graph::List),
+        }
+    }
+
     fn source(&self) -> EdgeSource<'_> {
         match self {
             Graph::File(file) => file.into(),
@@ -391,13 +403,7 @@ fn run(cmd: Command) -> Result<(), AppError> {
         } => {
             // A `.bin` must be canonical here: each process reads only
             // its own stripe, so there is nobody to simplify the whole.
-            let graph = match bin_path(&input) {
-                Some(path) => Graph::File(
-                    EdgeFile::open(path)
-                        .map_err(|e| AppError::Input(format!("{}: {e}", path.display())))?,
-                ),
-                None => Graph::List(load(&input, seed)?),
-            };
+            let graph = Graph::striped(&input, seed)?;
             // Flags win; otherwise the MPS_FABRIC_* environment names
             // this process's place in the mesh.
             let mut sock = match (rank, peers) {
@@ -488,8 +494,9 @@ fn run(cmd: Command) -> Result<(), AppError> {
             tick_ms,
             state_dir,
         } => {
-            let el = load(&input, seed)?;
-            let csr = Csr::from_edge_list(&el);
+            // A `.bin` is served from its stripes: no rank, and over
+            // sockets no process, holds the whole graph.
+            let graph = Graph::striped(&input, seed)?;
             // A crash-recoverable fleet (--state-dir) always meters:
             // the rejoin/degraded counters are its observability
             // surface, and the `metrics` query would otherwise serve
@@ -545,14 +552,17 @@ fn run(cmd: Command) -> Result<(), AppError> {
             if let Some(v) = tick_ms {
                 scfg.tick_ms = v.max(1);
             }
-            eprintln!("# serving {} vertices, {} edges", el.num_vertices, el.num_edges());
             // One fleet rank per rank the launch runs here; rank 0's
-            // (or this process's only) report is the one to print.
-            let serve_on = |launch: tc_mps::Launch<'_>| {
-                launch
-                    .run(|comm| tc_serve::serve_rank(comm, &csr, &scfg))
-                    .map(|(mut reports, _stats)| reports.swap_remove(0))
-                    .map_err(|e| e.to_string())
+            // (or this process's only) report is the one to print. A
+            // defective `.bin` stops every rank alike (exit 3).
+            let serve_on = |graph: &Graph, launch: tc_mps::Launch<'_>| {
+                let (n, m) = graph.size();
+                eprintln!("# serving {n} vertices, {m} edges");
+                let body = |comm: &tc_mps::Comm| {
+                    tc_core::settle(tc_serve::serve_rank(comm, graph.source(), &scfg))
+                };
+                let (mut reports, _stats) = launch.run(body).map_err(|e| run_error(&input, e))?;
+                reports.swap_remove(0).map_err(|e| run_error(&input, e))
             };
             let ucfg =
                 tc_mps::UniverseConfig { metrics: mhandle, chaos: plan, ..Default::default() };
@@ -572,10 +582,12 @@ fn run(cmd: Command) -> Result<(), AppError> {
                             // Crash-recoverable fleet: rank-local
                             // durability, epoch rejoin, degraded mode.
                             let fleet = tc_serve::FleetConfig::new(dir.clone()).env_overrides();
-                            tc_serve::serve_fleet(&csr, &scfg, &sock, &fleet)
-                                .map_err(|e| e.to_string())?
+                            let (n, m) = graph.size();
+                            eprintln!("# serving {n} vertices, {m} edges");
+                            tc_serve::serve_fleet(graph.source(), &scfg, &sock, &fleet)
+                                .map_err(|e| run_error(&input, e))?
                         }
-                        None => serve_on(tc_mps::Launch::Socket(&sock))?,
+                        None => serve_on(&graph, tc_mps::Launch::Socket(&sock))?,
                     };
                     (sock.rank, report)
                 }
@@ -589,7 +601,21 @@ fn run(cmd: Command) -> Result<(), AppError> {
                 }
                 None => {
                     eprintln!("# frontend on {} over {p} in-process ranks", scfg.listen.display());
-                    (0, serve_on(tc_mps::Launch::threads(p, &ucfg))?)
+                    let threads = tc_mps::Launch::threads(p, &ucfg);
+                    let report = match (serve_on(&graph, threads), &graph) {
+                        // The ranks found the file's records not
+                        // canonical (before the listener was bound):
+                        // serve the graph it simplifies to, as `count`
+                        // counts it.
+                        (Err(AppError::Input(why)), Graph::File(_)) => {
+                            eprintln!(
+                                "# not a canonical edge list ({why}); loading and simplifying it"
+                            );
+                            serve_on(&Graph::List(load(&input, seed)?), threads)?
+                        }
+                        (outcome, _) => outcome?,
+                    };
+                    (0, report)
                 }
             };
             // Peers report zeros for the frontend tallies; every rank

@@ -193,6 +193,69 @@ fn messy_binary_input_is_simplified_by_count_and_refused_by_serve_rank() {
 }
 
 #[test]
+fn messy_binary_input_is_simplified_by_serve_and_refused_by_socket_serve() {
+    // The file of the test above. In-process ranks share the process,
+    // so `serve` falls back to load + simplify as `count` does and
+    // serves the canonical graph's count; processes of a socket fleet
+    // read only their own stripe, so every one must exit 3 naming the
+    // file, the record and its byte offset, before binding a listener.
+    let edges = vec![(0, 1), (0, 2), (2, 1), (2, 1), (1, 3), (2, 3), (3, 3)];
+    let messy = tmp("serve-messy.bin");
+    tc_graph::io::write_binary_edges_path(&tc_graph::EdgeList { num_vertices: 5, edges }, &messy)
+        .unwrap();
+    let messy_arg = messy.to_str().unwrap();
+
+    let listen = tmp("serve-messy.sock");
+    let fleet = tricount()
+        .args(["serve", messy_arg, "--listen", listen.to_str().unwrap(), "--ranks", "4"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    let query = |args: &[&str]| {
+        let sock = listen.to_str().unwrap();
+        run(&[&["query", sock][..], args, &["--timeout-ms", "60000"]].concat())
+    };
+    let count = query(&["count"]);
+    assert_eq!(count.status.code(), Some(0), "{}", stderr(&count));
+    assert_eq!(stdout(&count).trim(), r#"{"ok":true,"triangles":2}"#);
+    assert_eq!(query(&["shutdown"]).status.code(), Some(0));
+    let out = fleet.wait_with_output().expect("wait for serve");
+    let e = stderr(&out);
+    assert_eq!(out.status.code(), Some(0), "{e}");
+    assert!(e.contains("# not a canonical edge list ("), "{e}");
+    assert!(e.contains("edge 2: descending pair (2, 1)"), "{e}");
+    assert!(e.contains("# serving 5 vertices, 5 edges"), "{e}");
+
+    let peers: Vec<String> = (0..4)
+        .map(|r| tmp(&format!("serve-messy-{r}.sock")).to_string_lossy().into_owned())
+        .collect();
+    let ranks: Vec<_> = (0..4)
+        .map(|r| {
+            tricount()
+                .args(["serve", messy_arg, "--listen", listen.to_str().unwrap()])
+                .args(["--rank", &r.to_string(), "--peers", &peers.join(",")])
+                .stdout(std::process::Stdio::piped())
+                .stderr(std::process::Stdio::piped())
+                .spawn()
+                .expect("spawn a rank")
+        })
+        .collect();
+    for (r, child) in ranks.into_iter().enumerate() {
+        let out = child.wait_with_output().expect("wait for a rank");
+        let e = stderr(&out);
+        assert_eq!(out.status.code(), Some(3), "rank {r}: {e}");
+        assert!(e.contains("input error") && e.contains("serve-messy.bin"), "rank {r}: {e}");
+        assert!(
+            e.contains("corrupt binary at byte 40: edge 2: descending pair (2, 1)"),
+            "rank {r}: {e}"
+        );
+    }
+    assert!(!listen.exists(), "a refused fleet left its listener behind");
+    let _ = std::fs::remove_file(&messy);
+}
+
+#[test]
 fn chaos_flag_still_counts_exactly() {
     let clean = run(&["count", "g500-s5", "--ranks", "4", "--seed", "7"]);
     assert_eq!(clean.status.code(), Some(0), "{}", stderr(&clean));

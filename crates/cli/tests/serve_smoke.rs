@@ -4,7 +4,9 @@
 //! interleaved with count / support / truss / stats / metrics queries —
 //! then cross-checked against the offline `tricount count` of the final
 //! edge state. One run repeats under seeded send delays on every rank
-//! (`--chaos`): every answer must stay exact. Rank logs land in
+//! (`--chaos`), and one serves the same graph from a `.bin` of which
+//! each process reads only its stripe: every answer must stay exact.
+//! Rank logs land in
 //! `$CARGO_TARGET_TMPDIR/serve-smoke/` for CI artifact upload.
 
 use std::collections::BTreeSet;
@@ -39,8 +41,9 @@ fn endpoints(p: usize, label: &str) -> Vec<String> {
         .collect()
 }
 
-/// Spawns the 4-process fleet; rank logs go to the artifact dir.
-fn spawn_fleet(label: &str, frontend: &Path, extra: &[&str]) -> Vec<Child> {
+/// Spawns the 4-process fleet over `input` (a preset or a file); rank
+/// logs go to the artifact dir.
+fn spawn_fleet(label: &str, input: &str, frontend: &Path, extra: &[&str]) -> Vec<Child> {
     let p = 4usize;
     let peers = endpoints(p, label).join(",");
     let logs = log_dir(label);
@@ -50,7 +53,7 @@ fn spawn_fleet(label: &str, frontend: &Path, extra: &[&str]) -> Vec<Child> {
             let err = File::create(logs.join(format!("rank{rank}.err.log"))).expect("log file");
             tricount()
                 .arg("serve")
-                .arg("g500-s6")
+                .arg(input)
                 .args(["--listen", &frontend.to_string_lossy()])
                 .args(["--rank", &rank.to_string(), "--peers", &peers])
                 .args(["--flush-ms", "10000", "--tick-ms", "500"])
@@ -129,9 +132,10 @@ fn offline_count(label: &str, n: usize, edges: &BTreeSet<(u32, u32)>) -> u64 {
         .expect("no triangle count in offline output")
 }
 
-/// Drives the full mixed workload against a fleet and verifies every
-/// checkpoint, the offline cross-check, and a clean shutdown.
-fn drive(label: &str, extra: &[&str], rounds: usize) {
+/// Drives the full mixed workload against a fleet over `input` (the
+/// graph of [`initial_edges`]) and verifies every checkpoint, the
+/// offline cross-check, and a clean shutdown.
+fn drive(label: &str, input: &str, extra: &[&str], rounds: usize) {
     let frontend = std::env::temp_dir().join(format!("tcq-{}-{label}.sock", std::process::id()));
     // Every rank gets --json but only rank 0 appends the run record.
     let report_path = log_dir(label).join("report.json");
@@ -139,7 +143,7 @@ fn drive(label: &str, extra: &[&str], rounds: usize) {
     let mut extra: Vec<String> = extra.iter().map(|s| s.to_string()).collect();
     extra.extend(["--json".to_string(), report_path.to_string_lossy().into_owned()]);
     let extra: Vec<&str> = extra.iter().map(String::as_str).collect();
-    let children = spawn_fleet(label, &frontend, &extra);
+    let children = spawn_fleet(label, input, &frontend, &extra);
     let mut client = Client::connect_retry(&frontend, Duration::from_secs(120))
         .unwrap_or_else(|e| panic!("frontend never came up: {e}\n{}", rank_log(label, 0)));
 
@@ -245,12 +249,26 @@ fn drive(label: &str, extra: &[&str], rounds: usize) {
 
 #[test]
 fn four_process_fleet_sustains_mixed_workload() {
-    drive("clean", &[], 110);
+    drive("clean", "g500-s6", &[], 110);
 }
 
 #[test]
 fn four_process_fleet_stays_exact_under_chaos() {
-    drive("chaos", &["--chaos", "42"], 30);
+    drive("chaos", "g500-s6", &["--chaos", "42"], 30);
+}
+
+#[test]
+fn four_process_fleet_serves_a_bin_from_stripes() {
+    let (n, edges) = initial_edges();
+    let path = log_dir("bin").join("g500-s6.bin");
+    let el = EdgeList::new(n, edges.into_iter().collect());
+    tc_graph::io::write_binary_edges_path(&el, &path).expect("write the .bin");
+    drive("bin", &path.to_string_lossy(), &[], 30);
+    for rank in 0..4 {
+        let log = rank_log("bin", rank);
+        let header = format!("# serving {n} vertices, {} edges", el.num_edges());
+        assert!(log.contains(&header), "rank {rank} did not serve the file:\n{log}");
+    }
 }
 
 #[test]

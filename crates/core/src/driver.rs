@@ -118,8 +118,9 @@ pub fn run(req: Request<'_>, launch: Launch<'_>) -> MpsResult<TcResult> {
 /// Turns an invalid-input verdict into a rank body's *value*: every
 /// rank reaches it at the same program point, so the universe ends in
 /// an orderly way (over sockets: drained, FIN exchanged) and each rank
-/// keeps the typed error instead of racing its peers' aborts.
-fn settle<T>(out: MpsResult<T>) -> MpsResult<MpsResult<T>> {
+/// keeps the typed error instead of racing its peers' aborts. For rank
+/// bodies other than [`run`]'s that read a striped source.
+pub fn settle<T>(out: MpsResult<T>) -> MpsResult<MpsResult<T>> {
     match out {
         Err(e @ MpsError::InvalidInput { .. }) => Ok(Err(e)),
         other => other.map(Ok),

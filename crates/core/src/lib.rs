@@ -61,7 +61,9 @@ mod redist;
 pub mod summa;
 
 pub use config::{Enumeration, KernelStrategy, TcConfig};
-pub use driver::{count_per_edge, count_rank_from, count_triangles, run, Algorithm, Request};
+pub use driver::{
+    count_per_edge, count_rank_from, count_triangles, run, settle, Algorithm, Request,
+};
 pub use intersect::{KernelState, KernelStats};
 pub use metrics::{CommPhase, EdgeSupport, PhaseSample, RankMetrics, TcResult};
 pub use preprocess::{BlockInput, EdgeSource};

@@ -55,7 +55,7 @@ use crate::blocks::{BlockView, SparseBlock, SparseBlockRef};
 use crate::config::{Enumeration, TcConfig};
 use crate::labels::LabelTable;
 use crate::recip::Reciprocal;
-use crate::redist::{poison, route, unpack};
+use crate::redist::{poison, route, unpack, Records};
 
 /// Tag of the step-4 swap of `U` blobs between transpose ranks (kept
 /// clear of the grid-shift and SUMMA regions).
@@ -145,20 +145,36 @@ impl BlockInput<'_> {
     /// This rank's edges, routed to the cyclic owners of their
     /// endpoints — or what is wrong with its stripe of them.
     fn stage(&self, n: usize, rank: usize, by_p: Reciprocal) -> Result<Vec<Vec<[u32; 2]>>, String> {
-        let p = by_p.divisor() as usize;
-        let BlockInput::Striped(src) = self else {
-            let (lo, hi) = Block1D::new(n, p).range(rank);
-            let upper = (lo as u32..hi as u32)
-                .flat_map(|v| self.row(v).iter().filter(move |&&w| w > v).map(move |&w| (v, w)));
-            return Ok(route(upper, by_p));
+        route(&Share { input: self, n, rank, p: by_p.divisor() as usize }, by_p)
+    }
+}
+
+/// Rank `rank`'s share of an `n`-vertex input among `p`, as the records
+/// step 1 routes: a stripe is read a chunk at a time and checked as it
+/// goes, so neither pass holds the whole stripe beside the send
+/// buffers; of rows, each entry `w > v` is a record.
+struct Share<'s, 'a> {
+    input: &'s BlockInput<'a>,
+    n: usize,
+    rank: usize,
+    p: usize,
+}
+
+impl Records for Share<'_, '_> {
+    fn walk(&self, mut f: impl FnMut(u32, u32)) -> Result<(), String> {
+        let BlockInput::Striped(src) = self.input else {
+            let (lo, hi) = Block1D::new(self.n, self.p).range(self.rank);
+            for v in lo as u32..hi as u32 {
+                self.input.row(v).iter().filter(|&&w| w > v).for_each(|&w| f(v, w));
+            }
+            return Ok(());
         };
-        let records = src.stripe(rank, p).map_err(|e| match (src, e) {
+        src.visit_stripe(self.rank, self.p, f).map_err(|e| match (src, e) {
             (EdgeSource::List(_), IoError::Corrupt { msg, .. }) => {
                 format!("input must be a simplified undirected graph: {msg}")
             }
             (_, e) => e.to_string(),
-        })?;
-        Ok(route(records.iter().copied(), by_p))
+        })
     }
 }
 
@@ -384,4 +400,36 @@ pub fn preprocess_from(
     drop(twod_span);
 
     Ok(PrepOutput { q, x, y, n, task, ublob, lblob, max_hash_row, ops, label_pairs })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tc_graph::io::{write_binary_edges_path, EdgeFile, CHUNK_RECORDS};
+    use tc_graph::EdgeList;
+
+    /// A file stripe is routed a chunk at a time; the step-1 messages
+    /// must be those of the same stripe of the list, for stripes one
+    /// record short of, exactly and one record past a chunk.
+    #[test]
+    fn file_stripes_stage_the_messages_of_list_stripes() {
+        let path = std::env::temp_dir().join(format!("tc-stage-{}.bin", std::process::id()));
+        for len in [CHUNK_RECORDS - 1, CHUNK_RECORDS, CHUNK_RECORDS + 1] {
+            for p in [1usize, 4] {
+                let m = (p * len) as u32;
+                let edges: Vec<(u32, u32)> = (0..m).map(|i| (i / 3, i / 3 + 1 + i % 3)).collect();
+                let el = EdgeList::new(m as usize / 3 + 4, edges);
+                write_binary_edges_path(&el, &path).expect("write the .bin");
+                let file = EdgeFile::open(&path).expect("reopen the .bin");
+                let by_p = Reciprocal::new(p as u32);
+                for rank in 0..p {
+                    let stage = |src| BlockInput::Striped(src).stage(el.num_vertices, rank, by_p);
+                    let list = stage(EdgeSource::List(&el)).expect("a clean list stripe");
+                    let from_file = stage(EdgeSource::File(&file)).expect("a clean file stripe");
+                    assert!(list == from_file, "stripes of {len} records, rank {rank} of {p}");
+                }
+            }
+        }
+        std::fs::remove_file(&path).expect("remove the .bin");
+    }
 }

@@ -15,36 +15,44 @@
 
 use crate::recip::Reciprocal;
 
+/// A rank's share of the input as records `(u, v)` it can walk more
+/// than once: [`route`] walks it twice, to count and then to fill.
+pub(crate) trait Records {
+    /// Calls `f` on every record in order, or says what is wrong with
+    /// the share (`f` may have seen the records before the defect).
+    fn walk(&self, f: impl FnMut(u32, u32)) -> Result<(), String>;
+}
+
 /// One message per rank, routing each edge to the cyclic owners of
 /// both endpoints: a counting pass, then an in-place fill.
 pub(crate) fn route(
-    records: impl Iterator<Item = (u32, u32)> + Clone,
+    records: &(impl Records + ?Sized),
     by_p: Reciprocal,
-) -> Vec<Vec<[u32; 2]>> {
-    let owners = |(u, v): (u32, u32)| (by_p.div_rem(u).1 as usize, by_p.div_rem(v).1 as usize);
+) -> Result<Vec<Vec<[u32; 2]>>, String> {
+    let owners = |u: u32, v: u32| (by_p.div_rem(u).1 as usize, by_p.div_rem(v).1 as usize);
     let p = by_p.divisor() as usize;
     let (mut firsts, mut seconds) = (vec![0usize; p], vec![0usize; p]);
-    for edge in records.clone() {
-        let (du, dv) = owners(edge);
+    records.walk(|u, v| {
+        let (du, dv) = owners(u, v);
         firsts[du] += 1;
         seconds[dv] += usize::from(dv != du);
-    }
+    })?;
     let mut sends: Vec<Vec<[u32; 2]>> =
         (0..p).map(|d| vec![[0; 2]; 1 + firsts[d] + seconds[d]]).collect();
     let mut at: Vec<[usize; 2]> = firsts.iter().map(|&f| [1, 1 + f]).collect();
     for (send, &f) in sends.iter_mut().zip(&firsts) {
         send[0] = [f as u32, (f as u64 >> 32) as u32];
     }
-    for (u, v) in records {
-        let (du, dv) = owners((u, v));
+    records.walk(|u, v| {
+        let (du, dv) = owners(u, v);
         sends[du][at[du][0]] = [u, v];
         at[du][0] += 1;
         if dv != du {
             sends[dv][at[dv][1]] = [u, v];
             at[dv][1] += 1;
         }
-    }
-    sends
+    })?;
+    Ok(sends)
 }
 
 /// A run of `[u, v]` edge records on the step-1 wire.
@@ -79,10 +87,17 @@ pub(crate) fn unpack(msg: &Edges) -> Result<(&Edges, &Edges), String> {
 mod tests {
     use super::*;
 
+    impl Records for [(u32, u32)] {
+        fn walk(&self, mut f: impl FnMut(u32, u32)) -> Result<(), String> {
+            self.iter().for_each(|&(u, v)| f(u, v));
+            Ok(())
+        }
+    }
+
     #[test]
     fn every_edge_reaches_both_owners_once() {
         let records = [(0, 1), (0, 4), (1, 2), (2, 6), (3, 7), (5, 6)];
-        let sends = route(records.iter().copied(), Reciprocal::new(4));
+        let sends = route(&records[..], Reciprocal::new(4)).unwrap();
         let mut seen = Vec::new();
         for (owner, msg) in sends.iter().enumerate() {
             let (firsts, seconds) = unpack(msg).expect("edges, not poison");
@@ -96,7 +111,7 @@ mod tests {
         seen.dedup();
         assert_eq!(seen, records);
         // No edges at all is still one header per rank.
-        assert_eq!(route([].into_iter(), Reciprocal::new(3)), vec![vec![[0, 0]]; 3]);
+        assert_eq!(route(&[][..], Reciprocal::new(3)), Ok(vec![vec![[0, 0]]; 3]));
     }
 
     #[test]

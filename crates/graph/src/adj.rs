@@ -81,6 +81,24 @@ impl AdjStore {
         Self { n, lo: lo as u32, hi: hi as u32, rows, ghosts: HashMap::new() }
     }
 
+    /// Builds the store owning the block `[lo, lo + rows.len())` of an
+    /// `n`-vertex graph from its rows, which it takes as they are.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is not a sub-range of `0..n`, or a row is
+    /// not strictly ascending, holds an id `>= n` or its own vertex.
+    pub fn from_sorted_rows(n: usize, lo: usize, rows: Vec<Vec<VertexId>>) -> Self {
+        let hi = lo + rows.len();
+        assert!(hi <= n, "block [{lo}, {hi}) is not a sub-range of 0..{n}");
+        for (v, row) in (lo as VertexId..).zip(&rows) {
+            let sorted = row.windows(2).all(|w| w[0] < w[1]);
+            let simple = row.last().is_none_or(|&w| (w as usize) < n) && !row.contains(&v);
+            assert!(sorted && simple, "row {v} is not a sorted simple adjacency: {row:?}");
+        }
+        Self { n, lo: lo as u32, hi: hi as u32, rows, ghosts: HashMap::new() }
+    }
+
     /// Builds the store from this rank's block rows of a global CSR
     /// (rows are copied — the store owns and may mutate them).
     pub fn from_csr_block(csr: &Csr, lo: usize, hi: usize) -> Self {
@@ -405,6 +423,21 @@ mod tests {
         assert_eq!(store.owned_entries(), 8);
         assert!(store.contains(0, 1));
         assert!(!store.contains(0, 3));
+    }
+
+    #[test]
+    fn from_sorted_rows_takes_the_rows_of_a_block() {
+        let csr = Csr::from_edge_list(&EdgeList::new(5, vec![(0, 1), (1, 2), (1, 3), (3, 4)]));
+        let rows: Vec<Vec<u32>> = (1..4).map(|v| csr.neighbors(v).to_vec()).collect();
+        let store = AdjStore::from_sorted_rows(5, 1, rows);
+        assert_eq!(store.range(), (1, 4));
+        let oracle = AdjStore::from_csr_block(&csr, 1, 4);
+        assert!(store.owned_rows().eq(oracle.owned_rows()));
+        for bad in [vec![2, 0], vec![0, 0], vec![1], vec![5]] {
+            let rows = vec![bad.clone(), vec![], vec![]];
+            let built = std::panic::catch_unwind(|| AdjStore::from_sorted_rows(5, 1, rows));
+            assert!(built.is_err(), "row {bad:?} was accepted for vertex 1");
+        }
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //!   (SuiteSparse, Graph Challenge — the paper's twitter/friendster
 //!   sources) distribute.
 
-use std::borrow::Cow;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -260,9 +259,10 @@ const CRC32C_TABLE: [u32; 256] = {
 /// Byte length of the binary header (magic, `n`, `m`).
 const BIN_HEADER: u64 = 24;
 
-/// Records per `read` of the binary readers and per `write` of the
-/// writer (64 KiB).
-const CHUNK_RECORDS: usize = 8192;
+/// Records per `read` of the binary readers (stripes of
+/// [`EdgeSource::visit_stripe`] included) and per `write` of the writer
+/// (64 KiB).
+pub const CHUNK_RECORDS: usize = 8192;
 
 /// Reads and checks the 24-byte binary header, returning `(n, m)`.
 fn read_binary_header(r: &mut impl Read) -> Result<(usize, usize)> {
@@ -321,18 +321,9 @@ fn decode_records(
     let mut at = first;
     while at < first + count {
         let want = 8 * (first + count - at).min(CHUNK_RECORDS);
-        let mut got = 0;
-        while got < want {
-            match r.read(&mut chunk[got..want]) {
-                Ok(0) => break,
-                Ok(k) => got += k,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(IoError::Io(e)),
-            }
-        }
+        let got = fill(&mut r, &mut chunk[..want])?;
         for (i, rec) in chunk[..got].chunks_exact(8).enumerate() {
-            let u = u32::from_le_bytes(rec[..4].try_into().expect("4-byte half"));
-            let v = u32::from_le_bytes(rec[4..].try_into().expect("4-byte half"));
+            let (u, v) = record(rec);
             if u as usize >= n || v as usize >= n {
                 let msg = canonical_defect(at + i, None, (u, v), n);
                 return Err(IoError::Corrupt { msg, offset: record_offset(at + i) });
@@ -345,6 +336,27 @@ fn decode_records(
         at += want / 8;
     }
     Ok(())
+}
+
+/// Reads into `buf` until it is full or the stream ends, returning the
+/// byte count read.
+fn fill(r: &mut impl Read, buf: &mut [u8]) -> Result<usize> {
+    let mut got = 0;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(k) => got += k,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(IoError::Io(e)),
+        }
+    }
+    Ok(got)
+}
+
+/// The endpoints of one 8-byte record.
+fn record(rec: &[u8]) -> (VertexId, VertexId) {
+    let half = |h: &[u8]| u32::from_le_bytes(h.try_into().expect("4-byte half"));
+    (half(&rec[..4]), half(&rec[4..]))
 }
 
 /// Reads the compact binary format.
@@ -511,32 +523,68 @@ impl<'a> EdgeSource<'a> {
         }
     }
 
-    /// Stripe `rank` of `p`, checked against the canonical form —
-    /// also against the record before the stripe, so that `p` clean
-    /// stripes make a clean list. A defect is an [`IoError::Corrupt`]
-    /// naming the record and the byte offset it has (for a list: would
-    /// have) in the binary format.
-    pub fn stripe(&self, rank: usize, p: usize) -> Result<Cow<'a, [(VertexId, VertexId)]>> {
+    /// Walks stripe `rank` of `p` in order, checking each record against
+    /// the canonical form before `visit` sees it — against the record
+    /// before it too, across the stripe's start included, so that `p`
+    /// clean stripes make a clean list. A file stripe is read
+    /// [`CHUNK_RECORDS`] records at a time into one buffer, so no
+    /// caller holds a whole stripe; a list stripe is walked in place. A
+    /// defect is an [`IoError::Corrupt`] naming the record and the byte
+    /// offset it has (for a list: would have) in the binary format; the
+    /// records before it have been visited.
+    pub fn visit_stripe(
+        &self,
+        rank: usize,
+        p: usize,
+        mut visit: impl FnMut(VertexId, VertexId),
+    ) -> Result<()> {
         let (n, m) = (self.num_vertices(), self.num_edges());
         let cut = |r: usize| (m as u128 * r as u128 / p as u128) as usize;
         let (lo, hi) = (cut(rank), cut(rank + 1));
-        let (records, mut prev) = match *self {
+        let mut prev = match *self {
+            EdgeSource::List(el) => lo.checked_sub(1).map(|i| el.edges[i]),
+            EdgeSource::File(file) if lo > 0 => file.read_records(lo - 1, lo)?.pop(),
+            EdgeSource::File(_) => None,
+        };
+        // `prev < Some(rec)` holds for any record when `prev` is `None`.
+        let canonical = |prev: Option<(VertexId, VertexId)>, (u, v): (VertexId, VertexId)| {
+            u < v && (v as usize) < n && prev < Some((u, v))
+        };
+        let defect = |index: usize, prev, rec| IoError::Corrupt {
+            msg: canonical_defect(index, prev, rec, n),
+            offset: record_offset(index),
+        };
+        match *self {
             EdgeSource::List(el) => {
-                (Cow::Borrowed(&el.edges[lo..hi]), lo.checked_sub(1).map(|i| el.edges[i]))
+                for (i, &rec) in (lo..).zip(&el.edges[lo..hi]) {
+                    if !canonical(prev, rec) {
+                        return Err(defect(i, prev, rec));
+                    }
+                    prev = Some(rec);
+                    visit(rec.0, rec.1);
+                }
             }
             EdgeSource::File(file) => {
-                let before = if lo > 0 { file.read_records(lo - 1, lo)?.pop() } else { None };
-                (Cow::Owned(file.read_records(lo, hi)?), before)
+                let mut at = ReadAt { file: &file.file, pos: record_offset(lo) };
+                let mut chunk = vec![0u8; 8 * (hi - lo).min(CHUNK_RECORDS)];
+                for first in (lo..hi).step_by(CHUNK_RECORDS) {
+                    let want = 8 * (hi.min(first + CHUNK_RECORDS) - first);
+                    let got = fill(&mut at, &mut chunk[..want])?;
+                    for (i, rec) in (first..).zip(chunk[..got].chunks_exact(8)) {
+                        let rec = record(rec);
+                        if !canonical(prev, rec) {
+                            return Err(defect(i, prev, rec));
+                        }
+                        prev = Some(rec);
+                        visit(rec.0, rec.1);
+                    }
+                    if got < want {
+                        return Err(truncated_at(8 * first as u64 + got as u64, m));
+                    }
+                }
             }
-        };
-        for (i, &(u, v)) in records.iter().enumerate() {
-            if !(u < v && (v as usize) < n && prev.is_none_or(|before| before < (u, v))) {
-                let msg = canonical_defect(lo + i, prev, (u, v), n);
-                return Err(IoError::Corrupt { msg, offset: record_offset(lo + i) });
-            }
-            prev = Some((u, v));
         }
-        Ok(records)
+        Ok(())
     }
 }
 
@@ -821,6 +869,54 @@ mod tests {
             (format!("truncated: edge {} of {m} missing", m - 9), 24 + 8 * (m as u64 - 9) + 4);
         assert_eq!(corrupt(read_binary_edges(&bytes[..cut]).unwrap_err()), want);
         assert_eq!(corrupt(open_bytes("cut", &bytes[..cut]).unwrap_err()), want);
+    }
+
+    /// Every record `visit_stripe` visits, in order.
+    fn visited(src: EdgeSource<'_>, rank: usize, p: usize) -> Result<Vec<(u32, u32)>> {
+        let mut records = Vec::new();
+        src.visit_stripe(rank, p, |u, v| records.push((u, v)))?;
+        Ok(records)
+    }
+
+    #[test]
+    fn file_stripes_are_visited_like_list_stripes() {
+        // Two stripes of CHUNK - 1, CHUNK and CHUNK + 1 records each.
+        for len in [CHUNK_RECORDS - 1, CHUNK_RECORDS, CHUNK_RECORDS + 1] {
+            let m = 2 * len;
+            let edges: Vec<(u32, u32)> =
+                (0..m as u32).map(|i| (i / 3, i / 3 + 1 + i % 3)).collect();
+            let n = m / 3 + 4;
+            let el = EdgeList { num_vertices: n, edges: edges.clone() };
+            let file = open_bytes("visit", &bin(n as u64, &edges)).unwrap();
+            for rank in 0..2 {
+                let (list, file) = (EdgeSource::List(&el), EdgeSource::File(&file));
+                let stripe = &edges[rank * len..(rank + 1) * len];
+                assert_eq!(visited(file, rank, 2).unwrap(), stripe, "len {len} rank {rank}");
+                assert_eq!(visited(list, rank, 2).unwrap(), stripe, "len {len} rank {rank}");
+            }
+
+            // A defect on the first record of stripe 1 (checked against
+            // stripe 0's last record) and, for the longer stripes, on the
+            // first record of stripe 0's second chunk: both sources name
+            // the same record at the same offset.
+            let mut firsts = vec![len];
+            firsts.extend((len > CHUNK_RECORDS).then_some(CHUNK_RECORDS));
+            for at in firsts {
+                let (pu, pv) = edges[at - 1];
+                for record in [(pu, pv), (pu, pu), (pv, pu), (pu, n as u32), (pu - 1, pv)] {
+                    let mut bad = edges.clone();
+                    bad[at] = record;
+                    let el = EdgeList { num_vertices: n, edges: bad.clone() };
+                    let file = open_bytes("visit-bad", &bin(n as u64, &bad)).unwrap();
+                    let rank = at / len;
+                    let list = corrupt(visited(EdgeSource::List(&el), rank, 2).unwrap_err());
+                    let from_file = corrupt(visited(EdgeSource::File(&file), rank, 2).unwrap_err());
+                    assert_eq!(list, from_file, "record {at} = {record:?}");
+                    assert_eq!(list.1, record_offset(at), "{}", list.0);
+                    assert!(list.0.starts_with(&format!("edge {at}: ")), "{}", list.0);
+                }
+            }
+        }
     }
 
     #[test]

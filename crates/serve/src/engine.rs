@@ -3,7 +3,8 @@
 //! The engine owns a rank's 1D block of the evolving graph in a
 //! mutable [`AdjStore`] and keeps the **global** triangle count
 //! replicated on every rank. Cold start runs the full 2D kernel
-//! (Cannon or SUMMA) over the owned rows; every subsequent update
+//! (Cannon or SUMMA) over the input's stripes, the path `count` takes,
+//! and builds the owned rows in one exchange; every subsequent update
 //! batch adjusts the count *incrementally* — neighborhood
 //! intersections of the touched endpoints only, never a recount.
 //!
@@ -51,11 +52,12 @@ use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::time::Instant;
 
-use tc_core::{count_rank_from, summa_rank_from, BlockInput, SummaGrid, TcConfig};
+use tc_core::recip::Reciprocal;
+use tc_core::{count_rank_from, summa_rank_from, BlockInput, EdgeSource, SummaGrid, TcConfig};
 use tc_graph::truss::truss_decomposition;
 use tc_graph::{AdjStore, Block1D, Csr, EdgeList};
 use tc_metrics::names as m;
-use tc_mps::{Comm, MpsResult};
+use tc_mps::{bytes_from_vec, Comm, MpsError, MpsResult, PodArray};
 
 use crate::wal::{decode_records, encode_records, CkptMeta, Durability, WalRecord};
 
@@ -252,30 +254,112 @@ fn flat_pairs(bufs: Vec<Vec<u32>>) -> Vec<(u32, u32)> {
     bufs.concat().chunks_exact(2).map(|w| (w[0], w[1])).collect()
 }
 
+/// The full 2D count of an `n`-vertex input: the cold start, and the
+/// recount oracle.
+fn full_count(
+    comm: &Comm,
+    algo: Algo,
+    n: usize,
+    input: &BlockInput<'_>,
+    cfg: &TcConfig,
+) -> MpsResult<u64> {
+    let (triangles, _metrics) = match algo {
+        Algo::Cannon => count_rank_from(comm, n, input, cfg)?,
+        Algo::Summa(grid) => summa_rank_from(comm, &grid, n, input, cfg)?,
+    };
+    if comm.rank() == 0 {
+        tc_metrics::counter_add(m::SERVE_FULL_RECOUNTS, 1);
+    }
+    Ok(triangles)
+}
+
+/// This rank's rows of the graph `src` holds, in `block`, and its
+/// additive share of the edge-set fingerprint. Collective: each rank
+/// reads its stripe of `src` (a counting pass sizes the send buffers,
+/// a second pass fills them) and sends both directions of every edge
+/// to their owners in one zero-copy exchange. The fingerprint share
+/// hashes the stripe's edges, each edge of the graph on exactly one
+/// rank.
+fn rows_from(comm: &Comm, src: EdgeSource<'_>, block: &Block1D) -> MpsResult<(AdjStore, u64)> {
+    let (rank, p) = (comm.rank(), comm.size());
+    let invalid = |e: tc_graph::io::IoError| MpsError::InvalidInput { rank, msg: e.to_string() };
+    // `Block1D::owner` without its two divides per call. A block of
+    // 2³² vertices has p = 1, where 2³² − 1 owns the same.
+    let by_chunk = Reciprocal::new(block.chunk().clamp(1, u32::MAX as usize) as u32);
+    let owner = |v: u32| (by_chunk.quotient(v) as usize).min(p - 1);
+    let (mut counts, mut share) = (vec![0usize; p], 0u64);
+    src.visit_stripe(rank, p, |u, v| {
+        counts[owner(u)] += 1;
+        counts[owner(v)] += 1;
+        share = share.wrapping_add(edge_fingerprint(u, v));
+    })
+    .map_err(invalid)?;
+    let mut sends: Vec<Vec<[u32; 2]>> = counts.into_iter().map(Vec::with_capacity).collect();
+    src.visit_stripe(rank, p, |u, v| {
+        sends[owner(u)].push([u, v]);
+        sends[owner(v)].push([v, u]);
+    })
+    .map_err(invalid)?;
+    let received = comm.alltoallv_bytes(sends.into_iter().map(bytes_from_vec).collect())?;
+    let received: Vec<PodArray<[u32; 2]>> = received.into_iter().map(PodArray::new).collect();
+
+    // The messages come in rank order, which is the order of the
+    // canonical list, so row `v` fills ascending: its lower neighbours
+    // `w` (edges `(w, v)`, sorted by `w`) before its upper ones.
+    let (lo, hi) = block.range(rank);
+    let mut degree = vec![0usize; hi - lo];
+    for &[v, _] in received.iter().flat_map(|msg| msg.iter()) {
+        degree[v as usize - lo] += 1;
+    }
+    let mut rows: Vec<Vec<u32>> = degree.into_iter().map(Vec::with_capacity).collect();
+    for &[v, w] in received.iter().flat_map(|msg| msg.iter()) {
+        rows[v as usize - lo].push(w);
+    }
+    Ok((AdjStore::from_sorted_rows(src.num_vertices(), lo, rows), share))
+}
+
 impl Engine {
-    /// Builds a rank's engine from the shared input CSR and runs the
-    /// cold-start recount (the one and only hot-path-free full count).
-    pub fn cold_start(comm: &Comm, csr: &Csr, algo: Algo, cfg: TcConfig) -> MpsResult<Engine> {
-        let n = csr.num_vertices();
+    /// Builds a rank's engine from its stripe of `src` and runs the
+    /// cold-start count (the one and only hot-path-free full count).
+    /// No rank holds more of the graph than its stripe and its rows:
+    /// the count takes the path of `tc_core::run`, the rows arrive in
+    /// one exchange (`rows_from`), and the fingerprint is summed
+    /// over the stripes by one allreduce. A defective source is the
+    /// same [`MpsError::InvalidInput`] on every rank.
+    pub fn cold_start_from(
+        comm: &Comm,
+        src: EdgeSource<'_>,
+        algo: Algo,
+        cfg: TcConfig,
+    ) -> MpsResult<Engine> {
+        let n = src.num_vertices();
+        // The count goes first: it checks every record of every stripe
+        // before anything else reads one, and its buffers are freed
+        // before the rows are built.
+        let count = full_count(comm, algo, n, &BlockInput::Striped(src), &cfg)?;
         let block = Block1D::new(n, comm.size());
-        let (lo, hi) = block.range(comm.rank());
-        let store = AdjStore::from_csr_block(csr, lo, hi);
-        let mut engine = Engine {
+        let (store, share) = rows_from(comm, src, &block)?;
+        let hash = comm.allreduce(&[share], |a, b| *a = a.wrapping_add(*b))?[0];
+        Ok(Engine {
             n,
             block,
             store,
-            count: 0,
+            count,
             algo,
             cfg,
             batches_applied: 0,
-            full_recounts: 0,
-            hash: 0,
+            full_recounts: 1,
+            hash,
             dur: None,
             ckpt_every: 0,
-        };
-        engine.recount(comm)?;
-        engine.hash = engine.live_hash(comm)?;
-        Ok(engine)
+        })
+    }
+
+    /// [`Engine::cold_start_from`] the upper entries of a CSR every
+    /// rank holds (each rank lists them all, then reads its stripe).
+    pub fn cold_start(comm: &Comm, csr: &Csr, algo: Algo, cfg: TcConfig) -> MpsResult<Engine> {
+        let el = EdgeList::new(csr.num_vertices(), csr.edges().collect());
+        Engine::cold_start_from(comm, EdgeSource::List(&el), algo, cfg)
     }
 
     /// Builds or restores every rank's engine for one supervised-fleet
@@ -286,12 +370,15 @@ impl Engine {
     /// 2. if nobody has durable state, the fleet cold-starts and lays
     ///    down generation-0 checkpoints;
     /// 3. otherwise ranks without state (a process that died before
-    ///    its first checkpoint) rebuild seq 0 from the input CSR, the
+    ///    its first checkpoint) rebuild seq 0 from their stripes of
+    ///    `src` — every rank takes part in that row exchange, and the
+    ///    ranks that restored drop what they receive — the
     ///    most advanced rank broadcasts the WAL records laggards are
     ///    missing (the lists are global, so any rank's WAL bridges any
     ///    other's gap — and a batch interrupted mid-commit is settled
     ///    the same way: committed anywhere ⇒ committed everywhere),
-    ///    and every rank replays to the same seq;
+    ///    every rank replays to the same seq, and takes the committed
+    ///    count and fingerprint of that seq from the authority;
     /// 4. the replicated edge-set fingerprint is verified by a
     ///    wrapping allreduce — on any mismatch, or an unbridgeable
     ///    gap, the full 2D recount is the correctness oracle.
@@ -299,7 +386,7 @@ impl Engine {
     /// Returns the engine plus whether this rank restored from disk.
     pub fn resume_or_cold_start(
         comm: &Comm,
-        csr: &Csr,
+        src: EdgeSource<'_>,
         algo: Algo,
         cfg: TcConfig,
         state_dir: &Path,
@@ -307,7 +394,7 @@ impl Engine {
     ) -> MpsResult<(Engine, bool)> {
         let mut dur = Durability::open(state_dir)
             .unwrap_or_else(|e| panic!("cannot open state dir {}: {e}", state_dir.display()));
-        let n = csr.num_vertices();
+        let n = src.num_vertices();
         let block = Block1D::new(n, comm.size());
         let (lo, hi) = block.range(comm.rank());
         let restored = dur.restore().unwrap_or_else(|e| {
@@ -319,18 +406,19 @@ impl Engine {
 
         let have = u64::from(restored.is_some());
         if comm.allreduce_sum_u64(have)? == 0 {
-            let mut engine = Engine::cold_start(comm, csr, algo, cfg)?;
+            let mut engine = Engine::cold_start_from(comm, src, algo, cfg)?;
             engine.attach_durability(dur, ckpt_every);
             return Ok((engine, false));
         }
 
+        let (rebuilt, _share) = rows_from(comm, src, &block)?;
         let recovered = restored.is_some();
         let (store, meta) = match restored {
-            Some(r) => (r.store, r.meta),
-            None => (
-                AdjStore::from_csr_block(csr, lo, hi),
-                CkptMeta { seq: 0, count: 0, hash: 0, recounts: 0 },
-            ),
+            Some(r) => {
+                drop(rebuilt);
+                (r.store, r.meta)
+            }
+            None => (rebuilt, CkptMeta { seq: 0, count: 0, hash: 0, recounts: 0 }),
         };
         let mut engine = Engine {
             n,
@@ -357,7 +445,10 @@ impl Engine {
         // rank broadcasts the records past the slowest rank's seq.
         let seq_max = comm.allreduce_max_u64(meta.seq)?;
         let seq_min = comm.allreduce_min_u64(meta.seq)?;
-        let authority_key = if meta.seq == seq_max { comm.rank() as u64 } else { u64::MAX };
+        // A rank that restored reaches seq_max (a rebuilt one is at 0),
+        // and only a restored rank knows its committed count.
+        let authority_key =
+            if recovered && meta.seq == seq_max { comm.rank() as u64 } else { u64::MAX };
         let authority = comm.allreduce_min_u64(authority_key)? as usize;
         let mut bridged = false;
         if seq_min < seq_max {
@@ -397,9 +488,14 @@ impl Engine {
             bridged = true;
         }
 
-        // Replicate the lifetime recount total (a freshly rebuilt rank
-        // starts at 0; the authority's value is the fleet's history).
-        engine.full_recounts = comm.bcast_val(authority, engine.full_recounts)?;
+        // Every rank is at seq_max now. Replicate the authority's
+        // committed state of it: the lifetime recount total (a rebuilt
+        // rank starts at 0), and the count and fingerprint, which a
+        // rank rebuilt at seq 0 with nothing to bridge does not know.
+        let committed =
+            comm.bcast(authority, &[engine.full_recounts, engine.count, engine.hash])?;
+        (engine.full_recounts, engine.count, engine.hash) =
+            (committed[0], committed[1], committed[2]);
         engine.verify_fingerprint(comm)?;
         if bridged || engine.batches_applied == 0 {
             // Laggards (and cold-rebuilt ranks, which have no WAL yet)
@@ -465,20 +561,22 @@ impl Engine {
         Ok(comm.allreduce(&[local_fingerprint(&self.store)], |a, b| *a = a.wrapping_add(*b))?[0])
     }
 
-    /// Compares the live fingerprint against the tracked one; on a
-    /// mismatch the full 2D recount settles the count and the hash is
-    /// rebuilt — zero wrong answers even if replay went sideways.
+    /// Compares the live fingerprint against the tracked one, which
+    /// must be replicated: both sides are then the same on every rank,
+    /// and so is the verdict. On a mismatch the full 2D recount settles
+    /// the count and the hash is rebuilt — zero wrong answers even if
+    /// replay went sideways.
     fn verify_fingerprint(&mut self, comm: &Comm) -> MpsResult<()> {
         let live = self.live_hash(comm)?;
-        let expected = comm.bcast_val(0, self.hash)?;
-        if live != expected || self.hash != expected {
+        if live != self.hash {
             eprintln!(
                 "rank {}: fingerprint mismatch after resync (live {live:#018x}, expected \
-                 {expected:#018x}); falling back to a full 2D recount",
-                comm.rank()
+                 {:#018x}); falling back to a full 2D recount",
+                comm.rank(),
+                self.hash
             );
             self.recount(comm)?;
-            self.hash = self.live_hash(comm)?;
+            self.hash = live;
             self.checkpoint_now();
         }
         Ok(())
@@ -522,16 +620,9 @@ impl Engine {
     pub fn recount(&mut self, comm: &Comm) -> MpsResult<u64> {
         let (lo, xadj, adj) = self.store.to_block_parts();
         let input = BlockInput::Owned { lo, xadj, adj };
-        let (triangles, _metrics) = match self.algo {
-            Algo::Cannon => count_rank_from(comm, self.n, &input, &self.cfg)?,
-            Algo::Summa(grid) => summa_rank_from(comm, &grid, self.n, &input, &self.cfg)?,
-        };
+        self.count = full_count(comm, self.algo, self.n, &input, &self.cfg)?;
         self.full_recounts += 1;
-        if comm.rank() == 0 {
-            tc_metrics::counter_add(m::SERVE_FULL_RECOUNTS, 1);
-        }
-        self.count = triangles;
-        Ok(triangles)
+        Ok(self.count)
     }
 
     /// Applies one raw update batch. `ops` must be identical on every

@@ -40,8 +40,7 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use tc_core::TcConfig;
-use tc_graph::Csr;
+use tc_core::{EdgeSource, TcConfig};
 use tc_metrics::names as m;
 use tc_metrics::{MetricsHandle, MetricsSnapshot};
 use tc_mps::{strict_env, Comm, MpsError, MpsResult, SocketConfig, Universe};
@@ -199,9 +198,12 @@ const SHUTDOWN_REPLY_WAIT: Duration = Duration::from_secs(5);
 
 /// Runs this rank's half of the service until a `shutdown` request
 /// lands. Collective: every rank of the universe must call it with
-/// the same `csr` and configuration.
-pub fn serve_rank(comm: &Comm, csr: &Csr, cfg: &ServeConfig) -> MpsResult<ServeReport> {
-    let mut engine = Engine::cold_start(comm, csr, cfg.algo, cfg.tc)?;
+/// the same source and configuration; each rank reads only its stripe
+/// of `src` ([`Engine::cold_start_from`]). A defective source is the
+/// same [`MpsError::InvalidInput`] on every rank, before rank 0 binds
+/// its listener.
+pub fn serve_rank(comm: &Comm, src: EdgeSource<'_>, cfg: &ServeConfig) -> MpsResult<ServeReport> {
+    let mut engine = Engine::cold_start_from(comm, src, cfg.algo, cfg.tc)?;
     if comm.rank() != 0 {
         return peer_loop(comm, &mut engine, cfg);
     }
@@ -307,7 +309,7 @@ fn wait_for_epoch_bump(state_dir: &Path, last: u64, wait_ms: u64) -> bool {
 /// supervisor to bump the epoch file, peers just wait, and everyone
 /// reconnects at the new epoch. A clean `shutdown` ends the loop.
 pub fn serve_fleet(
-    csr: &Csr,
+    src: EdgeSource<'_>,
     cfg: &ServeConfig,
     sock: &SocketConfig,
     fleet: &FleetConfig,
@@ -325,14 +327,18 @@ pub fn serve_fleet(
         sc.recoverable = true;
         let session_fs = &mut fs;
         let result = Universe::try_run_socket(&sc, |comm| {
-            let (mut engine, recovered) = Engine::resume_or_cold_start(
+            let resumed = Engine::resume_or_cold_start(
                 comm,
-                csr,
+                src,
                 cfg.algo,
                 cfg.tc,
                 &rank_dir,
                 fleet.ckpt_every,
-            )?;
+            );
+            let (mut engine, recovered) = match tc_core::settle(resumed)? {
+                Ok(resumed) => resumed,
+                Err(invalid) => return Ok(Err(invalid)),
+            };
             if recovered && epoch > 0 {
                 tc_metrics::counter_add(m::SERVE_RECOVERIES, 1);
             }
@@ -341,13 +347,21 @@ pub fn serve_fleet(
                     fs.recoveries += 1;
                 }
                 frontend_session(comm, &mut engine, cfg, fs)?;
-                Ok(ServeReport::default())
+                Ok(Ok(ServeReport::default()))
             } else {
-                peer_loop(comm, &mut engine, cfg)
+                peer_loop(comm, &mut engine, cfg).map(Ok)
             }
         });
         match result {
-            Ok((peer_report, _stats)) => {
+            // A defective source: every rank stops alike, and no
+            // respawn can mend the input.
+            Ok((Err(invalid), _stats)) => {
+                if let Some(f) = fs.take() {
+                    front_teardown(f, &cfg.listen);
+                }
+                return Err(invalid);
+            }
+            Ok((Ok(peer_report), _stats)) => {
                 return Ok(match fs.take() {
                     Some(f) => front_teardown(f, &cfg.listen),
                     None => peer_report,

@@ -7,9 +7,11 @@ use std::collections::{BTreeSet, HashMap};
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use tc_core::{count_per_edge, SummaGrid, TcConfig};
-use tc_graph::{Block1D, Csr, EdgeList};
-use tc_mps::{Universe, UniverseConfig};
+use tc_core::{count_per_edge, EdgeSource, Request, SummaGrid, TcConfig};
+use tc_graph::io::{write_binary_edges_path, EdgeFile};
+use tc_graph::{AdjStore, Block1D, Csr, EdgeList};
+use tc_mps::{Launch, Universe, UniverseConfig};
+use tc_serve::engine::local_fingerprint;
 use tc_serve::{Algo, EdgeOp, Engine};
 
 /// Reference model: a canonical edge set mutated op by op.
@@ -42,9 +44,8 @@ fn run_case(
     p: usize,
     algo: Algo,
 ) -> (u64, Vec<(u64, bool)>) {
-    let csr = Csr::from_edge_list(el);
     let out = Universe::try_run_config(p, &UniverseConfig::default(), |comm| {
-        let mut engine = Engine::cold_start(comm, &csr, algo, TcConfig::default())?;
+        let mut engine = Engine::cold_start_from(comm, el.into(), algo, TcConfig::default())?;
         for batch in batches {
             let outcome = engine.apply_batch(comm, batch)?;
             let oracle = engine.recount(comm)?;
@@ -205,10 +206,10 @@ fn incremental_matches_recount_rmat_p16_summa() {
 #[test]
 fn full_recounts_stay_pinned_without_oracle_calls() {
     let el = tc_gen::er::gnm(20, 60, 9).simplify();
-    let csr = Csr::from_edge_list(&el);
     let batches = scripted_batches(&el, 16);
     let counts = Universe::try_run_config(4, &UniverseConfig::default(), |comm| {
-        let mut engine = Engine::cold_start(comm, &csr, Algo::Cannon, TcConfig::default())?;
+        let mut engine =
+            Engine::cold_start_from(comm, (&el).into(), Algo::Cannon, TcConfig::default())?;
         for batch in &batches {
             engine.apply_batch(comm, batch)?;
         }
@@ -233,7 +234,6 @@ fn full_recounts_stay_pinned_without_oracle_calls() {
 fn support_traffic_is_owner_routed() {
     let n = 40;
     let el = tc_gen::er::gnm(n, 200, 13).simplify();
-    let csr = Csr::from_edge_list(&el);
     let block = Block1D::new(n, 4);
     let lo = |r: usize| block.range(r).0 as u32;
     // (u, v) and the ranks other than 0 that own an endpoint.
@@ -245,7 +245,8 @@ fn support_traffic_is_owner_routed() {
         ((lo(3), lo(0) + 2), &[3]),
     ];
     let (replies, _) = Universe::try_run_config(4, &UniverseConfig::default(), |comm| {
-        let engine = Engine::cold_start(comm, &csr, Algo::Cannon, TcConfig::default())?;
+        let engine =
+            Engine::cold_start_from(comm, (&el).into(), Algo::Cannon, TcConfig::default())?;
         let me = comm.rank();
         let mut replies = Vec::new();
         for &((u, v), peers) in &cases {
@@ -271,21 +272,112 @@ fn support_traffic_is_owner_routed() {
     }
 }
 
-/// The cold start runs the §5.3 preprocessing over `BlockInput::Owned`
-/// rows; its count was recorded before the one-copy preprocessing
-/// rewrite and must never move.
+/// The cold start runs the §5.3 preprocessing over the source's
+/// stripes; its count was recorded before the one-copy preprocessing
+/// rewrite and must never move — from a list, a `.bin`, or a CSR
+/// through [`Engine::cold_start`].
 #[test]
 fn cold_start_count_is_pinned() {
     let el = tc_gen::rmat(10, 8, tc_gen::RmatParams::GRAPH500, 7).simplify();
     let csr = Csr::from_edge_list(&el);
+    let bin = TempBin::new(&el);
     for (p, algo) in [(4, Algo::Cannon), (16, Algo::Cannon), (6, Algo::Summa(SummaGrid::new(2, 3)))]
     {
         let counts = Universe::try_run_config(p, &UniverseConfig::default(), |comm| {
-            let engine = Engine::cold_start(comm, &csr, algo, TcConfig::default())?;
-            assert_eq!(engine.full_recounts(), 1);
-            Ok(engine.triangles())
+            let cfg = TcConfig::default();
+            let mut counts = Vec::new();
+            for engine in [
+                Engine::cold_start(comm, &csr, algo, cfg)?,
+                Engine::cold_start_from(comm, (&el).into(), algo, cfg)?,
+                Engine::cold_start_from(comm, (&bin.file).into(), algo, cfg)?,
+            ] {
+                assert_eq!(engine.full_recounts(), 1);
+                counts.push(engine.triangles());
+            }
+            Ok(counts)
         })
         .expect("universe run");
-        assert!(counts.0.iter().all(|&c| c == 24051), "p={p} {algo:?}: {:?}", counts.0);
+        assert!(counts.0.iter().flatten().all(|&c| c == 24051), "p={p} {algo:?}: {:?}", counts.0);
+    }
+}
+
+/// A `.bin` of a list in the temp directory, removed on drop.
+struct TempBin {
+    path: std::path::PathBuf,
+    file: EdgeFile,
+}
+
+impl TempBin {
+    fn new(el: &EdgeList) -> Self {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let seq = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = std::env::temp_dir()
+            .join(format!("tc-serve-incremental-{}-{seq}.bin", std::process::id()));
+        write_binary_edges_path(el, &path).expect("write the .bin");
+        let file = EdgeFile::open(&path).expect("reopen the .bin");
+        Self { path, file }
+    }
+}
+
+impl Drop for TempBin {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
+/// The cold start from stripes builds what the CSR construction did:
+/// on p ∈ {1, 4, 9} under Cannon and on a 2×3 SUMMA grid, from a list
+/// and from a `.bin`, every rank's count is `tc_core::run`'s on the
+/// same source, its owned rows are `AdjStore::from_csr_block`'s, and
+/// the fingerprint summed over the stripes is the allreduce of the
+/// built stores' shares.
+#[test]
+fn cold_start_from_equals_the_old_construction() {
+    let hub_and_isolated = {
+        let mut edges: Vec<(u32, u32)> = (1..=30).map(|v| (0, v)).collect();
+        edges.extend([(1, 2), (2, 3), (1, 3), (40, 41)]);
+        EdgeList::new(50, edges).simplify()
+    };
+    let graphs = [
+        tc_gen::rmat(8, 8, tc_gen::RmatParams::GRAPH500, 3).simplify(),
+        tc_gen::er::gnm(60, 300, 5).simplify(),
+        hub_and_isolated,
+        EdgeList::new(12, vec![(0, 1), (1, 2), (0, 2)]).simplify(), // fewer edges than ranks
+    ];
+    let runs = [
+        (1, Algo::Cannon),
+        (4, Algo::Cannon),
+        (9, Algo::Cannon),
+        (6, Algo::Summa(SummaGrid::new(2, 3))),
+    ];
+    for (g, el) in graphs.iter().enumerate() {
+        let csr = Csr::from_edge_list(el);
+        let bin = TempBin::new(el);
+        let cfg = TcConfig::default();
+        for src in [EdgeSource::List(el), EdgeSource::File(&bin.file)] {
+            for (p, algo) in runs {
+                let req = match algo {
+                    Algo::Cannon => Request::new(src, &cfg),
+                    Algo::Summa(grid) => Request::new(src, &cfg).summa(grid),
+                };
+                let ucfg = UniverseConfig::default();
+                let want = tc_core::run(req, Launch::threads(p, &ucfg)).expect("run").triangles;
+                let block = Block1D::new(el.num_vertices, p);
+                let (ranks, _) = Universe::try_run_config(p, &ucfg, |comm| {
+                    let engine = Engine::cold_start_from(comm, src, algo, cfg)?;
+                    let (lo, hi) = block.range(comm.rank());
+                    let oracle = AdjStore::from_csr_block(&csr, lo, hi);
+                    let what = format!("graph {g}, {src:?}, p={p} {algo:?}, rank {}", comm.rank());
+                    assert_eq!(engine.store().range(), oracle.range(), "{what}");
+                    assert!(engine.store().owned_rows().eq(oracle.owned_rows()), "{what}: rows");
+                    let shares = [local_fingerprint(engine.store())];
+                    let built = comm.allreduce(&shares, |a, b| *a = a.wrapping_add(*b))?[0];
+                    assert_eq!(engine.fingerprint(), built, "{what}: fingerprint");
+                    Ok(engine.triangles())
+                })
+                .expect("universe run");
+                assert!(ranks.iter().all(|&t| t == want), "graph {g} p={p} {algo:?}: {ranks:?}");
+            }
+        }
     }
 }

@@ -3,8 +3,8 @@
 //! snapshot bytes, same count, same edge-set fingerprint — for
 //! random batch streams interrupted after every prefix, for WAL
 //! files torn at every byte boundary, and for a multi-rank fleet
-//! where one rank's durable state is wiped entirely (the WAL-bridge
-//! path).
+//! where one rank's durable state is wiped entirely (rebuilt from its
+//! stripe of the source, then bridged by a peer's WAL).
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -13,8 +13,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use tc_core::TcConfig;
-use tc_graph::{Csr, EdgeList};
+use tc_core::{EdgeSource, TcConfig};
+use tc_graph::io::{write_binary_edges_path, EdgeFile};
+use tc_graph::EdgeList;
 use tc_mps::{Universe, UniverseConfig};
 use tc_serve::{Algo, Durability, EdgeOp, Engine};
 
@@ -54,9 +55,10 @@ fn view(engine: &Engine) -> StateView {
 
 /// Reference run: cold start (no durability), apply batch by batch,
 /// capture the state view after every prefix (index k = k batches).
-fn reference_states(csr: &Csr, batches: &[Vec<EdgeOp>]) -> Vec<StateView> {
+fn reference_states(el: &EdgeList, batches: &[Vec<EdgeOp>]) -> Vec<StateView> {
     let out = Universe::try_run_config(1, &UniverseConfig::default(), |comm| {
-        let mut engine = Engine::cold_start(comm, csr, Algo::Cannon, TcConfig::default())?;
+        let mut engine =
+            Engine::cold_start_from(comm, el.into(), Algo::Cannon, TcConfig::default())?;
         let mut states = vec![view(&engine)];
         for batch in batches {
             engine.apply_batch(comm, batch)?;
@@ -71,7 +73,7 @@ fn reference_states(csr: &Csr, batches: &[Vec<EdgeOp>]) -> Vec<StateView> {
 /// Durable run: resume-or-cold-start in `dir`, apply `batches`,
 /// return the final view plus whether the rank restored from disk.
 fn durable_run(
-    csr: &Csr,
+    el: &EdgeList,
     batches: &[Vec<EdgeOp>],
     dir: &Path,
     ckpt_every: u64,
@@ -79,7 +81,7 @@ fn durable_run(
     let out = Universe::try_run_config(1, &UniverseConfig::default(), |comm| {
         let (mut engine, recovered) = Engine::resume_or_cold_start(
             comm,
-            csr,
+            el.into(),
             Algo::Cannon,
             TcConfig::default(),
             dir,
@@ -118,18 +120,17 @@ proptest! {
     #[test]
     fn replay_is_bit_identical_at_every_prefix(case in arb_case()) {
         let (el, batches) = case;
-        let csr = Csr::from_edge_list(&el);
-        let reference = reference_states(&csr, &batches);
+        let reference = reference_states(&el, &batches);
 
         for k in 0..=batches.len() {
             let dir = scratch("prefix");
             // Life before the crash: cold start + k committed batches.
-            let (before, recovered) = durable_run(&csr, &batches[..k], &dir, 0);
+            let (before, recovered) = durable_run(&el, &batches[..k], &dir, 0);
             prop_assert!(!recovered, "an empty state dir must cold-start");
             prop_assert_eq!(&before, &reference[k], "pre-crash state at k = {}", k);
 
             // The respawn: restore and finish the stream.
-            let (after, recovered) = durable_run(&csr, &batches[k..], &dir, 0);
+            let (after, recovered) = durable_run(&el, &batches[k..], &dir, 0);
             prop_assert!(recovered, "a populated state dir must restore");
             prop_assert_eq!(
                 &after,
@@ -149,7 +150,6 @@ proptest! {
 #[test]
 fn torn_wal_restores_the_longest_intact_prefix() {
     let el = tc_gen::er::gnm(20, 40, 11).simplify();
-    let csr = Csr::from_edge_list(&el);
     let batches: Vec<Vec<EdgeOp>> = (0..5u32)
         .map(|b| {
             (0..6u32)
@@ -161,10 +161,10 @@ fn torn_wal_restores_the_longest_intact_prefix() {
                 .collect()
         })
         .collect();
-    let reference = reference_states(&csr, &batches);
+    let reference = reference_states(&el, &batches);
 
     let dir = scratch("torn-src");
-    durable_run(&csr, &batches, &dir, 0);
+    durable_run(&el, &batches, &dir, 0);
     let wal = dir.join("wal-0.bin");
     let bytes = fs::read(&wal).expect("the run left a WAL");
     assert!(bytes.len() > 100, "WAL too small to be a meaningful tear target");
@@ -193,15 +193,51 @@ fn torn_wal_restores_the_longest_intact_prefix() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// The `.bin` of `el` in `dir`, opened for its stripes.
+fn edge_file(el: &EdgeList, dir: &Path) -> EdgeFile {
+    fs::create_dir_all(dir).expect("create the scratch dir");
+    let path = dir.join("graph.bin");
+    write_binary_edges_path(el, &path).expect("write the .bin");
+    EdgeFile::open(&path).expect("reopen the .bin")
+}
+
+/// One life of a 4-rank durable fleet over `src`: resume or cold-start
+/// every rank in `dirs`, check the ranks that restored, apply
+/// `batches`; returns each rank's `(count, fingerprint, recounts)`.
+fn fleet_life(
+    src: EdgeSource<'_>,
+    dirs: &[PathBuf],
+    restored: &[bool],
+    batches: &[Vec<EdgeOp>],
+) -> Vec<(u64, u64, u64)> {
+    let out = Universe::try_run_config(dirs.len(), &UniverseConfig::default(), |comm| {
+        let (mut engine, recovered) = Engine::resume_or_cold_start(
+            comm,
+            src,
+            Algo::Cannon,
+            TcConfig::default(),
+            &dirs[comm.rank()],
+            0,
+        )?;
+        assert_eq!(recovered, restored[comm.rank()], "rank {} restored", comm.rank());
+        for batch in batches {
+            engine.apply_batch(comm, batch)?;
+        }
+        Ok((engine.triangles(), engine.fingerprint(), engine.full_recounts()))
+    });
+    out.expect("fleet life").0
+}
+
 /// The WAL-bridge path: wipe one rank's durable state entirely; on
-/// resume it rebuilds seq 0 from the CSR and a surviving peer's WAL
-/// tail bridges it to the fleet's seq — verified by the fingerprint
-/// allreduce, with `full_recounts` still pinned at the cold start's 1.
+/// resume it rebuilds seq 0 from its stripe of the `.bin` (no rank
+/// builds a CSR) and a surviving peer's WAL tail bridges it to the
+/// fleet's seq — verified by the fingerprint allreduce, with
+/// `full_recounts` still pinned at the cold start's 1.
 #[test]
 fn fleet_bridges_a_wiped_rank_from_a_peer_wal() {
     let el = tc_gen::er::gnm(40, 120, 7).simplify();
-    let csr = Csr::from_edge_list(&el);
     let base = scratch("fleet");
+    let file = edge_file(&el, &base);
     let batches: Vec<Vec<EdgeOp>> = (0..4u32)
         .map(|b| {
             (0..8u32)
@@ -217,38 +253,20 @@ fn fleet_bridges_a_wiped_rank_from_a_peer_wal() {
 
     // First life: cold start, commit the stream.
     let dirs: Vec<PathBuf> = (0..p).map(|r| base.join(format!("rank-{r}"))).collect();
-    let dirs_first = dirs.clone();
-    let csr_first = csr.clone();
-    let batches_first = batches.clone();
-    let out = Universe::try_run_config(p, &UniverseConfig::default(), move |comm| {
-        let (mut engine, recovered) = Engine::resume_or_cold_start(
-            comm,
-            &csr_first,
-            Algo::Cannon,
-            TcConfig::default(),
-            &dirs_first[comm.rank()],
-            0,
-        )?;
-        assert!(!recovered);
-        for batch in &batches_first {
-            engine.apply_batch(comm, batch)?;
-        }
-        assert_eq!(engine.full_recounts(), 1, "cold start is the only recount");
-        Ok((engine.triangles(), engine.fingerprint()))
-    })
-    .expect("first life");
-    let (count, fingerprint) = out.0[0];
-    assert!(out.0.iter().all(|&s| s == (count, fingerprint)), "replicated state diverged");
+    let first = fleet_life((&file).into(), &dirs, &[false; 4], &batches);
+    let (count, fingerprint, _) = first[0];
+    assert!(first.iter().all(|&s| s == (count, fingerprint, 1)), "first life: {first:?}");
 
     // The crash: rank 2 loses its checkpoint and WAL outright.
     fs::remove_dir_all(&dirs[2]).expect("wipe rank 2");
 
-    // Second life: survivors restore, rank 2 is bridged, and the
-    // fleet keeps serving correct incremental answers.
-    let out = Universe::try_run_config(p, &UniverseConfig::default(), move |comm| {
+    // Second life: survivors restore, rank 2 is rebuilt from its
+    // stripe and bridged, and the fleet keeps serving correct
+    // incremental answers.
+    let out = Universe::try_run_config(p, &UniverseConfig::default(), |comm| {
         let (mut engine, recovered) = Engine::resume_or_cold_start(
             comm,
-            &csr,
+            (&file).into(),
             Algo::Cannon,
             TcConfig::default(),
             &dirs[comm.rank()],
@@ -273,6 +291,48 @@ fn fleet_bridges_a_wiped_rank_from_a_peer_wal() {
     let _ = fs::remove_dir_all(&base);
 }
 
+/// A rank wiped before the fleet committed any batch has nothing to be
+/// bridged by: it rebuilds seq 0 from its stripe and takes the
+/// committed count and fingerprint of seq 0 from a peer. Every rank
+/// must agree on the verdict of the fingerprint check (a rank that
+/// entered the recount alone would wait on its peers forever), and no
+/// rank recounts.
+#[test]
+fn fleet_rebuilds_a_rank_wiped_before_any_batch() {
+    let el = tc_gen::er::gnm(40, 120, 9).simplify();
+    let base = scratch("fleet-seq0");
+    let p = 4usize;
+    let dirs: Vec<PathBuf> = (0..p).map(|r| base.join(format!("rank-{r}"))).collect();
+    let first = fleet_life((&el).into(), &dirs, &[false; 4], &[]);
+    let (count, fingerprint, _) = first[0];
+    assert_eq!(count, brute_force_triangles(&el), "cold-start count");
+    for wiped in [2usize, 0] {
+        fs::remove_dir_all(&dirs[wiped]).expect("wipe a rank");
+        let restored: Vec<bool> = (0..p).map(|r| r != wiped).collect();
+        let again = fleet_life((&el).into(), &dirs, &restored, &[]);
+        assert!(
+            again.iter().all(|&s| s == (count, fingerprint, 1)),
+            "rank {wiped} wiped at seq 0: {again:?}"
+        );
+        // The rebuilt rank's re-anchored checkpoint restores like any.
+        let third = fleet_life((&el).into(), &dirs, &[true; 4], &[]);
+        assert!(third.iter().all(|&s| s == (count, fingerprint, 1)), "{third:?}");
+    }
+    let _ = fs::remove_dir_all(&base);
+}
+
+/// Triangles of a simple graph by brute force over its edge set.
+fn brute_force_triangles(el: &EdgeList) -> u64 {
+    let edges: BTreeSet<(u32, u32)> = el.edges.iter().copied().collect();
+    let mut t = 0;
+    for &(u, v) in &edges {
+        for w in v + 1..el.num_vertices as u32 {
+            t += u64::from(edges.contains(&(u, w)) && edges.contains(&(v, w)));
+        }
+    }
+    t
+}
+
 /// Sanity on the reference model itself: the stream's net effect is
 /// what the engine sees (guards the test against degenerate streams
 /// whose batches cancel to nothing).
@@ -280,7 +340,6 @@ fn fleet_bridges_a_wiped_rank_from_a_peer_wal() {
 fn scripted_streams_are_not_degenerate() {
     let el = tc_gen::er::gnm(20, 40, 11).simplify();
     let before: BTreeSet<(u32, u32)> = el.edges.iter().copied().collect();
-    let csr = Csr::from_edge_list(&el);
     let batches: Vec<Vec<EdgeOp>> = (0..5u32)
         .map(|b| {
             (0..6u32)
@@ -292,7 +351,7 @@ fn scripted_streams_are_not_degenerate() {
                 .collect()
         })
         .collect();
-    let states = reference_states(&csr, &batches);
+    let states = reference_states(&el, &batches);
     assert_eq!(states.len(), batches.len() + 1);
     let distinct: BTreeSet<u64> = states.iter().map(|s| s.fingerprint).collect();
     assert!(distinct.len() > 1, "the stream must actually change the edge set");

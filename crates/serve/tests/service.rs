@@ -73,7 +73,7 @@ impl Lcg {
 fn service_streams_updates_and_answers_queries() {
     let n = 30usize;
     let el = tc_gen::er::gnm(n, 90, 11).simplify();
-    let csr = Csr::from_edge_list(&el);
+    let served = el.clone();
     let mut reference: BTreeSet<(u32, u32)> = el.edges.iter().copied().collect();
 
     let sock = sock_path("e2e");
@@ -86,7 +86,7 @@ fn service_streams_updates_and_answers_queries() {
     cfg.metrics = Some(session.handle());
 
     let server = std::thread::spawn(move || {
-        Universe::try_run_config(4, &ucfg, |comm| serve_rank(comm, &csr, &cfg))
+        Universe::try_run_config(4, &ucfg, |comm| serve_rank(comm, (&served).into(), &cfg))
     });
     let mut client =
         Client::connect_retry(&sock, Duration::from_secs(30)).expect("service comes up");
@@ -307,14 +307,14 @@ fn support_only_load_does_not_starve_idle_peers_of_ticks() {
     // receive deadline must not time either out.
     let n = 40usize;
     let el = tc_gen::er::gnm(n, 160, 17).simplify();
-    let csr = Csr::from_edge_list(&el);
+    let served = el.clone();
     let reference: BTreeSet<(u32, u32)> = el.edges.iter().copied().collect();
     let sock = sock_path("heartbeat");
     let mut cfg = ServeConfig::new(sock.clone());
     cfg.tick_ms = 50;
     let ucfg = UniverseConfig::with_timeout(Duration::from_millis(300));
     let server = std::thread::spawn(move || {
-        Universe::try_run_config(4, &ucfg, |c| serve_rank(c, &csr, &cfg))
+        Universe::try_run_config(4, &ucfg, |c| serve_rank(c, (&served).into(), &cfg))
     });
     let mut client =
         Client::connect_retry(&sock, Duration::from_secs(30)).expect("service comes up");
@@ -346,14 +346,15 @@ fn support_only_load_does_not_starve_idle_peers_of_ticks() {
 #[test]
 fn admission_control_rejects_over_capacity() {
     let el = tc_gen::er::gnm(10, 20, 3).simplify();
-    let csr = Csr::from_edge_list(&el);
     let sock = sock_path("gate");
     let mut cfg = ServeConfig::new(sock.clone());
     cfg.queue = 1;
     cfg.tick_ms = 100;
 
     let server = std::thread::spawn(move || {
-        Universe::try_run_config(4, &UniverseConfig::default(), |comm| serve_rank(comm, &csr, &cfg))
+        Universe::try_run_config(4, &UniverseConfig::default(), |comm| {
+            serve_rank(comm, (&el).into(), &cfg)
+        })
     });
     Client::connect_retry(&sock, Duration::from_secs(30)).expect("service comes up");
 
@@ -411,13 +412,13 @@ fn shutdown_reply_is_on_the_wire_before_the_service_returns() {
 
     let el = tc_gen::er::gnm(10, 20, 3).simplify();
     for round in 0..25 {
-        let csr = Csr::from_edge_list(&el);
+        let served = el.clone();
         let sock = sock_path(&format!("shutdown-ack-{round}"));
         let mut cfg = ServeConfig::new(sock.clone());
         cfg.tick_ms = 100;
         let server = std::thread::spawn(move || {
             Universe::try_run_config(4, &UniverseConfig::default(), |comm| {
-                serve_rank(comm, &csr, &cfg)
+                serve_rank(comm, (&served).into(), &cfg)
             })
         });
         Client::connect_retry(&sock, Duration::from_secs(30)).expect("service comes up");
@@ -445,13 +446,15 @@ fn start_fleet(
     el: &EdgeList,
     sock: &std::path::Path,
 ) -> std::thread::JoinHandle<Vec<tc_serve::ServeReport>> {
-    let csr = Csr::from_edge_list(el);
+    let served = el.clone();
     let mut cfg = ServeConfig::new(sock.to_path_buf());
     cfg.tick_ms = 100;
     let server = std::thread::spawn(move || {
-        Universe::try_run_config(4, &UniverseConfig::default(), |comm| serve_rank(comm, &csr, &cfg))
-            .expect("universe run")
-            .0
+        Universe::try_run_config(4, &UniverseConfig::default(), |comm| {
+            serve_rank(comm, (&served).into(), &cfg)
+        })
+        .expect("universe run")
+        .0
     });
     Client::connect_retry(sock, Duration::from_secs(30)).expect("service comes up");
     server
