@@ -5,7 +5,7 @@
 //!
 //! - [`serial`] — the §3.1 reference kernels (list/map × ⟨i,j,k⟩/⟨j,i,k⟩).
 //! - [`shared`] — multithreaded shared-memory map-based counting
-//!   (the paper's own prior work, ref. [21]).
+//!   (the paper's own prior work, ref. \[21\]).
 //! - [`aop1d`] — 1D communication-avoiding counting with overlapping
 //!   partitions (Arifuzzaman et al., "AOP").
 //! - [`push1d`] — 1D space-efficient push-based counting

@@ -1,6 +1,6 @@
 //! Shared-memory parallel triangle counting.
 //!
-//! The paper's own prior work ([21], Tom et al. HPEC'17) is the
+//! The paper's own prior work (\[21\], Tom et al. HPEC'17) is the
 //! shared-memory map-based ⟨j,i,k⟩ algorithm; this is that algorithm
 //! parallelized over threads: the rows of `L` (outer `j` loop) are
 //! dealt to threads in dynamic chunks, each thread keeps a private

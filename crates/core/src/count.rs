@@ -4,7 +4,7 @@
 //! task block, the current hash-side operand (rows `A(a) ∩ {k ≡ w}`),
 //! and the current probe-side operand (rows `A(b) ∩ {k ≡ w}`). For
 //! every task `(a, b)` the kernel hashes row `a` (once per task row —
-//! the map-reuse of [21]) and probes with row `b`; every hit is a
+//! the map-reuse of \[21\]) and probes with row `b`; every hit is a
 //! triangle `{b, a, k}` (⟨j,i,k⟩) counted exactly once grid-wide.
 //!
 //! ## Two kernels, chosen per row by the collision

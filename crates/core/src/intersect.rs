@@ -90,8 +90,8 @@ impl KernelState {
 
     /// Loads one hash row and says what will answer its lookups.
     ///
-    /// Under [`KernelStrategy::Hash`] — and under `auto` when
-    /// `direct_hash` is off, so the `--no-direct-hash` ablation keeps
+    /// Under [`crate::config::KernelStrategy::Hash`] — and under `auto`
+    /// when `direct_hash` is off, so the `--no-direct-hash` ablation keeps
     /// measuring the paper's probing routine — this is
     /// [`IntersectMap::load_row`]. Under `auto` the row is offered to
     /// the direct mode exactly the same way, and the *collision* is

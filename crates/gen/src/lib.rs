@@ -2,7 +2,7 @@
 //!
 //! Deterministic generators for the triangle-counting testbed:
 //!
-//! - [`rmat`] — Graph500 RMAT/Kronecker (the paper's g500-sNN inputs).
+//! - [`rmat`](mod@rmat) — Graph500 RMAT/Kronecker (the paper's g500-sNN inputs).
 //! - [`er`] — Erdős–Rényi G(n, m) (friendster stand-in).
 //! - [`ba`] — Barabási–Albert preferential attachment (twitter stand-in).
 //! - [`presets`] — named Table 1 datasets at configurable scale.

@@ -8,7 +8,7 @@
 //!
 //! The paper generates its synthetic inputs in-process "prior to
 //! calling our triangle counting routine. This way, we avoid reading
-//! the big graphs from the disk" (§6.1) — [`build`] does the same.
+//! the big graphs from the disk" (§6.1) — [`Preset::build`] does the same.
 
 use tc_graph::EdgeList;
 

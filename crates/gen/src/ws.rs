@@ -1,7 +1,7 @@
 //! Watts–Strogatz small-world generator.
 //!
 //! The paper motivates triangle counting through clustering-coefficient
-//! analyses of small-world networks (Watts & Strogatz, ref. [24]);
+//! analyses of small-world networks (Watts & Strogatz, ref. \[24\]);
 //! this generator produces that regime: a ring lattice (high
 //! clustering) with a tunable rewiring probability `beta` that trades
 //! clustering for short paths.

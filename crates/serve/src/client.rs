@@ -99,7 +99,7 @@ impl Client {
     /// Sends a typed request and parses the JSON reply. Protocol
     /// failures (`"ok": false`) become `Err` with the typed kind
     /// (for a degraded service, the kind is
-    /// [`proto::ERR_DEGRADED`](crate::proto::ERR_DEGRADED)).
+    /// [`proto::ERR_DEGRADED`]).
     pub fn request(&mut self, req: &Request) -> Result<Value, String> {
         let line =
             self.request_raw(&proto::request_line(req)).map_err(|e| format!("service i/o: {e}"))?;

@@ -11,11 +11,27 @@
 //! ## Delta algorithm
 //!
 //! A raw batch (replicated on all ranks) is first **normalized**: for
-//! each distinct canonical edge the owner of its smaller endpoint
-//! replays the ops in order against the pre-batch store and emits the
-//! net effect — a net insert set `I` (absent before, present after)
-//! and a net delete set `D` (present before, absent after). `I` and
-//! `D` are allgathered so every rank sees both.
+//! each distinct canonical edge `(u, v)`, `u < v`, both owners replay
+//! the ops in order against the pre-batch store (rows are symmetric,
+//! so they agree) and find the net effect — a net insert set `I`
+//! (absent before, present after) and a net delete set `D` (present
+//! before, absent after). The owner of `u` lists the edge in its share
+//! of `I` or `D`.
+//!
+//! An update batch then takes **two rounds**:
+//!
+//! 1. one `alltoallv`, in which each rank sends every destination
+//!    `[#ins, #del, its share of I, its share of D, rows]`, where the
+//!    rows are the pre-batch `N(v)` of each owned `v` whose edge
+//!    `(u, v) ∈ I ∪ D` the destination (the owner of `u`) intersects.
+//!    Every rank concatenates the shares in source-rank order, so all
+//!    hold the same `I` and `D`, in the same order;
+//! 2. one 6-wide `allreduce` of the terms below.
+//!
+//! Between the two, each rank computes the destroyed side against its
+//! pre-batch store and the received rows, applies `D` and `I` to its
+//! store, turns each received row into its post-batch version with
+//! the replicated lists, and computes the created side.
 //!
 //! Let `G0` be the graph before the batch and `G1 = G0 − D + I` the
 //! graph after. Because `I ∩ G0 = ∅` and `D ∩ G1 = ∅`, a triangle of
@@ -37,8 +53,8 @@
 //! ```
 //!
 //! * `tri_G(e=(u,v))` — common neighbours `|N(u) ∩ N(v)|`, evaluated
-//!   at the owner of `u` after the owner of `v` pushes `N(v)` over an
-//!   `alltoallv` (before applying `D`, after applying `I`);
+//!   at the owner of `u` with the row the owner of `v` pushed in
+//!   round 1 (as received for `G0`, updated by `D` and `I` for `G1`);
 //! * `pairs_G(S)` — unordered pairs `{e,f} ⊆ S` sharing a vertex
 //!   whose closing third edge is present in `G`, checked by the owner
 //!   of the third edge's smaller endpoint;
@@ -249,7 +265,7 @@ fn closed_triples(edges: &[(u32, u32)]) -> u64 {
     found / 3
 }
 
-/// Flattens per-rank allgatherv buffers of `[u, v]*` into pairs.
+/// Flattens per-rank gathered buffers of `[u, v]*` into pairs.
 fn flat_pairs(bufs: Vec<Vec<u32>>) -> Vec<(u32, u32)> {
     bufs.concat().chunks_exact(2).map(|w| (w[0], w[1])).collect()
 }
@@ -632,14 +648,17 @@ impl Engine {
     /// ignored (the service layer rejects them before they get here).
     pub fn apply_batch(&mut self, comm: &Comm, ops: &[EdgeOp]) -> MpsResult<BatchOutcome> {
         let t0 = Instant::now();
-        let me = comm.rank();
+        let (me, p) = (comm.rank(), comm.size());
 
-        // -- Normalize: net effect per edge, judged by its owner ------
+        // -- Normalize: net effect per edge, judged by each owner -----
         let mut order: Vec<(u32, u32)> = Vec::new();
         let mut state: HashMap<(u32, u32), (bool, bool)> = HashMap::new();
         for op in ops {
             let (u, v) = op.canonical();
-            if u == v || v as usize >= self.n || self.block.owner(u) != me {
+            if u == v
+                || v as usize >= self.n
+                || (self.block.owner(u) != me && self.block.owner(v) != me)
+            {
                 continue;
             }
             let entry = state.entry((u, v)).or_insert_with(|| {
@@ -649,32 +668,83 @@ impl Engine {
             });
             entry.1 = op.insert;
         }
+        // The owner of `u` lists the edge; the owner of `v` pushes the
+        // pre-batch `N(v)` to it, once per destination.
         let (mut my_ins, mut my_del) = (Vec::new(), Vec::new());
-        for e in &order {
+        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); p];
+        let mut pushed: HashSet<(usize, u32)> = HashSet::new();
+        for e @ &(u, v) in &order {
             let (before, after) = state[e];
-            if before != after {
+            if before == after {
+                continue;
+            }
+            let ou = self.block.owner(u);
+            if ou == me {
                 let side = if after { &mut my_ins } else { &mut my_del };
-                side.push(e.0);
-                side.push(e.1);
+                side.extend([u, v]);
+            } else if pushed.insert((ou, v)) {
+                let row = self.store.neighbors(v);
+                rows[ou].extend([v, row.len() as u32]);
+                rows[ou].extend_from_slice(row);
             }
         }
-        let inserts = flat_pairs(comm.allgatherv(&my_ins)?);
-        let deletes = flat_pairs(comm.allgatherv(&my_del)?);
+
+        // -- Exchange: [#ins, #del, ins…, del…, (v, len, row…)*] ------
+        let sends: Vec<Vec<u32>> = rows
+            .into_iter()
+            .map(|row_msg| {
+                let mut msg = Vec::with_capacity(2 + my_ins.len() + my_del.len() + row_msg.len());
+                msg.extend([(my_ins.len() / 2) as u32, (my_del.len() / 2) as u32]);
+                msg.extend_from_slice(&my_ins);
+                msg.extend_from_slice(&my_del);
+                msg.extend_from_slice(&row_msg);
+                msg
+            })
+            .collect();
+        // Messages come in source-rank order, so every rank assembles
+        // `I` and `D` in the same order.
+        let (mut inserts, mut deletes) = (Vec::new(), Vec::new());
+        let mut remote: HashMap<u32, Vec<u32>> = HashMap::new();
+        for msg in comm.alltoallv(&sends)? {
+            let (ins, rest) = msg[2..].split_at(2 * msg[0] as usize);
+            let (del, mut rows) = rest.split_at(2 * msg[1] as usize);
+            inserts.extend(ins.chunks_exact(2).map(|w| (w[0], w[1])));
+            deletes.extend(del.chunks_exact(2).map(|w| (w[0], w[1])));
+            while let [v, len, tail @ ..] = rows {
+                let (row, next) = tail.split_at(*len as usize);
+                remote.insert(*v, row.to_vec());
+                rows = next;
+            }
+        }
 
         // -- Destroyed side, against G0 (store still pre-batch) -------
-        let (del_tri, del_pairs) = self.delta_side(comm, &deletes)?;
+        let (del_tri, del_pairs) = self.side_terms(me, &deletes, &remote);
         let del_triples = if me == 0 { closed_triples(&deletes) } else { 0 };
 
-        // -- Mutate ---------------------------------------------------
+        // -- Mutate: the store, and the remote rows with it -----------
         for &(u, v) in &deletes {
             self.store.delete(u, v).expect("normalized delete is valid");
+            for (a, b) in [(u, v), (v, u)] {
+                if let Some(row) = remote.get_mut(&a) {
+                    if let Ok(at) = row.binary_search(&b) {
+                        row.remove(at);
+                    }
+                }
+            }
         }
         for &(u, v) in &inserts {
             self.store.insert(u, v).expect("normalized insert is valid");
+            for (a, b) in [(u, v), (v, u)] {
+                if let Some(row) = remote.get_mut(&a) {
+                    if let Err(at) = row.binary_search(&b) {
+                        row.insert(at, b);
+                    }
+                }
+            }
         }
 
         // -- Created side, against G1 (store now post-batch) ----------
-        let (ins_tri, ins_pairs) = self.delta_side(comm, &inserts)?;
+        let (ins_tri, ins_pairs) = self.side_terms(me, &inserts, &remote);
         let ins_triples = if me == 0 { closed_triples(&inserts) } else { 0 };
 
         // -- Combine --------------------------------------------------
@@ -730,39 +800,15 @@ impl Engine {
     }
 
     /// One side of the delta: `Σ tri(e)` and the pair correction for
-    /// the replicated edge set, against the **current** store state.
-    /// Returns this rank's additive contributions.
-    fn delta_side(&self, comm: &Comm, edges: &[(u32, u32)]) -> MpsResult<(u64, u64)> {
-        let me = comm.rank();
-        let p = comm.size();
-
-        // Push N(v) from owner(v) to owner(u): both sides know the
-        // replicated edge set, so no request round is needed. Wire
-        // format per destination: repeated [v, len, row...].
-        let mut sends: Vec<Vec<u32>> = vec![Vec::new(); p];
-        let mut pushed: HashSet<(usize, u32)> = HashSet::new();
-        for &(u, v) in edges {
-            let (ou, ov) = (self.block.owner(u), self.block.owner(v));
-            if ov == me && ou != me && pushed.insert((ou, v)) {
-                let row = self.store.neighbors(v);
-                let dst = &mut sends[ou];
-                dst.push(v);
-                dst.push(row.len() as u32);
-                dst.extend_from_slice(row);
-            }
-        }
-        let received = comm.alltoallv(&sends)?;
-        let mut remote: HashMap<u32, Vec<u32>> = HashMap::new();
-        for buf in received {
-            let mut at = 0usize;
-            while at < buf.len() {
-                let v = buf[at];
-                let len = buf[at + 1] as usize;
-                remote.insert(v, buf[at + 2..at + 2 + len].to_vec());
-                at += 2 + len;
-            }
-        }
-
+    /// the replicated edge set, against the **current** store and the
+    /// remote rows `N(v)` of the same graph. Returns this rank's
+    /// additive contributions.
+    fn side_terms(
+        &self,
+        me: usize,
+        edges: &[(u32, u32)],
+        remote: &HashMap<u32, Vec<u32>>,
+    ) -> (u64, u64) {
         let mut tri = 0u64;
         let mut intersections = 0u64;
         for &(u, v) in edges {
@@ -793,7 +839,7 @@ impl Engine {
                 }
             }
         }
-        Ok((tri, pairs))
+        (tri, pairs)
     }
 
     /// The ranks other than 0 that own `u` or `v`, each once, in

@@ -12,7 +12,7 @@
 //!   mid-checkpoint can never shadow the previous good generation.
 //! - `wal-<seq>.bin` — the write-ahead log of that generation: one
 //!   CRC-framed record per committed batch carrying the **global**
-//!   net insert/delete lists (replicated by the engine's allgather,
+//!   net insert/delete lists (replicated by the engine's exchange,
 //!   so any rank's WAL can bridge any other rank's gap) plus the
 //!   count and fingerprint after the batch.
 //!

@@ -1,7 +1,7 @@
 //! Property tests: the incremental delta path is exactly equivalent
 //! to a fresh 2D recount — maintained count and per-edge supports —
 //! after every batch, under both the Cannon and SUMMA oracles and
-//! across fleet sizes p ∈ {1, 4, 16}.
+//! across fleet sizes p ∈ {1, 4, 6, 9, 16}.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -34,9 +34,11 @@ fn ref_edge_list(n: usize, edges: &BTreeSet<(u32, u32)>) -> EdgeList {
 }
 
 /// Runs cold start + the batch sequence on `p` ranks, asserting after
-/// every batch that the maintained count equals a fresh 2D recount.
-/// Returns rank 0's per-edge supports for `probe_edges` plus the
-/// final maintained count.
+/// every batch that the maintained count equals a fresh 2D recount,
+/// that the replicated fingerprint is the stores' (so every rank
+/// assembled the same net lists), and that every rank reports the
+/// same outcome. Returns rank 0's per-edge supports for `probe_edges`
+/// plus the final maintained count.
 fn run_case(
     el: &EdgeList,
     batches: &[Vec<EdgeOp>],
@@ -46,6 +48,7 @@ fn run_case(
 ) -> (u64, Vec<(u64, bool)>) {
     let out = Universe::try_run_config(p, &UniverseConfig::default(), |comm| {
         let mut engine = Engine::cold_start_from(comm, el.into(), algo, TcConfig::default())?;
+        let mut outcomes = Vec::new();
         for batch in batches {
             let outcome = engine.apply_batch(comm, batch)?;
             let oracle = engine.recount(comm)?;
@@ -53,6 +56,15 @@ fn run_case(
                 outcome.triangles, oracle,
                 "incremental count drifted from the 2D recount (algo {algo:?}, p {p})"
             );
+            let shares = [local_fingerprint(engine.store())];
+            let live = comm.allreduce(&shares, |a, b| *a = a.wrapping_add(*b))?[0];
+            assert_eq!(
+                engine.fingerprint(),
+                live,
+                "rank {}: fingerprint drifted from the stores (algo {algo:?}, p {p})",
+                comm.rank()
+            );
+            outcomes.push(outcome);
         }
         assert_eq!(engine.batches_applied(), batches.len() as u64);
         let mut supports = Vec::new();
@@ -63,10 +75,15 @@ fn run_case(
                 supports.push((r.support, r.present));
             }
         }
-        Ok((engine.triangles(), supports))
+        Ok((engine.triangles(), supports, outcomes))
     })
     .expect("universe run");
-    out.0.into_iter().next().expect("rank 0 result")
+    let mut ranks = out.0.into_iter();
+    let (count, supports, outcomes) = ranks.next().expect("rank 0 result");
+    for (r, (_, _, theirs)) in ranks.enumerate() {
+        assert_eq!(theirs, outcomes, "rank {} outcomes differ from rank 0's", r + 1);
+    }
+    (count, supports)
 }
 
 /// End-state oracle: per-edge supports from the offline 2D per-edge
@@ -121,7 +138,9 @@ fn check(el: &EdgeList, batches: &[Vec<EdgeOp>], p: usize, algo: Algo) {
     }
 
     let (count, supports) = run_case(el, batches, &probes, p, algo);
-    let expected = oracle_supports(&final_el, p);
+    // The per-edge oracle runs Cannon: on the largest square ≤ p.
+    let root = (1..=p).take_while(|r| r * r <= p).last().unwrap_or(1);
+    let expected = oracle_supports(&final_el, root * root);
     let expected_count: u64 = expected.values().sum::<u64>() / 3;
     assert_eq!(count, expected_count, "final count vs per-edge oracle (p {p}, {algo:?})");
 
@@ -157,6 +176,18 @@ proptest! {
     fn incremental_matches_recount_summa_p4(case in arb_case()) {
         let (el, batches) = case;
         check(&el, &batches, 4, Algo::Summa(SummaGrid::new(2, 2)));
+    }
+
+    #[test]
+    fn incremental_matches_recount_cannon_p9(case in arb_case()) {
+        let (el, batches) = case;
+        check(&el, &batches, 9, Algo::Cannon);
+    }
+
+    #[test]
+    fn incremental_matches_recount_summa_2x3(case in arb_case()) {
+        let (el, batches) = case;
+        check(&el, &batches, 6, Algo::Summa(SummaGrid::new(2, 3)));
     }
 }
 
@@ -270,6 +301,28 @@ fn support_traffic_is_owner_routed() {
         assert_eq!(r.support, ref_support(&el, u, v), "support of ({u}, {v})");
         assert_eq!(r.present, edges.contains(&(u.min(v), u.max(v))), "presence of ({u}, {v})");
     }
+}
+
+/// A batch takes two rounds: one `alltoallv` that carries the net
+/// edits and the rows peers intersect, then the 6-wide `allreduce`
+/// (a reduce and a bcast). At p = 4 that is 3 collective calls per
+/// rank and 4 × 3 + 3 + 3 = 18 messages across the fleet.
+#[test]
+fn apply_traffic_is_two_rounds() {
+    let n = 40;
+    let el = tc_gen::er::gnm(n, 200, 13).simplify();
+    let batch = scripted_batches(&el, 32).swap_remove(0);
+    let (sent, _) = Universe::try_run_config(4, &UniverseConfig::default(), |comm| {
+        let mut engine =
+            Engine::cold_start_from(comm, (&el).into(), Algo::Cannon, TcConfig::default())?;
+        let (before, colls) = (comm.stats(), comm.collective_calls());
+        let outcome = engine.apply_batch(comm, &batch)?;
+        assert!(outcome.inserted > 0 && outcome.deleted > 0, "the batch must edit both ways");
+        assert_eq!(comm.collective_calls() - colls, 3, "rank {} collective calls", comm.rank());
+        Ok(comm.stats().msgs_sent - before.msgs_sent)
+    })
+    .expect("universe run");
+    assert_eq!(sent.iter().sum::<u64>(), 18, "fleet messages per batch: {sent:?}");
 }
 
 /// The cold start runs the §5.3 preprocessing over the source's
